@@ -37,6 +37,19 @@ const EFFORT: &[&str] = &[
     "select.graph_nodes",
 ];
 
+/// Solver counters summarized per workload, with their column labels:
+/// query volume, stalls, prefix-cache reuse, clauses assumption probes
+/// reused from the persistent solver, and clauses the final input solve
+/// took over from the shepherded run's engine.
+const SOLVER: &[(&str, &str)] = &[
+    ("Queries", "solver.queries"),
+    ("Stalls", "solver.stalls"),
+    ("Cache Hits", "solver.cache_hits"),
+    ("Cache Misses", "solver.cache_misses"),
+    ("Probe Reused", "solver.clauses_reused"),
+    ("Handoff Reused", "solver.handoff_reused_clauses"),
+];
+
 /// Fleet counters rendered in the per-fleet-run table, in column order.
 /// All `fleet.*` counters are bumped on the simulator's driver thread,
 /// so the enclosing `fleet.run` span's counter delta accounts for each
@@ -124,7 +137,7 @@ fn main() {
         if ev.name == "reconstruct.iteration" {
             rep.iterations += 1;
             for (cname, v) in &ev.counters {
-                if EFFORT.contains(&cname.as_str()) {
+                if EFFORT.contains(&cname.as_str()) || SOLVER.iter().any(|(_, c)| c == cname) {
                     *rep.effort.entry(cname.clone()).or_default() += v;
                 }
             }
@@ -185,6 +198,20 @@ fn main() {
         ],
         &effort_rows,
     );
+
+    let solver_rows: Vec<Vec<String>> = reports
+        .iter()
+        .map(|r| {
+            let mut row = vec![r.name.clone()];
+            for (_, c) in SOLVER {
+                row.push(r.effort.get(*c).copied().unwrap_or(0).to_string());
+            }
+            row
+        })
+        .collect();
+    let mut solver_header = vec!["Workload"];
+    solver_header.extend(SOLVER.iter().map(|(label, _)| *label));
+    print_table("Per-workload solver counters", &solver_header, &solver_rows);
 
     // Fleet-simulation runs: one `fleet.run` span per `er_fleet::Fleet::run`,
     // tagged with the workload/fleet label; its counter deltas carry every

@@ -94,6 +94,10 @@ pub enum SolveFailure {
 /// Solves the run's path constraint (plus failure constraint) and extracts
 /// concrete input streams.
 ///
+/// The solve continues on the engine the symbolic machine handed over in
+/// `run.solver`: `path + failure constraint` extends the prefix that engine
+/// already lowered, so only the tail is new. The engine is consumed.
+///
 /// # Errors
 ///
 /// Returns [`SolveFailure`] on a stall or an unsatisfiable path.
@@ -109,7 +113,12 @@ pub fn solve_inputs(
         .copied()
         .chain(run.failure_constraint)
         .collect();
-    let mut solver = Solver::new(&mut run.pool);
+    let engine = std::mem::take(&mut run.solver);
+    if er_telemetry::enabled() {
+        er_telemetry::counter!("solver.handoff_reused_clauses")
+            .add(engine.reusable_clauses(&assertions, budget) as u64);
+    }
+    let mut solver = Solver::with_engine(&mut run.pool, engine);
     for c in assertions {
         solver.assert(c);
     }

@@ -67,17 +67,21 @@ impl fmt::Display for Lit {
 /// A snapshot of a [`Cnf`]'s extent (see [`Cnf::mark`]).
 #[derive(Debug, Clone, Copy)]
 pub struct CnfMark {
-    n_vars: u32,
     n_clauses: usize,
     const_true: Option<Lit>,
 }
 
 /// A CNF formula under construction, with Tseitin helpers.
+///
+/// Clauses are stored flat: every literal back to back in one vector, plus
+/// the end offset of each clause, so adding a clause never allocates on its
+/// own. An empty clause means trivially unsatisfiable.
 #[derive(Debug, Default, Clone)]
 pub struct Cnf {
     n_vars: u32,
-    /// All clauses. Empty clause means trivially unsatisfiable.
-    pub clauses: Vec<Vec<Lit>>,
+    lits: Vec<Lit>,
+    /// `ends[i]` is one past the last literal of clause `i` in `lits`.
+    ends: Vec<usize>,
     const_true: Option<Lit>,
 }
 
@@ -101,33 +105,50 @@ impl Cnf {
 
     /// Number of clauses.
     pub fn clause_count(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
+    }
+
+    /// The literals of clause `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.clause_count()`.
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.lits[start..self.ends[i]]
+    }
+
+    /// Every clause, in insertion order.
+    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        (0..self.clause_count()).map(|i| self.clause(i))
     }
 
     /// Adds a clause (a disjunction of literals).
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.clauses.push(lits.to_vec());
+        self.lits.extend_from_slice(lits);
+        self.ends.push(self.lits.len());
     }
 
     /// Captures the current formula extent for a later [`Cnf::rollback`].
     pub fn mark(&self) -> CnfMark {
         CnfMark {
-            n_vars: self.n_vars,
-            n_clauses: self.clauses.len(),
+            n_clauses: self.ends.len(),
             const_true: self.const_true,
         }
     }
 
-    /// Discards every variable and clause added since `mark` was taken.
+    /// Discards every clause added since `mark` was taken.
     ///
     /// Used by the incremental solver to scope assumption-only lowering:
     /// nothing added after the mark may be referenced by clauses before it
     /// (Tseitin outputs are only consumed by later clauses), so truncation
-    /// restores exactly the pre-mark formula.
+    /// restores exactly the pre-mark formula. Variables allocated since the
+    /// mark stay allocated and their numbers are never handed out again: a
+    /// persistent SAT solver may still hold (disabled) clauses over them.
     pub fn rollback(&mut self, mark: &CnfMark) {
-        debug_assert!(mark.n_vars <= self.n_vars && mark.n_clauses <= self.clauses.len());
-        self.n_vars = mark.n_vars;
-        self.clauses.truncate(mark.n_clauses);
+        debug_assert!(mark.n_clauses <= self.ends.len());
+        self.ends.truncate(mark.n_clauses);
+        self.lits.truncate(self.ends.last().copied().unwrap_or(0));
         self.const_true = mark.const_true;
     }
 
@@ -259,7 +280,7 @@ impl Cnf {
 
     /// Evaluates the formula under a full assignment (for tests).
     pub fn eval(&self, assignment: &[bool]) -> bool {
-        self.clauses.iter().all(|c| {
+        self.clauses().all(|c| {
             c.iter()
                 .any(|l| assignment[l.var().0 as usize] == l.is_pos())
         })

@@ -13,17 +13,26 @@
 //!   saved phases) lives in a persistent [`SatSolver`] fed only the *new*
 //!   clauses each query.
 //!
-//! Assumptions must not contaminate the persistent state: their lowering
+//! One engine serves a whole shepherded run: the final input solve checks
+//! `path + failure constraint`, another prefix extension, on the engine the
+//! symbolic machine hands over, so only the failure constraint is lowered.
+//!
+//! Assumptions must not contaminate the persistent state. Their lowering
 //! runs inside a scope that is rolled back afterwards (the in-bounds axiom
 //! an array read emits is a real constraint, so even "definitional" output
-//! is undone), and their clauses go into a throwaway *clone* of the
-//! persistent solver — the clone inherits the learned clauses for free and
-//! is discarded after the query.
+//! is undone; variable numbers are never reused). Their clauses go into the
+//! persistent solver guarded by a fresh *activation literal* `act` — each
+//! clause `c` is added as `!act ∨ c` — which is assumed for that one search
+//! and released afterwards, MiniSat style. Learned clauses that depend on
+//! the guarded clauses carry `!act` and die with them; all other learned
+//! clauses stay and speed up later queries.
 //!
 //! Budget accounting is designed to match a fresh per-query solver: cell
 //! counts are cumulative over the deduplicated constraint set (exactly what
 //! a fresh whole-query elimination would count), the clause budget checks
-//! the full CNF extent, and the conflict budget is per call. Stall points
+//! the full CNF extent, and the conflict budget is per call. State already
+//! committed is only reused when it fits the query's budget, so a fresh
+//! solver would have lowered the same prefix without tripping. Stall points
 //! therefore land in the same place in either mode, which keeps
 //! reproduction results identical. The one intentional divergence: learned
 //! clauses can steer the incremental search through *fewer* conflicts than
@@ -32,8 +41,9 @@
 
 use crate::arrays::Eliminator;
 use crate::bitblast::BitBlaster;
+use crate::cnf::Lit;
 use crate::expr::{ExprPool, ExprRef};
-use crate::sat::{SatOutcome, SatSolver};
+use crate::sat::{SatOutcome, SatSolver, SatStats};
 use crate::solve::{Budget, Model, SatResult, SolveStats, StallReason};
 
 /// Persistent solver state for a monotonically growing constraint prefix.
@@ -48,6 +58,8 @@ pub struct IncrementalSolver {
     sat: SatSolver,
     /// Clauses of `blast.cnf` already fed to `sat`.
     fed: usize,
+    /// Scratch for building activation-guarded clauses.
+    guarded: Vec<Lit>,
     last_stats: SolveStats,
 }
 
@@ -66,12 +78,36 @@ impl IncrementalSolver {
             blast: BitBlaster::new(),
             sat: SatSolver::empty(),
             fed: 0,
+            guarded: Vec::new(),
             last_stats: SolveStats::default(),
         }
     }
 
     fn reset(&mut self) {
         *self = IncrementalSolver::new();
+    }
+
+    /// Whether a check of `constraints` under `budget` may build on the
+    /// committed state: the committed prefix must be a prefix of
+    /// `constraints`, and the work committed so far must fit `budget`, so
+    /// that a fresh engine would have lowered the same prefix without
+    /// tripping.
+    fn can_extend(&self, constraints: &[ExprRef], budget: &Budget) -> bool {
+        self.prefix.len() <= constraints.len()
+            && self.prefix.iter().zip(constraints).all(|(&p, &c)| p == c)
+            && self.elim.stats().cells <= budget.max_array_cells
+            && self.blast.cnf.clause_count() <= budget.max_clauses
+    }
+
+    /// CNF clauses a check of `constraints` under `budget` would reuse
+    /// rather than lower again: every committed clause if the check
+    /// extends the committed prefix, otherwise none (the engine resets).
+    pub fn reusable_clauses(&self, constraints: &[ExprRef], budget: &Budget) -> usize {
+        if self.can_extend(constraints, budget) {
+            self.blast.cnf.clause_count()
+        } else {
+            0
+        }
     }
 
     /// Checks `constraints` under `budget`, reusing all lowering and search
@@ -126,10 +162,8 @@ impl IncrementalSolver {
         self.last_stats = SolveStats::default();
 
         // Prefix validation: reuse everything if this call extends the
-        // previous constraint slice, otherwise start over.
-        if self.prefix.len() > constraints.len()
-            || self.prefix.iter().zip(constraints).any(|(&p, &c)| p != c)
-        {
+        // previous constraint slice within budget, otherwise start over.
+        if !self.can_extend(constraints, budget) {
             self.reset();
         }
         let hits = self.prefix.len() as u64;
@@ -175,6 +209,9 @@ impl IncrementalSolver {
                     return (SatResult::Unknown(reason), hits, misses, 0);
                 }
             }
+            // A trip here leaves the constraint committed; the next call
+            // fails `can_extend` and re-lowers from scratch, tripping at
+            // this same point as a fresh solver would.
             let clauses = self.blast.cnf.clause_count();
             if clauses > budget.max_clauses {
                 self.last_stats.cnf_clauses = clauses;
@@ -186,20 +223,7 @@ impl IncrementalSolver {
                 );
             }
         }
-        // The CNF never shrinks, so a clause-budget trip from an earlier
-        // query must keep tripping (as re-running a fresh solver would).
         let committed_clauses = self.blast.cnf.clause_count();
-        if committed_clauses > budget.max_clauses {
-            self.last_stats.cnf_clauses = committed_clauses;
-            return (
-                SatResult::Unknown(StallReason::Clauses {
-                    clauses: committed_clauses,
-                }),
-                hits,
-                misses,
-                0,
-            );
-        }
 
         // Everything constant-folded away: trivially satisfiable.
         if committed_clauses == 0 && assum_pending.is_empty() {
@@ -211,19 +235,14 @@ impl IncrementalSolver {
         if assum_pending.is_empty() {
             let before = self.sat.stats();
             let outcome = self.sat.solve(budget.max_conflicts);
-            self.last_stats.array_cells = self.elim.stats().cells;
-            self.last_stats.stores_traversed = self.elim.stats().stores_traversed;
-            self.last_stats.cnf_vars = self.blast.cnf.var_count();
-            self.last_stats.cnf_clauses = committed_clauses;
-            self.last_stats.conflicts = self.sat.stats().conflicts - before.conflicts;
-            self.last_stats.propagations = self.sat.stats().propagations - before.propagations;
+            self.record_search(before, committed_clauses);
             let result = self.finish(pool, outcome, constraints, &[]);
             return (result, hits, misses, 0);
         }
 
-        // Assumption query: lower inside a rollback scope, solve on a
-        // throwaway clone of the persistent solver (which carries the
-        // learned clauses along).
+        // Assumption query: lower inside a rollback scope, add the scope's
+        // clauses guarded by a fresh activation literal, assume it for this
+        // one search, then release it.
         misses += assum_pending.len() as u64;
         self.elim.begin_scope();
         self.blast.begin_scope();
@@ -248,22 +267,21 @@ impl IncrementalSolver {
             }
         }
 
-        let mut probe = self.sat.clone();
-        let reused = probe.clause_count() as u64;
-        probe.ensure_vars(self.blast.cnf.var_count() as usize);
-        for cl in &self.blast.cnf.clauses[self.fed..] {
-            probe.push_clause(cl);
+        let act = Lit::pos(self.blast.cnf.new_var());
+        let reused = self.sat.clause_count() as u64;
+        self.sat.ensure_vars(self.blast.cnf.var_count() as usize);
+        for i in self.fed..self.blast.cnf.clause_count() {
+            self.guarded.clear();
+            self.guarded.push(!act);
+            self.guarded.extend_from_slice(self.blast.cnf.clause(i));
+            self.sat.push_clause(&self.guarded);
         }
         let before = self.sat.stats();
-        let outcome = probe.solve(budget.max_conflicts);
-        self.last_stats.array_cells = self.elim.stats().cells;
-        self.last_stats.stores_traversed = self.elim.stats().stores_traversed;
-        self.last_stats.cnf_vars = self.blast.cnf.var_count();
-        self.last_stats.cnf_clauses = self.blast.cnf.clause_count();
-        self.last_stats.conflicts = probe.stats().conflicts - before.conflicts;
-        self.last_stats.propagations = probe.stats().propagations - before.propagations;
+        let outcome = self.sat.solve_assuming(&[act], budget.max_conflicts);
+        self.record_search(before, self.blast.cnf.clause_count());
         // Extract the model while the scope's var_bits entries still exist.
         let result = self.finish(pool, outcome, constraints, &assum_pending);
+        self.sat.release(act);
         self.elim.rollback_scope();
         self.blast.rollback_scope();
         (result, hits, misses, reused)
@@ -299,13 +317,25 @@ impl IncrementalSolver {
         }
     }
 
+    /// Fills `last_stats` after a search that started at SAT stats `before`
+    /// over a formula of `cnf_clauses` clauses.
+    fn record_search(&mut self, before: SatStats, cnf_clauses: usize) {
+        let after = self.sat.stats();
+        self.last_stats.array_cells = self.elim.stats().cells;
+        self.last_stats.stores_traversed = self.elim.stats().stores_traversed;
+        self.last_stats.cnf_vars = self.blast.cnf.var_count();
+        self.last_stats.cnf_clauses = cnf_clauses;
+        self.last_stats.conflicts = after.conflicts - before.conflicts;
+        self.last_stats.propagations = after.propagations - before.propagations;
+    }
+
     /// Feeds clauses added since the last call into the persistent solver.
     fn feed(&mut self) {
         self.sat.ensure_vars(self.blast.cnf.var_count() as usize);
-        for cl in &self.blast.cnf.clauses[self.fed..] {
-            self.sat.push_clause(cl);
+        for i in self.fed..self.blast.cnf.clause_count() {
+            self.sat.push_clause(self.blast.cnf.clause(i));
         }
-        self.fed = self.blast.cnf.clauses.len();
+        self.fed = self.blast.cnf.clause_count();
     }
 
     fn finish(
@@ -523,6 +553,69 @@ mod tests {
             SatResult::Unknown(StallReason::ArrayCells { .. })
         ));
         assert_eq!(first, second, "retry must observe the same trip point");
+    }
+
+    #[test]
+    fn committed_work_over_a_smaller_budget_is_redone() {
+        // Lowered under a generous budget, then re-checked under one the
+        // committed CNF already exceeds: the engine must not reuse it and
+        // must stall exactly as a fresh engine does.
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 16);
+        let y = pool.var("y", 16);
+        let prod = pool.bin(BvOp::Mul, x, y);
+        let target = pool.bv_const(143, 16);
+        let eq = pool.cmp(CmpKind::Eq, prod, target);
+        let one = pool.bv_const(1, 16);
+        let x_big = pool.cmp(CmpKind::Ult, one, x);
+        let mut inc = IncrementalSolver::new();
+        assert!(matches!(
+            inc.check(&mut pool, &[eq], &Budget::default()),
+            SatResult::Sat(_)
+        ));
+        let committed = inc.blast.cnf.clause_count();
+        let tight = Budget {
+            max_clauses: committed / 2,
+            ..Budget::default()
+        };
+        assert_eq!(
+            inc.reusable_clauses(&[eq, x_big], &Budget::default()),
+            committed
+        );
+        assert_eq!(inc.reusable_clauses(&[eq, x_big], &tight), 0);
+        let fresh = IncrementalSolver::new().check(&mut pool, &[eq, x_big], &tight);
+        assert!(matches!(
+            fresh,
+            SatResult::Unknown(StallReason::Clauses { .. })
+        ));
+        assert_eq!(inc.check(&mut pool, &[eq, x_big], &tight), fresh);
+    }
+
+    #[test]
+    fn probes_leave_no_trace_in_later_answers() {
+        // Many contradicting probes against one engine: each answers like
+        // a fresh solver, and the prefix alone stays satisfiable with the
+        // full range of x available.
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 8);
+        let hundred = pool.bv_const(100, 8);
+        let base = pool.cmp(CmpKind::Ult, x, hundred);
+        let mut inc = IncrementalSolver::new();
+        let b = Budget::default();
+        for v in 0..120u64 {
+            let c = pool.bv_const(v, 8);
+            let is_v = pool.cmp(CmpKind::Eq, x, c);
+            let got = inc.check_assuming(&mut pool, &[base], &[is_v], &b);
+            let fresh = fresh_verdict(&mut pool, &[base], &[is_v]);
+            assert!(same_verdict(&got, &fresh), "{v}: {got:?} vs {fresh:?}");
+            assert_eq!(matches!(got, SatResult::Sat(_)), v < 100);
+        }
+        let ninety_nine = pool.bv_const(99, 8);
+        let top = pool.cmp(CmpKind::Eq, x, ninety_nine);
+        assert!(matches!(
+            inc.check(&mut pool, &[base, top], &b),
+            SatResult::Sat(_)
+        ));
     }
 
     #[test]

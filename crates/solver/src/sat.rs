@@ -129,6 +129,29 @@ impl VarHeap {
     }
 }
 
+/// Where one clause lives in the solver's literal arena.
+#[derive(Debug, Clone, Copy)]
+struct ClauseRef {
+    start: u32,
+    len: u32,
+}
+
+/// Databases smaller than this are never swept (see [`SatSolver::release`]).
+const SWEEP_MIN_CLAUSES: usize = 1024;
+
+fn lit_value(assign: &[LBool], l: Lit) -> LBool {
+    match assign[l.var().0 as usize] {
+        LBool::Undef => LBool::Undef,
+        assigned => {
+            if (assigned == LBool::True) == l.is_pos() {
+                LBool::True
+            } else {
+                LBool::False
+            }
+        }
+    }
+}
+
 /// The CDCL solver.
 ///
 /// Besides the classic load-then-solve usage ([`SatSolver::new`]), the
@@ -138,14 +161,22 @@ impl VarHeap {
 /// as needed. Clauses learned in earlier calls are implied by the clause
 /// database and therefore remain sound for every later call, as long as
 /// the problem only ever *gains* clauses (the monotone-prefix discipline
-/// the incremental ER solver follows). Cloning the solver yields an
-/// independent search that inherits the learned clauses — used for
-/// assumption queries whose extra clauses must not contaminate the
-/// persistent database.
+/// the incremental ER solver follows).
+///
+/// Temporary constraints use MiniSat-style activation literals: add each
+/// temporary clause as `!act ∨ clause` for a fresh variable `act`, call
+/// [`SatSolver::solve_assuming`] with `act`, then [`SatSolver::release`]
+/// it. Clauses learned meanwhile that depend on the temporary clauses
+/// carry `!act`, so releasing `act` disables all of them at once.
+///
+/// Clauses live in one literal arena addressed by `(start, len)` refs, so
+/// adding a clause costs no allocation of its own.
 #[derive(Debug, Clone)]
 pub struct SatSolver {
     n_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    /// Literals of every clause, problem and learned, back to back.
+    arena: Vec<Lit>,
+    clauses: Vec<ClauseRef>,
     watches: Vec<Vec<u32>>,
     assign: Vec<LBool>,
     level: Vec<u32>,
@@ -160,6 +191,12 @@ pub struct SatSolver {
     seen: Vec<bool>,
     ok: bool,
     stats: SatStats,
+    /// Scratch for clause normalization in `add_clause`.
+    add_buf: Vec<Lit>,
+    /// Scratch for the clause `analyze` learns.
+    learnt_buf: Vec<Lit>,
+    /// Clause count right after the last sweep of satisfied clauses.
+    swept_at: usize,
 }
 
 impl SatSolver {
@@ -168,6 +205,7 @@ impl SatSolver {
         let n = cnf.var_count() as usize;
         let mut s = SatSolver {
             n_vars: n,
+            arena: Vec::new(),
             clauses: Vec::with_capacity(cnf.clause_count()),
             watches: vec![Vec::new(); 2 * n],
             assign: vec![LBool::Undef; n],
@@ -183,8 +221,11 @@ impl SatSolver {
             seen: vec![false; n],
             ok: true,
             stats: SatStats::default(),
+            add_buf: Vec::new(),
+            learnt_buf: Vec::new(),
+            swept_at: 0,
         };
-        for clause in &cnf.clauses {
+        for clause in cnf.clauses() {
             s.add_clause(clause);
             if !s.ok {
                 break;
@@ -227,54 +268,83 @@ impl SatSolver {
         }
     }
 
+    /// Permanently disables activation literal `act`: asserts `!act` at the
+    /// root, which satisfies every clause guarded by it and every clause
+    /// learned from those. Once the database has doubled since the last
+    /// sweep, satisfied clauses are swept out so disabled ones stop costing
+    /// propagation work.
+    pub fn release(&mut self, act: Lit) {
+        self.push_clause(&[!act]);
+        if self.ok && self.clauses.len() >= 2 * self.swept_at.max(SWEEP_MIN_CLAUSES) {
+            self.sweep();
+        }
+    }
+
     /// Total clauses in the database (problem + learned).
     pub fn clause_count(&self) -> usize {
         self.clauses.len()
     }
 
     fn value(&self, l: Lit) -> LBool {
-        match self.assign[l.var().0 as usize] {
-            LBool::Undef => LBool::Undef,
-            assigned => {
-                let var_is_true = assigned == LBool::True;
-                if var_is_true == l.is_pos() {
-                    LBool::True
-                } else {
-                    LBool::False
-                }
-            }
-        }
+        lit_value(&self.assign, l)
     }
 
     fn add_clause(&mut self, lits: &[Lit]) {
-        // Normalize: drop duplicates and satisfied-at-level-0 literals.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for (i, &l) in sorted.iter().enumerate() {
-            if i + 1 < sorted.len() && sorted[i + 1] == !l {
-                return; // tautology: l and !l both present
+        // Normalize in scratch space: drop duplicates and literals false at
+        // level 0; a tautology or a literal true at level 0 drops the clause.
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend_from_slice(lits);
+        c.sort_unstable();
+        c.dedup();
+        let mut kept = 0;
+        let mut satisfied = false;
+        for i in 0..c.len() {
+            let l = c[i];
+            if i + 1 < c.len() && c[i + 1] == !l {
+                satisfied = true; // tautology: l and !l both present
+                break;
             }
             match self.value(l) {
-                LBool::True => return, // already satisfied at level 0
+                LBool::True => {
+                    satisfied = true; // already satisfied at level 0
+                    break;
+                }
                 LBool::False if self.level[l.var().0 as usize] == 0 => {}
-                _ => c.push(l),
+                _ => {
+                    c[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match c.len() {
-            0 => self.ok = false,
-            1 => {
-                // Unit clause: assert at level 0 and propagate immediately.
-                self.ok &= self.enqueue(c[0], -1) && self.propagate().is_none();
-            }
-            _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[(!c[0]).index()].push(idx);
-                self.watches[(!c[1]).index()].push(idx);
-                self.clauses.push(c);
+        if !satisfied {
+            c.truncate(kept);
+            match c.len() {
+                0 => self.ok = false,
+                1 => {
+                    // Unit clause: assert at level 0 and propagate immediately.
+                    self.ok &= self.enqueue(c[0], -1) && self.propagate().is_none();
+                }
+                _ => {
+                    self.attach(&c);
+                }
             }
         }
+        self.add_buf = c;
+    }
+
+    /// Stores a clause of at least two literals, watching the first two.
+    fn attach(&mut self, lits: &[Lit]) -> u32 {
+        debug_assert!(lits.len() >= 2);
+        let idx = self.clauses.len() as u32;
+        self.clauses.push(ClauseRef {
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
+        });
+        self.arena.extend_from_slice(lits);
+        self.watches[(!lits[0]).index()].push(idx);
+        self.watches[(!lits[1]).index()].push(idx);
+        idx
     }
 
     fn enqueue(&mut self, l: Lit, reason: i32) -> bool {
@@ -306,41 +376,25 @@ impl SatSolver {
             // Clauses watching !p (p just became true, so !p became false).
             let mut i = 0;
             let watch_idx = p.index();
+            let false_lit = !p;
             'clauses: while i < self.watches[watch_idx].len() {
                 let ci = self.watches[watch_idx][i];
-                let assign = &self.assign;
-                let value_of = |l: Lit| match assign[l.var().0 as usize] {
-                    LBool::Undef => LBool::Undef,
-                    LBool::True => {
-                        if l.is_pos() {
-                            LBool::True
-                        } else {
-                            LBool::False
-                        }
-                    }
-                    LBool::False => {
-                        if l.is_pos() {
-                            LBool::False
-                        } else {
-                            LBool::True
-                        }
-                    }
-                };
-                let clause = &mut self.clauses[ci as usize];
+                let cr = self.clauses[ci as usize];
+                let clause =
+                    &mut self.arena[cr.start as usize..cr.start as usize + cr.len as usize];
                 // Ensure the false literal is at position 1.
-                let false_lit = !p;
                 if clause[0] == false_lit {
                     clause.swap(0, 1);
                 }
                 debug_assert_eq!(clause[1], false_lit);
                 let first = clause[0];
-                if value_of(first) == LBool::True {
+                if lit_value(&self.assign, first) == LBool::True {
                     i += 1;
                     continue;
                 }
                 // Find a new literal to watch.
                 for k in 2..clause.len() {
-                    if value_of(clause[k]) != LBool::False {
+                    if lit_value(&self.assign, clause[k]) != LBool::False {
                         clause.swap(1, k);
                         let new_watch = !clause[1];
                         self.watches[watch_idx].swap_remove(i);
@@ -371,9 +425,12 @@ impl SatSolver {
         self.heap.update(&self.activity, v);
     }
 
-    /// First-UIP conflict analysis; returns (learned clause, backjump level).
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![Lit(0)]; // slot 0 for the UIP
+    /// First-UIP conflict analysis: fills `learned` (asserting literal
+    /// first, a highest-level literal second) and returns the backjump
+    /// level.
+    fn analyze(&mut self, conflict: u32, learned: &mut Vec<Lit>) -> u32 {
+        learned.clear();
+        learned.push(Lit(0)); // slot 0 for the UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -382,9 +439,10 @@ impl SatSolver {
 
         loop {
             debug_assert!(clause_idx >= 0, "reason must exist during analysis");
-            let clause = self.clauses[clause_idx as usize].clone();
-            let start = usize::from(p.is_some());
-            for &q in &clause[start..] {
+            let cr = self.clauses[clause_idx as usize];
+            let start = cr.start as usize + usize::from(p.is_some());
+            for k in start..cr.start as usize + cr.len as usize {
+                let q = self.arena[k];
                 let v = q.var();
                 let vi = v.0 as usize;
                 if !self.seen[vi] && self.level[vi] > 0 {
@@ -431,7 +489,7 @@ impl SatSolver {
                 .expect("nonempty");
             learned.swap(1, mi + 1);
         }
-        (learned, backjump)
+        backjump
     }
 
     fn backtrack(&mut self, to_level: u32) {
@@ -464,10 +522,64 @@ impl SatSolver {
         false
     }
 
+    /// Drops every clause satisfied at the root level and rebuilds the
+    /// watch lists over the compacted arena. Only called at level 0 with
+    /// propagation complete, where each surviving clause's two watched
+    /// literals are unassigned.
+    fn sweep(&mut self) {
+        debug_assert!(self.trail_lim.is_empty() && self.qhead == self.trail.len());
+        let mut kept = 0;
+        let mut end = 0;
+        for i in 0..self.clauses.len() {
+            let cr = self.clauses[i];
+            let range = cr.start as usize..cr.start as usize + cr.len as usize;
+            if self.arena[range.clone()]
+                .iter()
+                .any(|&l| lit_value(&self.assign, l) == LBool::True)
+            {
+                continue;
+            }
+            self.arena.copy_within(range, end);
+            self.clauses[kept] = ClauseRef {
+                start: end as u32,
+                len: cr.len,
+            };
+            kept += 1;
+            end += cr.len as usize;
+        }
+        self.arena.truncate(end);
+        self.clauses.truncate(kept);
+        for w in &mut self.watches {
+            w.clear();
+        }
+        for (i, cr) in self.clauses.iter().enumerate() {
+            let s = cr.start as usize;
+            debug_assert!(lit_value(&self.assign, self.arena[s]) == LBool::Undef);
+            debug_assert!(lit_value(&self.assign, self.arena[s + 1]) == LBool::Undef);
+            self.watches[(!self.arena[s]).index()].push(i as u32);
+            self.watches[(!self.arena[s + 1]).index()].push(i as u32);
+        }
+        // Sweeping renumbers clauses. Root-level reasons are never read by
+        // conflict analysis, so clearing them keeps every stored index valid.
+        for &l in &self.trail {
+            self.reason[l.var().0 as usize] = -1;
+        }
+        self.swept_at = kept;
+    }
+
     /// Runs the search with at most `max_conflicts` conflicts.
     pub fn solve(&mut self, max_conflicts: u64) -> SatOutcome {
+        self.solve_assuming(&[], max_conflicts)
+    }
+
+    /// Runs the search with `assumptions` forced true, with at most
+    /// `max_conflicts` conflicts. Each assumption is decided first, on its
+    /// own decision level, so [`SatOutcome::Unsat`] here means
+    /// unsatisfiable *under the assumptions*: the solver stays usable and
+    /// keeps only clauses implied by its database.
+    pub fn solve_assuming(&mut self, assumptions: &[Lit], max_conflicts: u64) -> SatOutcome {
         let before = self.stats;
-        let outcome = self.solve_inner(max_conflicts);
+        let outcome = self.solve_inner(assumptions, max_conflicts);
         if er_telemetry::enabled() {
             // Batch the per-search deltas so the search loop itself stays
             // free of instrumentation.
@@ -481,7 +593,7 @@ impl SatSolver {
         outcome
     }
 
-    fn solve_inner(&mut self, max_conflicts: u64) -> SatOutcome {
+    fn solve_inner(&mut self, assumptions: &[Lit], max_conflicts: u64) -> SatOutcome {
         if !self.ok {
             return SatOutcome::Unsat;
         }
@@ -498,38 +610,35 @@ impl SatSolver {
         let budget_end = self.stats.conflicts.saturating_add(max_conflicts);
         let mut restart_idx = 0u32;
         let mut conflicts_until_restart = luby(restart_idx) * 128;
-        loop {
+        let mut learned = std::mem::take(&mut self.learnt_buf);
+        let outcome = loop {
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
                 if self.stats.conflicts > budget_end {
-                    return SatOutcome::Unknown;
+                    break SatOutcome::Unknown;
                 }
                 // One conflict = one unit of supervised solve work; a
                 // tripped watchdog token looks like an early budget
                 // exhaustion and unwinds through the same path.
                 if crate::cancel::tick(1) {
-                    return SatOutcome::Unknown;
+                    break SatOutcome::Unknown;
                 }
                 if self.trail_lim.is_empty() {
                     self.ok = false;
-                    return SatOutcome::Unsat;
+                    break SatOutcome::Unsat;
                 }
-                let (learned, backjump) = self.analyze(conflict);
+                let backjump = self.analyze(conflict, &mut learned);
                 er_telemetry::histogram!("sat.learned_len").record(learned.len() as u64);
                 self.backtrack(backjump);
                 self.stats.learned += 1;
                 if learned.len() == 1 {
                     if !self.enqueue(learned[0], -1) {
                         self.ok = false;
-                        return SatOutcome::Unsat;
+                        break SatOutcome::Unsat;
                     }
                 } else {
-                    let idx = self.clauses.len() as u32;
-                    self.watches[(!learned[0]).index()].push(idx);
-                    self.watches[(!learned[1]).index()].push(idx);
-                    let asserting = learned[0];
-                    self.clauses.push(learned);
-                    let ok = self.enqueue(asserting, idx as i32);
+                    let idx = self.attach(&learned);
+                    let ok = self.enqueue(learned[0], idx as i32);
                     debug_assert!(ok);
                 }
                 self.var_inc /= 0.95;
@@ -540,11 +649,26 @@ impl SatSolver {
                     conflicts_until_restart = luby(restart_idx) * 128;
                     self.backtrack(0);
                 }
+            } else if let Some(&a) = assumptions.get(self.trail_lim.len()) {
+                // Assumptions come first, one decision level each; an
+                // already-true one still opens its (empty) level so levels
+                // and assumption indices stay aligned.
+                match self.value(a) {
+                    LBool::False => break SatOutcome::Unsat,
+                    LBool::True => self.trail_lim.push(self.trail.len()),
+                    LBool::Undef => {
+                        self.trail_lim.push(self.trail.len());
+                        let ok = self.enqueue(a, -1);
+                        debug_assert!(ok);
+                    }
+                }
             } else if !self.decide() {
                 let model = self.assign.iter().map(|&a| a == LBool::True).collect();
-                return SatOutcome::Sat(model);
+                break SatOutcome::Sat(model);
             }
-        }
+        };
+        self.learnt_buf = learned;
+        outcome
     }
 
     /// Search statistics so far.
@@ -816,5 +940,67 @@ mod tests {
         cnf.add_clause(&[Lit::neg(b)]);
         assert!(solve_for_tests(&cnf));
         let _ = lit(0, true);
+    }
+
+    #[test]
+    fn assumptions_do_not_stick() {
+        let mut s = SatSolver::empty();
+        s.ensure_vars(2);
+        s.push_clause(&[lit(0, true), lit(1, true)]);
+        assert_eq!(
+            s.solve_assuming(&[lit(0, false), lit(1, false)], 1_000),
+            SatOutcome::Unsat
+        );
+        let SatOutcome::Sat(m) = s.solve_assuming(&[lit(0, false)], 1_000) else {
+            panic!("x1 can carry the clause");
+        };
+        assert!(!m[0] && m[1]);
+        assert!(matches!(s.solve(1_000), SatOutcome::Sat(_)));
+    }
+
+    #[test]
+    fn released_activation_literal_disables_guarded_clauses() {
+        let mut s = SatSolver::empty();
+        s.ensure_vars(3);
+        let act = lit(2, true);
+        s.push_clause(&[lit(0, true)]);
+        s.push_clause(&[!act, lit(0, false), lit(1, true)]);
+        s.push_clause(&[!act, lit(1, false)]);
+        assert_eq!(s.solve_assuming(&[act], 1_000), SatOutcome::Unsat);
+        s.release(act);
+        let SatOutcome::Sat(m) = s.solve(1_000) else {
+            panic!("guarded clauses are gone");
+        };
+        assert!(m[0] && !m[2]);
+    }
+
+    #[test]
+    fn sweep_drops_released_clauses_and_keeps_answers() {
+        // A chain x0 -> x1 -> ... -> x(n-1) plus a guarded copy of it; the
+        // release doubles the database past the sweep threshold.
+        let n = SWEEP_MIN_CLAUSES + 8;
+        let mut s = SatSolver::empty();
+        s.ensure_vars(n + 1);
+        let act = lit(n as u32, true);
+        for v in 0..n as u32 - 1 {
+            s.push_clause(&[lit(v, false), lit(v + 1, true)]);
+        }
+        for v in 0..n as u32 - 1 {
+            s.push_clause(&[!act, lit(v, false), lit(v + 1, true)]);
+        }
+        s.push_clause(&[!act, lit(0, true)]);
+        s.push_clause(&[!act, lit(n as u32 - 1, false)]);
+        assert_eq!(s.solve_assuming(&[act], 100_000), SatOutcome::Unsat);
+        let before = s.clause_count();
+        s.release(act);
+        assert!(s.clause_count() < before, "satisfied clauses swept");
+        assert_eq!(s.clause_count(), n - 1);
+        s.push_clause(&[lit(0, true)]);
+        let SatOutcome::Sat(m) = s.solve(100_000) else {
+            panic!("the unguarded chain is satisfiable");
+        };
+        assert!(m[..n].iter().all(|&b| b));
+        s.push_clause(&[lit(n as u32 - 1, false)]);
+        assert_eq!(s.solve(100_000), SatOutcome::Unsat);
     }
 }

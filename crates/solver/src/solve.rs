@@ -165,7 +165,9 @@ impl SolveStats {
 /// `check`/`check_assuming` calls on one `Solver` reuse array-elimination
 /// results, the Tseitin cache, the CNF clause database, and learned clauses
 /// from earlier calls. The assertion vector is passed by reference — no
-/// per-query cloning.
+/// per-query cloning. [`Solver::with_engine`] continues from an engine
+/// another client already fed, such as the one a shepherded run hands to
+/// its final input solve.
 #[derive(Debug)]
 pub struct Solver<'p> {
     pool: &'p mut ExprPool,
@@ -180,6 +182,17 @@ impl<'p> Solver<'p> {
             pool,
             assertions: Vec::new(),
             inc: IncrementalSolver::new(),
+        }
+    }
+
+    /// A solver over `pool` that continues from `engine`'s state: checks
+    /// whose assertions extend the engine's committed constraint prefix
+    /// lower only the constraints past it.
+    pub fn with_engine(pool: &'p mut ExprPool, engine: IncrementalSolver) -> Self {
+        Solver {
+            pool,
+            assertions: Vec::new(),
+            inc: engine,
         }
     }
 

@@ -179,6 +179,12 @@ pub struct SymRunResult {
     /// Machine snapshots taken along the run (newest last), reusable to
     /// resume shepherding a later trace that shares an event prefix.
     pub checkpoints: Vec<MachineState>,
+    /// The run's solver engine, its committed prefix a prefix of `path`.
+    /// The final input solve continues from it, so only constraints added
+    /// after the last query (and the failure constraint) are lowered. In
+    /// the non-incremental baseline mode no query touches it, so the final
+    /// solve starts fresh.
+    pub solver: IncrementalSolver,
 }
 
 /// A resumable snapshot of the symbolic machine, taken at an event-cursor
@@ -494,6 +500,7 @@ impl<'p> SymMachine<'p> {
             stall_subject,
             stats: self.stats,
             checkpoints: self.checkpoints,
+            solver: self.inc,
         }
     }
 
