@@ -151,12 +151,12 @@ impl TraceSink for RrRecorder {
         // buffer, serialize the event record.
         er_telemetry::counter!("rr.inputs_intercepted").incr();
         self.supervisor_entry();
-        self.hash_bytes(&event.bytes.clone());
-        self.log.trace_bytes += 16 + event.bytes.len() as u64;
+        self.hash_bytes(event.bytes());
+        self.log.trace_bytes += 16 + event.bytes().len() as u64;
         self.log.events.push(RrEvent::Input {
             source: event.source,
             offset: event.offset,
-            bytes: event.bytes.clone(),
+            bytes: event.bytes().to_vec(),
         });
     }
 

@@ -6,16 +6,14 @@ use er_core::graph::ConstraintGraph;
 use er_core::select::{self, SelectionInput};
 use er_minilang::ir::{BlockId, FuncId, InstrId};
 use er_solver::expr::{BvOp, ExprPool, ExprRef};
-use std::collections::HashMap;
+use er_symex::{Origins, SiteCounts};
 
-fn build_pool(stages: usize) -> (ExprPool, HashMap<ExprRef, InstrId>, HashMap<InstrId, u64>) {
+fn build_pool(stages: usize) -> (ExprPool, Origins, SiteCounts) {
     let mut pool = ExprPool::new();
-    let mut origins = HashMap::new();
-    let mut counts = HashMap::new();
+    let mut origins = Origins::default();
+    let mut counts = SiteCounts::default();
     let mut site = 0usize;
-    let mut next_site = |origins: &mut HashMap<ExprRef, InstrId>,
-                         counts: &mut HashMap<InstrId, u64>,
-                         e: ExprRef| {
+    let mut next_site = |origins: &mut Origins, counts: &mut SiteCounts, e: ExprRef| {
         let id = InstrId {
             func: FuncId(0),
             block: BlockId(0),

@@ -8,10 +8,8 @@ use er_core::graph::ConstraintGraph;
 use er_core::instrument::InstrumentedProgram;
 use er_core::select::{self, SelectionInput};
 use er_core::shepherd;
-use er_minilang::ir::InstrId;
 use er_workloads::{all, Scale};
 use serde::Serialize;
-use std::collections::HashMap;
 
 #[derive(Serialize)]
 struct Row {
@@ -43,13 +41,10 @@ fn main() {
         .expect("decodes");
         let run = rep.run;
         let graph = ConstraintGraph::analyze(&run.pool);
-        let mut origins: HashMap<er_solver::ExprRef, InstrId> = HashMap::new();
-        for (&e, &s) in &run.origins {
-            origins.insert(e, s);
-        }
+        let origins = &run.origins;
         let input = SelectionInput {
             pool: &run.pool,
-            origins: &origins,
+            origins,
             site_counts: &run.site_counts,
         };
         // Naive strategy: record every bottleneck element at its own site.

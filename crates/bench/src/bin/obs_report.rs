@@ -37,6 +37,10 @@ const EFFORT: &[&str] = &[
     "select.graph_nodes",
 ];
 
+/// Dynamic instructions of traced production runs; with the deploy phase
+/// time it gives the interpreter's cost per instruction.
+const DEPLOY_INSTRS: &str = "deploy.instrs";
+
 /// Solver counters summarized per workload, with their column labels:
 /// query volume, stalls, prefix-cache reuse, clauses assumption probes
 /// reused from the persistent solver, and clauses the final input solve
@@ -74,7 +78,19 @@ struct WorkloadReport {
     name: String,
     iterations: u64,
     phase_ns: BTreeMap<String, u64>,
+    /// Solver time spent inside shepherded execution (address
+    /// resolution), as opposed to the final input solve.
+    symbex_query_ns: u64,
     effort: BTreeMap<String, u64>,
+}
+
+/// `ns / count`, or `-` when nothing was counted.
+fn ns_per(ns: u64, count: u64) -> String {
+    if count == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.1}", ns as f64 / count as f64)
+    }
 }
 
 #[derive(Default, Serialize)]
@@ -131,13 +147,19 @@ fn main() {
         if let Some((label, _)) = PHASES.iter().find(|(_, span)| *span == ev.name) {
             *rep.phase_ns.entry((*label).to_string()).or_default() += ev.dur_ns;
         }
+        if ev.name == "solver.query" && ev.parent.as_deref() == Some("shepherd.symbex") {
+            rep.symbex_query_ns += ev.dur_ns;
+        }
         // A span's counter deltas include those of its children, so sum
         // effort only over the sibling per-iteration spans — each unit of
         // work is counted exactly once.
         if ev.name == "reconstruct.iteration" {
             rep.iterations += 1;
             for (cname, v) in &ev.counters {
-                if EFFORT.contains(&cname.as_str()) || SOLVER.iter().any(|(_, c)| c == cname) {
+                if EFFORT.contains(&cname.as_str())
+                    || SOLVER.iter().any(|(_, c)| c == cname)
+                    || cname == DEPLOY_INSTRS
+                {
                     *rep.effort.entry(cname.clone()).or_default() += v;
                 }
             }
@@ -197,6 +219,35 @@ fn main() {
             "Graph Nodes",
         ],
         &effort_rows,
+    );
+
+    // The two step loops: deploy time per interpreted instruction, and
+    // shepherded-execution time net of its solver queries per symex step.
+    let step_rows: Vec<Vec<String>> = reports
+        .iter()
+        .map(|r| {
+            let phase = |label: &str| r.phase_ns.get(label).copied().unwrap_or(0);
+            let effort = |c: &str| r.effort.get(c).copied().unwrap_or(0);
+            let symex_self = phase("symbex").saturating_sub(r.symbex_query_ns);
+            vec![
+                r.name.clone(),
+                effort(DEPLOY_INSTRS).to_string(),
+                ns_per(phase("deploy"), effort(DEPLOY_INSTRS)),
+                effort("symex.steps").to_string(),
+                ns_per(symex_self, effort("symex.steps")),
+            ]
+        })
+        .collect();
+    print_table(
+        "Step-loop cost (ns per interpreted instruction / per symex step)",
+        &[
+            "Workload",
+            "Deploy Instrs",
+            "ns/Instr",
+            "Symex Steps",
+            "ns/Step",
+        ],
+        &step_rows,
     );
 
     let solver_rows: Vec<Vec<String>> = reports

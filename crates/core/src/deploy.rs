@@ -188,6 +188,8 @@ impl Deployment {
         let report = Machine::with_sink(&inst.program, env, PtSink::new(self.pt_config))
             .with_sched(sched)
             .run();
+        // Batched per run, like the `pt.*` counters the sink flushes.
+        er_telemetry::counter!("deploy.instrs").add(report.instr_count);
         (report.outcome, report.sink.finish(), report.instr_count)
     }
 

@@ -18,8 +18,7 @@ use er_minilang::interp::SchedConfig;
 use er_minilang::ir::{InstrId, Program};
 use er_pt::TraceEvent;
 use er_solver::solve::Budget;
-use er_symex::{MachineState, ShepherdStatus, SymConfig, TraceDivergence};
-use std::collections::HashMap;
+use er_symex::{MachineState, Origins, ShepherdStatus, SiteCounts, SymConfig, TraceDivergence};
 use std::time::Duration;
 
 /// Configuration of the reconstruction loop.
@@ -668,13 +667,13 @@ impl ReconstructionSession {
     ) -> RecordingSet {
         // Translate origins and counts into original coordinates so sites
         // accumulate stably across differently instrumented iterations.
-        let mut origins: HashMap<er_solver::ExprRef, InstrId> = HashMap::new();
+        let mut origins = Origins::default();
         for (&e, &site) in &run.origins {
             if let Some(o) = inst.to_original(site) {
                 origins.insert(e, o);
             }
         }
-        let mut site_counts: HashMap<InstrId, u64> = HashMap::new();
+        let mut site_counts = SiteCounts::default();
         for (&site, &count) in &run.site_counts {
             if let Some(o) = inst.to_original(site) {
                 *site_counts.entry(o).or_insert(0) += count;

@@ -12,6 +12,7 @@
 use crate::graph::{children, ConstraintGraph, Deducibility};
 use er_minilang::ir::InstrId;
 use er_solver::expr::{ExprPool, ExprRef, Node};
+use er_symex::{Origins, SiteCounts};
 use std::collections::{HashMap, HashSet};
 
 /// One site to instrument with `ptwrite`.
@@ -81,9 +82,9 @@ pub struct SelectionInput<'a> {
     /// The expression pool (constraint graph nodes).
     pub pool: &'a ExprPool,
     /// First definition site of each symbolic expression.
-    pub origins: &'a HashMap<ExprRef, InstrId>,
+    pub origins: &'a Origins,
     /// Dynamic execution count per site.
-    pub site_counts: &'a HashMap<InstrId, u64>,
+    pub site_counts: &'a SiteCounts,
 }
 
 impl<'a> SelectionInput<'a> {
@@ -286,13 +287,13 @@ mod tests {
         let x8 = p.trunc(x, 8);
         let _w4 = p.write(w3, r4_64, x8);
 
-        let mut origins = HashMap::new();
+        let mut origins = Origins::default();
         origins.insert(la, site(0));
         origins.insert(lb, site(1));
         origins.insert(lc, site(2));
         origins.insert(x, site(3));
         origins.insert(r4, site(4));
-        let mut site_counts = HashMap::new();
+        let mut site_counts = SiteCounts::default();
         for i in 0..5 {
             site_counts.insert(site(i), 1);
         }
@@ -321,11 +322,11 @@ mod tests {
         let a = p.var("a", 32);
         let b = p.var("b", 32);
         let e = p.bin(BvOp::Add, a, b);
-        let mut origins = HashMap::new();
+        let mut origins = Origins::default();
         origins.insert(a, site(0));
         origins.insert(b, site(1));
         origins.insert(e, site(2));
-        let mut counts = HashMap::new();
+        let mut counts = SiteCounts::default();
         counts.insert(site(0), 1);
         counts.insert(site(1), 1);
         counts.insert(site(2), 100);
@@ -347,9 +348,9 @@ mod tests {
         let two = p.bv_const(2, 32);
         let e = p.bin(BvOp::Mul, a, two);
         // e has no origin; a does.
-        let mut origins = HashMap::new();
+        let mut origins = Origins::default();
         origins.insert(a, site(0));
-        let mut counts = HashMap::new();
+        let mut counts = SiteCounts::default();
         counts.insert(site(0), 1);
         let input = SelectionInput {
             pool: &p,
@@ -365,8 +366,8 @@ mod tests {
     #[test]
     fn random_selector_respects_budget_and_seed() {
         let mut p = ExprPool::new();
-        let mut origins = HashMap::new();
-        let mut counts = HashMap::new();
+        let mut origins = Origins::default();
+        let mut counts = SiteCounts::default();
         for i in 0..20 {
             let v = p.var(format!("v{i}"), 32);
             origins.insert(v, site(i));

@@ -5,8 +5,8 @@ use er_core::graph::{ConstraintGraph, Deducibility};
 use er_core::select::{self, SelectionInput};
 use er_minilang::ir::{BlockId, FuncId, InstrId};
 use er_solver::expr::{BvOp, ExprPool, ExprRef};
+use er_symex::{Origins, SiteCounts};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 fn site(i: usize) -> InstrId {
     InstrId {
@@ -21,15 +21,10 @@ fn site(i: usize) -> InstrId {
 #[allow(clippy::type_complexity)]
 fn build(
     chains: &[(u64, usize)], // (table len, chain length)
-) -> (
-    ExprPool,
-    HashMap<ExprRef, InstrId>,
-    HashMap<InstrId, u64>,
-    Vec<ExprRef>,
-) {
+) -> (ExprPool, Origins, SiteCounts, Vec<ExprRef>) {
     let mut pool = ExprPool::new();
-    let mut origins = HashMap::new();
-    let mut counts = HashMap::new();
+    let mut origins = Origins::default();
+    let mut counts = SiteCounts::default();
     let mut inputs = Vec::new();
     let mut next = 0usize;
     for (c, &(len, depth)) in chains.iter().enumerate() {

@@ -10,14 +10,24 @@ use crate::value::Width;
 use std::collections::BTreeMap;
 
 /// A single nondeterministic input event, as consumed by a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// An input reads at most 8 bytes, so they are carried inline: producing
+/// an event allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InputEvent {
     /// Which stream produced the bytes.
     pub source: u32,
     /// Offset of the first byte within the stream.
     pub offset: usize,
+    buf: [u8; 8],
+    len: u8,
+}
+
+impl InputEvent {
     /// The bytes consumed (little-endian value order).
-    pub bytes: Vec<u8>,
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf[..usize::from(self.len)]
+    }
 }
 
 /// Input streams plus a virtual clock.
@@ -76,16 +86,16 @@ impl Env {
             return Err(RuntimeFault::InputExhausted { source });
         }
         let offset = stream.pos;
-        let bytes = stream.data[offset..offset + n].to_vec();
         stream.pos += n;
         let mut buf = [0u8; 8];
-        buf[..n].copy_from_slice(&bytes);
+        buf[..n].copy_from_slice(&stream.data[offset..offset + n]);
         Ok((
             u64::from_le_bytes(buf),
             InputEvent {
                 source,
                 offset,
-                bytes,
+                buf,
+                len: n as u8,
             },
         ))
     }
@@ -124,9 +134,11 @@ mod tests {
         let (v, ev) = env.read_input(0, Width::W32).unwrap();
         assert_eq!(v, 0x0403_0201);
         assert_eq!(ev.offset, 0);
+        assert_eq!(ev.bytes(), &[0x01, 0x02, 0x03, 0x04]);
         let (v2, ev2) = env.read_input(0, Width::W8).unwrap();
         assert_eq!(v2, 0xff);
         assert_eq!(ev2.offset, 4);
+        assert_eq!(ev2.bytes(), &[0xff]);
         assert_eq!(env.remaining(), 0);
     }
 

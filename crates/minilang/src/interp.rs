@@ -77,6 +77,21 @@ struct Frame {
     stack_mark: u64,
 }
 
+impl Frame {
+    #[inline]
+    fn get(&self, op: Operand) -> u64 {
+        match op {
+            Operand::Reg(r) => self.regs[r.0 as usize],
+            Operand::Imm(v) => v,
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, r: Reg, v: u64) {
+        self.regs[r.0 as usize] = v;
+    }
+}
+
 #[derive(Debug)]
 struct Thread {
     tid: u64,
@@ -240,55 +255,134 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
     }
 
-    fn reg(&self, t: usize, r: Reg) -> u64 {
-        self.threads[t].frames.last().expect("live frame").regs[r.0 as usize]
+    fn operand(&self, t: usize, op: Operand) -> u64 {
+        self.threads[t].frames.last().expect("live frame").get(op)
     }
 
     fn set_reg(&mut self, t: usize, r: Reg, v: u64) {
         self.threads[t].frames.last_mut().expect("live frame").regs[r.0 as usize] = v;
     }
 
-    fn operand(&self, t: usize, op: Operand) -> u64 {
-        match op {
-            Operand::Reg(r) => self.reg(t, r),
-            Operand::Imm(v) => v,
-        }
-    }
-
     fn step(&mut self, t: usize) -> StepResult {
         self.icount += 1;
-        let (func, block, ip) = {
-            let f = self.threads[t].frames.last().expect("live frame");
-            (f.func, f.block, f.ip)
+        let program = self.program;
+        let thread = &mut self.threads[t];
+        let tid = thread.tid;
+        let frame = thread.frames.last_mut().expect("live frame");
+        // Borrow from the program, not from `self`: dispatch copies nothing.
+        let blk = program.func(frame.func).block(frame.block);
+        let Some(instr) = blk.instrs.get(frame.ip) else {
+            let func = frame.func;
+            let term = blk.term.as_ref().expect("lowering terminates every block");
+            return self.terminator(t, func, term);
         };
-        let blk = self.program.func(func).block(block);
-        if ip >= blk.instrs.len() {
-            return self.terminator(t, func, block);
-        }
-        let instr = blk.instrs[ip].clone();
-        match self.exec_instr(t, &instr) {
-            Ok(flow) => {
-                if matches!(flow, InstrFlow::Advance) {
-                    self.threads[t].frames.last_mut().expect("live frame").ip += 1;
+        // Straight-line instructions touch only the current frame and
+        // machine state disjoint from the thread table, so they run on
+        // this one frame borrow. Instructions that create, block or wake
+        // threads need the whole table and run in their own methods.
+        let done: Result<(), RuntimeFault> = match instr {
+            Instr::Const { dst, value } => {
+                frame.set(*dst, *value);
+                Ok(())
+            }
+            Instr::Bin {
+                dst,
+                op,
+                a,
+                b,
+                width,
+            } => op
+                .eval(*width, frame.get(*a), frame.get(*b))
+                .ok_or(RuntimeFault::DivByZero)
+                .map(|r| frame.set(*dst, r)),
+            Instr::Un { dst, op, a, width } => {
+                frame.set(*dst, op.eval(*width, frame.get(*a)));
+                Ok(())
+            }
+            Instr::Cmp {
+                dst,
+                pred,
+                a,
+                b,
+                width,
+            } => {
+                let r = pred.eval(*width, frame.get(*a), frame.get(*b));
+                frame.set(*dst, u64::from(r));
+                Ok(())
+            }
+            Instr::Cast { dst, a, from } => {
+                frame.set(*dst, from.trunc(frame.get(*a)));
+                Ok(())
+            }
+            Instr::Load { dst, addr, width } => self
+                .mem
+                .load(frame.get(*addr), *width)
+                .map(|v| frame.set(*dst, v)),
+            Instr::Store { addr, value, width } => {
+                self.mem.store(frame.get(*addr), *width, frame.get(*value))
+            }
+            Instr::GlobalAddr { dst, global } => {
+                frame.set(*dst, program.globals[global.0 as usize].addr);
+                Ok(())
+            }
+            Instr::StackAlloc { dst, size } => {
+                frame.set(*dst, self.mem.stack_alloc(tid, *size));
+                Ok(())
+            }
+            Instr::Alloc { dst, size } => {
+                frame.set(*dst, self.mem.heap_alloc(frame.get(*size)));
+                Ok(())
+            }
+            Instr::Free { addr } => self.mem.heap_free(frame.get(*addr)),
+            Instr::Input { dst, source, width } => {
+                self.env.read_input(*source, *width).map(|(v, event)| {
+                    self.sink.input(&event);
+                    frame.set(*dst, v);
+                })
+            }
+            Instr::Clock { dst } => {
+                let v = self.env.read_clock();
+                self.sink.clock_read(v);
+                frame.set(*dst, v);
+                Ok(())
+            }
+            Instr::PtWrite { value } => {
+                self.sink.ptwrite(frame.get(*value));
+                Ok(())
+            }
+            Instr::Print { value } => {
+                self.output.push(frame.get(*value));
+                Ok(())
+            }
+            Instr::Assert { cond, message } => {
+                if frame.get(*cond) == 0 {
+                    Err(RuntimeFault::AssertFailed {
+                        message: message.clone(),
+                    })
+                } else {
+                    Ok(())
                 }
-                match flow {
-                    InstrFlow::Advance | InstrFlow::Redirected => StepResult::Continue,
-                    InstrFlow::Blocked => StepResult::Blocked,
-                }
+            }
+            Instr::Abort { message } => Err(RuntimeFault::Abort {
+                message: message.clone(),
+            }),
+            Instr::Call { dst, func, args } => return self.call(t, *dst, *func, args),
+            Instr::Spawn { dst, func, args } => return self.spawn(t, *dst, *func, args),
+            Instr::Join { tid } => return self.join(t, *tid),
+            Instr::Lock { lock } => return self.lock(t, *lock),
+            Instr::Unlock { lock } => return self.unlock(t, *lock),
+        };
+        match done {
+            Ok(()) => {
+                frame.ip += 1;
+                StepResult::Continue
             }
             Err(f) => StepResult::Fault(f),
         }
     }
 
-    fn terminator(&mut self, t: usize, func: FuncId, block: BlockId) -> StepResult {
-        let term = self
-            .program
-            .func(func)
-            .block(block)
-            .term
-            .clone()
-            .expect("lowering terminates every block");
-        match term {
+    fn terminator(&mut self, t: usize, func: FuncId, term: &'p Terminator) -> StepResult {
+        match *term {
             Terminator::Jump(b) => {
                 let f = self.threads[t].frames.last_mut().expect("live frame");
                 f.block = b;
@@ -340,200 +434,107 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
     }
 
-    fn exec_instr(&mut self, t: usize, instr: &Instr) -> Result<InstrFlow, RuntimeFault> {
-        match instr {
-            Instr::Const { dst, value } => {
-                self.set_reg(t, *dst, *value);
-            }
-            Instr::Bin {
-                dst,
-                op,
-                a,
-                b,
-                width,
-            } => {
-                let av = self.operand(t, *a);
-                let bv = self.operand(t, *b);
-                let r = op.eval(*width, av, bv).ok_or(RuntimeFault::DivByZero)?;
-                self.set_reg(t, *dst, r);
-            }
-            Instr::Un { dst, op, a, width } => {
-                let av = self.operand(t, *a);
-                self.set_reg(t, *dst, op.eval(*width, av));
-            }
-            Instr::Cmp {
-                dst,
-                pred,
-                a,
-                b,
-                width,
-            } => {
-                let av = self.operand(t, *a);
-                let bv = self.operand(t, *b);
-                self.set_reg(t, *dst, u64::from(pred.eval(*width, av, bv)));
-            }
-            Instr::Cast { dst, a, from } => {
-                let av = self.operand(t, *a);
-                self.set_reg(t, *dst, from.trunc(av));
-            }
-            Instr::Load { dst, addr, width } => {
-                let a = self.operand(t, *addr);
-                let v = self.mem.load(a, *width)?;
-                self.set_reg(t, *dst, v);
-            }
-            Instr::Store { addr, value, width } => {
-                let a = self.operand(t, *addr);
-                let v = self.operand(t, *value);
-                self.mem.store(a, *width, v)?;
-            }
-            Instr::GlobalAddr { dst, global } => {
-                let g = &self.program.globals[global.0 as usize];
-                self.set_reg(t, *dst, g.addr);
-            }
-            Instr::StackAlloc { dst, size } => {
-                let tid = self.threads[t].tid;
-                let a = self.mem.stack_alloc(tid, *size);
-                self.set_reg(t, *dst, a);
-            }
-            Instr::Alloc { dst, size } => {
-                let n = self.operand(t, *size);
-                let a = self.mem.heap_alloc(n);
-                self.set_reg(t, *dst, a);
-            }
-            Instr::Free { addr } => {
-                let a = self.operand(t, *addr);
-                self.mem.heap_free(a)?;
-            }
-            Instr::Call { dst, func, args } => {
-                let callee = self.program.func(*func);
-                let mut regs = vec![0u64; callee.n_regs];
-                for (i, a) in args.iter().enumerate() {
-                    regs[i] = self.operand(t, *a);
-                }
-                self.sink.call(*func);
-                self.sink.call_args(*func, &regs[..callee.n_params]);
-                let tid = self.threads[t].tid;
-                let mark = self.mem.stack_watermark(tid);
-                self.threads[t].frames.push(Frame {
-                    func: *func,
-                    block: BlockId(0),
-                    ip: 0,
-                    regs,
-                    ret_dst: *dst,
-                    stack_mark: mark,
-                });
-                return Ok(InstrFlow::Redirected);
-            }
-            Instr::Input { dst, source, width } => {
-                let (v, event) = self.env.read_input(*source, *width)?;
-                self.sink.input(&event);
-                self.set_reg(t, *dst, v);
-            }
-            Instr::Clock { dst } => {
-                let v = self.env.read_clock();
-                self.sink.clock_read(v);
-                self.set_reg(t, *dst, v);
-            }
-            Instr::PtWrite { value } => {
-                let v = self.operand(t, *value);
-                self.sink.ptwrite(v);
-            }
-            Instr::Print { value } => {
-                let v = self.operand(t, *value);
-                self.output.push(v);
-            }
-            Instr::Spawn { dst, func, args } => {
-                let callee = self.program.func(*func);
-                let mut regs = vec![0u64; callee.n_regs];
-                for (i, a) in args.iter().enumerate() {
-                    regs[i] = self.operand(t, *a);
-                }
-                let tid = self.next_tid;
-                self.next_tid += 1;
-                let mark = self.mem.stack_watermark(tid);
-                self.threads.push(Thread {
-                    tid,
-                    frames: vec![Frame {
-                        func: *func,
-                        block: BlockId(0),
-                        ip: 0,
-                        regs,
-                        ret_dst: None,
-                        stack_mark: mark,
-                    }],
-                    state: ThreadState::Runnable,
-                });
-                let idx = self.threads.len() - 1;
-                self.run_queue.push_back(idx);
-                self.set_reg(t, *dst, tid);
-            }
-            Instr::Join { tid } => {
-                let target = self.operand(t, *tid);
-                if target >= self.next_tid {
-                    return Err(RuntimeFault::BadJoin { tid: target });
-                }
-                let done = self
-                    .threads
-                    .iter()
-                    .any(|th| th.tid == target && th.state == ThreadState::Done);
-                if !done {
-                    self.threads[t].state = ThreadState::BlockedJoin(target);
-                    // Re-execute Join when woken: do not advance ip; the wake
-                    // path marks the thread runnable and the join re-checks.
-                    self.threads[t].frames.last_mut().expect("live frame").ip += 1;
-                    return Ok(InstrFlow::Blocked);
-                }
-            }
-            Instr::Lock { lock } => {
-                let id = self.operand(t, *lock);
-                let tid = self.threads[t].tid;
-                match self.lock_owner.get(&id) {
-                    None => {
-                        self.lock_owner.insert(id, tid);
-                    }
-                    Some(_) => {
-                        self.threads[t].state = ThreadState::BlockedLock(id);
-                        // ip is *not* advanced: the lock is re-attempted when
-                        // the thread is woken by an unlock.
-                        return Ok(InstrFlow::Blocked);
-                    }
-                }
-            }
-            Instr::Unlock { lock } => {
-                let id = self.operand(t, *lock);
-                self.lock_owner.remove(&id);
-                // Wake all waiters; they re-contend for the lock.
-                for (i, th) in self.threads.iter_mut().enumerate() {
-                    if th.state == ThreadState::BlockedLock(id) {
-                        th.state = ThreadState::Runnable;
-                        self.run_queue.push_back(i);
-                    }
-                }
-            }
-            Instr::Assert { cond, message } => {
-                if self.operand(t, *cond) == 0 {
-                    return Err(RuntimeFault::AssertFailed {
-                        message: message.clone(),
-                    });
-                }
-            }
-            Instr::Abort { message } => {
-                return Err(RuntimeFault::Abort {
-                    message: message.clone(),
-                });
+    fn advance(&mut self, t: usize) {
+        self.threads[t].frames.last_mut().expect("live frame").ip += 1;
+    }
+
+    /// A fresh register file for `func` with `args` in its parameters.
+    fn callee_regs(&self, t: usize, func: FuncId, args: &[Operand]) -> Vec<u64> {
+        let mut regs = vec![0u64; self.program.func(func).n_regs];
+        for (r, a) in regs.iter_mut().zip(args) {
+            *r = self.operand(t, *a);
+        }
+        regs
+    }
+
+    fn call(&mut self, t: usize, dst: Option<Reg>, func: FuncId, args: &[Operand]) -> StepResult {
+        let regs = self.callee_regs(t, func, args);
+        self.sink.call(func);
+        self.sink
+            .call_args(func, &regs[..self.program.func(func).n_params]);
+        let tid = self.threads[t].tid;
+        let mark = self.mem.stack_watermark(tid);
+        // The ip stays on the Call until the callee returns.
+        self.threads[t].frames.push(Frame {
+            func,
+            block: BlockId(0),
+            ip: 0,
+            regs,
+            ret_dst: dst,
+            stack_mark: mark,
+        });
+        StepResult::Continue
+    }
+
+    fn spawn(&mut self, t: usize, dst: Reg, func: FuncId, args: &[Operand]) -> StepResult {
+        let regs = self.callee_regs(t, func, args);
+        let tid = self.next_tid;
+        self.next_tid += 1;
+        let mark = self.mem.stack_watermark(tid);
+        self.threads.push(Thread {
+            tid,
+            frames: vec![Frame {
+                func,
+                block: BlockId(0),
+                ip: 0,
+                regs,
+                ret_dst: None,
+                stack_mark: mark,
+            }],
+            state: ThreadState::Runnable,
+        });
+        self.run_queue.push_back(self.threads.len() - 1);
+        self.set_reg(t, dst, tid);
+        self.advance(t);
+        StepResult::Continue
+    }
+
+    fn join(&mut self, t: usize, tid: Operand) -> StepResult {
+        let target = self.operand(t, tid);
+        if target >= self.next_tid {
+            return StepResult::Fault(RuntimeFault::BadJoin { tid: target });
+        }
+        let done = self
+            .threads
+            .iter()
+            .any(|th| th.tid == target && th.state == ThreadState::Done);
+        if done {
+            self.advance(t);
+            return StepResult::Continue;
+        }
+        self.threads[t].state = ThreadState::BlockedJoin(target);
+        // Advance past the Join now: the target's exit is what wakes this
+        // thread, so there is nothing to re-check.
+        self.advance(t);
+        StepResult::Blocked
+    }
+
+    fn lock(&mut self, t: usize, lock: Operand) -> StepResult {
+        let id = self.operand(t, lock);
+        if self.lock_owner.contains_key(&id) {
+            self.threads[t].state = ThreadState::BlockedLock(id);
+            // ip is *not* advanced: the lock is re-attempted when the
+            // thread is woken by an unlock.
+            return StepResult::Blocked;
+        }
+        self.lock_owner.insert(id, self.threads[t].tid);
+        self.advance(t);
+        StepResult::Continue
+    }
+
+    fn unlock(&mut self, t: usize, lock: Operand) -> StepResult {
+        let id = self.operand(t, lock);
+        self.lock_owner.remove(&id);
+        // Wake all waiters; they re-contend for the lock.
+        for (i, th) in self.threads.iter_mut().enumerate() {
+            if th.state == ThreadState::BlockedLock(id) {
+                th.state = ThreadState::Runnable;
+                self.run_queue.push_back(i);
             }
         }
-        Ok(InstrFlow::Advance)
+        self.advance(t);
+        StepResult::Continue
     }
-}
-
-enum InstrFlow {
-    /// Instruction finished; advance the instruction pointer.
-    Advance,
-    /// Control transferred (call pushed a frame); do not advance.
-    Redirected,
-    /// Thread blocked; the scheduler takes over.
-    Blocked,
 }
 
 enum StepResult {
@@ -776,6 +777,25 @@ mod tests {
             panic!()
         };
         assert!(matches!(f.fault, RuntimeFault::Hang));
+    }
+
+    #[test]
+    fn index_wrapping_the_address_space_faults_unmapped() {
+        // A[i] loads 8 bytes at GLOBAL_BASE + 8 * i = 2^64 - 8; the access
+        // end wraps to 0 and must not slip past the bounds check.
+        let r = run_src(
+            "global A: [u64; 4];\nfn main() { let i: u64 = input_u64(0); print(A[i]); }",
+            &[(0, 0x1FFF_FFFF_FDFF_FFFFu64.to_le_bytes().to_vec())],
+        );
+        let RunOutcome::Failure(f) = r.outcome else {
+            panic!("expected a fault, got {:?}", r.outcome)
+        };
+        assert_eq!(
+            f.fault,
+            RuntimeFault::Unmapped {
+                addr: 0xFFFF_FFFF_FFFF_FFF8
+            }
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::error::RuntimeFault;
 use crate::ir::Program;
 use crate::value::Width;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Addresses below this value fault as null dereferences.
 pub const NULL_GUARD: u64 = 0x1000;
@@ -21,7 +21,9 @@ pub const GLOBAL_BASE: u64 = crate::lower::GLOBAL_BASE;
 pub const HEAP_BASE: u64 = 0x2000_0000;
 /// Base of thread 0's stack; thread `t` starts at `STACK_BASE + t * STACK_STRIDE`.
 pub const STACK_BASE: u64 = 0x4000_0000;
-/// Address distance between consecutive thread stacks.
+/// Address distance between consecutive thread stacks. An address is
+/// looked up only in the stack whose stride it falls in, so this is also
+/// the largest stack a thread can address.
 pub const STACK_STRIDE: u64 = 0x0100_0000;
 
 /// Liveness of one heap allocation.
@@ -46,7 +48,12 @@ struct Segment {
 
 impl Segment {
     fn contains(&self, addr: u64, len: u64) -> bool {
-        addr >= self.base && addr + len <= self.base + self.data.len() as u64
+        // Checked: an access ending past `u64::MAX` must not wrap around
+        // and pass the bound.
+        addr >= self.base
+            && addr
+                .checked_add(len)
+                .is_some_and(|end| end <= self.base + self.data.len() as u64)
     }
 
     fn slice(&self, addr: u64, len: u64) -> &[u8] {
@@ -60,6 +67,21 @@ impl Segment {
     }
 }
 
+/// One thread's stack: its segment plus the allocation top.
+#[derive(Debug, Clone)]
+struct Stack {
+    seg: Segment,
+    top: u64,
+}
+
+/// Which segment an access resolved to.
+#[derive(Debug, Clone, Copy)]
+enum SegId {
+    Globals,
+    Heap,
+    Stack(usize),
+}
+
 /// The whole address space of one running program.
 #[derive(Debug, Clone)]
 pub struct Memory {
@@ -67,8 +89,8 @@ pub struct Memory {
     heap: Segment,
     heap_allocs: BTreeMap<u64, HeapAlloc>,
     heap_next: u64,
-    stacks: HashMap<u64, Segment>,
-    stack_tops: HashMap<u64, u64>,
+    /// Indexed by thread id; grown on a thread's first stack allocation.
+    stacks: Vec<Stack>,
 }
 
 impl Memory {
@@ -103,8 +125,7 @@ impl Memory {
             },
             heap_allocs: BTreeMap::new(),
             heap_next: HEAP_BASE,
-            stacks: HashMap::new(),
-            stack_tops: HashMap::new(),
+            stacks: Vec::new(),
         }
     }
 
@@ -159,66 +180,89 @@ impl Memory {
     /// Allocates `size` bytes on thread `tid`'s stack. The returned address
     /// stays valid until [`Memory::stack_restore`] rolls past it.
     pub fn stack_alloc(&mut self, tid: u64, size: u64) -> u64 {
-        let base = STACK_BASE + tid * STACK_STRIDE;
-        let top = self.stack_tops.entry(tid).or_insert(base);
-        let addr = *top;
-        *top += size.div_ceil(16) * 16;
-        let seg = self.stacks.entry(tid).or_insert_with(|| Segment {
-            base,
-            data: Vec::new(),
-        });
-        let needed = (*top - base) as usize;
-        if seg.data.len() < needed {
-            seg.data.resize(needed, 0);
+        let stack = self.stack_mut(tid);
+        let addr = stack.top;
+        stack.top += size.div_ceil(16) * 16;
+        let needed = (stack.top - stack.seg.base) as usize;
+        if stack.seg.data.len() < needed {
+            stack.seg.data.resize(needed, 0);
         }
         addr
+    }
+
+    /// Thread `tid`'s stack, creating empty stacks up to it on first use.
+    fn stack_mut(&mut self, tid: u64) -> &mut Stack {
+        let i = tid as usize;
+        while self.stacks.len() <= i {
+            let base = STACK_BASE + self.stacks.len() as u64 * STACK_STRIDE;
+            self.stacks.push(Stack {
+                seg: Segment {
+                    base,
+                    data: Vec::new(),
+                },
+                top: base,
+            });
+        }
+        &mut self.stacks[i]
     }
 
     /// Current stack watermark for `tid`; pass it back to
     /// [`Memory::stack_restore`] when the frame returns.
     pub fn stack_watermark(&self, tid: u64) -> u64 {
-        self.stack_tops
-            .get(&tid)
-            .copied()
-            .unwrap_or(STACK_BASE + tid * STACK_STRIDE)
+        self.stacks
+            .get(tid as usize)
+            .map_or(STACK_BASE + tid * STACK_STRIDE, |s| s.top)
     }
 
     /// Pops a frame's stack allocations, zeroing the released bytes so that
     /// later frames start from a clean slate.
     pub fn stack_restore(&mut self, tid: u64, watermark: u64) {
-        if let Some(top) = self.stack_tops.get_mut(&tid) {
-            if watermark < *top {
-                if let Some(seg) = self.stacks.get_mut(&tid) {
-                    let lo = (watermark - seg.base) as usize;
-                    let hi = ((*top - seg.base) as usize).min(seg.data.len());
-                    seg.data[lo..hi].fill(0);
-                }
-                *top = watermark;
+        if let Some(stack) = self.stacks.get_mut(tid as usize) {
+            if watermark < stack.top {
+                let seg = &mut stack.seg;
+                let lo = (watermark - seg.base) as usize;
+                let hi = ((stack.top - seg.base) as usize).min(seg.data.len());
+                seg.data[lo..hi].fill(0);
+                stack.top = watermark;
             }
         }
     }
 
-    fn segment_for(&self, addr: u64, len: u64) -> Option<&Segment> {
+    /// The segment holding all of `[addr, addr + len)`, if one does. A
+    /// stack address names its thread directly:
+    /// `(addr - STACK_BASE) / STACK_STRIDE`.
+    fn segment_id(&self, addr: u64, len: u64) -> Option<SegId> {
         if self.globals.contains(addr, len) {
-            return Some(&self.globals);
+            return Some(SegId::Globals);
         }
         if self.heap.contains(addr, len) {
-            return Some(&self.heap);
+            return Some(SegId::Heap);
         }
-        self.stacks.values().find(|s| s.contains(addr, len))
+        let i = usize::try_from(addr.checked_sub(STACK_BASE)? / STACK_STRIDE).ok()?;
+        self.stacks
+            .get(i)
+            .filter(|s| s.seg.contains(addr, len))
+            .map(|_| SegId::Stack(i))
     }
 
-    fn segment_for_mut(&mut self, addr: u64, len: u64) -> Option<&mut Segment> {
-        if self.globals.contains(addr, len) {
-            return Some(&mut self.globals);
+    fn segment(&self, id: SegId) -> &Segment {
+        match id {
+            SegId::Globals => &self.globals,
+            SegId::Heap => &self.heap,
+            SegId::Stack(i) => &self.stacks[i].seg,
         }
-        if self.heap.contains(addr, len) {
-            return Some(&mut self.heap);
-        }
-        self.stacks.values_mut().find(|s| s.contains(addr, len))
     }
 
-    fn check(&self, addr: u64, len: u64) -> Result<(), RuntimeFault> {
+    fn segment_mut(&mut self, id: SegId) -> &mut Segment {
+        match id {
+            SegId::Globals => &mut self.globals,
+            SegId::Heap => &mut self.heap,
+            SegId::Stack(i) => &mut self.stacks[i].seg,
+        }
+    }
+
+    /// Checks an access and resolves the segment it lands in, once.
+    fn resolve(&self, addr: u64, len: u64) -> Result<SegId, RuntimeFault> {
         if addr < NULL_GUARD {
             return Err(RuntimeFault::NullDeref { addr });
         }
@@ -230,10 +274,8 @@ impl Memory {
                 None => return Err(RuntimeFault::Unmapped { addr }),
             }
         }
-        if self.segment_for(addr, len).is_none() {
-            return Err(RuntimeFault::Unmapped { addr });
-        }
-        Ok(())
+        self.segment_id(addr, len)
+            .ok_or(RuntimeFault::Unmapped { addr })
     }
 
     /// Loads `width` bytes little-endian from `addr`.
@@ -243,8 +285,7 @@ impl Memory {
     /// Faults on null, unmapped, or freed addresses.
     pub fn load(&self, addr: u64, width: Width) -> Result<u64, RuntimeFault> {
         let len = width.bytes();
-        self.check(addr, len)?;
-        let seg = self.segment_for(addr, len).expect("checked above");
+        let seg = self.segment(self.resolve(addr, len)?);
         let mut buf = [0u8; 8];
         buf[..len as usize].copy_from_slice(seg.slice(addr, len));
         Ok(u64::from_le_bytes(buf))
@@ -257,10 +298,10 @@ impl Memory {
     /// Faults on null, unmapped, or freed addresses.
     pub fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), RuntimeFault> {
         let len = width.bytes();
-        self.check(addr, len)?;
+        let id = self.resolve(addr, len)?;
         let bytes = value.to_le_bytes();
-        let seg = self.segment_for_mut(addr, len).expect("checked above");
-        seg.slice_mut(addr, len)
+        self.segment_mut(id)
+            .slice_mut(addr, len)
             .copy_from_slice(&bytes[..len as usize]);
         Ok(())
     }
@@ -272,11 +313,8 @@ impl Memory {
             (self.globals.base, self.globals.data.clone()),
             (self.heap.base, self.heap.data.clone()),
         ];
-        let mut tids: Vec<_> = self.stacks.keys().copied().collect();
-        tids.sort_unstable();
-        for t in tids {
-            let s = &self.stacks[&t];
-            out.push((s.base, s.data.clone()));
+        for s in &self.stacks {
+            out.push((s.seg.base, s.seg.data.clone()));
         }
         out.retain(|(_, d)| !d.is_empty());
         out
@@ -286,7 +324,7 @@ impl Memory {
     pub fn mapped_bytes(&self) -> usize {
         self.globals.data.len()
             + self.heap.data.len()
-            + self.stacks.values().map(|s| s.data.len()).sum::<usize>()
+            + self.stacks.iter().map(|s| s.seg.data.len()).sum::<usize>()
     }
 }
 
@@ -387,6 +425,59 @@ mod tests {
         m.store(a, Width::W32, 1).unwrap();
         m.store(b, Width::W32, 2).unwrap();
         assert_eq!(m.load(a, Width::W32).unwrap(), 1);
+    }
+
+    #[test]
+    fn stack_lookup_goes_by_stride() {
+        let mut m = empty_mem();
+        // Thread 2 allocates before thread 1 ever does.
+        let c = m.stack_alloc(2, 16);
+        assert_eq!(c, STACK_BASE + 2 * STACK_STRIDE);
+        m.store(c + 8, Width::W64, 9).unwrap();
+        assert_eq!(m.load(c + 8, Width::W64).unwrap(), 9);
+        assert_eq!(m.stack_watermark(1), STACK_BASE + STACK_STRIDE);
+        // Thread 1's stride has no mapped bytes, and an access straddling
+        // the end of thread 2's segment faults.
+        assert!(matches!(
+            m.load(STACK_BASE + STACK_STRIDE, Width::W8),
+            Err(RuntimeFault::Unmapped { .. })
+        ));
+        assert!(matches!(
+            m.load(c + 12, Width::W64),
+            Err(RuntimeFault::Unmapped { .. })
+        ));
+        // Far past every stack.
+        assert!(matches!(
+            m.load(STACK_BASE + 1000 * STACK_STRIDE, Width::W8),
+            Err(RuntimeFault::Unmapped { .. })
+        ));
+    }
+
+    #[test]
+    fn access_wrapping_past_the_address_space_end_is_unmapped() {
+        let mut p = Program::default();
+        p.globals.push(crate::ir::Global {
+            name: "A".into(),
+            addr: GLOBAL_BASE,
+            size: 32,
+            elem: Width::W64,
+            init: 0,
+        });
+        let mut m = Memory::new(&p);
+        // 8 bytes at 2^64 - 8 end exactly at 2^64, which wraps to 0.
+        let addr = u64::MAX - 7;
+        assert!(matches!(
+            m.load(addr, Width::W64),
+            Err(RuntimeFault::Unmapped { addr: a }) if a == addr
+        ));
+        assert!(matches!(
+            m.store(addr, Width::W64, 1),
+            Err(RuntimeFault::Unmapped { .. })
+        ));
+        assert!(matches!(
+            m.load(u64::MAX, Width::W16),
+            Err(RuntimeFault::Unmapped { .. })
+        ));
     }
 
     #[test]

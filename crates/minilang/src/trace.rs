@@ -162,7 +162,7 @@ impl TraceSink for VecSink {
     }
 
     fn input(&mut self, event: &InputEvent) {
-        self.events.push(Event::Input(event.clone()));
+        self.events.push(Event::Input(*event));
     }
 
     fn clock_read(&mut self, value: u64) {

@@ -17,14 +17,14 @@
 use crate::packet::Packet;
 use std::fmt;
 
-const OP_PSB: u8 = 0xA0;
-const OP_OVF: u8 = 0xA1;
-const OP_TNT: u8 = 0xA2;
-const OP_TIP: u8 = 0xA3;
-const OP_RET: u8 = 0xA4;
-const OP_PTW: u8 = 0xA5;
-const OP_TSC: u8 = 0xA6;
-const OP_PGE: u8 = 0xA7;
+pub(crate) const OP_PSB: u8 = 0xA0;
+pub(crate) const OP_OVF: u8 = 0xA1;
+pub(crate) const OP_TNT: u8 = 0xA2;
+pub(crate) const OP_TIP: u8 = 0xA3;
+pub(crate) const OP_RET: u8 = 0xA4;
+pub(crate) const OP_PTW: u8 = 0xA5;
+pub(crate) const OP_TSC: u8 = 0xA6;
+pub(crate) const OP_PGE: u8 = 0xA7;
 
 /// Encodes `packet` into `out`.
 pub fn encode_into(packet: &Packet, out: &mut Vec<u8>) {

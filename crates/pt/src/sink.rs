@@ -1,6 +1,6 @@
 //! The online tracing sink: packetizes interpreter events PT-style.
 
-use crate::codec::{self, DecodeError};
+use crate::codec::{self, DecodeError, OP_PGE, OP_PSB, OP_PTW, OP_RET, OP_TIP, OP_TNT, OP_TSC};
 use crate::packet::{Packet, TraceEvent};
 use crate::ring::RingBuffer;
 use er_minilang::env::InputEvent;
@@ -67,7 +67,6 @@ pub struct PtSink {
     tnt_count: u32,
     packets_since_psb: u32,
     stats: PtStats,
-    scratch: Vec<u8>,
 }
 
 impl PtSink {
@@ -80,55 +79,53 @@ impl PtSink {
             tnt_count: 0,
             packets_since_psb: 0,
             stats: PtStats::default(),
-            scratch: Vec::with_capacity(16),
         };
-        s.emit(&Packet::Psb);
+        s.emit(&[OP_PSB]);
         s
     }
 
-    fn emit(&mut self, p: &Packet) {
-        self.scratch.clear();
-        codec::encode_into(p, &mut self.scratch);
-        self.ring.mark();
-        self.ring.write(&self.scratch);
-        self.stats.packets += 1;
-        self.stats.bytes += self.scratch.len() as u64;
-        self.bump_psb();
-    }
-
-    fn bump_psb(&mut self) {
+    /// Writes one encoded packet straight into the ring. Callers encode
+    /// on the stack (at most 10 bytes), in [`codec`]'s byte format.
+    #[inline]
+    fn emit(&mut self, packet: &[u8]) {
+        self.put(packet);
         self.packets_since_psb += 1;
         if self.packets_since_psb >= self.config.psb_period {
             self.packets_since_psb = 0;
-            self.scratch.clear();
-            codec::encode_into(&Packet::Psb, &mut self.scratch);
-            self.ring.mark();
-            self.ring.write(&self.scratch);
-            self.stats.packets += 1;
-            self.stats.bytes += 1;
+            self.put(&[OP_PSB]);
         }
+    }
+
+    #[inline]
+    fn put(&mut self, packet: &[u8]) {
+        self.ring.mark();
+        self.ring.write(packet);
+        self.stats.packets += 1;
+        self.stats.bytes += packet.len() as u64;
+    }
+
+    /// Emits `op` followed by a little-endian 64-bit payload.
+    #[inline]
+    fn emit_u64(&mut self, op: u8, value: u64) {
+        let mut p = [0u8; 9];
+        p[0] = op;
+        p[1..].copy_from_slice(&value.to_le_bytes());
+        self.emit(&p);
     }
 
     fn flush_tnt(&mut self) {
         if self.tnt_count == 0 {
             return;
         }
-        // Encode the TNT packet inline (opcode, count, bit bytes) to keep
-        // the per-64-branches cost allocation-free.
-        let count = self.tnt_count as u8;
+        // Opcode, count, then ceil(count / 8) bit bytes.
         let nb = (self.tnt_count as usize).div_ceil(8);
-        self.scratch.clear();
-        self.scratch.push(0xA2);
-        self.scratch.push(count);
-        self.scratch
-            .extend_from_slice(&self.tnt_acc.to_le_bytes()[..nb]);
+        let mut p = [0u8; 10];
+        p[0] = OP_TNT;
+        p[1] = self.tnt_count as u8;
+        p[2..].copy_from_slice(&self.tnt_acc.to_le_bytes());
         self.tnt_acc = 0;
         self.tnt_count = 0;
-        self.ring.mark();
-        self.ring.write(&self.scratch);
-        self.stats.packets += 1;
-        self.stats.bytes += self.scratch.len() as u64;
-        self.bump_psb();
+        self.emit(&p[..2 + nb]);
     }
 
     /// Finalizes the trace: flushes pending TNT bits and snapshots the ring.
@@ -173,27 +170,30 @@ impl TraceSink for PtSink {
     fn call(&mut self, func: FuncId) {
         self.stats.calls += 1;
         self.flush_tnt();
-        self.emit(&Packet::Tip { target: func.0 });
+        let mut p = [0u8; 5];
+        p[0] = OP_TIP;
+        p[1..].copy_from_slice(&func.0.to_le_bytes());
+        self.emit(&p);
     }
 
     fn ret(&mut self) {
         self.stats.rets += 1;
         self.flush_tnt();
-        self.emit(&Packet::Ret);
+        self.emit(&[OP_RET]);
     }
 
     fn ptwrite(&mut self, value: u64) {
         self.stats.ptwrites += 1;
         self.flush_tnt();
-        self.emit(&Packet::Ptw { value });
+        self.emit_u64(OP_PTW, value);
     }
 
     fn thread_resume(&mut self, tid: u64, tsc: u64) {
         self.stats.resumes += 1;
         self.flush_tnt();
-        self.emit(&Packet::Pge { tid });
+        self.emit_u64(OP_PGE, tid);
         if self.config.timestamps {
-            self.emit(&Packet::Tsc { tsc });
+            self.emit_u64(OP_TSC, tsc);
         }
     }
 

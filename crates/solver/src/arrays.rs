@@ -9,7 +9,7 @@
 //! instead of an unbounded solve.
 
 use crate::expr::{ArrayNode, ArrayRef, ExprPool, ExprRef, Node};
-use std::collections::HashMap;
+use crate::hash::FxHashMap;
 use std::fmt;
 
 /// Elimination exceeded its cell budget: the solver stalls.
@@ -76,9 +76,9 @@ pub fn eliminate(
 /// index) is undone so it cannot leak into later prefix-only queries.
 #[derive(Debug, Default, Clone)]
 pub struct Eliminator {
-    cache: HashMap<ExprRef, ExprRef>,
+    cache: FxHashMap<ExprRef, ExprRef>,
     /// Fresh variable per (base array, rewritten index) pair.
-    base_reads: HashMap<(u32, ExprRef), ExprRef>,
+    base_reads: FxHashMap<(u32, ExprRef), ExprRef>,
     stats: ElimStats,
     scope: Option<ElimScope>,
 }

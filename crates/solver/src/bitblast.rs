@@ -5,6 +5,7 @@
 
 use crate::cnf::{Cnf, CnfMark, Lit, Var};
 use crate::expr::{BvOp, CmpKind, ExprPool, ExprRef, Node, VarId};
+use crate::hash::FxHashMap;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -45,7 +46,7 @@ enum Blasted {
 pub struct BitBlaster {
     /// The CNF being built.
     pub cnf: Cnf,
-    cache: HashMap<ExprRef, Blasted>,
+    cache: FxHashMap<ExprRef, Blasted>,
     var_bits: HashMap<VarId, Vec<Var>>,
     scope: Option<BlastScope>,
 }

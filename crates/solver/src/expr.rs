@@ -1,7 +1,8 @@
 //! Hash-consed expression DAG over bitvectors, booleans, and arrays.
 
+use crate::hash::FxHashMap;
 use crate::simplify;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Reference to an expression node in an [`ExprPool`].
@@ -264,9 +265,9 @@ pub struct VarDecl {
 #[derive(Debug, Default, Clone)]
 pub struct ExprPool {
     nodes: Vec<Node>,
-    dedup: HashMap<Node, ExprRef>,
+    dedup: FxHashMap<Node, ExprRef>,
     arrays: Vec<ArrayNode>,
-    arrays_dedup: HashMap<ArrayNode, ArrayRef>,
+    arrays_dedup: FxHashMap<ArrayNode, ArrayRef>,
     array_decls: Vec<ArrayDecl>,
     vars: Vec<VarDecl>,
 }
@@ -353,23 +354,28 @@ impl ExprPool {
 
     /// Interns `node`, reusing a structurally identical existing node.
     pub fn intern(&mut self, node: Node) -> ExprRef {
-        if let Some(&r) = self.dedup.get(&node) {
-            return r;
+        // One hash and one probe; a new node is cloned once, into `nodes`.
+        match self.dedup.entry(node) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let r = ExprRef(self.nodes.len() as u32);
+                self.nodes.push(e.key().clone());
+                e.insert(r);
+                r
+            }
         }
-        let r = ExprRef(self.nodes.len() as u32);
-        self.nodes.push(node.clone());
-        self.dedup.insert(node, r);
-        r
     }
 
     fn intern_array(&mut self, node: ArrayNode) -> ArrayRef {
-        if let Some(&r) = self.arrays_dedup.get(&node) {
-            return r;
+        match self.arrays_dedup.entry(node) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let r = ArrayRef(self.arrays.len() as u32);
+                self.arrays.push(e.key().clone());
+                e.insert(r);
+                r
+            }
         }
-        let r = ArrayRef(self.arrays.len() as u32);
-        self.arrays.push(node.clone());
-        self.arrays_dedup.insert(node, r);
-        r
     }
 
     /// A bitvector constant.

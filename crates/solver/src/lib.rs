@@ -51,6 +51,7 @@ pub mod bitblast;
 pub mod cancel;
 pub mod cnf;
 pub mod expr;
+pub mod hash;
 pub mod inc;
 pub mod sat;
 pub mod simplify;

@@ -20,7 +20,8 @@ pub mod mem;
 pub mod value;
 
 pub use machine::{
-    MachineState, ShepherdStatus, SymConfig, SymMachine, SymRunResult, TraceDivergence,
+    MachineState, Origins, ShepherdStatus, SiteCounts, SymConfig, SymMachine, SymRunResult,
+    TraceDivergence,
 };
-pub use mem::{ObjectId, SymMemory};
+pub use mem::{ObjectId, ObjectName, SymMemory};
 pub use value::SymValue;

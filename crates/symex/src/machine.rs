@@ -7,7 +7,7 @@
 //! variables; every consumed event is validated so that divergence between
 //! the trace and the execution is caught, not silently mis-replayed.
 
-use crate::mem::SymMemory;
+use crate::mem::{ObjectName, SymMemory};
 use crate::value::SymValue;
 use er_minilang::error::{Failure, FailureKind, RuntimeFault};
 use er_minilang::ir::*;
@@ -15,9 +15,15 @@ use er_minilang::mem::NULL_GUARD;
 use er_minilang::value::Width;
 use er_pt::packet::TraceEvent;
 use er_solver::expr::{BvOp, CmpKind, ExprPool, ExprRef};
+use er_solver::hash::FxHashMap;
 use er_solver::inc::IncrementalSolver;
 use er_solver::solve::{Budget, SatResult, StallReason};
 use std::collections::HashMap;
+
+/// First definition site of each symbolic expression.
+pub type Origins = FxHashMap<ExprRef, InstrId>;
+/// Dynamic execution count per value-defining site.
+pub type SiteCounts = FxHashMap<InstrId, u64>;
 
 /// Configuration for a shepherded run.
 #[derive(Debug, Clone, Copy)]
@@ -166,9 +172,9 @@ pub struct SymRunResult {
     /// Symbolic inputs created.
     pub inputs: Vec<InputRecord>,
     /// First definition site of each symbolic expression.
-    pub origins: HashMap<ExprRef, InstrId>,
+    pub origins: Origins,
     /// Dynamic execution count per value-defining site.
-    pub site_counts: HashMap<InstrId, u64>,
+    pub site_counts: SiteCounts,
     /// Longest symbolic write chain (paper complexity source 1).
     pub longest_chain: u64,
     /// The expression whose solver query stalled, if any — the seed for the
@@ -213,8 +219,8 @@ pub struct MachineState {
     next_tid: u64,
     inputs: Vec<InputRecord>,
     input_offsets: HashMap<u32, usize>,
-    origins: HashMap<ExprRef, InstrId>,
-    site_counts: HashMap<InstrId, u64>,
+    origins: Origins,
+    site_counts: SiteCounts,
     clock: u64,
     stats: SymStats,
     heap_seq: u64,
@@ -279,12 +285,14 @@ impl MachineState {
                 };
             }
         }
-        let mut site_counts = HashMap::with_capacity(self.site_counts.len());
+        let mut site_counts = SiteCounts::default();
+        site_counts.reserve(self.site_counts.len());
         for (site, n) in self.site_counts.drain() {
             site_counts.insert(f(site)?, n);
         }
         self.site_counts = site_counts;
-        let mut origins = HashMap::with_capacity(self.origins.len());
+        let mut origins = Origins::default();
+        origins.reserve(self.origins.len());
         for (e, site) in self.origins.drain() {
             origins.insert(e, f(site)?);
         }
@@ -348,8 +356,8 @@ pub struct SymMachine<'p> {
     next_tid: u64,
     inputs: Vec<InputRecord>,
     input_offsets: HashMap<u32, usize>,
-    origins: HashMap<ExprRef, InstrId>,
-    site_counts: HashMap<InstrId, u64>,
+    origins: Origins,
+    site_counts: SiteCounts,
     clock: u64,
     stats: SymStats,
     heap_seq: u64,
@@ -388,8 +396,8 @@ impl<'p> SymMachine<'p> {
             next_tid: 1,
             inputs: Vec::new(),
             input_offsets: HashMap::new(),
-            origins: HashMap::new(),
-            site_counts: HashMap::new(),
+            origins: Origins::default(),
+            site_counts: SiteCounts::default(),
             clock: 0,
             stats: SymStats::default(),
             heap_seq: 0,
@@ -735,21 +743,18 @@ impl<'p> SymMachine<'p> {
         cursor: &mut usize,
         at: InstrId,
     ) -> Result<StepOutcome, Stop> {
-        let (func, block, ip) = {
-            let f = self.threads[self.cur].frames.last().expect("live frame");
-            (f.func, f.block, f.ip)
-        };
-        let blk = self.program.func(func).block(block);
-        if ip >= blk.instrs.len() {
+        // `at` is the current frame's position (see `position`). Borrow
+        // from the program, not from `self`: dispatch copies nothing.
+        let blk = self.program.func(at.func).block(at.block);
+        let Some(instr) = blk.instrs.get(at.index) else {
+            let term = blk.term.as_ref().expect("terminated blocks");
             // Branch and Return terminators consume events; yield to a
             // pending thread switch first.
-            if !matches!(blk.term, Some(Terminator::Jump(_))) && self.switch_pending(events, cursor)
-            {
+            if !matches!(term, Terminator::Jump(_)) && self.switch_pending(events, cursor) {
                 return Ok(StepOutcome::SwitchDue);
             }
-            return self.exec_terminator(events, cursor, at, func, block);
-        }
-        let instr = blk.instrs[ip].clone();
+            return self.exec_terminator(events, cursor, at, term);
+        };
         if matches!(instr, Instr::Call { .. } | Instr::PtWrite { .. })
             && self.switch_pending(events, cursor)
         {
@@ -758,7 +763,7 @@ impl<'p> SymMachine<'p> {
         if instr.dst().is_some() {
             *self.site_counts.entry(at).or_insert(0) += 1;
         }
-        self.exec_instr(events, cursor, at, &instr)
+        self.exec_instr(events, cursor, at, instr)
     }
 
     fn consume_event<'e>(
@@ -898,7 +903,7 @@ impl<'p> SymMachine<'p> {
         events: &[TraceEvent],
         cursor: &mut usize,
         at: InstrId,
-        instr: &Instr,
+        instr: &'p Instr,
     ) -> Result<StepOutcome, Stop> {
         match instr {
             Instr::Const { dst, value } => {
@@ -990,7 +995,10 @@ impl<'p> SymMachine<'p> {
             }
             Instr::StackAlloc { dst, size } => {
                 let tid = self.threads[self.cur].tid;
-                let name = format!("{}.stack{}", self.program.func(at.func).name, at.block.0);
+                let name = ObjectName::Stack {
+                    func: at.func,
+                    block: at.block,
+                };
                 let a = self.mem.stack_alloc(tid, *size, name);
                 self.set_reg(*dst, SymValue::Concrete(a), at);
             }
@@ -1016,7 +1024,7 @@ impl<'p> SymMachine<'p> {
                     }
                 };
                 self.heap_seq += 1;
-                let a = self.mem.heap_alloc(n, format!("heap{}", self.heap_seq));
+                let a = self.mem.heap_alloc(n, ObjectName::Heap(self.heap_seq));
                 self.set_reg(*dst, SymValue::Concrete(a), at);
             }
             Instr::Free { addr } => {
@@ -1240,17 +1248,9 @@ impl<'p> SymMachine<'p> {
         events: &[TraceEvent],
         cursor: &mut usize,
         at: InstrId,
-        func: FuncId,
-        block: BlockId,
+        term: &'p Terminator,
     ) -> Result<StepOutcome, Stop> {
-        let term = self
-            .program
-            .func(func)
-            .block(block)
-            .term
-            .clone()
-            .expect("terminated blocks");
-        match term {
+        match *term {
             Terminator::Jump(b) => {
                 let f = self.threads[self.cur]
                     .frames
@@ -1334,10 +1334,10 @@ impl<'p> SymMachine<'p> {
     /// failure site (executed when the trace has been fully consumed).
     fn failure_constraint(&mut self, failure: &Failure) -> Result<Option<ExprRef>, Stop> {
         let blk = self.program.func(failure.at.func).block(failure.at.block);
-        let instr = blk.instrs.get(failure.at.index).cloned();
+        let instr = blk.instrs.get(failure.at.index);
         let constraint = match (&failure.fault, instr) {
             (RuntimeFault::AssertFailed { .. }, Some(Instr::Assert { cond, .. })) => {
-                match self.operand(cond) {
+                match self.operand(*cond) {
                     SymValue::Concrete(0) => None,
                     SymValue::Concrete(_) => {
                         return Err(Stop::Diverge(TraceDivergence::RanPastTraceEnd))
@@ -1349,7 +1349,7 @@ impl<'p> SymMachine<'p> {
                 }
             }
             (RuntimeFault::Abort { .. }, Some(Instr::Abort { .. })) => None,
-            (RuntimeFault::DivByZero, Some(Instr::Bin { b, .. })) => match self.operand(b) {
+            (RuntimeFault::DivByZero, Some(Instr::Bin { b, .. })) => match self.operand(*b) {
                 SymValue::Concrete(0) => None,
                 SymValue::Concrete(_) => {
                     return Err(Stop::Diverge(TraceDivergence::RanPastTraceEnd))
@@ -1361,15 +1361,15 @@ impl<'p> SymMachine<'p> {
                 }
             },
             (fault, Some(Instr::Load { addr, .. })) => {
-                let a = self.operand(addr);
+                let a = self.operand(*addr);
                 self.memory_fault_constraint(fault, a)
             }
             (fault, Some(Instr::Store { addr, .. })) => {
-                let a = self.operand(addr);
+                let a = self.operand(*addr);
                 self.memory_fault_constraint(fault, a)
             }
             (fault, Some(Instr::Free { addr })) => {
-                let a = self.operand(addr);
+                let a = self.operand(*addr);
                 self.memory_fault_constraint(fault, a)
             }
             // Input exhaustion, hangs, deadlocks: reproduced by input shape
@@ -1587,6 +1587,28 @@ mod tests {
             env.push_input(*s, b);
         }
         Machine::new(program, env).run().outcome
+    }
+
+    #[test]
+    fn address_wrapping_the_address_space_diverges_instead_of_panicking() {
+        // A[i] loads 8 bytes at 2^64 - 8, whose end wraps to 0. Production
+        // faults there; following its trace as if it had completed makes
+        // the machine execute that load, which must be a typed divergence.
+        let (program, events, failure) = record(
+            "global A: [u64; 4];\nfn main() { let i: u64 = 0x1FFFFFFFFDFFFFFF; print(A[i]); }",
+            &[],
+        );
+        let addr = 0xFFFF_FFFF_FFFF_FFF8;
+        assert_eq!(
+            failure.map(|f| f.fault),
+            Some(RuntimeFault::Unmapped { addr })
+        );
+        let r = SymMachine::new(&program, SymConfig::default()).run(&events, None);
+        let ShepherdStatus::Diverged(TraceDivergence::UnexpectedFault { fault, .. }) = r.status
+        else {
+            panic!("expected a typed divergence, got {:?}", r.status)
+        };
+        assert_eq!(fault, RuntimeFault::Unmapped { addr });
     }
 
     #[test]

@@ -17,14 +17,40 @@
 
 use crate::value::SymValue;
 use er_minilang::error::RuntimeFault;
-use er_minilang::ir::Program;
+use er_minilang::ir::{BlockId, FuncId, Program};
 use er_minilang::mem::Memory;
 use er_minilang::value::Width;
 use er_solver::expr::{ArrayNode, ArrayRef, BvOp, ExprPool, ExprRef};
-use std::collections::{BTreeMap, HashMap};
+use er_solver::hash::FxHashMap;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifier of a memory object (its base address).
 pub type ObjectId = u64;
+
+/// Diagnostic name of a memory object. Stack and heap names are rendered
+/// only when the object is promoted to a solver array, the one place a
+/// name is read, so allocating an object formats nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ObjectName {
+    /// A global, or any object named up front.
+    Named(String),
+    /// A stack array allocated in `block` of `func`: `<func>.stack<block>`.
+    Stack {
+        /// Allocating function.
+        func: FuncId,
+        /// Allocating block.
+        block: BlockId,
+    },
+    /// The `n`-th heap allocation of the run: `heap<n>`.
+    Heap(u64),
+}
+
+impl From<&str> for ObjectName {
+    fn from(name: &str) -> Self {
+        ObjectName::Named(name.to_string())
+    }
+}
 
 /// A tracked memory object (global, stack array, or heap allocation).
 #[derive(Debug, Clone)]
@@ -34,7 +60,7 @@ pub struct SymObject {
     /// Size in bytes.
     pub size: u64,
     /// Diagnostic name.
-    pub name: String,
+    pub name: ObjectName,
     /// Solver array, once the object has been promoted.
     pub array: Option<ArrayRef>,
     /// Number of symbolic (`Write`-node) stores applied.
@@ -45,10 +71,12 @@ pub struct SymObject {
 #[derive(Debug, Clone)]
 pub struct SymMemory {
     concrete: Memory,
-    overlay: HashMap<u64, ExprRef>,
+    overlay: FxHashMap<u64, ExprRef>,
     objects: BTreeMap<u64, SymObject>,
     freed: Vec<(u64, u64)>,
     promoted: usize,
+    /// Function names by id, for rendering [`ObjectName::Stack`].
+    func_names: Arc<[String]>,
 }
 
 impl SymMemory {
@@ -57,19 +85,31 @@ impl SymMemory {
     pub fn new(program: &Program) -> Self {
         let mut m = SymMemory {
             concrete: Memory::new(program),
-            overlay: HashMap::new(),
+            overlay: FxHashMap::default(),
             objects: BTreeMap::new(),
             freed: Vec::new(),
             promoted: 0,
+            func_names: program.funcs.iter().map(|f| f.name.clone()).collect(),
         };
         for g in &program.globals {
-            m.register_object(g.addr, g.size, g.name.clone());
+            m.register_object(g.addr, g.size, ObjectName::Named(g.name.clone()));
         }
         m
     }
 
+    /// The text of `name`.
+    fn render_name(&self, name: &ObjectName) -> String {
+        match name {
+            ObjectName::Named(s) => s.clone(),
+            ObjectName::Stack { func, block } => {
+                format!("{}.stack{}", self.func_names[func.0 as usize], block.0)
+            }
+            ObjectName::Heap(n) => format!("heap{n}"),
+        }
+    }
+
     /// Registers an object at `[base, base+size)`.
-    pub fn register_object(&mut self, base: u64, size: u64, name: String) {
+    pub fn register_object(&mut self, base: u64, size: u64, name: ObjectName) {
         self.objects.insert(
             base,
             SymObject {
@@ -105,7 +145,7 @@ impl SymMemory {
 
     /// Allocates heap memory, mirroring the interpreter's allocator so
     /// addresses line up with the production run.
-    pub fn heap_alloc(&mut self, size: u64, name: String) -> u64 {
+    pub fn heap_alloc(&mut self, size: u64, name: ObjectName) -> u64 {
         let base = self.concrete.heap_alloc(size);
         self.register_object(base, size.max(1), name);
         base
@@ -125,7 +165,7 @@ impl SymMemory {
     }
 
     /// Allocates stack memory for `tid`.
-    pub fn stack_alloc(&mut self, tid: u64, size: u64, name: String) -> u64 {
+    pub fn stack_alloc(&mut self, tid: u64, size: u64, name: ObjectName) -> u64 {
         let base = self.concrete.stack_alloc(tid, size);
         self.register_object(base, size.max(1), name);
         base
@@ -190,13 +230,11 @@ impl SymMemory {
             .object_containing(addr)
             .expect("promote: no object at address")
             .base;
-        let (size, name, already) = {
-            let o = &self.objects[&base];
-            (o.size, o.name.clone(), o.array.is_some())
-        };
-        if already {
+        let o = &self.objects[&base];
+        if o.array.is_some() {
             return base;
         }
+        let (size, name) = (o.size, self.render_name(&o.name));
         // Snapshot concrete contents as the base array's initial value.
         let mut init = Vec::with_capacity(size as usize);
         for k in 0..size {
