@@ -42,6 +42,7 @@ fn main() {
                 &trace.events,
                 Some(&occ.failure_instrumented),
                 w.er_config().sym,
+                None,
             );
             match rep.run.status {
                 ShepherdStatus::Completed | ShepherdStatus::Stalled { .. } => completed += 1,

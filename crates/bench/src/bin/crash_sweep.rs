@@ -152,9 +152,11 @@ fn sweep_dir() -> PathBuf {
 
 fn main() {
     // Counter deltas (durable.resumes, symex.checkpoint_resumes, …) are
-    // this sweep's resume evidence — keep collection on regardless of
-    // ER_TELEMETRY.
-    let _counters = er_telemetry::ensure_counters();
+    // this sweep's resume evidence: collect at least counters, keeping a
+    // `full` journal if ER_TELEMETRY asked for one.
+    if er_telemetry::mode() == er_telemetry::Mode::Off {
+        er_telemetry::set_mode(er_telemetry::Mode::Counters);
+    }
     let smoke = std::env::args().any(|a| a == "--smoke");
     let workloads: Vec<Workload> = if smoke {
         SMOKE_WORKLOADS

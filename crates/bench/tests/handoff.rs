@@ -45,6 +45,7 @@ fn handoff_agrees(
         &events,
         Some(&occ.failure_instrumented),
         config.sym,
+        None,
     )
     .run;
     if run.status != ShepherdStatus::Completed {
@@ -236,6 +237,7 @@ fn injected_stall_surfaces_from_the_handed_off_final_solve() {
         &events,
         Some(&occ.failure_instrumented),
         config.sym,
+        None,
     )
     .run;
     assert_eq!(run.status, ShepherdStatus::Completed);

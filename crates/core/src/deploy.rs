@@ -295,35 +295,8 @@ impl Deployment {
     }
 }
 
-/// A stream of failure occurrences for one investigation — the abstraction
-/// that lets [`crate::Reconstructor`] consume failures from a single
-/// simulated deployment *or* from a fleet of instances (`er-fleet`) without
-/// knowing which.
-pub trait FailureSource {
-    /// The original (uninstrumented) program under investigation.
-    fn program(&self) -> &Program;
-
-    /// Blocks (in simulation terms) until the next failure matching
-    /// `target` occurs on an instance running `inst`, and ships its trace.
-    /// `None` means the source gave up waiting.
-    fn next_occurrence(
-        &mut self,
-        inst: &InstrumentedProgram,
-        target: Option<&Failure>,
-    ) -> Option<FailureOccurrence>;
-
-    /// Like [`next_occurrence`](Self::next_occurrence) but unmonitored
-    /// (tracing off) — the warmup posture of paper §3.1. Returns the
-    /// failing run index and the failure in original coordinates.
-    fn next_untraced(
-        &mut self,
-        inst: &InstrumentedProgram,
-        target: Option<&Failure>,
-    ) -> Option<(u64, Failure)>;
-}
-
-/// The single-deployment [`FailureSource`]: a cursor over one simulated
-/// production run stream.
+/// The stream of failure occurrences [`crate::Reconstructor`] consumes: a
+/// cursor over one simulated production run stream.
 pub struct DeploymentSource<'a> {
     deployment: &'a Deployment,
     next_run: u64,
@@ -345,14 +318,11 @@ impl<'a> DeploymentSource<'a> {
     pub fn cursor(&self) -> u64 {
         self.next_run
     }
-}
 
-impl FailureSource for DeploymentSource<'_> {
-    fn program(&self) -> &Program {
-        self.deployment.program()
-    }
-
-    fn next_occurrence(
+    /// Blocks (in simulation terms) until the next failure matching
+    /// `target` occurs on a run of `inst`, and ships its trace. `None`
+    /// means the source gave up waiting.
+    pub fn next_occurrence(
         &mut self,
         inst: &InstrumentedProgram,
         target: Option<&Failure>,
@@ -367,7 +337,10 @@ impl FailureSource for DeploymentSource<'_> {
         Some(occ)
     }
 
-    fn next_untraced(
+    /// Like [`next_occurrence`](Self::next_occurrence) but unmonitored
+    /// (tracing off) — the warmup posture of paper §3.1. Returns the
+    /// failing run index and the failure in original coordinates.
+    pub fn next_untraced(
         &mut self,
         inst: &InstrumentedProgram,
         target: Option<&Failure>,

@@ -59,9 +59,7 @@ pub mod select;
 pub mod shepherd;
 pub mod testcase;
 
-pub use deploy::{
-    Deployment, DeploymentSource, FailureOccurrence, FailureSource, NextFailing, ReoccurrenceModel,
-};
+pub use deploy::{Deployment, DeploymentSource, FailureOccurrence, NextFailing, ReoccurrenceModel};
 pub use graph::ConstraintGraph;
 pub use instrument::{InstrumentError, InstrumentedProgram};
 pub use reconstruct::{

@@ -7,7 +7,7 @@
 //! progress because every iteration concretizes at least the newly recorded
 //! values; it gives up only on divergence or after `max_occurrences`.
 
-use crate::deploy::{Deployment, DeploymentSource, FailureOccurrence, FailureSource};
+use crate::deploy::{Deployment, DeploymentSource, FailureOccurrence};
 use crate::graph::ConstraintGraph;
 use crate::instrument::InstrumentedProgram;
 use crate::select::{self, RecordingSet, SelectionInput, SelectorKind};
@@ -19,6 +19,7 @@ use er_minilang::ir::{InstrId, Program};
 use er_pt::TraceEvent;
 use er_solver::solve::Budget;
 use er_symex::{MachineState, Origins, ShepherdStatus, SiteCounts, SymConfig, TraceDivergence};
+use er_telemetry::counters::Handle;
 use std::time::Duration;
 
 /// Configuration of the reconstruction loop.
@@ -407,13 +408,10 @@ impl ReconstructionSession {
     pub fn note_undecodable(&mut self, info: OccurrenceInfo, error: String) -> SessionStep {
         self.occurrences += 1;
         self.target.get_or_insert(info.failure);
-        if self.wants_more() {
-            er_telemetry::counter!("reconstruct.retry.undecodable").incr();
-            return SessionStep::NeedOccurrence {
-                reinstrumented: false,
-            };
-        }
-        SessionStep::Done(self.report(Outcome::GaveUp(GiveUpReason::TraceDecode(error))))
+        self.retry_or_close(
+            er_telemetry::counter!("reconstruct.retry.undecodable"),
+            GiveUpReason::TraceDecode(error),
+        )
     }
 
     /// Like [`consume`](Self::consume), but on pre-decoded events — the
@@ -426,10 +424,6 @@ impl ReconstructionSession {
         info: OccurrenceInfo,
         events: Vec<TraceEvent>,
     ) -> SessionStep {
-        // IterationStats are derived from telemetry counter snapshots (one
-        // source of truth), so collection must be live even when the user
-        // asked for no telemetry output.
-        let _counters = er_telemetry::ensure_counters();
         self.occurrences += 1;
         let occurrence = self.occurrences;
         self.target.get_or_insert(info.failure.clone());
@@ -467,30 +461,17 @@ impl ReconstructionSession {
                     })
             });
 
-        // Counter deltas around the shepherded execution are the single
-        // source of truth for per-iteration effort: the same numbers
-        // feed IterationStats here and the journal's span events.
-        let snap_before = er_telemetry::local_snapshot();
+        if resume_state.is_some() {
+            er_telemetry::counter!("symex.checkpoint_resumes").incr();
+        }
         er_solver::cancel::begin_phase(er_solver::cancel::Phase::Shepherd);
-        let report = match resume_state {
-            Some(state) => {
-                er_telemetry::counter!("symex.checkpoint_resumes").incr();
-                shepherd::shepherd_resume(
-                    &inst.program,
-                    &events,
-                    Some(&info.failure_instrumented),
-                    self.config.sym,
-                    state,
-                )
-            }
-            None => shepherd::shepherd_events(
-                &inst.program,
-                &events,
-                Some(&info.failure_instrumented),
-                self.config.sym,
-            ),
-        };
-        let shepherd_delta = er_telemetry::local_snapshot().delta(&snap_before);
+        let report = shepherd::shepherd_events(
+            &inst.program,
+            &events,
+            Some(&info.failure_instrumented),
+            self.config.sym,
+            resume_state,
+        );
         self.total_symbex += report.wall;
         let mut run = report.run;
         let checkpoints = std::mem::take(&mut run.checkpoints);
@@ -500,8 +481,11 @@ impl ReconstructionSession {
             instr_count: info.instr_count,
             trace_bytes: info.trace_bytes,
             symbex_wall: report.wall,
-            symbex_steps: shepherd_delta.get("symex.steps"),
-            solver_work: shepherd_delta.get("solver.work_units"),
+            // The run's own accounting: a resumed run counts only the
+            // work after its snapshot, exactly what the symex.steps and
+            // solver.work_units counters receive for this shepherd span.
+            symbex_steps: run.stats.steps,
+            solver_work: run.stats.work_units,
             stalled: None,
             graph_nodes: run.pool.len(),
             longest_chain: run.longest_chain,
@@ -527,14 +511,9 @@ impl ReconstructionSession {
                         // A non-reproducing test case means the solved
                         // inputs exercised a schedule- or trace-sensitive
                         // path; another occurrence may verify.
-                        if self.wants_more() {
-                            er_telemetry::counter!("reconstruct.retry.verification").incr();
-                            return SessionStep::NeedOccurrence {
-                                reinstrumented: false,
-                            };
-                        }
-                        return SessionStep::Done(
-                            self.report(Outcome::GaveUp(GiveUpReason::VerificationFailed)),
+                        return self.retry_or_close(
+                            er_telemetry::counter!("reconstruct.retry.verification"),
+                            GiveUpReason::VerificationFailed,
                         );
                     }
                     Err(SolveFailure::Stall(reason)) => format!("final solve: {reason}"),
@@ -545,14 +524,9 @@ impl ReconstructionSession {
                         // solves a fresh constraint set.
                         stats.stalled = Some("final solve: unsat".to_string());
                         self.iterations.push(stats);
-                        if self.wants_more() {
-                            er_telemetry::counter!("reconstruct.retry.unsat").incr();
-                            return SessionStep::NeedOccurrence {
-                                reinstrumented: false,
-                            };
-                        }
-                        return SessionStep::Done(
-                            self.report(Outcome::GaveUp(GiveUpReason::Unsat)),
+                        return self.retry_or_close(
+                            er_telemetry::counter!("reconstruct.retry.unsat"),
+                            GiveUpReason::Unsat,
                         );
                     }
                 }
@@ -566,11 +540,7 @@ impl ReconstructionSession {
                 // the coarse-interleaving hypothesis.
                 stats.stalled = Some(format!("diverged: {d:?}"));
                 self.iterations.push(stats);
-                self.prev = Some(ResumeCache {
-                    events,
-                    inst: inst.clone(),
-                    checkpoints,
-                });
+                self.remember(events, inst, checkpoints);
                 return self.need_more(false);
             }
         };
@@ -601,27 +571,47 @@ impl ReconstructionSession {
             // different occurrence (schedule, inputs) may stall elsewhere
             // and yield fresh sites, so spend the budget before giving up.
             if self.wants_more() {
-                er_telemetry::counter!("reconstruct.retry.nothing_to_record").incr();
-                self.prev = Some(ResumeCache {
-                    events,
-                    inst: inst.clone(),
-                    checkpoints,
-                });
-                return SessionStep::NeedOccurrence {
-                    reinstrumented: false,
-                };
+                self.remember(events, inst, checkpoints);
             }
-            return SessionStep::Done(self.report(Outcome::GaveUp(GiveUpReason::NothingToRecord)));
+            return self.retry_or_close(
+                er_telemetry::counter!("reconstruct.retry.nothing_to_record"),
+                GiveUpReason::NothingToRecord,
+            );
         }
         self.sites.extend(new_sites);
         self.sites.sort_unstable();
         self.sites.dedup();
+        self.remember(events, inst, checkpoints);
+        self.need_more(true)
+    }
+
+    /// Keeps this occurrence's trace, instrumentation, and snapshots so the
+    /// next occurrence can resume inside their shared prefix.
+    fn remember(
+        &mut self,
+        events: Vec<TraceEvent>,
+        inst: &InstrumentedProgram,
+        checkpoints: Vec<MachineState>,
+    ) {
         self.prev = Some(ResumeCache {
             events,
             inst: inst.clone(),
             checkpoints,
         });
-        self.need_more(true)
+    }
+
+    /// Asks for another occurrence while the budget lasts — a corrupt
+    /// trace, an unverified or unsat solve, or an empty selection costs one
+    /// occurrence, not the investigation — counting the retry on `retry`.
+    /// Once the budget is spent, closes with `reason`.
+    fn retry_or_close(&mut self, retry: Handle, reason: GiveUpReason) -> SessionStep {
+        if self.wants_more() {
+            retry.incr();
+            return SessionStep::NeedOccurrence {
+                reinstrumented: false,
+            };
+        }
+        SessionStep::Done(self.report(Outcome::GaveUp(reason)))
     }
 
     /// Either asks for another occurrence or, at the occurrence limit,
@@ -736,20 +726,9 @@ impl Reconstructor {
 
     /// Reconstructs the first failure the deployment produces.
     pub fn reconstruct(&self, deployment: &Deployment) -> ReconstructionReport {
-        let mut source = DeploymentSource::new(deployment, self.config.max_runs_per_occurrence);
-        self.reconstruct_from(&mut source)
-    }
-
-    /// Reconstructs the first failure `source` produces — the fleet-aware
-    /// entry point: any [`FailureSource`] (one deployment, or a pool of
-    /// instances) can feed the loop.
-    pub fn reconstruct_from(&self, source: &mut dyn FailureSource) -> ReconstructionReport {
-        // Counter collection must be live even when the user asked for no
-        // telemetry output; the guard raises `off` to `counters` for the
-        // duration of this call only.
-        let _counters = er_telemetry::ensure_counters();
         let _span = er_telemetry::span!("reconstruct");
-        let mut session = ReconstructionSession::new(self.config, source.program().clone());
+        let mut source = DeploymentSource::new(deployment, self.config.max_runs_per_occurrence);
+        let mut session = ReconstructionSession::new(self.config, deployment.program().clone());
 
         // Optional unmonitored warm-up: confirm the failure actually
         // reoccurs before paying for always-on tracing.
@@ -875,7 +854,9 @@ mod tests {
         // occurrence must resume from a snapshot inside the shared prefix,
         // and the reproduction must be bit-identical to the uncached,
         // checkpoint-free baseline.
-        let _l = er_telemetry::counters::test_mutex().lock().unwrap();
+        let _l = er_telemetry::counters::test_mutex()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let src = r#"
             global TBL: [u64; 2048];
             fn main() {
@@ -909,7 +890,8 @@ mod tests {
             };
             Reconstructor::new(config).reconstruct(&d)
         };
-        let _g = er_telemetry::ensure_counters();
+        let mode = er_telemetry::mode();
+        er_telemetry::set_mode(er_telemetry::Mode::Counters);
         let before = er_telemetry::local_snapshot();
         let optimized = run_with(SymConfig {
             solver_budget: Budget::small(),
@@ -919,6 +901,7 @@ mod tests {
         let resumes = er_telemetry::local_snapshot()
             .delta(&before)
             .get("symex.checkpoint_resumes");
+        er_telemetry::set_mode(mode);
         assert!(resumes > 0, "expected at least one checkpoint resume");
         let baseline = run_with(SymConfig {
             solver_budget: Budget::small(),
@@ -946,6 +929,62 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(summarize(&optimized), summarize(&baseline));
+        // A resumed run counts only the steps after its snapshot: every
+        // occurrence after the first resumes inside the shared crunch
+        // prefix, so it executes fewer steps than the from-scratch
+        // baseline following the same trace.
+        let steps = |r: &ReconstructionReport| {
+            r.iterations
+                .iter()
+                .map(|it| it.symbex_steps)
+                .collect::<Vec<_>>()
+        };
+        let (opt, base) = (steps(&optimized), steps(&baseline));
+        assert_eq!(opt[0], base[0], "the first occurrence cannot resume");
+        for (k, (o, b)) in opt.iter().zip(&base).enumerate().skip(1) {
+            assert!(o < b, "occurrence {}: resumed {o} >= baseline {b}", k + 1);
+        }
+    }
+
+    #[test]
+    fn reconstruction_under_mode_off_records_no_telemetry() {
+        // IterationStats come from the shepherded run's own accounting, so
+        // a reconstruction must neither need nor switch on telemetry: under
+        // `Mode::Off` no counter anywhere moves, yet every iteration still
+        // reports its effort.
+        let _l = er_telemetry::counters::test_mutex()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let d = deploy(
+            r#"
+            global V: [u32; 16];
+            fn main() {
+                let a: u32 = input_u32(0);
+                V[a % 16] = 7;
+                if V[5] == 7 { abort("five"); }
+            }
+            "#,
+            |run| {
+                let mut env = Env::new();
+                env.push_input(0, &(run as u32).to_le_bytes());
+                env
+            },
+        );
+        let mode = er_telemetry::mode();
+        er_telemetry::set_mode(er_telemetry::Mode::Off);
+        let before = er_telemetry::global_snapshot();
+        let report = Reconstructor::default().reconstruct(&d);
+        let after = er_telemetry::global_snapshot();
+        let mode_after = er_telemetry::mode();
+        er_telemetry::set_mode(mode);
+        assert_eq!(mode_after, er_telemetry::Mode::Off);
+        assert_eq!(after, before, "counters moved under Mode::Off");
+        assert!(report.reproduced(), "outcome: {:?}", report.outcome);
+        assert!(!report.iterations.is_empty());
+        for it in &report.iterations {
+            assert!(it.symbex_steps > 0, "iteration {}", it.occurrence);
+            assert!(it.solver_work > 0, "iteration {}", it.occurrence);
+        }
     }
 
     #[test]

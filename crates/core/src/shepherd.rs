@@ -20,11 +20,9 @@ pub struct ShepherdReport {
     pub run: SymRunResult,
     /// Wall-clock time of the shepherded execution.
     pub wall: Duration,
-    /// Decoded event count.
-    pub event_count: usize,
 }
 
-/// Decodes `trace` and follows it symbolically.
+/// Decodes `trace` and follows it symbolically from the program entry.
 ///
 /// # Errors
 ///
@@ -39,44 +37,37 @@ pub fn shepherd(
         let _span = er_telemetry::span!("shepherd.decode");
         trace.decode()?
     };
-    Ok(shepherd_events(program, &decoded.events, failure, config))
+    Ok(shepherd_events(
+        program,
+        &decoded.events,
+        failure,
+        config,
+        None,
+    ))
 }
 
-/// Follows already-decoded events symbolically.
+/// Follows already-decoded events symbolically: from the program entry,
+/// or — given `from` — resuming a snapshot taken on an earlier trace of
+/// the same program. The caller must have verified the event prefix up to
+/// `from.cursor()` is semantically identical and remapped instruction
+/// sites if instrumentation changed.
 pub fn shepherd_events(
     program: &Program,
     events: &[er_pt::TraceEvent],
     failure: Option<&Failure>,
     config: SymConfig,
+    from: Option<MachineState>,
 ) -> ShepherdReport {
     let _span = er_telemetry::span!("shepherd.symbex");
     let start = Instant::now();
-    let run = SymMachine::new(program, config).run(events, failure);
+    let machine = match from {
+        Some(state) => SymMachine::resume(program, config, state),
+        None => SymMachine::new(program, config),
+    };
+    let run = machine.run(events, failure);
     ShepherdReport {
         run,
         wall: start.elapsed(),
-        event_count: events.len(),
-    }
-}
-
-/// Follows already-decoded events symbolically, resuming from a snapshot
-/// taken on an earlier trace of the same program. The caller must have
-/// verified the event prefix up to `state.cursor()` is identical and
-/// remapped instruction sites if instrumentation changed.
-pub fn shepherd_resume(
-    program: &Program,
-    events: &[er_pt::TraceEvent],
-    failure: Option<&Failure>,
-    config: SymConfig,
-    state: MachineState,
-) -> ShepherdReport {
-    let _span = er_telemetry::span!("shepherd.symbex");
-    let start = Instant::now();
-    let run = SymMachine::resume(program, config, state).run(events, failure);
-    ShepherdReport {
-        run,
-        wall: start.elapsed(),
-        event_count: events.len(),
     }
 }
 
@@ -173,7 +164,7 @@ mod tests {
         let trace = report.sink.finish();
         let mut rep = shepherd(&program, &trace, Some(&f), SymConfig::default()).unwrap();
         assert_eq!(rep.run.status, ShepherdStatus::Completed);
-        assert!(rep.event_count > 0);
+        assert!(rep.run.stats.steps > 0);
         let inputs = solve_inputs(&mut rep.run, &Budget::default()).unwrap();
         // Verify the solved inputs crash identically.
         let mut env2 = Env::new();

@@ -3,8 +3,8 @@
 //! One [`ReconstructionSession`] per failure group, parked between
 //! reoccurrences. Each analyze round picks the highest-priority groups —
 //! priority is reoccurrence rate × (1 + stall depth), i.e. "fails often
-//! and still needs data" — and drives at most `max_concurrent` of them one
-//! iteration each, fanning out over [`crate::pool::parallel_map`].
+//! and still needs data" — and drives at most [`MAX_CONCURRENT`] of them
+//! one iteration each, fanning out over [`crate::pool::parallel_map`].
 //!
 //! Version discipline keeps the fleet path bit-identical to the serial
 //! loop: a group only consumes occurrences produced by its *current*
@@ -26,11 +26,12 @@ use er_pt::packets_to_events;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
+/// Reconstruction iterations driven concurrently per analyze round.
+pub const MAX_CONCURRENT: usize = 2;
+
 /// Scheduler policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerConfig {
-    /// Reconstruction iterations driven concurrently per analyze round.
-    pub max_concurrent: usize,
     /// Fraction of instances that receive a group's instrumented binary
     /// (at least one instance always does).
     pub rollout: f64,
@@ -43,7 +44,6 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
-            max_concurrent: 2,
             rollout: 1.0,
             watchdog: None,
         }
@@ -122,6 +122,19 @@ impl GroupState {
     /// Stall depth of the underlying session.
     pub fn stall_depth(&self) -> u32 {
         self.session.stall_depth()
+    }
+
+    /// Drops every queued occurrence, unpinning its trace; returns how many
+    /// were dropped.
+    fn drop_pending(&mut self, store: &mut TraceStore) -> u64 {
+        let mut dropped = 0;
+        for p in self.pending.drain(..) {
+            if let Some(id) = p.trace {
+                store.unpin(id);
+            }
+            dropped += 1;
+        }
+        dropped
     }
 }
 
@@ -336,7 +349,7 @@ impl Scheduler {
         scored.into_iter().map(|(_, id)| id).collect()
     }
 
-    /// Runs one analyze round: up to `max_concurrent` highest-priority
+    /// Runs one analyze round: up to [`MAX_CONCURRENT`] highest-priority
     /// groups each consume their oldest eligible occurrence, in parallel
     /// unless `serial`. Returns `(group, outcome)` per iteration driven.
     pub fn analyze_round(
@@ -348,7 +361,7 @@ impl Scheduler {
         // Pick and detach the work: group state + its popped occurrence.
         let mut selected: Vec<(GroupState, PendingOccurrence)> = Vec::new();
         for id in self.priority_order(runs_observed) {
-            if selected.len() >= self.policy.max_concurrent {
+            if selected.len() >= MAX_CONCURRENT {
                 break;
             }
             let g = self.groups.get_mut(&id).expect("scored group exists");
@@ -459,11 +472,7 @@ impl Scheduler {
                         if let Some(id) = p.trace {
                             store.unpin(id);
                         }
-                        for rest in g.pending.drain(..) {
-                            if let Some(id) = rest.trace {
-                                store.unpin(id);
-                            }
-                        }
+                        g.drop_pending(store);
                         g.report = Some(
                             g.session
                                 .give_up(GiveUpReason::WatchdogExhausted { phase, escalations }),
@@ -527,12 +536,8 @@ impl Scheduler {
                 StepOutcome::Reinstrumented => {
                     er_telemetry::counter!("fleet.sched.rollouts").incr();
                     // Everything queued was produced by the old binary.
-                    for stale in g.pending.drain(..) {
-                        if let Some(id) = stale.trace {
-                            store.unpin(id);
-                        }
-                        er_telemetry::counter!("fleet.sched.stale_dropped").incr();
-                    }
+                    let stale = g.drop_pending(store);
+                    er_telemetry::counter!("fleet.sched.stale_dropped").add(stale);
                     if self.wal.is_some() {
                         self.append_wal(&DurableEvent::PlanDeployed {
                             group: g.id,
@@ -542,11 +547,7 @@ impl Scheduler {
                     }
                 }
                 StepOutcome::Closed => {
-                    for rest in g.pending.drain(..) {
-                        if let Some(id) = rest.trace {
-                            store.unpin(id);
-                        }
-                    }
+                    g.drop_pending(store);
                     if let Some(ev) = Self::terminal_event(&g) {
                         self.append_wal(&ev);
                     }
@@ -668,11 +669,7 @@ impl Scheduler {
     pub fn close_all(&mut self, store: &mut TraceStore) {
         let mut closed: Vec<u64> = Vec::new();
         for g in self.groups.values_mut() {
-            for rest in g.pending.drain(..) {
-                if let Some(id) = rest.trace {
-                    store.unpin(id);
-                }
-            }
+            g.drop_pending(store);
             if g.report.is_none() {
                 g.report = Some(g.session.give_up(GiveUpReason::NoFailureObserved));
                 closed.push(g.id);
@@ -850,19 +847,11 @@ impl Scheduler {
         match outcome {
             StepOutcome::Reinstrumented => {
                 er_telemetry::counter!("fleet.sched.rollouts").incr();
-                for stale in g.pending.drain(..) {
-                    if let Some(id) = stale.trace {
-                        store.unpin(id);
-                    }
-                    er_telemetry::counter!("fleet.sched.stale_dropped").incr();
-                }
+                let stale = g.drop_pending(store);
+                er_telemetry::counter!("fleet.sched.stale_dropped").add(stale);
             }
             StepOutcome::Closed => {
-                for rest in g.pending.drain(..) {
-                    if let Some(id) = rest.trace {
-                        store.unpin(id);
-                    }
-                }
+                g.drop_pending(store);
             }
             StepOutcome::NeedMore => {}
         }

@@ -31,7 +31,7 @@ pub struct SymConfig {
     /// Budget for each solver query (address resolution); exhausting it is
     /// a stall, the analogue of the paper's 30 s timeout.
     pub solver_budget: Budget,
-    /// Safety net on executed instructions.
+    /// Safety net on the instructions one run executes.
     pub max_steps: u64,
     /// Ablation knob: concretize every symbolic address to its model value
     /// instead of keeping single-object accesses symbolic. Avoids array
@@ -133,7 +133,9 @@ pub enum ShepherdStatus {
     Diverged(TraceDivergence),
 }
 
-/// Work counters for a shepherded run.
+/// Work counters for one shepherded run. They are per-run accounting, not
+/// machine state: a run resumed from a [`MachineState`] counts only the
+/// work it does after the snapshot.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SymStats {
     /// Instructions executed.
@@ -180,7 +182,7 @@ pub struct SymRunResult {
     /// The expression whose solver query stalled, if any — the seed for the
     /// stall-site fallback in key data value selection.
     pub stall_subject: Option<ExprRef>,
-    /// Work counters.
+    /// This run's work counters.
     pub stats: SymStats,
     /// Machine snapshots taken along the run (newest last), reusable to
     /// resume shepherding a later trace that shares an event prefix.
@@ -193,7 +195,8 @@ pub struct SymRunResult {
     pub solver: IncrementalSolver,
 }
 
-/// A resumable snapshot of the symbolic machine, taken at an event-cursor
+/// The symbolic machine's complete state. A running [`SymMachine`] owns
+/// one; a resumable snapshot is a copy of it taken at an event-cursor
 /// boundary during a run.
 ///
 /// A snapshot of a run over events `E` captures everything the first
@@ -222,7 +225,6 @@ pub struct MachineState {
     origins: Origins,
     site_counts: SiteCounts,
     clock: u64,
-    stats: SymStats,
     heap_seq: u64,
     inc: IncrementalSolver,
 }
@@ -342,30 +344,19 @@ enum Stop {
     Diverge(TraceDivergence),
 }
 
-/// The shepherded symbolic executor.
+/// The shepherded symbolic executor: one [`MachineState`] driven along a
+/// trace, plus the run's accounting and its checkpoint ring.
 #[derive(Debug)]
 pub struct SymMachine<'p> {
     program: &'p Program,
     config: SymConfig,
-    pool: ExprPool,
-    path: Vec<ExprRef>,
-    mem: SymMemory,
-    threads: Vec<SymThread>,
-    cur: usize,
-    lock_owner: HashMap<u64, u64>,
-    next_tid: u64,
-    inputs: Vec<InputRecord>,
-    input_offsets: HashMap<u32, usize>,
-    origins: Origins,
-    site_counts: SiteCounts,
-    clock: u64,
+    /// The machine itself; `state.cursor` is where the run starts.
+    state: MachineState,
+    /// This run's work only: a resumed run starts from zero.
     stats: SymStats,
-    heap_seq: u64,
-    inc: IncrementalSolver,
     checkpoints: Vec<MachineState>,
     checkpoint_interval: u64,
     next_checkpoint_at: usize,
-    start_cursor: usize,
 }
 
 impl<'p> SymMachine<'p> {
@@ -384,9 +375,8 @@ impl<'p> SymMachine<'p> {
             }],
             state: ThreadState::Runnable,
         };
-        SymMachine {
-            program,
-            config,
+        let state = MachineState {
+            cursor: 0,
             pool: ExprPool::new(),
             path: Vec::new(),
             mem,
@@ -399,14 +389,10 @@ impl<'p> SymMachine<'p> {
             origins: Origins::default(),
             site_counts: SiteCounts::default(),
             clock: 0,
-            stats: SymStats::default(),
             heap_seq: 0,
             inc: IncrementalSolver::new(),
-            checkpoints: Vec::new(),
-            checkpoint_interval: config.checkpoint_every,
-            next_checkpoint_at: usize::MAX,
-            start_cursor: 0,
-        }
+        };
+        Self::with_state(program, config, state)
     }
 
     /// A machine that picks up from `state`, skipping the events before
@@ -414,42 +400,26 @@ impl<'p> SymMachine<'p> {
     /// [`SymMachine::run`] agrees with the snapshot's trace on that prefix
     /// (and must have remapped sites if instrumentation changed).
     pub fn resume(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
+        let mut machine = Self::with_state(program, config, state);
         // The resume state itself is the run's first checkpoint: without it,
         // a resumed run that starts past the shared prefix would snapshot
         // nothing inside it, and the *next* occurrence would have to
-        // re-execute the whole prefix again. Re-normalize end-of-block
-        // frame positions to the TERMINATOR sentinel (the caller's
-        // `remap_sites` resolved them to this program's block lengths).
-        let mut seed = state.clone();
-        for t in &mut seed.threads {
-            for fr in &mut t.frames {
-                if fr.ip >= program.func(fr.func).block(fr.block).instrs.len() {
-                    fr.ip = InstrId::TERMINATOR;
-                }
-            }
-        }
+        // re-execute the whole prefix again. `snapshot` re-normalizes the
+        // end-of-block positions `remap_sites` resolved for this program.
+        let seed = machine.snapshot(machine.state.cursor);
+        machine.checkpoints.push(seed);
+        machine
+    }
+
+    fn with_state(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
         SymMachine {
             program,
             config,
-            pool: state.pool,
-            path: state.path,
-            mem: state.mem,
-            threads: state.threads,
-            cur: state.cur,
-            lock_owner: state.lock_owner,
-            next_tid: state.next_tid,
-            inputs: state.inputs,
-            input_offsets: state.input_offsets,
-            origins: state.origins,
-            site_counts: state.site_counts,
-            clock: state.clock,
-            stats: state.stats,
-            heap_seq: state.heap_seq,
-            inc: state.inc,
-            checkpoints: vec![seed],
+            state,
+            stats: SymStats::default(),
+            checkpoints: Vec::new(),
             checkpoint_interval: config.checkpoint_every,
             next_checkpoint_at: usize::MAX,
-            start_cursor: state.cursor,
         }
     }
 
@@ -457,14 +427,12 @@ impl<'p> SymMachine<'p> {
     /// trace leads to (`None` for a trace of a completed run). A machine
     /// built by [`SymMachine::resume`] starts at its snapshot's cursor.
     pub fn run(mut self, events: &[TraceEvent], failure: Option<&Failure>) -> SymRunResult {
-        let base = self.stats;
         self.next_checkpoint_at = if self.checkpoint_interval > 0 {
-            self.start_cursor + self.checkpoint_interval as usize
+            self.state.cursor + self.checkpoint_interval as usize
         } else {
             usize::MAX
         };
-        let start = self.start_cursor;
-        let status = self.run_loop(events, failure, start);
+        let status = self.run_loop(events, failure);
         let mut stall_subject = None;
         let (status, failure_constraint) = match status {
             Ok(fc) => (ShepherdStatus::Completed, fc),
@@ -480,45 +448,52 @@ impl<'p> SymMachine<'p> {
             }
             Err(Stop::Diverge(d)) => (ShepherdStatus::Diverged(d), None),
         };
-        let longest_chain = self.mem.longest_write_chain(&self.pool);
+        let longest_chain = self.state.mem.longest_write_chain(&self.state.pool);
         if er_telemetry::enabled() {
             // One batched update per shepherded run; the step loop carries
-            // only plain field increments. Deltas, not totals: a resumed
-            // run inherits its snapshot's counters and must only report the
-            // work it actually did.
-            er_telemetry::counter!("symex.steps").add(self.stats.steps - base.steps);
-            er_telemetry::counter!("symex.solver_queries")
-                .add(self.stats.solver_queries - base.solver_queries);
-            er_telemetry::counter!("symex.forks_shepherded")
-                .add(self.stats.forks_shepherded - base.forks_shepherded);
-            er_telemetry::counter!("symex.mem_reads").add(self.stats.mem_reads - base.mem_reads);
-            er_telemetry::counter!("symex.mem_writes").add(self.stats.mem_writes - base.mem_writes);
-            er_telemetry::counter!("symex.ptw_bound").add(self.stats.ptw_bound - base.ptw_bound);
+            // only plain field increments.
+            er_telemetry::counter!("symex.steps").add(self.stats.steps);
+            er_telemetry::counter!("symex.solver_queries").add(self.stats.solver_queries);
+            er_telemetry::counter!("symex.forks_shepherded").add(self.stats.forks_shepherded);
+            er_telemetry::counter!("symex.mem_reads").add(self.stats.mem_reads);
+            er_telemetry::counter!("symex.mem_writes").add(self.stats.mem_writes);
+            er_telemetry::counter!("symex.ptw_bound").add(self.stats.ptw_bound);
             er_telemetry::histogram!("symex.write_chain_len").record(longest_chain);
         }
+        let MachineState {
+            pool,
+            path,
+            inputs,
+            origins,
+            site_counts,
+            inc,
+            ..
+        } = self.state;
         SymRunResult {
             status,
-            pool: self.pool,
-            path: self.path,
+            pool,
+            path,
             failure_constraint,
-            inputs: self.inputs,
-            origins: self.origins,
-            site_counts: self.site_counts,
+            inputs,
+            origins,
+            site_counts,
             longest_chain,
             stall_subject,
             stats: self.stats,
             checkpoints: self.checkpoints,
-            solver: self.inc,
+            solver: inc,
         }
     }
 
-    /// Captures a resumable snapshot at event position `cursor`. Frame
-    /// instruction pointers sitting at a block's end are normalized to the
-    /// TERMINATOR sentinel so the snapshot can be interpreted without this
-    /// machine's program (block lengths change under re-instrumentation).
+    /// Captures a resumable snapshot at event position `cursor`: a copy of
+    /// the state whose frame instruction pointers sitting at a block's end
+    /// are normalized to the TERMINATOR sentinel, so the snapshot can be
+    /// interpreted without this machine's program (block lengths change
+    /// under re-instrumentation).
     fn snapshot(&self, cursor: usize) -> MachineState {
-        let mut threads = self.threads.clone();
-        for t in &mut threads {
+        let mut state = self.state.clone();
+        state.cursor = cursor;
+        for t in &mut state.threads {
             for fr in &mut t.frames {
                 let len = self.program.func(fr.func).block(fr.block).instrs.len();
                 if fr.ip >= len {
@@ -526,24 +501,7 @@ impl<'p> SymMachine<'p> {
                 }
             }
         }
-        MachineState {
-            cursor,
-            pool: self.pool.clone(),
-            path: self.path.clone(),
-            mem: self.mem.clone(),
-            threads,
-            cur: self.cur,
-            lock_owner: self.lock_owner.clone(),
-            next_tid: self.next_tid,
-            inputs: self.inputs.clone(),
-            input_offsets: self.input_offsets.clone(),
-            origins: self.origins.clone(),
-            site_counts: self.site_counts.clone(),
-            clock: self.clock,
-            stats: self.stats,
-            heap_seq: self.heap_seq,
-            inc: self.inc.clone(),
-        }
+        state
     }
 
     const MAX_CHECKPOINTS: usize = 8;
@@ -571,13 +529,17 @@ impl<'p> SymMachine<'p> {
     fn query(&mut self, assumptions: &[ExprRef], budget: &Budget) -> SatResult {
         self.stats.solver_queries += 1;
         let (r, work) = if self.config.incremental_solver {
-            let r = self
-                .inc
-                .check_assuming(&mut self.pool, &self.path, assumptions, budget);
-            (r, self.inc.last_stats().work_units())
+            let r = self.state.inc.check_assuming(
+                &mut self.state.pool,
+                &self.state.path,
+                assumptions,
+                budget,
+            );
+            (r, self.state.inc.last_stats().work_units())
         } else {
             let mut fresh = IncrementalSolver::new();
-            let r = fresh.check_assuming(&mut self.pool, &self.path, assumptions, budget);
+            let r =
+                fresh.check_assuming(&mut self.state.pool, &self.state.path, assumptions, budget);
             (r, fresh.last_stats().work_units())
         };
         self.stats.work_units += work;
@@ -585,7 +547,7 @@ impl<'p> SymMachine<'p> {
     }
 
     fn position(&self) -> InstrId {
-        let f = self.threads[self.cur].frames.last();
+        let f = self.state.threads[self.state.cur].frames.last();
         match f {
             Some(f) => {
                 let blk = self.program.func(f.func).block(f.block);
@@ -608,14 +570,14 @@ impl<'p> SymMachine<'p> {
     }
 
     fn switch_to(&mut self, tid: u64) -> Result<(), Stop> {
-        let Some(idx) = self.threads.iter().position(|t| t.tid == tid) else {
+        let Some(idx) = self.state.threads.iter().position(|t| t.tid == tid) else {
             return Err(Stop::Diverge(TraceDivergence::UnknownThread { tid }));
         };
-        self.cur = idx;
+        self.state.cur = idx;
         // The production scheduler only resumes runnable (or just-woken)
         // threads; trust it.
-        if self.threads[idx].state != ThreadState::Done {
-            self.threads[idx].state = ThreadState::Runnable;
+        if self.state.threads[idx].state != ThreadState::Done {
+            self.state.threads[idx].state = ThreadState::Runnable;
         }
         Ok(())
     }
@@ -635,9 +597,8 @@ impl<'p> SymMachine<'p> {
         &mut self,
         events: &[TraceEvent],
         failure: Option<&Failure>,
-        start_cursor: usize,
     ) -> Result<Option<ExprRef>, Stop> {
-        let mut cursor = start_cursor;
+        let mut cursor = self.state.cursor;
         loop {
             if self.config.checkpoint_every > 0 && cursor >= self.next_checkpoint_at {
                 self.take_checkpoint(cursor);
@@ -650,8 +611,9 @@ impl<'p> SymMachine<'p> {
                 match events.get(cursor) {
                     Some(TraceEvent::Timestamp(_)) => cursor += 1,
                     Some(TraceEvent::ThreadResume(t))
-                        if *t == self.threads[self.cur].tid
-                            && self.threads[self.cur].state == ThreadState::Runnable =>
+                        if *t == self.state.threads[self.state.cur].tid
+                            && self.state.threads[self.state.cur].state
+                                == ThreadState::Runnable =>
                     {
                         cursor += 1;
                     }
@@ -684,15 +646,23 @@ impl<'p> SymMachine<'p> {
                     if matches!(f.fault.kind(), FailureKind::Liveness) {
                         return Ok(None);
                     }
-                    if at == f.at && self.threads[self.cur].tid == f.tid {
+                    if at == f.at && self.state.threads[self.state.cur].tid == f.tid {
                         return self.failure_constraint(f);
                     }
-                } else if self.threads.iter().all(|t| t.state == ThreadState::Done) {
+                } else if self
+                    .state
+                    .threads
+                    .iter()
+                    .all(|t| t.state == ThreadState::Done)
+                {
                     return Ok(None);
                 }
             }
 
-            if !matches!(self.threads[self.cur].state, ThreadState::Runnable) {
+            if !matches!(
+                self.state.threads[self.state.cur].state,
+                ThreadState::Runnable
+            ) {
                 // Current thread cannot run; the trace must name a successor.
                 match events.get(cursor) {
                     Some(TraceEvent::ThreadResume(tid)) => {
@@ -709,7 +679,11 @@ impl<'p> SymMachine<'p> {
                     }
                     None => {
                         if failure.is_none()
-                            && self.threads.iter().all(|t| t.state == ThreadState::Done)
+                            && self
+                                .state
+                                .threads
+                                .iter()
+                                .all(|t| t.state == ThreadState::Done)
                         {
                             return Ok(None);
                         }
@@ -761,7 +735,7 @@ impl<'p> SymMachine<'p> {
             return Ok(StepOutcome::SwitchDue);
         }
         if instr.dst().is_some() {
-            *self.site_counts.entry(at).or_insert(0) += 1;
+            *self.state.site_counts.entry(at).or_insert(0) += 1;
         }
         self.exec_instr(events, cursor, at, instr)
     }
@@ -791,7 +765,7 @@ impl<'p> SymMachine<'p> {
     fn operand(&self, op: Operand) -> SymValue {
         match op {
             Operand::Reg(r) => {
-                self.threads[self.cur]
+                self.state.threads[self.state.cur]
                     .frames
                     .last()
                     .expect("live frame")
@@ -803,9 +777,9 @@ impl<'p> SymMachine<'p> {
 
     fn set_reg(&mut self, r: Reg, v: SymValue, site: InstrId) {
         if let SymValue::Sym(e) = v {
-            self.origins.entry(e).or_insert(site);
+            self.state.origins.entry(e).or_insert(site);
         }
-        self.threads[self.cur]
+        self.state.threads[self.state.cur]
             .frames
             .last_mut()
             .expect("live frame")
@@ -813,7 +787,7 @@ impl<'p> SymMachine<'p> {
     }
 
     fn advance_ip(&mut self) {
-        self.threads[self.cur]
+        self.state.threads[self.state.cur]
             .frames
             .last_mut()
             .expect("live frame")
@@ -821,8 +795,8 @@ impl<'p> SymMachine<'p> {
     }
 
     fn push_constraint(&mut self, c: ExprRef) {
-        if self.pool.as_const(c) != Some(1) {
-            self.path.push(c);
+        if self.state.pool.as_const(c) != Some(1) {
+            self.state.path.push(c);
         }
     }
 
@@ -837,7 +811,7 @@ impl<'p> SymMachine<'p> {
         match addr {
             SymValue::Concrete(a) => Ok(MemTarget::Concrete(a)),
             SymValue::Sym(_) => {
-                let e = addr.to_expr(&mut self.pool, 64);
+                let e = addr.to_expr(&mut self.state.pool, 64);
                 let budget = self.config.solver_budget;
                 let model = match self.query(&[], &budget) {
                     SatResult::Sat(m) => m,
@@ -849,15 +823,15 @@ impl<'p> SymMachine<'p> {
                     }
                     SatResult::Unknown(reason) => return Err(Stop::Stall(reason, Some(e))),
                 };
-                let v = model.eval(&self.pool, e);
+                let v = model.eval(&self.state.pool, e);
                 // Uniqueness: UNSAT(path ∧ e != v) means e is forced to v.
                 // An inconclusive answer is treated as "not unique" — a
                 // sound under-approximation that avoids stalling here.
-                let vc = self.pool.bv_const(v, 64);
-                let ne = self.pool.ne(e, vc);
+                let vc = self.state.pool.bv_const(v, 64);
+                let ne = self.state.pool.ne(e, vc);
                 let unique = matches!(self.query(&[ne], &budget), SatResult::Unsat);
                 if unique || self.config.always_concretize {
-                    let eq = self.pool.cmp(CmpKind::Eq, e, vc);
+                    let eq = self.state.pool.cmp(CmpKind::Eq, e, vc);
                     self.push_constraint(eq);
                     self.stats.concretized_addrs += 1;
                     return Ok(MemTarget::Concrete(v));
@@ -871,16 +845,19 @@ impl<'p> SymMachine<'p> {
                 // address (paper §3.2: the solver is invoked at every
                 // symbolic memory access, and timeouts here are exactly the
                 // stalls §3.3 resolves).
-                let Some(obj) = self.mem.object_containing(v) else {
+                let Some(obj) = self.state.mem.object_containing(v) else {
                     return Err(Stop::Stall(StallReason::AddressAmbiguity, Some(e)));
                 };
                 let (base, size) = (obj.base, obj.size);
-                let lo = self.pool.bv_const(base, 64);
-                let hi = self.pool.bv_const(base + size - (width.bytes() - 1), 64);
-                let ge = self.pool.cmp(CmpKind::Ule, lo, e);
-                let lt = self.pool.cmp(CmpKind::Ult, e, hi);
-                let inside = self.pool.and(ge, lt);
-                let outside = self.pool.not(inside);
+                let lo = self.state.pool.bv_const(base, 64);
+                let hi = self
+                    .state
+                    .pool
+                    .bv_const(base + size - (width.bytes() - 1), 64);
+                let ge = self.state.pool.cmp(CmpKind::Ule, lo, e);
+                let lt = self.state.pool.cmp(CmpKind::Ult, e, hi);
+                let inside = self.state.pool.and(ge, lt);
+                let outside = self.state.pool.not(inside);
                 // If containment cannot be proved (SAT or inconclusive),
                 // fall through to concretization — always sound, since any
                 // feasible address yields a valid stronger path.
@@ -943,8 +920,8 @@ impl<'p> SymMachine<'p> {
                 let r = match av {
                     SymValue::Concrete(v) => SymValue::Concrete(from.trunc(v)),
                     SymValue::Sym(_) => {
-                        let e = av.to_expr(&mut self.pool, from.bits());
-                        SymValue::from_expr(&self.pool, e)
+                        let e = av.to_expr(&mut self.state.pool, from.bits());
+                        SymValue::from_expr(&self.state.pool, e)
                     }
                 };
                 self.set_reg(*dst, r, at);
@@ -954,17 +931,21 @@ impl<'p> SymMachine<'p> {
                 let a = self.operand(*addr);
                 let target = self.resolve_addr(a, *width, at)?;
                 let v = match target {
-                    MemTarget::Concrete(ca) => match self.mem.load(&mut self.pool, ca, *width) {
-                        Ok(v) => v,
-                        Err(fault) => {
-                            return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
-                                fault,
-                                at,
-                            }))
+                    MemTarget::Concrete(ca) => {
+                        match self.state.mem.load(&mut self.state.pool, ca, *width) {
+                            Ok(v) => v,
+                            Err(fault) => {
+                                return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
+                                    fault,
+                                    at,
+                                }))
+                            }
                         }
-                    },
+                    }
                     MemTarget::Symbolic { base, expr } => {
-                        self.mem.load_symbolic(&mut self.pool, base, expr, *width)
+                        self.state
+                            .mem
+                            .load_symbolic(&mut self.state.pool, base, expr, *width)
                     }
                 };
                 self.set_reg(*dst, v, at);
@@ -976,7 +957,9 @@ impl<'p> SymMachine<'p> {
                 let target = self.resolve_addr(a, *width, at)?;
                 match target {
                     MemTarget::Concrete(ca) => {
-                        if let Err(fault) = self.mem.store(&mut self.pool, ca, *width, v) {
+                        if let Err(fault) =
+                            self.state.mem.store(&mut self.state.pool, ca, *width, v)
+                        {
                             return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
                                 fault,
                                 at,
@@ -984,8 +967,9 @@ impl<'p> SymMachine<'p> {
                         }
                     }
                     MemTarget::Symbolic { base, expr } => {
-                        self.mem
-                            .store_symbolic(&mut self.pool, base, expr, *width, v);
+                        self.state
+                            .mem
+                            .store_symbolic(&mut self.state.pool, base, expr, *width, v);
                     }
                 }
             }
@@ -994,12 +978,12 @@ impl<'p> SymMachine<'p> {
                 self.set_reg(*dst, SymValue::Concrete(g.addr), at);
             }
             Instr::StackAlloc { dst, size } => {
-                let tid = self.threads[self.cur].tid;
+                let tid = self.state.threads[self.state.cur].tid;
                 let name = ObjectName::Stack {
                     func: at.func,
                     block: at.block,
                 };
-                let a = self.mem.stack_alloc(tid, *size, name);
+                let a = self.state.mem.stack_alloc(tid, *size, name);
                 self.set_reg(*dst, SymValue::Concrete(a), at);
             }
             Instr::Alloc { dst, size } => {
@@ -1009,7 +993,7 @@ impl<'p> SymMachine<'p> {
                         // Concretize allocation sizes: the production run
                         // allocated a specific amount, and heap layout must
                         // mirror it exactly.
-                        let e = sym.to_expr(&mut self.pool, 64);
+                        let e = sym.to_expr(&mut self.state.pool, 64);
                         match self.resolve_addr(SymValue::Sym(e), Width::W8, at)? {
                             MemTarget::Concrete(v) => v,
                             MemTarget::Symbolic { expr, .. } => {
@@ -1023,8 +1007,11 @@ impl<'p> SymMachine<'p> {
                         }
                     }
                 };
-                self.heap_seq += 1;
-                let a = self.mem.heap_alloc(n, ObjectName::Heap(self.heap_seq));
+                self.state.heap_seq += 1;
+                let a = self
+                    .state
+                    .mem
+                    .heap_alloc(n, ObjectName::Heap(self.state.heap_seq));
                 self.set_reg(*dst, SymValue::Concrete(a), at);
             }
             Instr::Free { addr } => {
@@ -1036,7 +1023,7 @@ impl<'p> SymMachine<'p> {
                         at,
                     }));
                 };
-                if let Err(fault) = self.mem.heap_free(ca) {
+                if let Err(fault) = self.state.mem.heap_free(ca) {
                     return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
                         fault,
                         at,
@@ -1059,9 +1046,9 @@ impl<'p> SymMachine<'p> {
                 for (i, a) in args.iter().enumerate() {
                     regs[i] = self.operand(*a);
                 }
-                let tid = self.threads[self.cur].tid;
-                let mark = self.mem.stack_watermark(tid);
-                self.threads[self.cur].frames.push(SymFrame {
+                let tid = self.state.threads[self.state.cur].tid;
+                let mark = self.state.mem.stack_watermark(tid);
+                self.state.threads[self.state.cur].frames.push(SymFrame {
                     func: *func,
                     block: BlockId(0),
                     ip: 0,
@@ -1072,12 +1059,15 @@ impl<'p> SymMachine<'p> {
                 return Ok(StepOutcome::Continue); // no ip advance
             }
             Instr::Input { dst, source, width } => {
-                let off = self.input_offsets.entry(*source).or_insert(0);
+                let off = self.state.input_offsets.entry(*source).or_insert(0);
                 let offset = *off;
                 *off += width.bytes() as usize;
-                let var = self.pool.var(format!("in{source}@{offset}"), width.bits());
-                self.origins.insert(var, at);
-                self.inputs.push(InputRecord {
+                let var = self
+                    .state
+                    .pool
+                    .var(format!("in{source}@{offset}"), width.bits());
+                self.state.origins.insert(var, at);
+                self.state.inputs.push(InputRecord {
                     source: *source,
                     offset,
                     width: *width,
@@ -1089,8 +1079,8 @@ impl<'p> SymMachine<'p> {
             Instr::Clock { dst } => {
                 // The substrate's clock is deterministic (see DESIGN.md), so
                 // symbolic execution mirrors it concretely.
-                let v = self.clock;
-                self.clock += 1;
+                let v = self.state.clock;
+                self.state.clock += 1;
                 self.set_reg(*dst, SymValue::Concrete(v), at);
             }
             Instr::PtWrite { value } => {
@@ -1110,15 +1100,15 @@ impl<'p> SymMachine<'p> {
                     }
                     SymValue::Sym(e) => {
                         // Bind the recorded value: constrain and concretize.
-                        let bits = self.pool.sort(e).bits();
-                        let rc = self.pool.bv_const(recorded, bits);
-                        let eq = match self.pool.sort(e) {
+                        let bits = self.state.pool.sort(e).bits();
+                        let rc = self.state.pool.bv_const(recorded, bits);
+                        let eq = match self.state.pool.sort(e) {
                             er_solver::expr::Sort::Bool => {
-                                let b = self.pool.bool_to_bv(e, 8);
-                                let r8 = self.pool.bv_const(recorded, 8);
-                                self.pool.cmp(CmpKind::Eq, b, r8)
+                                let b = self.state.pool.bool_to_bv(e, 8);
+                                let r8 = self.state.pool.bv_const(recorded, 8);
+                                self.state.pool.cmp(CmpKind::Eq, b, r8)
                             }
-                            _ => self.pool.cmp(CmpKind::Eq, e, rc),
+                            _ => self.state.pool.cmp(CmpKind::Eq, e, rc),
                         };
                         self.push_constraint(eq);
                         self.stats.ptw_bound += 1;
@@ -1135,10 +1125,10 @@ impl<'p> SymMachine<'p> {
                 for (i, a) in args.iter().enumerate() {
                     regs[i] = self.operand(*a);
                 }
-                let tid = self.next_tid;
-                self.next_tid += 1;
-                let mark = self.mem.stack_watermark(tid);
-                self.threads.push(SymThread {
+                let tid = self.state.next_tid;
+                self.state.next_tid += 1;
+                let mark = self.state.mem.stack_watermark(tid);
+                self.state.threads.push(SymThread {
                     tid,
                     frames: vec![SymFrame {
                         func: *func,
@@ -1163,11 +1153,12 @@ impl<'p> SymMachine<'p> {
                     }
                 };
                 let done = self
+                    .state
                     .threads
                     .iter()
                     .any(|t| t.tid == target && t.state == ThreadState::Done);
                 if !done {
-                    self.threads[self.cur].state = ThreadState::BlockedJoin(target);
+                    self.state.threads[self.state.cur].state = ThreadState::BlockedJoin(target);
                     self.advance_ip();
                     return Ok(StepOutcome::Blocked);
                 }
@@ -1182,13 +1173,13 @@ impl<'p> SymMachine<'p> {
                         }))
                     }
                 };
-                let tid = self.threads[self.cur].tid;
-                if self.lock_owner.contains_key(&id) {
-                    self.threads[self.cur].state = ThreadState::BlockedLock(id);
+                let tid = self.state.threads[self.state.cur].tid;
+                if self.state.lock_owner.contains_key(&id) {
+                    self.state.threads[self.state.cur].state = ThreadState::BlockedLock(id);
                     // ip not advanced: re-attempted after resume.
                     return Ok(StepOutcome::Blocked);
                 }
-                self.lock_owner.insert(id, tid);
+                self.state.lock_owner.insert(id, tid);
             }
             Instr::Unlock { lock } => {
                 let id = match self.operand(*lock) {
@@ -1200,10 +1191,10 @@ impl<'p> SymMachine<'p> {
                         }))
                     }
                 };
-                self.lock_owner.remove(&id);
+                self.state.lock_owner.remove(&id);
                 // Unblocked threads are resumed by the trace's PGE packets;
                 // just mark them lock-free so the retry succeeds.
-                for t in &mut self.threads {
+                for t in &mut self.state.threads {
                     if t.state == ThreadState::BlockedLock(id) {
                         t.state = ThreadState::Runnable;
                     }
@@ -1223,7 +1214,7 @@ impl<'p> SymMachine<'p> {
                     }
                     SymValue::Concrete(_) => {}
                     SymValue::Sym(e) => {
-                        let nz = self.pool.nonzero(e);
+                        let nz = self.state.pool.nonzero(e);
                         self.push_constraint(nz);
                     }
                 }
@@ -1252,7 +1243,7 @@ impl<'p> SymMachine<'p> {
     ) -> Result<StepOutcome, Stop> {
         match *term {
             Terminator::Jump(b) => {
-                let f = self.threads[self.cur]
+                let f = self.state.threads[self.state.cur]
                     .frames
                     .last_mut()
                     .expect("live frame");
@@ -1281,12 +1272,12 @@ impl<'p> SymMachine<'p> {
                     }
                     SymValue::Sym(e) => {
                         self.stats.forks_shepherded += 1;
-                        let nz = self.pool.nonzero(e);
-                        let constraint = if taken { nz } else { self.pool.not(nz) };
+                        let nz = self.state.pool.nonzero(e);
+                        let constraint = if taken { nz } else { self.state.pool.not(nz) };
                         self.push_constraint(constraint);
                     }
                 }
-                let f = self.threads[self.cur]
+                let f = self.state.threads[self.state.cur]
                     .frames
                     .last_mut()
                     .expect("live frame");
@@ -1305,21 +1296,24 @@ impl<'p> SymMachine<'p> {
                 let value = v
                     .map(|op| self.operand(op))
                     .unwrap_or(SymValue::Concrete(0));
-                let tid = self.threads[self.cur].tid;
-                let frame = self.threads[self.cur].frames.pop().expect("live frame");
-                self.mem.stack_restore(tid, frame.stack_mark);
-                if let Some(caller) = self.threads[self.cur].frames.last_mut() {
+                let tid = self.state.threads[self.state.cur].tid;
+                let frame = self.state.threads[self.state.cur]
+                    .frames
+                    .pop()
+                    .expect("live frame");
+                self.state.mem.stack_restore(tid, frame.stack_mark);
+                if let Some(caller) = self.state.threads[self.state.cur].frames.last_mut() {
                     if let Some(dst) = frame.ret_dst {
                         caller.regs[dst.0 as usize] = value;
                     }
                     caller.ip += 1;
                     if let SymValue::Sym(e) = value {
-                        self.origins.entry(e).or_insert(at);
+                        self.state.origins.entry(e).or_insert(at);
                     }
                     Ok(StepOutcome::Continue)
                 } else {
-                    self.threads[self.cur].state = ThreadState::Done;
-                    for t in &mut self.threads {
+                    self.state.threads[self.state.cur].state = ThreadState::Done;
+                    for t in &mut self.state.threads {
                         if t.state == ThreadState::BlockedJoin(tid) {
                             t.state = ThreadState::Runnable;
                         }
@@ -1343,8 +1337,8 @@ impl<'p> SymMachine<'p> {
                         return Err(Stop::Diverge(TraceDivergence::RanPastTraceEnd))
                     }
                     SymValue::Sym(e) => {
-                        let nz = self.pool.nonzero(e);
-                        Some(self.pool.not(nz))
+                        let nz = self.state.pool.nonzero(e);
+                        Some(self.state.pool.not(nz))
                     }
                 }
             }
@@ -1355,9 +1349,9 @@ impl<'p> SymMachine<'p> {
                     return Err(Stop::Diverge(TraceDivergence::RanPastTraceEnd))
                 }
                 sym => {
-                    let e = sym.to_expr(&mut self.pool, 64);
-                    let zero = self.pool.bv_const(0, 64);
-                    Some(self.pool.cmp(CmpKind::Eq, e, zero))
+                    let e = sym.to_expr(&mut self.state.pool, 64);
+                    let zero = self.state.pool.bv_const(0, 64);
+                    Some(self.state.pool.cmp(CmpKind::Eq, e, zero))
                 }
             },
             (fault, Some(Instr::Load { addr, .. })) => {
@@ -1382,43 +1376,43 @@ impl<'p> SymMachine<'p> {
     fn memory_fault_constraint(&mut self, fault: &RuntimeFault, addr: SymValue) -> Option<ExprRef> {
         let e = match addr {
             SymValue::Concrete(_) => return None, // address forced already
-            SymValue::Sym(_) => addr.to_expr(&mut self.pool, 64),
+            SymValue::Sym(_) => addr.to_expr(&mut self.state.pool, 64),
         };
         match fault {
             RuntimeFault::NullDeref { .. } => {
-                let guard = self.pool.bv_const(NULL_GUARD, 64);
-                Some(self.pool.cmp(CmpKind::Ult, e, guard))
+                let guard = self.state.pool.bv_const(NULL_GUARD, 64);
+                Some(self.state.pool.cmp(CmpKind::Ult, e, guard))
             }
             RuntimeFault::UseAfterFree { .. } | RuntimeFault::InvalidFree { .. } => {
-                let mut any = self.pool.bool_const(false);
-                let ranges: Vec<(u64, u64)> = self.mem.freed_ranges().to_vec();
+                let mut any = self.state.pool.bool_const(false);
+                let ranges: Vec<(u64, u64)> = self.state.mem.freed_ranges().to_vec();
                 for (base, size) in ranges {
-                    let lo = self.pool.bv_const(base, 64);
-                    let hi = self.pool.bv_const(base + size, 64);
-                    let ge = self.pool.cmp(CmpKind::Ule, lo, e);
-                    let lt = self.pool.cmp(CmpKind::Ult, e, hi);
-                    let inside = self.pool.and(ge, lt);
-                    any = self.pool.or(any, inside);
+                    let lo = self.state.pool.bv_const(base, 64);
+                    let hi = self.state.pool.bv_const(base + size, 64);
+                    let ge = self.state.pool.cmp(CmpKind::Ule, lo, e);
+                    let lt = self.state.pool.cmp(CmpKind::Ult, e, hi);
+                    let inside = self.state.pool.and(ge, lt);
+                    any = self.state.pool.or(any, inside);
                 }
                 Some(any)
             }
             RuntimeFault::Unmapped { .. } => {
                 // Outside every object and not in the null guard.
-                let mut outside_all = self.pool.bool_const(true);
+                let mut outside_all = self.state.pool.bool_const(true);
                 let objects: Vec<(u64, u64)> =
-                    self.mem.objects().map(|o| (o.base, o.size)).collect();
+                    self.state.mem.objects().map(|o| (o.base, o.size)).collect();
                 for (base, size) in objects {
-                    let lo = self.pool.bv_const(base, 64);
-                    let hi = self.pool.bv_const(base + size, 64);
-                    let ge = self.pool.cmp(CmpKind::Ule, lo, e);
-                    let lt = self.pool.cmp(CmpKind::Ult, e, hi);
-                    let inside = self.pool.and(ge, lt);
-                    let not_inside = self.pool.not(inside);
-                    outside_all = self.pool.and(outside_all, not_inside);
+                    let lo = self.state.pool.bv_const(base, 64);
+                    let hi = self.state.pool.bv_const(base + size, 64);
+                    let ge = self.state.pool.cmp(CmpKind::Ule, lo, e);
+                    let lt = self.state.pool.cmp(CmpKind::Ult, e, hi);
+                    let inside = self.state.pool.and(ge, lt);
+                    let not_inside = self.state.pool.not(inside);
+                    outside_all = self.state.pool.and(outside_all, not_inside);
                 }
-                let guard = self.pool.bv_const(NULL_GUARD, 64);
-                let not_null = self.pool.cmp(CmpKind::Ule, guard, e);
-                Some(self.pool.and(outside_all, not_null))
+                let guard = self.state.pool.bv_const(NULL_GUARD, 64);
+                let not_null = self.state.pool.cmp(CmpKind::Ule, guard, e);
+                Some(self.state.pool.and(outside_all, not_null))
             }
             _ => None,
         }
@@ -1443,8 +1437,8 @@ impl<'p> SymMachine<'p> {
             };
         }
         let bits = width.bits();
-        let ae = a.to_expr(&mut self.pool, bits);
-        let be = b.to_expr(&mut self.pool, bits);
+        let ae = a.to_expr(&mut self.state.pool, bits);
+        let be = b.to_expr(&mut self.state.pool, bits);
         let sop = match op {
             MB::Add => BvOp::Add,
             MB::Sub => BvOp::Sub,
@@ -1461,12 +1455,12 @@ impl<'p> SymMachine<'p> {
         if matches!(op, MB::UDiv | MB::URem) {
             // The production run did not fault here, so the divisor is
             // nonzero along this path.
-            let zero = self.pool.bv_const(0, bits);
-            let nz = self.pool.ne(be, zero);
+            let zero = self.state.pool.bv_const(0, bits);
+            let nz = self.state.pool.ne(be, zero);
             self.push_constraint(nz);
         }
-        let e = self.pool.bin(sop, ae, be);
-        Ok(SymValue::from_expr(&self.pool, e))
+        let e = self.state.pool.bin(sop, ae, be);
+        Ok(SymValue::from_expr(&self.state.pool, e))
     }
 
     fn sym_un(&mut self, op: er_minilang::value::UnOp, a: SymValue, width: Width) -> SymValue {
@@ -1477,23 +1471,23 @@ impl<'p> SymMachine<'p> {
         let bits = width.bits();
         match op {
             MU::Neg => {
-                let ae = a.to_expr(&mut self.pool, bits);
-                let zero = self.pool.bv_const(0, bits);
-                let e = self.pool.bin(BvOp::Sub, zero, ae);
-                SymValue::from_expr(&self.pool, e)
+                let ae = a.to_expr(&mut self.state.pool, bits);
+                let zero = self.state.pool.bv_const(0, bits);
+                let e = self.state.pool.bin(BvOp::Sub, zero, ae);
+                SymValue::from_expr(&self.state.pool, e)
             }
             MU::Not => {
-                let ae = a.to_expr(&mut self.pool, bits);
-                let ones = self.pool.bv_const(u64::MAX, bits);
-                let e = self.pool.bin(BvOp::Xor, ae, ones);
-                SymValue::from_expr(&self.pool, e)
+                let ae = a.to_expr(&mut self.state.pool, bits);
+                let ones = self.state.pool.bv_const(u64::MAX, bits);
+                let e = self.state.pool.bin(BvOp::Xor, ae, ones);
+                SymValue::from_expr(&self.state.pool, e)
             }
             MU::LNot => {
-                let ae = a.to_expr(&mut self.pool, bits);
-                let nz = self.pool.nonzero(ae);
-                let not = self.pool.not(nz);
-                let e = self.pool.bool_to_bv(not, bits);
-                SymValue::from_expr(&self.pool, e)
+                let ae = a.to_expr(&mut self.state.pool, bits);
+                let nz = self.state.pool.nonzero(ae);
+                let not = self.state.pool.not(nz);
+                let e = self.state.pool.bool_to_bv(not, bits);
+                SymValue::from_expr(&self.state.pool, e)
             }
         }
     }
@@ -1510,17 +1504,17 @@ impl<'p> SymMachine<'p> {
             return SymValue::Concrete(u64::from(pred.eval(width, x, y)));
         }
         let bits = width.bits();
-        let ae = a.to_expr(&mut self.pool, bits);
-        let be = b.to_expr(&mut self.pool, bits);
+        let ae = a.to_expr(&mut self.state.pool, bits);
+        let be = b.to_expr(&mut self.state.pool, bits);
         let e = match pred {
-            MC::Eq => self.pool.cmp(CmpKind::Eq, ae, be),
-            MC::Ne => self.pool.ne(ae, be),
-            MC::Ult => self.pool.cmp(CmpKind::Ult, ae, be),
-            MC::Ule => self.pool.cmp(CmpKind::Ule, ae, be),
-            MC::Slt => self.pool.cmp(CmpKind::Slt, ae, be),
-            MC::Sle => self.pool.cmp(CmpKind::Sle, ae, be),
+            MC::Eq => self.state.pool.cmp(CmpKind::Eq, ae, be),
+            MC::Ne => self.state.pool.ne(ae, be),
+            MC::Ult => self.state.pool.cmp(CmpKind::Ult, ae, be),
+            MC::Ule => self.state.pool.cmp(CmpKind::Ule, ae, be),
+            MC::Slt => self.state.pool.cmp(CmpKind::Slt, ae, be),
+            MC::Sle => self.state.pool.cmp(CmpKind::Sle, ae, be),
         };
-        SymValue::from_expr(&self.pool, e)
+        SymValue::from_expr(&self.state.pool, e)
     }
 }
 

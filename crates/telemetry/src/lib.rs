@@ -28,18 +28,16 @@
 //! | `counters` | timed, aggregated into counters | yes | no |
 //! | `full` | timed | yes | JSONL events under `ER_TELEMETRY_DIR` |
 //!
-//! Components that *need* counters for their own bookkeeping (e.g.
-//! `Reconstructor` deriving `IterationStats` from snapshots) can hold a
-//! [`CountersGuard`] from [`ensure_counters`], which raises `off` to
-//! `counters` for its lifetime without affecting an explicitly
-//! configured mode.
+//! [`set_mode`] overrides the environment. Nothing else changes the mode:
+//! the pipeline keeps its own statistics in plain fields, so `off` really
+//! records nothing.
 //!
 //! # Example
 //!
 //! ```
-//! use er_telemetry::{counter, span};
+//! use er_telemetry::{counter, span, Mode};
 //!
-//! let _g = er_telemetry::ensure_counters();
+//! er_telemetry::set_mode(Mode::Counters);
 //! let before = er_telemetry::local_snapshot();
 //! {
 //!     let _span = span!("demo.phase");
@@ -60,8 +58,7 @@ pub use hist::HistSnapshot;
 pub use journal::{read_journal, Event};
 pub use span::set_context;
 
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Telemetry collection level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -77,14 +74,8 @@ pub enum Mode {
 
 const MODE_UNINIT: u8 = 0xff;
 
-/// Effective mode, read on every hot path. `0xff` = not yet initialized.
+/// The mode, read on every hot path. `0xff` = not yet initialized.
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
-/// Configured base mode (from env or [`set_mode`]), before guard forcing.
-static BASE: AtomicU8 = AtomicU8::new(MODE_UNINIT);
-/// Number of outstanding [`CountersGuard`]s.
-static FORCE_COUNTERS: AtomicU32 = AtomicU32::new(0);
-/// Serializes mode recomputation (never on the hot path).
-static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 fn env_mode() -> Mode {
     match std::env::var("ER_TELEMETRY").as_deref() {
@@ -94,35 +85,14 @@ fn env_mode() -> Mode {
     }
 }
 
-/// Recomputes `MODE` from `BASE` + guard count. Caller holds `MODE_LOCK`.
-fn recompute_locked() -> u8 {
-    let base = match BASE.load(Ordering::Relaxed) {
-        MODE_UNINIT => {
-            let m = env_mode();
-            BASE.store(m as u8, Ordering::Relaxed);
-            m
-        }
-        1 => Mode::Counters,
-        2 => Mode::Full,
-        _ => Mode::Off,
-    };
-    let eff = if base == Mode::Off && FORCE_COUNTERS.load(Ordering::Relaxed) > 0 {
-        Mode::Counters
-    } else {
-        base
-    };
-    MODE.store(eff as u8, Ordering::Relaxed);
-    eff as u8
-}
-
 #[cold]
 fn init_mode() -> u8 {
-    let _l = MODE_LOCK.lock().unwrap();
-    let raw = MODE.load(Ordering::Relaxed);
-    if raw != MODE_UNINIT {
-        return raw;
+    // A racing `set_mode` wins: the environment only fills an unset mode.
+    let env = env_mode() as u8;
+    match MODE.compare_exchange(MODE_UNINIT, env, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => env,
+        Err(set) => set,
     }
-    recompute_locked()
 }
 
 /// The current telemetry mode.
@@ -150,73 +120,11 @@ pub fn enabled() -> bool {
 /// Overrides the mode (tests and benchmarks). Prefer `ER_TELEMETRY` in
 /// production use.
 pub fn set_mode(m: Mode) {
-    let _l = MODE_LOCK.lock().unwrap();
-    BASE.store(m as u8, Ordering::Relaxed);
-    recompute_locked();
-}
-
-/// Keeps counters collection alive while held (see [`ensure_counters`]).
-#[must_use = "counters stay enabled only while the guard lives"]
-pub struct CountersGuard(());
-
-/// Raises the mode from `Off` to `Counters` for the guard's lifetime.
-///
-/// Used by components that derive their own statistics from counter
-/// snapshots and therefore need collection even when the user asked for
-/// no telemetry output. Nested/concurrent guards are reference-counted;
-/// an explicit `counters`/`full` mode is left untouched.
-pub fn ensure_counters() -> CountersGuard {
-    let _l = MODE_LOCK.lock().unwrap();
-    FORCE_COUNTERS.fetch_add(1, Ordering::Relaxed);
-    recompute_locked();
-    CountersGuard(())
-}
-
-impl Drop for CountersGuard {
-    fn drop(&mut self) {
-        let _l = MODE_LOCK.lock().unwrap();
-        FORCE_COUNTERS.fetch_sub(1, Ordering::Relaxed);
-        recompute_locked();
-    }
+    MODE.store(m as u8, Ordering::Relaxed);
 }
 
 /// A process-wide aggregate counter snapshot (sums across all threads
 /// that ever recorded).
 pub fn global_snapshot() -> CounterSnapshot {
     counters::global_snapshot()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ensure_counters_raises_and_restores() {
-        // Serialize against other tests that touch the global mode.
-        let _l = crate::counters::test_mutex().lock().unwrap();
-        set_mode(Mode::Off);
-        assert_eq!(mode(), Mode::Off);
-        {
-            let _a = ensure_counters();
-            assert_eq!(mode(), Mode::Counters);
-            {
-                let _b = ensure_counters();
-                assert_eq!(mode(), Mode::Counters);
-            }
-            assert_eq!(mode(), Mode::Counters);
-        }
-        assert_eq!(mode(), Mode::Off);
-    }
-
-    #[test]
-    fn explicit_mode_survives_guard() {
-        let _l = crate::counters::test_mutex().lock().unwrap();
-        set_mode(Mode::Full);
-        {
-            let _a = ensure_counters();
-            assert_eq!(mode(), Mode::Full);
-        }
-        assert_eq!(mode(), Mode::Full);
-        set_mode(Mode::Off);
-    }
 }
