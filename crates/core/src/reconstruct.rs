@@ -336,22 +336,6 @@ impl ReconstructionSession {
         self.occurrences < self.config.max_occurrences
     }
 
-    /// Event cursors of the symbex snapshots retained from the last
-    /// consumed occurrence — what a durability layer records to prove (and
-    /// later assert) that a restarted session resumes mid-trace rather
-    /// than from occurrence zero.
-    pub fn checkpoint_cursors(&self) -> Vec<usize> {
-        self.prev
-            .as_ref()
-            .map(|cache| cache.checkpoints.iter().map(MachineState::cursor).collect())
-            .unwrap_or_default()
-    }
-
-    /// The most recently completed iteration's statistics.
-    pub fn last_iteration(&self) -> Option<&IterationStats> {
-        self.iterations.last()
-    }
-
     /// Records an *untraced* warmup observation (paper §3.1): counts toward
     /// occurrences and pins the target, but is not analyzed.
     pub fn note_untraced(&mut self, failure: Failure) {

@@ -4,16 +4,19 @@
 //! The WAL records *events*, not state: a symbolic machine snapshot holds
 //! an expression pool and an incremental SAT instance and is not
 //! serializable, so recovery instead re-feeds every consumed occurrence —
-//! trace bytes included — through a fresh session in logged order. The
-//! pipeline is deterministic, so replay reconverges on the same session
-//! state, and the checkpoint/selection/terminal events double as durable
-//! *assertions*: replay cross-checks what it rebuilds against what the
-//! crashed process had acknowledged.
+//! trace bytes included — through a fresh session in logged order. Each
+//! event is one scheduler transition, and replay applies it through the
+//! same code the live scheduler used; symbex checkpoints and
+//! instrumentation plans are re-derived along the way, so they are not
+//! journaled. The consumption outcome and the terminal verdict double as
+//! durable *assertions*: replay cross-checks what it rebuilds against what
+//! the crashed process had acknowledged.
 
 use er_core::reconstruct::OccurrenceInfo;
 use er_minilang::error::{Failure, RuntimeFault};
 use er_minilang::interp::SchedConfig;
 use er_minilang::ir::{FuncId, InstrId};
+use er_solver::cancel::Phase;
 use std::fmt;
 
 /// Why consuming an occurrence ended the way it did — enough for replay to
@@ -72,11 +75,8 @@ pub enum DurableEvent {
         leading_gap: bool,
         /// Occurrence metadata.
         info: Box<OccurrenceInfo>,
-        /// Compressed trace packets; `None` when the trace was
-        /// undecodable (`error` says why).
-        trace: Option<Vec<u8>>,
-        /// Decode error, when `trace` is `None`.
-        error: Option<String>,
+        /// Compressed trace packets, or why the trace was undecodable.
+        trace: Result<Vec<u8>, String>,
     },
     /// The session consumed the queued occurrence at `run_index`.
     OccurrenceConsumed {
@@ -87,54 +87,14 @@ pub enum DurableEvent {
         /// How the iteration ended.
         outcome: ConsumeOutcome,
     },
-    /// Symbex snapshots surviving the last consume — the cursors a
-    /// restarted session must be able to resume from.
-    SymexCheckpoint {
+    /// The watchdog cancelled an iteration of this group: the occurrence
+    /// is retried one rung up the escalation ladder, or — with the ladder
+    /// exhausted — the group closes with a typed give-up.
+    WatchdogTripped {
         /// Owning group.
         group: u64,
-        /// 1-based occurrence count at the time of the snapshot.
-        occurrence: u32,
-        /// Event cursors of the retained machine snapshots.
-        cursors: Vec<u64>,
-    },
-    /// Solver-side progress marker for the last consume.
-    SolverCheckpoint {
-        /// Owning group.
-        group: u64,
-        /// 1-based occurrence count.
-        occurrence: u32,
-        /// Symbex steps spent on this iteration.
-        symbex_steps: u64,
-        /// Solver work units spent on this iteration.
-        solver_work: u64,
-    },
-    /// Key data values selected after a stall.
-    SelectionMade {
-        /// Owning group.
-        group: u64,
-        /// 1-based occurrence count.
-        occurrence: u32,
-        /// Newly selected recording sites (original coordinates).
-        new_sites: Vec<InstrId>,
-    },
-    /// A new instrumentation plan rolled out to the fleet.
-    PlanDeployed {
-        /// Owning group.
-        group: u64,
-        /// New version number.
-        version: u32,
-        /// The full accumulated recording set (original coordinates).
-        sites: Vec<InstrId>,
-    },
-    /// The watchdog cancelled a stalled iteration and re-queued the
-    /// occurrence with escalated budgets.
-    Escalated {
-        /// Owning group.
-        group: u64,
-        /// Escalation level after this step (1 = first escalation).
-        level: u32,
-        /// Name of the phase whose budget tripped.
-        phase: String,
+        /// The phase whose budget tripped.
+        phase: Phase,
     },
     /// The investigation closed.
     Terminal {
@@ -157,11 +117,7 @@ impl DurableEvent {
             DurableEvent::SessionStarted { group, .. }
             | DurableEvent::OccurrenceIngested { group, .. }
             | DurableEvent::OccurrenceConsumed { group, .. }
-            | DurableEvent::SymexCheckpoint { group, .. }
-            | DurableEvent::SolverCheckpoint { group, .. }
-            | DurableEvent::SelectionMade { group, .. }
-            | DurableEvent::PlanDeployed { group, .. }
-            | DurableEvent::Escalated { group, .. }
+            | DurableEvent::WatchdogTripped { group, .. }
             | DurableEvent::Terminal { group, .. } => group,
         }
     }
@@ -182,7 +138,6 @@ impl DurableEvent {
                 leading_gap,
                 info,
                 trace,
-                error,
             } => {
                 w.u8(1);
                 w.u64(*group);
@@ -190,8 +145,16 @@ impl DurableEvent {
                 w.u32(*version);
                 w.bool(*leading_gap);
                 w.info(info);
-                w.opt_bytes(trace.as_deref());
-                w.opt_str(error.as_deref());
+                match trace {
+                    Ok(bytes) => {
+                        w.u8(0);
+                        w.bytes(bytes);
+                    }
+                    Err(error) => {
+                        w.u8(1);
+                        w.str(error);
+                    }
+                }
             }
             DurableEvent::OccurrenceConsumed {
                 group,
@@ -203,60 +166,10 @@ impl DurableEvent {
                 w.u64(*run_index);
                 w.u8(outcome.tag());
             }
-            DurableEvent::SymexCheckpoint {
-                group,
-                occurrence,
-                cursors,
-            } => {
+            DurableEvent::WatchdogTripped { group, phase } => {
                 w.u8(3);
                 w.u64(*group);
-                w.u32(*occurrence);
-                w.u64(cursors.len() as u64);
-                for &c in cursors {
-                    w.u64(c);
-                }
-            }
-            DurableEvent::SolverCheckpoint {
-                group,
-                occurrence,
-                symbex_steps,
-                solver_work,
-            } => {
-                w.u8(4);
-                w.u64(*group);
-                w.u32(*occurrence);
-                w.u64(*symbex_steps);
-                w.u64(*solver_work);
-            }
-            DurableEvent::SelectionMade {
-                group,
-                occurrence,
-                new_sites,
-            } => {
-                w.u8(5);
-                w.u64(*group);
-                w.u32(*occurrence);
-                w.sites(new_sites);
-            }
-            DurableEvent::PlanDeployed {
-                group,
-                version,
-                sites,
-            } => {
-                w.u8(6);
-                w.u64(*group);
-                w.u32(*version);
-                w.sites(sites);
-            }
-            DurableEvent::Escalated {
-                group,
-                level,
-                phase,
-            } => {
-                w.u8(7);
-                w.u64(*group);
-                w.u32(*level);
-                w.str(phase);
+                w.phase(*phase);
             }
             DurableEvent::Terminal {
                 group,
@@ -264,7 +177,7 @@ impl DurableEvent {
                 reason,
                 occurrences,
             } => {
-                w.u8(8);
+                w.u8(4);
                 w.u64(*group);
                 w.bool(*reproduced);
                 w.str(reason);
@@ -297,50 +210,22 @@ impl DurableEvent {
                 version: r.u32()?,
                 leading_gap: r.bool()?,
                 info: Box::new(r.info()?),
-                trace: r.opt_bytes()?,
-                error: r.opt_str()?,
+                trace: match r.u8()? {
+                    0 => Ok(r.bytes()?),
+                    1 => Err(r.str()?),
+                    t => return Err(DecodeError::BadTag("trace", t)),
+                },
             },
             2 => DurableEvent::OccurrenceConsumed {
                 group: r.u64()?,
                 run_index: r.u64()?,
                 outcome: ConsumeOutcome::from_tag(r.u8()?)?,
             },
-            3 => {
-                let group = r.u64()?;
-                let occurrence = r.u32()?;
-                let n = r.u64()? as usize;
-                let mut cursors = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    cursors.push(r.u64()?);
-                }
-                DurableEvent::SymexCheckpoint {
-                    group,
-                    occurrence,
-                    cursors,
-                }
-            }
-            4 => DurableEvent::SolverCheckpoint {
+            3 => DurableEvent::WatchdogTripped {
                 group: r.u64()?,
-                occurrence: r.u32()?,
-                symbex_steps: r.u64()?,
-                solver_work: r.u64()?,
+                phase: r.phase()?,
             },
-            5 => DurableEvent::SelectionMade {
-                group: r.u64()?,
-                occurrence: r.u32()?,
-                new_sites: r.sites()?,
-            },
-            6 => DurableEvent::PlanDeployed {
-                group: r.u64()?,
-                version: r.u32()?,
-                sites: r.sites()?,
-            },
-            7 => DurableEvent::Escalated {
-                group: r.u64()?,
-                level: r.u32()?,
-                phase: r.str()?,
-            },
-            8 => DurableEvent::Terminal {
+            4 => DurableEvent::Terminal {
                 group: r.u64()?,
                 reproduced: r.bool()?,
                 reason: r.str()?,
@@ -413,28 +298,18 @@ impl Writer {
             None => self.u8(0),
         }
     }
-    fn opt_bytes(&mut self, v: Option<&[u8]>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.bytes(x);
-            }
-            None => self.u8(0),
-        }
-    }
-    fn opt_str(&mut self, v: Option<&str>) {
-        self.opt_bytes(v.map(str::as_bytes));
+    fn phase(&mut self, phase: Phase) {
+        self.u8(match phase {
+            Phase::Decode => 0,
+            Phase::Shepherd => 1,
+            Phase::Solve => 2,
+            Phase::Select => 3,
+        });
     }
     fn instr_id(&mut self, id: InstrId) {
         self.u32(id.func.0);
         self.u32(id.block.0);
         self.u64(id.index as u64);
-    }
-    fn sites(&mut self, sites: &[InstrId]) {
-        self.u64(sites.len() as u64);
-        for &s in sites {
-            self.instr_id(s);
-        }
     }
     fn fault(&mut self, fault: &RuntimeFault) {
         match fault {
@@ -542,18 +417,10 @@ impl Reader<'_> {
             _ => Some(self.u64()?),
         })
     }
-    fn opt_bytes(&mut self) -> Result<Option<Vec<u8>>, DecodeError> {
-        Ok(match self.u8()? {
-            0 => None,
-            _ => Some(self.bytes()?),
-        })
-    }
-    fn opt_str(&mut self) -> Result<Option<String>, DecodeError> {
-        match self.opt_bytes()? {
-            None => Ok(None),
-            Some(b) => String::from_utf8(b)
-                .map(Some)
-                .map_err(|_| DecodeError::BadUtf8),
+    fn phase(&mut self) -> Result<Phase, DecodeError> {
+        match self.u8()? {
+            t @ 0..=3 => Ok(Phase::ALL[usize::from(t)]),
+            t => Err(DecodeError::BadTag("phase", t)),
         }
     }
     fn instr_id(&mut self) -> Result<InstrId, DecodeError> {
@@ -562,14 +429,6 @@ impl Reader<'_> {
             block: er_minilang::ir::BlockId(self.u32()?),
             index: self.u64()? as usize,
         })
-    }
-    fn sites(&mut self) -> Result<Vec<InstrId>, DecodeError> {
-        let n = self.u64()? as usize;
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push(self.instr_id()?);
-        }
-        Ok(out)
     }
     fn fault(&mut self) -> Result<RuntimeFault, DecodeError> {
         Ok(match self.u8()? {
@@ -677,7 +536,11 @@ mod tests {
     }
 
     fn sample_events() -> Vec<DurableEvent> {
-        vec![
+        let trips = Phase::ALL.map(|phase| DurableEvent::WatchdogTripped {
+            group: 0xdead,
+            phase,
+        });
+        let mut events = vec![
             DurableEvent::SessionStarted {
                 group: 0xdead,
                 label: "abort@f1:b2".into(),
@@ -688,8 +551,7 @@ mod tests {
                 version: 2,
                 leading_gap: true,
                 info: Box::new(info()),
-                trace: Some(vec![1, 2, 3, 0xff]),
-                error: None,
+                trace: Ok(vec![1, 2, 3, 0xff]),
             },
             DurableEvent::OccurrenceIngested {
                 group: 0xdead,
@@ -697,43 +559,12 @@ mod tests {
                 version: 0,
                 leading_gap: false,
                 info: Box::new(info()),
-                trace: None,
-                error: Some("decode failed: bad packet".into()),
+                trace: Err("decode failed: bad packet".into()),
             },
             DurableEvent::OccurrenceConsumed {
                 group: 0xdead,
                 run_index: 41,
                 outcome: ConsumeOutcome::Reinstrumented,
-            },
-            DurableEvent::SymexCheckpoint {
-                group: 0xdead,
-                occurrence: 1,
-                cursors: vec![0, 64, 128],
-            },
-            DurableEvent::SolverCheckpoint {
-                group: 0xdead,
-                occurrence: 1,
-                symbex_steps: 12_345,
-                solver_work: 678,
-            },
-            DurableEvent::SelectionMade {
-                group: 0xdead,
-                occurrence: 1,
-                new_sites: vec![InstrId {
-                    func: FuncId(0),
-                    block: BlockId(3),
-                    index: 4,
-                }],
-            },
-            DurableEvent::PlanDeployed {
-                group: 0xdead,
-                version: 3,
-                sites: vec![],
-            },
-            DurableEvent::Escalated {
-                group: 0xdead,
-                level: 2,
-                phase: "shepherd".into(),
             },
             DurableEvent::Terminal {
                 group: 0xdead,
@@ -741,7 +572,9 @@ mod tests {
                 reason: "Reproduced".into(),
                 occurrences: 4,
             },
-        ]
+        ];
+        events.extend(trips);
+        events
     }
 
     #[test]

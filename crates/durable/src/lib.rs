@@ -10,9 +10,9 @@
 //! * [`record`] — length-prefixed, FNV-checksummed framing with torn-tail
 //!   classification: a crash mid-append loses at most the in-flight record.
 //! * [`event`] — the logical events a scheduler journals
-//!   ([`event::DurableEvent`]): occurrence ingested (trace bytes
-//!   included), occurrence consumed, symbex/solver checkpoints, key-value
-//!   selection, plan deployment, watchdog escalation, terminal verdict.
+//!   ([`event::DurableEvent`]), one per scheduler transition: session
+//!   started, occurrence ingested (trace bytes included), occurrence
+//!   consumed, watchdog tripped, terminal verdict.
 //! * [`wal`] — the append-only log itself: flush-per-record fsync points
 //!   (simulated — see DESIGN.md §12), [`er_chaos::Fault::WalTear`] crash
 //!   injection, and recovery-on-open.

@@ -72,16 +72,6 @@ impl WatchdogState {
         self.budgets = self.budgets.scaled(config.escalation_factor);
         true
     }
-
-    /// Restores a recovered group to rung `level` (replay of
-    /// [`crate::event::DurableEvent::Escalated`] events).
-    pub fn restore(&mut self, config: &WatchdogConfig, level: u32) {
-        self.budgets = config.budgets;
-        self.escalations = 0;
-        for _ in 0..level {
-            self.escalate(config);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -110,16 +100,5 @@ mod tests {
         assert_eq!(st.escalations(), 3);
         assert!(!st.escalate(&cfg), "cap reached");
         assert_eq!(st.escalations(), 3, "failed escalation does not count");
-    }
-
-    #[test]
-    fn restore_lands_on_the_same_rung() {
-        let cfg = WatchdogConfig::new(budgets(10));
-        let mut walked = WatchdogState::new(&cfg);
-        walked.escalate(&cfg);
-        walked.escalate(&cfg);
-        let mut restored = WatchdogState::new(&cfg);
-        restored.restore(&cfg, 2);
-        assert_eq!(walked, restored);
     }
 }

@@ -18,10 +18,11 @@ fn sample_events(n: usize) -> Vec<DurableEvent> {
                 run_index: i * 11,
                 outcome: ConsumeOutcome::NeedMore,
             },
-            _ => DurableEvent::SymexCheckpoint {
+            _ => DurableEvent::Terminal {
                 group: i,
-                occurrence: i as u32,
-                cursors: vec![i, i + 1, i + 2],
+                reproduced: i % 2 == 0,
+                reason: format!("verdict-{i}"),
+                occurrences: i as u32,
             },
         })
         .collect()

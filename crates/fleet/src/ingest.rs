@@ -56,16 +56,14 @@ pub struct PendingOccurrence {
     pub for_group: Option<u64>,
     /// Instrumentation version that produced the trace.
     pub version: u32,
-    /// Stored compressed trace; `None` when the trace failed to decode
-    /// (`error` says why) — delivered to the session as a decode failure,
-    /// exactly like the serial path.
-    pub trace: Option<TraceId>,
+    /// Stored compressed trace, or why the trace failed to decode — a
+    /// failure is delivered to the session as a decode failure, exactly
+    /// like the serial path.
+    pub trace: Result<TraceId, String>,
     /// Ring wrapped: the decoded stream starts with a gap.
     pub leading_gap: bool,
     /// Occurrence metadata for the session.
     pub info: OccurrenceInfo,
-    /// Decode error, when `trace` is `None`.
-    pub error: Option<String>,
 }
 
 /// Cumulative ingestion statistics (serialized into the fleet report).
@@ -157,15 +155,12 @@ impl Ingestor {
                 er_telemetry::counter!("fleet.ingest.truncated").incr();
             }
             let (group, _new) = triage.classify(&info.failure, info.run_index);
-            let (trace, leading_gap, error) = match report.occ.trace.packets() {
-                Ok((packets, gap)) => {
-                    let put = store.put(group, &packets, gap);
-                    (Some(put.id), gap, None)
-                }
+            let (trace, leading_gap) = match report.occ.trace.packets() {
+                Ok((packets, gap)) => (Ok(store.put(group, &packets, gap).id), gap),
                 Err(e) => {
                     self.stats.decode_errors += 1;
                     er_telemetry::counter!("fleet.ingest.decode_errors").incr();
-                    (None, false, Some(e.to_string()))
+                    (Err(e.to_string()), false)
                 }
             };
             let pending = PendingOccurrence {
@@ -175,7 +170,6 @@ impl Ingestor {
                 trace,
                 leading_gap,
                 info,
-                error,
             };
             if er_chaos::inject(er_chaos::Fault::IngestDuplicate).is_some() {
                 // Deliver the occurrence twice: the scheduler's run-index

@@ -25,9 +25,9 @@
 //! * [`sim`] — the round-based fleet simulator tying it together.
 //!
 //! With [`sim::FleetConfig::durable`] set, the scheduler journals every
-//! durable decision to an `er-durable` WAL and [`sim::Fleet::resume`] can
-//! rebuild the investigation after a crash (see `er_durable` for the
-//! record format and recovery protocol). [`sched::SchedulerConfig::watchdog`]
+//! transition to an `er-durable` WAL and [`sim::Fleet::resume`] can
+//! rebuild the investigation after a crash by replaying them (see
+//! `er_durable` for the record format and recovery protocol). [`sched::SchedulerConfig::watchdog`]
 //! additionally supervises analyze iterations with per-phase deadlines and
 //! an escalation ladder.
 //!
@@ -83,7 +83,7 @@ pub mod triage;
 
 pub use ingest::{CrashReport, IngestConfig, IngestStats, Ingestor, PendingOccurrence};
 pub use pool::{parallel_map, try_parallel_map, WorkerPanic};
-pub use sched::{Scheduler, SchedulerConfig, StepOutcome};
+pub use sched::{Scheduler, SchedulerConfig};
 pub use sim::{Fleet, FleetConfig, FleetGroupReport, FleetReport, FleetSpec, Traffic};
 pub use store::{PutResult, StoreConfig, StoreError, StoreStats, TraceId, TraceStore};
 pub use triage::{FailureGroup, FaultSignature, Triage};

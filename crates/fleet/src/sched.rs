@@ -23,6 +23,7 @@ use er_core::reconstruct::{
 use er_durable::{ConsumeOutcome, DurableEvent, Wal, WatchdogConfig, WatchdogState};
 use er_minilang::ir::Program;
 use er_pt::packets_to_events;
+use er_solver::cancel::Phase;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
@@ -129,7 +130,7 @@ impl GroupState {
     fn drop_pending(&mut self, store: &mut TraceStore) -> u64 {
         let mut dropped = 0;
         for p in self.pending.drain(..) {
-            if let Some(id) = p.trace {
+            if let Ok(id) = p.trace {
                 store.unpin(id);
             }
             dropped += 1;
@@ -138,26 +139,14 @@ impl GroupState {
     }
 }
 
-/// What one analyze iteration did to a group.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-pub enum StepOutcome {
-    /// Consumed an occurrence; the group wants another under the same
-    /// binary.
-    NeedMore,
-    /// Consumed an occurrence; the recording set grew and version bumped.
-    Reinstrumented,
-    /// The investigation closed (report available on the group).
-    Closed,
-}
-
 /// What a (possibly supervised) analyze worker reported back.
 #[derive(Debug, Clone, Copy)]
 enum IterResult {
     /// The iteration ran to completion.
-    Done(StepOutcome),
+    Done(ConsumeOutcome),
     /// The watchdog tripped `phase` mid-iteration; the worker restored the
     /// pre-iteration session, so the occurrence can be retried.
-    Cancelled { phase: &'static str },
+    Cancelled { phase: Phase },
 }
 
 /// The per-fleet scheduler.
@@ -166,8 +155,9 @@ pub struct Scheduler {
     er: ErConfig,
     policy: SchedulerConfig,
     groups: BTreeMap<u64, GroupState>,
-    /// Durable event log; every scheduler decision that must survive a
-    /// crash is appended (and flushed) before the next one is made.
+    /// Durable event log: every scheduler transition is appended (and
+    /// flushed) before it is applied, and replayed by
+    /// [`Scheduler::recover`] through the same code.
     wal: Option<Wal>,
 }
 
@@ -182,10 +172,10 @@ impl Scheduler {
         }
     }
 
-    /// Attaches a durable event log: session lifecycle, accepted
-    /// occurrences (trace bytes included), consumption, checkpoints,
-    /// rollouts, and verdicts are journaled so [`Scheduler::recover`] can
-    /// rebuild this scheduler after a crash.
+    /// Attaches a durable event log: session starts, accepted occurrences
+    /// (trace bytes included), consumptions, watchdog trips, and verdicts
+    /// are journaled so [`Scheduler::recover`] can rebuild this scheduler
+    /// after a crash.
     pub fn with_wal(mut self, wal: Wal) -> Scheduler {
         self.wal = Some(wal);
         self
@@ -266,7 +256,7 @@ impl Scheduler {
             } else if duplicate {
                 er_telemetry::counter!("fleet.sched.redundant").incr();
             } else {
-                if let Some(id) = p.trace {
+                if let Ok(id) = p.trace {
                     store.pin(id);
                 }
                 let journal = journaling.then(|| DurableEvent::OccurrenceIngested {
@@ -275,8 +265,11 @@ impl Scheduler {
                     version: p.version,
                     leading_gap: p.leading_gap,
                     info: Box::new(p.info.clone()),
-                    trace: p.trace.and_then(|id| store.compressed_bytes(id).ok()),
-                    error: p.error.clone(),
+                    trace: p.trace.clone().and_then(|id| {
+                        store
+                            .compressed_bytes(id)
+                            .map_err(|e| format!("trace unavailable: {e}"))
+                    }),
                 });
                 g.pending.push_back(p);
                 if let Some(ev) = journal {
@@ -357,7 +350,7 @@ impl Scheduler {
         store: &mut TraceStore,
         runs_observed: u64,
         serial: bool,
-    ) -> Vec<(u64, StepOutcome)> {
+    ) -> Vec<(u64, ConsumeOutcome)> {
         // Pick and detach the work: group state + its popped occurrence.
         let mut selected: Vec<(GroupState, PendingOccurrence)> = Vec::new();
         for id in self.priority_order(runs_observed) {
@@ -433,131 +426,129 @@ impl Scheduler {
                     continue;
                 }
             };
-            let outcome = match result {
-                IterResult::Done(outcome) => outcome,
+            match result {
+                IterResult::Done(outcome) => {
+                    self.settle(&mut g, &p, outcome, store);
+                    out.push((g.id, outcome));
+                }
                 IterResult::Cancelled { phase } => {
-                    // The watchdog tripped: the worker already restored the
-                    // pre-iteration session, so the occurrence is intact.
-                    // Climb the escalation ladder and retry, or give up.
+                    // The worker already restored the pre-iteration
+                    // session: requeue the occurrence (its trace stays
+                    // pinned) and let the escalation ladder decide.
                     er_telemetry::counter!("watchdog.cancelled").incr();
-                    let cfg = self
-                        .policy
-                        .watchdog
-                        .expect("cancellation implies supervision");
-                    let wd = g.watchdog.as_mut().expect("supervised group has a ladder");
-                    if wd.escalate(&cfg) {
-                        let level = wd.escalations();
-                        er_telemetry::counter!("watchdog.escalations").incr();
-                        er_telemetry::counter!("watchdog.requeued").incr();
-                        er_telemetry::log!(
-                            warn,
-                            "watchdog tripped {phase} for group {:#x}; retrying at escalation {level}",
-                            g.id
-                        );
-                        self.append_wal(&DurableEvent::Escalated {
-                            group: g.id,
-                            level,
-                            phase: phase.to_string(),
-                        });
-                        // Trace stays pinned for the retry.
-                        g.pending.push_front(p);
-                    } else {
-                        let escalations = wd.escalations();
-                        er_telemetry::counter!("watchdog.gave_up").incr();
-                        er_telemetry::log!(
-                            warn,
-                            "watchdog exhausted for group {:#x} in {phase} after {escalations} escalations",
-                            g.id
-                        );
-                        if let Some(id) = p.trace {
-                            store.unpin(id);
-                        }
-                        g.drop_pending(store);
-                        g.report = Some(
-                            g.session
-                                .give_up(GiveUpReason::WatchdogExhausted { phase, escalations }),
-                        );
-                        if let Some(ev) = Self::terminal_event(&g) {
-                            self.append_wal(&ev);
-                        }
-                        out.push((g.id, StepOutcome::Closed));
+                    g.pending.push_front(p);
+                    self.watchdog_tripped(&mut g, phase, store);
+                    if g.report.is_some() {
+                        out.push((g.id, ConsumeOutcome::Closed));
                     }
-                    self.groups.insert(g.id, g);
-                    continue;
-                }
-            };
-            if let Some(id) = p.trace {
-                store.unpin(id);
-            }
-            er_telemetry::counter!("fleet.sched.consumed").incr();
-            if self.wal.is_some() {
-                self.append_wal(&DurableEvent::OccurrenceConsumed {
-                    group: g.id,
-                    run_index: p.info.run_index,
-                    outcome: match outcome {
-                        StepOutcome::NeedMore => ConsumeOutcome::NeedMore,
-                        StepOutcome::Reinstrumented => ConsumeOutcome::Reinstrumented,
-                        StepOutcome::Closed => ConsumeOutcome::Closed,
-                    },
-                });
-                let occurrence = g.session.occurrences();
-                if let Some(it) = g.session.last_iteration() {
-                    let (symbex_steps, solver_work) = (it.symbex_steps, it.solver_work);
-                    let new_sites = it.new_sites.clone();
-                    self.append_wal(&DurableEvent::SolverCheckpoint {
-                        group: g.id,
-                        occurrence,
-                        symbex_steps,
-                        solver_work,
-                    });
-                    if !new_sites.is_empty() {
-                        self.append_wal(&DurableEvent::SelectionMade {
-                            group: g.id,
-                            occurrence,
-                            new_sites,
-                        });
-                    }
-                }
-                let cursors: Vec<u64> = g
-                    .session
-                    .checkpoint_cursors()
-                    .into_iter()
-                    .map(|c| c as u64)
-                    .collect();
-                if !cursors.is_empty() {
-                    self.append_wal(&DurableEvent::SymexCheckpoint {
-                        group: g.id,
-                        occurrence,
-                        cursors,
-                    });
                 }
             }
-            match outcome {
-                StepOutcome::Reinstrumented => {
-                    er_telemetry::counter!("fleet.sched.rollouts").incr();
-                    // Everything queued was produced by the old binary.
-                    let stale = g.drop_pending(store);
-                    er_telemetry::counter!("fleet.sched.stale_dropped").add(stale);
-                    if self.wal.is_some() {
-                        self.append_wal(&DurableEvent::PlanDeployed {
-                            group: g.id,
-                            version: g.version,
-                            sites: g.session.sites().to_vec(),
-                        });
-                    }
-                }
-                StepOutcome::Closed => {
-                    g.drop_pending(store);
-                    if let Some(ev) = Self::terminal_event(&g) {
-                        self.append_wal(&ev);
-                    }
-                }
-                StepOutcome::NeedMore => {}
-            }
-            out.push((g.id, outcome));
             self.groups.insert(g.id, g);
         }
         out
+    }
+
+    /// The epilogue of every consumed occurrence, live or replayed: unpins
+    /// its trace, journals the consumption, and applies the outcome — a
+    /// rollout drops the work queued under the old binary, a closure drops
+    /// everything and journals the verdict.
+    fn settle(
+        &mut self,
+        g: &mut GroupState,
+        p: &PendingOccurrence,
+        outcome: ConsumeOutcome,
+        store: &mut TraceStore,
+    ) {
+        if let Ok(id) = p.trace {
+            store.unpin(id);
+        }
+        er_telemetry::counter!("fleet.sched.consumed").incr();
+        self.append_wal(&DurableEvent::OccurrenceConsumed {
+            group: g.id,
+            run_index: p.info.run_index,
+            outcome,
+        });
+        match outcome {
+            ConsumeOutcome::NeedMore => {}
+            ConsumeOutcome::Reinstrumented => {
+                er_telemetry::counter!("fleet.sched.rollouts").incr();
+                // Everything queued was produced by the old binary.
+                let stale = g.drop_pending(store);
+                er_telemetry::counter!("fleet.sched.stale_dropped").add(stale);
+            }
+            ConsumeOutcome::Closed => self.close(g, store),
+        }
+    }
+
+    /// Applies one watchdog trip to supervised `g`, live or replayed. The
+    /// cancelled occurrence is already back on the queue: climb one rung
+    /// so it is retried with scaled budgets or, with the ladder exhausted,
+    /// close the group with a typed give-up.
+    fn watchdog_tripped(&mut self, g: &mut GroupState, phase: Phase, store: &mut TraceStore) {
+        self.append_wal(&DurableEvent::WatchdogTripped { group: g.id, phase });
+        let cfg = self.policy.watchdog.expect("a trip implies supervision");
+        let wd = g.watchdog.as_mut().expect("supervised group has a ladder");
+        let phase = phase.name();
+        if wd.escalate(&cfg) {
+            er_telemetry::counter!("watchdog.escalations").incr();
+            er_telemetry::counter!("watchdog.requeued").incr();
+            er_telemetry::log!(
+                warn,
+                "watchdog tripped {phase} for group {:#x}; retrying at escalation {}",
+                g.id,
+                wd.escalations()
+            );
+        } else {
+            let escalations = wd.escalations();
+            er_telemetry::counter!("watchdog.gave_up").incr();
+            er_telemetry::log!(
+                warn,
+                "watchdog exhausted for group {:#x} in {phase} after {escalations} escalations",
+                g.id
+            );
+            self.give_up(
+                g,
+                GiveUpReason::WatchdogExhausted { phase, escalations },
+                store,
+            );
+        }
+    }
+
+    /// Closes open `g` with a typed give-up.
+    fn give_up(&mut self, g: &mut GroupState, why: GiveUpReason, store: &mut TraceStore) {
+        g.report = Some(g.session.give_up(why));
+        self.close(g, store);
+    }
+
+    /// Closes `g`, whose report is set: drops its queued work and journals
+    /// the verdict.
+    fn close(&mut self, g: &mut GroupState, store: &mut TraceStore) {
+        g.drop_pending(store);
+        let r = g.report.as_ref().expect("a closed group has its report");
+        let reason = match &r.outcome {
+            Outcome::Reproduced(_) => "reproduced".to_string(),
+            Outcome::GaveUp(why) => format!("{why:?}"),
+        };
+        let ev = DurableEvent::Terminal {
+            group: g.id,
+            reproduced: r.reproduced(),
+            reason,
+            occurrences: r.occurrences,
+        };
+        self.append_wal(&ev);
+    }
+
+    /// Runs `f` on group `id` detached from the map, so it can call the
+    /// transition helpers; `None` if the group is unknown.
+    fn with_group<R>(
+        &mut self,
+        id: u64,
+        f: impl FnOnce(&mut Scheduler, &mut GroupState) -> R,
+    ) -> Option<R> {
+        let mut g = self.groups.remove(&id)?;
+        let r = f(self, &mut g);
+        self.groups.insert(id, g);
+        Some(r)
     }
 
     /// One worker-side iteration, under the watchdog when configured: arms
@@ -589,73 +580,56 @@ impl Scheduler {
                 g.iterations = iterations;
                 g.version = version;
                 g.report = None;
-                IterResult::Cancelled {
-                    phase: phase.name(),
-                }
+                IterResult::Cancelled { phase }
             }
             None => IterResult::Done(outcome),
         }
     }
 
-    /// The [`DurableEvent::Terminal`] record for a closed group.
-    fn terminal_event(g: &GroupState) -> Option<DurableEvent> {
-        let r = g.report.as_ref()?;
-        let reason = match &r.outcome {
-            Outcome::Reproduced(_) => "reproduced".to_string(),
-            Outcome::GaveUp(why) => format!("{why:?}"),
-        };
-        Some(DurableEvent::Terminal {
-            group: g.id,
-            reproduced: r.reproduced(),
-            reason,
-            occurrences: r.occurrences,
-        })
-    }
-
     /// One group iteration: retrieve the trace, flatten to events, feed
     /// the session. Mutates only `g`.
-    fn run_iteration(g: &mut GroupState, p: &PendingOccurrence, store: &TraceStore) -> StepOutcome {
+    fn run_iteration(
+        g: &mut GroupState,
+        p: &PendingOccurrence,
+        store: &TraceStore,
+    ) -> ConsumeOutcome {
         let _iter = er_telemetry::span!("reconstruct.iteration");
         g.iterations += 1;
         g.next_run = p.info.run_index + 1;
-        let step = match p.trace {
-            Some(id) => match store.get(id) {
-                Ok((packets, gap)) => {
-                    let events = {
-                        let _s = er_telemetry::span!("shepherd.decode");
-                        let events = packets_to_events(&packets, gap);
-                        // Bill the decode-phase budget (the cancel token,
-                        // when armed, starts in Decode); a trip here
-                        // surfaces as a cancelled iteration.
-                        er_solver::cancel::tick(packets.len() as u64);
-                        events
-                    };
-                    g.session.consume_events(&g.inst, p.info.clone(), events)
-                }
-                Err(e) => g
-                    .session
-                    .note_undecodable(p.info.clone(), format!("trace unavailable: {e}")),
-            },
-            None => g.session.note_undecodable(
-                p.info.clone(),
-                p.error.clone().unwrap_or_else(|| "undecodable".into()),
-            ),
+        let trace = p
+            .trace
+            .clone()
+            .and_then(|id| store.get(id).map_err(|e| format!("trace unavailable: {e}")));
+        let step = match trace {
+            Ok((packets, gap)) => {
+                let events = {
+                    let _s = er_telemetry::span!("shepherd.decode");
+                    let events = packets_to_events(&packets, gap);
+                    // Bill the decode-phase budget (the cancel token, when
+                    // armed, starts in Decode); a trip here surfaces as a
+                    // cancelled iteration.
+                    er_solver::cancel::tick(packets.len() as u64);
+                    events
+                };
+                g.session.consume_events(&g.inst, p.info.clone(), events)
+            }
+            Err(error) => g.session.note_undecodable(p.info.clone(), error),
         };
         match step {
             SessionStep::Done(report) => {
                 g.report = Some(report);
-                StepOutcome::Closed
+                ConsumeOutcome::Closed
             }
             SessionStep::NeedOccurrence {
                 reinstrumented: true,
             } => {
                 g.version += 1;
                 g.inst = g.session.instrumented();
-                StepOutcome::Reinstrumented
+                ConsumeOutcome::Reinstrumented
             }
             SessionStep::NeedOccurrence {
                 reinstrumented: false,
-            } => StepOutcome::NeedMore,
+            } => ConsumeOutcome::NeedMore,
         }
     }
 
@@ -667,30 +641,29 @@ impl Scheduler {
     /// Closes every still-open group as having seen no (further) failure
     /// reoccurrence — the fleet stopped producing.
     pub fn close_all(&mut self, store: &mut TraceStore) {
-        let mut closed: Vec<u64> = Vec::new();
-        for g in self.groups.values_mut() {
-            g.drop_pending(store);
-            if g.report.is_none() {
-                g.report = Some(g.session.give_up(GiveUpReason::NoFailureObserved));
-                closed.push(g.id);
-            }
-        }
-        for id in closed {
-            if let Some(ev) = self.groups.get(&id).and_then(Self::terminal_event) {
-                self.append_wal(&ev);
-            }
+        let open: Vec<u64> = self
+            .groups
+            .values()
+            .filter(|g| g.report.is_none())
+            .map(|g| g.id)
+            .collect();
+        for id in open {
+            self.with_group(id, |s, g| {
+                s.give_up(g, GiveUpReason::NoFailureObserved, store);
+            });
         }
     }
 
     /// Rebuilds a scheduler from a recovered WAL: replays the logged
-    /// events in order, re-feeding every consumed occurrence (journaled
-    /// trace bytes re-enter the content-addressed store, yielding the
-    /// original [`crate::store::TraceId`]s) through fresh sessions. The
-    /// pipeline is deterministic, so replay reconverges on the crashed
-    /// scheduler's state — including the symbex checkpoints, which resume
-    /// exactly as they did pre-crash. Divergence between replay and what
-    /// the log acknowledged is counted (`durable.replay_divergence`), not
-    /// fatal.
+    /// events in order, applying each through the same transition the
+    /// live scheduler journaled it from. Every consumed occurrence is
+    /// re-fed (journaled trace bytes re-enter the content-addressed store,
+    /// yielding the original [`crate::store::TraceId`]s) through fresh
+    /// sessions. The pipeline is deterministic, so replay reconverges on
+    /// the crashed scheduler's state — including the symbex checkpoints,
+    /// which resume exactly as they did pre-crash. Divergence between
+    /// replay and what the log acknowledged is counted
+    /// (`durable.replay_divergence`), not fatal.
     ///
     /// `wal` is attached only *after* replay, so replay appends nothing.
     pub fn recover(
@@ -715,31 +688,28 @@ impl Scheduler {
                     leading_gap,
                     info,
                     trace,
-                    error,
                 } => {
-                    let trace_id = trace.as_ref().and_then(|bytes| {
-                        match store.put_compressed(*group, bytes, *leading_gap) {
-                            Ok(put) => Some(put.id),
-                            Err(e) => {
-                                er_telemetry::counter!("durable.replay_divergence").incr();
-                                er_telemetry::log!(
-                                    warn,
-                                    "replay: journaled trace for group {group:#x} unusable: {e}"
-                                );
-                                None
+                    let trace =
+                        trace.as_ref().map_err(Clone::clone).and_then(|bytes| {
+                            match store.put_compressed(*group, bytes, *leading_gap) {
+                                Ok(put) => Ok(put.id),
+                                Err(e) => {
+                                    diverged(format_args!(
+                                        "journaled trace for group {group:#x} unusable: {e}"
+                                    ));
+                                    Err(format!("trace unavailable: {e}"))
+                                }
                             }
-                        }
-                    });
+                        });
                     er_telemetry::counter!("durable.replayed_occurrences").incr();
                     s.enqueue(
                         vec![PendingOccurrence {
                             group: *group,
                             for_group: *for_group,
                             version: *version,
-                            trace: trace_id,
+                            trace,
                             leading_gap: *leading_gap,
                             info: info.as_ref().clone(),
-                            error: error.clone(),
                         }],
                         store,
                     );
@@ -748,38 +718,48 @@ impl Scheduler {
                     group,
                     run_index,
                     outcome,
-                } => s.replay_consume(*group, *run_index, *outcome, store),
-                DurableEvent::Escalated { group, level, .. } => {
-                    if let (Some(cfg), Some(g)) = (policy.watchdog, s.groups.get_mut(group)) {
-                        if let Some(wd) = g.watchdog.as_mut() {
-                            wd.restore(&cfg, *level);
+                } => {
+                    let replayed = s.with_group(*group, |s, g| {
+                        s.replay_consume(g, *run_index, *outcome, store);
+                    });
+                    if replayed.is_none() {
+                        diverged(format_args!("consumed event for unknown group {group:#x}"));
+                    }
+                }
+                DurableEvent::WatchdogTripped { group, phase } => {
+                    let replayed = s.with_group(*group, |s, g| {
+                        let live = g.watchdog.is_some() && g.report.is_none();
+                        if live {
+                            s.watchdog_tripped(g, *phase, store);
                         }
+                        live
+                    });
+                    if replayed != Some(true) {
+                        diverged(format_args!(
+                            "watchdog trip for group {group:#x}, which is not open and supervised"
+                        ));
                     }
                 }
                 DurableEvent::Terminal {
                     group, reproduced, ..
                 } => {
+                    let got = s.with_group(*group, |s, g| {
+                        // A group replay left open was closed by
+                        // `close_all`: the fleet stopped producing.
+                        if g.report.is_none() && !reproduced {
+                            s.give_up(g, GiveUpReason::NoFailureObserved, store);
+                        }
+                        g.report.as_ref().map(ReconstructionReport::reproduced)
+                    });
                     // Durable assertion: replay must have re-derived the
                     // same verdict the crashed process acknowledged.
-                    let got = s
-                        .groups
-                        .get(group)
-                        .and_then(|g| g.report.as_ref())
-                        .map(ReconstructionReport::reproduced);
+                    let got = got.flatten();
                     if got != Some(*reproduced) {
-                        er_telemetry::counter!("durable.replay_divergence").incr();
-                        er_telemetry::log!(
-                            warn,
-                            "replay: group {group:#x} verdict {got:?} != journaled {reproduced}"
-                        );
+                        diverged(format_args!(
+                            "group {group:#x} verdict {got:?} != journaled {reproduced}"
+                        ));
                     }
                 }
-                // Progress markers: replay re-derives checkpoints and
-                // plans from the consumed occurrences themselves.
-                DurableEvent::SymexCheckpoint { .. }
-                | DurableEvent::SolverCheckpoint { .. }
-                | DurableEvent::SelectionMade { .. }
-                | DurableEvent::PlanDeployed { .. } => {}
             }
         }
         er_telemetry::counter!("durable.resumes").incr();
@@ -793,68 +773,43 @@ impl Scheduler {
         s
     }
 
-    /// Replays one journaled consumption: pops the matching queued
-    /// occurrence and runs the iteration serially, mirroring
-    /// [`Scheduler::analyze_round`]'s post-processing (without the WAL
-    /// appends — the records already exist).
+    /// Replays one journaled consumption: pops the logged occurrence, runs
+    /// the iteration serially, settles it like a live round, and checks
+    /// the outcome against the journaled one.
     fn replay_consume(
         &mut self,
-        group: u64,
+        g: &mut GroupState,
         run_index: u64,
         logged: ConsumeOutcome,
         store: &mut TraceStore,
     ) {
-        let Some(mut g) = self.groups.remove(&group) else {
-            er_telemetry::counter!("durable.replay_divergence").incr();
-            er_telemetry::log!(warn, "replay: consumed event for unknown group {group:#x}");
-            return;
-        };
-        let at = g.next_eligible().filter(|&at| {
-            g.pending
-                .get(at)
-                .is_some_and(|p| p.info.run_index == run_index)
-        });
+        let at = g
+            .next_eligible()
+            .filter(|&at| g.pending[at].info.run_index == run_index);
         let Some(at) = at else {
-            er_telemetry::counter!("durable.replay_divergence").incr();
-            er_telemetry::log!(
-                warn,
-                "replay: group {group:#x} run {run_index} not next-eligible; skipping"
-            );
-            self.groups.insert(group, g);
+            diverged(format_args!(
+                "group {:#x} run {run_index} not next-eligible; skipping",
+                g.id
+            ));
             return;
         };
         let p = g.pending.remove(at).expect("eligible index valid");
-        if let Some(id) = p.trace {
-            store.unpin(id);
-        }
-        let label = g.label.clone();
-        er_telemetry::set_context(&label);
-        let outcome = Self::run_iteration(&mut g, &p, store);
+        er_telemetry::set_context(&g.label);
+        let got = Self::run_iteration(g, &p, store);
         er_telemetry::set_context("");
-        er_telemetry::counter!("fleet.sched.consumed").incr();
-        let got = match outcome {
-            StepOutcome::NeedMore => ConsumeOutcome::NeedMore,
-            StepOutcome::Reinstrumented => ConsumeOutcome::Reinstrumented,
-            StepOutcome::Closed => ConsumeOutcome::Closed,
-        };
+        self.settle(g, &p, got, store);
         if got != logged {
-            er_telemetry::counter!("durable.replay_divergence").incr();
-            er_telemetry::log!(
-                warn,
-                "replay: group {group:#x} run {run_index} outcome {got:?} != journaled {logged:?}"
-            );
+            diverged(format_args!(
+                "group {:#x} run {run_index} outcome {got:?} != journaled {logged:?}",
+                g.id
+            ));
         }
-        match outcome {
-            StepOutcome::Reinstrumented => {
-                er_telemetry::counter!("fleet.sched.rollouts").incr();
-                let stale = g.drop_pending(store);
-                er_telemetry::counter!("fleet.sched.stale_dropped").add(stale);
-            }
-            StepOutcome::Closed => {
-                g.drop_pending(store);
-            }
-            StepOutcome::NeedMore => {}
-        }
-        self.groups.insert(group, g);
     }
+}
+
+/// Counts and logs a replayed event that disagrees with the state replay
+/// rebuilt.
+fn diverged(why: std::fmt::Arguments<'_>) {
+    er_telemetry::counter!("durable.replay_divergence").incr();
+    er_telemetry::log!(warn, "replay: {why}");
 }

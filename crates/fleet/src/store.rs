@@ -139,15 +139,6 @@ struct Entry {
     pinned: u32,
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// The content-addressed, deduplicating, budgeted trace store.
 #[derive(Debug)]
 pub struct TraceStore {
@@ -184,7 +175,7 @@ impl TraceStore {
     pub fn put(&mut self, group: u64, packets: &[Packet], leading_gap: bool) -> PutResult {
         let raw_len = er_pt::codec::encode(packets).len();
         let compressed = compress(packets);
-        let addr = fnv64(&compressed);
+        let addr = er_durable::fnv64(&compressed);
         self.stats.puts += 1;
         self.stats.packets += packets.len() as u64;
         self.stats.raw_bytes += raw_len as u64;

@@ -1,20 +1,22 @@
 //! End-to-end durability and supervision: a crashed durable fleet must
 //! resume from its WAL and converge on the bit-identical answer; replaying
-//! the same WAL twice must rebuild identical scheduler state; and the
-//! watchdog must escalate stalled iterations without changing the answer —
-//! or give up with a typed reason when its ladder is exhausted.
+//! the same WAL twice must rebuild identical scheduler state; replay must
+//! close groups exactly as the live run did; and the watchdog must
+//! escalate stalled iterations without changing the answer — or give up
+//! with a typed reason when its ladder is exhausted.
 //!
 //! Lives in its own integration-test binary because chaos arming is
 //! process-global; every test takes the local mutex.
 
-use er_core::reconstruct::{GiveUpReason, Outcome};
-use er_durable::{CrashSignal, DurableEvent, Wal, WatchdogConfig};
+use er_core::reconstruct::{ErConfig, GiveUpReason, Outcome};
+use er_durable::{ConsumeOutcome, CrashSignal, DurableEvent, Wal, WatchdogConfig};
 use er_fleet::sched::{Scheduler, SchedulerConfig};
 use er_fleet::sim::{Fleet, FleetConfig, FleetReport, FleetSpec, Traffic};
 use er_fleet::{StoreConfig, TraceStore};
+use er_minilang::ir::Program;
 use er_solver::cancel::PhaseBudgets;
 use er_workloads::{by_name, Scale, Workload};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -60,6 +62,27 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("er-durable-e2e-{}-{name}", std::process::id()))
 }
 
+/// Replays the WAL at `path` into a fresh scheduler; returns it with the
+/// `durable.replay_divergence` count the replay added.
+fn recover_from(
+    path: &Path,
+    er: ErConfig,
+    program: &Program,
+    policy: SchedulerConfig,
+) -> (Scheduler, u64) {
+    let (wal, events, _) = Wal::open(path).expect("open");
+    let mut store = TraceStore::new(StoreConfig::default());
+    let mode = er_telemetry::mode();
+    er_telemetry::set_mode(er_telemetry::Mode::Counters);
+    let before = er_telemetry::local_snapshot();
+    let sched = Scheduler::recover(er, policy, program, wal, &events, &mut store);
+    let divergence = er_telemetry::local_snapshot()
+        .delta(&before)
+        .get("durable.replay_divergence");
+    er_telemetry::set_mode(mode);
+    (sched, divergence)
+}
+
 /// One group's answer row: group id, reproduced?, occurrences, test-case
 /// inputs — everything a crash or a watchdog must not change.
 type GroupAnswer = (u64, bool, u32, Vec<(u32, Vec<u8>)>);
@@ -100,15 +123,13 @@ fn durable_journal_does_not_change_the_answer() {
         .iter()
         .any(|e| matches!(e, DurableEvent::SessionStarted { .. })));
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, DurableEvent::SymexCheckpoint { .. })),
-        "multi-occurrence workload must journal symbex checkpoints"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, DurableEvent::PlanDeployed { .. })),
+        events.iter().any(|e| matches!(
+            e,
+            DurableEvent::OccurrenceConsumed {
+                outcome: ConsumeOutcome::Reinstrumented,
+                ..
+            }
+        )),
         "iterative workload must journal a rollout"
     );
     assert!(events
@@ -248,16 +269,78 @@ fn exhausted_watchdog_ladder_is_a_typed_give_up() {
         escalation_factor: 1,
         max_escalations: 2,
     };
-    let report = fleet_with(w, None, Some(wd)).run();
-    assert_eq!(report.groups.len(), 1);
-    let g = &report.groups[0];
-    assert!(!g.report.reproduced());
-    assert_eq!(g.watchdog_escalations, 2);
-    match &g.report.outcome {
+    let exhausted = |outcome: &Outcome| match outcome {
         Outcome::GaveUp(GiveUpReason::WatchdogExhausted { phase, escalations }) => {
             assert_eq!(*phase, "shepherd");
             assert_eq!(*escalations, 2);
         }
         other => panic!("expected WatchdogExhausted, got {other:?}"),
-    }
+    };
+    let path = tmp("exhausted.wal");
+    let report = fleet_with(w, Some(path.clone()), Some(wd)).run();
+    assert_eq!(report.groups.len(), 1);
+    let g = &report.groups[0];
+    assert!(!g.report.reproduced());
+    assert_eq!(g.watchdog_escalations, 2);
+    exhausted(&g.report.outcome);
+
+    // The trip that exhausts the ladder is journaled like every other
+    // trip, so replay closes the group the same way.
+    let policy = SchedulerConfig {
+        watchdog: Some(wd),
+        ..SchedulerConfig::default()
+    };
+    let (sched, divergence) = recover_from(&path, w.er_config(), &w.program(Scale::TEST), policy);
+    let g = sched.groups().next().expect("replay rebuilds the group");
+    assert_eq!(g.watchdog_escalations(), 2);
+    assert_eq!(g.pending_len(), 0, "a closed group keeps no queued work");
+    exhausted(&g.report.as_ref().expect("replay closes the group").outcome);
+    assert_eq!(divergence, 0);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn group_closed_by_close_all_replays_closed() {
+    let _l = chaos_lock();
+    let w = &by_name("SQLite-7be932d").unwrap();
+    // Only run 4 fails (failures need run % 5 == 4; run 0 is healthy).
+    // The session consumes that occurrence and asks for a second one that
+    // never comes, so the fleet closes it through `close_all`.
+    let mut spec = spec_for(w);
+    let input = w.input_gen;
+    spec.input_gen = Arc::new(move |run| input(if run == 4 { 4 } else { 0 }));
+    spec.reoccurrence.predictor = None;
+    spec.reoccurrence.fast_forward = false;
+    spec.er.max_runs_per_occurrence = 200;
+    let (er, program) = (spec.er, spec.program.clone());
+    let path = tmp("close-all.wal");
+    let report = Fleet::new(
+        spec,
+        FleetConfig {
+            instances: 2,
+            serial: true,
+            traffic: Traffic::Mirrored,
+            batch_runs: 50,
+            durable: Some(path.clone()),
+            ..FleetConfig::default()
+        },
+    )
+    .run();
+    assert_eq!(report.groups.len(), 1);
+    let g = &report.groups[0];
+    assert_eq!(g.iterations, 1, "exactly one occurrence to consume");
+    assert!(matches!(
+        g.report.outcome,
+        Outcome::GaveUp(GiveUpReason::NoFailureObserved)
+    ));
+
+    let (sched, divergence) = recover_from(&path, er, &program, SchedulerConfig::default());
+    let g = sched.groups().next().expect("replay rebuilds the group");
+    assert!(matches!(
+        g.report.as_ref().map(|r| &r.outcome),
+        Some(Outcome::GaveUp(GiveUpReason::NoFailureObserved))
+    ));
+    assert_eq!(g.pending_len(), 0);
+    assert_eq!(divergence, 0);
+    std::fs::remove_file(&path).ok();
 }

@@ -331,7 +331,8 @@ struct SymThread {
     state: ThreadState,
 }
 
-enum StepOutcome {
+/// How the step loop proceeds after one step.
+enum StepFlow {
     Continue,
     Blocked,
     ThreadDone,
@@ -693,7 +694,7 @@ impl<'p> SymMachine<'p> {
             }
 
             match self.step(events, &mut cursor, at)? {
-                StepOutcome::SwitchDue => match events.get(cursor) {
+                StepFlow::SwitchDue => match events.get(cursor) {
                     Some(TraceEvent::ThreadResume(tid)) => {
                         let tid = *tid;
                         cursor += 1;
@@ -706,7 +707,7 @@ impl<'p> SymMachine<'p> {
                         }))
                     }
                 },
-                StepOutcome::Continue | StepOutcome::Blocked | StepOutcome::ThreadDone => {}
+                StepFlow::Continue | StepFlow::Blocked | StepFlow::ThreadDone => {}
             }
         }
     }
@@ -716,7 +717,7 @@ impl<'p> SymMachine<'p> {
         events: &[TraceEvent],
         cursor: &mut usize,
         at: InstrId,
-    ) -> Result<StepOutcome, Stop> {
+    ) -> Result<StepFlow, Stop> {
         // `at` is the current frame's position (see `position`). Borrow
         // from the program, not from `self`: dispatch copies nothing.
         let blk = self.program.func(at.func).block(at.block);
@@ -725,14 +726,14 @@ impl<'p> SymMachine<'p> {
             // Branch and Return terminators consume events; yield to a
             // pending thread switch first.
             if !matches!(term, Terminator::Jump(_)) && self.switch_pending(events, cursor) {
-                return Ok(StepOutcome::SwitchDue);
+                return Ok(StepFlow::SwitchDue);
             }
             return self.exec_terminator(events, cursor, at, term);
         };
         if matches!(instr, Instr::Call { .. } | Instr::PtWrite { .. })
             && self.switch_pending(events, cursor)
         {
-            return Ok(StepOutcome::SwitchDue);
+            return Ok(StepFlow::SwitchDue);
         }
         if instr.dst().is_some() {
             *self.state.site_counts.entry(at).or_insert(0) += 1;
@@ -881,7 +882,7 @@ impl<'p> SymMachine<'p> {
         cursor: &mut usize,
         at: InstrId,
         instr: &'p Instr,
-    ) -> Result<StepOutcome, Stop> {
+    ) -> Result<StepFlow, Stop> {
         match instr {
             Instr::Const { dst, value } => {
                 self.set_reg(*dst, SymValue::Concrete(*value), at);
@@ -1056,7 +1057,7 @@ impl<'p> SymMachine<'p> {
                     ret_dst: *dst,
                     stack_mark: mark,
                 });
-                return Ok(StepOutcome::Continue); // no ip advance
+                return Ok(StepFlow::Continue); // no ip advance
             }
             Instr::Input { dst, source, width } => {
                 let off = self.state.input_offsets.entry(*source).or_insert(0);
@@ -1160,7 +1161,7 @@ impl<'p> SymMachine<'p> {
                 if !done {
                     self.state.threads[self.state.cur].state = ThreadState::BlockedJoin(target);
                     self.advance_ip();
-                    return Ok(StepOutcome::Blocked);
+                    return Ok(StepFlow::Blocked);
                 }
             }
             Instr::Lock { lock } => {
@@ -1177,7 +1178,7 @@ impl<'p> SymMachine<'p> {
                 if self.state.lock_owner.contains_key(&id) {
                     self.state.threads[self.state.cur].state = ThreadState::BlockedLock(id);
                     // ip not advanced: re-attempted after resume.
-                    return Ok(StepOutcome::Blocked);
+                    return Ok(StepFlow::Blocked);
                 }
                 self.state.lock_owner.insert(id, tid);
             }
@@ -1231,7 +1232,7 @@ impl<'p> SymMachine<'p> {
             }
         }
         self.advance_ip();
-        Ok(StepOutcome::Continue)
+        Ok(StepFlow::Continue)
     }
 
     fn exec_terminator(
@@ -1240,7 +1241,7 @@ impl<'p> SymMachine<'p> {
         cursor: &mut usize,
         at: InstrId,
         term: &'p Terminator,
-    ) -> Result<StepOutcome, Stop> {
+    ) -> Result<StepFlow, Stop> {
         match *term {
             Terminator::Jump(b) => {
                 let f = self.state.threads[self.state.cur]
@@ -1249,7 +1250,7 @@ impl<'p> SymMachine<'p> {
                     .expect("live frame");
                 f.block = b;
                 f.ip = 0;
-                Ok(StepOutcome::Continue)
+                Ok(StepFlow::Continue)
             }
             Terminator::Branch {
                 cond,
@@ -1283,7 +1284,7 @@ impl<'p> SymMachine<'p> {
                     .expect("live frame");
                 f.block = if taken { then_blk } else { else_blk };
                 f.ip = 0;
-                Ok(StepOutcome::Continue)
+                Ok(StepFlow::Continue)
             }
             Terminator::Return(v) => {
                 let ev = self.consume_event(events, cursor, "ret", at)?;
@@ -1310,7 +1311,7 @@ impl<'p> SymMachine<'p> {
                     if let SymValue::Sym(e) = value {
                         self.state.origins.entry(e).or_insert(at);
                     }
-                    Ok(StepOutcome::Continue)
+                    Ok(StepFlow::Continue)
                 } else {
                     self.state.threads[self.state.cur].state = ThreadState::Done;
                     for t in &mut self.state.threads {
@@ -1318,7 +1319,7 @@ impl<'p> SymMachine<'p> {
                             t.state = ThreadState::Runnable;
                         }
                     }
-                    Ok(StepOutcome::ThreadDone)
+                    Ok(StepFlow::ThreadDone)
                 }
             }
         }
