@@ -14,7 +14,7 @@
 //! Run with `cargo bench -p er-bench --bench incremental`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use er_solver::arrays;
+use er_solver::arrays::Eliminator;
 use er_solver::bitblast::BitBlaster;
 use er_solver::cnf::Lit;
 use er_solver::expr::{BvOp, CmpKind, ExprPool, ExprRef};
@@ -158,13 +158,21 @@ fn bench_final_solve(c: &mut Criterion) {
 fn probe_setup() -> (SatSolver, BitBlaster, ExprPool, Vec<ExprRef>) {
     let mut pool = ExprPool::new();
     let (path, _, probes) = deep_shape(&mut pool);
-    let (flat, _) =
-        arrays::eliminate(&mut pool, &path, u64::MAX).expect("no cell budget to exceed");
+    let mut elim = Eliminator::new();
+    let mut axioms = Vec::new();
     let mut blast = BitBlaster::new();
-    for &e in &flat {
-        blast.assert_true(&pool, e).expect("arrays eliminated");
+    for &e in &path {
+        let flat = elim
+            .rewrite(&mut pool, e, u64::MAX, &mut axioms)
+            .expect("no cell budget to exceed");
+        blast.assert_true(&pool, flat).expect("arrays eliminated");
     }
-    let mut sat = SatSolver::new(&blast.cnf);
+    for ax in axioms {
+        blast.assert_true(&pool, ax).expect("axioms are array-free");
+    }
+    let mut sat = SatSolver::new();
+    sat.ensure_vars(blast.cnf.var_count() as usize);
+    blast.cnf.drain(|clause| sat.push_clause(clause));
     let _ = sat.solve(100_000);
     (sat, blast, pool, probes)
 }
@@ -178,14 +186,13 @@ fn bench_assumption_probes(c: &mut Criterion) {
         b.iter(|| {
             let sat = warm_sat.clone();
             let mut blast = warm_blast.clone();
-            let fed = blast.cnf.clause_count();
             for &p in &probes {
                 blast.begin_scope();
                 blast.assert_true(&pool, p).expect("array-free");
                 let mut probe = sat.clone();
                 probe.ensure_vars(blast.cnf.var_count() as usize);
-                for i in fed..blast.cnf.clause_count() {
-                    probe.push_clause(blast.cnf.clause(i));
+                for clause in blast.cnf.pending() {
+                    probe.push_clause(clause);
                 }
                 let _ = probe.solve(100_000);
                 blast.rollback_scope();
@@ -196,17 +203,16 @@ fn bench_assumption_probes(c: &mut Criterion) {
         b.iter(|| {
             let mut sat = warm_sat.clone();
             let mut blast = warm_blast.clone();
-            let fed = blast.cnf.clause_count();
             let mut guarded = Vec::new();
             for &p in &probes {
                 blast.begin_scope();
                 blast.assert_true(&pool, p).expect("array-free");
                 let act = Lit::pos(blast.cnf.new_var());
                 sat.ensure_vars(blast.cnf.var_count() as usize);
-                for i in fed..blast.cnf.clause_count() {
+                for clause in blast.cnf.pending() {
                     guarded.clear();
                     guarded.push(!act);
-                    guarded.extend_from_slice(blast.cnf.clause(i));
+                    guarded.extend_from_slice(clause);
                     sat.push_clause(&guarded);
                 }
                 let _ = sat.solve_assuming(&[act], 100_000);

@@ -3,7 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use er_solver::expr::{BvOp, CmpKind, ExprPool};
-use er_solver::solve::{Budget, SatResult, Solver};
+use er_solver::inc::IncrementalSolver;
+use er_solver::solve::{Budget, SatResult};
 
 fn bench_linear_bv(c: &mut Criterion) {
     c.bench_function("solver/linear_equation_32bit", |b| {
@@ -16,9 +17,11 @@ fn bench_linear_bv(c: &mut Criterion) {
             let t = pool.bin(BvOp::Mul, x, three);
             let t = pool.bin(BvOp::Add, t, five);
             let eq = pool.cmp(CmpKind::Eq, t, target);
-            let mut s = Solver::new(&mut pool);
-            s.assert(eq);
-            assert!(matches!(s.check(&Budget::default()), SatResult::Sat(_)));
+            let mut s = IncrementalSolver::new();
+            assert!(matches!(
+                s.check(&mut pool, &[eq], &Budget::default()),
+                SatResult::Sat(_)
+            ));
         });
     });
 }
@@ -35,11 +38,11 @@ fn bench_mul_inversion(c: &mut Criterion) {
             let two = pool.bv_const(2, 16);
             let gx = pool.cmp(CmpKind::Ule, two, x);
             let gy = pool.cmp(CmpKind::Ule, two, y);
-            let mut s = Solver::new(&mut pool);
-            s.assert(eq);
-            s.assert(gx);
-            s.assert(gy);
-            assert!(matches!(s.check(&Budget::default()), SatResult::Sat(_)));
+            let mut s = IncrementalSolver::new();
+            assert!(matches!(
+                s.check(&mut pool, &[eq, gx, gy], &Budget::default()),
+                SatResult::Sat(_)
+            ));
         });
     });
 }
@@ -62,9 +65,7 @@ fn bench_write_chains(c: &mut Criterion) {
                 let r = pool.read(arr, j);
                 let zero = pool.bv_const(0, 8);
                 let eq = pool.cmp(CmpKind::Eq, r, zero);
-                let mut s = Solver::new(&mut pool);
-                s.assert(eq);
-                let _ = s.check(&Budget::default());
+                let _ = IncrementalSolver::new().check(&mut pool, &[eq], &Budget::default());
             });
         });
     }
@@ -83,9 +84,7 @@ fn bench_object_size(c: &mut Criterion) {
                 let r = pool.read(arr, i);
                 let v = pool.bv_const(0, 8);
                 let eq = pool.cmp(CmpKind::Eq, r, v);
-                let mut s = Solver::new(&mut pool);
-                s.assert(eq);
-                let _ = s.check(&Budget::default());
+                let _ = IncrementalSolver::new().check(&mut pool, &[eq], &Budget::default());
             });
         });
     }

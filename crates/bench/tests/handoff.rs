@@ -1,7 +1,8 @@
 //! The final input solve continues on the solver engine the shepherded run
 //! hands over instead of re-lowering the whole path. Its verdict must match
-//! a fresh `Solver` given the same constraints, its test case must replay
-//! the failure, and an injected solver stall must still surface from it.
+//! a fresh `IncrementalSolver` given the same constraints, its test case
+//! must replay the failure, and an injected solver stall must still surface
+//! from it.
 //!
 //! Covers the thirteen Table-1 workloads at test scale plus a few programs
 //! written here in the shape of the solver-bound benchmark workload: a
@@ -15,7 +16,8 @@ use er_core::shepherd::{self, SolveFailure};
 use er_core::testcase::{TestCase, VerifyResult};
 use er_minilang::env::Env;
 use er_minilang::ir::{InstrId, Program};
-use er_solver::solve::{Budget, SatResult, Solver, StallReason};
+use er_solver::inc::IncrementalSolver;
+use er_solver::solve::{Budget, SatResult, StallReason};
 use er_symex::ShepherdStatus;
 use er_workloads::Scale;
 use std::fmt::Write as _;
@@ -61,13 +63,7 @@ fn handoff_agrees(
         .solver
         .reusable_clauses(&assertions, &config.final_budget);
     let mut pool = run.pool.clone();
-    let fresh = {
-        let mut s = Solver::new(&mut pool);
-        for &c in &assertions {
-            s.assert(c);
-        }
-        s.check(&config.final_budget)
-    };
+    let fresh = IncrementalSolver::new().check(&mut pool, &assertions, &config.final_budget);
     match (
         &fresh,
         shepherd::solve_inputs(&mut run, &config.final_budget),

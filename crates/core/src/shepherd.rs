@@ -8,7 +8,7 @@
 use er_minilang::error::Failure;
 use er_minilang::ir::Program;
 use er_pt::sink::PtTrace;
-use er_solver::solve::{Budget, SatResult, Solver, StallReason};
+use er_solver::solve::{Budget, SatResult, StallReason};
 use er_symex::{MachineState, SymConfig, SymMachine, SymRunResult};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -104,16 +104,12 @@ pub fn solve_inputs(
         .copied()
         .chain(run.failure_constraint)
         .collect();
-    let engine = std::mem::take(&mut run.solver);
+    let mut engine = std::mem::take(&mut run.solver);
     if er_telemetry::enabled() {
         er_telemetry::counter!("solver.handoff_reused_clauses")
             .add(engine.reusable_clauses(&assertions, budget) as u64);
     }
-    let mut solver = Solver::with_engine(&mut run.pool, engine);
-    for c in assertions {
-        solver.assert(c);
-    }
-    let model = match solver.check(budget) {
+    let model = match engine.check(&mut run.pool, &assertions, budget) {
         SatResult::Sat(m) => m,
         SatResult::Unsat => return Err(SolveFailure::Unsat),
         SatResult::Unknown(reason) => return Err(SolveFailure::Stall(reason)),

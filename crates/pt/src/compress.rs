@@ -1,7 +1,7 @@
 //! Run-length/delta compression of PT packet streams for fleet-scale
 //! trace shipping.
 //!
-//! The raw [`codec`](crate::codec) format is what the *hardware* writes:
+//! The raw [`codec`] format is what the *hardware* writes:
 //! fixed-width payloads (8-byte TSC/PTW/PGE, 4-byte TIP) and one TNT
 //! packet per 64 branches. Shipping ring-buffer snapshots from every
 //! instance of a production fleet to the analysis engine makes the wire

@@ -33,36 +33,13 @@ impl fmt::Display for ArrayBudgetExceeded {
 
 impl std::error::Error for ArrayBudgetExceeded {}
 
-/// Statistics from one elimination pass.
+/// Cumulative elimination statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElimStats {
     /// Base-array cells instantiated as axioms.
     pub cells: u64,
     /// Store nodes traversed while expanding reads.
     pub stores_traversed: u64,
-    /// Reads expanded symbolically.
-    pub symbolic_reads: u64,
-}
-
-/// Rewrites `exprs` into array-free form, appending cell axioms.
-///
-/// # Errors
-///
-/// Returns [`ArrayBudgetExceeded`] when more than `max_cells` array cells
-/// would need axioms — the deterministic analogue of a solver timeout.
-pub fn eliminate(
-    pool: &mut ExprPool,
-    exprs: &[ExprRef],
-    max_cells: u64,
-) -> Result<(Vec<ExprRef>, ElimStats), ArrayBudgetExceeded> {
-    let mut elim = Eliminator::new();
-    let mut out = Vec::with_capacity(exprs.len());
-    let mut axioms = Vec::new();
-    for &e in exprs {
-        out.push(elim.rewrite(pool, e, max_cells, &mut axioms)?);
-    }
-    out.extend(axioms);
-    Ok((out, elim.stats()))
 }
 
 /// Persistent array-elimination state, reusable across queries.
@@ -203,7 +180,6 @@ impl Eliminator {
             }
             Node::Read { arr, index } => {
                 let idx = self.rewrite(pool, index, max_cells, axioms)?;
-                self.stats.symbolic_reads += 1;
                 self.expand_read(pool, arr, idx, max_cells, axioms)?
             }
         };
@@ -298,17 +274,22 @@ impl Eliminator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitblast::BitBlaster;
     use crate::expr::CmpKind;
-    use crate::sat::{SatOutcome, SatSolver};
+    use crate::sat::{load, SatOutcome};
 
     fn check(pool: &mut ExprPool, exprs: &[ExprRef], max_cells: u64) -> SatOutcome {
-        let (flat, _) = eliminate(pool, exprs, max_cells).unwrap();
-        let mut bb = crate::bitblast::BitBlaster::new();
-        for e in flat {
-            bb.assert_true(pool, e).unwrap();
+        let mut elim = Eliminator::new();
+        let mut axioms = Vec::new();
+        let mut bb = BitBlaster::new();
+        for &e in exprs {
+            let flat = elim.rewrite(pool, e, max_cells, &mut axioms).unwrap();
+            bb.assert_true(pool, flat).unwrap();
         }
-        let (cnf, _) = bb.finish();
-        SatSolver::new(&cnf).solve(1_000_000)
+        for ax in axioms {
+            bb.assert_true(pool, ax).unwrap();
+        }
+        load(&bb.cnf).solve(1_000_000)
     }
 
     #[test]
@@ -394,7 +375,9 @@ mod tests {
         let r = p.read(arr, i);
         let zero = p.bv_const(0, 32);
         let eq = p.cmp(CmpKind::Eq, r, zero);
-        let err = eliminate(&mut p, &[eq], 1_000).unwrap_err();
+        let err = Eliminator::new()
+            .rewrite(&mut p, eq, 1_000, &mut Vec::new())
+            .unwrap_err();
         assert!(err.cells > 1_000);
         assert_eq!(err.budget, 1_000);
     }
@@ -415,8 +398,9 @@ mod tests {
             let r = p.read(arr, j);
             let zero = p.bv_const(0, 32);
             let eq = p.cmp(CmpKind::Eq, r, zero);
-            let (_, stats) = eliminate(&mut p, &[eq], 10_000).unwrap();
-            costs.push(stats.stores_traversed);
+            let mut elim = Eliminator::new();
+            elim.rewrite(&mut p, eq, 10_000, &mut Vec::new()).unwrap();
+            costs.push(elim.stats().stores_traversed);
         }
         assert!(costs[0] < costs[1] && costs[1] < costs[2], "{costs:?}");
     }
@@ -431,8 +415,9 @@ mod tests {
         let r = p.read(w, i0); // folds in the pool already
         assert_eq!(p.as_const(r), Some(77));
         let c = p.bool_const(true);
-        let (_, stats) = eliminate(&mut p, &[c], 10).unwrap();
-        assert_eq!(stats.cells, 0);
+        let mut elim = Eliminator::new();
+        elim.rewrite(&mut p, c, 10, &mut Vec::new()).unwrap();
+        assert_eq!(elim.stats().cells, 0);
     }
 
     #[test]

@@ -75,13 +75,7 @@ impl BitBlaster {
         Ok(())
     }
 
-    /// Finishes, returning the CNF and the expression-variable bit map used
-    /// for model extraction.
-    pub fn finish(self) -> (Cnf, HashMap<VarId, Vec<Var>>) {
-        (self.cnf, self.var_bits)
-    }
-
-    /// The expression-variable bit map, without consuming the blaster.
+    /// The expression-variable bit map used for model extraction.
     pub fn var_bits(&self) -> &HashMap<VarId, Vec<Var>> {
         &self.var_bits
     }
@@ -98,11 +92,6 @@ impl BitBlaster {
             var_keys: Vec::new(),
             cnf_mark: self.cnf.mark(),
         });
-    }
-
-    /// Keeps everything added since [`BitBlaster::begin_scope`].
-    pub fn commit_scope(&mut self) {
-        self.scope = None;
     }
 
     /// Undoes everything added since [`BitBlaster::begin_scope`].
@@ -415,7 +404,7 @@ enum ShiftKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sat::{SatOutcome, SatSolver};
+    use crate::sat::{load, solve_for_tests, SatOutcome};
 
     /// Asserts `lhs op rhs == expected` is SAT and `!= expected` is UNSAT
     /// for concrete inputs pushed in as equality constraints on variables.
@@ -434,11 +423,10 @@ mod tests {
         bb.assert_true(&pool, c1).unwrap();
         bb.assert_true(&pool, c2).unwrap();
         bb.assert_true(&pool, c3).unwrap();
-        let (cnf, _) = bb.finish();
-        match SatSolver::new(&cnf).solve(1_000_000) {
-            SatOutcome::Sat(m) => assert!(cnf.eval(&m)),
-            other => panic!("{op:?}({x},{y})@{bits}: expected SAT, got {other:?}"),
-        }
+        assert!(
+            solve_for_tests(&bb.cnf),
+            "{op:?}({x},{y})@{bits}: expected SAT"
+        );
         // Negative check: forcing a different result must be UNSAT.
         let mut pool2 = ExprPool::new();
         let a2 = pool2.var("a", bits);
@@ -454,10 +442,8 @@ mod tests {
         bb.assert_true(&pool2, c1).unwrap();
         bb.assert_true(&pool2, c2).unwrap();
         bb.assert_true(&pool2, c3).unwrap();
-        let (cnf, _) = bb.finish();
-        assert_eq!(
-            SatSolver::new(&cnf).solve(1_000_000),
-            SatOutcome::Unsat,
+        assert!(
+            !solve_for_tests(&bb.cnf),
             "{op:?}({x},{y})@{bits}: wrong result must be UNSAT"
         );
     }
@@ -526,9 +512,8 @@ mod tests {
                 bb.assert_true(&pool, e1).unwrap();
                 bb.assert_true(&pool, e2).unwrap();
                 bb.assert_true(&pool, goal).unwrap();
-                let (cnf, _) = bb.finish();
                 assert!(
-                    matches!(SatSolver::new(&cnf).solve(100_000), SatOutcome::Sat(_)),
+                    solve_for_tests(&bb.cnf),
                     "{op:?}({x},{y}) should be {expected}"
                 );
             }
@@ -546,11 +531,10 @@ mod tests {
         let eq = pool.cmp(CmpKind::Eq, sum, fifty);
         let mut bb = BitBlaster::new();
         bb.assert_true(&pool, eq).unwrap();
-        let (cnf, var_bits) = bb.finish();
-        let SatOutcome::Sat(m) = SatSolver::new(&cnf).solve(100_000) else {
+        let SatOutcome::Sat(m) = load(&bb.cnf).solve(100_000) else {
             panic!("SAT expected");
         };
-        let bits = &var_bits[&VarId(0)];
+        let bits = &bb.var_bits()[&VarId(0)];
         let val: u64 = bits
             .iter()
             .enumerate()
@@ -585,7 +569,6 @@ mod tests {
         let neg = pool.not(le);
         let mut bb = BitBlaster::new();
         bb.assert_true(&pool, neg).unwrap();
-        let (cnf, _) = bb.finish();
-        assert_eq!(SatSolver::new(&cnf).solve(100_000), SatOutcome::Unsat);
+        assert!(!solve_for_tests(&bb.cnf));
     }
 }

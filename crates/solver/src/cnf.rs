@@ -73,14 +73,23 @@ pub struct CnfMark {
 
 /// A CNF formula under construction, with Tseitin helpers.
 ///
-/// Clauses are stored flat: every literal back to back in one vector, plus
-/// the end offset of each clause, so adding a clause never allocates on its
-/// own. An empty clause means trivially unsatisfiable.
+/// The formula is not its clauses' permanent home: it holds only the
+/// *pending* clauses, those added since the last [`Cnf::drain`], which
+/// hands them to their consumer (the persistent SAT solver) and forgets
+/// them. Variable numbers and [`Cnf::clause_count`] stay cumulative over
+/// every clause ever added.
+///
+/// Pending clauses are stored flat: every literal back to back in one
+/// vector, plus the end offset of each clause, so adding a clause never
+/// allocates on its own. An empty clause means trivially unsatisfiable.
 #[derive(Debug, Default, Clone)]
 pub struct Cnf {
     n_vars: u32,
+    /// Clauses handed off by [`Cnf::drain`].
+    drained: usize,
     lits: Vec<Lit>,
-    /// `ends[i]` is one past the last literal of clause `i` in `lits`.
+    /// `ends[i]` is one past the last literal of pending clause `i` in
+    /// `lits`.
     ends: Vec<usize>,
     const_true: Option<Lit>,
 }
@@ -103,24 +112,31 @@ impl Cnf {
         self.n_vars
     }
 
-    /// Number of clauses.
+    /// Number of clauses ever added (drained or pending), less those
+    /// rolled back.
     pub fn clause_count(&self) -> usize {
-        self.ends.len()
+        self.drained + self.ends.len()
     }
 
-    /// The literals of clause `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.clause_count()`.
-    pub fn clause(&self, i: usize) -> &[Lit] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.lits[start..self.ends[i]]
+    /// The pending clauses, in insertion order.
+    pub fn pending(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let clause = &self.lits[start..end];
+            start = end;
+            clause
+        })
     }
 
-    /// Every clause, in insertion order.
-    pub fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
-        (0..self.clause_count()).map(|i| self.clause(i))
+    /// Hands every pending clause to `push`, in insertion order, and
+    /// forgets them. They still count in [`Cnf::clause_count`].
+    pub fn drain(&mut self, mut push: impl FnMut(&[Lit])) {
+        for clause in self.pending() {
+            push(clause);
+        }
+        self.drained += self.ends.len();
+        self.lits.clear();
+        self.ends.clear();
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -132,12 +148,14 @@ impl Cnf {
     /// Captures the current formula extent for a later [`Cnf::rollback`].
     pub fn mark(&self) -> CnfMark {
         CnfMark {
-            n_clauses: self.ends.len(),
+            n_clauses: self.clause_count(),
             const_true: self.const_true,
         }
     }
 
-    /// Discards every clause added since `mark` was taken.
+    /// Discards every clause added since `mark` was taken. Clauses drained
+    /// since then cannot be taken back, so the mark must not predate the
+    /// last [`Cnf::drain`].
     ///
     /// Used by the incremental solver to scope assumption-only lowering:
     /// nothing added after the mark may be referenced by clauses before it
@@ -146,8 +164,8 @@ impl Cnf {
     /// mark stay allocated and their numbers are never handed out again: a
     /// persistent SAT solver may still hold (disabled) clauses over them.
     pub fn rollback(&mut self, mark: &CnfMark) {
-        debug_assert!(mark.n_clauses <= self.ends.len());
-        self.ends.truncate(mark.n_clauses);
+        debug_assert!(self.drained <= mark.n_clauses && mark.n_clauses <= self.clause_count());
+        self.ends.truncate(mark.n_clauses - self.drained);
         self.lits.truncate(self.ends.last().copied().unwrap_or(0));
         self.const_true = mark.const_true;
     }
@@ -277,14 +295,6 @@ impl Cnf {
         let cout = self.or_gate(c1, c2);
         (sum, cout)
     }
-
-    /// Evaluates the formula under a full assignment (for tests).
-    pub fn eval(&self, assignment: &[bool]) -> bool {
-        self.clauses().all(|c| {
-            c.iter()
-                .any(|l| assignment[l.var().0 as usize] == l.is_pos())
-        })
-    }
 }
 
 #[cfg(test)]
@@ -392,17 +402,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn eval_checks_assignments() {
-        let mut cnf = Cnf::new();
-        let a = cnf.new_var();
-        let b = cnf.new_var();
-        cnf.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        cnf.add_clause(&[Lit::neg(a)]);
-        assert!(cnf.eval(&[false, true]));
-        assert!(!cnf.eval(&[true, true]));
-        assert!(!cnf.eval(&[false, false]));
     }
 }

@@ -7,8 +7,10 @@
 //!
 //! - **Array elimination** results are cached per [`ExprRef`] in a
 //!   persistent [`Eliminator`]; a constraint is rewritten once, ever.
-//! - **Bit-blasting** keeps its Tseitin cache and a single growing CNF in a
-//!   persistent [`BitBlaster`].
+//! - **Bit-blasting** keeps its Tseitin cache in a persistent
+//!   [`BitBlaster`]. Its CNF holds only the clauses of the lowering in
+//!   progress: each query drains them into the SAT solver, so every
+//!   committed clause is stored exactly once.
 //! - **CDCL state** (clause database, learned clauses, VSIDS activity,
 //!   saved phases) lives in a persistent [`SatSolver`] fed only the *new*
 //!   clauses each query.
@@ -42,7 +44,7 @@
 use crate::arrays::Eliminator;
 use crate::bitblast::BitBlaster;
 use crate::cnf::Lit;
-use crate::expr::{ExprPool, ExprRef};
+use crate::expr::{ExprPool, ExprRef, Sort};
 use crate::sat::{SatOutcome, SatSolver, SatStats};
 use crate::solve::{Budget, Model, SatResult, SolveStats, StallReason};
 
@@ -56,8 +58,6 @@ pub struct IncrementalSolver {
     elim: Eliminator,
     blast: BitBlaster,
     sat: SatSolver,
-    /// Clauses of `blast.cnf` already fed to `sat`.
-    fed: usize,
     /// Scratch for building activation-guarded clauses.
     guarded: Vec<Lit>,
     last_stats: SolveStats,
@@ -76,8 +76,7 @@ impl IncrementalSolver {
             prefix: Vec::new(),
             elim: Eliminator::new(),
             blast: BitBlaster::new(),
-            sat: SatSolver::empty(),
-            fed: 0,
+            sat: SatSolver::new(),
             guarded: Vec::new(),
             last_stats: SolveStats::default(),
         }
@@ -113,17 +112,31 @@ impl IncrementalSolver {
     /// Checks `constraints` under `budget`, reusing all lowering and search
     /// state from previous calls whose constraints form a prefix of this
     /// call's.
+    ///
+    /// This is the solve a chaos [`er_chaos::Fault::SolverStall`] hits;
+    /// [`IncrementalSolver::check_assuming`] probes are never injected.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a constraint is not boolean-sorted.
     pub fn check(
         &mut self,
         pool: &mut ExprPool,
         constraints: &[ExprRef],
         budget: &Budget,
     ) -> SatResult {
+        if let Some(stall) = chaos_stall(budget) {
+            return stall;
+        }
         self.check_assuming(pool, constraints, &[], budget)
     }
 
     /// Checks `constraints + assumptions` under `budget` without retaining
     /// the assumptions in any persistent state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a constraint or assumption is not boolean-sorted.
     pub fn check_assuming(
         &mut self,
         pool: &mut ExprPool,
@@ -169,14 +182,14 @@ impl IncrementalSolver {
         let hits = self.prefix.len() as u64;
         let mut misses = 0u64;
 
-        // Constant-fold scan first, exactly like a fresh solver: a
-        // constant-false anywhere decides the query before any lowering.
+        // Sort check and constant-fold scan first, exactly like a fresh
+        // solver: a constant-false anywhere decides the query before any
+        // lowering.
         let new = &constraints[self.prefix.len()..];
-        if new
-            .iter()
-            .chain(assumptions)
-            .any(|&e| pool.as_const(e) == Some(0))
-        {
+        if new.iter().chain(assumptions).any(|&e| {
+            assert_eq!(pool.sort(e), Sort::Bool, "assertions must be boolean");
+            pool.as_const(e) == Some(0)
+        }) {
             return (SatResult::Unsat, hits, misses, 0);
         }
         let assum_pending: Vec<ExprRef> = assumptions
@@ -185,9 +198,12 @@ impl IncrementalSolver {
             .filter(|&a| pool.as_const(a).is_none())
             .collect();
 
-        // Lower the new constraints, each inside a scope that is committed
-        // on success. A failed constraint is rolled back wholesale so a
-        // retry observes the same budget trip point a fresh solver would.
+        // Lower the new constraints, each inside an elimination scope that
+        // is committed on success. A failed constraint is rolled back
+        // wholesale so a retry observes the same budget trip point a fresh
+        // solver would. Elimination is the only step that can fail, and it
+        // fails before the constraint emits any clause, so the blaster
+        // needs no scope here.
         for &c in &constraints[self.prefix.len()..] {
             if pool.as_const(c).is_some() {
                 self.prefix.push(c); // constant-true: nothing to lower
@@ -195,17 +211,14 @@ impl IncrementalSolver {
             }
             misses += 1;
             self.elim.begin_scope();
-            self.blast.begin_scope();
             match self.lower(pool, c, budget) {
                 Ok(()) => {
                     self.elim.commit_scope();
-                    self.blast.commit_scope();
                     self.prefix.push(c);
                 }
                 Err(reason) => {
                     self.fill_stall_stats(&reason);
                     self.elim.rollback_scope();
-                    self.blast.rollback_scope();
                     return (SatResult::Unknown(reason), hits, misses, 0);
                 }
             }
@@ -241,7 +254,8 @@ impl IncrementalSolver {
         }
 
         // Assumption query: lower inside a rollback scope, add the scope's
-        // clauses guarded by a fresh activation literal, assume it for this
+        // clauses (all that is pending, the committed ones having just been
+        // drained) guarded by a fresh activation literal, assume it for this
         // one search, then release it.
         misses += assum_pending.len() as u64;
         self.elim.begin_scope();
@@ -270,10 +284,10 @@ impl IncrementalSolver {
         let act = Lit::pos(self.blast.cnf.new_var());
         let reused = self.sat.clause_count() as u64;
         self.sat.ensure_vars(self.blast.cnf.var_count() as usize);
-        for i in self.fed..self.blast.cnf.clause_count() {
+        for clause in self.blast.cnf.pending() {
             self.guarded.clear();
             self.guarded.push(!act);
-            self.guarded.extend_from_slice(self.blast.cnf.clause(i));
+            self.guarded.extend_from_slice(clause);
             self.sat.push_clause(&self.guarded);
         }
         let before = self.sat.stats();
@@ -288,7 +302,8 @@ impl IncrementalSolver {
     }
 
     /// Rewrites one boolean constraint and asserts it (plus any array
-    /// axioms it spawned) into the CNF.
+    /// axioms it spawned) into the CNF. Fails only in elimination, before
+    /// any clause is emitted.
     fn lower(
         &mut self,
         pool: &mut ExprPool,
@@ -322,20 +337,15 @@ impl IncrementalSolver {
     fn record_search(&mut self, before: SatStats, cnf_clauses: usize) {
         let after = self.sat.stats();
         self.last_stats.array_cells = self.elim.stats().cells;
-        self.last_stats.stores_traversed = self.elim.stats().stores_traversed;
-        self.last_stats.cnf_vars = self.blast.cnf.var_count();
         self.last_stats.cnf_clauses = cnf_clauses;
         self.last_stats.conflicts = after.conflicts - before.conflicts;
-        self.last_stats.propagations = after.propagations - before.propagations;
     }
 
-    /// Feeds clauses added since the last call into the persistent solver.
+    /// Moves the CNF's pending clauses into the persistent solver.
     fn feed(&mut self) {
         self.sat.ensure_vars(self.blast.cnf.var_count() as usize);
-        for i in self.fed..self.blast.cnf.clause_count() {
-            self.sat.push_clause(self.blast.cnf.clause(i));
-        }
-        self.fed = self.blast.cnf.clause_count();
+        let sat = &mut self.sat;
+        self.blast.cnf.drain(|clause| sat.push_clause(clause));
     }
 
     fn finish(
@@ -388,6 +398,21 @@ impl IncrementalSolver {
     }
 }
 
+/// Injected solver stall ([`er_chaos::Fault::SolverStall`]): models the
+/// paper's 30-second wall-clock timeout tripping before the search decides.
+/// Reported as an ordinary conflict-budget stall so every caller's existing
+/// stall handling — key data value selection, retry on the next occurrence —
+/// exercises unchanged; no caller can tell an injected stall from a real one.
+fn chaos_stall(budget: &Budget) -> Option<SatResult> {
+    if er_chaos::inject(er_chaos::Fault::SolverStall).is_some() {
+        er_chaos::note_degraded(er_chaos::Domain::Solver);
+        return Some(SatResult::Unknown(StallReason::Conflicts {
+            conflicts: budget.max_conflicts,
+        }));
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,6 +463,47 @@ mod tests {
             SatResult::Sat(_)
         ));
         assert_eq!(inc.blast.cnf.clause_count(), clauses);
+    }
+
+    #[test]
+    fn committed_clauses_are_stored_only_in_the_sat_solver() {
+        // After a check, a probe, and a probe that stalls in elimination,
+        // the CNF holds nothing pending: every committed clause lives in
+        // the SAT arena alone, and the cumulative count still covers it.
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 16);
+        let hundred = pool.bv_const(100, 16);
+        let base = pool.cmp(CmpKind::Ult, x, hundred);
+        let fifty = pool.bv_const(50, 16);
+        let probe = pool.cmp(CmpKind::Eq, x, fifty);
+        let arr = pool.array("BIG", 1 << 20, 16, None);
+        let i = pool.var("i", 64);
+        let r = pool.read(arr, i);
+        let huge = pool.cmp(CmpKind::Eq, r, x);
+        let pending_lits =
+            |inc: &IncrementalSolver| -> usize { inc.blast.cnf.pending().map(<[Lit]>::len).sum() };
+        let mut inc = IncrementalSolver::new();
+        let b = Budget::small();
+        assert!(matches!(
+            inc.check(&mut pool, &[base], &b),
+            SatResult::Sat(_)
+        ));
+        let committed = inc.blast.cnf.clause_count();
+        assert!(committed > 0);
+        assert_eq!(pending_lits(&inc), 0);
+        assert!(matches!(
+            inc.check_assuming(&mut pool, &[base], &[probe], &b),
+            SatResult::Sat(_)
+        ));
+        assert_eq!(pending_lits(&inc), 0);
+        assert_eq!(inc.blast.cnf.clause_count(), committed);
+        assert!(matches!(
+            inc.check_assuming(&mut pool, &[base], &[huge], &b),
+            SatResult::Unknown(StallReason::ArrayCells { .. })
+        ));
+        assert_eq!(pending_lits(&inc), 0);
+        assert_eq!(inc.blast.cnf.clause_count(), committed);
+        assert_eq!(inc.reusable_clauses(&[base], &b), committed);
     }
 
     #[test]

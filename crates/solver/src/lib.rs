@@ -19,17 +19,19 @@
 //!    saving, Luby restarts, first-UIP learning) with a deterministic
 //!    conflict budget standing in for the paper's 30-second wall-clock
 //!    timeout.
-//! 5. [`inc`] — the incremental engine: persistent elimination/bit-blast
-//!    caches and a persistent CDCL instance for the monotonically growing
-//!    constraint prefixes shepherded symbolic execution produces.
-//! 6. [`solve`] — the façade: assert booleans, check, extract models, and
-//!    evaluate expressions under a model.
+//! 5. [`inc`] — the one way into the solver: [`IncrementalSolver`] keeps
+//!    persistent elimination/bit-blast caches and one persistent CDCL
+//!    instance for the monotonically growing constraint prefixes shepherded
+//!    symbolic execution produces, and is the clauses' only persistent
+//!    store.
+//! 6. [`solve`] — the vocabulary around it: budgets, verdicts, stall
+//!    reasons, and models that evaluate expressions.
 //!
 //! # Example
 //!
 //! ```
 //! use er_solver::expr::{BvOp, CmpKind, ExprPool};
-//! use er_solver::solve::{Budget, SatResult, Solver};
+//! use er_solver::{Budget, IncrementalSolver, SatResult};
 //!
 //! let mut pool = ExprPool::new();
 //! let x = pool.var("x", 32);
@@ -38,9 +40,8 @@
 //! let target = pool.bv_const(50, 32);
 //! let eq = pool.cmp(CmpKind::Eq, sum, target);
 //!
-//! let mut solver = Solver::new(&mut pool);
-//! solver.assert(eq);
-//! let SatResult::Sat(model) = solver.check(&Budget::default()) else {
+//! let mut solver = IncrementalSolver::new();
+//! let SatResult::Sat(model) = solver.check(&mut pool, &[eq], &Budget::default()) else {
 //!     panic!("satisfiable");
 //! };
 //! assert_eq!(model.eval(&pool, x), 43);
@@ -59,4 +60,4 @@ pub mod solve;
 
 pub use expr::{ArrayRef, BvOp, CmpKind, ExprPool, ExprRef, Sort};
 pub use inc::IncrementalSolver;
-pub use solve::{Budget, Model, SatResult, Solver};
+pub use solve::{Budget, Model, SatResult};

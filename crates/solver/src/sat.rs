@@ -5,7 +5,7 @@
 //! returns [`SatOutcome::Unknown`], which the ER layer interprets as a
 //! solver stall (the paper's 30-second timeout, made reproducible).
 
-use crate::cnf::{Cnf, Lit, Var};
+use crate::cnf::{Lit, Var};
 
 /// Result of a SAT call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,13 +48,6 @@ struct VarHeap {
 }
 
 impl VarHeap {
-    fn new(n: usize) -> Self {
-        VarHeap {
-            heap: (0..n as u32).map(Var).collect(),
-            pos: (0..n as i32).collect(),
-        }
-    }
-
     fn less(activity: &[f64], a: Var, b: Var) -> bool {
         activity[a.0 as usize] > activity[b.0 as usize]
     }
@@ -154,14 +147,14 @@ fn lit_value(assign: &[LBool], l: Lit) -> LBool {
 
 /// The CDCL solver.
 ///
-/// Besides the classic load-then-solve usage ([`SatSolver::new`]), the
-/// solver supports *incremental* use: start from [`SatSolver::empty`],
-/// grow the variable space with [`SatSolver::ensure_vars`], feed clauses
-/// with [`SatSolver::push_clause`], and call [`SatSolver::solve`] as often
-/// as needed. Clauses learned in earlier calls are implied by the clause
-/// database and therefore remain sound for every later call, as long as
-/// the problem only ever *gains* clauses (the monotone-prefix discipline
-/// the incremental ER solver follows).
+/// The solver is built for *incremental* use: start from
+/// [`SatSolver::new`], grow the variable space with
+/// [`SatSolver::ensure_vars`], feed clauses with [`SatSolver::push_clause`],
+/// and call [`SatSolver::solve`] as often as needed. Clauses learned in
+/// earlier calls are implied by the clause database and therefore remain
+/// sound for every later call, as long as the problem only ever *gains*
+/// clauses (the monotone-prefix discipline the incremental ER solver
+/// follows).
 ///
 /// Temporary constraints use MiniSat-style activation literals: add each
 /// temporary clause as `!act ∨ clause` for a fresh variable `act`, call
@@ -200,43 +193,30 @@ pub struct SatSolver {
 }
 
 impl SatSolver {
-    /// Loads `cnf` into a fresh solver.
-    pub fn new(cnf: &Cnf) -> Self {
-        let n = cnf.var_count() as usize;
-        let mut s = SatSolver {
-            n_vars: n,
+    /// A solver with no variables and no clauses.
+    pub fn new() -> Self {
+        SatSolver {
+            n_vars: 0,
             arena: Vec::new(),
-            clauses: Vec::with_capacity(cnf.clause_count()),
-            watches: vec![Vec::new(); 2 * n],
-            assign: vec![LBool::Undef; n],
-            level: vec![0; n],
-            reason: vec![-1; n],
+            clauses: Vec::new(),
+            watches: Vec::new(),
+            assign: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            activity: vec![0.0; n],
+            activity: Vec::new(),
             var_inc: 1.0,
-            heap: VarHeap::new(n),
-            phase: vec![false; n],
-            seen: vec![false; n],
+            heap: VarHeap::default(),
+            phase: Vec::new(),
+            seen: Vec::new(),
             ok: true,
             stats: SatStats::default(),
             add_buf: Vec::new(),
             learnt_buf: Vec::new(),
             swept_at: 0,
-        };
-        for clause in cnf.clauses() {
-            s.add_clause(clause);
-            if !s.ok {
-                break;
-            }
         }
-        s
-    }
-
-    /// A solver with no variables and no clauses (incremental use).
-    pub fn empty() -> Self {
-        SatSolver::new(&Cnf::new())
     }
 
     /// Grows the variable space to at least `n` variables.
@@ -682,6 +662,12 @@ impl SatSolver {
     }
 }
 
+impl Default for SatSolver {
+    fn default() -> Self {
+        SatSolver::new()
+    }
+}
+
 /// The Luby restart sequence: 1, 1, 2, 1, 1, 2, 4, ...
 fn luby(i: u32) -> u64 {
     let mut k = 1u32;
@@ -703,16 +689,33 @@ fn luby(i: u32) -> u64 {
     1
 }
 
-/// Convenience used by unit tests elsewhere in the crate: solve with a
-/// large budget and return satisfiability as a bool.
+/// A solver loaded with `cnf`'s pending clauses (for unit tests across the
+/// crate).
+#[cfg(test)]
+pub(crate) fn load(cnf: &crate::cnf::Cnf) -> SatSolver {
+    let mut s = SatSolver::new();
+    s.ensure_vars(cnf.var_count() as usize);
+    for clause in cnf.pending() {
+        s.push_clause(clause);
+    }
+    s
+}
+
+/// Solves `cnf`'s pending clauses with a large budget, checks any model
+/// against them, and returns satisfiability.
 ///
 /// # Panics
 ///
-/// Panics if the budget is exhausted (tests are expected to be tiny).
-pub fn solve_for_tests(cnf: &Cnf) -> bool {
-    match SatSolver::new(cnf).solve(1_000_000) {
+/// Panics if the budget is exhausted (tests are expected to be tiny) or
+/// the model violates a clause.
+#[cfg(test)]
+pub(crate) fn solve_for_tests(cnf: &crate::cnf::Cnf) -> bool {
+    match load(cnf).solve(1_000_000) {
         SatOutcome::Sat(m) => {
-            assert!(cnf.eval(&m), "model must satisfy the formula");
+            assert!(
+                cnf.pending().all(|c| satisfies(&m, c)),
+                "model must satisfy the formula"
+            );
             true
         }
         SatOutcome::Unsat => false,
@@ -720,9 +723,18 @@ pub fn solve_for_tests(cnf: &Cnf) -> bool {
     }
 }
 
+/// Whether `assignment` satisfies `clause`.
+#[cfg(test)]
+fn satisfies(assignment: &[bool], clause: &[Lit]) -> bool {
+    clause
+        .iter()
+        .any(|l| assignment[l.var().0 as usize] == l.is_pos())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cnf::Cnf;
 
     fn lit(v: u32, pos: bool) -> Lit {
         Lit::new(Var(v), pos)
@@ -809,7 +821,7 @@ mod tests {
             }
             let brute = (0..(1u32 << n_vars)).any(|bits| {
                 let assignment: Vec<bool> = (0..n_vars).map(|i| bits >> i & 1 == 1).collect();
-                cnf.eval(&assignment)
+                cnf.pending().all(|c| satisfies(&assignment, c))
             });
             assert_eq!(solve_for_tests(&cnf), brute);
         }
@@ -839,10 +851,10 @@ mod tests {
                 }
             }
         }
-        let mut s = SatSolver::new(&cnf);
+        let mut s = load(&cnf);
         assert_eq!(s.solve(1), SatOutcome::Unknown);
         // With a big budget it resolves to Unsat.
-        let mut s2 = SatSolver::new(&cnf);
+        let mut s2 = load(&cnf);
         assert_eq!(s2.solve(1_000_000), SatOutcome::Unsat);
         assert!(s2.stats().conflicts > 0);
     }
@@ -857,7 +869,7 @@ mod tests {
 
     #[test]
     fn incremental_feed_resolves_and_stays_unsat() {
-        let mut s = SatSolver::empty();
+        let mut s = SatSolver::new();
         s.ensure_vars(3);
         s.push_clause(&[lit(0, true), lit(1, true)]);
         s.push_clause(&[lit(0, false), lit(2, true)]);
@@ -901,9 +913,9 @@ mod tests {
             for c in &clauses {
                 cnf.add_clause(c);
             }
-            let batch = matches!(SatSolver::new(&cnf).solve(1_000_000), SatOutcome::Sat(_));
+            let batch = matches!(load(&cnf).solve(1_000_000), SatOutcome::Sat(_));
             // Feed the same clauses one at a time, solving between batches.
-            let mut inc = SatSolver::empty();
+            let mut inc = SatSolver::new();
             inc.ensure_vars(n_vars);
             for (i, c) in clauses.iter().enumerate() {
                 inc.push_clause(c);
@@ -918,7 +930,7 @@ mod tests {
 
     #[test]
     fn cloned_solver_searches_independently() {
-        let mut s = SatSolver::empty();
+        let mut s = SatSolver::new();
         s.ensure_vars(2);
         s.push_clause(&[lit(0, true), lit(1, true)]);
         assert!(matches!(s.solve(1_000), SatOutcome::Sat(_)));
@@ -944,7 +956,7 @@ mod tests {
 
     #[test]
     fn assumptions_do_not_stick() {
-        let mut s = SatSolver::empty();
+        let mut s = SatSolver::new();
         s.ensure_vars(2);
         s.push_clause(&[lit(0, true), lit(1, true)]);
         assert_eq!(
@@ -960,7 +972,7 @@ mod tests {
 
     #[test]
     fn released_activation_literal_disables_guarded_clauses() {
-        let mut s = SatSolver::empty();
+        let mut s = SatSolver::new();
         s.ensure_vars(3);
         let act = lit(2, true);
         s.push_clause(&[lit(0, true)]);
@@ -979,7 +991,7 @@ mod tests {
         // A chain x0 -> x1 -> ... -> x(n-1) plus a guarded copy of it; the
         // release doubles the database past the sweep threshold.
         let n = SWEEP_MIN_CLAUSES + 8;
-        let mut s = SatSolver::empty();
+        let mut s = SatSolver::new();
         s.ensure_vars(n + 1);
         let act = lit(n as u32, true);
         for v in 0..n as u32 - 1 {

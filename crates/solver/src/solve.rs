@@ -1,7 +1,7 @@
-//! The solver façade: assertions in, model / unsat / stall out.
+//! Solver vocabulary: budgets, verdicts, models and work counters shared by
+//! every client of [`IncrementalSolver`](crate::inc::IncrementalSolver).
 
-use crate::expr::{ExprPool, ExprRef, Sort, VarId};
-use crate::inc::IncrementalSolver;
+use crate::expr::{ExprPool, ExprRef, VarId};
 use crate::simplify;
 use std::collections::HashMap;
 use std::fmt;
@@ -124,7 +124,7 @@ impl Model {
     }
 }
 
-/// Result of [`Solver::check`].
+/// Result of [`IncrementalSolver::check`](crate::inc::IncrementalSolver::check).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SatResult {
     /// Satisfiable.
@@ -140,16 +140,10 @@ pub enum SatResult {
 pub struct SolveStats {
     /// Array cells instantiated.
     pub array_cells: u64,
-    /// Store nodes traversed.
-    pub stores_traversed: u64,
-    /// CNF variables.
-    pub cnf_vars: u32,
     /// CNF clauses.
     pub cnf_clauses: usize,
     /// SAT conflicts.
     pub conflicts: u64,
-    /// SAT propagations.
-    pub propagations: u64,
 }
 
 impl SolveStats {
@@ -159,106 +153,15 @@ impl SolveStats {
     }
 }
 
-/// A solver façade over an [`ExprPool`].
-///
-/// Internally this is a thin wrapper around [`IncrementalSolver`]: repeated
-/// `check`/`check_assuming` calls on one `Solver` reuse array-elimination
-/// results, the Tseitin cache, the CNF clause database, and learned clauses
-/// from earlier calls. The assertion vector is passed by reference — no
-/// per-query cloning. [`Solver::with_engine`] continues from an engine
-/// another client already fed, such as the one a shepherded run hands to
-/// its final input solve.
-#[derive(Debug)]
-pub struct Solver<'p> {
-    pool: &'p mut ExprPool,
-    assertions: Vec<ExprRef>,
-    inc: IncrementalSolver,
-}
-
-impl<'p> Solver<'p> {
-    /// A solver over `pool` with no assertions.
-    pub fn new(pool: &'p mut ExprPool) -> Self {
-        Solver {
-            pool,
-            assertions: Vec::new(),
-            inc: IncrementalSolver::new(),
-        }
-    }
-
-    /// A solver over `pool` that continues from `engine`'s state: checks
-    /// whose assertions extend the engine's committed constraint prefix
-    /// lower only the constraints past it.
-    pub fn with_engine(pool: &'p mut ExprPool, engine: IncrementalSolver) -> Self {
-        Solver {
-            pool,
-            assertions: Vec::new(),
-            inc: engine,
-        }
-    }
-
-    /// Asserts boolean expression `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is not boolean-sorted.
-    pub fn assert(&mut self, e: ExprRef) {
-        assert_eq!(self.pool.sort(e), Sort::Bool, "assertions must be boolean");
-        self.assertions.push(e);
-    }
-
-    /// Current assertion count.
-    pub fn assertion_count(&self) -> usize {
-        self.assertions.len()
-    }
-
-    /// The pool (for building additional expressions between checks).
-    pub fn pool_mut(&mut self) -> &mut ExprPool {
-        self.pool
-    }
-
-    /// Checks the asserted formula under `budget`.
-    pub fn check(&mut self, budget: &Budget) -> SatResult {
-        if let Some(stall) = chaos_stall(budget) {
-            return stall;
-        }
-        self.inc.check(self.pool, &self.assertions, budget)
-    }
-
-    /// Checks the asserted formula plus `assumptions` without retaining
-    /// them.
-    pub fn check_assuming(&mut self, assumptions: &[ExprRef], budget: &Budget) -> SatResult {
-        if let Some(stall) = chaos_stall(budget) {
-            return stall;
-        }
-        self.inc
-            .check_assuming(self.pool, &self.assertions, assumptions, budget)
-    }
-
-    /// Work counters from the most recent check.
-    pub fn last_stats(&self) -> SolveStats {
-        self.inc.last_stats()
-    }
-}
-
-/// Injected solver stall ([`er_chaos::Fault::SolverStall`]): models the
-/// paper's 30-second wall-clock timeout tripping before the search decides.
-/// Reported as an ordinary conflict-budget stall so every caller's existing
-/// stall handling — key data value selection, retry on the next occurrence —
-/// exercises unchanged; no caller can tell an injected stall from a real one.
-fn chaos_stall(budget: &Budget) -> Option<SatResult> {
-    if er_chaos::inject(er_chaos::Fault::SolverStall).is_some() {
-        er_chaos::note_degraded(er_chaos::Domain::Solver);
-        return Some(SatResult::Unknown(StallReason::Conflicts {
-            conflicts: budget.max_conflicts,
-        }));
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{BvOp, CmpKind};
+    use crate::inc::IncrementalSolver;
+
+    fn check(pool: &mut ExprPool, assertions: &[ExprRef]) -> SatResult {
+        IncrementalSolver::new().check(pool, assertions, &Budget::default())
+    }
 
     #[test]
     fn linear_equation() {
@@ -270,9 +173,7 @@ mod tests {
         let t = pool.bin(BvOp::Mul, x, three);
         let t = pool.bin(BvOp::Add, t, five);
         let eq = pool.cmp(CmpKind::Eq, t, hundred);
-        let mut s = Solver::new(&mut pool);
-        s.assert(eq);
-        let SatResult::Sat(m) = s.check(&Budget::default()) else {
+        let SatResult::Sat(m) = check(&mut pool, &[eq]) else {
             panic!("expected SAT");
         };
         // 3x + 5 == 100 has no integer solution... except modular: check it.
@@ -287,19 +188,18 @@ mod tests {
         let ten = pool.bv_const(10, 8);
         let lt = pool.cmp(CmpKind::Ult, x, ten);
         let ge = pool.cmp(CmpKind::Ule, ten, x);
-        let mut s = Solver::new(&mut pool);
-        s.assert(lt);
-        s.assert(ge);
-        assert_eq!(s.check(&Budget::default()), SatResult::Unsat);
+        assert_eq!(check(&mut pool, &[lt, ge]), SatResult::Unsat);
     }
 
     #[test]
     fn trivially_true_needs_no_search() {
         let mut pool = ExprPool::new();
         let t = pool.bool_const(true);
-        let mut s = Solver::new(&mut pool);
-        s.assert(t);
-        assert!(matches!(s.check(&Budget::default()), SatResult::Sat(_)));
+        let mut s = IncrementalSolver::new();
+        assert!(matches!(
+            s.check(&mut pool, &[t], &Budget::default()),
+            SatResult::Sat(_)
+        ));
         assert_eq!(s.last_stats().cnf_clauses, 0);
     }
 
@@ -307,9 +207,7 @@ mod tests {
     fn trivially_false_is_unsat() {
         let mut pool = ExprPool::new();
         let f = pool.bool_const(false);
-        let mut s = Solver::new(&mut pool);
-        s.assert(f);
-        assert_eq!(s.check(&Budget::default()), SatResult::Unsat);
+        assert_eq!(check(&mut pool, &[f]), SatResult::Unsat);
     }
 
     #[test]
@@ -320,14 +218,14 @@ mod tests {
         let two = pool.bv_const(2, 8);
         let is1 = pool.cmp(CmpKind::Eq, x, one);
         let is2 = pool.cmp(CmpKind::Eq, x, two);
-        let mut s = Solver::new(&mut pool);
-        s.assert(is1);
+        let mut s = IncrementalSolver::new();
+        let b = Budget::default();
         assert_eq!(
-            s.check_assuming(&[is2], &Budget::default()),
+            s.check_assuming(&mut pool, &[is1], &[is2], &b),
             SatResult::Unsat
         );
         // Without the assumption it is satisfiable again.
-        assert!(matches!(s.check(&Budget::default()), SatResult::Sat(_)));
+        assert!(matches!(s.check(&mut pool, &[is1], &b), SatResult::Sat(_)));
     }
 
     #[test]
@@ -338,9 +236,7 @@ mod tests {
         let r = pool.read(arr, i);
         let zero = pool.bv_const(0, 32);
         let eq = pool.cmp(CmpKind::Eq, r, zero);
-        let mut s = Solver::new(&mut pool);
-        s.assert(eq);
-        let res = s.check(&Budget::small());
+        let res = IncrementalSolver::new().check(&mut pool, &[eq], &Budget::small());
         assert!(matches!(
             res,
             SatResult::Unknown(StallReason::ArrayCells { .. })
@@ -355,9 +251,7 @@ mod tests {
         let r = pool.read(arr, i);
         let seven = pool.bv_const(7, 32);
         let eq = pool.cmp(CmpKind::Eq, r, seven);
-        let mut s = Solver::new(&mut pool);
-        s.assert(eq);
-        let SatResult::Sat(m) = s.check(&Budget::default()) else {
+        let SatResult::Sat(m) = check(&mut pool, &[eq]) else {
             panic!("SAT expected");
         };
         assert_eq!(m.value(VarId(0)), 2);
@@ -380,10 +274,7 @@ mod tests {
         let r = pool.read(w, x64);
         let r_is_1 = pool.cmp(CmpKind::Eq, r, one);
         let neg = pool.not(r_is_1);
-        let mut s = Solver::new(&mut pool);
-        s.assert(in_range);
-        s.assert(neg);
-        assert_eq!(s.check(&Budget::default()), SatResult::Unsat);
+        assert_eq!(check(&mut pool, &[in_range, neg]), SatResult::Unsat);
     }
 
     #[test]
@@ -397,11 +288,9 @@ mod tests {
         let two = pool.bv_const(2, 16);
         let x_big = pool.cmp(CmpKind::Ule, two, x);
         let y_big = pool.cmp(CmpKind::Ule, two, y);
-        let mut s = Solver::new(&mut pool);
-        s.assert(eq);
-        s.assert(x_big);
-        s.assert(y_big);
-        let SatResult::Sat(model) = s.check(&Budget::default()) else {
+        let mut s = IncrementalSolver::new();
+        let SatResult::Sat(model) = s.check(&mut pool, &[eq, x_big, y_big], &Budget::default())
+        else {
             panic!("11 * 13 = 143 should be found");
         };
         let (xv, yv) = (model.value(VarId(0)), model.value(VarId(1)));

@@ -1,9 +1,10 @@
 //! Property tests for the incremental engine: a persistent
 //! [`IncrementalSolver`] driven through growing prefixes and assumption
 //! probes must agree with a fresh (uncached) solve of each full query; the
-//! flat [`Cnf`] store must agree with a `Vec<Vec<Lit>>` model under
-//! mark/rollback; and assumption searches on a persistent [`SatSolver`]
-//! must agree with a fresh solver given the assumptions as unit clauses.
+//! draining [`Cnf`] encoder must agree with a `Vec<Vec<Lit>>` model under
+//! mark/rollback and drains; and assumption searches on a persistent
+//! [`SatSolver`] must agree with a fresh solver given the assumptions as
+//! unit clauses.
 
 use er_solver::cnf::{Cnf, Lit, Var};
 use er_solver::expr::{BvOp, CmpKind, ExprPool, ExprRef};
@@ -23,14 +24,12 @@ fn lits(spec: &[(u32, bool)]) -> Vec<Lit> {
 
 /// Satisfiability of `clauses` by a fresh solver.
 fn fresh_sat(clauses: &[Vec<Lit>]) -> bool {
-    let mut cnf = Cnf::new();
-    for _ in 0..=SAT_VARS {
-        cnf.new_var();
-    }
+    let mut s = SatSolver::new();
+    s.ensure_vars(SAT_VARS as usize + 1);
     for c in clauses {
-        cnf.add_clause(c);
+        s.push_clause(c);
     }
-    match SatSolver::new(&cnf).solve(SAT_BUDGET) {
+    match s.solve(SAT_BUDGET) {
         SatOutcome::Sat(_) => true,
         SatOutcome::Unsat => false,
         SatOutcome::Unknown => panic!("tiny instance exhausted its budget"),
@@ -157,18 +156,21 @@ proptest! {
         }
     }
 
-    /// Random clause additions interleaved with nested mark/rollback give
-    /// the same clauses as a `Vec<Vec<Lit>>` model, and rollback never
-    /// hands out a variable number twice.
+    /// Random clause additions interleaved with nested mark/rollback and
+    /// drains keep the same pending clauses as a `Vec<Vec<Lit>>` model; a
+    /// drain hands over exactly those clauses, in order; `clause_count`
+    /// stays cumulative over drained and pending clauses; and rollback
+    /// never hands out a variable number twice.
     #[test]
     fn flat_cnf_matches_vec_model(
         ops in prop::collection::vec(
-            (0u8..5, prop::collection::vec((0u32..8, any::<bool>()), 0..5)),
+            (0u8..6, prop::collection::vec((0u32..8, any::<bool>()), 0..5)),
             1..40,
         ),
     ) {
         let mut cnf = Cnf::new();
-        let mut model: Vec<Vec<Lit>> = Vec::new();
+        let mut pending: Vec<Vec<Lit>> = Vec::new();
+        let mut drained = 0;
         let mut marks = Vec::new();
         let mut vars = 0;
         for (kind, spec) in ops {
@@ -176,14 +178,23 @@ proptest! {
                 0 | 1 => {
                     let c = lits(&spec);
                     cnf.add_clause(&c);
-                    model.push(c);
+                    pending.push(c);
                 }
-                2 => marks.push((cnf.mark(), model.len())),
+                2 => marks.push((cnf.mark(), pending.len())),
                 3 => {
                     if let Some((mark, len)) = marks.pop() {
                         cnf.rollback(&mark);
-                        model.truncate(len);
+                        pending.truncate(len);
                     }
+                }
+                4 => {
+                    let mut got: Vec<Vec<Lit>> = Vec::new();
+                    cnf.drain(|c| got.push(c.to_vec()));
+                    prop_assert_eq!(&got, &pending);
+                    drained += pending.len();
+                    pending.clear();
+                    // Drained clauses cannot be rolled back.
+                    marks.clear();
                 }
                 _ => {
                     let v = cnf.new_var();
@@ -192,11 +203,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(cnf.var_count(), vars);
-            prop_assert_eq!(cnf.clause_count(), model.len());
-            for (i, c) in model.iter().enumerate() {
-                prop_assert_eq!(cnf.clause(i), c.as_slice());
-            }
-            prop_assert!(cnf.clauses().eq(model.iter().map(Vec::as_slice)));
+            prop_assert_eq!(cnf.clause_count(), drained + pending.len());
+            prop_assert!(cnf.pending().eq(pending.iter().map(Vec::as_slice)));
         }
     }
 
@@ -222,7 +230,7 @@ proptest! {
         let act = Lit::pos(Var(SAT_VARS));
         let units: Vec<Vec<Lit>> = assume.iter().map(|&l| vec![l]).collect();
 
-        let mut s = SatSolver::empty();
+        let mut s = SatSolver::new();
         s.ensure_vars(SAT_VARS as usize + 1);
         for c in &base {
             s.push_clause(c);

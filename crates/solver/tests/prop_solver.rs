@@ -2,11 +2,12 @@
 //! concrete machine arithmetic, models must satisfy the formulas they were
 //! produced for, and the CDCL core must agree with brute force.
 
-use er_solver::cnf::{Cnf, Lit, Var};
+use er_solver::cnf::{Lit, Var};
 use er_solver::expr::{BvOp, CmpKind, ExprPool, ExprRef, VarId};
+use er_solver::inc::IncrementalSolver;
 use er_solver::sat::{SatOutcome, SatSolver};
 use er_solver::simplify::eval_concrete;
-use er_solver::solve::{Budget, SatResult, Solver};
+use er_solver::solve::{Budget, SatResult};
 use proptest::prelude::*;
 
 fn bvop() -> impl Strategy<Value = BvOp> {
@@ -91,9 +92,7 @@ proptest! {
         let (mut pool, expr) = random_expr(ops, bits);
         let t = pool.bv_const(target, bits);
         let c = pool.cmp(cmp, expr, t);
-        let mut solver = Solver::new(&mut pool);
-        solver.assert(c);
-        match solver.check(&Budget::default()) {
+        match IncrementalSolver::new().check(&mut pool, &[c], &Budget::default()) {
             SatResult::Sat(model) => prop_assert!(model.eval_bool(&pool, c)),
             SatResult::Unsat | SatResult::Unknown(_) => {}
         }
@@ -115,10 +114,10 @@ proptest! {
         let bv = pool.bv_const(b, bits);
         let c = pool.cmp(cmp, sum, bv);
         let nc = pool.not(c);
-        let mut solver = Solver::new(&mut pool);
-        solver.assert(c);
-        solver.assert(nc);
-        prop_assert_eq!(solver.check(&Budget::default()), SatResult::Unsat);
+        prop_assert_eq!(
+            IncrementalSolver::new().check(&mut pool, &[c, nc], &Budget::default()),
+            SatResult::Unsat
+        );
     }
 
     /// CDCL agrees with brute force on random small CNFs.
@@ -129,22 +128,28 @@ proptest! {
             1..24,
         ),
     ) {
-        let mut cnf = Cnf::new();
-        let vars: Vec<Var> = (0..6).map(|_| cnf.new_var()).collect();
-        for clause in &clauses {
-            let lits: Vec<Lit> = clause
-                .iter()
-                .map(|&(v, pos)| Lit::new(vars[v as usize], pos))
-                .collect();
-            cnf.add_clause(&lits);
-        }
+        let clauses: Vec<Vec<Lit>> = clauses
+            .iter()
+            .map(|c| c.iter().map(|&(v, pos)| Lit::new(Var(v), pos)).collect())
+            .collect();
+        let holds = |assignment: &[bool]| {
+            clauses.iter().all(|c| {
+                c.iter()
+                    .any(|l| assignment[l.var().0 as usize] == l.is_pos())
+            })
+        };
         let brute = (0u32..64).any(|bits| {
             let assignment: Vec<bool> = (0..6).map(|i| bits >> i & 1 == 1).collect();
-            cnf.eval(&assignment)
+            holds(&assignment)
         });
-        let got = match SatSolver::new(&cnf).solve(1_000_000) {
+        let mut solver = SatSolver::new();
+        solver.ensure_vars(6);
+        for c in &clauses {
+            solver.push_clause(c);
+        }
+        let got = match solver.solve(1_000_000) {
             SatOutcome::Sat(m) => {
-                prop_assert!(cnf.eval(&m));
+                prop_assert!(holds(&m));
                 true
             }
             SatOutcome::Unsat => false,
@@ -190,9 +195,9 @@ proptest! {
         let r = pool.read(w, iv);
         let pin = pool.cmp(CmpKind::Eq, i, iv);
         let wrong = pool.ne(r, vv);
-        let mut solver = Solver::new(&mut pool);
-        solver.assert(pin);
-        solver.assert(wrong);
-        prop_assert_eq!(solver.check(&Budget::default()), SatResult::Unsat);
+        prop_assert_eq!(
+            IncrementalSolver::new().check(&mut pool, &[pin, wrong], &Budget::default()),
+            SatResult::Unsat
+        );
     }
 }

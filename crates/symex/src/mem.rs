@@ -478,7 +478,8 @@ fn extract_byte(pool: &mut ExprPool, value: SymValue, k: u32) -> SymValue {
 mod tests {
     use super::*;
     use er_minilang::ir::Program;
-    use er_solver::solve::{Budget, SatResult, Solver};
+    use er_solver::inc::IncrementalSolver;
+    use er_solver::solve::{Budget, SatResult};
 
     fn setup() -> (SymMemory, ExprPool) {
         (SymMemory::new(&Program::default()), ExprPool::new())
@@ -508,9 +509,10 @@ mod tests {
         };
         // e must equal x semantically: check e != x is UNSAT.
         let ne = p.ne(e, x);
-        let mut s = Solver::new(&mut p);
-        s.assert(ne);
-        assert_eq!(s.check(&Budget::default()), SatResult::Unsat);
+        assert_eq!(
+            IncrementalSolver::new().check(&mut p, &[ne], &Budget::default()),
+            SatResult::Unsat
+        );
     }
 
     #[test]
@@ -526,9 +528,10 @@ mod tests {
         let sh = p.bin(BvOp::LShr, x, eight);
         let expect = p.trunc(sh, 8);
         let ne = p.ne(e, expect);
-        let mut s = Solver::new(&mut p);
-        s.assert(ne);
-        assert_eq!(s.check(&Budget::default()), SatResult::Unsat);
+        assert_eq!(
+            IncrementalSolver::new().check(&mut p, &[ne], &Budget::default()),
+            SatResult::Unsat
+        );
     }
 
     #[test]
@@ -583,9 +586,10 @@ mod tests {
         let nine = p.bv_const(9, 8);
         let ne = p.ne(e, nine);
         // Reading back at the same symbolic address always yields 9.
-        let mut s = Solver::new(&mut p);
-        s.assert(ne);
-        assert_eq!(s.check(&Budget::default()), SatResult::Unsat);
+        assert_eq!(
+            IncrementalSolver::new().check(&mut p, &[ne], &Budget::default()),
+            SatResult::Unsat
+        );
         assert!(m.longest_write_chain(&p) >= 1);
     }
 

@@ -6,7 +6,8 @@ use er_minilang::compile;
 use er_minilang::env::Env;
 use er_minilang::interp::{Machine, RunOutcome};
 use er_pt::sink::{PtConfig, PtSink};
-use er_solver::solve::{Budget, SatResult, Solver};
+use er_solver::inc::IncrementalSolver;
+use er_solver::solve::{Budget, SatResult};
 use er_symex::{ShepherdStatus, SymConfig, SymMachine};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -97,11 +98,9 @@ proptest! {
         let mut run = SymMachine::new(&program, SymConfig::default()).run(&events, Some(&failure));
         prop_assert_eq!(&run.status, &ShepherdStatus::Completed);
         let assertions: Vec<_> = run.path.iter().copied().chain(run.failure_constraint).collect();
-        let mut solver = Solver::new(&mut run.pool);
-        for c in assertions {
-            solver.assert(c);
-        }
-        let SatResult::Sat(model) = solver.check(&Budget::default()) else {
+        let SatResult::Sat(model) =
+            IncrementalSolver::new().check(&mut run.pool, &assertions, &Budget::default())
+        else {
             return Err(TestCaseError::fail("path must be satisfiable"));
         };
         let mut streams: HashMap<u32, Vec<u8>> = HashMap::new();

@@ -1,6 +1,6 @@
 //! Hierarchical RAII spans with wall-clock attribution.
 //!
-//! A span is opened with the [`span!`](crate::span) macro and closed when
+//! A span is opened with the [`span!`](crate::span!) macro and closed when
 //! its guard drops. Spans nest on a thread-local stack (strictly LIFO —
 //! a guard dropped out of order is detected and reported). Per mode:
 //!
@@ -48,7 +48,7 @@ pub fn current_depth() -> usize {
     STACK.with(|s| s.borrow().len())
 }
 
-/// Closes its span when dropped. Construct via [`span!`](crate::span).
+/// Closes its span when dropped. Construct via [`span!`](crate::span!).
 #[must_use = "a span measures the scope of its guard; bind it to a variable"]
 pub struct SpanGuard {
     /// `None` when telemetry was off at entry (the guard is inert).
