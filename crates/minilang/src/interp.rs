@@ -549,7 +549,7 @@ mod tests {
     use super::*;
     use crate::compile;
     use crate::error::FailureKind;
-    use crate::trace::VecSink;
+    use crate::trace::{Event, VecSink};
 
     fn run_src(src: &str, inputs: &[(u32, Vec<u8>)]) -> RunReport<NullSink> {
         let p = compile(src).unwrap();
@@ -777,6 +777,67 @@ mod tests {
             panic!()
         };
         assert!(matches!(f.fault, RuntimeFault::Hang));
+        // The budget is exact: the hang is raised before the instruction
+        // that would exceed it, at the spinning thread's next site.
+        assert_eq!(r.instr_count, 10_000);
+        assert_eq!(f.tid, 0);
+        assert_eq!(f.at.to_string(), "f0.b2.i1");
+    }
+
+    #[test]
+    fn hang_on_a_quantum_boundary_lands_on_the_next_thread() {
+        let p = compile(
+            r#"
+            fn spin() { let i: u64 = 0; while true { i = i + 1; } }
+            fn main() {
+                let t: u64 = spawn spin();
+                let j: u64 = 0;
+                while true { j = j + 2; }
+            }
+            "#,
+        )
+        .unwrap();
+        let sched = |max_instrs| SchedConfig {
+            quantum: 100,
+            seed: 3,
+            max_instrs,
+        };
+        // Find the second quantum boundary that hands the CPU from main to
+        // the spawned thread, so the hang lands mid-loop.
+        let probe = Machine::with_sink(&p, Env::new(), VecSink::new())
+            .with_sched(sched(5_000))
+            .run();
+        let boundary = probe
+            .sink
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::ThreadResume { tid: 1, tsc } => Some(*tsc),
+                _ => None,
+            })
+            .nth(1)
+            .expect("the spawned thread gets scheduled");
+        assert_eq!(boundary, 274);
+        // A budget ending exactly there: main's quantum completes, the
+        // scheduler resumes thread 1, and the hang is attributed to it, at
+        // its own paused site, before it executes anything.
+        let r = Machine::with_sink(&p, Env::new(), VecSink::new())
+            .with_sched(sched(boundary))
+            .run();
+        let RunOutcome::Failure(f) = r.outcome else {
+            panic!("expected a hang, got {:?}", r.outcome)
+        };
+        assert!(matches!(f.fault, RuntimeFault::Hang));
+        assert_eq!(r.instr_count, boundary);
+        assert_eq!(f.tid, 1);
+        assert_eq!(f.at.to_string(), "f0.b2.i1");
+        assert_eq!(
+            r.sink.events.last(),
+            Some(&Event::ThreadResume {
+                tid: 1,
+                tsc: boundary
+            })
+        );
     }
 
     #[test]
