@@ -71,10 +71,10 @@ impl ConcreteTape {
         let mut frames: Vec<Frame> = Vec::new();
         let mut next_frame = 0u64;
         frames.push((
-            program.entry,
+            program.entry(),
             BlockId(0),
             0,
-            vec![0; program.func(program.entry).n_regs],
+            vec![0; program.func(program.entry()).n_regs],
             None,
             mem.stack_watermark(0),
             next_frame,
@@ -202,7 +202,7 @@ impl ConcreteTape {
                     }
                 }
                 Instr::GlobalAddr { dst, global } => {
-                    let v = program.globals[global.0 as usize].addr;
+                    let v = program.globals()[global.0 as usize].addr;
                     regs[dst.0 as usize] = v;
                     push_entry(&mut entries, &instr, v);
                     None

@@ -3,17 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use er_core::graph::ConstraintGraph;
-use er_core::select::{self, SelectionInput};
+use er_core::select::{self, SelectionInput, SiteCountMap};
 use er_minilang::ir::{BlockId, FuncId, InstrId};
 use er_solver::expr::{BvOp, ExprPool, ExprRef};
-use er_symex::{Origins, SiteCounts};
+use er_symex::Origins;
 
-fn build_pool(stages: usize) -> (ExprPool, Origins, SiteCounts) {
+fn build_pool(stages: usize) -> (ExprPool, Origins, SiteCountMap) {
     let mut pool = ExprPool::new();
     let mut origins = Origins::default();
-    let mut counts = SiteCounts::default();
+    let mut counts = SiteCountMap::default();
     let mut site = 0usize;
-    let mut next_site = |origins: &mut Origins, counts: &mut SiteCounts, e: ExprRef| {
+    let mut next_site = |origins: &mut Origins, counts: &mut SiteCountMap, e: ExprRef| {
         let id = InstrId {
             func: FuncId(0),
             block: BlockId(0),

@@ -42,10 +42,11 @@ fn main() {
         let run = rep.run;
         let graph = ConstraintGraph::analyze(&run.pool);
         let origins = &run.origins;
+        let site_counts = run.site_counts.iter().collect();
         let input = SelectionInput {
             pool: &run.pool,
             origins,
-            site_counts: &run.site_counts,
+            site_counts: &site_counts,
         };
         // Naive strategy: record every bottleneck element at its own site.
         let bottleneck_bytes: u64 = graph

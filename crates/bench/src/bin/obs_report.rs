@@ -54,6 +54,16 @@ const SOLVER: &[(&str, &str)] = &[
     ("Handoff Reused", "solver.handoff_reused_clauses"),
 ];
 
+/// The solver's phase spans, nested in every `solver.query`, with their
+/// column labels: array elimination, bit-blasting, copying clauses into
+/// the SAT engine, and CDCL search.
+const SOLVER_PHASES: &[(&str, &str)] = &[
+    ("Elim", "solver.elim"),
+    ("Blast", "solver.blast"),
+    ("Feed", "solver.feed"),
+    ("SAT", "solver.sat"),
+];
+
 /// Fleet counters rendered in the per-fleet-run table, in column order.
 /// All `fleet.*` counters are bumped on the simulator's driver thread,
 /// so the enclosing `fleet.run` span's counter delta accounts for each
@@ -81,6 +91,8 @@ struct WorkloadReport {
     /// Solver time spent inside shepherded execution (address
     /// resolution), as opposed to the final input solve.
     symbex_query_ns: u64,
+    /// Time per solver span: every `solver.query` and its phases.
+    solver_ns: BTreeMap<String, u64>,
     effort: BTreeMap<String, u64>,
 }
 
@@ -149,6 +161,9 @@ fn main() {
         }
         if ev.name == "solver.query" && ev.parent.as_deref() == Some("shepherd.symbex") {
             rep.symbex_query_ns += ev.dur_ns;
+        }
+        if ev.name == "solver.query" || SOLVER_PHASES.iter().any(|(_, span)| *span == ev.name) {
+            *rep.solver_ns.entry(ev.name.clone()).or_default() += ev.dur_ns;
         }
         // A span's counter deltas include those of its children, so sum
         // effort only over the sibling per-iteration spans — each unit of
@@ -263,6 +278,35 @@ fn main() {
     let mut solver_header = vec!["Workload"];
     solver_header.extend(SOLVER.iter().map(|(label, _)| *label));
     print_table("Per-workload solver counters", &solver_header, &solver_rows);
+
+    // Where solver time goes: each phase span's total, and what the
+    // enclosing queries spent outside them (prefix checks, model
+    // extraction, scope bookkeeping).
+    let phase_rows: Vec<Vec<String>> = reports
+        .iter()
+        .map(|r| {
+            let ns = |span: &str| r.solver_ns.get(span).copied().unwrap_or(0);
+            let query = ns("solver.query");
+            let mut row = vec![r.name.clone(), fmt_duration(Duration::from_nanos(query))];
+            let mut phases = 0;
+            for (_, span) in SOLVER_PHASES {
+                phases += ns(span);
+                row.push(fmt_duration(Duration::from_nanos(ns(span))));
+            }
+            row.push(fmt_duration(Duration::from_nanos(
+                query.saturating_sub(phases),
+            )));
+            row
+        })
+        .collect();
+    let mut phase_header = vec!["Workload", "Query"];
+    phase_header.extend(SOLVER_PHASES.iter().map(|(label, _)| *label));
+    phase_header.push("Other");
+    print_table(
+        "Solver phases (time inside solver.query)",
+        &phase_header,
+        &phase_rows,
+    );
 
     // Fleet-simulation runs: one `fleet.run` span per `er_fleet::Fleet::run`,
     // tagged with the workload/fleet label; its counter deltas carry every

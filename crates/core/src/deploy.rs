@@ -119,7 +119,7 @@ pub struct Deployment {
 impl std::fmt::Debug for Deployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Deployment")
-            .field("funcs", &self.program.funcs.len())
+            .field("funcs", &self.program.funcs().len())
             .finish_non_exhaustive()
     }
 }

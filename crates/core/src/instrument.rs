@@ -86,7 +86,7 @@ impl InstrumentedProgram {
                 continue;
             }
             let func = program
-                .funcs
+                .funcs()
                 .get(site.func.0 as usize)
                 .ok_or(InstrumentError {
                     site: *site,
@@ -103,60 +103,64 @@ impl InstrumentedProgram {
                 .or_default()
                 .push(site.index);
         }
-        for ((func, block), mut indices) in by_block {
-            indices.sort_unstable();
-            indices.dedup();
-            let blk = &mut program.funcs[func as usize].blocks[block as usize];
-            // Insert from the back so earlier indices stay valid, tracking
-            // the shift for the id maps afterwards.
-            let mut inserted_at: Vec<usize> = Vec::new();
-            for &idx in indices.iter().rev() {
-                let Some(instr) = blk.instrs.get(idx) else {
-                    continue;
-                };
-                let Some(dst) = instr.dst() else {
-                    continue;
-                };
-                blk.instrs.insert(
-                    idx + 1,
-                    Instr::PtWrite {
-                        value: Operand::Reg(dst),
-                    },
-                );
-                inserted_at.push(idx);
-                applied.push(InstrId {
-                    func: er_minilang::ir::FuncId(func),
-                    block: er_minilang::ir::BlockId(block),
-                    index: idx,
-                });
-            }
-            inserted_at.reverse(); // ascending original indices
-                                   // Build the id maps for this block.
-            let f = er_minilang::ir::FuncId(func);
-            let b = er_minilang::ir::BlockId(block);
-            let n_original = blk.instrs.len() - inserted_at.len();
-            let mut shift = 0usize;
-            let mut next_insert = 0usize;
-            for orig_idx in 0..n_original {
-                let inst_idx = orig_idx + shift;
-                let o = InstrId {
-                    func: f,
-                    block: b,
-                    index: orig_idx,
-                };
-                let i = InstrId {
-                    func: f,
-                    block: b,
-                    index: inst_idx,
-                };
-                to_original.insert(i, o);
-                from_original.insert(o, i);
-                if next_insert < inserted_at.len() && inserted_at[next_insert] == orig_idx {
-                    shift += 1;
-                    next_insert += 1;
+        // One edit for every block, so the flat code is rebuilt once.
+        program.edit_funcs(|funcs| {
+            for ((func, block), mut indices) in by_block {
+                indices.sort_unstable();
+                indices.dedup();
+                let blk = &mut funcs[func as usize].blocks[block as usize];
+                // Insert from the back so earlier indices stay valid,
+                // tracking the shift for the id maps afterwards.
+                let mut inserted_at: Vec<usize> = Vec::new();
+                for &idx in indices.iter().rev() {
+                    let Some(instr) = blk.instrs.get(idx) else {
+                        continue;
+                    };
+                    let Some(dst) = instr.dst() else {
+                        continue;
+                    };
+                    blk.instrs.insert(
+                        idx + 1,
+                        Instr::PtWrite {
+                            value: Operand::Reg(dst),
+                        },
+                    );
+                    inserted_at.push(idx);
+                    applied.push(InstrId {
+                        func: er_minilang::ir::FuncId(func),
+                        block: er_minilang::ir::BlockId(block),
+                        index: idx,
+                    });
+                }
+                inserted_at.reverse(); // ascending original indices
+
+                // Build the id maps for this block.
+                let f = er_minilang::ir::FuncId(func);
+                let b = er_minilang::ir::BlockId(block);
+                let n_original = blk.instrs.len() - inserted_at.len();
+                let mut shift = 0usize;
+                let mut next_insert = 0usize;
+                for orig_idx in 0..n_original {
+                    let inst_idx = orig_idx + shift;
+                    let o = InstrId {
+                        func: f,
+                        block: b,
+                        index: orig_idx,
+                    };
+                    let i = InstrId {
+                        func: f,
+                        block: b,
+                        index: inst_idx,
+                    };
+                    to_original.insert(i, o);
+                    from_original.insert(o, i);
+                    if next_insert < inserted_at.len() && inserted_at[next_insert] == orig_idx {
+                        shift += 1;
+                        next_insert += 1;
+                    }
                 }
             }
-        }
+        });
         applied.sort_unstable();
         Ok(InstrumentedProgram {
             program,
@@ -241,9 +245,9 @@ mod tests {
         let p = compile("fn main() { let x: u32 = 1 + 2; let y: u32 = x * 3; print(y); }").unwrap();
         // Record the first instruction's value.
         let inst = InstrumentedProgram::new(&p, &[site(0, 0, 0)]);
-        let blk = &inst.program.funcs[0].blocks[0];
+        let blk = &inst.program.funcs()[0].blocks[0];
         assert!(matches!(blk.instrs[1], Instr::PtWrite { .. }));
-        assert_eq!(blk.instrs.len(), p.funcs[0].blocks[0].instrs.len() + 1);
+        assert_eq!(blk.instrs.len(), p.funcs()[0].blocks[0].instrs.len() + 1);
         // Instrumented run emits the value.
         let r = Machine::with_sink(&inst.program, Env::new(), VecSink::new()).run();
         assert_eq!(r.sink.ptwrites(), vec![3]);
@@ -252,7 +256,7 @@ mod tests {
     #[test]
     fn id_maps_round_trip() {
         let p = compile("fn main() { let x: u32 = 1 + 2; let y: u32 = x * 3; print(y); }").unwrap();
-        let n = p.funcs[0].blocks[0].instrs.len();
+        let n = p.funcs()[0].blocks[0].instrs.len();
         let inst = InstrumentedProgram::new(&p, &[site(0, 0, 0)]);
         for i in 0..n {
             let o = site(0, 0, i);
@@ -289,8 +293,8 @@ mod tests {
         let inst = InstrumentedProgram::new(&p, &[site(0, 0, 0)]);
         assert!(inst.sites.is_empty());
         assert_eq!(
-            inst.program.funcs[0].blocks[0].instrs.len(),
-            p.funcs[0].blocks[0].instrs.len()
+            inst.program.funcs()[0].blocks[0].instrs.len(),
+            p.funcs()[0].blocks[0].instrs.len()
         );
     }
 

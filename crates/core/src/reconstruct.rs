@@ -18,7 +18,7 @@ use er_minilang::interp::SchedConfig;
 use er_minilang::ir::{InstrId, Program};
 use er_pt::TraceEvent;
 use er_solver::solve::Budget;
-use er_symex::{MachineState, Origins, ShepherdStatus, SiteCounts, SymConfig, TraceDivergence};
+use er_symex::{MachineState, Origins, ShepherdStatus, SymConfig, TraceDivergence};
 use er_telemetry::counters::Handle;
 use std::time::Duration;
 
@@ -647,8 +647,8 @@ impl ReconstructionSession {
                 origins.insert(e, o);
             }
         }
-        let mut site_counts = SiteCounts::default();
-        for (&site, &count) in &run.site_counts {
+        let mut site_counts = select::SiteCountMap::default();
+        for (site, count) in run.site_counts.iter() {
             if let Some(o) = inst.to_original(site) {
                 *site_counts.entry(o).or_insert(0) += count;
             }

@@ -12,8 +12,15 @@
 use crate::graph::{children, ConstraintGraph, Deducibility};
 use er_minilang::ir::InstrId;
 use er_solver::expr::{ExprPool, ExprRef, Node};
-use er_symex::{Origins, SiteCounts};
+use er_solver::hash::FxHashMap;
+use er_symex::Origins;
 use std::collections::{HashMap, HashSet};
+
+/// Dynamic execution count per site, in whichever coordinates the
+/// [`SelectionInput::origins`] use. The reconstruction driver accumulates
+/// one in original-program coordinates from a run's
+/// [`er_symex::SiteCounts`].
+pub type SiteCountMap = FxHashMap<InstrId, u64>;
 
 /// One site to instrument with `ptwrite`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +91,7 @@ pub struct SelectionInput<'a> {
     /// First definition site of each symbolic expression.
     pub origins: &'a Origins,
     /// Dynamic execution count per site.
-    pub site_counts: &'a SiteCounts,
+    pub site_counts: &'a SiteCountMap,
 }
 
 impl<'a> SelectionInput<'a> {
@@ -293,7 +300,7 @@ mod tests {
         origins.insert(lc, site(2));
         origins.insert(x, site(3));
         origins.insert(r4, site(4));
-        let mut site_counts = SiteCounts::default();
+        let mut site_counts = SiteCountMap::default();
         for i in 0..5 {
             site_counts.insert(site(i), 1);
         }
@@ -326,7 +333,7 @@ mod tests {
         origins.insert(a, site(0));
         origins.insert(b, site(1));
         origins.insert(e, site(2));
-        let mut counts = SiteCounts::default();
+        let mut counts = SiteCountMap::default();
         counts.insert(site(0), 1);
         counts.insert(site(1), 1);
         counts.insert(site(2), 100);
@@ -350,7 +357,7 @@ mod tests {
         // e has no origin; a does.
         let mut origins = Origins::default();
         origins.insert(a, site(0));
-        let mut counts = SiteCounts::default();
+        let mut counts = SiteCountMap::default();
         counts.insert(site(0), 1);
         let input = SelectionInput {
             pool: &p,
@@ -367,7 +374,7 @@ mod tests {
     fn random_selector_respects_budget_and_seed() {
         let mut p = ExprPool::new();
         let mut origins = Origins::default();
-        let mut counts = SiteCounts::default();
+        let mut counts = SiteCountMap::default();
         for i in 0..20 {
             let v = p.var(format!("v{i}"), 32);
             origins.insert(v, site(i));

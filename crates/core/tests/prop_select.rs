@@ -2,10 +2,10 @@
 //! selection over randomly shaped write chains.
 
 use er_core::graph::{ConstraintGraph, Deducibility};
-use er_core::select::{self, SelectionInput};
+use er_core::select::{self, SelectionInput, SiteCountMap};
 use er_minilang::ir::{BlockId, FuncId, InstrId};
 use er_solver::expr::{BvOp, ExprPool, ExprRef};
-use er_symex::{Origins, SiteCounts};
+use er_symex::Origins;
 use proptest::prelude::*;
 
 fn site(i: usize) -> InstrId {
@@ -21,10 +21,10 @@ fn site(i: usize) -> InstrId {
 #[allow(clippy::type_complexity)]
 fn build(
     chains: &[(u64, usize)], // (table len, chain length)
-) -> (ExprPool, Origins, SiteCounts, Vec<ExprRef>) {
+) -> (ExprPool, Origins, SiteCountMap, Vec<ExprRef>) {
     let mut pool = ExprPool::new();
     let mut origins = Origins::default();
-    let mut counts = SiteCounts::default();
+    let mut counts = SiteCountMap::default();
     let mut inputs = Vec::new();
     let mut next = 0usize;
     for (c, &(len, depth)) in chains.iter().enumerate() {

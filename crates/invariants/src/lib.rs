@@ -285,7 +285,7 @@ impl InvariantSet {
             by_point.insert(key, invs);
         }
         let func_names = program
-            .funcs
+            .funcs()
             .iter()
             .enumerate()
             .map(|(i, f)| (FuncId(i as u32), f.name.clone()))

@@ -6,6 +6,7 @@
 //! so concurrency bugs manifest (or not) reproducibly per seed — the
 //! substrate for the paper's coarse-interleaving discussion (§3.4).
 
+use crate::code::{CallSite, Code, Op, Pc};
 use crate::env::Env;
 use crate::error::{Failure, RuntimeFault};
 use crate::ir::*;
@@ -69,40 +70,56 @@ enum ThreadState {
 
 #[derive(Debug)]
 struct Frame {
-    func: FuncId,
-    block: BlockId,
-    ip: usize,
-    regs: Vec<u64>,
+    pc: Pc,
+    /// This frame's first register in the thread's register stack.
+    base: usize,
     ret_dst: Option<Reg>,
     stack_mark: u64,
-}
-
-impl Frame {
-    #[inline]
-    fn get(&self, op: Operand) -> u64 {
-        match op {
-            Operand::Reg(r) => self.regs[r.0 as usize],
-            Operand::Imm(v) => v,
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, r: Reg, v: u64) {
-        self.regs[r.0 as usize] = v;
-    }
 }
 
 #[derive(Debug)]
 struct Thread {
     tid: u64,
     frames: Vec<Frame>,
+    /// Every live frame's registers, innermost last: a call grows it and
+    /// a return truncates it, so calls reuse its capacity.
+    regs: Vec<u64>,
     state: ThreadState,
+}
+
+impl Thread {
+    fn frame(&self) -> &Frame {
+        self.frames.last().expect("live frame")
+    }
+
+    fn frame_mut(&mut self) -> &mut Frame {
+        self.frames.last_mut().expect("live frame")
+    }
+
+    /// Reads `op` in the innermost frame.
+    fn operand(&self, op: Operand) -> u64 {
+        get(&self.regs[self.frame().base..], op)
+    }
+
+    fn advance(&mut self) {
+        self.frame_mut().pc += 1;
+    }
+}
+
+/// Reads `op` against a frame's registers.
+#[inline(always)]
+fn get(regs: &[u64], op: Operand) -> u64 {
+    match op {
+        Operand::Reg(r) => regs[r.0 as usize],
+        Operand::Imm(v) => v,
+    }
 }
 
 /// An IR interpreter with a pluggable trace sink.
 #[derive(Debug)]
 pub struct Machine<'p, S = NullSink> {
-    program: &'p Program,
+    code: &'p Code,
+    entry: FuncId,
     env: Env,
     mem: Memory,
     threads: Vec<Thread>,
@@ -126,21 +143,23 @@ impl<'p> Machine<'p, NullSink> {
 impl<'p, S: TraceSink> Machine<'p, S> {
     /// A machine that reports events to `sink`.
     pub fn with_sink(program: &'p Program, env: Env, sink: S) -> Self {
+        let code = &**program.code();
+        let entry = program.entry();
         let mem = Memory::new(program);
         let main = Thread {
             tid: 0,
             frames: vec![Frame {
-                func: program.entry,
-                block: BlockId(0),
-                ip: 0,
-                regs: vec![0; program.func(program.entry).n_regs],
+                pc: code.entry(),
+                base: 0,
                 ret_dst: None,
                 stack_mark: mem.stack_watermark(0),
             }],
+            regs: vec![0; code.n_regs(entry)],
             state: ThreadState::Runnable,
         };
         Machine {
-            program,
+            code,
+            entry,
             env,
             mem,
             threads: vec![main],
@@ -205,18 +224,16 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             self.sink.thread_resume(tid, self.icount);
             let quantum = self.next_quantum();
             let deadline = self.icount + quantum;
-            while self.icount < deadline {
-                if self.icount >= self.sched.max_instrs {
+            // The instruction budget folds into the quantum: the slice
+            // stops at whichever comes first. A quantum that ends exactly
+            // on the budget still ends normally, so the hang is raised on
+            // the next thread scheduled, before it executes anything.
+            match self.run_slice(t, deadline.min(self.sched.max_instrs)) {
+                StepResult::Continue if self.icount < deadline => {
                     return RunOutcome::Failure(self.failure_at(t, RuntimeFault::Hang));
                 }
-                match self.step(t) {
-                    StepResult::Continue => {}
-                    StepResult::Blocked => break,
-                    StepResult::ThreadDone => break,
-                    StepResult::Fault(f) => {
-                        return RunOutcome::Failure(self.failure_at(t, f));
-                    }
-                }
+                StepResult::Continue | StepResult::Blocked | StepResult::ThreadDone => {}
+                StepResult::Fault(f) => return RunOutcome::Failure(self.failure_at(t, f)),
             }
             if self.threads[t].state == ThreadState::Runnable {
                 self.run_queue.push_back(t);
@@ -229,196 +246,330 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         let at = th
             .frames
             .last()
-            .map(|f| {
-                let blk = self.program.func(f.func).block(f.block);
-                let index = if f.ip < blk.instrs.len() {
-                    f.ip
-                } else {
-                    InstrId::TERMINATOR
-                };
-                InstrId {
-                    func: f.func,
-                    block: f.block,
-                    index,
-                }
-            })
+            .map(|f| self.code.id_of(f.pc))
             .unwrap_or(InstrId {
-                func: self.program.entry,
+                func: self.entry,
                 block: BlockId(0),
                 index: 0,
             });
         Failure {
             fault,
             at,
-            call_stack: th.frames.iter().map(|f| f.func).collect(),
+            call_stack: th
+                .frames
+                .iter()
+                .map(|f| self.code.id_of(f.pc).func)
+                .collect(),
             tid: th.tid,
         }
     }
 
-    fn operand(&self, t: usize, op: Operand) -> u64 {
-        self.threads[t].frames.last().expect("live frame").get(op)
-    }
-
-    fn set_reg(&mut self, t: usize, r: Reg, v: u64) {
-        self.threads[t].frames.last_mut().expect("live frame").regs[r.0 as usize] = v;
-    }
-
-    fn step(&mut self, t: usize) -> StepResult {
-        self.icount += 1;
-        let program = self.program;
-        let thread = &mut self.threads[t];
-        let tid = thread.tid;
-        let frame = thread.frames.last_mut().expect("live frame");
-        // Borrow from the program, not from `self`: dispatch copies nothing.
-        let blk = program.func(frame.func).block(frame.block);
-        let Some(instr) = blk.instrs.get(frame.ip) else {
-            let func = frame.func;
-            let term = blk.term.as_ref().expect("lowering terminates every block");
-            return self.terminator(t, func, term);
-        };
-        // Straight-line instructions touch only the current frame and
-        // machine state disjoint from the thread table, so they run on
-        // this one frame borrow. Instructions that create, block or wake
-        // threads need the whole table and run in their own methods.
-        let done: Result<(), RuntimeFault> = match instr {
-            Instr::Const { dst, value } => {
-                frame.set(*dst, *value);
-                Ok(())
-            }
-            Instr::Bin {
-                dst,
-                op,
-                a,
-                b,
-                width,
-            } => op
-                .eval(*width, frame.get(*a), frame.get(*b))
-                .ok_or(RuntimeFault::DivByZero)
-                .map(|r| frame.set(*dst, r)),
-            Instr::Un { dst, op, a, width } => {
-                frame.set(*dst, op.eval(*width, frame.get(*a)));
-                Ok(())
-            }
-            Instr::Cmp {
-                dst,
-                pred,
-                a,
-                b,
-                width,
-            } => {
-                let r = pred.eval(*width, frame.get(*a), frame.get(*b));
-                frame.set(*dst, u64::from(r));
-                Ok(())
-            }
-            Instr::Cast { dst, a, from } => {
-                frame.set(*dst, from.trunc(frame.get(*a)));
-                Ok(())
-            }
-            Instr::Load { dst, addr, width } => self
-                .mem
-                .load(frame.get(*addr), *width)
-                .map(|v| frame.set(*dst, v)),
-            Instr::Store { addr, value, width } => {
-                self.mem.store(frame.get(*addr), *width, frame.get(*value))
-            }
-            Instr::GlobalAddr { dst, global } => {
-                frame.set(*dst, program.globals[global.0 as usize].addr);
-                Ok(())
-            }
-            Instr::StackAlloc { dst, size } => {
-                frame.set(*dst, self.mem.stack_alloc(tid, *size));
-                Ok(())
-            }
-            Instr::Alloc { dst, size } => {
-                frame.set(*dst, self.mem.heap_alloc(frame.get(*size)));
-                Ok(())
-            }
-            Instr::Free { addr } => self.mem.heap_free(frame.get(*addr)),
-            Instr::Input { dst, source, width } => {
-                self.env.read_input(*source, *width).map(|(v, event)| {
-                    self.sink.input(&event);
-                    frame.set(*dst, v);
-                })
-            }
-            Instr::Clock { dst } => {
-                let v = self.env.read_clock();
-                self.sink.clock_read(v);
-                frame.set(*dst, v);
-                Ok(())
-            }
-            Instr::PtWrite { value } => {
-                self.sink.ptwrite(frame.get(*value));
-                Ok(())
-            }
-            Instr::Print { value } => {
-                self.output.push(frame.get(*value));
-                Ok(())
-            }
-            Instr::Assert { cond, message } => {
-                if frame.get(*cond) == 0 {
-                    Err(RuntimeFault::AssertFailed {
-                        message: message.clone(),
-                    })
-                } else {
-                    Ok(())
+    /// Runs thread `t` until the instruction count reaches `stop` (then
+    /// returns [`StepResult::Continue`]), or it blocks, finishes or faults.
+    ///
+    /// Straight-line instructions and branches touch only the innermost
+    /// frame and machine state disjoint from the thread table, so they run
+    /// in one tight loop over locals: the pc, the frame's registers and
+    /// the instruction count. Instructions that push or pop frames, or
+    /// create, block or wake threads, leave the loop and run in their own
+    /// methods, after which the loop reloads the innermost frame.
+    #[allow(clippy::too_many_lines)]
+    fn run_slice(&mut self, t: usize, stop: u64) -> StepResult {
+        let code = self.code;
+        let ops = code.ops();
+        loop {
+            let thread = &mut self.threads[t];
+            let tid = thread.tid;
+            let frame = thread.frames.last_mut().expect("live frame");
+            let regs = &mut thread.regs[frame.base..];
+            let mut pc = frame.pc as usize;
+            let mut icount = self.icount;
+            let exit = loop {
+                if icount >= stop {
+                    break None;
                 }
+                icount += 1;
+                let done: Result<(), RuntimeFault> = match ops[pc] {
+                    Op::Const { dst, value } => {
+                        regs[dst.0 as usize] = value;
+                        Ok(())
+                    }
+                    Op::Mov { dst, src } => {
+                        regs[dst.0 as usize] = regs[src.0 as usize];
+                        Ok(())
+                    }
+                    Op::AddRR { dst, a, b } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_add(regs[b.0 as usize]);
+                        Ok(())
+                    }
+                    Op::AddRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_add(imm);
+                        Ok(())
+                    }
+                    Op::SubRR { dst, a, b } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_sub(regs[b.0 as usize]);
+                        Ok(())
+                    }
+                    Op::SubRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_sub(imm);
+                        Ok(())
+                    }
+                    Op::MulRR { dst, a, b } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_mul(regs[b.0 as usize]);
+                        Ok(())
+                    }
+                    Op::MulRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_mul(imm);
+                        Ok(())
+                    }
+                    Op::AndRR { dst, a, b } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize] & regs[b.0 as usize];
+                        Ok(())
+                    }
+                    Op::AndRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize] & imm;
+                        Ok(())
+                    }
+                    Op::OrRR { dst, a, b } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize] | regs[b.0 as usize];
+                        Ok(())
+                    }
+                    Op::OrRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize] | imm;
+                        Ok(())
+                    }
+                    Op::XorRR { dst, a, b } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize] ^ regs[b.0 as usize];
+                        Ok(())
+                    }
+                    Op::XorRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize] ^ imm;
+                        Ok(())
+                    }
+                    // `wrapping_*` shifts take the amount modulo 64, the IR's
+                    // shift semantics at 64 bits.
+                    Op::ShlRR { dst, a, b } => {
+                        regs[dst.0 as usize] =
+                            regs[a.0 as usize].wrapping_shl(regs[b.0 as usize] as u32);
+                        Ok(())
+                    }
+                    Op::ShlRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_shl(imm as u32);
+                        Ok(())
+                    }
+                    Op::LShrRR { dst, a, b } => {
+                        regs[dst.0 as usize] =
+                            regs[a.0 as usize].wrapping_shr(regs[b.0 as usize] as u32);
+                        Ok(())
+                    }
+                    Op::LShrRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_shr(imm as u32);
+                        Ok(())
+                    }
+                    Op::AShrRR { dst, a, b } => {
+                        regs[dst.0 as usize] = (regs[a.0 as usize] as i64)
+                            .wrapping_shr(regs[b.0 as usize] as u32)
+                            as u64;
+                        Ok(())
+                    }
+                    Op::AShrRI { dst, a, imm } => {
+                        regs[dst.0 as usize] =
+                            (regs[a.0 as usize] as i64).wrapping_shr(imm as u32) as u64;
+                        Ok(())
+                    }
+                    Op::EqRR { dst, a, b } => {
+                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] == regs[b.0 as usize]);
+                        Ok(())
+                    }
+                    Op::EqRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] == imm);
+                        Ok(())
+                    }
+                    Op::NeRR { dst, a, b } => {
+                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] != regs[b.0 as usize]);
+                        Ok(())
+                    }
+                    Op::NeRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] != imm);
+                        Ok(())
+                    }
+                    Op::UltRR { dst, a, b } => {
+                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] < regs[b.0 as usize]);
+                        Ok(())
+                    }
+                    Op::UltRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] < imm);
+                        Ok(())
+                    }
+                    Op::UleRR { dst, a, b } => {
+                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] <= regs[b.0 as usize]);
+                        Ok(())
+                    }
+                    Op::UleRI { dst, a, imm } => {
+                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] <= imm);
+                        Ok(())
+                    }
+                    Op::SltRR { dst, a, b } => {
+                        regs[dst.0 as usize] =
+                            u64::from((regs[a.0 as usize] as i64) < (regs[b.0 as usize] as i64));
+                        Ok(())
+                    }
+                    Op::SltRI { dst, a, imm } => {
+                        regs[dst.0 as usize] =
+                            u64::from((regs[a.0 as usize] as i64) < (imm as i64));
+                        Ok(())
+                    }
+                    Op::SleRR { dst, a, b } => {
+                        regs[dst.0 as usize] =
+                            u64::from((regs[a.0 as usize] as i64) <= (regs[b.0 as usize] as i64));
+                        Ok(())
+                    }
+                    Op::SleRI { dst, a, imm } => {
+                        regs[dst.0 as usize] =
+                            u64::from((regs[a.0 as usize] as i64) <= (imm as i64));
+                        Ok(())
+                    }
+                    Op::Bin {
+                        dst,
+                        op,
+                        a,
+                        b,
+                        width,
+                    } => op
+                        .eval(width, get(regs, a), get(regs, b))
+                        .ok_or(RuntimeFault::DivByZero)
+                        .map(|r| regs[dst.0 as usize] = r),
+                    Op::Cmp {
+                        dst,
+                        pred,
+                        a,
+                        b,
+                        width,
+                    } => {
+                        regs[dst.0 as usize] =
+                            u64::from(pred.eval(width, get(regs, a), get(regs, b)));
+                        Ok(())
+                    }
+                    Op::Un { dst, op, a, width } => {
+                        regs[dst.0 as usize] = op.eval(width, get(regs, a));
+                        Ok(())
+                    }
+                    Op::Cast { dst, a, from } => {
+                        regs[dst.0 as usize] = from.trunc(get(regs, a));
+                        Ok(())
+                    }
+                    Op::Load { dst, addr, width } => self
+                        .mem
+                        .load(get(regs, addr), width)
+                        .map(|v| regs[dst.0 as usize] = v),
+                    Op::Store { addr, value, width } => {
+                        self.mem.store(get(regs, addr), width, get(regs, value))
+                    }
+                    Op::StackAlloc { dst, size } => {
+                        regs[dst.0 as usize] = self.mem.stack_alloc(tid, size);
+                        Ok(())
+                    }
+                    Op::Alloc { dst, size } => {
+                        regs[dst.0 as usize] = self.mem.heap_alloc(get(regs, size));
+                        Ok(())
+                    }
+                    Op::Free { addr } => self.mem.heap_free(get(regs, addr)),
+                    Op::Input { dst, source, width } => {
+                        self.env.read_input(source, width).map(|(v, event)| {
+                            self.sink.input(&event);
+                            regs[dst.0 as usize] = v;
+                        })
+                    }
+                    Op::Clock { dst } => {
+                        let v = self.env.read_clock();
+                        self.sink.clock_read(v);
+                        regs[dst.0 as usize] = v;
+                        Ok(())
+                    }
+                    Op::PtWrite { value } => {
+                        self.sink.ptwrite(get(regs, value));
+                        Ok(())
+                    }
+                    Op::Print { value } => {
+                        self.output.push(get(regs, value));
+                        Ok(())
+                    }
+                    Op::Assert { cond, message } => {
+                        if get(regs, cond) == 0 {
+                            Err(RuntimeFault::AssertFailed {
+                                message: code.message(message).to_string(),
+                            })
+                        } else {
+                            Ok(())
+                        }
+                    }
+                    Op::Abort { message } => Err(RuntimeFault::Abort {
+                        message: code.message(message).to_string(),
+                    }),
+                    Op::Jump { to } => {
+                        pc = to as usize;
+                        continue;
+                    }
+                    Op::Branch {
+                        cond,
+                        then_pc,
+                        else_pc,
+                    } => {
+                        let taken = get(regs, cond) != 0;
+                        self.sink.cond_branch(taken);
+                        pc = if taken { then_pc } else { else_pc } as usize;
+                        continue;
+                    }
+                    op @ (Op::Call { .. }
+                    | Op::Spawn { .. }
+                    | Op::Join { .. }
+                    | Op::Lock { .. }
+                    | Op::Unlock { .. }
+                    | Op::Return { .. }) => break Some(Ok(op)),
+                };
+                match done {
+                    Ok(()) => pc += 1,
+                    Err(f) => break Some(Err(f)),
+                }
+            };
+            // The pc stays on a faulting or frame-changing instruction.
+            frame.pc = pc as Pc;
+            self.icount = icount;
+            let flow = match exit {
+                None => return StepResult::Continue,
+                Some(Err(f)) => return StepResult::Fault(f),
+                Some(Ok(Op::Call { site })) => self.call(t, code.call_site(site)),
+                Some(Ok(Op::Spawn { site })) => self.spawn(t, code.call_site(site)),
+                Some(Ok(Op::Join { tid })) => self.join(t, tid),
+                Some(Ok(Op::Lock { lock })) => self.lock(t, lock),
+                Some(Ok(Op::Unlock { lock })) => self.unlock(t, lock),
+                Some(Ok(Op::Return { value })) => self.ret(t, value),
+                Some(Ok(op)) => unreachable!("{op:?} runs inside the slice loop"),
+            };
+            if !matches!(flow, StepResult::Continue) {
+                return flow;
             }
-            Instr::Abort { message } => Err(RuntimeFault::Abort {
-                message: message.clone(),
-            }),
-            Instr::Call { dst, func, args } => return self.call(t, *dst, *func, args),
-            Instr::Spawn { dst, func, args } => return self.spawn(t, *dst, *func, args),
-            Instr::Join { tid } => return self.join(t, *tid),
-            Instr::Lock { lock } => return self.lock(t, *lock),
-            Instr::Unlock { lock } => return self.unlock(t, *lock),
-        };
-        match done {
-            Ok(()) => {
-                frame.ip += 1;
-                StepResult::Continue
-            }
-            Err(f) => StepResult::Fault(f),
         }
     }
 
-    fn terminator(&mut self, t: usize, func: FuncId, term: &'p Terminator) -> StepResult {
-        match *term {
-            Terminator::Jump(b) => {
-                let f = self.threads[t].frames.last_mut().expect("live frame");
-                f.block = b;
-                f.ip = 0;
-                StepResult::Continue
+    fn ret(&mut self, t: usize, value: Option<Operand>) -> StepResult {
+        let thread = &mut self.threads[t];
+        let value = value.map(|op| thread.operand(op)).unwrap_or(0);
+        self.sink.ret();
+        self.sink
+            .ret_value(self.code.id_of(thread.frame().pc).func, value);
+        let frame = thread.frames.pop().expect("live frame");
+        self.mem.stack_restore(thread.tid, frame.stack_mark);
+        thread.regs.truncate(frame.base);
+        if let Some(caller) = thread.frames.last_mut() {
+            if let Some(dst) = frame.ret_dst {
+                thread.regs[caller.base + dst.0 as usize] = value;
             }
-            Terminator::Branch {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                let taken = self.operand(t, cond) != 0;
-                self.sink.cond_branch(taken);
-                let f = self.threads[t].frames.last_mut().expect("live frame");
-                f.block = if taken { then_blk } else { else_blk };
-                f.ip = 0;
-                StepResult::Continue
-            }
-            Terminator::Return(v) => {
-                let value = v.map(|op| self.operand(t, op)).unwrap_or(0);
-                self.sink.ret();
-                self.sink.ret_value(func, value);
-                let tid = self.threads[t].tid;
-                let frame = self.threads[t].frames.pop().expect("live frame");
-                self.mem.stack_restore(tid, frame.stack_mark);
-                if let Some(caller) = self.threads[t].frames.last_mut() {
-                    if let Some(dst) = frame.ret_dst {
-                        caller.regs[dst.0 as usize] = value;
-                    }
-                    caller.ip += 1; // move past the Call instruction
-                    StepResult::Continue
-                } else {
-                    self.thread_done(t);
-                    StepResult::ThreadDone
-                }
-            }
+            caller.pc += 1; // move past the Call instruction
+            StepResult::Continue
+        } else {
+            self.thread_done(t);
+            StepResult::ThreadDone
         }
     }
 
@@ -434,63 +585,58 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
     }
 
-    fn advance(&mut self, t: usize) {
-        self.threads[t].frames.last_mut().expect("live frame").ip += 1;
-    }
-
-    /// A fresh register file for `func` with `args` in its parameters.
-    fn callee_regs(&self, t: usize, func: FuncId, args: &[Operand]) -> Vec<u64> {
-        let mut regs = vec![0u64; self.program.func(func).n_regs];
-        for (r, a) in regs.iter_mut().zip(args) {
-            *r = self.operand(t, *a);
+    fn call(&mut self, t: usize, site: &CallSite) -> StepResult {
+        let thread = &mut self.threads[t];
+        let caller_base = thread.frame().base;
+        let base = thread.regs.len();
+        thread.regs.resize(base + site.n_regs, 0);
+        let (caller, callee) = thread.regs.split_at_mut(base);
+        for (r, a) in callee.iter_mut().zip(site.args.iter()) {
+            *r = get(&caller[caller_base..], *a);
         }
-        regs
-    }
-
-    fn call(&mut self, t: usize, dst: Option<Reg>, func: FuncId, args: &[Operand]) -> StepResult {
-        let regs = self.callee_regs(t, func, args);
-        self.sink.call(func);
-        self.sink
-            .call_args(func, &regs[..self.program.func(func).n_params]);
-        let tid = self.threads[t].tid;
-        let mark = self.mem.stack_watermark(tid);
-        // The ip stays on the Call until the callee returns.
-        self.threads[t].frames.push(Frame {
-            func,
-            block: BlockId(0),
-            ip: 0,
-            regs,
-            ret_dst: dst,
+        self.sink.call(site.func);
+        self.sink.call_args(site.func, &callee[..site.n_params]);
+        let mark = self.mem.stack_watermark(thread.tid);
+        // The caller's pc stays on the Call until the callee returns.
+        thread.frames.push(Frame {
+            pc: site.entry,
+            base,
+            ret_dst: site.dst,
             stack_mark: mark,
         });
         StepResult::Continue
     }
 
-    fn spawn(&mut self, t: usize, dst: Reg, func: FuncId, args: &[Operand]) -> StepResult {
-        let regs = self.callee_regs(t, func, args);
+    fn spawn(&mut self, t: usize, site: &CallSite) -> StepResult {
+        let mut regs = vec![0u64; site.n_regs];
+        for (r, a) in regs.iter_mut().zip(site.args.iter()) {
+            *r = self.threads[t].operand(*a);
+        }
         let tid = self.next_tid;
         self.next_tid += 1;
         let mark = self.mem.stack_watermark(tid);
         self.threads.push(Thread {
             tid,
             frames: vec![Frame {
-                func,
-                block: BlockId(0),
-                ip: 0,
-                regs,
+                pc: site.entry,
+                base: 0,
                 ret_dst: None,
                 stack_mark: mark,
             }],
+            regs,
             state: ThreadState::Runnable,
         });
         self.run_queue.push_back(self.threads.len() - 1);
-        self.set_reg(t, dst, tid);
-        self.advance(t);
+        let thread = &mut self.threads[t];
+        let dst = site.dst.expect("spawn sites define the thread id");
+        let base = thread.frame().base;
+        thread.regs[base + dst.0 as usize] = tid;
+        thread.advance();
         StepResult::Continue
     }
 
     fn join(&mut self, t: usize, tid: Operand) -> StepResult {
-        let target = self.operand(t, tid);
+        let target = self.threads[t].operand(tid);
         if target >= self.next_tid {
             return StepResult::Fault(RuntimeFault::BadJoin { tid: target });
         }
@@ -499,31 +645,31 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             .iter()
             .any(|th| th.tid == target && th.state == ThreadState::Done);
         if done {
-            self.advance(t);
+            self.threads[t].advance();
             return StepResult::Continue;
         }
         self.threads[t].state = ThreadState::BlockedJoin(target);
         // Advance past the Join now: the target's exit is what wakes this
         // thread, so there is nothing to re-check.
-        self.advance(t);
+        self.threads[t].advance();
         StepResult::Blocked
     }
 
     fn lock(&mut self, t: usize, lock: Operand) -> StepResult {
-        let id = self.operand(t, lock);
+        let id = self.threads[t].operand(lock);
         if self.lock_owner.contains_key(&id) {
             self.threads[t].state = ThreadState::BlockedLock(id);
-            // ip is *not* advanced: the lock is re-attempted when the
+            // The pc is *not* advanced: the lock is re-attempted when the
             // thread is woken by an unlock.
             return StepResult::Blocked;
         }
         self.lock_owner.insert(id, self.threads[t].tid);
-        self.advance(t);
+        self.threads[t].advance();
         StepResult::Continue
     }
 
     fn unlock(&mut self, t: usize, lock: Operand) -> StepResult {
-        let id = self.operand(t, lock);
+        let id = self.threads[t].operand(lock);
         self.lock_owner.remove(&id);
         // Wake all waiters; they re-contend for the lock.
         for (i, th) in self.threads.iter_mut().enumerate() {
@@ -532,7 +678,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 self.run_queue.push_back(i);
             }
         }
-        self.advance(t);
+        self.threads[t].advance();
         StepResult::Continue
     }
 }

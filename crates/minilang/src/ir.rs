@@ -6,8 +6,10 @@
 //! traces into KLEE's LLVM IR (and loses 8.5% of; our mapping is exact, see
 //! DESIGN.md).
 
+use crate::code::Code;
 use crate::value::{BinOp, CmpOp, UnOp, Width};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a function within a [`Program`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -369,18 +371,64 @@ pub struct Global {
     pub addr: u64,
 }
 
-/// A complete IR program.
+/// A complete IR program, with its flat [`Code`] built once at
+/// construction and rebuilt by every block edit.
+///
+/// The fields are read-only outside this crate so no caller can edit
+/// blocks without the code following; clones share the code.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    /// All functions; `entry` indexes into this.
-    pub funcs: Vec<Func>,
-    /// All globals with assigned addresses.
-    pub globals: Vec<Global>,
-    /// The `main` function.
-    pub entry: FuncId,
+    funcs: Vec<Func>,
+    globals: Vec<Global>,
+    entry: FuncId,
+    code: Arc<Code>,
 }
 
 impl Program {
+    /// A program of `funcs` and `globals` starting at `entry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block has no terminator or references a block,
+    /// function or global that does not exist.
+    pub fn new(funcs: Vec<Func>, globals: Vec<Global>, entry: FuncId) -> Self {
+        let code = Arc::new(Code::build(&funcs, &globals, entry));
+        Program {
+            funcs,
+            globals,
+            entry,
+            code,
+        }
+    }
+
+    /// All functions; [`Program::entry`] indexes into this.
+    pub fn funcs(&self) -> &[Func] {
+        &self.funcs
+    }
+
+    /// All globals with assigned addresses.
+    pub fn globals(&self) -> &[Global] {
+        &self.globals
+    }
+
+    /// The `main` function.
+    pub fn entry(&self) -> FuncId {
+        self.entry
+    }
+
+    /// The flat code both executors run.
+    pub fn code(&self) -> &Arc<Code> {
+        &self.code
+    }
+
+    /// Edits the functions in place through `edit`, then rebuilds the
+    /// flat code: the one way to change a program's blocks.
+    pub fn edit_funcs<R>(&mut self, edit: impl FnOnce(&mut [Func]) -> R) -> R {
+        let r = edit(&mut self.funcs);
+        self.code = Arc::new(Code::build(&self.funcs, &self.globals, self.entry));
+        r
+    }
+
     /// The function with id `id`.
     ///
     /// # Panics
@@ -488,8 +536,8 @@ mod tests {
 
     #[test]
     fn program_lookup() {
-        let p = Program {
-            funcs: vec![Func {
+        let p = Program::new(
+            vec![Func {
                 name: "main".into(),
                 n_params: 0,
                 n_regs: 1,
@@ -501,9 +549,9 @@ mod tests {
                     term: Some(Terminator::Return(None)),
                 }],
             }],
-            globals: vec![],
-            entry: FuncId(0),
-        };
+            vec![],
+            FuncId(0),
+        );
         assert_eq!(p.func_by_name("main"), Some(FuncId(0)));
         assert_eq!(p.func_by_name("nope"), None);
         assert_eq!(p.static_instr_count(), 1);

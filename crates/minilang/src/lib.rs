@@ -6,8 +6,9 @@
 //! This crate provides the equivalent substrate entirely in Rust:
 //!
 //! * a C-like source language ([`ast`], [`lexer`], [`parser`], [`types`]),
-//! * a register-based IR ([`ir`], [`lower`]) on which both the concrete
-//!   interpreter and the symbolic executor operate,
+//! * a register-based IR ([`ir`], [`lower`]), lowered once per program into
+//!   the flat [`code`] on which both the concrete interpreter and the
+//!   symbolic executor operate,
 //! * a concrete interpreter ([`interp`]) with a flat byte-addressed memory
 //!   ([`mem`]), a nondeterministic environment ([`mod@env`]), cooperative
 //!   threads ([`interp::Machine`]), and pluggable control-flow/data tracing
@@ -36,6 +37,7 @@
 //! ```
 
 pub mod ast;
+pub mod code;
 pub mod env;
 pub mod error;
 pub mod interp;
@@ -65,7 +67,7 @@ pub use value::Width;
 ///
 /// ```
 /// let program = er_minilang::compile("fn main() { print(42); }")?;
-/// assert_eq!(program.funcs.len(), 1);
+/// assert_eq!(program.funcs().len(), 1);
 /// # Ok::<(), er_minilang::CompileError>(())
 /// ```
 pub fn compile(source: &str) -> Result<Program, CompileError> {

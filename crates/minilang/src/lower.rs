@@ -33,11 +33,7 @@ pub fn lower(unit: &TUnit) -> Program {
         .iter()
         .map(|f| FuncLowerer::new(f).lower())
         .collect();
-    Program {
-        funcs,
-        globals,
-        entry: FuncId(unit.entry as u32),
-    }
+    Program::new(funcs, globals, FuncId(unit.entry as u32))
 }
 
 /// Where a local slot lives at IR level.
@@ -643,7 +639,7 @@ mod tests {
     #[test]
     fn lowers_straight_line() {
         let p = lower_src("fn main() { let x: u32 = 1 + 2; print(x); }");
-        let f = p.func(p.entry);
+        let f = p.func(p.entry());
         assert_eq!(f.blocks.len(), 1);
         assert!(matches!(f.blocks[0].term, Some(Terminator::Return(None))));
     }
@@ -652,7 +648,7 @@ mod tests {
     fn lowers_if_to_branch() {
         let p =
             lower_src("fn main() { let x: u32 = 3; if x < 4 { print(1); } else { print(2); } }");
-        let f = p.func(p.entry);
+        let f = p.func(p.entry());
         assert!(f
             .blocks
             .iter()
@@ -663,7 +659,7 @@ mod tests {
     #[test]
     fn lowers_while_with_back_edge() {
         let p = lower_src("fn main() { let i: u32 = 0; while i < 3 { i = i + 1; } }");
-        let f = p.func(p.entry);
+        let f = p.func(p.entry());
         // entry -> head -> body -> head, exit
         assert_eq!(f.blocks.len(), 4);
         let head_jumps: usize = f
@@ -677,22 +673,22 @@ mod tests {
     #[test]
     fn short_circuit_creates_blocks() {
         let p = lower_src("fn main() { let a: u32 = 1; if a < 2 && a > 0 { print(a); } }");
-        let f = p.func(p.entry);
+        let f = p.func(p.entry());
         assert!(f.blocks.len() >= 5);
     }
 
     #[test]
     fn globals_get_addresses() {
         let p = lower_src("global A: [u32; 4];\nglobal b: u8;\nfn main() { b = 1; A[0] = 2; }");
-        assert_eq!(p.globals[0].addr, GLOBAL_BASE);
-        assert_eq!(p.globals[1].addr, GLOBAL_BASE + 16);
-        assert_eq!(p.globals[0].size, 16);
+        assert_eq!(p.globals()[0].addr, GLOBAL_BASE);
+        assert_eq!(p.globals()[1].addr, GLOBAL_BASE + 16);
+        assert_eq!(p.globals()[0].size, 16);
     }
 
     #[test]
     fn array_index_scales_by_element_size() {
         let p = lower_src("global A: [u32; 8];\nfn main() { let i: u32 = 2; A[i] = 7; }");
-        let f = p.func(p.entry);
+        let f = p.func(p.entry());
         let has_mul = f.blocks[0].instrs.iter().any(|i| {
             matches!(
                 i,
@@ -709,7 +705,7 @@ mod tests {
     #[test]
     fn stack_arrays_allocated_at_entry() {
         let p = lower_src("fn main() { var buf: [u8; 32]; buf[0] = 1; }");
-        let f = p.func(p.entry);
+        let f = p.func(p.entry());
         assert!(matches!(
             f.blocks[0].instrs[0],
             Instr::StackAlloc { size: 32, .. }
@@ -719,7 +715,7 @@ mod tests {
     #[test]
     fn call_and_return_lower() {
         let p = lower_src("fn f(a: u32) -> u32 { return a + 1; }\nfn main() { print(f(4)); }");
-        let main = p.func(p.entry);
+        let main = p.func(p.entry());
         assert!(main.blocks[0]
             .instrs
             .iter()
@@ -736,7 +732,7 @@ mod tests {
         let p = lower_src(
             "fn w(a: u32) { lock(0); unlock(0); }\nfn main() { let t: u64 = spawn w(1); join(t); }",
         );
-        let main = p.func(p.entry);
+        let main = p.func(p.entry());
         assert!(main.blocks[0]
             .instrs
             .iter()
@@ -752,13 +748,13 @@ mod tests {
         let p = lower_src(
             "fn main() { let i: u32 = 0; while true { i = i + 1; if i == 2 { continue; } if i == 5 { break; } } print(i); }",
         );
-        assert!(p.func(p.entry).blocks.len() >= 6);
+        assert!(p.func(p.entry()).blocks.len() >= 6);
     }
 
     #[test]
     fn narrowing_cast_emits_trunc() {
         let p = lower_src("fn main() { let x: u64 = 300; let y: u8 = x as u8; print(y); }");
-        let f = p.func(p.entry);
+        let f = p.func(p.entry());
         assert!(f.blocks[0].instrs.iter().any(|i| matches!(
             i,
             Instr::Cast {

@@ -98,7 +98,7 @@ impl Memory {
     /// its globals.
     pub fn new(program: &Program) -> Self {
         let global_size = program
-            .globals
+            .globals()
             .iter()
             .map(|g| g.addr + g.size - GLOBAL_BASE)
             .max()
@@ -107,7 +107,7 @@ impl Memory {
             base: GLOBAL_BASE,
             data: vec![0; global_size as usize],
         };
-        for g in &program.globals {
+        for g in program.globals() {
             if g.size == g.elem.bytes() {
                 // Scalar global: apply its initializer.
                 let bytes = g.init.to_le_bytes();
@@ -455,14 +455,17 @@ mod tests {
 
     #[test]
     fn access_wrapping_past_the_address_space_end_is_unmapped() {
-        let mut p = Program::default();
-        p.globals.push(crate::ir::Global {
-            name: "A".into(),
-            addr: GLOBAL_BASE,
-            size: 32,
-            elem: Width::W64,
-            init: 0,
-        });
+        let p = Program::new(
+            vec![],
+            vec![crate::ir::Global {
+                name: "A".into(),
+                addr: GLOBAL_BASE,
+                size: 32,
+                elem: Width::W64,
+                init: 0,
+            }],
+            crate::ir::FuncId(0),
+        );
         let mut m = Memory::new(&p);
         // 8 bytes at 2^64 - 8 end exactly at 2^64, which wraps to 0.
         let addr = u64::MAX - 7;

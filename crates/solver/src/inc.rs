@@ -247,7 +247,10 @@ impl IncrementalSolver {
 
         if assum_pending.is_empty() {
             let before = self.sat.stats();
-            let outcome = self.sat.solve(budget.max_conflicts);
+            let outcome = {
+                let _span = er_telemetry::span!("solver.sat");
+                self.sat.solve(budget.max_conflicts)
+            };
             self.record_search(before, committed_clauses);
             let result = self.finish(pool, outcome, constraints, &[]);
             return (result, hits, misses, 0);
@@ -283,15 +286,21 @@ impl IncrementalSolver {
 
         let act = Lit::pos(self.blast.cnf.new_var());
         let reused = self.sat.clause_count() as u64;
-        self.sat.ensure_vars(self.blast.cnf.var_count() as usize);
-        for clause in self.blast.cnf.pending() {
-            self.guarded.clear();
-            self.guarded.push(!act);
-            self.guarded.extend_from_slice(clause);
-            self.sat.push_clause(&self.guarded);
+        {
+            let _span = er_telemetry::span!("solver.feed");
+            self.sat.ensure_vars(self.blast.cnf.var_count() as usize);
+            for clause in self.blast.cnf.pending() {
+                self.guarded.clear();
+                self.guarded.push(!act);
+                self.guarded.extend_from_slice(clause);
+                self.sat.push_clause(&self.guarded);
+            }
         }
         let before = self.sat.stats();
-        let outcome = self.sat.solve_assuming(&[act], budget.max_conflicts);
+        let outcome = {
+            let _span = er_telemetry::span!("solver.sat");
+            self.sat.solve_assuming(&[act], budget.max_conflicts)
+        };
         self.record_search(before, self.blast.cnf.clause_count());
         // Extract the model while the scope's var_bits entries still exist.
         let result = self.finish(pool, outcome, constraints, &assum_pending);
@@ -311,10 +320,13 @@ impl IncrementalSolver {
         budget: &Budget,
     ) -> Result<(), StallReason> {
         let mut axioms = Vec::new();
-        let flat = self
-            .elim
-            .rewrite(pool, e, budget.max_array_cells, &mut axioms)
-            .map_err(|err| StallReason::ArrayCells { cells: err.cells })?;
+        let flat = {
+            let _span = er_telemetry::span!("solver.elim");
+            self.elim
+                .rewrite(pool, e, budget.max_array_cells, &mut axioms)
+                .map_err(|err| StallReason::ArrayCells { cells: err.cells })?
+        };
+        let _span = er_telemetry::span!("solver.blast");
         if let Err(err) = self.blast.assert_true(pool, flat) {
             unreachable!("arrays were eliminated: {err}");
         }
@@ -343,6 +355,7 @@ impl IncrementalSolver {
 
     /// Moves the CNF's pending clauses into the persistent solver.
     fn feed(&mut self) {
+        let _span = er_telemetry::span!("solver.feed");
         self.sat.ensure_vars(self.blast.cnf.var_count() as usize);
         let sat = &mut self.sat;
         self.blast.cnf.drain(|clause| sat.push_clause(clause));

@@ -9,6 +9,7 @@
 
 use crate::mem::{ObjectName, SymMemory};
 use crate::value::SymValue;
+use er_minilang::code::{Alu, AluKind, CallSite, Code, Op, Pc};
 use er_minilang::error::{Failure, FailureKind, RuntimeFault};
 use er_minilang::ir::*;
 use er_minilang::mem::NULL_GUARD;
@@ -19,11 +20,58 @@ use er_solver::hash::FxHashMap;
 use er_solver::inc::IncrementalSolver;
 use er_solver::solve::{Budget, SatResult, StallReason};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// First definition site of each symbolic expression.
 pub type Origins = FxHashMap<ExprRef, InstrId>;
-/// Dynamic execution count per value-defining site.
-pub type SiteCounts = FxHashMap<InstrId, u64>;
+
+/// Dynamic execution count per value-defining site of the program a run
+/// executed. The step loop keeps one dense counter per pc; this read view
+/// reports only value-defining sites that ran, keyed by [`InstrId`].
+#[derive(Debug, Clone)]
+pub struct SiteCounts {
+    code: Arc<Code>,
+    counts: Vec<u64>,
+}
+
+impl SiteCounts {
+    /// The count of `site`, if it defines a value and ran.
+    pub fn get(&self, site: &InstrId) -> Option<&u64> {
+        let pc = self.code.pc_of(*site)?;
+        let n = &self.counts[pc as usize];
+        (*n > 0 && self.code.defines_value(pc)).then_some(n)
+    }
+
+    /// Every value-defining site that ran with its count, in site order.
+    pub fn iter(&self) -> impl Iterator<Item = (InstrId, u64)> + '_ {
+        live_counts(&self.code, &self.counts).map(|(pc, n)| (self.code.id_of(pc), n))
+    }
+
+    /// The counts of [`SiteCounts::iter`].
+    pub fn values(&self) -> impl Iterator<Item = &u64> + '_ {
+        live_counts(&self.code, &self.counts).map(|(pc, _)| &self.counts[pc as usize])
+    }
+
+    /// How many value-defining sites ran.
+    pub fn len(&self) -> usize {
+        live_counts(&self.code, &self.counts).count()
+    }
+
+    /// Whether no value-defining site ran.
+    pub fn is_empty(&self) -> bool {
+        live_counts(&self.code, &self.counts).next().is_none()
+    }
+}
+
+/// The (pc, count) pairs of `counts` that the read views expose: the step
+/// loop counts every executed pc, but only value-defining sites are sites.
+fn live_counts<'a>(code: &'a Code, counts: &'a [u64]) -> impl Iterator<Item = (Pc, u64)> + 'a {
+    counts
+        .iter()
+        .enumerate()
+        .map(|(pc, &n)| (pc as Pc, n))
+        .filter(|&(pc, n)| n > 0 && code.defines_value(pc))
+}
 
 /// Configuration for a shepherded run.
 #[derive(Debug, Clone, Copy)]
@@ -207,12 +255,17 @@ pub struct SymRunResult {
 /// branches, thread switches, and recorded PTW values are the events
 /// themselves, so identical prefixes drive identical state.
 ///
-/// When the next occurrence runs under *different instrumentation*, frame
-/// positions and site references must first be translated through the two
-/// instrumentation maps; see [`MachineState::remap_sites`].
+/// Frame positions and site counts are pcs into the flat code of the
+/// program the snapshot ran, which the state keeps, so they stand for
+/// [`InstrId`] coordinates without it. When the next occurrence runs under
+/// *different instrumentation*, they and the other site references must
+/// first be translated through the two instrumentation maps; see
+/// [`MachineState::remap_sites`].
 #[derive(Debug, Clone)]
 pub struct MachineState {
     cursor: usize,
+    /// The code `threads`' pcs and `site_counts` index.
+    code: Arc<Code>,
     pool: ExprPool,
     path: Vec<ExprRef>,
     mem: SymMemory,
@@ -223,7 +276,8 @@ pub struct MachineState {
     inputs: Vec<InputRecord>,
     input_offsets: HashMap<u32, usize>,
     origins: Origins,
-    site_counts: SiteCounts,
+    /// Executions per pc of `code`.
+    site_counts: Vec<u64>,
     clock: u64,
     heap_seq: u64,
     inc: IncrementalSolver,
@@ -248,49 +302,39 @@ impl MachineState {
         self
     }
 
+    /// The site the running thread is paused at (its function's entry
+    /// once it has returned).
+    pub fn position(&self) -> InstrId {
+        let pc = match self.threads[self.cur].frames.last() {
+            Some(f) => f.pc,
+            None => self.code.entry(),
+        };
+        self.code.id_of(pc)
+    }
+
     /// Translates every instruction reference through `f` (typically
     /// old-instrumentation → original → new-instrumentation), returning
-    /// `None` — discard the snapshot — if any reference has no image, e.g.
-    /// a frame paused exactly at an instruction the old instrumentation
-    /// inserted.
+    /// `None` — discard the snapshot — if any reference has no image in
+    /// `new_program`, e.g. a frame paused exactly at an instruction the
+    /// old instrumentation inserted.
     ///
-    /// `new_program` is the program the resumed run will execute; it is
-    /// needed to re-derive end-of-block instruction pointers, whose numeric
-    /// value depends on how many instructions the new instrumentation
-    /// inserted into the block.
+    /// `new_program` is the program the resumed run will execute: frame
+    /// positions and site counts become pcs into its code.
     pub fn remap_sites(
         mut self,
         new_program: &Program,
         mut f: impl FnMut(InstrId) -> Option<InstrId>,
     ) -> Option<MachineState> {
+        let new_code = new_program.code();
+        let mut pc_map = |pc: Pc| new_code.pc_of(f(self.code.id_of(pc))?);
         for t in &mut self.threads {
             for fr in &mut t.frames {
-                // Snapshots store end-of-block positions as the TERMINATOR
-                // sentinel (see `snapshot`), so the raw ip never needs the
-                // old program's block lengths to interpret.
-                let id = InstrId {
-                    func: fr.func,
-                    block: fr.block,
-                    index: fr.ip,
-                };
-                let mapped = f(id)?;
-                fr.func = mapped.func;
-                fr.block = mapped.block;
-                fr.ip = if mapped.index == InstrId::TERMINATOR {
-                    new_program
-                        .func(mapped.func)
-                        .block(mapped.block)
-                        .instrs
-                        .len()
-                } else {
-                    mapped.index
-                };
+                fr.pc = pc_map(fr.pc)?;
             }
         }
-        let mut site_counts = SiteCounts::default();
-        site_counts.reserve(self.site_counts.len());
-        for (site, n) in self.site_counts.drain() {
-            site_counts.insert(f(site)?, n);
+        let mut site_counts = vec![0; new_code.ops().len()];
+        for (pc, n) in live_counts(&self.code, &self.site_counts) {
+            site_counts[pc_map(pc)? as usize] = n;
         }
         self.site_counts = site_counts;
         let mut origins = Origins::default();
@@ -302,6 +346,7 @@ impl MachineState {
         for rec in &mut self.inputs {
             rec.site = f(rec.site)?;
         }
+        self.code = Arc::clone(new_code);
         Some(self)
     }
 }
@@ -316,12 +361,21 @@ enum ThreadState {
 
 #[derive(Debug, Clone)]
 struct SymFrame {
-    func: FuncId,
-    block: BlockId,
-    ip: usize,
+    pc: Pc,
     regs: Vec<SymValue>,
     ret_dst: Option<Reg>,
     stack_mark: u64,
+}
+
+impl SymFrame {
+    /// Reads `op` against this frame's registers.
+    #[inline]
+    fn get(&self, op: Operand) -> SymValue {
+        match op {
+            Operand::Reg(r) => self.regs[r.0 as usize],
+            Operand::Imm(v) => SymValue::Concrete(v),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -350,6 +404,7 @@ enum Stop {
 #[derive(Debug)]
 pub struct SymMachine<'p> {
     program: &'p Program,
+    code: &'p Code,
     config: SymConfig,
     /// The machine itself; `state.cursor` is where the run starts.
     state: MachineState,
@@ -363,14 +418,13 @@ pub struct SymMachine<'p> {
 impl<'p> SymMachine<'p> {
     /// A machine ready to follow a trace of `program`.
     pub fn new(program: &'p Program, config: SymConfig) -> Self {
+        let code = program.code();
         let mem = SymMemory::new(program);
         let main = SymThread {
             tid: 0,
             frames: vec![SymFrame {
-                func: program.entry,
-                block: BlockId(0),
-                ip: 0,
-                regs: vec![SymValue::Concrete(0); program.func(program.entry).n_regs],
+                pc: code.entry(),
+                regs: vec![SymValue::Concrete(0); program.func(program.entry()).n_regs],
                 ret_dst: None,
                 stack_mark: mem.stack_watermark(0),
             }],
@@ -378,6 +432,7 @@ impl<'p> SymMachine<'p> {
         };
         let state = MachineState {
             cursor: 0,
+            code: Arc::clone(code),
             pool: ExprPool::new(),
             path: Vec::new(),
             mem,
@@ -388,7 +443,7 @@ impl<'p> SymMachine<'p> {
             inputs: Vec::new(),
             input_offsets: HashMap::new(),
             origins: Origins::default(),
-            site_counts: SiteCounts::default(),
+            site_counts: vec![0; code.ops().len()],
             clock: 0,
             heap_seq: 0,
             inc: IncrementalSolver::new(),
@@ -400,13 +455,26 @@ impl<'p> SymMachine<'p> {
     /// `state.cursor()`. The caller must guarantee the trace passed to
     /// [`SymMachine::run`] agrees with the snapshot's trace on that prefix
     /// (and must have remapped sites if instrumentation changed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot was taken on a program with different code
+    /// and a paused frame's site does not exist in `program`.
     pub fn resume(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
+        // A snapshot of another build of the program re-resolves its sites
+        // by `InstrId` against this program's code.
+        let state = if Arc::ptr_eq(&state.code, program.code()) {
+            state
+        } else {
+            state
+                .remap_sites(program, Some)
+                .expect("snapshot sites exist in the resumed program")
+        };
         let mut machine = Self::with_state(program, config, state);
         // The resume state itself is the run's first checkpoint: without it,
         // a resumed run that starts past the shared prefix would snapshot
         // nothing inside it, and the *next* occurrence would have to
-        // re-execute the whole prefix again. `snapshot` re-normalizes the
-        // end-of-block positions `remap_sites` resolved for this program.
+        // re-execute the whole prefix again.
         let seed = machine.snapshot(machine.state.cursor);
         machine.checkpoints.push(seed);
         machine
@@ -415,6 +483,7 @@ impl<'p> SymMachine<'p> {
     fn with_state(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
         SymMachine {
             program,
+            code: program.code(),
             config,
             state,
             stats: SymStats::default(),
@@ -442,7 +511,7 @@ impl<'p> SymMachine<'p> {
                 (
                     ShepherdStatus::Stalled {
                         reason,
-                        at: self.position(),
+                        at: self.state.position(),
                     },
                     None,
                 )
@@ -462,6 +531,7 @@ impl<'p> SymMachine<'p> {
             er_telemetry::histogram!("symex.write_chain_len").record(longest_chain);
         }
         let MachineState {
+            code,
             pool,
             path,
             inputs,
@@ -477,7 +547,10 @@ impl<'p> SymMachine<'p> {
             failure_constraint,
             inputs,
             origins,
-            site_counts,
+            site_counts: SiteCounts {
+                code,
+                counts: site_counts,
+            },
             longest_chain,
             stall_subject,
             stats: self.stats,
@@ -486,22 +559,10 @@ impl<'p> SymMachine<'p> {
         }
     }
 
-    /// Captures a resumable snapshot at event position `cursor`: a copy of
-    /// the state whose frame instruction pointers sitting at a block's end
-    /// are normalized to the TERMINATOR sentinel, so the snapshot can be
-    /// interpreted without this machine's program (block lengths change
-    /// under re-instrumentation).
+    /// Captures a resumable snapshot at event position `cursor`.
     fn snapshot(&self, cursor: usize) -> MachineState {
         let mut state = self.state.clone();
         state.cursor = cursor;
-        for t in &mut state.threads {
-            for fr in &mut t.frames {
-                let len = self.program.func(fr.func).block(fr.block).instrs.len();
-                if fr.ip >= len {
-                    fr.ip = InstrId::TERMINATOR;
-                }
-            }
-        }
         state
     }
 
@@ -547,26 +608,12 @@ impl<'p> SymMachine<'p> {
         r
     }
 
-    fn position(&self) -> InstrId {
-        let f = self.state.threads[self.state.cur].frames.last();
-        match f {
-            Some(f) => {
-                let blk = self.program.func(f.func).block(f.block);
-                InstrId {
-                    func: f.func,
-                    block: f.block,
-                    index: if f.ip < blk.instrs.len() {
-                        f.ip
-                    } else {
-                        InstrId::TERMINATOR
-                    },
-                }
-            }
-            None => InstrId {
-                func: self.program.entry,
-                block: BlockId(0),
-                index: 0,
-            },
+    /// The running thread's pc (its function's entry once it has
+    /// returned, as [`MachineState::position`] reports it).
+    fn pc(&self) -> Pc {
+        match self.state.threads[self.state.cur].frames.last() {
+            Some(f) => f.pc,
+            None => self.code.entry(),
         }
     }
 
@@ -600,6 +647,7 @@ impl<'p> SymMachine<'p> {
         failure: Option<&Failure>,
     ) -> Result<Option<ExprRef>, Stop> {
         let mut cursor = self.state.cursor;
+        let failure_pc = failure.and_then(|f| self.code.pc_of(f.at));
         loop {
             if self.config.checkpoint_every > 0 && cursor >= self.next_checkpoint_at {
                 self.take_checkpoint(cursor);
@@ -636,7 +684,7 @@ impl<'p> SymMachine<'p> {
                 return Err(Stop::Stall(StallReason::Cancelled, None));
             }
 
-            let at = self.position();
+            let pc = self.pc();
             let events_left = cursor < events.len();
 
             // End-of-trace handling: once events run out, keep executing
@@ -647,7 +695,7 @@ impl<'p> SymMachine<'p> {
                     if matches!(f.fault.kind(), FailureKind::Liveness) {
                         return Ok(None);
                     }
-                    if at == f.at && self.state.threads[self.state.cur].tid == f.tid {
+                    if Some(pc) == failure_pc && self.state.threads[self.state.cur].tid == f.tid {
                         return self.failure_constraint(f);
                     }
                 } else if self
@@ -675,7 +723,7 @@ impl<'p> SymMachine<'p> {
                     Some(_) => {
                         return Err(Stop::Diverge(TraceDivergence::EventMismatch {
                             wanted: "thread resume",
-                            at,
+                            at: self.code.id_of(pc),
                         }))
                     }
                     None => {
@@ -693,7 +741,7 @@ impl<'p> SymMachine<'p> {
                 }
             }
 
-            match self.step(events, &mut cursor, at)? {
+            match self.step(events, &mut cursor, pc)? {
                 StepFlow::SwitchDue => match events.get(cursor) {
                     Some(TraceEvent::ThreadResume(tid)) => {
                         let tid = *tid;
@@ -703,7 +751,7 @@ impl<'p> SymMachine<'p> {
                     _ => {
                         return Err(Stop::Diverge(TraceDivergence::EventMismatch {
                             wanted: "thread resume",
-                            at,
+                            at: self.code.id_of(pc),
                         }))
                     }
                 },
@@ -716,29 +764,23 @@ impl<'p> SymMachine<'p> {
         &mut self,
         events: &[TraceEvent],
         cursor: &mut usize,
-        at: InstrId,
+        pc: Pc,
     ) -> Result<StepFlow, Stop> {
-        // `at` is the current frame's position (see `position`). Borrow
-        // from the program, not from `self`: dispatch copies nothing.
-        let blk = self.program.func(at.func).block(at.block);
-        let Some(instr) = blk.instrs.get(at.index) else {
-            let term = blk.term.as_ref().expect("terminated blocks");
-            // Branch and Return terminators consume events; yield to a
-            // pending thread switch first.
-            if !matches!(term, Terminator::Jump(_)) && self.switch_pending(events, cursor) {
-                return Ok(StepFlow::SwitchDue);
-            }
-            return self.exec_terminator(events, cursor, at, term);
-        };
-        if matches!(instr, Instr::Call { .. } | Instr::PtWrite { .. })
-            && self.switch_pending(events, cursor)
+        // Borrow from the code, not from `self`: dispatch copies nothing.
+        let code = self.code;
+        let op = &code.ops()[pc as usize];
+        // Ops that consume events yield to a pending thread switch first.
+        if matches!(
+            op,
+            Op::Call { .. } | Op::PtWrite { .. } | Op::Branch { .. } | Op::Return { .. }
+        ) && self.switch_pending(events, cursor)
         {
             return Ok(StepFlow::SwitchDue);
         }
-        if instr.dst().is_some() {
-            *self.state.site_counts.entry(at).or_insert(0) += 1;
-        }
-        self.exec_instr(events, cursor, at, instr)
+        // Every executed pc is counted; `SiteCounts` reports the
+        // value-defining ones.
+        self.state.site_counts[pc as usize] += 1;
+        self.exec(events, cursor, code.id_of(pc), op)
     }
 
     fn consume_event<'e>(
@@ -764,16 +806,11 @@ impl<'p> SymMachine<'p> {
     }
 
     fn operand(&self, op: Operand) -> SymValue {
-        match op {
-            Operand::Reg(r) => {
-                self.state.threads[self.state.cur]
-                    .frames
-                    .last()
-                    .expect("live frame")
-                    .regs[r.0 as usize]
-            }
-            Operand::Imm(v) => SymValue::Concrete(v),
-        }
+        self.state.threads[self.state.cur]
+            .frames
+            .last()
+            .expect("live frame")
+            .get(op)
     }
 
     fn set_reg(&mut self, r: Reg, v: SymValue, site: InstrId) {
@@ -787,12 +824,11 @@ impl<'p> SymMachine<'p> {
             .regs[r.0 as usize] = v;
     }
 
-    fn advance_ip(&mut self) {
+    fn frame_mut(&mut self) -> &mut SymFrame {
         self.state.threads[self.state.cur]
             .frames
             .last_mut()
             .expect("live frame")
-            .ip += 1;
     }
 
     fn push_constraint(&mut self, c: ExprRef) {
@@ -876,48 +912,24 @@ impl<'p> SymMachine<'p> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn exec_instr(
+    fn exec(
         &mut self,
         events: &[TraceEvent],
         cursor: &mut usize,
         at: InstrId,
-        instr: &'p Instr,
+        op: &'p Op,
     ) -> Result<StepFlow, Stop> {
-        match instr {
-            Instr::Const { dst, value } => {
-                self.set_reg(*dst, SymValue::Concrete(*value), at);
+        match *op {
+            Op::Const { dst, value } => {
+                self.set_reg(dst, SymValue::Concrete(value), at);
             }
-            Instr::Bin {
-                dst,
-                op,
-                a,
-                b,
-                width,
-            } => {
-                let av = self.operand(*a);
-                let bv = self.operand(*b);
-                let r = self.sym_bin(*op, av, bv, *width, at)?;
-                self.set_reg(*dst, r, at);
+            Op::Un { dst, op, a, width } => {
+                let av = self.operand(a);
+                let r = self.sym_un(op, av, width);
+                self.set_reg(dst, r, at);
             }
-            Instr::Un { dst, op, a, width } => {
-                let av = self.operand(*a);
-                let r = self.sym_un(*op, av, *width);
-                self.set_reg(*dst, r, at);
-            }
-            Instr::Cmp {
-                dst,
-                pred,
-                a,
-                b,
-                width,
-            } => {
-                let av = self.operand(*a);
-                let bv = self.operand(*b);
-                let r = self.sym_cmp(*pred, av, bv, *width);
-                self.set_reg(*dst, r, at);
-            }
-            Instr::Cast { dst, a, from } => {
-                let av = self.operand(*a);
+            Op::Cast { dst, a, from } => {
+                let av = self.operand(a);
                 let r = match av {
                     SymValue::Concrete(v) => SymValue::Concrete(from.trunc(v)),
                     SymValue::Sym(_) => {
@@ -925,15 +937,15 @@ impl<'p> SymMachine<'p> {
                         SymValue::from_expr(&self.state.pool, e)
                     }
                 };
-                self.set_reg(*dst, r, at);
+                self.set_reg(dst, r, at);
             }
-            Instr::Load { dst, addr, width } => {
+            Op::Load { dst, addr, width } => {
                 self.stats.mem_reads += 1;
-                let a = self.operand(*addr);
-                let target = self.resolve_addr(a, *width, at)?;
+                let a = self.operand(addr);
+                let target = self.resolve_addr(a, width, at)?;
                 let v = match target {
                     MemTarget::Concrete(ca) => {
-                        match self.state.mem.load(&mut self.state.pool, ca, *width) {
+                        match self.state.mem.load(&mut self.state.pool, ca, width) {
                             Ok(v) => v,
                             Err(fault) => {
                                 return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
@@ -946,20 +958,19 @@ impl<'p> SymMachine<'p> {
                     MemTarget::Symbolic { base, expr } => {
                         self.state
                             .mem
-                            .load_symbolic(&mut self.state.pool, base, expr, *width)
+                            .load_symbolic(&mut self.state.pool, base, expr, width)
                     }
                 };
-                self.set_reg(*dst, v, at);
+                self.set_reg(dst, v, at);
             }
-            Instr::Store { addr, value, width } => {
+            Op::Store { addr, value, width } => {
                 self.stats.mem_writes += 1;
-                let a = self.operand(*addr);
-                let v = self.operand(*value);
-                let target = self.resolve_addr(a, *width, at)?;
+                let a = self.operand(addr);
+                let v = self.operand(value);
+                let target = self.resolve_addr(a, width, at)?;
                 match target {
                     MemTarget::Concrete(ca) => {
-                        if let Err(fault) =
-                            self.state.mem.store(&mut self.state.pool, ca, *width, v)
+                        if let Err(fault) = self.state.mem.store(&mut self.state.pool, ca, width, v)
                         {
                             return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
                                 fault,
@@ -970,25 +981,21 @@ impl<'p> SymMachine<'p> {
                     MemTarget::Symbolic { base, expr } => {
                         self.state
                             .mem
-                            .store_symbolic(&mut self.state.pool, base, expr, *width, v);
+                            .store_symbolic(&mut self.state.pool, base, expr, width, v);
                     }
                 }
             }
-            Instr::GlobalAddr { dst, global } => {
-                let g = &self.program.globals[global.0 as usize];
-                self.set_reg(*dst, SymValue::Concrete(g.addr), at);
-            }
-            Instr::StackAlloc { dst, size } => {
+            Op::StackAlloc { dst, size } => {
                 let tid = self.state.threads[self.state.cur].tid;
                 let name = ObjectName::Stack {
                     func: at.func,
                     block: at.block,
                 };
-                let a = self.state.mem.stack_alloc(tid, *size, name);
-                self.set_reg(*dst, SymValue::Concrete(a), at);
+                let a = self.state.mem.stack_alloc(tid, size, name);
+                self.set_reg(dst, SymValue::Concrete(a), at);
             }
-            Instr::Alloc { dst, size } => {
-                let n = match self.operand(*size) {
+            Op::Alloc { dst, size } => {
+                let n = match self.operand(size) {
                     SymValue::Concrete(n) => n,
                     sym => {
                         // Concretize allocation sizes: the production run
@@ -997,9 +1004,7 @@ impl<'p> SymMachine<'p> {
                         let e = sym.to_expr(&mut self.state.pool, 64);
                         match self.resolve_addr(SymValue::Sym(e), Width::W8, at)? {
                             MemTarget::Concrete(v) => v,
-                            MemTarget::Symbolic { expr, .. } => {
-                                // Force a concrete size via the model value.
-                                let _ = expr;
+                            MemTarget::Symbolic { .. } => {
                                 return Err(Stop::Diverge(TraceDivergence::EventMismatch {
                                     wanted: "concrete allocation size",
                                     at,
@@ -1013,10 +1018,10 @@ impl<'p> SymMachine<'p> {
                     .state
                     .mem
                     .heap_alloc(n, ObjectName::Heap(self.state.heap_seq));
-                self.set_reg(*dst, SymValue::Concrete(a), at);
+                self.set_reg(dst, SymValue::Concrete(a), at);
             }
-            Instr::Free { addr } => {
-                let a = self.operand(*addr);
+            Op::Free { addr } => {
+                let a = self.operand(addr);
                 let target = self.resolve_addr(a, Width::W8, at)?;
                 let MemTarget::Concrete(ca) = target else {
                     return Err(Stop::Diverge(TraceDivergence::EventMismatch {
@@ -1031,7 +1036,8 @@ impl<'p> SymMachine<'p> {
                     }));
                 }
             }
-            Instr::Call { dst, func, args } => {
+            Op::Call { site } => {
+                let site = self.code.call_site(site);
                 let ev = self.consume_event(events, cursor, "call", at)?;
                 let TraceEvent::Call(target) = ev else {
                     return Err(Stop::Diverge(TraceDivergence::EventMismatch {
@@ -1039,28 +1045,22 @@ impl<'p> SymMachine<'p> {
                         at,
                     }));
                 };
-                if *target != func.0 {
+                if *target != site.func.0 {
                     return Err(Stop::Diverge(TraceDivergence::PayloadMismatch { at }));
                 }
-                let callee = self.program.func(*func);
-                let mut regs = vec![SymValue::Concrete(0); callee.n_regs];
-                for (i, a) in args.iter().enumerate() {
-                    regs[i] = self.operand(*a);
-                }
+                let regs = self.callee_regs(site);
                 let tid = self.state.threads[self.state.cur].tid;
                 let mark = self.state.mem.stack_watermark(tid);
                 self.state.threads[self.state.cur].frames.push(SymFrame {
-                    func: *func,
-                    block: BlockId(0),
-                    ip: 0,
+                    pc: site.entry,
                     regs,
-                    ret_dst: *dst,
+                    ret_dst: site.dst,
                     stack_mark: mark,
                 });
-                return Ok(StepFlow::Continue); // no ip advance
+                return Ok(StepFlow::Continue); // the caller's pc stays on the Call
             }
-            Instr::Input { dst, source, width } => {
-                let off = self.state.input_offsets.entry(*source).or_insert(0);
+            Op::Input { dst, source, width } => {
+                let off = self.state.input_offsets.entry(source).or_insert(0);
                 let offset = *off;
                 *off += width.bytes() as usize;
                 let var = self
@@ -1069,22 +1069,22 @@ impl<'p> SymMachine<'p> {
                     .var(format!("in{source}@{offset}"), width.bits());
                 self.state.origins.insert(var, at);
                 self.state.inputs.push(InputRecord {
-                    source: *source,
+                    source,
                     offset,
-                    width: *width,
+                    width,
                     var,
                     site: at,
                 });
-                self.set_reg(*dst, SymValue::Sym(var), at);
+                self.set_reg(dst, SymValue::Sym(var), at);
             }
-            Instr::Clock { dst } => {
+            Op::Clock { dst } => {
                 // The substrate's clock is deterministic (see DESIGN.md), so
                 // symbolic execution mirrors it concretely.
                 let v = self.state.clock;
                 self.state.clock += 1;
-                self.set_reg(*dst, SymValue::Concrete(v), at);
+                self.set_reg(dst, SymValue::Concrete(v), at);
             }
-            Instr::PtWrite { value } => {
+            Op::PtWrite { value } => {
                 let ev = self.consume_event(events, cursor, "ptwrite", at)?;
                 let TraceEvent::PtWrite(recorded) = *ev else {
                     return Err(Stop::Diverge(TraceDivergence::EventMismatch {
@@ -1092,8 +1092,7 @@ impl<'p> SymMachine<'p> {
                         at,
                     }));
                 };
-                let v = self.operand(*value);
-                match v {
+                match self.operand(value) {
                     SymValue::Concrete(c) => {
                         if c != recorded {
                             return Err(Stop::Diverge(TraceDivergence::PayloadMismatch { at }));
@@ -1114,37 +1113,33 @@ impl<'p> SymMachine<'p> {
                         self.push_constraint(eq);
                         self.stats.ptw_bound += 1;
                         if let Operand::Reg(r) = value {
-                            self.set_reg(*r, SymValue::Concrete(recorded), at);
+                            self.set_reg(r, SymValue::Concrete(recorded), at);
                         }
                     }
                 }
             }
-            Instr::Print { .. } => {}
-            Instr::Spawn { dst, func, args } => {
-                let callee = self.program.func(*func);
-                let mut regs = vec![SymValue::Concrete(0); callee.n_regs];
-                for (i, a) in args.iter().enumerate() {
-                    regs[i] = self.operand(*a);
-                }
+            Op::Print { .. } => {}
+            Op::Spawn { site } => {
+                let site = self.code.call_site(site);
+                let regs = self.callee_regs(site);
                 let tid = self.state.next_tid;
                 self.state.next_tid += 1;
                 let mark = self.state.mem.stack_watermark(tid);
                 self.state.threads.push(SymThread {
                     tid,
                     frames: vec![SymFrame {
-                        func: *func,
-                        block: BlockId(0),
-                        ip: 0,
+                        pc: site.entry,
                         regs,
                         ret_dst: None,
                         stack_mark: mark,
                     }],
                     state: ThreadState::Runnable,
                 });
-                self.set_reg(*dst, SymValue::Concrete(tid), at);
+                let dst = site.dst.expect("spawn sites define the thread id");
+                self.set_reg(dst, SymValue::Concrete(tid), at);
             }
-            Instr::Join { tid } => {
-                let target = match self.operand(*tid) {
+            Op::Join { tid } => {
+                let target = match self.operand(tid) {
                     SymValue::Concrete(t) => t,
                     SymValue::Sym(_) => {
                         return Err(Stop::Diverge(TraceDivergence::EventMismatch {
@@ -1160,12 +1155,12 @@ impl<'p> SymMachine<'p> {
                     .any(|t| t.tid == target && t.state == ThreadState::Done);
                 if !done {
                     self.state.threads[self.state.cur].state = ThreadState::BlockedJoin(target);
-                    self.advance_ip();
+                    self.frame_mut().pc += 1;
                     return Ok(StepFlow::Blocked);
                 }
             }
-            Instr::Lock { lock } => {
-                let id = match self.operand(*lock) {
+            Op::Lock { lock } => {
+                let id = match self.operand(lock) {
                     SymValue::Concrete(v) => v,
                     SymValue::Sym(_) => {
                         return Err(Stop::Diverge(TraceDivergence::EventMismatch {
@@ -1177,13 +1172,13 @@ impl<'p> SymMachine<'p> {
                 let tid = self.state.threads[self.state.cur].tid;
                 if self.state.lock_owner.contains_key(&id) {
                     self.state.threads[self.state.cur].state = ThreadState::BlockedLock(id);
-                    // ip not advanced: re-attempted after resume.
+                    // The pc is not advanced: re-attempted after resume.
                     return Ok(StepFlow::Blocked);
                 }
                 self.state.lock_owner.insert(id, tid);
             }
-            Instr::Unlock { lock } => {
-                let id = match self.operand(*lock) {
+            Op::Unlock { lock } => {
+                let id = match self.operand(lock) {
                     SymValue::Concrete(v) => v,
                     SymValue::Sym(_) => {
                         return Err(Stop::Diverge(TraceDivergence::EventMismatch {
@@ -1201,10 +1196,9 @@ impl<'p> SymMachine<'p> {
                     }
                 }
             }
-            Instr::Assert { cond, .. } => {
+            Op::Assert { cond, .. } => {
                 // Mid-trace asserts passed in production.
-                let c = self.operand(*cond);
-                match c {
+                match self.operand(cond) {
                     SymValue::Concrete(0) => {
                         return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
                             fault: RuntimeFault::AssertFailed {
@@ -1220,42 +1214,24 @@ impl<'p> SymMachine<'p> {
                     }
                 }
             }
-            Instr::Abort { message } => {
+            Op::Abort { message } => {
                 // Reaching an abort mid-trace means divergence; the failure
                 // site case is handled before stepping.
                 return Err(Stop::Diverge(TraceDivergence::UnexpectedFault {
                     fault: RuntimeFault::Abort {
-                        message: message.clone(),
+                        message: self.code.message(message).to_string(),
                     },
                     at,
                 }));
             }
-        }
-        self.advance_ip();
-        Ok(StepFlow::Continue)
-    }
-
-    fn exec_terminator(
-        &mut self,
-        events: &[TraceEvent],
-        cursor: &mut usize,
-        at: InstrId,
-        term: &'p Terminator,
-    ) -> Result<StepFlow, Stop> {
-        match *term {
-            Terminator::Jump(b) => {
-                let f = self.state.threads[self.state.cur]
-                    .frames
-                    .last_mut()
-                    .expect("live frame");
-                f.block = b;
-                f.ip = 0;
-                Ok(StepFlow::Continue)
+            Op::Jump { to } => {
+                self.frame_mut().pc = to;
+                return Ok(StepFlow::Continue);
             }
-            Terminator::Branch {
+            Op::Branch {
                 cond,
-                then_blk,
-                else_blk,
+                then_pc,
+                else_pc,
             } => {
                 let ev = self.consume_event(events, cursor, "branch", at)?;
                 let TraceEvent::Branch(taken) = *ev else {
@@ -1264,8 +1240,7 @@ impl<'p> SymMachine<'p> {
                         at,
                     }));
                 };
-                let c = self.operand(cond);
-                match c {
+                match self.operand(cond) {
                     SymValue::Concrete(v) => {
                         if (v != 0) != taken {
                             return Err(Stop::Diverge(TraceDivergence::BranchMismatch { at }));
@@ -1278,50 +1253,99 @@ impl<'p> SymMachine<'p> {
                         self.push_constraint(constraint);
                     }
                 }
-                let f = self.state.threads[self.state.cur]
-                    .frames
-                    .last_mut()
-                    .expect("live frame");
-                f.block = if taken { then_blk } else { else_blk };
-                f.ip = 0;
-                Ok(StepFlow::Continue)
+                self.frame_mut().pc = if taken { then_pc } else { else_pc };
+                return Ok(StepFlow::Continue);
             }
-            Terminator::Return(v) => {
-                let ev = self.consume_event(events, cursor, "ret", at)?;
-                if !matches!(ev, TraceEvent::Ret) {
-                    return Err(Stop::Diverge(TraceDivergence::EventMismatch {
-                        wanted: "ret",
-                        at,
-                    }));
+            Op::Return { value } => return self.ret(events, cursor, at, value),
+            // Every remaining op is an ALU form, specialized or generic; the
+            // symbolic executor evaluates its generic meaning.
+            _ => {
+                let Some(Alu {
+                    dst,
+                    kind,
+                    a,
+                    b,
+                    width,
+                }) = op.alu()
+                else {
+                    unreachable!("{op:?} has its own arm");
+                };
+                // Concrete operands, the common case, evaluate on one frame
+                // borrow; a concrete result records no origin.
+                let frame = self.frame_mut();
+                let (av, bv) = (frame.get(a), frame.get(b));
+                if let (SymValue::Concrete(x), SymValue::Concrete(y)) = (av, bv) {
+                    let v = match kind {
+                        AluKind::Bin(op) => op.eval(width, x, y),
+                        AluKind::Cmp(pred) => Some(u64::from(pred.eval(width, x, y))),
+                    };
+                    if let Some(v) = v {
+                        frame.regs[dst.0 as usize] = SymValue::Concrete(v);
+                        frame.pc += 1;
+                        return Ok(StepFlow::Continue);
+                    }
                 }
-                let value = v
-                    .map(|op| self.operand(op))
-                    .unwrap_or(SymValue::Concrete(0));
-                let tid = self.state.threads[self.state.cur].tid;
-                let frame = self.state.threads[self.state.cur]
-                    .frames
-                    .pop()
-                    .expect("live frame");
-                self.state.mem.stack_restore(tid, frame.stack_mark);
-                if let Some(caller) = self.state.threads[self.state.cur].frames.last_mut() {
-                    if let Some(dst) = frame.ret_dst {
-                        caller.regs[dst.0 as usize] = value;
-                    }
-                    caller.ip += 1;
-                    if let SymValue::Sym(e) = value {
-                        self.state.origins.entry(e).or_insert(at);
-                    }
-                    Ok(StepFlow::Continue)
-                } else {
-                    self.state.threads[self.state.cur].state = ThreadState::Done;
-                    for t in &mut self.state.threads {
-                        if t.state == ThreadState::BlockedJoin(tid) {
-                            t.state = ThreadState::Runnable;
-                        }
-                    }
-                    Ok(StepFlow::ThreadDone)
+                let r = match kind {
+                    AluKind::Bin(op) => self.sym_bin(op, av, bv, width, at)?,
+                    AluKind::Cmp(pred) => self.sym_cmp(pred, av, bv, width),
+                };
+                self.set_reg(dst, r, at);
+            }
+        }
+        self.frame_mut().pc += 1;
+        Ok(StepFlow::Continue)
+    }
+
+    /// A fresh register file for a call or spawn at `site`, with its
+    /// arguments in the parameters.
+    fn callee_regs(&self, site: &CallSite) -> Vec<SymValue> {
+        let mut regs = vec![SymValue::Concrete(0); site.n_regs];
+        for (i, a) in site.args.iter().enumerate() {
+            regs[i] = self.operand(*a);
+        }
+        regs
+    }
+
+    fn ret(
+        &mut self,
+        events: &[TraceEvent],
+        cursor: &mut usize,
+        at: InstrId,
+        value: Option<Operand>,
+    ) -> Result<StepFlow, Stop> {
+        let ev = self.consume_event(events, cursor, "ret", at)?;
+        if !matches!(ev, TraceEvent::Ret) {
+            return Err(Stop::Diverge(TraceDivergence::EventMismatch {
+                wanted: "ret",
+                at,
+            }));
+        }
+        let value = value
+            .map(|op| self.operand(op))
+            .unwrap_or(SymValue::Concrete(0));
+        let tid = self.state.threads[self.state.cur].tid;
+        let frame = self.state.threads[self.state.cur]
+            .frames
+            .pop()
+            .expect("live frame");
+        self.state.mem.stack_restore(tid, frame.stack_mark);
+        if let Some(caller) = self.state.threads[self.state.cur].frames.last_mut() {
+            if let Some(dst) = frame.ret_dst {
+                caller.regs[dst.0 as usize] = value;
+            }
+            caller.pc += 1;
+            if let SymValue::Sym(e) = value {
+                self.state.origins.entry(e).or_insert(at);
+            }
+            Ok(StepFlow::Continue)
+        } else {
+            self.state.threads[self.state.cur].state = ThreadState::Done;
+            for t in &mut self.state.threads {
+                if t.state == ThreadState::BlockedJoin(tid) {
+                    t.state = ThreadState::Runnable;
                 }
             }
+            Ok(StepFlow::ThreadDone)
         }
     }
 

@@ -89,9 +89,9 @@ impl SymMemory {
             objects: BTreeMap::new(),
             freed: Vec::new(),
             promoted: 0,
-            func_names: program.funcs.iter().map(|f| f.name.clone()).collect(),
+            func_names: program.funcs().iter().map(|f| f.name.clone()).collect(),
         };
-        for g in &program.globals {
+        for g in program.globals() {
             m.register_object(g.addr, g.size, ObjectName::Named(g.name.clone()));
         }
         m
