@@ -33,8 +33,8 @@ use crate::value::{BinOp, CmpOp, UnOp, Width};
 pub type Pc = u32;
 
 /// One flat instruction. Specialized 64-bit forms are named `<op>RR`
-/// (`dst = a op b`) and `<op>RI` (`dst = a op imm`).
-#[allow(missing_docs)] // field meanings follow the IR instruction each form lowers
+/// (`dst = a op b`) and `<op>RI` (`dst = a op imm`); every field means
+/// what it means on the IR [`Instr`] the form lowers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// `dst = value`; also every `GlobalAddr`.
@@ -483,8 +483,6 @@ pub struct Code {
     /// Index into `block_start` of each function's block 0, plus a final
     /// sentinel.
     func_block: Vec<u32>,
-    /// Frame size of each function in registers.
-    n_regs: Vec<usize>,
     calls: Vec<CallSite>,
     messages: Vec<String>,
 }
@@ -503,7 +501,6 @@ impl Code {
         let mut pc: Pc = 0;
         for f in funcs {
             code.func_block.push(code.block_start.len() as u32);
-            code.n_regs.push(f.n_regs);
             for b in &f.blocks {
                 code.block_start.push(pc);
                 pc += b.instrs.len() as Pc + 1;
@@ -511,10 +508,10 @@ impl Code {
         }
         code.func_block.push(code.block_start.len() as u32);
         code.block_start.push(pc);
-        code.ops.reserve(pc as usize);
         if !funcs.is_empty() {
             code.entry = code.entry_pc(entry);
         }
+        code.ops.reserve(pc as usize);
         code.ids.reserve(pc as usize);
 
         for (fi, f) in funcs.iter().enumerate() {
@@ -549,6 +546,7 @@ impl Code {
                 });
             }
         }
+        debug_assert_eq!(code.ops.len(), pc as usize, "layout and lowering agree");
         code
     }
 
@@ -633,7 +631,7 @@ impl Code {
         self.calls.push(CallSite {
             dst,
             func,
-            entry: self.block_start[self.func_block[func.0 as usize] as usize],
+            entry: self.entry_pc(func),
             n_regs: callee.n_regs,
             n_params: callee.n_params,
             args: args.into(),
@@ -682,9 +680,8 @@ impl Code {
     /// The slot of `id`, or `None` if the program has no such instruction
     /// or terminator.
     pub fn pc_of(&self, id: InstrId) -> Option<Pc> {
-        let start = self.block_pc(id.func, id.block)?;
-        let next = self.block_start[self.block_index(id.func, id.block)? + 1];
-        let term = next - 1;
+        let i = self.block_index(id.func, id.block)?;
+        let (start, term) = (self.block_start[i], self.block_start[i + 1] - 1);
         if id.index == InstrId::TERMINATOR {
             return Some(term);
         }
@@ -712,15 +709,6 @@ impl Code {
     /// Panics if `func` is out of range.
     fn entry_pc(&self, func: FuncId) -> Pc {
         self.block_pc(func, BlockId(0)).expect("function exists")
-    }
-
-    /// The frame size of `func` in registers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `func` is out of range.
-    pub fn n_regs(&self, func: FuncId) -> usize {
-        self.n_regs[func.0 as usize]
     }
 
     /// Whether the op at `pc` defines a register — the IR instruction's

@@ -154,7 +154,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 ret_dst: None,
                 stack_mark: mem.stack_watermark(0),
             }],
-            regs: vec![0; code.n_regs(entry)],
+            regs: vec![0; program.func(entry).n_regs],
             state: ThreadState::Runnable,
         };
         Machine {
