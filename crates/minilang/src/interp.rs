@@ -92,17 +92,13 @@ impl Thread {
         self.frames.last().expect("live frame")
     }
 
-    fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("live frame")
-    }
-
     /// Reads `op` in the innermost frame.
     fn operand(&self, op: Operand) -> u64 {
         get(&self.regs[self.frame().base..], op)
     }
 
     fn advance(&mut self) {
-        self.frame_mut().pc += 1;
+        self.frames.last_mut().expect("live frame").pc += 1;
     }
 }
 
