@@ -37,8 +37,8 @@ pub struct TapeEntry {
     pub frame: u64,
     /// The instruction (cloned for operand inspection).
     pub instr: Instr,
-    /// Ground-truth operand values `(a, b)` where applicable — used only
-    /// for grading, never by the analysis.
+    /// Ground-truth result of the instruction (for a `Store`, the stored
+    /// value) — used only for grading, never by the analysis.
     pub truth_dst: u64,
 }
 

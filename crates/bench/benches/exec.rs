@@ -56,7 +56,7 @@ fn bench_shepherd(c: &mut Criterion) {
         .run_until_failure(&inst, None, 0, config.max_runs_per_occurrence)
         .expect("workload fails in production");
     let events = occ.trace.decode().expect("trace decodes").events;
-    let failure = occ.failure_instrumented;
+    let failure = occ.failure;
     let steps = SymMachine::new(&inst.program, config.sym)
         .run(&events, Some(&failure))
         .stats

@@ -40,7 +40,7 @@ fn main() {
             let rep = shepherd::shepherd_events(
                 &inst.program,
                 &trace.events,
-                Some(&occ.failure_instrumented),
+                Some(&occ.failure),
                 w.er_config().sym,
                 None,
             );

@@ -35,7 +35,7 @@ fn main() {
         let rep = shepherd::shepherd(
             &inst.program,
             &occ.trace,
-            Some(&occ.failure_instrumented),
+            Some(&occ.failure),
             w.er_config().sym,
         )
         .expect("decodes");

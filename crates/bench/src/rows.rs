@@ -185,13 +185,8 @@ pub fn fig5_series(scale: Scale) -> Vec<Fig5Series> {
         let occ = deployment
             .run_until_failure(&inst, None, 0, 50_000)
             .expect("workload fails");
-        let rep = shepherd::shepherd(
-            &inst.program,
-            &occ.trace,
-            Some(&occ.failure_instrumented),
-            generous,
-        )
-        .expect("trace decodes");
+        let rep = shepherd::shepherd(&inst.program, &occ.trace, Some(&occ.failure), generous)
+            .expect("trace decodes");
         let stalled = !matches!(rep.run.status, er_symex::ShepherdStatus::Completed);
         series.push(Fig5Series {
             label: label.to_string(),

@@ -85,13 +85,8 @@ fn symbolic_row(w: &Workload, d: &Deployment) -> String {
     let occ = d
         .run_until_failure(&inst, None, 0, config.max_runs_per_occurrence)
         .expect("workload fails in production");
-    let mut report = shepherd::shepherd(
-        &inst.program,
-        &occ.trace,
-        Some(&occ.failure_instrumented),
-        config.sym,
-    )
-    .expect("first trace decodes");
+    let mut report = shepherd::shepherd(&inst.program, &occ.trace, Some(&occ.failure), config.sym)
+        .expect("first trace decodes");
     let run = &mut report.run;
     let status = match &run.status {
         ShepherdStatus::Completed => "completed".to_string(),

@@ -42,14 +42,8 @@ fn handoff_agrees(
     config: &ErConfig,
 ) -> Option<usize> {
     let events = occ.trace.decode().expect("trace decodes").events;
-    let mut run = shepherd::shepherd_events(
-        &inst.program,
-        &events,
-        Some(&occ.failure_instrumented),
-        config.sym,
-        None,
-    )
-    .run;
+    let mut run =
+        shepherd::shepherd_events(&inst.program, &events, Some(&occ.failure), config.sym, None).run;
     if run.status != ShepherdStatus::Completed {
         return None;
     }
@@ -228,14 +222,8 @@ fn injected_stall_surfaces_from_the_handed_off_final_solve() {
         .run_until_failure(&inst, None, 0, 16)
         .expect("every fourth run crashes");
     let events = occ.trace.decode().expect("trace decodes").events;
-    let mut run = shepherd::shepherd_events(
-        &inst.program,
-        &events,
-        Some(&occ.failure_instrumented),
-        config.sym,
-        None,
-    )
-    .run;
+    let mut run =
+        shepherd::shepherd_events(&inst.program, &events, Some(&occ.failure), config.sym, None).run;
     assert_eq!(run.status, ShepherdStatus::Completed);
 
     // Armed to stall every solver check: the final solve still makes

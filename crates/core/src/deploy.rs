@@ -16,11 +16,8 @@ use er_pt::sink::{PtConfig, PtSink, PtStats, PtTrace};
 /// One observed production failure with its shipped runtime trace.
 #[derive(Debug)]
 pub struct FailureOccurrence {
-    /// Failure identity in *original* program coordinates.
+    /// Failure identity.
     pub failure: Failure,
-    /// Failure identity in the instrumented program's coordinates (what
-    /// shepherded symbolic execution must match).
-    pub failure_instrumented: Failure,
     /// The runtime trace shipped to the analysis engine.
     pub trace: PtTrace,
     /// Which production run failed (0-based).
@@ -220,8 +217,7 @@ impl Deployment {
     }
 
     /// Waits (without tracing) until a failure matching `target` occurs;
-    /// returns the failing run index and the failure in original
-    /// coordinates.
+    /// returns the failing run index and the failure.
     pub fn observe_failure_untraced(
         &self,
         inst: &InstrumentedProgram,
@@ -239,9 +235,8 @@ impl Deployment {
             let (outcome, _) = self.run_once_untraced(inst, run);
             er_telemetry::counter!("deploy.sim_wait_ns").add(self.reoccurrence.inter_arrival_ns);
             if let RunOutcome::Failure(f) = outcome {
-                let original = inst.failure_to_original(&f);
-                if target.is_none_or(|t| original.same_failure(t)) {
-                    return Some((run, original));
+                if target.is_none_or(|t| f.same_failure(t)) {
+                    return Some((run, f));
                 }
             }
             run += 1;
@@ -271,16 +266,14 @@ impl Deployment {
             er_telemetry::counter!("deploy.sim_wait_ns").add(self.reoccurrence.inter_arrival_ns);
             if let RunOutcome::Failure(f) = outcome {
                 er_telemetry::counter!("deploy.failures").incr();
-                let original = inst.failure_to_original(&f);
-                if target.is_none_or(|t| original.same_failure(t)) {
+                if target.is_none_or(|t| f.same_failure(t)) {
                     // Fault injection tampers with the shipped trace only
                     // (never the healthy runs in between), modeling ring
                     // corruption between the CPU and the crash handler.
                     trace.chaos_tamper();
                     let pt_stats = trace.stats;
                     return Some(FailureOccurrence {
-                        failure: original,
-                        failure_instrumented: f,
+                        failure: f,
                         trace,
                         run_index: run,
                         sched: self.sched_for(run),
@@ -339,7 +332,7 @@ impl<'a> DeploymentSource<'a> {
 
     /// Like [`next_occurrence`](Self::next_occurrence) but unmonitored
     /// (tracing off) — the warmup posture of paper §3.1. Returns the
-    /// failing run index and the failure in original coordinates.
+    /// failing run index and the failure.
     pub fn next_untraced(
         &mut self,
         inst: &InstrumentedProgram,

@@ -18,7 +18,7 @@ use er_minilang::interp::SchedConfig;
 use er_minilang::ir::{InstrId, Program};
 use er_pt::TraceEvent;
 use er_solver::solve::Budget;
-use er_symex::{MachineState, Origins, ShepherdStatus, SymConfig, TraceDivergence};
+use er_symex::{MachineState, ShepherdStatus, SymConfig, TraceDivergence};
 use er_telemetry::counters::Handle;
 use std::time::Duration;
 
@@ -129,7 +129,7 @@ pub struct IterationStats {
     pub sites_selected: usize,
     /// Projected recording cost (bytes/run) of the cumulative set.
     pub recorded_bytes: u64,
-    /// Newly selected sites (original coordinates).
+    /// Newly selected sites.
     pub new_sites: Vec<InstrId>,
 }
 
@@ -145,7 +145,7 @@ pub struct ReconstructionReport {
     /// Total shepherded-symbolic-execution wall time (Table 1's
     /// "Symbex Time", summed over iterations).
     pub total_symbex: Duration,
-    /// The target failure (original coordinates), once observed.
+    /// The target failure, once observed.
     pub target: Option<Failure>,
 }
 
@@ -159,13 +159,11 @@ impl ReconstructionReport {
 /// Everything the driver retains from one shepherded occurrence so the
 /// next one can resume mid-trace instead of re-executing the shared
 /// prefix (the tentpole of the checkpoint/resume optimization): the
-/// decoded events (to find the longest common prefix with the new trace),
-/// the instrumentation that produced them (to remap instruction
-/// coordinates), and the machine snapshots taken along the way.
+/// decoded events (to find the longest common prefix with the new trace)
+/// and the machine snapshots taken along the way.
 #[derive(Debug, Clone)]
 struct ResumeCache {
     events: Vec<TraceEvent>,
-    inst: InstrumentedProgram,
     checkpoints: Vec<MachineState>,
 }
 
@@ -228,10 +226,8 @@ pub struct OccurrenceInfo {
     pub trace_bytes: u64,
     /// Scheduler configuration of the failing run.
     pub sched: SchedConfig,
-    /// Failure identity in original coordinates.
+    /// Failure identity.
     pub failure: Failure,
-    /// Failure identity in instrumented coordinates.
-    pub failure_instrumented: Failure,
 }
 
 impl OccurrenceInfo {
@@ -243,7 +239,6 @@ impl OccurrenceInfo {
             trace_bytes: occ.pt_stats.bytes,
             sched: occ.sched,
             failure: occ.failure.clone(),
-            failure_instrumented: occ.failure_instrumented.clone(),
         }
     }
 }
@@ -317,7 +312,7 @@ impl ReconstructionSession {
         self.occurrences
     }
 
-    /// The accumulated recording set (original coordinates).
+    /// The accumulated recording set.
     pub fn sites(&self) -> &[InstrId] {
         &self.sites
     }
@@ -414,11 +409,10 @@ impl ReconstructionSession {
 
         // Checkpoint resume: if a previous occurrence left snapshots and
         // the new trace agrees with the old one on a prefix, pick the
-        // latest snapshot inside that prefix and remap its instruction
-        // coordinates from the old instrumentation to the new one
-        // (through original coordinates). A snapshot parked on an
-        // instruction that no longer exists remaps to `None` and the
-        // next-older one is tried.
+        // latest snapshot inside that prefix and retarget its pcs at the
+        // new binary's code. A snapshot parked on a recording slot the new
+        // binary lacks retargets to `None` and the next-older one is
+        // tried.
         let resume_state = self
             .prev
             .as_ref()
@@ -438,9 +432,7 @@ impl ReconstructionSession {
                     })
                     .find_map(|(s, new_cursor)| {
                         s.clone()
-                            .remap_sites(&inst.program, |id| {
-                                cache.inst.to_original(id).map(|o| inst.from_original(o))
-                            })
+                            .retarget(&inst.program)
                             .map(|s| s.with_cursor(new_cursor))
                     })
             });
@@ -452,7 +444,7 @@ impl ReconstructionSession {
         let report = shepherd::shepherd_events(
             &inst.program,
             &events,
-            Some(&info.failure_instrumented),
+            Some(&info.failure),
             self.config.sym,
             resume_state,
         );
@@ -524,14 +516,13 @@ impl ReconstructionSession {
                 // the coarse-interleaving hypothesis.
                 stats.stalled = Some(format!("diverged: {d:?}"));
                 self.iterations.push(stats);
-                self.remember(events, inst, checkpoints);
+                self.remember(events, checkpoints);
                 return self.need_more(false);
             }
         };
         stats.stalled = Some(stalled);
 
-        // Key data value selection on the constraint graph, with ids
-        // translated back to original program coordinates.
+        // Key data value selection on the constraint graph.
         let set = {
             let _s = er_telemetry::span!("phase.select");
             er_solver::cancel::begin_phase(er_solver::cancel::Phase::Select);
@@ -539,7 +530,7 @@ impl ReconstructionSession {
             // front in pool-node units. A trip here surfaces through the
             // supervisor's post-iteration check, not mid-selection.
             er_solver::cancel::tick(run.pool.len() as u64);
-            self.select(&run, inst, occurrence)
+            self.select(&run, occurrence)
         };
         let new_sites: Vec<InstrId> = set
             .site_ids()
@@ -555,7 +546,7 @@ impl ReconstructionSession {
             // different occurrence (schedule, inputs) may stall elsewhere
             // and yield fresh sites, so spend the budget before giving up.
             if self.wants_more() {
-                self.remember(events, inst, checkpoints);
+                self.remember(events, checkpoints);
             }
             return self.retry_or_close(
                 er_telemetry::counter!("reconstruct.retry.nothing_to_record"),
@@ -565,21 +556,15 @@ impl ReconstructionSession {
         self.sites.extend(new_sites);
         self.sites.sort_unstable();
         self.sites.dedup();
-        self.remember(events, inst, checkpoints);
+        self.remember(events, checkpoints);
         self.need_more(true)
     }
 
-    /// Keeps this occurrence's trace, instrumentation, and snapshots so the
-    /// next occurrence can resume inside their shared prefix.
-    fn remember(
-        &mut self,
-        events: Vec<TraceEvent>,
-        inst: &InstrumentedProgram,
-        checkpoints: Vec<MachineState>,
-    ) {
+    /// Keeps this occurrence's trace and snapshots so the next occurrence
+    /// can resume inside their shared prefix.
+    fn remember(&mut self, events: Vec<TraceEvent>, checkpoints: Vec<MachineState>) {
         self.prev = Some(ResumeCache {
             events,
-            inst: inst.clone(),
             checkpoints,
         });
     }
@@ -633,29 +618,11 @@ impl ReconstructionSession {
         }
     }
 
-    fn select(
-        &self,
-        run: &er_symex::SymRunResult,
-        inst: &InstrumentedProgram,
-        occurrence: u32,
-    ) -> RecordingSet {
-        // Translate origins and counts into original coordinates so sites
-        // accumulate stably across differently instrumented iterations.
-        let mut origins = Origins::default();
-        for (&e, &site) in &run.origins {
-            if let Some(o) = inst.to_original(site) {
-                origins.insert(e, o);
-            }
-        }
-        let mut site_counts = select::SiteCountMap::default();
-        for (site, count) in run.site_counts.iter() {
-            if let Some(o) = inst.to_original(site) {
-                *site_counts.entry(o).or_insert(0) += count;
-            }
-        }
+    fn select(&self, run: &er_symex::SymRunResult, occurrence: u32) -> RecordingSet {
+        let site_counts: select::SiteCountMap = run.site_counts.iter().collect();
         let input = SelectionInput {
             pool: &run.pool,
-            origins: &origins,
+            origins: &run.origins,
             site_counts: &site_counts,
         };
         let graph = ConstraintGraph::analyze(&run.pool);

@@ -16,10 +16,9 @@ use er_solver::hash::FxHashMap;
 use er_symex::Origins;
 use std::collections::{HashMap, HashSet};
 
-/// Dynamic execution count per site, in whichever coordinates the
-/// [`SelectionInput::origins`] use. The reconstruction driver accumulates
-/// one in original-program coordinates from a run's
-/// [`er_symex::SiteCounts`].
+/// Dynamic execution count per site, keyed like
+/// [`SelectionInput::origins`]. The reconstruction driver collects one
+/// from a run's [`er_symex::SiteCounts`].
 pub type SiteCountMap = FxHashMap<InstrId, u64>;
 
 /// One site to instrument with `ptwrite`.

@@ -373,7 +373,6 @@ impl Writer {
         self.u64(info.sched.seed);
         self.u64(info.sched.max_instrs);
         self.failure(&info.failure);
-        self.failure(&info.failure_instrumented);
     }
 }
 
@@ -484,7 +483,6 @@ impl Reader<'_> {
                 max_instrs: self.u64()?,
             },
             failure: self.failure()?,
-            failure_instrumented: self.failure()?,
         })
     }
 }
@@ -531,7 +529,6 @@ mod tests {
                 max_instrs: 1_000_000,
             },
             failure: failure(2),
-            failure_instrumented: failure(2),
         }
     }
 

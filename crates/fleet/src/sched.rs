@@ -94,7 +94,7 @@ impl GroupState {
         self.next_run
     }
 
-    /// The session's accumulated recording set (original coordinates).
+    /// The session's accumulated recording set.
     pub fn sites(&self) -> &[er_minilang::ir::InstrId] {
         self.session.sites()
     }

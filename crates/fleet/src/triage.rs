@@ -23,7 +23,7 @@ pub const SIGNATURE_STACK_DEPTH: usize = 8;
 pub struct FaultSignature {
     /// Broad fault class (Table 1's "Bug Type" granularity).
     pub kind: FailureKind,
-    /// Faulting instruction, original program coordinates.
+    /// Faulting instruction.
     pub at: InstrId,
     /// Innermost [`SIGNATURE_STACK_DEPTH`] frames, outermost first.
     pub stack: Vec<FuncId>,
@@ -83,8 +83,8 @@ pub struct FailureGroup {
     pub id: u64,
     /// The clustering key.
     pub signature: FaultSignature,
-    /// First failure observed for the group (original coordinates) — the
-    /// reconstruction target exemplar.
+    /// First failure observed for the group — the reconstruction target
+    /// exemplar.
     pub exemplar: Failure,
     /// Total sightings across all instances, including redundant ones.
     pub occurrences: u64,

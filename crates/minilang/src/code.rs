@@ -4,8 +4,11 @@
 //! Every instruction and every block terminator gets one slot, laid out
 //! function by function and block by block (a block's instructions, then
 //! its terminator), so a program counter ([`Pc`]) is a single index and
-//! pc order is [`InstrId`] order. Lowering pre-resolves everything that
-//! does not change at run time:
+//! pc order is [`InstrId`] order. A recorded build (paper §3.3.3) adds a
+//! *recording slot* — an [`Op::PtWrite`] of the destination register —
+//! after each recorded instruction, carrying that instruction's id, so the
+//! IR itself never changes. Lowering pre-resolves everything that does not
+//! change at run time:
 //!
 //! * jump and branch targets are absolute pcs;
 //! * `GlobalAddr` becomes a [`Op::Const`] of the global's address;
@@ -22,9 +25,10 @@
 //! operands. [`Op::alu`] maps every specialized form back to its generic
 //! meaning, which is what the symbolic executor evaluates.
 //!
-//! [`InstrId`]s stay the program's public coordinates: failure reports,
-//! trace sites and snapshots use them, and [`Code::id_of`] /
-//! [`Code::pc_of`] convert where they are observable.
+//! [`InstrId`]s of the unchanged IR are the program's one coordinate
+//! space: failure reports, trace sites and snapshots use them whatever
+//! the build records, and [`Code::id_of`] / [`Code::pc_of`] convert where
+//! they are observable.
 
 use crate::ir::{BlockId, Func, FuncId, Global, Instr, InstrId, Operand, Reg, Terminator};
 use crate::value::{BinOp, CmpOp, UnOp, Width};
@@ -467,14 +471,15 @@ pub struct CallSite {
 }
 
 /// A program's flat code. Built by [`Code::build`] whenever a
-/// [`Program`](crate::ir::Program) is constructed or its blocks are
-/// edited, never per run; clones of a program share it.
+/// [`Program`](crate::ir::Program) is constructed, never per run; clones
+/// of a program share it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Code {
     ops: Vec<Op>,
     /// The program entry function's first pc.
     entry: Pc,
-    /// `ids[pc]` is the slot's IR coordinate.
+    /// `ids[pc]` is the slot's IR coordinate; a recording slot repeats
+    /// its instruction's.
     ids: Vec<InstrId>,
     /// First pc of every block, program-wide in layout order, plus a
     /// final `ops.len()` sentinel: a block's terminator sits one before
@@ -489,23 +494,32 @@ pub struct Code {
 
 impl Code {
     /// Lowers `funcs` (with `globals` for `GlobalAddr`) into flat code
-    /// that starts at function `entry`.
+    /// that starts at function `entry`, recording the value of each
+    /// `recorded` instruction: an [`Op::PtWrite`] of its destination
+    /// register follows it in a recording slot of its own.
     ///
     /// # Panics
     ///
-    /// Panics if a block has no terminator, or a jump, call or global
-    /// reference names something that does not exist.
-    pub fn build(funcs: &[Func], globals: &[Global], entry: FuncId) -> Code {
+    /// Panics if a block has no terminator, a jump, call or global
+    /// reference names something that does not exist, or `recorded` is not
+    /// strictly ascending value-defining instructions of `funcs`.
+    pub fn build(funcs: &[Func], globals: &[Global], entry: FuncId, recorded: &[InstrId]) -> Code {
         let mut code = Code::default();
         // Pass 1: layout, so pass 2 can resolve targets to absolute pcs.
         let mut pc: Pc = 0;
-        for f in funcs {
+        let mut rest = recorded;
+        for (fi, f) in funcs.iter().enumerate() {
             code.func_block.push(code.block_start.len() as u32);
-            for b in &f.blocks {
+            for (bi, b) in f.blocks.iter().enumerate() {
+                let n = in_block(&mut rest, FuncId(fi as u32), BlockId(bi as u32)).len();
                 code.block_start.push(pc);
-                pc += b.instrs.len() as Pc + 1;
+                pc += (b.instrs.len() + n) as Pc + 1;
             }
         }
+        assert!(
+            rest.is_empty(),
+            "recorded sites are in the program's blocks"
+        );
         code.func_block.push(code.block_start.len() as u32);
         code.block_start.push(pc);
         if !funcs.is_empty() {
@@ -514,15 +528,29 @@ impl Code {
         code.ops.reserve(pc as usize);
         code.ids.reserve(pc as usize);
 
+        let mut rest = recorded;
         for (fi, f) in funcs.iter().enumerate() {
             let func = FuncId(fi as u32);
             for (bi, b) in f.blocks.iter().enumerate() {
                 let block = BlockId(bi as u32);
+                let mut records = in_block(&mut rest, func, block);
                 for (index, instr) in b.instrs.iter().enumerate() {
                     let op = code.lower(instr, funcs, globals);
+                    let id = InstrId { func, block, index };
                     code.ops.push(op);
-                    code.ids.push(InstrId { func, block, index });
+                    code.ids.push(id);
+                    if let [next, tail @ ..] = records {
+                        if next.index == index {
+                            let dst = instr.dst().expect("a recorded site defines a value");
+                            code.ops.push(Op::PtWrite {
+                                value: Operand::Reg(dst),
+                            });
+                            code.ids.push(id);
+                            records = tail;
+                        }
+                    }
                 }
+                assert!(records.is_empty(), "recorded sites are instructions");
                 let term = b.term.as_ref().expect("lowering terminates every block");
                 let target = |b: BlockId| code.block_pc(func, b).expect("jump target exists");
                 let op = match *term {
@@ -667,7 +695,8 @@ impl Code {
     }
 
     /// The IR coordinate of the slot at `pc`; block terminators map to
-    /// [`InstrId::TERMINATOR`].
+    /// [`InstrId::TERMINATOR`], and a recording slot to the instruction it
+    /// records.
     ///
     /// # Panics
     ///
@@ -677,16 +706,26 @@ impl Code {
         self.ids[pc as usize]
     }
 
-    /// The slot of `id`, or `None` if the program has no such instruction
-    /// or terminator.
+    /// The slot of `id` — for a recorded instruction, the instruction's
+    /// own slot, not its recording slot — or `None` if the program has no
+    /// such instruction or terminator.
     pub fn pc_of(&self, id: InstrId) -> Option<Pc> {
         let i = self.block_index(id.func, id.block)?;
         let (start, term) = (self.block_start[i], self.block_start[i + 1] - 1);
         if id.index == InstrId::TERMINATOR {
             return Some(term);
         }
-        let pc = u64::from(start) + id.index as u64;
-        (pc < u64::from(term)).then_some(pc as Pc)
+        let body = &self.ids[start as usize..term as usize];
+        let k = body.partition_point(|s| s.index < id.index);
+        (body.get(k)?.index == id.index).then_some(start + k as Pc)
+    }
+
+    /// Whether `pc` is a recording slot: the `ptwrite` [`Code::build`]
+    /// placed after a recorded instruction, whose id it repeats. A
+    /// source-level `ptwrite` has an id of its own and is not one.
+    pub fn is_recording(&self, pc: Pc) -> bool {
+        let pc = pc as usize;
+        pc > 0 && self.ids[pc] == self.ids[pc - 1]
     }
 
     fn block_index(&self, func: FuncId, block: BlockId) -> Option<usize> {
@@ -731,6 +770,18 @@ impl Code {
             _ => true,
         }
     }
+}
+
+/// Splits off the front of `recorded` the sites in `block` of `func`,
+/// which layout order puts next.
+fn in_block<'r>(recorded: &mut &'r [InstrId], func: FuncId, block: BlockId) -> &'r [InstrId] {
+    let n = recorded
+        .iter()
+        .take_while(|id| (id.func, id.block) == (func, block))
+        .count();
+    let (here, rest) = recorded.split_at(n);
+    *recorded = rest;
+    here
 }
 
 #[cfg(test)]
@@ -845,5 +896,51 @@ mod tests {
             index: 0,
         };
         assert_eq!(code.pc_of(no_func), None);
+    }
+
+    #[test]
+    fn recording_slots_follow_their_site_and_repeat_its_id() {
+        let p = compile("fn main() { let x: u32 = 1 + 2; ptwrite(x); print(x); }").unwrap();
+        let main = &p.funcs()[0].blocks[0].instrs;
+        let at = |index| InstrId {
+            func: FuncId(0),
+            block: BlockId(0),
+            index,
+        };
+        let site = at(0);
+        assert!(main[0].dst().is_some());
+        let source = (0..main.len())
+            .find(|&i| matches!(main[i], Instr::PtWrite { .. }))
+            .expect("a source-level ptwrite");
+        let r = p.recording(&[site]);
+        let code = r.code();
+        assert_eq!(code.ops().len(), p.code().ops().len() + 1);
+        assert_eq!(
+            code.ops()[1],
+            Op::PtWrite {
+                value: Operand::Reg(main[0].dst().unwrap())
+            }
+        );
+        assert!(code.is_recording(1) && code.id_of(1) == site);
+        assert_eq!(code.pc_of(site), Some(0));
+        // The source-level ptwrite keeps its own id and is no recording slot.
+        let pc = code.pc_of(at(source)).unwrap();
+        assert_eq!(pc as usize, source + 1);
+        assert!(!code.is_recording(pc));
+        assert!((0..code.ops().len() as Pc)
+            .filter(|&pc| code.is_recording(pc))
+            .eq([1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "a recorded site defines a value")]
+    fn recording_a_site_without_a_value_panics() {
+        let p = compile("fn main() { print(7); }").unwrap();
+        let print = InstrId {
+            func: FuncId(0),
+            block: BlockId(0),
+            index: 0,
+        };
+        let _ = p.recording(&[print]);
     }
 }

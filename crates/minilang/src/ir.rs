@@ -372,10 +372,10 @@ pub struct Global {
 }
 
 /// A complete IR program, with its flat [`Code`] built once at
-/// construction and rebuilt by every block edit.
+/// construction.
 ///
-/// The fields are read-only outside this crate so no caller can edit
-/// blocks without the code following; clones share the code.
+/// The fields are read-only, so a program is never edited after it is
+/// built and its code always lowers its blocks; clones share the code.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     funcs: Vec<Func>,
@@ -392,7 +392,7 @@ impl Program {
     /// Panics if a block has no terminator or references a block,
     /// function or global that does not exist.
     pub fn new(funcs: Vec<Func>, globals: Vec<Global>, entry: FuncId) -> Self {
-        let code = Arc::new(Code::build(&funcs, &globals, entry));
+        let code = Arc::new(Code::build(&funcs, &globals, entry, &[]));
         Program {
             funcs,
             globals,
@@ -421,12 +421,21 @@ impl Program {
         &self.code
     }
 
-    /// Edits the functions in place through `edit`, then rebuilds the
-    /// flat code: the one way to change a program's blocks.
-    pub fn edit_funcs<R>(&mut self, edit: impl FnOnce(&mut [Func]) -> R) -> R {
-        let r = edit(&mut self.funcs);
-        self.code = Arc::new(Code::build(&self.funcs, &self.globals, self.entry));
-        r
+    /// This program with flat code that records the value of every site
+    /// in `sites` (strictly ascending value-defining instructions): a
+    /// `ptwrite` follows each in a recording slot that carries the site's
+    /// id. The blocks are unchanged, so every [`InstrId`] means what it
+    /// means here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sites` is not strictly ascending or names anything but a
+    /// value-defining instruction.
+    pub fn recording(&self, sites: &[InstrId]) -> Program {
+        Program {
+            code: Arc::new(Code::build(&self.funcs, &self.globals, self.entry, sites)),
+            ..self.clone()
+        }
     }
 
     /// The function with id `id`.

@@ -14,9 +14,6 @@ pub struct PtConfig {
     pub ring_bytes: usize,
     /// Emit a PSB sync packet every this many packets.
     pub psb_period: u32,
-    /// Emit TSC packets on thread resume (needed for multi-threaded
-    /// reconstruction; harmless otherwise).
-    pub timestamps: bool,
 }
 
 impl Default for PtConfig {
@@ -24,7 +21,6 @@ impl Default for PtConfig {
         PtConfig {
             ring_bytes: 64 << 20,
             psb_period: 4096,
-            timestamps: true,
         }
     }
 }
@@ -192,9 +188,7 @@ impl TraceSink for PtSink {
         self.stats.resumes += 1;
         self.flush_tnt();
         self.emit_u64(OP_PGE, tid);
-        if self.config.timestamps {
-            self.emit_u64(OP_TSC, tsc);
-        }
+        self.emit_u64(OP_TSC, tsc);
     }
 
     #[inline]
@@ -395,7 +389,6 @@ mod tests {
         PtSink::new(PtConfig {
             ring_bytes: ring,
             psb_period: 64,
-            timestamps: true,
         })
     }
 
@@ -467,7 +460,6 @@ mod tests {
         let mut s = PtSink::new(PtConfig {
             ring_bytes: 256,
             psb_period: 8,
-            timestamps: false,
         });
         for i in 0..2_000u64 {
             s.ptwrite(i);
@@ -524,7 +516,6 @@ mod chaos_tests {
         let mut s = PtSink::new(PtConfig {
             ring_bytes: 1 << 16,
             psb_period: 16,
-            timestamps: false,
         });
         for i in 0..200u64 {
             s.cond_branch(i % 3 == 0);

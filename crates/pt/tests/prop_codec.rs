@@ -78,7 +78,6 @@ proptest! {
         let mut sink = PtSink::new(PtConfig {
             ring_bytes: 1 << 20,
             psb_period: 32,
-            timestamps: true,
         });
         for e in &events {
             match e {
@@ -135,7 +134,6 @@ proptest! {
         let mut sink = PtSink::new(PtConfig {
             ring_bytes: 256,
             psb_period: 8,
-            timestamps: false,
         });
         for i in 0..n {
             sink.ptwrite(i);

@@ -100,7 +100,6 @@ proptest! {
         let mut sink = PtSink::new(PtConfig {
             ring_bytes: 1 << 20,
             psb_period: 32,
-            timestamps: true,
         });
         use er_minilang::trace::TraceSink;
         for (i, &b) in branches.iter().enumerate() {
@@ -184,7 +183,6 @@ proptest! {
         let mut sink = PtSink::new(PtConfig {
             ring_bytes: 1 << 20,
             psb_period: 16,
-            timestamps: false,
         });
         use er_minilang::trace::TraceSink;
         for &b in &branches {
@@ -206,7 +204,6 @@ proptest! {
         let mut sink = PtSink::new(PtConfig {
             ring_bytes: 1 << 20,
             psb_period: 4096,
-            timestamps: false,
         });
         use er_minilang::trace::TraceSink;
         for _ in 0..n {

@@ -257,10 +257,11 @@ pub struct SymRunResult {
 ///
 /// Frame positions and site counts are pcs into the flat code of the
 /// program the snapshot ran, which the state keeps, so they stand for
-/// [`InstrId`] coordinates without it. When the next occurrence runs under
-/// *different instrumentation*, they and the other site references must
-/// first be translated through the two instrumentation maps; see
-/// [`MachineState::remap_sites`].
+/// [`InstrId`] coordinates without it. Every build of a program shares
+/// those coordinates, whatever it records, so origins and inputs hold
+/// across builds as they are; when the next occurrence runs under a
+/// *different recording set*, only the pcs move to the new code, see
+/// [`MachineState::retarget`].
 #[derive(Debug, Clone)]
 pub struct MachineState {
     cursor: usize,
@@ -305,48 +306,53 @@ impl MachineState {
     /// The site the running thread is paused at (its function's entry
     /// once it has returned).
     pub fn position(&self) -> InstrId {
-        let pc = match self.threads[self.cur].frames.last() {
-            Some(f) => f.pc,
-            None => self.code.entry(),
-        };
-        self.code.id_of(pc)
+        self.code.id_of(self.pc())
     }
 
-    /// Translates every instruction reference through `f` (typically
-    /// old-instrumentation → original → new-instrumentation), returning
-    /// `None` — discard the snapshot — if any reference has no image in
-    /// `new_program`, e.g. a frame paused exactly at an instruction the
-    /// old instrumentation inserted.
-    ///
-    /// `new_program` is the program the resumed run will execute: frame
-    /// positions and site counts become pcs into its code.
-    pub fn remap_sites(
-        mut self,
-        new_program: &Program,
-        mut f: impl FnMut(InstrId) -> Option<InstrId>,
-    ) -> Option<MachineState> {
-        let new_code = new_program.code();
-        let mut pc_map = |pc: Pc| new_code.pc_of(f(self.code.id_of(pc))?);
+    /// Whether the running thread is paused on the recording slot of
+    /// [`position`](Self::position): past the instruction, before the
+    /// `ptwrite` of its value.
+    pub fn at_recording(&self) -> bool {
+        self.code.is_recording(self.pc())
+    }
+
+    /// The running thread's pc (its function's entry once it has
+    /// returned).
+    #[inline]
+    fn pc(&self) -> Pc {
+        match self.threads[self.cur].frames.last() {
+            Some(f) => f.pc,
+            None => self.code.entry(),
+        }
+    }
+
+    /// Moves frame positions and site counts to the pcs of the same
+    /// [`InstrId`]s in `new_program`, another build of the snapshot's
+    /// program that the resumed run will execute. A frame parked on a
+    /// recording slot moves to the new build's recording slot of that
+    /// instruction; `None` — discard the snapshot — if the new build does
+    /// not record it.
+    pub fn retarget(mut self, new_program: &Program) -> Option<MachineState> {
+        let (old, new) = (&*self.code, new_program.code());
+        let pc_map = |pc: Pc| {
+            let at = new.pc_of(old.id_of(pc))?;
+            if old.is_recording(pc) {
+                // A recorded instruction is never its block's last slot.
+                return new.is_recording(at + 1).then_some(at + 1);
+            }
+            Some(at)
+        };
         for t in &mut self.threads {
             for fr in &mut t.frames {
                 fr.pc = pc_map(fr.pc)?;
             }
         }
-        let mut site_counts = vec![0; new_code.ops().len()];
-        for (pc, n) in live_counts(&self.code, &self.site_counts) {
+        let mut site_counts = vec![0; new.ops().len()];
+        for (pc, n) in live_counts(old, &self.site_counts) {
             site_counts[pc_map(pc)? as usize] = n;
         }
         self.site_counts = site_counts;
-        let mut origins = Origins::default();
-        origins.reserve(self.origins.len());
-        for (e, site) in self.origins.drain() {
-            origins.insert(e, f(site)?);
-        }
-        self.origins = origins;
-        for rec in &mut self.inputs {
-            rec.site = f(rec.site)?;
-        }
-        self.code = Arc::clone(new_code);
+        self.code = Arc::clone(new);
         Some(self)
     }
 }
@@ -454,12 +460,13 @@ impl<'p> SymMachine<'p> {
     /// A machine that picks up from `state`, skipping the events before
     /// `state.cursor()`. The caller must guarantee the trace passed to
     /// [`SymMachine::run`] agrees with the snapshot's trace on that prefix
-    /// (and must have remapped sites if instrumentation changed).
+    /// (a snapshot of another build is retargeted at `program`'s code).
     ///
     /// # Panics
     ///
     /// Panics if the snapshot was taken on a program with different code
-    /// and a paused frame's site does not exist in `program`.
+    /// and a paused frame's site does not exist in `program`, or is a
+    /// recording slot `program` lacks.
     pub fn resume(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
         // A snapshot of another build of the program re-resolves its sites
         // by `InstrId` against this program's code.
@@ -467,7 +474,7 @@ impl<'p> SymMachine<'p> {
             state
         } else {
             state
-                .remap_sites(program, Some)
+                .retarget(program)
                 .expect("snapshot sites exist in the resumed program")
         };
         let mut machine = Self::with_state(program, config, state);
@@ -608,15 +615,6 @@ impl<'p> SymMachine<'p> {
         r
     }
 
-    /// The running thread's pc (its function's entry once it has
-    /// returned, as [`MachineState::position`] reports it).
-    fn pc(&self) -> Pc {
-        match self.state.threads[self.state.cur].frames.last() {
-            Some(f) => f.pc,
-            None => self.code.entry(),
-        }
-    }
-
     fn switch_to(&mut self, tid: u64) -> Result<(), Stop> {
         let Some(idx) = self.state.threads.iter().position(|t| t.tid == tid) else {
             return Err(Stop::Diverge(TraceDivergence::UnknownThread { tid }));
@@ -684,7 +682,7 @@ impl<'p> SymMachine<'p> {
                 return Err(Stop::Stall(StallReason::Cancelled, None));
             }
 
-            let pc = self.pc();
+            let pc = self.state.pc();
             let events_left = cursor < events.len();
 
             // End-of-trace handling: once events run out, keep executing

@@ -1,16 +1,17 @@
 //! The pc ↔ `InstrId` mapping of flat code, over every Table-1 program.
 //!
 //! Both executors run on pcs while failures, trace sites and snapshots
-//! speak `InstrId`s, so the mapping must be a bijection on every program
-//! the pipeline produces: the original programs and their instrumented
-//! rebuilds. A snapshot carried across instrumentation must also resume
-//! where it paused.
+//! speak `InstrId`s of the unchanged IR, so every build the pipeline
+//! produces — the original programs and their recorded builds — must map
+//! each instruction to one slot and back. A recorded build must lower
+//! exactly like the program with `ptwrite`s inserted into its blocks, and
+//! a snapshot carried to another build must resume where it paused.
 
 use er_core::instrument::InstrumentedProgram;
 use er_core::shepherd;
-use er_minilang::code::Pc;
-use er_minilang::ir::{BlockId, FuncId, InstrId, Program};
-use er_symex::SymMachine;
+use er_minilang::code::{Code, Pc};
+use er_minilang::ir::{BlockId, FuncId, Instr, InstrId, Operand, Program};
+use er_symex::{MachineState, SymConfig, SymMachine};
 use er_workloads::Scale;
 
 /// Every instruction and terminator of `p`, in layout order.
@@ -38,88 +39,148 @@ fn dst_sites(p: &Program) -> Vec<InstrId> {
         .collect()
 }
 
-/// `id_of(pc_of(id)) == id` for every instruction and terminator, the
-/// pcs are dense in layout order, and the code equals a fresh lowering.
-fn assert_bijective(name: &str, p: &Program) {
-    let code = p.code();
-    let ids = all_ids(p);
-    assert_eq!(ids.len(), code.ops().len(), "{name}: one slot per site");
-    for (pc, &id) in ids.iter().enumerate() {
-        assert_eq!(code.pc_of(id), Some(pc as Pc), "{name}: pc_of({id})");
-        assert_eq!(code.id_of(pc as Pc), id, "{name}: id_of({pc})");
+/// The reference for a recorded build: `p` with an `Instr::PtWrite` of
+/// the destination inserted into the blocks after each of `sites`
+/// (ascending), lowered without recording.
+fn inserted(p: &Program, sites: &[InstrId]) -> Program {
+    let mut funcs = p.funcs().to_vec();
+    for s in sites.iter().rev() {
+        let b = &mut funcs[s.func.0 as usize].blocks[s.block.0 as usize];
+        let dst = b.instrs[s.index].dst().expect("a dst site");
+        b.instrs.insert(
+            s.index + 1,
+            Instr::PtWrite {
+                value: Operand::Reg(dst),
+            },
+        );
     }
-    let fresh = Program::new(p.funcs().to_vec(), p.globals().to_vec(), p.entry());
+    Program::new(funcs, p.globals().to_vec(), p.entry())
+}
+
+/// `code` is `p` recording exactly `sites`: its ops are the inserted-IR
+/// reference's, every slot but a recording slot carries its original id in
+/// layout order, the recording slots carry `sites`, and every id's slot is
+/// its own and maps back to it.
+fn assert_records(name: &str, p: &Program, sites: &[InstrId], code: &Code) {
     assert_eq!(
-        **fresh.code(),
-        **code,
-        "{name}: code differs from a fresh lowering"
+        code.ops(),
+        inserted(p, sites).code().ops(),
+        "{name}: ops differ from the inserted-IR reference"
     );
+    let ids = all_ids(p);
+    let mut originals = ids.iter();
+    let mut recorded = Vec::new();
+    for pc in 0..code.ops().len() as Pc {
+        if code.is_recording(pc) {
+            recorded.push(code.id_of(pc));
+        } else {
+            assert_eq!(
+                Some(&code.id_of(pc)),
+                originals.next(),
+                "{name}: id_of({pc})"
+            );
+        }
+    }
+    assert_eq!(originals.next(), None, "{name}: every original slot");
+    assert_eq!(recorded, sites, "{name}: recording slots");
+    for &id in &ids {
+        let pc = code.pc_of(id).expect("every id has a slot");
+        assert_eq!(code.id_of(pc), id, "{name}: id_of(pc_of({id}))");
+        assert!(
+            !code.is_recording(pc),
+            "{name}: pc_of({id}) is a recording slot"
+        );
+    }
 }
 
 #[test]
 fn every_table1_program_maps_pcs_and_instr_ids_both_ways() {
     for w in er_workloads::all() {
         let p = w.program(Scale::TEST);
-        assert_bijective(w.name, &p);
+        let ids = all_ids(&p);
+        let code = p.code();
+        assert_eq!(ids.len(), code.ops().len(), "{}: one slot per site", w.name);
+        for (pc, &id) in ids.iter().enumerate() {
+            assert_eq!(code.pc_of(id), Some(pc as Pc), "{}: pc_of({id})", w.name);
+        }
+        assert_records(w.name, &p, &[], code);
         let sites = dst_sites(&p);
         assert!(!sites.is_empty(), "{}", w.name);
-        // Instrumented at every dst site at once, and at each alone: the
-        // code rebuilt by the edit equals a fresh lowering.
+        // Recording every dst site at once, and each alone.
         let all = InstrumentedProgram::new(&p, &sites);
-        assert_eq!(all.sites.len(), sites.len());
-        assert_bijective(w.name, &all.program);
+        assert_eq!(all.sites, sites);
+        assert_records(w.name, &p, &sites, all.program.code());
         for &site in &sites {
-            let one = InstrumentedProgram::new(&p, &[site]);
-            assert_bijective(w.name, &one.program);
+            assert_records(w.name, &p, &[site], p.recording(&[site]).code());
         }
     }
 }
 
+/// Resuming `state` on `program` starts at `at`, recording slot or not
+/// as `at_recording` says.
+fn assert_resumes_at(
+    name: &str,
+    program: &Program,
+    config: SymConfig,
+    state: MachineState,
+    (at, at_recording): (InstrId, bool),
+) {
+    // Resuming seeds the run's first checkpoint with the state it starts
+    // from.
+    let resumed = SymMachine::resume(program, config, state).run(&[], None);
+    let first = &resumed.checkpoints[0];
+    assert_eq!(first.position(), at, "{name}");
+    assert_eq!(first.at_recording(), at_recording, "{name}: {at}");
+}
+
 #[test]
-fn remapped_snapshots_resume_at_the_same_instr_id() {
-    let mut checked = 0;
+fn retargeted_snapshots_resume_at_the_same_instr_id() {
+    let (mut parked, mut others) = (0, 0);
     for w in er_workloads::all() {
         let d = w.deployment(Scale::TEST);
-        let plain = InstrumentedProgram::unmodified(d.program());
-        let Some(occ) = d.run_until_failure(&plain, None, 0, 50_000) else {
-            continue;
-        };
-        let mut config = w.er_config().sym;
-        config.checkpoint_every = 16;
-        let run = shepherd::shepherd(
-            &plain.program,
-            &occ.trace,
-            Some(&occ.failure_instrumented),
-            config,
-        )
-        .expect("decodes")
-        .run;
-        let inst = InstrumentedProgram::new(d.program(), &dst_sites(d.program()));
-        // An equal program built separately has equal but unshared code.
-        let rebuilt = Program::new(
-            d.program().funcs().to_vec(),
-            d.program().globals().to_vec(),
-            d.program().entry(),
-        );
-        for s in &run.checkpoints {
-            let at = s.position();
-            let remapped = s
-                .clone()
-                .remap_sites(&inst.program, |id| Some(inst.from_original(id)))
-                .expect("every original site has an image");
-            assert_eq!(remapped.position(), inst.from_original(at), "{}", w.name);
-            assert_eq!(inst.to_original(remapped.position()), Some(at));
-            // Resuming seeds the run's first checkpoint with the state it
-            // starts from, whichever build of the program it runs.
-            for (program, state, want) in [
-                (&inst.program, remapped, inst.from_original(at)),
-                (&rebuilt, s.clone(), at),
+        let p = d.program();
+        let plain = InstrumentedProgram::unmodified(p);
+        let all = InstrumentedProgram::new(p, &dst_sites(p));
+        // Builds equal to `plain` and `all` but made separately have
+        // unshared code, so resuming on them retargets.
+        let (plain_again, all_again) = (p.recording(&[]), p.recording(&all.sites));
+        // A checkpoint after every event catches the returns into a
+        // recorded call's recording slot.
+        for every in [1, 16] {
+            let mut config = w.er_config().sym;
+            config.checkpoint_every = every;
+            for (inst, targets) in [
+                (&plain, [&all.program, &plain_again]),
+                (&all, [&all_again, &all_again]),
             ] {
-                let resumed = SymMachine::resume(program, config, state).run(&[], None);
-                assert_eq!(resumed.checkpoints[0].position(), want, "{}", w.name);
+                let Some(occ) = d.run_until_failure(inst, None, 0, 50_000) else {
+                    continue;
+                };
+                let run = shepherd::shepherd(&inst.program, &occ.trace, Some(&occ.failure), config)
+                    .expect("decodes")
+                    .run;
+                for s in &run.checkpoints {
+                    let at = s.position();
+                    if s.at_recording() {
+                        // Parked on a recording slot: a build that records
+                        // the site keeps it there, one that does not drops
+                        // the snapshot.
+                        assert_resumes_at(w.name, &all_again, config, s.clone(), (at, true));
+                        let without: Vec<InstrId> =
+                            all.sites.iter().copied().filter(|&x| x != at).collect();
+                        let dropped = s.clone().retarget(&p.recording(&without));
+                        assert!(dropped.is_none(), "{}: {at}", w.name);
+                        parked += 1;
+                    } else {
+                        for target in targets {
+                            assert_resumes_at(w.name, target, config, s.clone(), (at, false));
+                        }
+                        others += 1;
+                    }
+                }
             }
-            checked += 1;
         }
     }
-    assert!(checked > 0, "some run took checkpoints");
+    assert!(parked > 0, "some checkpoint sat on a recording slot");
+    assert!(others > 0, "some run took checkpoints");
 }
