@@ -177,11 +177,7 @@ pub fn fig5_series(scale: Scale) -> Vec<Fig5Series> {
 
     let mut series = Vec::new();
     for (label, sites) in configs {
-        let inst = if sites.is_empty() {
-            InstrumentedProgram::unmodified(deployment.program())
-        } else {
-            InstrumentedProgram::new(deployment.program(), &sites)
-        };
+        let inst = InstrumentedProgram::new(deployment.program(), &sites);
         let occ = deployment
             .run_until_failure(&inst, None, 0, 50_000)
             .expect("workload fails");

@@ -97,11 +97,7 @@ fn table1_final_solves_match_a_fresh_solver() {
             .flat_map(|it| it.new_sites.iter().copied())
             .collect();
         let program = deployment.program();
-        let inst = if sites.is_empty() {
-            InstrumentedProgram::unmodified(program)
-        } else {
-            InstrumentedProgram::new(program, &sites)
-        };
+        let inst = InstrumentedProgram::new(program, &sites);
         let mut start = 0;
         let compared = (0..8).any(|_| {
             let occ = deployment

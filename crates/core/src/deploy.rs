@@ -11,7 +11,7 @@ use er_minilang::env::Env;
 use er_minilang::error::Failure;
 use er_minilang::interp::{Machine, RunOutcome, SchedConfig};
 use er_minilang::ir::Program;
-use er_pt::sink::{PtConfig, PtSink, PtStats, PtTrace};
+use er_pt::sink::{PtConfig, PtSink, PtTrace};
 
 /// One observed production failure with its shipped runtime trace.
 #[derive(Debug)]
@@ -26,8 +26,6 @@ pub struct FailureOccurrence {
     pub sched: SchedConfig,
     /// Dynamic instructions of the failing run (Table 1's `#Instr`).
     pub instr_count: u64,
-    /// Online tracing counters for the failing run.
-    pub pt_stats: PtStats,
 }
 
 /// Where the next failing run comes from, relative to a run cursor.
@@ -190,16 +188,6 @@ impl Deployment {
         (report.outcome, report.sink.finish(), report.instr_count)
     }
 
-    /// Executes one *unmonitored* production run (tracing disabled — the
-    /// paper's §3.1 option of enabling tracing only after a failure has
-    /// been observed several times).
-    pub fn run_once_untraced(&self, inst: &InstrumentedProgram, run: u64) -> (RunOutcome, u64) {
-        let env = self.env_for(run);
-        let sched = self.sched_for(run);
-        let report = Machine::new(&inst.program, env).with_sched(sched).run();
-        (report.outcome, report.instr_count)
-    }
-
     /// Fast-forward: the next run at or after `run` worth executing. Runs
     /// in between are proven healthy by the predictor and are skipped
     /// (counted, and charged simulated waiting time, but never executed).
@@ -214,34 +202,6 @@ impl Deployment {
                 .add((next - run).saturating_mul(self.reoccurrence.inter_arrival_ns));
         }
         next
-    }
-
-    /// Waits (without tracing) until a failure matching `target` occurs;
-    /// returns the failing run index and the failure.
-    pub fn observe_failure_untraced(
-        &self,
-        inst: &InstrumentedProgram,
-        target: Option<&Failure>,
-        start_run: u64,
-        max_runs: u64,
-    ) -> Option<(u64, Failure)> {
-        let end = start_run.saturating_add(max_runs);
-        let mut run = start_run;
-        while run < end {
-            run = self.skip_healthy(run, end);
-            if run >= end {
-                break;
-            }
-            let (outcome, _) = self.run_once_untraced(inst, run);
-            er_telemetry::counter!("deploy.sim_wait_ns").add(self.reoccurrence.inter_arrival_ns);
-            if let RunOutcome::Failure(f) = outcome {
-                if target.is_none_or(|t| f.same_failure(t)) {
-                    return Some((run, f));
-                }
-            }
-            run += 1;
-        }
-        None
     }
 
     /// Runs production until a failure occurs that matches `target` (any
@@ -271,81 +231,18 @@ impl Deployment {
                     // (never the healthy runs in between), modeling ring
                     // corruption between the CPU and the crash handler.
                     trace.chaos_tamper();
-                    let pt_stats = trace.stats;
                     return Some(FailureOccurrence {
                         failure: f,
                         trace,
                         run_index: run,
                         sched: self.sched_for(run),
                         instr_count,
-                        pt_stats,
                     });
                 }
             }
             run += 1;
         }
         None
-    }
-}
-
-/// The stream of failure occurrences [`crate::Reconstructor`] consumes: a
-/// cursor over one simulated production run stream.
-pub struct DeploymentSource<'a> {
-    deployment: &'a Deployment,
-    next_run: u64,
-    max_runs_per_wait: u64,
-}
-
-impl<'a> DeploymentSource<'a> {
-    /// A source scanning `deployment` from run 0, giving up on any single
-    /// wait after `max_runs_per_wait` runs.
-    pub fn new(deployment: &'a Deployment, max_runs_per_wait: u64) -> Self {
-        DeploymentSource {
-            deployment,
-            next_run: 0,
-            max_runs_per_wait,
-        }
-    }
-
-    /// The next run index the source would execute.
-    pub fn cursor(&self) -> u64 {
-        self.next_run
-    }
-
-    /// Blocks (in simulation terms) until the next failure matching
-    /// `target` occurs on a run of `inst`, and ships its trace. `None`
-    /// means the source gave up waiting.
-    pub fn next_occurrence(
-        &mut self,
-        inst: &InstrumentedProgram,
-        target: Option<&Failure>,
-    ) -> Option<FailureOccurrence> {
-        let occ = self.deployment.run_until_failure(
-            inst,
-            target,
-            self.next_run,
-            self.max_runs_per_wait,
-        )?;
-        self.next_run = occ.run_index + 1;
-        Some(occ)
-    }
-
-    /// Like [`next_occurrence`](Self::next_occurrence) but unmonitored
-    /// (tracing off) — the warmup posture of paper §3.1. Returns the
-    /// failing run index and the failure.
-    pub fn next_untraced(
-        &mut self,
-        inst: &InstrumentedProgram,
-        target: Option<&Failure>,
-    ) -> Option<(u64, Failure)> {
-        let (run, failure) = self.deployment.observe_failure_untraced(
-            inst,
-            target,
-            self.next_run,
-            self.max_runs_per_wait,
-        )?;
-        self.next_run = run + 1;
-        Some((run, failure))
     }
 }
 
@@ -379,7 +276,7 @@ mod tests {
         let occ = d.run_until_failure(&inst, None, 0, 100).unwrap();
         assert_eq!(occ.run_index, 3, "run 3 is the first with a%5==3");
         assert!(occ.instr_count > 0);
-        assert!(occ.pt_stats.branches > 0);
+        assert!(occ.trace.stats.branches > 0);
         // The next occurrence of the same failure.
         let occ2 = d
             .run_until_failure(&inst, Some(&occ.failure), occ.run_index + 1, 100)
@@ -449,19 +346,5 @@ mod tests {
         // Budget of 3 runs starting at 0 never reaches run 3.
         assert!(fast.run_until_failure(&inst, None, 0, 3).is_none());
         assert!(fast.run_until_failure(&inst, None, 0, 4).is_some());
-    }
-
-    #[test]
-    fn deployment_source_advances_cursor() {
-        let d = deployment();
-        let inst = InstrumentedProgram::unmodified(d.program());
-        let mut src = DeploymentSource::new(&d, 100);
-        let occ = src.next_occurrence(&inst, None).unwrap();
-        assert_eq!(occ.run_index, 3);
-        assert_eq!(src.cursor(), 4);
-        let (run, failure) = src.next_untraced(&inst, Some(&occ.failure)).unwrap();
-        assert_eq!(run, 8);
-        assert!(failure.same_failure(&occ.failure));
-        assert_eq!(src.cursor(), 9);
     }
 }

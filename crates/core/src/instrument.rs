@@ -9,31 +9,6 @@
 //! coordinates, whichever recording set the binary was built with.
 
 use er_minilang::ir::{InstrId, Program};
-use std::fmt;
-
-/// A recording site that does not name a location in the program, e.g. one
-/// selected against a different program. Surfaced as a typed error so
-/// callers can degrade (deploy uninstrumented) instead of dying on an
-/// index panic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstrumentError {
-    /// The offending site.
-    pub site: InstrId,
-    /// Which coordinate was out of range.
-    pub what: &'static str,
-}
-
-impl fmt::Display for InstrumentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cannot instrument {:?}:{:?}[{}]: {}",
-            self.site.func, self.site.block, self.site.index, self.what
-        )
-    }
-}
-
-impl std::error::Error for InstrumentError {}
 
 /// A program built to record a set of sites.
 #[derive(Debug, Clone)]
@@ -46,54 +21,24 @@ pub struct InstrumentedProgram {
 
 impl InstrumentedProgram {
     /// Instruments `program` with `ptwrite` after each of `sites`. Sites
-    /// without a destination register are skipped — there is no value to
-    /// record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any site names a function or block the program does not
-    /// have; use [`try_new`](Self::try_new) to get a typed error instead.
+    /// that name no value-defining instruction of `program` are skipped:
+    /// there is no value to record. With nothing to record this is
+    /// [`unmodified`](Self::unmodified), sharing `program`'s code.
     pub fn new(program: &Program, sites: &[InstrId]) -> InstrumentedProgram {
-        Self::try_new(program, sites).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`new`](Self::new), but rejects sites outside the program's
-    /// function/block bounds with a typed [`InstrumentError`] instead of an
-    /// index panic. (A site whose *instruction* index is past the block end
-    /// is still silently skipped, matching the dst-less-site rule.)
-    pub fn try_new(
-        program: &Program,
-        sites: &[InstrId],
-    ) -> Result<InstrumentedProgram, InstrumentError> {
-        if er_telemetry::enabled() {
-            er_telemetry::counter!("instrument.rebuilds").incr();
-            er_telemetry::counter!("instrument.sites_requested").add(sites.len() as u64);
-        }
-        let mut applied = Vec::with_capacity(sites.len());
-        for &site in sites {
-            let func = program
-                .funcs()
-                .get(site.func.0 as usize)
-                .ok_or(InstrumentError {
-                    site,
-                    what: "function index out of range",
-                })?;
-            if func.blocks.get(site.block.0 as usize).is_none() {
-                return Err(InstrumentError {
-                    site,
-                    what: "block index out of range",
-                });
-            }
-            if program.instr(site).is_some_and(|i| i.dst().is_some()) {
-                applied.push(site);
-            }
+        let mut applied: Vec<InstrId> = sites
+            .iter()
+            .copied()
+            .filter(|&site| program.instr(site).is_some_and(|i| i.dst().is_some()))
+            .collect();
+        if applied.is_empty() {
+            return Self::unmodified(program);
         }
         applied.sort_unstable();
         applied.dedup();
-        Ok(InstrumentedProgram {
+        InstrumentedProgram {
             program: program.recording(&applied),
             sites: applied,
-        })
+        }
     }
 
     /// An identity instrumentation (first ER iteration: control flow only).
@@ -168,23 +113,14 @@ mod tests {
             p.funcs()[0].blocks[0].instrs[0],
             Instr::Print { .. }
         ));
-        let inst = InstrumentedProgram::new(&p, &[site(0, 0, 0)]);
-        assert!(inst.sites.is_empty());
-        assert_eq!(inst.program.code().ops(), p.code().ops());
-    }
-
-    #[test]
-    fn out_of_range_sites_are_typed_errors() {
-        let p = compile("fn main() { let x: u32 = 1 + 2; print(x); }").unwrap();
-        let err = InstrumentedProgram::try_new(&p, &[site(7, 0, 0)]).unwrap_err();
-        assert_eq!(err.what, "function index out of range");
-        assert_eq!(err.site, site(7, 0, 0));
-        let err = InstrumentedProgram::try_new(&p, &[site(0, 9, 0)]).unwrap_err();
-        assert_eq!(err.what, "block index out of range");
-        // An in-bounds block with an out-of-range *instruction* index stays
-        // a silent skip (same rule as dst-less sites).
-        let inst = InstrumentedProgram::try_new(&p, &[site(0, 0, 999)]).unwrap();
-        assert!(inst.sites.is_empty());
+        // A dst-less instruction, a terminator, and ids past the program.
+        let nothing = [site(0, 0, 0), site(0, 0, 1), site(0, 9, 0), site(7, 0, 0)];
+        for sites in [&nothing[..], &[]] {
+            let inst = InstrumentedProgram::new(&p, sites);
+            assert!(inst.sites.is_empty());
+            // Nothing to record: the program's own code, not a rebuild.
+            assert!(std::sync::Arc::ptr_eq(inst.program.code(), p.code()));
+        }
     }
 
     #[test]

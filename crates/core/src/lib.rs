@@ -59,9 +59,9 @@ pub mod select;
 pub mod shepherd;
 pub mod testcase;
 
-pub use deploy::{Deployment, DeploymentSource, FailureOccurrence, NextFailing, ReoccurrenceModel};
+pub use deploy::{Deployment, FailureOccurrence, NextFailing, ReoccurrenceModel};
 pub use graph::ConstraintGraph;
-pub use instrument::{InstrumentError, InstrumentedProgram};
+pub use instrument::InstrumentedProgram;
 pub use reconstruct::{
     ErConfig, OccurrenceInfo, Outcome, ReconstructionReport, ReconstructionSession, Reconstructor,
     SessionStep,

@@ -7,7 +7,7 @@
 //! progress because every iteration concretizes at least the newly recorded
 //! values; it gives up only on divergence or after `max_occurrences`.
 
-use crate::deploy::{Deployment, DeploymentSource, FailureOccurrence};
+use crate::deploy::{Deployment, FailureOccurrence};
 use crate::graph::ConstraintGraph;
 use crate::instrument::InstrumentedProgram;
 use crate::select::{self, RecordingSet, SelectionInput, SelectorKind};
@@ -35,11 +35,6 @@ pub struct ErConfig {
     pub max_runs_per_occurrence: u64,
     /// Data-value selection strategy.
     pub selector: SelectorKind,
-    /// Observe this many failures *without* tracing before enabling the
-    /// always-on trace (paper §3.1: "developers can configure ER to enable
-    /// tracing only after a failure is observed multiple times"). These
-    /// count toward the reported occurrences.
-    pub tracing_warmup: u32,
 }
 
 impl Default for ErConfig {
@@ -50,7 +45,6 @@ impl Default for ErConfig {
             max_occurrences: 16,
             max_runs_per_occurrence: 50_000,
             selector: SelectorKind::KeyValue,
-            tracing_warmup: 0,
         }
     }
 }
@@ -236,7 +230,7 @@ impl OccurrenceInfo {
         OccurrenceInfo {
             run_index: occ.run_index,
             instr_count: occ.instr_count,
-            trace_bytes: occ.pt_stats.bytes,
+            trace_bytes: occ.trace.stats.bytes,
             sched: occ.sched,
             failure: occ.failure.clone(),
         }
@@ -251,11 +245,12 @@ impl OccurrenceInfo {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum SessionStep {
-    /// Feed another occurrence, produced under
-    /// [`ReconstructionSession::instrumented`] (which changed if
-    /// `reinstrumented` is true — redeploy before collecting).
+    /// Feed another occurrence, produced by
+    /// [`ReconstructionSession::binary`].
     NeedOccurrence {
-        /// The recording set grew; instances must roll out the new binary.
+        /// The recording set grew and the session rebuilt its binary:
+        /// occurrences produced by the previous binary are stale, and
+        /// instances must roll out the new one before collecting.
         reinstrumented: bool,
     },
     /// Terminal: reconstruction finished (reproduced or gave up).
@@ -265,16 +260,23 @@ pub enum SessionStep {
 /// One failure investigation, resumable between occurrences.
 ///
 /// This is the per-failure-group state the fleet scheduler parks between
-/// reoccurrences: the accumulated recording set, the target failure, the
-/// iteration log, and the checkpoint cache. [`consume`](Self::consume) runs
-/// exactly one iteration of the paper's loop; the serial driver
-/// ([`Reconstructor::reconstruct`]) is now a thin wrapper that feeds it
-/// from a [`DeploymentSource`].
+/// reoccurrences: the accumulated recording set and the binary that
+/// records it, the target failure, the iteration log, and the checkpoint
+/// cache. [`consume`](Self::consume) runs exactly one iteration of the
+/// paper's loop on an occurrence produced by [`binary`](Self::binary); the
+/// serial driver ([`Reconstructor::reconstruct`]) is a thin wrapper that
+/// deploys that binary and feeds its failures back.
+///
+/// The session owns its binary: it starts as the unmodified program and is
+/// rebuilt, with a `ptwrite` after every recorded site, exactly when an
+/// iteration grows the recording set (the step then reports
+/// `reinstrumented`). Callers only lend it out to the deployment.
 #[derive(Debug, Clone)]
 pub struct ReconstructionSession {
     config: ErConfig,
     program: Program,
     sites: Vec<InstrId>,
+    binary: InstrumentedProgram,
     target: Option<Failure>,
     iterations: Vec<IterationStats>,
     total_symbex: Duration,
@@ -287,6 +289,7 @@ impl ReconstructionSession {
     pub fn new(config: ErConfig, program: Program) -> Self {
         ReconstructionSession {
             config,
+            binary: InstrumentedProgram::unmodified(&program),
             program,
             sites: Vec::new(),
             target: None,
@@ -307,7 +310,7 @@ impl ReconstructionSession {
         self.target.as_ref()
     }
 
-    /// Occurrences consumed so far (including untraced warmups).
+    /// Occurrences consumed so far.
     pub fn occurrences(&self) -> u32 {
         self.occurrences
     }
@@ -331,49 +334,23 @@ impl ReconstructionSession {
         self.occurrences < self.config.max_occurrences
     }
 
-    /// Records an *untraced* warmup observation (paper §3.1): counts toward
-    /// occurrences and pins the target, but is not analyzed.
-    pub fn note_untraced(&mut self, failure: Failure) {
-        self.occurrences += 1;
-        self.target.get_or_insert(failure);
+    /// The binary the deployment must run for the next occurrence: the
+    /// program recording every site of [`sites`](Self::sites) that defines
+    /// a value.
+    pub fn binary(&self) -> &InstrumentedProgram {
+        &self.binary
     }
 
-    /// Builds the binary the deployment must run for the next occurrence:
-    /// the program instrumented with the accumulated recording set.
-    pub fn instrumented(&self) -> InstrumentedProgram {
-        let _s = er_telemetry::span!("phase.instrument");
-        if self.sites.is_empty() {
-            return InstrumentedProgram::unmodified(&self.program);
-        }
-        match InstrumentedProgram::try_new(&self.program, &self.sites) {
-            Ok(inst) => inst,
-            Err(e) => {
-                // Degraded: a bogus recording site must not kill the
-                // investigation. Deploy the uninstrumented binary instead —
-                // the first-iteration posture (control flow only).
-                er_telemetry::counter!("instrument.rejected").incr();
-                er_telemetry::log!(
-                    warn,
-                    "instrumentation rejected ({e}); deploying uninstrumented"
-                );
-                InstrumentedProgram::unmodified(&self.program)
-            }
-        }
-    }
-
-    /// Consumes one traced occurrence: decodes the trace and runs one
-    /// iteration of the reconstruction loop. `inst` must be the
-    /// instrumentation that produced `occ` (i.e. a binary built by
-    /// [`instrumented`](Self::instrumented) since the last
-    /// `reinstrumented` step).
-    pub fn consume(&mut self, inst: &InstrumentedProgram, occ: FailureOccurrence) -> SessionStep {
+    /// Consumes one traced occurrence, produced by [`binary`](Self::binary):
+    /// decodes the trace and runs one iteration of the reconstruction loop.
+    pub fn consume(&mut self, occ: FailureOccurrence) -> SessionStep {
         let info = OccurrenceInfo::of(&occ);
         let decoded = {
             let _s = er_telemetry::span!("shepherd.decode");
             occ.trace.decode()
         };
         match decoded {
-            Ok(d) => self.consume_events(inst, info, d.events),
+            Ok(d) => self.consume_events(info, d.events),
             Err(e) => self.note_undecodable(info, e.to_string()),
         }
     }
@@ -397,12 +374,7 @@ impl ReconstructionSession {
     /// fleet ingestion path stores packets compressed and flattens them
     /// with [`er_pt::packets_to_events`], which reproduces
     /// [`er_pt::PtTrace::decode`] bit-for-bit.
-    pub fn consume_events(
-        &mut self,
-        inst: &InstrumentedProgram,
-        info: OccurrenceInfo,
-        events: Vec<TraceEvent>,
-    ) -> SessionStep {
+    pub fn consume_events(&mut self, info: OccurrenceInfo, events: Vec<TraceEvent>) -> SessionStep {
         self.occurrences += 1;
         let occurrence = self.occurrences;
         self.target.get_or_insert(info.failure.clone());
@@ -432,7 +404,7 @@ impl ReconstructionSession {
                     })
                     .find_map(|(s, new_cursor)| {
                         s.clone()
-                            .retarget(&inst.program)
+                            .retarget(&self.binary.program)
                             .map(|s| s.with_cursor(new_cursor))
                     })
             });
@@ -442,7 +414,7 @@ impl ReconstructionSession {
         }
         er_solver::cancel::begin_phase(er_solver::cancel::Phase::Shepherd);
         let report = shepherd::shepherd_events(
-            &inst.program,
+            &self.binary.program,
             &events,
             Some(&info.failure),
             self.config.sym,
@@ -556,6 +528,14 @@ impl ReconstructionSession {
         self.sites.extend(new_sites);
         self.sites.sort_unstable();
         self.sites.dedup();
+        self.binary = {
+            let _s = er_telemetry::span!("phase.instrument");
+            if er_telemetry::enabled() {
+                er_telemetry::counter!("instrument.rebuilds").incr();
+                er_telemetry::counter!("instrument.sites_requested").add(self.sites.len() as u64);
+            }
+            InstrumentedProgram::new(&self.program, &self.sites)
+        };
         self.remember(events, checkpoints);
         self.need_more(true)
     }
@@ -596,16 +576,7 @@ impl ReconstructionSession {
     /// Closes the investigation unsuccessfully (e.g. the source stopped
     /// producing occurrences). The session is spent afterwards.
     pub fn give_up(&mut self, reason: GiveUpReason) -> ReconstructionReport {
-        // The serial loop reports the occurrence *limit* when it exhausts
-        // the budget, even if warmups overshot it.
-        let occurrences = if matches!(reason, GiveUpReason::OccurrenceLimit) {
-            self.config.max_occurrences
-        } else {
-            self.occurrences
-        };
-        let mut report = self.report(Outcome::GaveUp(reason));
-        report.occurrences = occurrences;
-        report
+        self.report(Outcome::GaveUp(reason))
     }
 
     fn report(&mut self, outcome: Outcome) -> ReconstructionReport {
@@ -678,39 +649,30 @@ impl Reconstructor {
     /// Reconstructs the first failure the deployment produces.
     pub fn reconstruct(&self, deployment: &Deployment) -> ReconstructionReport {
         let _span = er_telemetry::span!("reconstruct");
-        let mut source = DeploymentSource::new(deployment, self.config.max_runs_per_occurrence);
         let mut session = ReconstructionSession::new(self.config, deployment.program().clone());
-
-        // Optional unmonitored warm-up: confirm the failure actually
-        // reoccurs before paying for always-on tracing.
-        if self.config.tracing_warmup > 0 {
-            let inst = InstrumentedProgram::unmodified(session.program());
-            for _ in 0..self.config.tracing_warmup {
-                let target = session.target().cloned();
-                match source.next_untraced(&inst, target.as_ref()) {
-                    Some((_, failure)) => session.note_untraced(failure),
-                    None => return session.give_up(GiveUpReason::NoFailureObserved),
-                }
-            }
-        }
-
+        // The next production run to execute: each wait resumes after the
+        // previous failing run.
+        let mut next_run = 0;
         loop {
             if !session.wants_more() {
                 return session.give_up(GiveUpReason::OccurrenceLimit);
             }
             let _iter_span = er_telemetry::span!("reconstruct.iteration");
-            let inst = session.instrumented();
             let deployed = {
                 let _s = er_telemetry::span!("phase.deploy");
-                let target = session.target().cloned();
-                source.next_occurrence(&inst, target.as_ref())
+                deployment.run_until_failure(
+                    session.binary(),
+                    session.target(),
+                    next_run,
+                    self.config.max_runs_per_occurrence,
+                )
             };
             let Some(occ) = deployed else {
                 return session.give_up(GiveUpReason::NoFailureObserved);
             };
-            match session.consume(&inst, occ) {
-                SessionStep::Done(report) => return report,
-                SessionStep::NeedOccurrence { .. } => {}
+            next_run = occ.run_index + 1;
+            if let SessionStep::Done(report) = session.consume(occ) {
+                return report;
             }
         }
     }
@@ -721,6 +683,7 @@ mod tests {
     use super::*;
     use er_minilang::compile;
     use er_minilang::env::Env;
+    use std::sync::Arc;
 
     fn deploy(src: &str, input_gen: impl Fn(u64) -> Env + Send + Sync + 'static) -> Deployment {
         Deployment::new(compile(src).unwrap(), input_gen)
@@ -750,11 +713,11 @@ mod tests {
         assert_eq!(tc.inputs[0].1, 7u32.to_le_bytes().to_vec());
     }
 
-    #[test]
-    fn iterative_reconstruction_with_stalls() {
-        // A paper-style aliasing bug over a large object: trace-only symbex
-        // stalls under a small budget; recorded key values fix it. Masked
-        // indexing keeps containment provable so the write chain forms.
+    /// A paper-style aliasing bug over a large object: trace-only symbex
+    /// stalls under a small budget; recorded key values fix it. Masked
+    /// indexing keeps containment provable so the write chain forms.
+    /// Failures occur when `i == j`, on every run `r` with `r % 7 == 3`.
+    fn aliasing_deployment() -> Deployment {
         let src = r#"
             global TBL: [u64; 2048];
             fn main() {
@@ -767,16 +730,18 @@ mod tests {
                 print(i);
             }
         "#;
-        let d = deploy(src, |run| {
+        deploy(src, |run| {
             let mut env = Env::new();
-            // Failures occur when i == j; make that happen every 7th run.
             let a = run * 13 + 5;
             let b = if run % 7 == 3 { a } else { a + 1 };
             env.push_input(0, &a.to_le_bytes());
             env.push_input(0, &b.to_le_bytes());
             env
-        });
-        let config = ErConfig {
+        })
+    }
+
+    fn stalling_config() -> ErConfig {
+        ErConfig {
             sym: SymConfig {
                 solver_budget: Budget::small(),
                 max_steps: 50_000_000,
@@ -785,8 +750,13 @@ mod tests {
             },
             final_budget: Budget::small(),
             ..ErConfig::default()
-        };
-        let report = Reconstructor::new(config).reconstruct(&d);
+        }
+    }
+
+    #[test]
+    fn iterative_reconstruction_with_stalls() {
+        let d = aliasing_deployment();
+        let report = Reconstructor::new(stalling_config()).reconstruct(&d);
         assert!(report.reproduced(), "outcome: {:?}", report.outcome);
         assert!(
             report.occurrences >= 2,
@@ -796,6 +766,59 @@ mod tests {
         assert!(report.iterations[0].stalled.is_some());
         assert!(report.iterations[0].sites_selected > 0);
         assert!(report.iterations[0].longest_chain > 0);
+        // Each wait resumes after the previous failing run, and every
+        // iteration analyzed a run the production inputs make fail.
+        let runs: Vec<u64> = report.iterations.iter().map(|it| it.run_index).collect();
+        assert!(runs.windows(2).all(|w| w[0] < w[1]), "runs {runs:?}");
+        for &run in &runs {
+            let outcome = er_minilang::interp::Machine::new(d.program(), d.env_for(run))
+                .with_sched(d.sched_for(run))
+                .run()
+                .outcome;
+            assert!(
+                matches!(outcome, er_minilang::interp::RunOutcome::Failure(_)),
+                "run {run} does not fail: {outcome:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn session_rebuilds_its_binary_only_when_reinstrumenting() {
+        let d = aliasing_deployment();
+        let mut session = ReconstructionSession::new(stalling_config(), d.program().clone());
+        assert!(Arc::ptr_eq(
+            session.binary().program.code(),
+            session.program().code()
+        ));
+        let (mut next_run, mut rebuilds) = (0, 0);
+        let report = loop {
+            let occ = d
+                .run_until_failure(session.binary(), session.target(), next_run, 100)
+                .expect("the failure reoccurs");
+            next_run = occ.run_index + 1;
+            let before = Arc::clone(session.binary().program.code());
+            let step = session.consume(occ);
+            assert_eq!(session.binary().sites, session.sites());
+            let same = Arc::ptr_eq(&before, session.binary().program.code());
+            match step {
+                SessionStep::NeedOccurrence {
+                    reinstrumented: true,
+                } => {
+                    assert!(!same, "reinstrumenting rebuilds the binary");
+                    rebuilds += 1;
+                }
+                SessionStep::NeedOccurrence {
+                    reinstrumented: false,
+                } => assert!(same, "no new sites, same binary"),
+                SessionStep::Done(report) => {
+                    assert!(same, "a closing step does not rebuild");
+                    break report;
+                }
+            }
+        };
+        assert!(report.reproduced(), "outcome: {:?}", report.outcome);
+        assert!(rebuilds > 0, "the investigation must stall at least once");
+        assert!(!session.sites().is_empty());
     }
 
     #[test]
@@ -980,39 +1003,6 @@ mod tests {
             .stalled
             .as_deref()
             .is_some_and(|s| s.contains("TraceGap"))));
-    }
-
-    #[test]
-    fn tracing_warmup_defers_monitoring() {
-        let d = deploy(
-            r#"
-            fn main() {
-                let a: u32 = input_u32(0);
-                if a % 3 == 1 { abort("mod3"); }
-                print(a);
-            }
-            "#,
-            |run| {
-                let mut env = Env::new();
-                env.push_input(0, &(run as u32).to_le_bytes());
-                env
-            },
-        );
-        let config = ErConfig {
-            tracing_warmup: 2,
-            ..ErConfig::default()
-        };
-        let report = Reconstructor::new(config).reconstruct(&d);
-        assert!(report.reproduced(), "{:?}", report.outcome);
-        // Two untraced observations + one traced reconstruction.
-        assert_eq!(report.occurrences, 3);
-        assert_eq!(
-            report.iterations.len(),
-            1,
-            "only the traced occurrence is analyzed"
-        );
-        // The traced occurrence is the third failing run (runs 1, 4, 7).
-        assert_eq!(report.iterations[0].run_index, 7);
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl Ingestor {
         let mut out = Vec::with_capacity(batch.len());
         for report in batch {
             let info = OccurrenceInfo::of(&report.occ);
-            if report.occ.trace.wrapped || report.occ.pt_stats.packets_dropped > 0 {
+            if report.occ.trace.wrapped || report.occ.trace.stats.packets_dropped > 0 {
                 self.stats.truncated += 1;
                 er_telemetry::counter!("fleet.ingest.truncated").incr();
             }

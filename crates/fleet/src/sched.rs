@@ -51,7 +51,8 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// One failure group's investigation state.
+/// One failure group's investigation state: its session, which owns the
+/// group's current binary, and its queue of pending occurrences.
 #[derive(Debug)]
 pub struct GroupState {
     /// Group id (signature hash).
@@ -61,7 +62,6 @@ pub struct GroupState {
     /// Current instrumentation version (0 = uninstrumented).
     pub version: u32,
     session: ReconstructionSession,
-    inst: InstrumentedProgram,
     pending: VecDeque<PendingOccurrence>,
     /// Runs at or below this index are already consumed; later-arriving
     /// occurrences of them are duplicates from other instances.
@@ -200,14 +200,11 @@ impl Scheduler {
         let mut started = false;
         self.groups.entry(id).or_insert_with(|| {
             started = true;
-            let session = ReconstructionSession::new(er, program.clone());
-            let inst = session.instrumented();
             GroupState {
                 id,
                 label: label.to_string(),
                 version: 0,
-                session,
-                inst,
+                session: ReconstructionSession::new(er, program.clone()),
                 pending: VecDeque::new(),
                 next_run: 0,
                 report: None,
@@ -301,14 +298,15 @@ impl Scheduler {
     /// The binary instance `idx` of `total` should run right now: the
     /// highest-priority open group's current binary on the instrumented
     /// slice (`ceil(rollout × total)`, at least 1), the uninstrumented
-    /// baseline elsewhere. Returns `(group, version, binary)`.
-    pub fn binary_for(
-        &self,
+    /// baseline elsewhere. Returns `(group, version, binary)`, the binary
+    /// lent from the group's session or from `baseline`.
+    pub fn binary_for<'a>(
+        &'a self,
         idx: usize,
         total: usize,
         runs_observed: u64,
-        baseline: &InstrumentedProgram,
-    ) -> (Option<u64>, u32, InstrumentedProgram) {
+        baseline: &'a InstrumentedProgram,
+    ) -> (Option<u64>, u32, &'a InstrumentedProgram) {
         let instrumented = ((self.policy.rollout * total as f64).ceil() as usize).clamp(1, total);
         let lead = self
             .priority_order(runs_observed)
@@ -317,9 +315,9 @@ impl Scheduler {
             .and_then(|id| self.groups.get(&id));
         match lead {
             Some(g) if idx < instrumented && g.version > 0 => {
-                (Some(g.id), g.version, g.inst.clone())
+                (Some(g.id), g.version, g.session.binary())
             }
-            _ => (None, 0, baseline.clone()),
+            _ => (None, 0, baseline),
         }
     }
 
@@ -560,22 +558,15 @@ impl Scheduler {
         let Some(budgets) = g.watchdog.map(|w| w.budgets()) else {
             return IterResult::Done(Self::run_iteration(g, p, store));
         };
-        let snapshot = (
-            g.session.clone(),
-            g.inst.clone(),
-            g.next_run,
-            g.iterations,
-            g.version,
-        );
+        let snapshot = (g.session.clone(), g.next_run, g.iterations, g.version);
         let guard = er_solver::cancel::arm(budgets);
         let outcome = Self::run_iteration(g, p, store);
         let tripped = er_solver::cancel::tripped_phase();
         drop(guard);
         match tripped {
             Some(phase) => {
-                let (session, inst, next_run, iterations, version) = snapshot;
+                let (session, next_run, iterations, version) = snapshot;
                 g.session = session;
-                g.inst = inst;
                 g.next_run = next_run;
                 g.iterations = iterations;
                 g.version = version;
@@ -611,7 +602,7 @@ impl Scheduler {
                     er_solver::cancel::tick(packets.len() as u64);
                     events
                 };
-                g.session.consume_events(&g.inst, p.info.clone(), events)
+                g.session.consume_events(p.info.clone(), events)
             }
             Err(error) => g.session.note_undecodable(p.info.clone(), error),
         };
@@ -624,7 +615,6 @@ impl Scheduler {
                 reinstrumented: true,
             } => {
                 g.version += 1;
-                g.inst = g.session.instrumented();
                 ConsumeOutcome::Reinstrumented
             }
             SessionStep::NeedOccurrence {

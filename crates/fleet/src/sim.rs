@@ -334,7 +334,7 @@ impl Fleet {
             let pause = scheduler.has_eligible_pending() || !ingestor.is_empty();
             if !pause {
                 let _p = er_telemetry::span!("fleet.produce");
-                let assignments: Vec<(Option<u64>, u32, InstrumentedProgram)> = (0..m)
+                let assignments: Vec<(Option<u64>, u32, &InstrumentedProgram)> = (0..m)
                     .map(|i| scheduler.binary_for(i, m, runs_observed.max(1), &baseline))
                     .collect();
                 let cursors: Vec<u64> = instances.iter().map(|s| s.cursor).collect();

@@ -353,7 +353,7 @@ mod tests {
             let a = plain.run_until_failure(&inst, None, at, 1_000).unwrap();
             let b = fast.run_until_failure(&inst, None, at, 1_000).unwrap();
             assert_eq!(a.run_index, b.run_index);
-            assert_eq!(a.pt_stats.bytes, b.pt_stats.bytes);
+            assert_eq!(a.trace.stats.bytes, b.trace.stats.bytes);
             at = a.run_index + 1;
         }
     }
