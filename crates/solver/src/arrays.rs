@@ -244,11 +244,17 @@ impl Eliminator {
                 if let Some(scope) = &mut self.scope {
                     scope.base_read_keys.push((id, idx));
                 }
-                // One axiom per cell: (idx == k) -> fresh == init[k].
+                // One axiom per cell: (idx == k) -> fresh == init[k]. A cell
+                // the index's known bits rule out folds to `true` and is
+                // left out; it still counts in `cells` above, so budget
+                // trip points do not depend on the folding.
                 let idx_bits = pool.sort(idx).bits();
                 for k in 0..decl.len {
                     let kv = pool.bv_const(k, idx_bits);
                     let hit = pool.cmp(crate::expr::CmpKind::Eq, idx, kv);
+                    if pool.as_const(hit) == Some(0) {
+                        continue;
+                    }
                     let nhit = pool.not(hit);
                     let v = decl
                         .init
@@ -275,7 +281,7 @@ impl Eliminator {
 mod tests {
     use super::*;
     use crate::bitblast::BitBlaster;
-    use crate::expr::CmpKind;
+    use crate::expr::{BvOp, CmpKind};
     use crate::sat::{load, SatOutcome};
 
     fn check(pool: &mut ExprPool, exprs: &[ExprRef], max_cells: u64) -> SatOutcome {
@@ -380,6 +386,53 @@ mod tests {
             .unwrap_err();
         assert!(err.cells > 1_000);
         assert_eq!(err.budget, 1_000);
+    }
+
+    #[test]
+    fn known_bits_drop_unreachable_cell_axioms_but_not_their_cost() {
+        // T[(i & 31) * 8 + 3] over 256 bytes: only cells k ≡ 3 (mod 8)
+        // are reachable, so 32 cell axioms survive, yet the read still
+        // costs all 256 cells against the budget.
+        let mut p = ExprPool::new();
+        let init: Vec<u64> = (0..256).collect();
+        let arr = p.array("T", 256, 8, Some(init));
+        let i = p.var("i", 64);
+        let m31 = p.bv_const(31, 64);
+        let eight = p.bv_const(8, 64);
+        let three = p.bv_const(3, 64);
+        let masked = p.bin(BvOp::And, i, m31);
+        let scaled = p.bin(BvOp::Mul, masked, eight);
+        let idx = p.bin(BvOp::Add, scaled, three);
+        let r = p.read(arr, idx);
+        let eleven = p.bv_const(11, 8);
+        let hit = p.cmp(CmpKind::Eq, r, eleven);
+
+        let mut elim = Eliminator::new();
+        let mut axioms = Vec::new();
+        elim.rewrite(&mut p, hit, 10_000, &mut axioms).unwrap();
+        assert_eq!(elim.stats().cells, 256);
+        assert!(axioms.iter().all(|&ax| p.as_const(ax).is_none()));
+        let cell_axioms = axioms
+            .iter()
+            .filter(|&&ax| matches!(p.node(ax), Node::OrB(..)))
+            .count();
+        assert_eq!(cell_axioms, 32);
+        assert_eq!(axioms.len(), 33, "32 cells and the in-bounds axiom");
+
+        // A tight budget's stall counts every cell, not just the reachable
+        // ones.
+        let err = Eliminator::new()
+            .rewrite(&mut p, hit, 200, &mut Vec::new())
+            .unwrap_err();
+        assert_eq!(err.cells, 256);
+
+        // T[idx] == 11 forces i & 31 == 1; T[idx] == 12 is unreachable.
+        let SatOutcome::Sat(_) = check(&mut p, &[hit], 10_000) else {
+            panic!("cell 11 is reachable");
+        };
+        let twelve = p.bv_const(12, 8);
+        let miss = p.cmp(CmpKind::Eq, r, twelve);
+        assert_eq!(check(&mut p, &[miss], 10_000), SatOutcome::Unsat);
     }
 
     #[test]

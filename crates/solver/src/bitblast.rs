@@ -6,7 +6,6 @@
 use crate::cnf::{Cnf, CnfMark, Lit, Var};
 use crate::expr::{BvOp, CmpKind, ExprPool, ExprRef, Node, VarId};
 use crate::hash::FxHashMap;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Bit-blasting failure.
@@ -30,6 +29,7 @@ impl std::error::Error for BlastError {}
 
 #[derive(Debug, Clone)]
 enum Blasted {
+    /// The low bits of a bitvector: as many as it was blasted at.
     Bits(Vec<Lit>),
     Bool(Lit),
 }
@@ -42,18 +42,27 @@ enum Blasted {
 /// themselves), so cached entries stay sound as the formula grows.
 /// [`BitBlaster::begin_scope`] / [`BitBlaster::rollback_scope`] bracket
 /// assumption-only blasting so its clauses and cache entries can be undone.
+///
+/// Lowering is demand-driven: a node is blasted at the number of low bits
+/// its consumers read (the low `k` bits of a sum, product or bitwise
+/// operation depend only on the low `k` bits of its operands), so no gate
+/// is built for a bit nothing observes. A cache entry holds the bits it
+/// was blasted at; a consumer that reads more re-blasts the node wider.
+/// Variables are always blasted at full width, so [`BitBlaster::var_bits`]
+/// covers every bit a model reports.
 #[derive(Debug, Default, Clone)]
 pub struct BitBlaster {
     /// The CNF being built.
     pub cnf: Cnf,
     cache: FxHashMap<ExprRef, Blasted>,
-    var_bits: HashMap<VarId, Vec<Var>>,
+    var_bits: FxHashMap<VarId, Vec<Var>>,
     scope: Option<BlastScope>,
 }
 
 #[derive(Debug, Clone)]
 struct BlastScope {
-    cache_keys: Vec<ExprRef>,
+    /// Each cache key written in the scope, with the entry it replaced.
+    cache_writes: Vec<(ExprRef, Option<Blasted>)>,
     var_keys: Vec<VarId>,
     cnf_mark: CnfMark,
 }
@@ -76,11 +85,11 @@ impl BitBlaster {
     }
 
     /// The expression-variable bit map used for model extraction.
-    pub fn var_bits(&self) -> &HashMap<VarId, Vec<Var>> {
+    pub fn var_bits(&self) -> &FxHashMap<VarId, Vec<Var>> {
         &self.var_bits
     }
 
-    /// Starts recording CNF growth and cache insertions for rollback.
+    /// Starts recording CNF growth and cache writes for rollback.
     ///
     /// # Panics
     ///
@@ -88,17 +97,22 @@ impl BitBlaster {
     pub fn begin_scope(&mut self) {
         assert!(self.scope.is_none(), "blast scopes do not nest");
         self.scope = Some(BlastScope {
-            cache_keys: Vec::new(),
+            cache_writes: Vec::new(),
             var_keys: Vec::new(),
             cnf_mark: self.cnf.mark(),
         });
     }
 
-    /// Undoes everything added since [`BitBlaster::begin_scope`].
+    /// Undoes everything added since [`BitBlaster::begin_scope`]. A cache
+    /// entry the scope re-blasted wider gets its narrower lowering back,
+    /// whose clauses predate the scope.
     pub fn rollback_scope(&mut self) {
         let scope = self.scope.take().expect("scope open");
-        for k in scope.cache_keys {
-            self.cache.remove(&k);
+        for (k, before) in scope.cache_writes.into_iter().rev() {
+            match before {
+                Some(b) => self.cache.insert(k, b),
+                None => self.cache.remove(&k),
+            };
         }
         for k in scope.var_keys {
             self.var_bits.remove(&k);
@@ -107,7 +121,8 @@ impl BitBlaster {
     }
 
     fn blast_bool(&mut self, pool: &ExprPool, e: ExprRef) -> Result<Lit, BlastError> {
-        match self.blast(pool, e)? {
+        let width = pool.sort(e).bits();
+        match self.blast(pool, e, width)? {
             Blasted::Bool(l) => Ok(l),
             Blasted::Bits(bits) => {
                 // Nonzero test.
@@ -120,23 +135,52 @@ impl BitBlaster {
         }
     }
 
-    fn blast_bits(&mut self, pool: &ExprPool, e: ExprRef) -> Result<Vec<Lit>, BlastError> {
-        match self.blast(pool, e)? {
+    /// The low `demand` bits of `e`; none at all for a demand of 0.
+    fn blast_bits(
+        &mut self,
+        pool: &ExprPool,
+        e: ExprRef,
+        demand: u32,
+    ) -> Result<Vec<Lit>, BlastError> {
+        if demand == 0 {
+            return Ok(Vec::new());
+        }
+        match self.blast(pool, e, demand)? {
             Blasted::Bits(b) => Ok(b),
             Blasted::Bool(l) => Ok(vec![l]),
         }
     }
 
-    fn blast(&mut self, pool: &ExprPool, e: ExprRef) -> Result<Blasted, BlastError> {
-        if let Some(b) = self.cache.get(&e) {
-            return Ok(b.clone());
-        }
+    /// All of `e`'s bits.
+    fn blast_full(&mut self, pool: &ExprPool, e: ExprRef) -> Result<Vec<Lit>, BlastError> {
+        let width = pool.sort(e).bits();
+        self.blast_bits(pool, e, width)
+    }
+
+    /// `bits` extended with constant-false literals to `len`.
+    fn zero_extend(&mut self, mut bits: Vec<Lit>, len: u32) -> Vec<Lit> {
+        let f = self.cnf.false_lit();
+        bits.resize(len as usize, f);
+        bits
+    }
+
+    /// Lowers `e` and returns its low `d` bits (`1..=` its width), or its
+    /// literal if it is boolean.
+    fn blast(&mut self, pool: &ExprPool, e: ExprRef, d: u32) -> Result<Blasted, BlastError> {
+        let previous = match self.cache.get(&e) {
+            Some(Blasted::Bool(l)) => return Ok(Blasted::Bool(*l)),
+            Some(Blasted::Bits(bits)) if bits.len() >= d as usize => {
+                return Ok(Blasted::Bits(bits[..d as usize].to_vec()));
+            }
+            Some(narrower) => Some(narrower.clone()),
+            None => None,
+        };
         let result = match pool.node(e).clone() {
-            Node::Const { bits, value } => {
+            Node::Const { value, .. } => {
                 let t = self.cnf.true_lit();
                 let f = !t;
                 Blasted::Bits(
-                    (0..bits)
+                    (0..d)
                         .map(|i| if value >> i & 1 == 1 { t } else { f })
                         .collect(),
                 )
@@ -153,14 +197,10 @@ impl BitBlaster {
                 }
                 Blasted::Bits(vars.into_iter().map(Lit::pos).collect())
             }
-            Node::Bin { op, a, b } => {
-                let av = self.blast_bits(pool, a)?;
-                let bv = self.blast_bits(pool, b)?;
-                Blasted::Bits(self.bin_op(op, &av, &bv))
-            }
+            Node::Bin { op, a, b } => Blasted::Bits(self.blast_bin(pool, op, a, b, d)?),
             Node::Cmp { op, a, b } => {
-                let av = self.blast_bits(pool, a)?;
-                let bv = self.blast_bits(pool, b)?;
+                let av = self.blast_full(pool, a)?;
+                let bv = self.blast_full(pool, b)?;
                 Blasted::Bool(self.cmp_op(op, &av, &bv))
             }
             Node::Not(a) => {
@@ -183,8 +223,8 @@ impl BitBlaster {
                 else_e,
             } => {
                 let c = self.blast_bool(pool, cond)?;
-                let t = self.blast_bits(pool, then_e)?;
-                let el = self.blast_bits(pool, else_e)?;
+                let t = self.blast_bits(pool, then_e, d)?;
+                let el = self.blast_bits(pool, else_e, d)?;
                 Blasted::Bits(
                     t.iter()
                         .zip(&el)
@@ -192,30 +232,88 @@ impl BitBlaster {
                         .collect(),
                 )
             }
-            Node::ZExt { a, bits } => {
-                let mut v = self.blast_bits(pool, a)?;
-                let f = self.cnf.false_lit();
-                v.resize(bits as usize, f);
-                Blasted::Bits(v)
+            Node::ZExt { a, .. } => {
+                let inner = d.min(pool.sort(a).bits());
+                let v = self.blast_bits(pool, a, inner)?;
+                Blasted::Bits(self.zero_extend(v, d))
             }
-            Node::Trunc { a, bits } => {
-                let v = self.blast_bits(pool, a)?;
-                Blasted::Bits(v[..bits as usize].to_vec())
-            }
-            Node::BoolToBv { a, bits } => {
+            Node::Trunc { a, .. } => Blasted::Bits(self.blast_bits(pool, a, d)?),
+            Node::BoolToBv { a, .. } => {
                 let l = self.blast_bool(pool, a)?;
-                let f = self.cnf.false_lit();
-                let mut v = vec![f; bits as usize];
-                v[0] = l;
+                let v = self.zero_extend(vec![l], d);
                 Blasted::Bits(v)
             }
             Node::Read { .. } => return Err(BlastError::UnexpectedRead(e)),
         };
-        self.cache.insert(e, result.clone());
+        let out = match &result {
+            Blasted::Bits(bits) => Blasted::Bits(bits[..d as usize].to_vec()),
+            Blasted::Bool(l) => Blasted::Bool(*l),
+        };
+        self.cache.insert(e, result);
         if let Some(scope) = &mut self.scope {
-            scope.cache_keys.push(e);
+            scope.cache_writes.push((e, previous));
         }
-        Ok(result)
+        Ok(out)
+    }
+
+    /// The low `d` bits of `a op b`.
+    ///
+    /// Sums, products and bitwise operations pass the demand to both
+    /// operands. A constant mask caps the other operand of `And` at its
+    /// highest set bit, and a constant shift moves the demand by the shift
+    /// amount. Division, remainder, arithmetic shifts and shifts by a
+    /// symbolic amount read every bit of both operands.
+    fn blast_bin(
+        &mut self,
+        pool: &ExprPool,
+        op: BvOp,
+        a: ExprRef,
+        b: ExprRef,
+        d: u32,
+    ) -> Result<Vec<Lit>, BlastError> {
+        let width = pool.sort(a).bits();
+        let shift = pool.as_const(b).map(|c| (c % u64::from(width)) as u32);
+        match (op, shift) {
+            (BvOp::Add | BvOp::Sub | BvOp::Mul | BvOp::Or | BvOp::Xor, _) => {
+                let av = self.blast_bits(pool, a, d)?;
+                let bv = self.blast_bits(pool, b, d)?;
+                Ok(self.bin_op(op, &av, &bv))
+            }
+            (BvOp::And, _) => {
+                // Bits above a constant's highest set bit are and-ed with 0.
+                let cap = |e| {
+                    pool.as_const(e)
+                        .map_or(d, |c| d.min(64 - c.leading_zeros()))
+                };
+                let (da, db) = (cap(b), cap(a));
+                let av = self.blast_bits(pool, a, da)?;
+                let av = self.zero_extend(av, d);
+                let bv = self.blast_bits(pool, b, db)?;
+                let bv = self.zero_extend(bv, d);
+                Ok(self.bin_op(op, &av, &bv))
+            }
+            // Result bit i is a[i - sh], or 0 below the shift.
+            (BvOp::Shl, Some(sh)) => {
+                let sh = sh.min(d);
+                let f = self.cnf.false_lit();
+                let mut out = vec![f; sh as usize];
+                out.extend(self.blast_bits(pool, a, d - sh)?);
+                Ok(out)
+            }
+            // Result bit i is a[i + sh], or 0 past the top.
+            (BvOp::LShr, Some(sh)) => {
+                let av = self.blast_bits(pool, a, (d + sh).min(width))?;
+                let out = av[sh as usize..].to_vec();
+                Ok(self.zero_extend(out, d))
+            }
+            (BvOp::UDiv | BvOp::URem | BvOp::AShr | BvOp::Shl | BvOp::LShr, _) => {
+                let av = self.blast_full(pool, a)?;
+                let bv = self.blast_full(pool, b)?;
+                let mut out = self.bin_op(op, &av, &bv);
+                out.truncate(d as usize);
+                Ok(out)
+            }
+        }
     }
 
     fn adder(&mut self, a: &[Lit], b: &[Lit], mut carry: Lit) -> Vec<Lit> {
@@ -556,6 +654,48 @@ mod tests {
             bb.assert_true(&pool, c),
             Err(BlastError::UnexpectedRead(_))
         ));
+    }
+
+    /// Width of `e`'s cached lowering.
+    fn cached_width(bb: &BitBlaster, e: ExprRef) -> Option<usize> {
+        match bb.cache.get(&e)? {
+            Blasted::Bits(bits) => Some(bits.len()),
+            Blasted::Bool(_) => Some(1),
+        }
+    }
+
+    #[test]
+    fn nodes_are_blasted_at_the_bits_their_consumers_read() {
+        // (x * y) & 0xff reads 8 bits of a 64-bit product; asking for all
+        // of it inside a scope re-blasts it wider, and the rollback puts
+        // the 8-bit lowering back.
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 64);
+        let y = pool.var("y", 64);
+        let prod = pool.bin(BvOp::Mul, x, y);
+        let byte = pool.bv_const(0xff, 64);
+        let low = pool.bin(BvOp::And, prod, byte);
+        let c = pool.bv_const(0x21, 64);
+        let low_is_c = pool.cmp(CmpKind::Eq, low, c);
+        let mut bb = BitBlaster::new();
+        bb.assert_true(&pool, low_is_c).unwrap();
+        assert_eq!(cached_width(&bb, prod), Some(8));
+        assert_eq!(
+            bb.var_bits()[&VarId(0)].len(),
+            64,
+            "variables stay full width"
+        );
+        let narrow = bb.cnf.clause_count();
+
+        let big = pool.bv_const(1 << 40, 64);
+        let prod_is_big = pool.cmp(CmpKind::Eq, prod, big);
+        bb.begin_scope();
+        bb.assert_true(&pool, prod_is_big).unwrap();
+        assert_eq!(cached_width(&bb, prod), Some(64));
+        assert!(bb.cnf.clause_count() > 10 * narrow, "a 64-bit multiplier");
+        bb.rollback_scope();
+        assert_eq!(cached_width(&bb, prod), Some(8));
+        assert_eq!(bb.cnf.clause_count(), narrow);
     }
 
     #[test]

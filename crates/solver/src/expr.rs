@@ -1,6 +1,7 @@
 //! Hash-consed expression DAG over bitvectors, booleans, and arrays.
 
 use crate::hash::FxHashMap;
+use crate::known::{self, KnownBits};
 use crate::simplify;
 use std::collections::hash_map::Entry;
 use std::fmt;
@@ -260,13 +261,27 @@ pub struct VarDecl {
     pub bits: u32,
 }
 
+/// What the pool knows about a node, computed once when it is interned.
+#[derive(Debug, Clone, Copy)]
+struct Facts {
+    sort: Sort,
+    known: KnownBits,
+}
+
 /// The expression pool: owns all nodes, hash-consing structurally equal
 /// ones, and applies algebraic simplification in its constructors.
+///
+/// Each node's sort and [`KnownBits`] sit in a side table filled at
+/// [`ExprPool::intern`] from its operands' entries, so both are O(1) to
+/// ask for however deep the DAG below grows.
 #[derive(Debug, Default, Clone)]
 pub struct ExprPool {
     nodes: Vec<Node>,
+    facts: Vec<Facts>,
     dedup: FxHashMap<Node, ExprRef>,
     arrays: Vec<ArrayNode>,
+    /// Base-array id under each array node.
+    array_bases: Vec<u32>,
     arrays_dedup: FxHashMap<ArrayNode, ArrayRef>,
     array_decls: Vec<ArrayDecl>,
     vars: Vec<VarDecl>,
@@ -320,36 +335,27 @@ impl ExprPool {
 
     /// The sort of `e`.
     pub fn sort(&self, e: ExprRef) -> Sort {
-        match self.node(e) {
-            Node::Const { bits, .. } | Node::Var { bits, .. } => Sort::Bv(*bits),
-            Node::BoolConst(_)
-            | Node::Cmp { .. }
-            | Node::Not(_)
-            | Node::AndB(..)
-            | Node::OrB(..) => Sort::Bool,
-            Node::Bin { a, .. } => self.sort(*a),
-            Node::Ite { then_e, .. } => self.sort(*then_e),
-            Node::ZExt { bits, .. } | Node::Trunc { bits, .. } | Node::BoolToBv { bits, .. } => {
-                Sort::Bv(*bits)
-            }
-            Node::Read { arr, .. } => Sort::Bv(self.elem_bits(*arr)),
-        }
+        self.facts[e.0 as usize].sort
+    }
+
+    /// The bits of `e` every assignment agrees on.
+    pub fn known_bits(&self, e: ExprRef) -> KnownBits {
+        self.facts[e.0 as usize].known
+    }
+
+    /// Declaration of the base array under `a`.
+    fn base_decl(&self, a: ArrayRef) -> &ArrayDecl {
+        &self.array_decls[self.array_bases[a.0 as usize] as usize]
     }
 
     /// Element width of the (base of) array `a`.
     pub fn elem_bits(&self, a: ArrayRef) -> u32 {
-        match self.array_node(a) {
-            ArrayNode::Base(id) => self.array_decl(*id).elem_bits,
-            ArrayNode::Store { arr, .. } => self.elem_bits(*arr),
-        }
+        self.base_decl(a).elem_bits
     }
 
     /// Length (element count) of the (base of) array `a`.
     pub fn array_len(&self, a: ArrayRef) -> u64 {
-        match self.array_node(a) {
-            ArrayNode::Base(id) => self.array_decl(*id).len,
-            ArrayNode::Store { arr, .. } => self.array_len(*arr),
-        }
+        self.base_decl(a).len
     }
 
     /// Interns `node`, reusing a structurally identical existing node.
@@ -359,6 +365,31 @@ impl ExprPool {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let r = ExprRef(self.nodes.len() as u32);
+                let facts = &self.facts;
+                let sort_of = |x: ExprRef| facts[x.0 as usize].sort;
+                let sort = match *e.key() {
+                    Node::Const { bits, .. }
+                    | Node::Var { bits, .. }
+                    | Node::ZExt { bits, .. }
+                    | Node::Trunc { bits, .. }
+                    | Node::BoolToBv { bits, .. } => Sort::Bv(bits),
+                    Node::BoolConst(_)
+                    | Node::Cmp { .. }
+                    | Node::Not(_)
+                    | Node::AndB(..)
+                    | Node::OrB(..) => Sort::Bool,
+                    Node::Bin { a, .. } => sort_of(a),
+                    Node::Ite { then_e, .. } => sort_of(then_e),
+                    Node::Read { arr, .. } => {
+                        let base = self.array_bases[arr.0 as usize];
+                        Sort::Bv(self.array_decls[base as usize].elem_bits)
+                    }
+                };
+                let known = known::transfer(e.key(), sort, |x| {
+                    let f = facts[x.0 as usize];
+                    (f.sort, f.known)
+                });
+                self.facts.push(Facts { sort, known });
                 self.nodes.push(e.key().clone());
                 e.insert(r);
                 r
@@ -371,6 +402,11 @@ impl ExprPool {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let r = ArrayRef(self.arrays.len() as u32);
+                let base = match *e.key() {
+                    ArrayNode::Base(id) => id,
+                    ArrayNode::Store { arr, .. } => self.array_bases[arr.0 as usize],
+                };
+                self.array_bases.push(base);
                 self.arrays.push(e.key().clone());
                 e.insert(r);
                 r
@@ -703,6 +739,55 @@ mod tests {
         assert_eq!(p.sort(c), Sort::Bool);
         let b = p.bool_to_bv(c, 16);
         assert_eq!(p.sort(b), Sort::Bv(16));
+    }
+
+    #[test]
+    fn deep_chains_build_and_report_their_sort_in_constant_stack() {
+        // `acc = acc * c + x`, 100k times: construction and `sort` must not
+        // walk the chain, on a stack far too small for a recursive walk.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut p = ExprPool::new();
+                let x = p.var("x", 64);
+                let c = p.bv_const(0x9e37_79b9_7f4a_7c15, 64);
+                let mut acc = x;
+                for _ in 0..100_000 {
+                    let m = p.bin(BvOp::Mul, acc, c);
+                    acc = p.bin(BvOp::Add, m, x);
+                }
+                assert!(p.len() > 200_000);
+                assert_eq!(p.sort(acc), Sort::Bv(64));
+                let top = p.cmp(CmpKind::Ult, acc, x);
+                assert_eq!(p.sort(top), Sort::Bool);
+            })
+            .expect("spawn")
+            .join()
+            .expect("deep chain");
+    }
+
+    #[test]
+    fn eq_folds_on_conflicting_known_bits() {
+        let mut p = ExprPool::new();
+        let i = p.var("i", 64);
+        let m31 = p.bv_const(31, 64);
+        let eight = p.bv_const(8, 64);
+        let three = p.bv_const(3, 64);
+        let masked = p.bin(BvOp::And, i, m31);
+        let scaled = p.bin(BvOp::Mul, masked, eight);
+        let idx = p.bin(BvOp::Add, scaled, three);
+        // The low three bits of idx are 011: only k ≡ 3 (mod 8) can match.
+        for k in 0..64u64 {
+            let kv = p.bv_const(k, 64);
+            let eq = p.cmp(CmpKind::Eq, idx, kv);
+            assert_eq!(p.as_const(eq).is_none(), k % 8 == 3, "k = {k}");
+        }
+        assert_eq!(p.known_bits(idx).ones, 0b011);
+        assert_eq!(p.known_bits(idx).zeros & 0b111, 0b100);
+        // Ordered comparisons are left for the solver.
+        let big = p.bv_const(1 << 20, 64);
+        let lt = p.cmp(CmpKind::Ult, idx, big);
+        assert!(p.as_const(lt).is_none());
     }
 
     #[test]

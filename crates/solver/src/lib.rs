@@ -6,7 +6,8 @@
 //! 1. [`expr`] — a hash-consed expression DAG over bitvectors, booleans,
 //!    and arrays (`Read`/`Write` nodes exactly as the paper's §3.2 figures
 //!    draw them), with algebraic simplification ([`simplify`]) applied at
-//!    construction.
+//!    construction. Each node carries its [`known`] bits, which decide
+//!    index comparisons that can never hold before anything is lowered.
 //! 2. [`arrays`] — array-theory elimination: `Read(Write(...))` chains
 //!    become ITE chains and base-array reads become fresh variables with
 //!    per-index axioms. The cost of this step grows with the two quantities
@@ -14,7 +15,8 @@
 //!    makes solver stalls (and their elimination by recorded data values)
 //!    faithful to the paper.
 //! 3. [`bitblast`] + [`cnf`] — Tseitin conversion of the pure bitvector
-//!    formula to CNF.
+//!    formula to CNF, lowering each node only at the low bits its
+//!    consumers read.
 //! 4. [`sat`] — a CDCL SAT solver (two-watched literals, VSIDS, phase
 //!    saving, Luby restarts, first-UIP learning) with a deterministic
 //!    conflict budget standing in for the paper's 30-second wall-clock
@@ -54,6 +56,7 @@ pub mod cnf;
 pub mod expr;
 pub mod hash;
 pub mod inc;
+pub mod known;
 pub mod sat;
 pub mod simplify;
 pub mod solve;

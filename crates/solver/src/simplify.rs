@@ -64,6 +64,10 @@ pub fn fold_cmp(pool: &mut ExprPool, op: CmpKind, a: ExprRef, b: ExprRef) -> Opt
     if a == b {
         return Some(pool.bool_const(matches!(op, CmpKind::Eq | CmpKind::Ule | CmpKind::Sle)));
     }
+    // Sides that disagree on a known bit are never equal.
+    if op == CmpKind::Eq && pool.known_bits(a).conflicts(pool.known_bits(b)) {
+        return Some(pool.bool_const(false));
+    }
     match (op, pool.as_const(b)) {
         // unsigned x < 0 is false; x <= max is true; x >= 0 via Ule(0, x).
         (CmpKind::Ult, Some(0)) => Some(pool.bool_const(false)),
