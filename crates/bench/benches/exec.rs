@@ -46,32 +46,36 @@ fn bench_interpreter(c: &mut Criterion) {
     }
 }
 
-/// Shepherding the first recorded failure trace of `SQLite-7be932d`.
+/// Shepherding the first recorded failure trace of each workload:
+/// `Python-2018-1000030`'s is step-bound, `SQLite-7be932d`'s is mostly
+/// its stall query.
 fn bench_shepherd(c: &mut Criterion) {
-    let w = by_name("SQLite-7be932d").expect("registered workload");
-    let d = w.deployment(Scale::TEST);
-    let config = w.er_config();
-    let inst = InstrumentedProgram::unmodified(d.program());
-    let occ = d
-        .run_until_failure(&inst, None, 0, config.max_runs_per_occurrence)
-        .expect("workload fails in production");
-    let events = occ.trace.decode().expect("trace decodes").events;
-    let failure = occ.failure;
-    let steps = SymMachine::new(&inst.program, config.sym)
-        .run(&events, Some(&failure))
-        .stats
-        .steps;
-    let mut group = c.benchmark_group("exec/symex/SQLite-7be932d");
-    group.throughput(Throughput::Elements(steps));
-    group.bench_function("first_occurrence", |b| {
-        b.iter(|| {
-            SymMachine::new(&inst.program, config.sym)
-                .run(&events, Some(&failure))
-                .stats
-                .steps
+    for name in ["Python-2018-1000030", "SQLite-7be932d"] {
+        let w = by_name(name).expect("registered workload");
+        let d = w.deployment(Scale::TEST);
+        let config = w.er_config();
+        let inst = InstrumentedProgram::unmodified(d.program());
+        let occ = d
+            .run_until_failure(&inst, None, 0, config.max_runs_per_occurrence)
+            .expect("workload fails in production");
+        let events = occ.trace.decode().expect("trace decodes").events;
+        let failure = occ.failure;
+        let steps = SymMachine::new(&inst.program, config.sym)
+            .run(&events, Some(&failure))
+            .stats
+            .steps;
+        let mut group = c.benchmark_group(&format!("exec/symex/{name}"));
+        group.throughput(Throughput::Elements(steps));
+        group.bench_function("first_occurrence", |b| {
+            b.iter(|| {
+                SymMachine::new(&inst.program, config.sym)
+                    .run(&events, Some(&failure))
+                    .stats
+                    .steps
+            });
         });
-    });
-    group.finish();
+        group.finish();
+    }
 }
 
 criterion_group!(benches, bench_interpreter, bench_shepherd);

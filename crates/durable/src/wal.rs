@@ -189,8 +189,10 @@ mod tests {
     use super::*;
     use crate::event::ConsumeOutcome;
 
+    /// A per-process scratch path, so concurrent test processes (two
+    /// `cargo test` runs, or CI's parallel rounds) never share a file.
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("er-durable-tests");
+        let dir = std::env::temp_dir().join(format!("er-durable-tests-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("tmp dir");
         dir.join(name)
     }
@@ -205,6 +207,8 @@ mod tests {
 
     #[test]
     fn append_then_open_round_trips() {
+        // `Wal::append` consults the process-global chaos plan.
+        let _l = crate::testsync::chaos_lock();
         let path = tmp("round_trip.wal");
         let mut wal = Wal::create(&path).expect("create");
         for i in 0..5 {
@@ -220,6 +224,8 @@ mod tests {
 
     #[test]
     fn reopened_wal_keeps_appending() {
+        // `Wal::append` consults the process-global chaos plan.
+        let _l = crate::testsync::chaos_lock();
         let path = tmp("reopen_append.wal");
         let mut wal = Wal::create(&path).expect("create");
         wal.append(&ev(0)).expect("append");
@@ -233,6 +239,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_on_open() {
+        // `Wal::append` consults the process-global chaos plan.
+        let _l = crate::testsync::chaos_lock();
         let path = tmp("torn_tail.wal");
         let mut wal = Wal::create(&path).expect("create");
         wal.append(&ev(0)).expect("append");

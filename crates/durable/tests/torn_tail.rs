@@ -28,8 +28,10 @@ fn sample_events(n: usize) -> Vec<DurableEvent> {
         .collect()
 }
 
+/// A per-process scratch path, so concurrent test processes never share
+/// a file.
 fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("er-durable-proptests");
+    let dir = std::env::temp_dir().join(format!("er-durable-proptests-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     dir.join(name)
 }

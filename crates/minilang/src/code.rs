@@ -330,6 +330,7 @@ pub struct Alu {
 impl Op {
     /// The generic `Bin`/`Cmp` meaning of an ALU op (specialized or not),
     /// or `None` for every other op.
+    #[inline]
     pub fn alu(&self) -> Option<Alu> {
         use AluKind::{Bin as B, Cmp as C};
         let (dst, kind, a, b) = match *self {

@@ -22,6 +22,7 @@ pub enum Width {
 
 impl Width {
     /// Number of bits.
+    #[inline]
     pub fn bits(self) -> u32 {
         match self {
             Width::W8 => 8,
@@ -32,11 +33,13 @@ impl Width {
     }
 
     /// Number of bytes.
+    #[inline]
     pub fn bytes(self) -> u64 {
         u64::from(self.bits() / 8)
     }
 
     /// Bit mask selecting the low `bits()` bits.
+    #[inline]
     pub fn mask(self) -> u64 {
         match self {
             Width::W64 => u64::MAX,
@@ -45,11 +48,13 @@ impl Width {
     }
 
     /// Truncates `v` to this width.
+    #[inline]
     pub fn trunc(self, v: u64) -> u64 {
         v & self.mask()
     }
 
     /// Sign-extends the low `bits()` bits of `v` to 64 bits.
+    #[inline]
     pub fn sext(self, v: u64) -> u64 {
         let b = self.bits();
         if b == 64 {
@@ -107,6 +112,7 @@ pub enum BinOp {
 impl BinOp {
     /// Evaluates the operation at `w`, wrapping. Returns `None` for division
     /// by zero (the interpreter turns that into a fault).
+    #[inline]
     pub fn eval(self, w: Width, a: u64, b: u64) -> Option<u64> {
         let (a, b) = (w.trunc(a), w.trunc(b));
         let r = match self {
@@ -177,6 +183,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// Evaluates the predicate at width `w`.
+    #[inline]
     pub fn eval(self, w: Width, a: u64, b: u64) -> bool {
         let (a, b) = (w.trunc(a), w.trunc(b));
         match self {
@@ -232,6 +239,7 @@ pub enum UnOp {
 
 impl UnOp {
     /// Evaluates the operation at width `w`, wrapping.
+    #[inline]
     pub fn eval(self, w: Width, a: u64) -> u64 {
         let a = w.trunc(a);
         let r = match self {

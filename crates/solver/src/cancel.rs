@@ -193,6 +193,24 @@ pub fn tick(work: u64) -> bool {
     })
 }
 
+/// The work units the current phase can still bill without tripping:
+/// `tick(n)` trips exactly when `n > headroom()`. `0` once tripped, and
+/// `u64::MAX` when nothing is armed. A loop that knows its work up front
+/// runs at most this many units and then bills them in one [`tick`].
+pub fn headroom() -> u64 {
+    if !armed() {
+        return u64::MAX;
+    }
+    TOKEN.with(|t| match t.borrow().as_ref() {
+        Some(tok) if tok.tripped.is_none() => {
+            let i = tok.phase.idx();
+            tok.budgets.get(tok.phase).saturating_sub(tok.spent[i])
+        }
+        Some(_) => 0,
+        None => u64::MAX,
+    })
+}
+
 /// Whether the armed token has tripped.
 pub fn cancelled() -> bool {
     tripped_phase().is_some()
@@ -244,6 +262,28 @@ mod tests {
         begin_phase(Phase::Solve);
         assert!(tick(0));
         assert_eq!(spent().unwrap(), [10, 6, 0, 0]);
+    }
+
+    #[test]
+    fn headroom_is_what_tick_can_bill_without_tripping() {
+        assert_eq!(headroom(), u64::MAX, "disarmed");
+        let _g = arm(PhaseBudgets {
+            decode: u64::MAX,
+            shepherd: 7,
+            solve: u64::MAX,
+            select: u64::MAX,
+        });
+        begin_phase(Phase::Shepherd);
+        assert_eq!(headroom(), 7);
+        assert!(!tick(3));
+        assert_eq!(headroom(), 4);
+        assert!(
+            !tick(headroom()),
+            "billing exactly the headroom never trips"
+        );
+        assert_eq!(headroom(), 0);
+        assert!(tick(1));
+        assert_eq!(headroom(), 0, "tripped");
     }
 
     #[test]

@@ -377,10 +377,7 @@ impl SymFrame {
     /// Reads `op` against this frame's registers.
     #[inline]
     fn get(&self, op: Operand) -> SymValue {
-        match op {
-            Operand::Reg(r) => self.regs[r.0 as usize],
-            Operand::Imm(v) => SymValue::Concrete(v),
-        }
+        read(&self.regs, op)
     }
 }
 
@@ -739,6 +736,12 @@ impl<'p> SymMachine<'p> {
                 }
             }
 
+            // While events remain, an event-free concrete stretch runs in
+            // one slice; the op it stops at takes the step path, after its
+            // own prelude.
+            if events_left && self.run_slice(events, &mut cursor) {
+                continue;
+            }
             match self.step(events, &mut cursor, pc)? {
                 StepFlow::SwitchDue => match events.get(cursor) {
                     Some(TraceEvent::ThreadResume(tid)) => {
@@ -779,6 +782,158 @@ impl<'p> SymMachine<'p> {
         // value-defining ones.
         self.state.site_counts[pc as usize] += 1;
         self.exec(events, cursor, code.id_of(pc), op)
+    }
+
+    /// Runs the current frame from its pc through an event-free concrete
+    /// stretch of the trace, one dispatch per op, and reports whether it
+    /// ran any op.
+    ///
+    /// A slice runs `Const`, `Mov`, `Jump`, every ALU form whose operands
+    /// are concrete and whose result is defined, and a concrete `Branch`
+    /// whose TNT bit is the next event, which it consumes. It stops before
+    /// any other op, such as one with a symbolic operand, a memory access,
+    /// a call or a `ptwrite`, and leaves it to the step path, which reports
+    /// a mismatch exactly as it would have. After a branch it also stops
+    /// where the next step's prelude would act: on a checkpoint boundary,
+    /// at the end of the events, or on a timestamp, thread resume or gap.
+    ///
+    /// The step prelude billed the first op. Each further op counts in
+    /// `stats.steps` and `site_counts` as a step would, and a slice runs
+    /// no more ops than the step budget and the cancel token's headroom
+    /// leave, billing the token once, so both trip on the same step as
+    /// they would op by op.
+    #[allow(clippy::too_many_lines)]
+    fn run_slice(&mut self, events: &[TraceEvent], cursor: &mut usize) -> bool {
+        let extra = (self.config.max_steps - self.stats.steps).min(er_solver::cancel::headroom());
+        let ops = self.code.ops();
+        let checkpoint_at = self.next_checkpoint_at;
+        let state = &mut self.state;
+        let counts = &mut state.site_counts[..];
+        let frame = state.threads[state.cur]
+            .frames
+            .last_mut()
+            .expect("live frame");
+        let regs = &mut frame.regs[..];
+        let mut pc = frame.pc as usize;
+        let mut ran: u64 = 0;
+        loop {
+            let (dst, v) = match ops[pc] {
+                Op::Const { dst, value } => (dst, Some(value)),
+                Op::Mov { dst, src } => (dst, regs[src.0 as usize].as_concrete()),
+                Op::AddRR { dst, a, b } => (dst, rr(regs, a, b, u64::wrapping_add)),
+                Op::AddRI { dst, a, imm } => (dst, ri(regs, a, imm, u64::wrapping_add)),
+                Op::SubRR { dst, a, b } => (dst, rr(regs, a, b, u64::wrapping_sub)),
+                Op::SubRI { dst, a, imm } => (dst, ri(regs, a, imm, u64::wrapping_sub)),
+                Op::MulRR { dst, a, b } => (dst, rr(regs, a, b, u64::wrapping_mul)),
+                Op::MulRI { dst, a, imm } => (dst, ri(regs, a, imm, u64::wrapping_mul)),
+                Op::AndRR { dst, a, b } => (dst, rr(regs, a, b, |x, y| x & y)),
+                Op::AndRI { dst, a, imm } => (dst, ri(regs, a, imm, |x, y| x & y)),
+                Op::OrRR { dst, a, b } => (dst, rr(regs, a, b, |x, y| x | y)),
+                Op::OrRI { dst, a, imm } => (dst, ri(regs, a, imm, |x, y| x | y)),
+                Op::XorRR { dst, a, b } => (dst, rr(regs, a, b, |x, y| x ^ y)),
+                Op::XorRI { dst, a, imm } => (dst, ri(regs, a, imm, |x, y| x ^ y)),
+                // `wrapping_*` shifts take the amount modulo 64, the IR's
+                // shift semantics at 64 bits.
+                Op::ShlRR { dst, a, b } => (dst, rr(regs, a, b, shl)),
+                Op::ShlRI { dst, a, imm } => (dst, ri(regs, a, imm, shl)),
+                Op::LShrRR { dst, a, b } => (dst, rr(regs, a, b, lshr)),
+                Op::LShrRI { dst, a, imm } => (dst, ri(regs, a, imm, lshr)),
+                Op::AShrRR { dst, a, b } => (dst, rr(regs, a, b, ashr)),
+                Op::AShrRI { dst, a, imm } => (dst, ri(regs, a, imm, ashr)),
+                Op::EqRR { dst, a, b } => (dst, rr(regs, a, b, |x, y| u64::from(x == y))),
+                Op::EqRI { dst, a, imm } => (dst, ri(regs, a, imm, |x, y| u64::from(x == y))),
+                Op::NeRR { dst, a, b } => (dst, rr(regs, a, b, |x, y| u64::from(x != y))),
+                Op::NeRI { dst, a, imm } => (dst, ri(regs, a, imm, |x, y| u64::from(x != y))),
+                Op::UltRR { dst, a, b } => (dst, rr(regs, a, b, |x, y| u64::from(x < y))),
+                Op::UltRI { dst, a, imm } => (dst, ri(regs, a, imm, |x, y| u64::from(x < y))),
+                Op::UleRR { dst, a, b } => (dst, rr(regs, a, b, |x, y| u64::from(x <= y))),
+                Op::UleRI { dst, a, imm } => (dst, ri(regs, a, imm, |x, y| u64::from(x <= y))),
+                Op::SltRR { dst, a, b } => (dst, rr(regs, a, b, slt)),
+                Op::SltRI { dst, a, imm } => (dst, ri(regs, a, imm, slt)),
+                Op::SleRR { dst, a, b } => (dst, rr(regs, a, b, sle)),
+                Op::SleRI { dst, a, imm } => (dst, ri(regs, a, imm, sle)),
+                // Division by zero yields `None`: the step path faults.
+                Op::Bin {
+                    dst,
+                    op,
+                    a,
+                    b,
+                    width,
+                } => (
+                    dst,
+                    words(regs, a, b).and_then(|(x, y)| op.eval(width, x, y)),
+                ),
+                Op::Cmp {
+                    dst,
+                    pred,
+                    a,
+                    b,
+                    width,
+                } => (
+                    dst,
+                    words(regs, a, b).map(|(x, y)| u64::from(pred.eval(width, x, y))),
+                ),
+                Op::Jump { to } => {
+                    counts[pc] += 1;
+                    ran += 1;
+                    pc = to as usize;
+                    if ran > extra {
+                        break;
+                    }
+                    continue;
+                }
+                Op::Branch {
+                    cond,
+                    then_pc,
+                    else_pc,
+                } => {
+                    let Some(c) = read(regs, cond).as_concrete() else {
+                        break;
+                    };
+                    let Some(&TraceEvent::Branch(taken)) = events.get(*cursor) else {
+                        break;
+                    };
+                    if (c != 0) != taken {
+                        break;
+                    }
+                    *cursor += 1;
+                    counts[pc] += 1;
+                    ran += 1;
+                    pc = if taken { then_pc } else { else_pc } as usize;
+                    let prelude_acts = *cursor >= checkpoint_at
+                        || matches!(
+                            events.get(*cursor),
+                            None | Some(
+                                TraceEvent::Timestamp(_)
+                                    | TraceEvent::ThreadResume(_)
+                                    | TraceEvent::Gap
+                            )
+                        );
+                    if prelude_acts || ran > extra {
+                        break;
+                    }
+                    continue;
+                }
+                _ => break,
+            };
+            let Some(v) = v else {
+                break;
+            };
+            regs[dst.0 as usize] = SymValue::Concrete(v);
+            counts[pc] += 1;
+            ran += 1;
+            pc += 1;
+            if ran > extra {
+                break;
+            }
+        }
+        frame.pc = pc as Pc;
+        if ran > 1 {
+            self.stats.steps += ran - 1;
+            let tripped = er_solver::cancel::tick(ran - 1);
+            debug_assert!(!tripped, "a slice stays within the cancel headroom");
+        }
+        ran > 0
     }
 
     fn consume_event<'e>(
@@ -1268,21 +1423,7 @@ impl<'p> SymMachine<'p> {
                 else {
                     unreachable!("{op:?} has its own arm");
                 };
-                // Concrete operands, the common case, evaluate on one frame
-                // borrow; a concrete result records no origin.
-                let frame = self.frame_mut();
-                let (av, bv) = (frame.get(a), frame.get(b));
-                if let (SymValue::Concrete(x), SymValue::Concrete(y)) = (av, bv) {
-                    let v = match kind {
-                        AluKind::Bin(op) => op.eval(width, x, y),
-                        AluKind::Cmp(pred) => Some(u64::from(pred.eval(width, x, y))),
-                    };
-                    if let Some(v) = v {
-                        frame.regs[dst.0 as usize] = SymValue::Concrete(v);
-                        frame.pc += 1;
-                        return Ok(StepFlow::Continue);
-                    }
-                }
+                let (av, bv) = (self.operand(a), self.operand(b));
                 let r = match kind {
                     AluKind::Bin(op) => self.sym_bin(op, av, bv, width, at)?,
                     AluKind::Cmp(pred) => self.sym_cmp(pred, av, bv, width),
@@ -1544,6 +1685,56 @@ impl<'p> SymMachine<'p> {
 enum MemTarget {
     Concrete(u64),
     Symbolic { base: u64, expr: ExprRef },
+}
+
+/// Reads `op` against a register file.
+#[inline(always)]
+fn read(regs: &[SymValue], op: Operand) -> SymValue {
+    match op {
+        Operand::Reg(r) => regs[r.0 as usize],
+        Operand::Imm(v) => SymValue::Concrete(v),
+    }
+}
+
+/// Both operands' words, if both are concrete.
+#[inline(always)]
+fn words(regs: &[SymValue], a: Operand, b: Operand) -> Option<(u64, u64)> {
+    Some((read(regs, a).as_concrete()?, read(regs, b).as_concrete()?))
+}
+
+/// `f` of two registers, if both are concrete.
+#[inline(always)]
+fn rr(regs: &[SymValue], a: Reg, b: Reg, f: impl FnOnce(u64, u64) -> u64) -> Option<u64> {
+    match (regs[a.0 as usize], regs[b.0 as usize]) {
+        (SymValue::Concrete(x), SymValue::Concrete(y)) => Some(f(x, y)),
+        _ => None,
+    }
+}
+
+/// `f` of a register and an immediate, if the register is concrete.
+#[inline(always)]
+fn ri(regs: &[SymValue], a: Reg, imm: u64, f: impl FnOnce(u64, u64) -> u64) -> Option<u64> {
+    regs[a.0 as usize].as_concrete().map(|x| f(x, imm))
+}
+
+fn shl(x: u64, y: u64) -> u64 {
+    x.wrapping_shl(y as u32)
+}
+
+fn lshr(x: u64, y: u64) -> u64 {
+    x.wrapping_shr(y as u32)
+}
+
+fn ashr(x: u64, y: u64) -> u64 {
+    (x as i64).wrapping_shr(y as u32) as u64
+}
+
+fn slt(x: u64, y: u64) -> u64 {
+    u64::from((x as i64) < (y as i64))
+}
+
+fn sle(x: u64, y: u64) -> u64 {
+    u64::from((x as i64) <= (y as i64))
 }
 
 #[cfg(test)]
@@ -1979,6 +2170,154 @@ mod tests {
         // The generated index must avoid the one initialized slot.
         let i = u64::from_le_bytes(gen[0].1[..8].try_into().unwrap()) & 7;
         assert_ne!(i, 3, "slot 3 holds a live pointer");
+    }
+
+    /// A long single-threaded concrete loop whose stores, loads and
+    /// branches end slices at varying points.
+    const CONCRETE_LOOP: &str = r#"
+        global G: [u64; 8];
+        fn main() {
+            let h: u64 = 14695981039346656037;
+            for i: u64 = 0; i < 200; i = i + 1 {
+                h = (h ^ i) * 1099511628211;
+                if i % 5 == 2 { G[i % 8] = h; }
+                h = h + G[(i + 3) % 8];
+            }
+            print(h);
+        }
+    "#;
+
+    /// Largest budget the exact-trip sweeps try.
+    const TRIP_SWEEP: u64 = 700;
+
+    /// Runs [`CONCRETE_LOOP`] once per budget `k` in `1..=TRIP_SWEEP`
+    /// through `run(k)`, and checks each run executed exactly `k` ops, one
+    /// more than the run for `k - 1`.
+    fn sweep_trips(run: impl Fn(&Program, &[TraceEvent], u64) -> SymRunResult) {
+        let (program, events, failure) = record(CONCRETE_LOOP, &[]);
+        assert!(failure.is_none());
+        let full = SymMachine::new(&program, SymConfig::default()).run(&events, None);
+        assert_eq!(full.status, ShepherdStatus::Completed);
+        assert!(full.site_counts.counts.iter().sum::<u64>() > TRIP_SWEEP);
+        let mut prev = vec![0; program.code().ops().len()];
+        for k in 1..=TRIP_SWEEP {
+            let r = run(&program, &events, k);
+            assert_eq!(r.stats.steps, k + 1, "k = {k}: {:?}", r.status);
+            let counts = r.site_counts.counts;
+            assert_eq!(counts.iter().sum::<u64>(), k, "k = {k}");
+            // One more op than the previous budget, and the same ones
+            // before it: no op of a slice is skipped or counted twice.
+            let grown: Vec<_> = (0..counts.len())
+                .filter(|&pc| counts[pc] != prev[pc])
+                .collect();
+            assert_eq!(grown.len(), 1, "k = {k}");
+            assert_eq!(counts[grown[0]], prev[grown[0]] + 1, "k = {k}");
+            prev = counts;
+        }
+    }
+
+    #[test]
+    fn step_budget_trips_on_the_same_step_inside_and_across_slices() {
+        sweep_trips(|program, events, k| {
+            let config = SymConfig {
+                max_steps: k,
+                ..SymConfig::default()
+            };
+            let r = SymMachine::new(program, config).run(events, None);
+            assert_eq!(
+                r.status,
+                ShepherdStatus::Diverged(TraceDivergence::StepBudget),
+                "k = {k}"
+            );
+            r
+        });
+    }
+
+    #[test]
+    fn cancel_token_trips_on_the_same_step_inside_and_across_slices() {
+        use er_solver::cancel::{self, Phase, PhaseBudgets};
+        sweep_trips(|program, events, k| {
+            let _armed = cancel::arm(PhaseBudgets {
+                shepherd: k,
+                ..PhaseBudgets::unlimited()
+            });
+            cancel::begin_phase(Phase::Shepherd);
+            let r = SymMachine::new(program, SymConfig::default()).run(events, None);
+            assert!(
+                matches!(
+                    r.status,
+                    ShepherdStatus::Stalled {
+                        reason: StallReason::Cancelled,
+                        ..
+                    }
+                ),
+                "k = {k}: {:?}",
+                r.status
+            );
+            r
+        });
+    }
+
+    #[test]
+    fn slices_stop_for_checkpoints_on_schedule() {
+        let (program, events, _) = record(CONCRETE_LOOP, &[]);
+        let every = 100;
+        let config = SymConfig {
+            checkpoint_every: every,
+            ..SymConfig::default()
+        };
+        let r = SymMachine::new(&program, config).run(&events, None);
+        assert_eq!(r.status, ShepherdStatus::Completed);
+        assert!(
+            (3..SymMachine::MAX_CHECKPOINTS).contains(&r.checkpoints.len()),
+            "{} checkpoints, no thinning",
+            r.checkpoints.len()
+        );
+        // Each checkpoint lands on its scheduled cursor, or past it only by
+        // events the step prelude skips: no slice runs through one.
+        let mut due = every as usize;
+        for c in &r.checkpoints {
+            let at = c.cursor();
+            assert!(at >= due, "checkpoint at {at}, due at {due}");
+            assert!(
+                events[due..at]
+                    .iter()
+                    .all(|e| matches!(e, TraceEvent::Timestamp(_) | TraceEvent::ThreadResume(_))),
+                "checkpoint at {at}, due at {due}: {:?}",
+                &events[due..at]
+            );
+            due = at + every as usize;
+        }
+    }
+
+    #[test]
+    fn flipped_tnt_bit_of_a_concrete_branch_diverges_at_that_branch() {
+        let (program, events, _) = record(CONCRETE_LOOP, &[]);
+        let branches: Vec<usize> = (0..events.len())
+            .filter(|&i| matches!(events[i], TraceEvent::Branch(_)))
+            .collect();
+        for &i in [branches[0], branches[branches.len() / 2]].iter() {
+            let mut flipped = events.clone();
+            let TraceEvent::Branch(taken) = flipped[i] else {
+                unreachable!()
+            };
+            flipped[i] = TraceEvent::Branch(!taken);
+            let r = SymMachine::new(&program, SymConfig::default()).run(&flipped, None);
+            let ShepherdStatus::Diverged(TraceDivergence::BranchMismatch { at }) = r.status else {
+                panic!("event {i}: {:?}", r.status)
+            };
+            assert_eq!(at.index, InstrId::TERMINATOR, "event {i}");
+            let unflipped = SymConfig {
+                max_steps: r.stats.steps - 1,
+                ..SymConfig::default()
+            };
+            // The step path counts the branch, then reports it: a run
+            // stopped just before the branch counted every other op.
+            let before = SymMachine::new(&program, unflipped).run(&events, None);
+            let mut counts = before.site_counts.counts;
+            counts[program.code().pc_of(at).expect("a branch of the program") as usize] += 1;
+            assert_eq!(counts, r.site_counts.counts, "event {i}");
+        }
     }
 
     #[test]
