@@ -25,6 +25,13 @@
 //! operands. [`Op::alu`] maps every specialized form back to its generic
 //! meaning, which is what the symbolic executor evaluates.
 //!
+//! For the interpreter, which runs a block whole whenever its instruction
+//! budget allows, the code also keeps [`Code::fast_ops`]: the same array
+//! with adjacent pairs fused into one op (a specialized ALU form and the
+//! `Mov` of its result; a specialized compare and the block's `Branch` on
+//! it), and [`Code::run_lens`], what running the rest of a block costs.
+//! [`Code::ops`] never holds a fused form.
+//!
 //! [`InstrId`]s of the unchanged IR are the program's one coordinate
 //! space: failure reports, trace sites and snapshots use them whatever
 //! the build records, and [`Code::id_of`] / [`Code::pc_of`] convert where
@@ -301,6 +308,167 @@ pub enum Op {
     Return {
         value: Option<Operand>,
     },
+    // Fused pairs: interpreter-only forms that appear in
+    // [`Code::fast_ops`], never in [`Code::ops`]. Each runs a specialized
+    // ALU form and the op after it in one dispatch, writing both.
+    AddRRMov(MovPair<Reg>),
+    AddRIMov(MovPair<u64>),
+    SubRRMov(MovPair<Reg>),
+    SubRIMov(MovPair<u64>),
+    MulRRMov(MovPair<Reg>),
+    MulRIMov(MovPair<u64>),
+    AndRRMov(MovPair<Reg>),
+    AndRIMov(MovPair<u64>),
+    OrRRMov(MovPair<Reg>),
+    OrRIMov(MovPair<u64>),
+    XorRRMov(MovPair<Reg>),
+    XorRIMov(MovPair<u64>),
+    ShlRRMov(MovPair<Reg>),
+    ShlRIMov(MovPair<u64>),
+    LShrRRMov(MovPair<Reg>),
+    LShrRIMov(MovPair<u64>),
+    AShrRRMov(MovPair<Reg>),
+    AShrRIMov(MovPair<u64>),
+    EqRRMov(MovPair<Reg>),
+    EqRIMov(MovPair<u64>),
+    NeRRMov(MovPair<Reg>),
+    NeRIMov(MovPair<u64>),
+    UltRRMov(MovPair<Reg>),
+    UltRIMov(MovPair<u64>),
+    UleRRMov(MovPair<Reg>),
+    UleRIMov(MovPair<u64>),
+    SltRRMov(MovPair<Reg>),
+    SltRIMov(MovPair<u64>),
+    SleRRMov(MovPair<Reg>),
+    SleRIMov(MovPair<u64>),
+    EqRRBranch(BranchPair<Reg>),
+    EqRIBranch(BranchPair<u64>),
+    NeRRBranch(BranchPair<Reg>),
+    NeRIBranch(BranchPair<u64>),
+    UltRRBranch(BranchPair<Reg>),
+    UltRIBranch(BranchPair<u64>),
+    UleRRBranch(BranchPair<Reg>),
+    UleRIBranch(BranchPair<u64>),
+    SltRRBranch(BranchPair<Reg>),
+    SltRIBranch(BranchPair<u64>),
+    SleRRBranch(BranchPair<Reg>),
+    SleRIBranch(BranchPair<u64>),
+}
+
+// Fused forms must not make every slot of both arrays bigger.
+const _: () = assert!(std::mem::size_of::<Op>() <= 40);
+
+/// A specialized ALU form fused with the `Mov` after it that copies its
+/// result: `dst = a op b; mov = dst`. `B` is the right operand, a
+/// register (`<op>RRMov`) or an immediate (`<op>RIMov`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MovPair<B> {
+    /// The ALU form's destination.
+    pub dst: Reg,
+    /// Left operand.
+    pub a: Reg,
+    /// Right operand.
+    pub b: B,
+    /// The `Mov`'s destination.
+    pub mov: Reg,
+}
+
+/// A specialized compare fused with the block's `Branch` on its result:
+/// `dst = a pred b; if dst goto then_pc else else_pc`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BranchPair<B> {
+    /// The compare's destination, which is the branch condition.
+    pub dst: Reg,
+    /// Left operand.
+    pub a: Reg,
+    /// Right operand.
+    pub b: B,
+    /// Where the branch goes when the compare holds.
+    pub then_pc: Pc,
+    /// Where it goes otherwise.
+    pub else_pc: Pc,
+}
+
+/// Defines [`Op::fuse`] and [`Op::split`] from one table of the fused
+/// forms. `first field => fused` fuses the specialized form `first`, whose
+/// right operand is `field`, with a following `Mov` (in `mov`) or
+/// `Branch` (in `branch`).
+macro_rules! fused_pairs {
+    (
+        mov: [$($mf:ident $mb:ident => $mp:ident),* $(,)?],
+        branch: [$($bf:ident $bb:ident => $bp:ident),* $(,)?] $(,)?
+    ) => {
+        impl Op {
+            /// The fused form of `first` followed by `second`: a
+            /// specialized ALU form and a `Mov` of its destination, or a
+            /// specialized compare and a `Branch` on its destination.
+            pub fn fuse(first: Op, second: Op) -> Option<Op> {
+                match (first, second) {
+                    $(
+                        (Op::$mf { dst, a, $mb: b }, Op::Mov { dst: mov, src }) if src == dst => {
+                            Some(Op::$mp(MovPair { dst, a, b, mov }))
+                        }
+                    )*
+                    $(
+                        (
+                            Op::$bf { dst, a, $bb: b },
+                            Op::Branch { cond: Operand::Reg(cond), then_pc, else_pc },
+                        ) if cond == dst => {
+                            Some(Op::$bp(BranchPair { dst, a, b, then_pc, else_pc }))
+                        }
+                    )*
+                    _ => None,
+                }
+            }
+
+            /// The two ops a fused form runs, or `None` for every other op.
+            pub fn split(self) -> Option<(Op, Op)> {
+                match self {
+                    $(
+                        Op::$mp(MovPair { dst, a, b, mov }) => Some((
+                            Op::$mf { dst, a, $mb: b },
+                            Op::Mov { dst: mov, src: dst },
+                        )),
+                    )*
+                    $(
+                        Op::$bp(BranchPair { dst, a, b, then_pc, else_pc }) => Some((
+                            Op::$bf { dst, a, $bb: b },
+                            Op::Branch { cond: Operand::Reg(dst), then_pc, else_pc },
+                        )),
+                    )*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+fused_pairs! {
+    mov: [
+        AddRR b => AddRRMov, AddRI imm => AddRIMov,
+        SubRR b => SubRRMov, SubRI imm => SubRIMov,
+        MulRR b => MulRRMov, MulRI imm => MulRIMov,
+        AndRR b => AndRRMov, AndRI imm => AndRIMov,
+        OrRR b => OrRRMov, OrRI imm => OrRIMov,
+        XorRR b => XorRRMov, XorRI imm => XorRIMov,
+        ShlRR b => ShlRRMov, ShlRI imm => ShlRIMov,
+        LShrRR b => LShrRRMov, LShrRI imm => LShrRIMov,
+        AShrRR b => AShrRRMov, AShrRI imm => AShrRIMov,
+        EqRR b => EqRRMov, EqRI imm => EqRIMov,
+        NeRR b => NeRRMov, NeRI imm => NeRIMov,
+        UltRR b => UltRRMov, UltRI imm => UltRIMov,
+        UleRR b => UleRRMov, UleRI imm => UleRIMov,
+        SltRR b => SltRRMov, SltRI imm => SltRIMov,
+        SleRR b => SleRRMov, SleRI imm => SleRIMov,
+    ],
+    branch: [
+        EqRR b => EqRRBranch, EqRI imm => EqRIBranch,
+        NeRR b => NeRRBranch, NeRI imm => NeRIBranch,
+        UltRR b => UltRRBranch, UltRI imm => UltRIBranch,
+        UleRR b => UleRRBranch, UleRI imm => UleRIBranch,
+        SltRR b => SltRRBranch, SltRI imm => SltRIBranch,
+        SleRR b => SleRRBranch, SleRI imm => SleRIBranch,
+    ],
 }
 
 /// What an ALU op computes.
@@ -491,6 +659,11 @@ pub struct Code {
     func_block: Vec<u32>,
     calls: Vec<CallSite>,
     messages: Vec<String>,
+    /// `ops` with each fused pair's first slot holding its fused form.
+    fast: Vec<Op>,
+    /// `run_len[pc]`: the ops from `pc` through its block's terminator,
+    /// inclusive.
+    run_len: Vec<u32>,
 }
 
 impl Code {
@@ -576,7 +749,30 @@ impl Code {
             }
         }
         debug_assert_eq!(code.ops.len(), pc as usize, "layout and lowering agree");
+        code.fuse_pairs();
         code
+    }
+
+    /// Fills the interpreter's fast array and run lengths. A pair's first
+    /// op is an ALU form, never a terminator, so no pair crosses a block,
+    /// and a recording slot is a `PtWrite`, so none is part of a pair.
+    fn fuse_pairs(&mut self) {
+        self.fast = self.ops.clone();
+        let mut pc = 1;
+        while pc < self.ops.len() {
+            // Only a `Mov` or a `Branch` ends a pair.
+            if matches!(self.ops[pc], Op::Mov { .. } | Op::Branch { .. }) {
+                if let Some(fused) = Op::fuse(self.ops[pc - 1], self.ops[pc]) {
+                    self.fast[pc - 1] = fused;
+                    pc += 1;
+                }
+            }
+            pc += 1;
+        }
+        self.run_len = Vec::with_capacity(self.ops.len());
+        for w in self.block_start.windows(2) {
+            self.run_len.extend((w[0]..w[1]).map(|pc| w[1] - pc));
+        }
     }
 
     fn lower(&mut self, instr: &Instr, funcs: &[Func], globals: &[Global]) -> Op {
@@ -682,6 +878,23 @@ impl Code {
     #[inline]
     pub fn ops(&self) -> &[Op] {
         &self.ops
+    }
+
+    /// The interpreter's dispatch array, indexed like [`Code::ops`]: the
+    /// first slot of each fused pair holds the fused form (see
+    /// [`Op::fuse`]), and every other slot the op itself, so a run may
+    /// enter it at any pc. Only a run that executes the rest of a block
+    /// without stopping may use it.
+    #[inline]
+    pub fn fast_ops(&self) -> &[Op] {
+        &self.fast
+    }
+
+    /// `run_lens()[pc]` is the number of ops from `pc` through its block's
+    /// terminator, inclusive: what running the rest of the block costs.
+    #[inline]
+    pub fn run_lens(&self) -> &[u32] {
+        &self.run_len
     }
 
     /// The call or spawn site `site` of an [`Op::Call`] / [`Op::Spawn`].

@@ -6,7 +6,7 @@
 //! so concurrency bugs manifest (or not) reproducibly per seed — the
 //! substrate for the paper's coarse-interleaving discussion (§3.4).
 
-use crate::code::{CallSite, Code, Op, Pc};
+use crate::code::{BranchPair, CallSite, Code, MovPair, Op, Pc};
 use crate::env::Env;
 use crate::error::{Failure, RuntimeFault};
 use crate::ir::*;
@@ -111,22 +111,370 @@ fn get(regs: &[u64], op: Operand) -> u64 {
     }
 }
 
+/// How the run loop goes on after [`World::exec`] runs an op.
+enum Flow {
+    /// At the next op.
+    Next,
+    /// Two ops on: a fused op→move pair ran.
+    Pair,
+    /// At this pc: a jump or branch left the block.
+    Jump(Pc),
+    /// Outside the loop, with the pc on this op: it faulted, or it changes
+    /// frames or threads.
+    Exit(Result<Op, RuntimeFault>),
+}
+
+impl From<Result<(), RuntimeFault>> for Flow {
+    #[inline(always)]
+    fn from(done: Result<(), RuntimeFault>) -> Flow {
+        match done {
+            Ok(()) => Flow::Next,
+            Err(f) => Flow::Exit(Err(f)),
+        }
+    }
+}
+
+/// The machine state ops touch besides their frame's registers, disjoint
+/// from the thread table.
+#[derive(Debug)]
+struct World<S> {
+    env: Env,
+    mem: Memory,
+    output: Vec<u64>,
+    sink: S,
+}
+
+impl<S: TraceSink> World<S> {
+    /// Runs `op` of thread `tid` against its innermost frame's `regs`.
+    /// This is the one definition of every op the loops run themselves,
+    /// shared by the per-block loop of [`Machine::run_slice`] and the
+    /// per-op loop of [`World::step_ops`]; ops that change frames or
+    /// threads exit to [`Machine`]'s own methods.
+    #[inline(always)]
+    #[allow(clippy::too_many_lines)]
+    fn exec(&mut self, code: &Code, op: &Op, regs: &mut [u64], tid: u64) -> Flow {
+        match *op {
+            Op::Const { dst, value } => set(regs, dst, value),
+            Op::Mov { dst, src } => set(regs, dst, regs[src.0 as usize]),
+            Op::AddRR { dst, a, b } => bin(regs, dst, a, b, u64::wrapping_add),
+            Op::AddRI { dst, a, imm } => bin(regs, dst, a, imm, u64::wrapping_add),
+            Op::SubRR { dst, a, b } => bin(regs, dst, a, b, u64::wrapping_sub),
+            Op::SubRI { dst, a, imm } => bin(regs, dst, a, imm, u64::wrapping_sub),
+            Op::MulRR { dst, a, b } => bin(regs, dst, a, b, u64::wrapping_mul),
+            Op::MulRI { dst, a, imm } => bin(regs, dst, a, imm, u64::wrapping_mul),
+            Op::AndRR { dst, a, b } => bin(regs, dst, a, b, and),
+            Op::AndRI { dst, a, imm } => bin(regs, dst, a, imm, and),
+            Op::OrRR { dst, a, b } => bin(regs, dst, a, b, or),
+            Op::OrRI { dst, a, imm } => bin(regs, dst, a, imm, or),
+            Op::XorRR { dst, a, b } => bin(regs, dst, a, b, xor),
+            Op::XorRI { dst, a, imm } => bin(regs, dst, a, imm, xor),
+            Op::ShlRR { dst, a, b } => bin(regs, dst, a, b, shl),
+            Op::ShlRI { dst, a, imm } => bin(regs, dst, a, imm, shl),
+            Op::LShrRR { dst, a, b } => bin(regs, dst, a, b, lshr),
+            Op::LShrRI { dst, a, imm } => bin(regs, dst, a, imm, lshr),
+            Op::AShrRR { dst, a, b } => bin(regs, dst, a, b, ashr),
+            Op::AShrRI { dst, a, imm } => bin(regs, dst, a, imm, ashr),
+            Op::EqRR { dst, a, b } => cmp(regs, dst, a, b, eq),
+            Op::EqRI { dst, a, imm } => cmp(regs, dst, a, imm, eq),
+            Op::NeRR { dst, a, b } => cmp(regs, dst, a, b, ne),
+            Op::NeRI { dst, a, imm } => cmp(regs, dst, a, imm, ne),
+            Op::UltRR { dst, a, b } => cmp(regs, dst, a, b, ult),
+            Op::UltRI { dst, a, imm } => cmp(regs, dst, a, imm, ult),
+            Op::UleRR { dst, a, b } => cmp(regs, dst, a, b, ule),
+            Op::UleRI { dst, a, imm } => cmp(regs, dst, a, imm, ule),
+            Op::SltRR { dst, a, b } => cmp(regs, dst, a, b, slt),
+            Op::SltRI { dst, a, imm } => cmp(regs, dst, a, imm, slt),
+            Op::SleRR { dst, a, b } => cmp(regs, dst, a, b, sle),
+            Op::SleRI { dst, a, imm } => cmp(regs, dst, a, imm, sle),
+            Op::Bin {
+                dst,
+                op,
+                a,
+                b,
+                width,
+            } => match op.eval(width, get(regs, a), get(regs, b)) {
+                Some(v) => set(regs, dst, v),
+                None => Flow::Exit(Err(RuntimeFault::DivByZero)),
+            },
+            Op::Cmp {
+                dst,
+                pred,
+                a,
+                b,
+                width,
+            } => set(
+                regs,
+                dst,
+                u64::from(pred.eval(width, get(regs, a), get(regs, b))),
+            ),
+            Op::Un { dst, op, a, width } => set(regs, dst, op.eval(width, get(regs, a))),
+            Op::Cast { dst, a, from } => set(regs, dst, from.trunc(get(regs, a))),
+            Op::Load { dst, addr, width } => match self.mem.load(get(regs, addr), width) {
+                Ok(v) => set(regs, dst, v),
+                Err(f) => Flow::Exit(Err(f)),
+            },
+            Op::Store { addr, value, width } => self
+                .mem
+                .store(get(regs, addr), width, get(regs, value))
+                .into(),
+            Op::StackAlloc { dst, size } => set(regs, dst, self.mem.stack_alloc(tid, size)),
+            Op::Alloc { dst, size } => set(regs, dst, self.mem.heap_alloc(get(regs, size))),
+            Op::Free { addr } => self.mem.heap_free(get(regs, addr)).into(),
+            Op::Input { dst, source, width } => match self.env.read_input(source, width) {
+                Ok((v, event)) => {
+                    self.sink.input(&event);
+                    set(regs, dst, v)
+                }
+                Err(f) => Flow::Exit(Err(f)),
+            },
+            Op::Clock { dst } => {
+                let v = self.env.read_clock();
+                self.sink.clock_read(v);
+                set(regs, dst, v)
+            }
+            Op::PtWrite { value } => {
+                self.sink.ptwrite(get(regs, value));
+                Flow::Next
+            }
+            Op::Print { value } => {
+                self.output.push(get(regs, value));
+                Flow::Next
+            }
+            Op::Assert { cond, message } => {
+                if get(regs, cond) == 0 {
+                    Flow::Exit(Err(RuntimeFault::AssertFailed {
+                        message: code.message(message).to_string(),
+                    }))
+                } else {
+                    Flow::Next
+                }
+            }
+            Op::Abort { message } => Flow::Exit(Err(RuntimeFault::Abort {
+                message: code.message(message).to_string(),
+            })),
+            Op::Jump { to } => Flow::Jump(to),
+            Op::Branch {
+                cond,
+                then_pc,
+                else_pc,
+            } => {
+                let taken = get(regs, cond) != 0;
+                self.sink.cond_branch(taken);
+                Flow::Jump(if taken { then_pc } else { else_pc })
+            }
+            Op::Call { .. }
+            | Op::Spawn { .. }
+            | Op::Join { .. }
+            | Op::Lock { .. }
+            | Op::Unlock { .. }
+            | Op::Return { .. } => Flow::Exit(Ok(*op)),
+            Op::AddRRMov(p) => bin_mov(regs, p, u64::wrapping_add),
+            Op::AddRIMov(p) => bin_mov(regs, p, u64::wrapping_add),
+            Op::SubRRMov(p) => bin_mov(regs, p, u64::wrapping_sub),
+            Op::SubRIMov(p) => bin_mov(regs, p, u64::wrapping_sub),
+            Op::MulRRMov(p) => bin_mov(regs, p, u64::wrapping_mul),
+            Op::MulRIMov(p) => bin_mov(regs, p, u64::wrapping_mul),
+            Op::AndRRMov(p) => bin_mov(regs, p, and),
+            Op::AndRIMov(p) => bin_mov(regs, p, and),
+            Op::OrRRMov(p) => bin_mov(regs, p, or),
+            Op::OrRIMov(p) => bin_mov(regs, p, or),
+            Op::XorRRMov(p) => bin_mov(regs, p, xor),
+            Op::XorRIMov(p) => bin_mov(regs, p, xor),
+            Op::ShlRRMov(p) => bin_mov(regs, p, shl),
+            Op::ShlRIMov(p) => bin_mov(regs, p, shl),
+            Op::LShrRRMov(p) => bin_mov(regs, p, lshr),
+            Op::LShrRIMov(p) => bin_mov(regs, p, lshr),
+            Op::AShrRRMov(p) => bin_mov(regs, p, ashr),
+            Op::AShrRIMov(p) => bin_mov(regs, p, ashr),
+            Op::EqRRMov(p) => cmp_mov(regs, p, eq),
+            Op::EqRIMov(p) => cmp_mov(regs, p, eq),
+            Op::NeRRMov(p) => cmp_mov(regs, p, ne),
+            Op::NeRIMov(p) => cmp_mov(regs, p, ne),
+            Op::UltRRMov(p) => cmp_mov(regs, p, ult),
+            Op::UltRIMov(p) => cmp_mov(regs, p, ult),
+            Op::UleRRMov(p) => cmp_mov(regs, p, ule),
+            Op::UleRIMov(p) => cmp_mov(regs, p, ule),
+            Op::SltRRMov(p) => cmp_mov(regs, p, slt),
+            Op::SltRIMov(p) => cmp_mov(regs, p, slt),
+            Op::SleRRMov(p) => cmp_mov(regs, p, sle),
+            Op::SleRIMov(p) => cmp_mov(regs, p, sle),
+            Op::EqRRBranch(p) => self.cmp_branch(regs, p, eq),
+            Op::EqRIBranch(p) => self.cmp_branch(regs, p, eq),
+            Op::NeRRBranch(p) => self.cmp_branch(regs, p, ne),
+            Op::NeRIBranch(p) => self.cmp_branch(regs, p, ne),
+            Op::UltRRBranch(p) => self.cmp_branch(regs, p, ult),
+            Op::UltRIBranch(p) => self.cmp_branch(regs, p, ult),
+            Op::UleRRBranch(p) => self.cmp_branch(regs, p, ule),
+            Op::UleRIBranch(p) => self.cmp_branch(regs, p, ule),
+            Op::SltRRBranch(p) => self.cmp_branch(regs, p, slt),
+            Op::SltRIBranch(p) => self.cmp_branch(regs, p, slt),
+            Op::SleRRBranch(p) => self.cmp_branch(regs, p, sle),
+            Op::SleRIBranch(p) => self.cmp_branch(regs, p, sle),
+        }
+    }
+
+    /// Runs [`Code::ops`] one op at a time from `pc`, billing each to
+    /// `icount`, until the count reaches `stop` (`None`) or an op faults or
+    /// changes frames or threads (that exit, with `pc` on the op). This is
+    /// the per-op path of [`Machine::run_slice`], out of line so the
+    /// per-block loop keeps its hot values in registers.
+    #[inline(never)]
+    fn step_ops(
+        &mut self,
+        code: &Code,
+        regs: &mut [u64],
+        tid: u64,
+        pc: &mut usize,
+        icount: &mut u64,
+        stop: u64,
+    ) -> Option<Result<Op, RuntimeFault>> {
+        loop {
+            if *icount >= stop {
+                return None;
+            }
+            *icount += 1;
+            match self.exec(code, &code.ops()[*pc], regs, tid) {
+                Flow::Next => *pc += 1,
+                Flow::Pair => unreachable!("`Code::ops` holds no fused pairs"),
+                Flow::Jump(to) => *pc = to as usize,
+                Flow::Exit(exit) => return Some(exit),
+            }
+        }
+    }
+
+    /// A fused compare→branch: the compare's write, then the branch.
+    #[inline(always)]
+    fn cmp_branch<B: Rhs>(
+        &mut self,
+        regs: &mut [u64],
+        p: BranchPair<B>,
+        pred: impl Fn(u64, u64) -> bool,
+    ) -> Flow {
+        let taken = pred(regs[p.a.0 as usize], p.b.value(regs));
+        regs[p.dst.0 as usize] = u64::from(taken);
+        self.sink.cond_branch(taken);
+        Flow::Jump(if taken { p.then_pc } else { p.else_pc })
+    }
+}
+
+/// The right operand of a specialized ALU form: a register or an
+/// immediate.
+trait Rhs: Copy {
+    fn value(self, regs: &[u64]) -> u64;
+}
+
+impl Rhs for Reg {
+    #[inline(always)]
+    fn value(self, regs: &[u64]) -> u64 {
+        regs[self.0 as usize]
+    }
+}
+
+impl Rhs for u64 {
+    #[inline(always)]
+    fn value(self, _: &[u64]) -> u64 {
+        self
+    }
+}
+
+/// `dst = v`.
+#[inline(always)]
+fn set(regs: &mut [u64], dst: Reg, v: u64) -> Flow {
+    regs[dst.0 as usize] = v;
+    Flow::Next
+}
+
+/// `dst = f(a, b)`.
+#[inline(always)]
+fn bin<B: Rhs>(regs: &mut [u64], dst: Reg, a: Reg, b: B, f: impl Fn(u64, u64) -> u64) -> Flow {
+    set(regs, dst, f(regs[a.0 as usize], b.value(regs)))
+}
+
+/// `dst = pred(a, b)` as 0 or 1.
+#[inline(always)]
+fn cmp<B: Rhs>(regs: &mut [u64], dst: Reg, a: Reg, b: B, pred: impl Fn(u64, u64) -> bool) -> Flow {
+    bin(regs, dst, a, b, |x, y| u64::from(pred(x, y)))
+}
+
+/// A fused op→move: `dst = f(a, b); mov = dst`.
+#[inline(always)]
+fn bin_mov<B: Rhs>(regs: &mut [u64], p: MovPair<B>, f: impl Fn(u64, u64) -> u64) -> Flow {
+    let v = f(regs[p.a.0 as usize], p.b.value(regs));
+    regs[p.dst.0 as usize] = v;
+    regs[p.mov.0 as usize] = v;
+    Flow::Pair
+}
+
+/// A fused compare→move: `dst = pred(a, b); mov = dst`.
+#[inline(always)]
+fn cmp_mov<B: Rhs>(regs: &mut [u64], p: MovPair<B>, pred: impl Fn(u64, u64) -> bool) -> Flow {
+    bin_mov(regs, p, |x, y| u64::from(pred(x, y)))
+}
+
+// The specialized forms' operations on 64-bit words. `wrapping_*` shifts
+// take the amount modulo 64, the IR's shift semantics at 64 bits.
+#[inline(always)]
+fn and(x: u64, y: u64) -> u64 {
+    x & y
+}
+#[inline(always)]
+fn or(x: u64, y: u64) -> u64 {
+    x | y
+}
+#[inline(always)]
+fn xor(x: u64, y: u64) -> u64 {
+    x ^ y
+}
+#[inline(always)]
+fn shl(x: u64, y: u64) -> u64 {
+    x.wrapping_shl(y as u32)
+}
+#[inline(always)]
+fn lshr(x: u64, y: u64) -> u64 {
+    x.wrapping_shr(y as u32)
+}
+#[inline(always)]
+fn ashr(x: u64, y: u64) -> u64 {
+    (x as i64).wrapping_shr(y as u32) as u64
+}
+#[inline(always)]
+fn eq(x: u64, y: u64) -> bool {
+    x == y
+}
+#[inline(always)]
+fn ne(x: u64, y: u64) -> bool {
+    x != y
+}
+#[inline(always)]
+fn ult(x: u64, y: u64) -> bool {
+    x < y
+}
+#[inline(always)]
+fn ule(x: u64, y: u64) -> bool {
+    x <= y
+}
+#[inline(always)]
+fn slt(x: u64, y: u64) -> bool {
+    (x as i64) < (y as i64)
+}
+#[inline(always)]
+fn sle(x: u64, y: u64) -> bool {
+    (x as i64) <= (y as i64)
+}
+
 /// An IR interpreter with a pluggable trace sink.
 #[derive(Debug)]
 pub struct Machine<'p, S = NullSink> {
     code: &'p Code,
     entry: FuncId,
-    env: Env,
-    mem: Memory,
+    world: World<S>,
     threads: Vec<Thread>,
     run_queue: VecDeque<usize>,
     lock_owner: HashMap<u64, u64>,
     icount: u64,
-    output: Vec<u64>,
     next_tid: u64,
     sched: SchedConfig,
     rng: u64,
-    sink: S,
 }
 
 impl<'p> Machine<'p, NullSink> {
@@ -156,17 +504,19 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         Machine {
             code,
             entry,
-            env,
-            mem,
+            world: World {
+                env,
+                mem,
+                output: Vec::new(),
+                sink,
+            },
             threads: vec![main],
             run_queue: VecDeque::from([0]),
             lock_owner: HashMap::new(),
             icount: 0,
-            output: Vec::new(),
             next_tid: 1,
             sched: SchedConfig::default(),
             rng: SchedConfig::default().seed | 1,
-            sink,
         }
     }
 
@@ -191,10 +541,10 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         let outcome = self.run_loop();
         RunReport {
             outcome,
-            output: self.output,
+            output: self.world.output,
             instr_count: self.icount,
-            mem: self.mem,
-            sink: self.sink,
+            mem: self.world.mem,
+            sink: self.world.sink,
         }
     }
 
@@ -217,7 +567,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 continue;
             }
             let tid = self.threads[t].tid;
-            self.sink.thread_resume(tid, self.icount);
+            self.world.sink.thread_resume(tid, self.icount);
             let quantum = self.next_quantum();
             let deadline = self.icount + quantum;
             // The instruction budget folds into the quantum: the slice
@@ -269,10 +619,17 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     /// the instruction count. Instructions that push or pop frames, or
     /// create, block or wake threads, leave the loop and run in their own
     /// methods, after which the loop reloads the innermost frame.
-    #[allow(clippy::too_many_lines)]
+    ///
+    /// The count is billed per block. When the rest of the block fits
+    /// under `stop`, it is billed whole and runs on [`Code::fast_ops`],
+    /// fused pairs included, with no per-op check; a fault or a
+    /// frame-changing op refunds the ops after it, so the count includes
+    /// that op as it always has. Only the block in which `stop` falls runs
+    /// op by op on [`Code::ops`] ([`World::step_ops`]), so the run stops on
+    /// exactly the same op as a per-op check would.
     fn run_slice(&mut self, t: usize, stop: u64) -> StepResult {
         let code = self.code;
-        let ops = code.ops();
+        let (fast, run_len) = (code.fast_ops(), code.run_lens());
         loop {
             let thread = &mut self.threads[t];
             let tid = thread.tid;
@@ -280,252 +637,32 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             let regs = &mut thread.regs[frame.base..];
             let mut pc = frame.pc as usize;
             let mut icount = self.icount;
-            let exit = loop {
-                if icount >= stop {
-                    break None;
+            let exit = 'blocks: loop {
+                let len = u64::from(run_len[pc]);
+                if icount + len > stop {
+                    break self
+                        .world
+                        .step_ops(code, regs, tid, &mut pc, &mut icount, stop);
                 }
-                icount += 1;
-                let done: Result<(), RuntimeFault> = match ops[pc] {
-                    Op::Const { dst, value } => {
-                        regs[dst.0 as usize] = value;
-                        Ok(())
-                    }
-                    Op::Mov { dst, src } => {
-                        regs[dst.0 as usize] = regs[src.0 as usize];
-                        Ok(())
-                    }
-                    Op::AddRR { dst, a, b } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_add(regs[b.0 as usize]);
-                        Ok(())
-                    }
-                    Op::AddRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_add(imm);
-                        Ok(())
-                    }
-                    Op::SubRR { dst, a, b } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_sub(regs[b.0 as usize]);
-                        Ok(())
-                    }
-                    Op::SubRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_sub(imm);
-                        Ok(())
-                    }
-                    Op::MulRR { dst, a, b } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_mul(regs[b.0 as usize]);
-                        Ok(())
-                    }
-                    Op::MulRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_mul(imm);
-                        Ok(())
-                    }
-                    Op::AndRR { dst, a, b } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize] & regs[b.0 as usize];
-                        Ok(())
-                    }
-                    Op::AndRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize] & imm;
-                        Ok(())
-                    }
-                    Op::OrRR { dst, a, b } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize] | regs[b.0 as usize];
-                        Ok(())
-                    }
-                    Op::OrRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize] | imm;
-                        Ok(())
-                    }
-                    Op::XorRR { dst, a, b } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize] ^ regs[b.0 as usize];
-                        Ok(())
-                    }
-                    Op::XorRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize] ^ imm;
-                        Ok(())
-                    }
-                    // `wrapping_*` shifts take the amount modulo 64, the IR's
-                    // shift semantics at 64 bits.
-                    Op::ShlRR { dst, a, b } => {
-                        regs[dst.0 as usize] =
-                            regs[a.0 as usize].wrapping_shl(regs[b.0 as usize] as u32);
-                        Ok(())
-                    }
-                    Op::ShlRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_shl(imm as u32);
-                        Ok(())
-                    }
-                    Op::LShrRR { dst, a, b } => {
-                        regs[dst.0 as usize] =
-                            regs[a.0 as usize].wrapping_shr(regs[b.0 as usize] as u32);
-                        Ok(())
-                    }
-                    Op::LShrRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = regs[a.0 as usize].wrapping_shr(imm as u32);
-                        Ok(())
-                    }
-                    Op::AShrRR { dst, a, b } => {
-                        regs[dst.0 as usize] = (regs[a.0 as usize] as i64)
-                            .wrapping_shr(regs[b.0 as usize] as u32)
-                            as u64;
-                        Ok(())
-                    }
-                    Op::AShrRI { dst, a, imm } => {
-                        regs[dst.0 as usize] =
-                            (regs[a.0 as usize] as i64).wrapping_shr(imm as u32) as u64;
-                        Ok(())
-                    }
-                    Op::EqRR { dst, a, b } => {
-                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] == regs[b.0 as usize]);
-                        Ok(())
-                    }
-                    Op::EqRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] == imm);
-                        Ok(())
-                    }
-                    Op::NeRR { dst, a, b } => {
-                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] != regs[b.0 as usize]);
-                        Ok(())
-                    }
-                    Op::NeRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] != imm);
-                        Ok(())
-                    }
-                    Op::UltRR { dst, a, b } => {
-                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] < regs[b.0 as usize]);
-                        Ok(())
-                    }
-                    Op::UltRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] < imm);
-                        Ok(())
-                    }
-                    Op::UleRR { dst, a, b } => {
-                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] <= regs[b.0 as usize]);
-                        Ok(())
-                    }
-                    Op::UleRI { dst, a, imm } => {
-                        regs[dst.0 as usize] = u64::from(regs[a.0 as usize] <= imm);
-                        Ok(())
-                    }
-                    Op::SltRR { dst, a, b } => {
-                        regs[dst.0 as usize] =
-                            u64::from((regs[a.0 as usize] as i64) < (regs[b.0 as usize] as i64));
-                        Ok(())
-                    }
-                    Op::SltRI { dst, a, imm } => {
-                        regs[dst.0 as usize] =
-                            u64::from((regs[a.0 as usize] as i64) < (imm as i64));
-                        Ok(())
-                    }
-                    Op::SleRR { dst, a, b } => {
-                        regs[dst.0 as usize] =
-                            u64::from((regs[a.0 as usize] as i64) <= (regs[b.0 as usize] as i64));
-                        Ok(())
-                    }
-                    Op::SleRI { dst, a, imm } => {
-                        regs[dst.0 as usize] =
-                            u64::from((regs[a.0 as usize] as i64) <= (imm as i64));
-                        Ok(())
-                    }
-                    Op::Bin {
-                        dst,
-                        op,
-                        a,
-                        b,
-                        width,
-                    } => op
-                        .eval(width, get(regs, a), get(regs, b))
-                        .ok_or(RuntimeFault::DivByZero)
-                        .map(|r| regs[dst.0 as usize] = r),
-                    Op::Cmp {
-                        dst,
-                        pred,
-                        a,
-                        b,
-                        width,
-                    } => {
-                        regs[dst.0 as usize] =
-                            u64::from(pred.eval(width, get(regs, a), get(regs, b)));
-                        Ok(())
-                    }
-                    Op::Un { dst, op, a, width } => {
-                        regs[dst.0 as usize] = op.eval(width, get(regs, a));
-                        Ok(())
-                    }
-                    Op::Cast { dst, a, from } => {
-                        regs[dst.0 as usize] = from.trunc(get(regs, a));
-                        Ok(())
-                    }
-                    Op::Load { dst, addr, width } => self
-                        .mem
-                        .load(get(regs, addr), width)
-                        .map(|v| regs[dst.0 as usize] = v),
-                    Op::Store { addr, value, width } => {
-                        self.mem.store(get(regs, addr), width, get(regs, value))
-                    }
-                    Op::StackAlloc { dst, size } => {
-                        regs[dst.0 as usize] = self.mem.stack_alloc(tid, size);
-                        Ok(())
-                    }
-                    Op::Alloc { dst, size } => {
-                        regs[dst.0 as usize] = self.mem.heap_alloc(get(regs, size));
-                        Ok(())
-                    }
-                    Op::Free { addr } => self.mem.heap_free(get(regs, addr)),
-                    Op::Input { dst, source, width } => {
-                        self.env.read_input(source, width).map(|(v, event)| {
-                            self.sink.input(&event);
-                            regs[dst.0 as usize] = v;
-                        })
-                    }
-                    Op::Clock { dst } => {
-                        let v = self.env.read_clock();
-                        self.sink.clock_read(v);
-                        regs[dst.0 as usize] = v;
-                        Ok(())
-                    }
-                    Op::PtWrite { value } => {
-                        self.sink.ptwrite(get(regs, value));
-                        Ok(())
-                    }
-                    Op::Print { value } => {
-                        self.output.push(get(regs, value));
-                        Ok(())
-                    }
-                    Op::Assert { cond, message } => {
-                        if get(regs, cond) == 0 {
-                            Err(RuntimeFault::AssertFailed {
-                                message: code.message(message).to_string(),
-                            })
-                        } else {
-                            Ok(())
+                icount += len;
+                // The block's ops from the current one on; a slice rather
+                // than a pc, so the loop carries one value fewer.
+                let mut rest = &fast[pc..];
+                loop {
+                    match self.world.exec(code, &rest[0], regs, tid) {
+                        Flow::Next => rest = &rest[1..],
+                        Flow::Pair => rest = &rest[2..],
+                        Flow::Jump(to) => {
+                            pc = to as usize;
+                            continue 'blocks;
+                        }
+                        Flow::Exit(exit) => {
+                            pc = fast.len() - rest.len();
+                            // Refund the ops after this one.
+                            icount -= u64::from(run_len[pc]) - 1;
+                            break 'blocks Some(exit);
                         }
                     }
-                    Op::Abort { message } => Err(RuntimeFault::Abort {
-                        message: code.message(message).to_string(),
-                    }),
-                    Op::Jump { to } => {
-                        pc = to as usize;
-                        continue;
-                    }
-                    Op::Branch {
-                        cond,
-                        then_pc,
-                        else_pc,
-                    } => {
-                        let taken = get(regs, cond) != 0;
-                        self.sink.cond_branch(taken);
-                        pc = if taken { then_pc } else { else_pc } as usize;
-                        continue;
-                    }
-                    op @ (Op::Call { .. }
-                    | Op::Spawn { .. }
-                    | Op::Join { .. }
-                    | Op::Lock { .. }
-                    | Op::Unlock { .. }
-                    | Op::Return { .. }) => break Some(Ok(op)),
-                };
-                match done {
-                    Ok(()) => pc += 1,
-                    Err(f) => break Some(Err(f)),
                 }
             };
             // The pc stays on a faulting or frame-changing instruction.
@@ -551,11 +688,12 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     fn ret(&mut self, t: usize, value: Option<Operand>) -> StepResult {
         let thread = &mut self.threads[t];
         let value = value.map(|op| thread.operand(op)).unwrap_or(0);
-        self.sink.ret();
-        self.sink
+        self.world.sink.ret();
+        self.world
+            .sink
             .ret_value(self.code.id_of(thread.frame().pc).func, value);
         let frame = thread.frames.pop().expect("live frame");
-        self.mem.stack_restore(thread.tid, frame.stack_mark);
+        self.world.mem.stack_restore(thread.tid, frame.stack_mark);
         thread.regs.truncate(frame.base);
         if let Some(caller) = thread.frames.last_mut() {
             if let Some(dst) = frame.ret_dst {
@@ -590,9 +728,11 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         for (r, a) in callee.iter_mut().zip(site.args.iter()) {
             *r = get(&caller[caller_base..], *a);
         }
-        self.sink.call(site.func);
-        self.sink.call_args(site.func, &callee[..site.n_params]);
-        let mark = self.mem.stack_watermark(thread.tid);
+        self.world.sink.call(site.func);
+        self.world
+            .sink
+            .call_args(site.func, &callee[..site.n_params]);
+        let mark = self.world.mem.stack_watermark(thread.tid);
         // The caller's pc stays on the Call until the callee returns.
         thread.frames.push(Frame {
             pc: site.entry,
@@ -610,7 +750,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         }
         let tid = self.next_tid;
         self.next_tid += 1;
-        let mark = self.mem.stack_watermark(tid);
+        let mark = self.world.mem.stack_watermark(tid);
         self.threads.push(Thread {
             tid,
             frames: vec![Frame {
@@ -926,6 +1066,149 @@ mod tests {
         assert_eq!(f.at.to_string(), "f0.b2.i1");
     }
 
+    /// A loop whose header and body blocks both start fused pairs, with a
+    /// call in the middle of the body, so a run can stop anywhere in a
+    /// block, inside a pair, or in a callee.
+    const LOOP: &str = r#"
+        fn mix(x: u64) -> u64 { return x ^ (x >> 29); }
+        fn main() {
+            let h: u64 = 7;
+            for i: u64 = 0; i < 40; i = i + 1 {
+                h = (h ^ i) * 1099511628211;
+                h = mix(h) + i;
+            }
+            print(h);
+        }
+    "#;
+
+    /// The pcs a run of [`LOOP`] executes, in order, walked from its flat
+    /// code without the interpreter: the loop test is its one branch on a
+    /// register, and it is taken 40 times.
+    fn loop_pcs(code: &Code) -> Vec<Pc> {
+        let (mut pcs, mut returns, mut test) = (Vec::new(), Vec::new(), None);
+        let mut pc = code.entry();
+        loop {
+            pcs.push(pc);
+            pc = match code.ops()[pc as usize] {
+                Op::Jump { to } => to,
+                Op::Branch {
+                    cond: Operand::Imm(c),
+                    then_pc,
+                    else_pc,
+                } => {
+                    if c != 0 {
+                        then_pc
+                    } else {
+                        else_pc
+                    }
+                }
+                Op::Branch {
+                    then_pc, else_pc, ..
+                } => {
+                    assert_eq!(*test.get_or_insert(pc), pc, "one loop test");
+                    let taken = pcs.iter().filter(|&&p| p == pc).count() <= 40;
+                    if taken {
+                        then_pc
+                    } else {
+                        else_pc
+                    }
+                }
+                Op::Call { site } => {
+                    returns.push(pc + 1);
+                    code.call_site(site).entry
+                }
+                Op::Return { .. } => match returns.pop() {
+                    Some(after_call) => after_call,
+                    None => return pcs,
+                },
+                _ => pc + 1,
+            };
+        }
+    }
+
+    #[test]
+    fn budget_trips_on_exactly_the_op_it_ends_at() {
+        let p = compile(LOOP).unwrap();
+        let code = p.code();
+        let pairs: Vec<Op> = code
+            .fast_ops()
+            .iter()
+            .filter(|op| op.split().is_some())
+            .copied()
+            .collect();
+        assert!(
+            pairs.iter().any(|op| matches!(op, Op::UltRIBranch(_)))
+                && pairs.iter().any(|op| matches!(op, Op::MulRIMov(_)))
+                && pairs.iter().any(|op| matches!(op, Op::AddRRMov(_))),
+            "{pairs:?}"
+        );
+        let pcs = loop_pcs(code);
+        let full = Machine::new(&p, Env::new()).run();
+        assert_eq!(full.outcome, RunOutcome::Completed);
+        assert_eq!(full.instr_count, pcs.len() as u64);
+        // Every budget short of the whole run: each offset of both loop
+        // blocks, of the callee, and between the ops of every pair.
+        for (k, &pc) in pcs.iter().enumerate() {
+            let r = Machine::new(&p, Env::new())
+                .with_sched(SchedConfig {
+                    max_instrs: k as u64,
+                    ..SchedConfig::default()
+                })
+                .run();
+            let RunOutcome::Failure(f) = r.outcome else {
+                panic!("budget {k}: expected a hang, got {:?}", r.outcome)
+            };
+            assert_eq!(f.fault, RuntimeFault::Hang, "budget {k}");
+            assert_eq!(r.instr_count, k as u64, "budget {k}");
+            assert_eq!(f.at, code.id_of(pc), "budget {k}");
+        }
+    }
+
+    #[test]
+    fn every_quantum_ends_on_its_exact_length() {
+        let p = compile(LOOP).unwrap();
+        let reference = Machine::new(&p, Env::new())
+            .with_sched(SchedConfig {
+                quantum: 1000,
+                ..SchedConfig::default()
+            })
+            .run();
+        for quantum in 2..=40 {
+            let sched = SchedConfig {
+                quantum,
+                seed: quantum,
+                max_instrs: 1 << 20,
+            };
+            let r = Machine::with_sink(&p, Env::new(), VecSink::new())
+                .with_sched(sched)
+                .run();
+            assert_eq!(r.outcome, reference.outcome, "quantum {quantum}");
+            assert_eq!(r.output, reference.output, "quantum {quantum}");
+            assert_eq!(r.instr_count, reference.instr_count, "quantum {quantum}");
+            let resumes: Vec<u64> = r
+                .sink
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    Event::ThreadResume { tid: 0, tsc } => Some(tsc),
+                    _ => None,
+                })
+                .collect();
+            // A machine with the same schedule draws the same lengths.
+            let mut lengths = Machine::new(&p, Env::new()).with_sched(sched);
+            assert_eq!(resumes[0], 0);
+            for w in resumes.windows(2) {
+                assert_eq!(w[1], w[0] + lengths.next_quantum(), "quantum {quantum}");
+            }
+            let last = *resumes.last().unwrap();
+            assert!(r.instr_count > last, "quantum {quantum}");
+            assert!(
+                r.instr_count <= last + lengths.next_quantum(),
+                "quantum {quantum}"
+            );
+        }
+    }
+
     #[test]
     fn hang_on_a_quantum_boundary_lands_on_the_next_thread() {
         let p = compile(
@@ -999,6 +1282,24 @@ mod tests {
                 addr: 0xFFFF_FFFF_FFFF_FFF8
             }
         );
+    }
+
+    #[test]
+    fn allocation_past_the_heap_returns_null() {
+        // `alloc` of an input-controlled size the heap cannot hold returns
+        // null, as `malloc` does, so the store through it faults: it does
+        // not abort the process, wrap to a bogus base or map past the heap.
+        for size in [1u64 << 40, u64::MAX, 768 << 20] {
+            let r = run_src(
+                "fn main() { let p: u64 = alloc(input_u64(0)); store8(p, 1); }",
+                &[(0, size.to_le_bytes().to_vec())],
+            );
+            let RunOutcome::Failure(f) = r.outcome else {
+                panic!("{size:#x}: expected a fault, got {:?}", r.outcome)
+            };
+            assert_eq!(f.fault, RuntimeFault::NullDeref { addr: 0 }, "{size:#x}");
+            assert_eq!(r.mem.mapped_bytes(), 0, "{size:#x}");
+        }
     }
 
     #[test]

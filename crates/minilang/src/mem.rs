@@ -131,11 +131,21 @@ impl Memory {
 
     /// Allocates `size` bytes on the heap (16-byte aligned, zeroed).
     /// Allocations are never reused, so use-after-free is always detectable.
+    ///
+    /// Returns 0, a null pointer, as `malloc` does, when the padded size
+    /// does not fit in what is left of the heap segment, which ends at
+    /// [`STACK_BASE`]; the heap is then unchanged.
     pub fn heap_alloc(&mut self, size: u64) -> u64 {
         let size = size.max(1);
         let base = self.heap_next;
-        let padded = size.div_ceil(16) * 16;
-        self.heap_next += padded;
+        let Some(end) = size
+            .checked_next_multiple_of(16)
+            .and_then(|padded| base.checked_add(padded))
+            .filter(|&end| end <= STACK_BASE)
+        else {
+            return 0;
+        };
+        self.heap_next = end;
         let needed = (self.heap_next - HEAP_BASE) as usize;
         if self.heap.data.len() < needed {
             self.heap.data.resize(needed, 0);
@@ -335,6 +345,30 @@ mod tests {
 
     fn empty_mem() -> Memory {
         Memory::new(&Program::default())
+    }
+
+    #[test]
+    fn heap_alloc_past_the_heap_segment_returns_null() {
+        let mut m = empty_mem();
+        let huge = [
+            1 << 40,
+            u64::MAX,
+            u64::MAX - 7,
+            768 << 20,
+            STACK_BASE - HEAP_BASE + 1,
+        ];
+        for size in huge {
+            assert_eq!(m.heap_alloc(size), 0, "{size:#x}");
+        }
+        assert_eq!(m.mapped_bytes(), 0, "a failed allocation maps nothing");
+        let first = m.heap_alloc(16);
+        assert_eq!(
+            first, HEAP_BASE,
+            "failed allocations leave the heap unchanged"
+        );
+        // One byte more than what is left of the segment, after padding.
+        assert_eq!(m.heap_alloc(STACK_BASE - HEAP_BASE - 15), 0);
+        assert_eq!(m.heap_alloc(16), HEAP_BASE + 16);
     }
 
     #[test]

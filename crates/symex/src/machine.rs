@@ -1820,6 +1820,38 @@ mod tests {
     }
 
     #[test]
+    fn allocation_past_the_heap_follows_production_to_a_null_store() {
+        // An input-controlled size the heap cannot hold: production's
+        // `alloc` returns null and the store through it faults. With the
+        // size recorded, as selection would record it after the address
+        // stall, symex follows the trace to that fault.
+        let program =
+            compile("fn main() { let p: u64 = alloc(input_u64(0)); store8(p, 1); }").unwrap();
+        let input = InstrId {
+            func: FuncId(0),
+            block: BlockId(0),
+            index: 0,
+        };
+        let recorded = program.recording(&[input]);
+        for size in [1u64 << 40, u64::MAX, 768 << 20] {
+            let mut env = Env::new();
+            env.push_input(0, &size.to_le_bytes());
+            let report = Machine::with_sink(&recorded, env, PtSink::new(PtConfig::default())).run();
+            let RunOutcome::Failure(failure) = report.outcome else {
+                panic!("{size:#x}: the store faults")
+            };
+            assert_eq!(
+                failure.fault,
+                RuntimeFault::NullDeref { addr: 0 },
+                "{size:#x}"
+            );
+            let events = report.sink.finish().decode().unwrap().events;
+            let r = SymMachine::new(&recorded, SymConfig::default()).run(&events, Some(&failure));
+            assert_eq!(r.status, ShepherdStatus::Completed, "{size:#x}");
+        }
+    }
+
+    #[test]
     fn reconstructs_branchy_input_failure() {
         let src = r#"
             fn main() {

@@ -144,10 +144,13 @@ impl SymMemory {
     }
 
     /// Allocates heap memory, mirroring the interpreter's allocator so
-    /// addresses line up with the production run.
+    /// addresses line up with the production run. A request the heap
+    /// cannot hold returns 0, as in production, and names no object.
     pub fn heap_alloc(&mut self, size: u64, name: ObjectName) -> u64 {
         let base = self.concrete.heap_alloc(size);
-        self.register_object(base, size.max(1), name);
+        if base != 0 {
+            self.register_object(base, size.max(1), name);
+        }
         base
     }
 
@@ -483,6 +486,16 @@ mod tests {
 
     fn setup() -> (SymMemory, ExprPool) {
         (SymMemory::new(&Program::default()), ExprPool::new())
+    }
+
+    #[test]
+    fn heap_alloc_past_the_heap_segment_is_null_and_names_no_object() {
+        let (mut m, _) = setup();
+        for size in [1 << 40, u64::MAX, 768 << 20] {
+            assert_eq!(m.heap_alloc(size, "huge".into()), 0, "{size:#x}");
+        }
+        assert_eq!(m.objects().count(), 0);
+        assert!(m.object_containing(0).is_none());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! produces — the original programs and their recorded builds — must map
 //! each instruction to one slot and back. A recorded build must lower
 //! exactly like the program with `ptwrite`s inserted into its blocks, and
-//! a snapshot carried to another build must resume where it paused.
+//! a snapshot carried to another build must resume where it paused. The
+//! interpreter's fused array must pair only ops of one block with no
+//! recording slot between them.
 
 use er_core::instrument::InstrumentedProgram;
 use er_core::shepherd;
@@ -113,6 +115,61 @@ fn every_table1_program_maps_pcs_and_instr_ids_both_ways() {
         for &site in &sites {
             assert_records(w.name, &p, &[site], p.recording(&[site]).code());
         }
+    }
+}
+
+/// The interpreter's fast array of `code` fuses only adjacent ops of one
+/// block, neither of them a recording slot, holds the op itself at every
+/// other pc, and bills each pc the ops through its block's terminator.
+/// Returns the number of pairs.
+fn assert_fast_ops(name: &str, code: &Code) -> usize {
+    let (ops, fast, run_len) = (code.ops(), code.fast_ops(), code.run_lens());
+    assert_eq!(fast.len(), ops.len(), "{name}");
+    assert_eq!(run_len.len(), ops.len(), "{name}");
+    let mut pairs = 0;
+    let mut pc = 0;
+    while pc < ops.len() {
+        let at = pc as Pc;
+        if let Some((first, second)) = fast[pc].split() {
+            assert_eq!((first, second), (ops[pc], ops[pc + 1]), "{name}: pc {pc}");
+            let (a, b) = (code.id_of(at), code.id_of(at + 1));
+            assert_eq!((a.func, a.block), (b.func, b.block), "{name}: pc {pc}");
+            assert!(
+                !code.is_recording(at) && !code.is_recording(at + 1),
+                "{name}: pc {pc}"
+            );
+            assert_eq!(fast[pc + 1], ops[pc + 1], "{name}: pairs overlap at {pc}");
+            pairs += 1;
+            pc += 2;
+        } else {
+            assert_eq!(fast[pc], ops[pc], "{name}: pc {pc}");
+            pc += 1;
+        }
+    }
+    // A block's terminator is the first slot at or after a pc with the
+    // terminator index.
+    let mut next_term = ops.len();
+    for pc in (0..ops.len()).rev() {
+        if code.id_of(pc as Pc).index == InstrId::TERMINATOR {
+            next_term = pc;
+        }
+        assert_eq!(
+            run_len[pc] as usize,
+            next_term - pc + 1,
+            "{name}: run_len[{pc}]"
+        );
+    }
+    pairs
+}
+
+#[test]
+fn every_table1_program_fuses_only_within_blocks() {
+    for w in er_workloads::all() {
+        let p = w.program(Scale::TEST);
+        let pairs = assert_fast_ops(w.name, p.code());
+        assert!(pairs > 0, "{}: every program runs `crunch`", w.name);
+        let all = InstrumentedProgram::new(&p, &dst_sites(&p));
+        assert_fast_ops(w.name, all.program.code());
     }
 }
 
