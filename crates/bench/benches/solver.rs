@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use er_solver::expr::{BvOp, CmpKind, ExprPool};
 use er_solver::inc::IncrementalSolver;
-use er_solver::solve::{Budget, SatResult};
+use er_solver::solve::{Budget, SatResult, StallReason};
 
 fn bench_linear_bv(c: &mut Criterion) {
     c.bench_function("solver/linear_equation_32bit", |b| {
@@ -91,11 +91,89 @@ fn bench_object_size(c: &mut Criterion) {
     group.finish();
 }
 
+/// The probe pair the symbolic executor makes at a symbolic access
+/// `T[k & 31]` to a table of 8-byte elements: is the address unique
+/// (`addr != v`), and does it stay inside `T` (its complement)? The path
+/// has committed a read of a byte table at `k & 31`, so each probe lowers
+/// the address `T + (k & 31) * 8` afresh inside its rollback scope.
+fn bench_address_probe(c: &mut Criterion) {
+    let mut pool = ExprPool::new();
+    // Distinct entries (37 is odd), so the marker pins `k & 31` to 5.
+    let bytes = pool.array("B", 32, 8, Some((0..32).map(|b| b * 37 % 256).collect()));
+    let k = pool.var("k", 64);
+    let m31 = pool.bv_const(31, 64);
+    let slot = pool.bin(BvOp::And, k, m31);
+    let byte = pool.read(bytes, slot);
+    let marker = pool.bv_const(5 * 37, 8);
+    let path = [pool.cmp(CmpKind::Eq, byte, marker)];
+    let eight = pool.bv_const(8, 64);
+    let offset = pool.bin(BvOp::Mul, slot, eight);
+    let table = pool.bv_const(0x4000, 64);
+    let addr = pool.bin(BvOp::Add, table, offset);
+
+    let budget = Budget::default();
+    let mut solver = IncrementalSolver::new();
+    let SatResult::Sat(model) = solver.check(&mut pool, &path, &budget) else {
+        panic!("the path is satisfiable");
+    };
+    let v = pool.bv_const(model.eval(&pool, addr), 64);
+    let moved = pool.ne(addr, v);
+    let end = pool.bv_const(0x4000 + 32 * 8 - 7, 64);
+    let above = pool.cmp(CmpKind::Ule, table, addr);
+    let below = pool.cmp(CmpKind::Ult, addr, end);
+    let inside = pool.and(above, below);
+    let outside = pool.not(inside);
+    c.bench_function("solver/address_probe", |b| {
+        b.iter(|| {
+            let unique = solver.check_assuming(&mut pool, &path, &[moved], &budget);
+            let contained = solver.check_assuming(&mut pool, &path, &[outside], &budget);
+            assert_eq!(unique, SatResult::Unsat, "k & 31 is pinned to 5");
+            assert_eq!(contained, SatResult::Unsat);
+        });
+    });
+}
+
+/// A check that stalls in array elimination: three symbolic reads of
+/// 1,024-cell objects under a write chain, against a budget the third one
+/// crosses. The stall is decided before anything is built.
+fn bench_stalled_elimination(c: &mut Criterion) {
+    let mut pool = ExprPool::new();
+    let mut sum = pool.bv_const(0, 8);
+    for obj in 0..3 {
+        let mut arr = pool.array(format!("O{obj}"), 1024, 8, None);
+        for w in 0..8 {
+            let idx = pool.var(format!("w{obj}_{w}"), 64);
+            let val = pool.bv_const(w, 8);
+            arr = pool.write(arr, idx, val);
+        }
+        let i = pool.var(format!("i{obj}"), 64);
+        let r = pool.read(arr, i);
+        sum = pool.bin(BvOp::Add, sum, r);
+    }
+    let zero = pool.bv_const(0, 8);
+    let eq = pool.cmp(CmpKind::Eq, sum, zero);
+    let budget = Budget {
+        max_array_cells: 2_500,
+        ..Budget::default()
+    };
+    let mut solver = IncrementalSolver::new();
+    c.bench_function("solver/stalled_elimination", |b| {
+        b.iter(|| {
+            assert_eq!(
+                solver.check(&mut pool, &[eq], &budget),
+                SatResult::Unknown(StallReason::ArrayCells { cells: 3 * 1024 })
+            );
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_linear_bv,
     bench_mul_inversion,
     bench_write_chains,
-    bench_object_size
+    bench_object_size,
+    bench_address_probe,
+    bench_stalled_elimination
 );
 criterion_main!(benches);

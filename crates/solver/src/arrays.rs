@@ -7,9 +7,14 @@
 //! constraint-complexity sources §3.3.1 of the paper identifies — and a
 //! configurable cell budget turns excessive work into a reported *stall*
 //! instead of an unbounded solve.
+//!
+//! A stall is decided before anything is built: [`Eliminator::would_trip`]
+//! counts the cells a rewrite would instantiate by walking the constraint
+//! without interning a node, so a lowering that would trip the budget
+//! leaves no trace in the pool.
 
 use crate::expr::{ArrayNode, ArrayRef, ExprPool, ExprRef, Node};
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHashSet};
 use std::fmt;
 
 /// Elimination exceeded its cell budget: the solver stalls.
@@ -32,6 +37,21 @@ impl fmt::Display for ArrayBudgetExceeded {
 }
 
 impl std::error::Error for ArrayBudgetExceeded {}
+
+/// What [`Eliminator::would_trip`] learned about a rewrite without building
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DryRun {
+    /// The rewrite stays within the cell budget.
+    Fits,
+    /// The rewrite would fail with exactly this error.
+    Trips(ArrayBudgetExceeded),
+    /// The walk met an index containing a read not yet rewritten whose
+    /// rewritten form decides what a read costs: a read's own index, or a
+    /// store index a constant-index read compares against. Only the
+    /// rewrite can tell.
+    Declined,
+}
 
 /// Cumulative elimination statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,6 +78,25 @@ pub struct Eliminator {
     base_reads: FxHashMap<(u32, ExprRef), ExprRef>,
     stats: ElimStats,
     scope: Option<ElimScope>,
+    dry: DryScratch,
+}
+
+/// What one [`Eliminator::would_trip`] walk has met so far. Only scratch:
+/// it is empty between walks, and a clone starts empty.
+#[derive(Debug, Default)]
+struct DryScratch {
+    /// Nodes walked to the end, as [`Eliminator::rewrite`]'s cache would
+    /// hold them.
+    walked: FxHashSet<ExprRef>,
+    /// Base reads costed, as `base_reads` would hold them.
+    reads: FxHashSet<(u32, ExprRef)>,
+    cells: u64,
+}
+
+impl Clone for DryScratch {
+    fn clone(&self) -> Self {
+        DryScratch::default()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -107,6 +146,39 @@ impl Eliminator {
             self.base_reads.remove(&k);
         }
         self.stats = scope.stats_before;
+    }
+
+    /// Whether [`Eliminator::rewrite`] of `e` under `max_cells` would trip
+    /// the cell budget, decided without interning a node.
+    ///
+    /// The walk mirrors the rewrite's accounting exactly: the same visiting
+    /// order (operands left to right; at a store its index, then its value,
+    /// then the array below), the same memo on nodes already rewritten, the
+    /// same dedup of base reads on `(base id, rewritten index)`, the same
+    /// constant-index store shortcut, and a count that starts from the
+    /// committed cells. It skips subtrees without a read, which rewrite to
+    /// themselves and cost nothing. Where a cost hangs on the rewritten
+    /// form of an index containing a read not yet rewritten, it declines
+    /// (see [`DryRun::Declined`]).
+    pub fn would_trip(&mut self, pool: &ExprPool, e: ExprRef, max_cells: u64) -> DryRun {
+        if !pool.contains_read(e) {
+            return DryRun::Fits;
+        }
+        self.dry.cells = self.stats.cells;
+        let mut walk = DryWalk {
+            pool,
+            cache: &self.cache,
+            base_reads: &self.base_reads,
+            scratch: &mut self.dry,
+            max_cells,
+        };
+        let verdict = match walk.expr(e) {
+            Ok(()) => DryRun::Fits,
+            Err(stop) => stop,
+        };
+        self.dry.walked.clear();
+        self.dry.reads.clear();
+        verdict
     }
 
     /// Rewrites `e` into array-free form, appending any new axioms to
@@ -272,6 +344,105 @@ impl Eliminator {
                 let inb = pool.cmp(crate::expr::CmpKind::Ult, idx, len_v);
                 axioms.push(inb);
                 Ok(fresh)
+            }
+        }
+    }
+}
+
+/// One [`Eliminator::would_trip`] walk: the eliminator's committed state,
+/// read-only, and the scratch it counts in.
+struct DryWalk<'a> {
+    pool: &'a ExprPool,
+    cache: &'a FxHashMap<ExprRef, ExprRef>,
+    base_reads: &'a FxHashMap<(u32, ExprRef), ExprRef>,
+    scratch: &'a mut DryScratch,
+    max_cells: u64,
+}
+
+impl DryWalk<'_> {
+    /// Mirrors [`Eliminator::rewrite`]. `Err` stops the walk with its
+    /// verdict.
+    fn expr(&mut self, e: ExprRef) -> Result<(), DryRun> {
+        if !self.pool.contains_read(e)
+            || self.cache.contains_key(&e)
+            || self.scratch.walked.contains(&e)
+        {
+            return Ok(());
+        }
+        match *self.pool.node(e) {
+            Node::Const { .. } | Node::BoolConst(_) | Node::Var { .. } => {}
+            Node::Bin { a, b, .. }
+            | Node::Cmp { a, b, .. }
+            | Node::AndB(a, b)
+            | Node::OrB(a, b) => {
+                self.expr(a)?;
+                self.expr(b)?;
+            }
+            Node::Not(a)
+            | Node::ZExt { a, .. }
+            | Node::Trunc { a, .. }
+            | Node::BoolToBv { a, .. } => self.expr(a)?,
+            Node::Ite {
+                cond,
+                then_e,
+                else_e,
+            } => {
+                self.expr(cond)?;
+                self.expr(then_e)?;
+                self.expr(else_e)?;
+            }
+            Node::Read { arr, index } => {
+                self.expr(index)?;
+                let idx = self.rewritten(index).ok_or(DryRun::Declined)?;
+                self.read(arr, idx)?;
+            }
+        }
+        self.scratch.walked.insert(e);
+        Ok(())
+    }
+
+    /// The rewrite of `x`, if it is known without building it: the cached
+    /// one, or `x` itself when no read is below it.
+    fn rewritten(&self, x: ExprRef) -> Option<ExprRef> {
+        match self.cache.get(&x) {
+            Some(&r) => Some(r),
+            None => (!self.pool.contains_read(x)).then_some(x),
+        }
+    }
+
+    /// Mirrors [`Eliminator::expand_read`] of the rewritten index `idx`.
+    fn read(&mut self, arr: ArrayRef, idx: ExprRef) -> Result<(), DryRun> {
+        match *self.pool.array_node(arr) {
+            ArrayNode::Store {
+                arr: below,
+                index: si,
+                value,
+            } => {
+                self.expr(si)?;
+                self.expr(value)?;
+                if let Some(k) = self.pool.as_const(idx) {
+                    let si = self.rewritten(si).ok_or(DryRun::Declined)?;
+                    if self.pool.as_const(si) == Some(k) {
+                        return Ok(());
+                    }
+                }
+                self.read(below, idx)
+            }
+            ArrayNode::Base(id) => {
+                if self.pool.as_const(idx).is_some()
+                    || self.base_reads.contains_key(&(id, idx))
+                    || !self.scratch.reads.insert((id, idx))
+                {
+                    return Ok(());
+                }
+                self.scratch.cells += self.pool.array_decl(id).len;
+                if self.scratch.cells > self.max_cells {
+                    return Err(DryRun::Trips(ArrayBudgetExceeded {
+                        cells: self.scratch.cells,
+                        budget: self.max_cells,
+                    }));
+                }
+                Ok(())
             }
         }
     }

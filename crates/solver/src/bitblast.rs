@@ -135,8 +135,13 @@ impl BitBlaster {
         }
     }
 
-    /// The low `demand` bits of `e`; none at all for a demand of 0.
-    fn blast_bits(
+    /// Lowers `e` at the low `demand` bits (at most its width) and returns
+    /// their literals, least significant first; none for a demand of 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BlastError`] if `e` contains array reads.
+    pub fn blast_bits(
         &mut self,
         pool: &ExprPool,
         e: ExprRef,
@@ -350,15 +355,24 @@ impl BitBlaster {
                 self.adder(a, &nb, t)
             }
             BvOp::Mul => {
+                // Shift-and-add, building only gates that survive folding.
+                // A row whose multiplier bit is constant-false is all
+                // constant-false, and the low `i` bits of row `i` are too,
+                // so the full-width adder would pass `acc` through there:
+                // skipping both emits the same clauses and variables.
                 let f = self.cnf.false_lit();
                 let mut acc = vec![f; w];
                 for (i, &bi) in b.iter().enumerate() {
-                    // partial = (a << i) & bi, added into acc.
-                    let mut partial = vec![f; w];
-                    for j in 0..w - i {
-                        partial[i + j] = self.cnf.and_gate(a[j], bi);
+                    if self.cnf.known(bi) == Some(false) {
+                        continue;
                     }
-                    acc = self.adder(&acc, &partial, f);
+                    // (a << i) & bi, above its constant-false low bits.
+                    let row: Vec<Lit> = a[..w - i]
+                        .iter()
+                        .map(|&aj| self.cnf.and_gate(aj, bi))
+                        .collect();
+                    let high = self.adder(&acc[i..], &row, f);
+                    acc[i..].copy_from_slice(&high);
                 }
                 acc
             }

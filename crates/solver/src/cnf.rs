@@ -188,7 +188,7 @@ impl Cnf {
     }
 
     /// Whether `l` is the constant-true or constant-false literal.
-    fn known(&self, l: Lit) -> Option<bool> {
+    pub(crate) fn known(&self, l: Lit) -> Option<bool> {
         let t = self.const_true?;
         if l == t {
             Some(true)

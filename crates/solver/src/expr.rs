@@ -266,14 +266,16 @@ pub struct VarDecl {
 struct Facts {
     sort: Sort,
     known: KnownBits,
+    /// Whether a `Read` node is at or below this node.
+    reads: bool,
 }
 
 /// The expression pool: owns all nodes, hash-consing structurally equal
 /// ones, and applies algebraic simplification in its constructors.
 ///
-/// Each node's sort and [`KnownBits`] sit in a side table filled at
-/// [`ExprPool::intern`] from its operands' entries, so both are O(1) to
-/// ask for however deep the DAG below grows.
+/// Each node's sort, [`KnownBits`] and whether it contains a read sit in a
+/// side table filled at [`ExprPool::intern`] from its operands' entries, so
+/// all three are O(1) to ask for however deep the DAG below grows.
 #[derive(Debug, Default, Clone)]
 pub struct ExprPool {
     nodes: Vec<Node>,
@@ -343,6 +345,13 @@ impl ExprPool {
         self.facts[e.0 as usize].known
     }
 
+    /// Whether a `Read` node is at or below `e`. A node the pool's
+    /// constructors built with no read below it is its own array-free
+    /// rewrite.
+    pub fn contains_read(&self, e: ExprRef) -> bool {
+        self.facts[e.0 as usize].reads
+    }
+
     /// Declaration of the base array under `a`.
     fn base_decl(&self, a: ArrayRef) -> &ArrayDecl {
         &self.array_decls[self.array_bases[a.0 as usize] as usize]
@@ -389,7 +398,25 @@ impl ExprPool {
                     let f = facts[x.0 as usize];
                     (f.sort, f.known)
                 });
-                self.facts.push(Facts { sort, known });
+                let reads_at = |x: ExprRef| facts[x.0 as usize].reads;
+                let reads = match *e.key() {
+                    Node::Const { .. } | Node::BoolConst(_) | Node::Var { .. } => false,
+                    Node::Read { .. } => true,
+                    Node::Bin { a, b, .. }
+                    | Node::Cmp { a, b, .. }
+                    | Node::AndB(a, b)
+                    | Node::OrB(a, b) => reads_at(a) || reads_at(b),
+                    Node::Not(a)
+                    | Node::ZExt { a, .. }
+                    | Node::Trunc { a, .. }
+                    | Node::BoolToBv { a, .. } => reads_at(a),
+                    Node::Ite {
+                        cond,
+                        then_e,
+                        else_e,
+                    } => reads_at(cond) || reads_at(then_e) || reads_at(else_e),
+                };
+                self.facts.push(Facts { sort, known, reads });
                 self.nodes.push(e.key().clone());
                 e.insert(r);
                 r

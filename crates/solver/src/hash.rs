@@ -8,7 +8,7 @@
 //! iteration order is a fixed function of the insertions. Nothing may rely
 //! on that order either way (see DESIGN.md §13).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -69,6 +69,8 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+/// A `HashSet` using [`FxHasher`].
+pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,9 @@
 //! exploits that monotonicity end to end:
 //!
 //! - **Array elimination** results are cached per [`ExprRef`] in a
-//!   persistent [`Eliminator`]; a constraint is rewritten once, ever.
+//!   persistent [`Eliminator`]; a constraint is rewritten once, ever. A
+//!   rewrite that would trip the cell budget is found by a dry run
+//!   ([`Eliminator::would_trip`]) and never built.
 //! - **Bit-blasting** keeps its Tseitin cache in a persistent
 //!   [`BitBlaster`]. Its CNF holds only the clauses of the lowering in
 //!   progress: each query drains them into the SAT solver, so every
@@ -41,7 +43,7 @@
 //! a fresh search, so conflict-budget stalls may differ — conflict budgets
 //! are orders of magnitude above what the workloads reach.
 
-use crate::arrays::Eliminator;
+use crate::arrays::{DryRun, Eliminator};
 use crate::bitblast::BitBlaster;
 use crate::cnf::Lit;
 use crate::expr::{ExprPool, ExprRef, Sort};
@@ -312,7 +314,8 @@ impl IncrementalSolver {
 
     /// Rewrites one boolean constraint and asserts it (plus any array
     /// axioms it spawned) into the CNF. Fails only in elimination, before
-    /// any clause is emitted.
+    /// any clause is emitted; a cell-budget trip is decided by a dry run
+    /// before anything is built, so it leaves the pool as it was.
     fn lower(
         &mut self,
         pool: &mut ExprPool,
@@ -322,9 +325,27 @@ impl IncrementalSolver {
         let mut axioms = Vec::new();
         let flat = {
             let _span = er_telemetry::span!("solver.elim");
-            self.elim
-                .rewrite(pool, e, budget.max_array_cells, &mut axioms)
-                .map_err(|err| StallReason::ArrayCells { cells: err.cells })?
+            let max_cells = budget.max_array_cells;
+            let forecast = self.elim.would_trip(pool, e, max_cells);
+            if let DryRun::Trips(err) = forecast {
+                // The real rewrite, on copies so that debug and release
+                // builds go on with the same pool.
+                debug_assert_eq!(
+                    self.elim
+                        .clone()
+                        .rewrite(&mut pool.clone(), e, max_cells, &mut Vec::new())
+                        .err(),
+                    Some(err),
+                    "the dry run must predict the rewrite's trip"
+                );
+                return Err(StallReason::ArrayCells { cells: err.cells });
+            }
+            let flat = self.elim.rewrite(pool, e, max_cells, &mut axioms);
+            debug_assert!(
+                forecast == DryRun::Declined || flat.is_ok(),
+                "the dry run must predict every trip it does not decline"
+            );
+            flat.map_err(|err| StallReason::ArrayCells { cells: err.cells })?
         };
         let _span = er_telemetry::span!("solver.blast");
         if let Err(err) = self.blast.assert_true(pool, flat) {
@@ -632,6 +653,76 @@ mod tests {
             SatResult::Unknown(StallReason::ArrayCells { .. })
         ));
         assert_eq!(first, second, "retry must observe the same trip point");
+    }
+
+    #[test]
+    fn a_stall_decided_by_the_dry_run_builds_nothing() {
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 16);
+        let hundred = pool.bv_const(100, 16);
+        let base = pool.cmp(CmpKind::Ult, x, hundred);
+        let arr = pool.array("BIG", 1 << 20, 16, None);
+        let i = pool.var("i", 64);
+        let r = pool.read(arr, i);
+        let huge = pool.cmp(CmpKind::Eq, r, x);
+        let mut inc = IncrementalSolver::new();
+        let b = Budget::small();
+        let nodes = pool.len();
+        let stall = SatResult::Unknown(StallReason::ArrayCells { cells: 1 << 20 });
+        assert_eq!(inc.check(&mut pool, &[base, huge], &b), stall);
+        assert_eq!(inc.check_assuming(&mut pool, &[base], &[huge], &b), stall);
+        assert_eq!(pool.len(), nodes, "no node built for a stalled rewrite");
+    }
+
+    #[test]
+    fn a_read_index_over_a_long_shared_chain_is_walked_once() {
+        // The last read's index is a 10k-step chain in which each step
+        // uses the one before twice, over a read at the bottom: walked
+        // without a memo it would take 2^10000 steps. The rewrite and the
+        // dry run recurse once per node, hence the big stack.
+        std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(|| {
+                let mut pool = ExprPool::new();
+                let small = pool.array("S", 16, 8, None);
+                let big = pool.array("BIG", 1 << 20, 8, None);
+                let i = pool.var("i", 64);
+                let r = pool.read(small, i);
+                let mut acc = pool.zext(r, 64);
+                let c = pool.bv_const(0x9e37_79b9, 64);
+                for _ in 0..10_000 {
+                    let x = pool.bin(BvOp::Xor, acc, c);
+                    acc = pool.bin(BvOp::Add, x, acc);
+                }
+                let last = pool.read(big, acc);
+                let zero = pool.bv_const(0, 8);
+                let is_zero = pool.cmp(CmpKind::Eq, last, zero);
+
+                // The bottom read alone trips a 10-cell budget: the dry
+                // run decides it and builds nothing.
+                let nodes = pool.len();
+                let tight = Budget {
+                    max_array_cells: 10,
+                    ..Budget::default()
+                };
+                assert_eq!(
+                    IncrementalSolver::new().check(&mut pool, &[is_zero], &tight),
+                    SatResult::Unknown(StallReason::ArrayCells { cells: 16 })
+                );
+                assert_eq!(pool.len(), nodes);
+
+                // Under the default budget the dry run declines at the
+                // chain (it contains a read), and the rewrite trips at BIG.
+                assert_eq!(
+                    IncrementalSolver::new().check(&mut pool, &[is_zero], &Budget::default()),
+                    SatResult::Unknown(StallReason::ArrayCells {
+                        cells: 16 + (1 << 20)
+                    })
+                );
+            })
+            .expect("spawn")
+            .join()
+            .expect("shared chain");
     }
 
     #[test]
