@@ -9,9 +9,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// The shared worker pool now lives in `er-fleet` (production-side code
-/// needs it too); re-exported here so every bench binary keeps compiling
-/// against `harness::parallel_map` unchanged.
+/// The process-wide worker pool lives in `er-fleet` (production-side code
+/// needs it too); re-exported here for the bench binaries.
 pub use er_fleet::pool::parallel_map;
 
 /// Mean and standard error of repeated measurements.

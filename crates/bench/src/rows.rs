@@ -87,8 +87,7 @@ pub fn apply_mode(mut config: ErConfig, baseline: bool) -> ErConfig {
 
 /// Reconstructs every Table-1 workload and returns its row.
 pub fn table1_rows(opts: RowOptions) -> Vec<Table1Row> {
-    let workloads = all();
-    parallel_map(&workloads, opts.serial, |_, w| {
+    parallel_map(all(), opts.serial, move |_, w| {
         // Tag telemetry events with the workload so obs_report can group
         // the journal per Table-1 row; contexts are thread-local, so this
         // must happen on the worker.

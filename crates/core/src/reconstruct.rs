@@ -20,6 +20,7 @@ use er_pt::TraceEvent;
 use er_solver::solve::Budget;
 use er_symex::{MachineState, ShepherdStatus, SymConfig, TraceDivergence};
 use er_telemetry::counters::Handle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of the reconstruction loop.
@@ -270,13 +271,15 @@ pub enum SessionStep {
 /// The session owns its binary: it starts as the unmodified program and is
 /// rebuilt, with a `ptwrite` after every recorded site, exactly when an
 /// iteration grows the recording set (the step then reports
-/// `reinstrumented`). Callers only lend it out to the deployment.
+/// `reinstrumented`). Callers only lend it out to the deployment: the
+/// binary sits behind an `Arc`, so a fleet shares it with the threads that
+/// run it, and cloning a session never copies it.
 #[derive(Debug, Clone)]
 pub struct ReconstructionSession {
     config: ErConfig,
     program: Program,
     sites: Vec<InstrId>,
-    binary: InstrumentedProgram,
+    binary: Arc<InstrumentedProgram>,
     target: Option<Failure>,
     iterations: Vec<IterationStats>,
     total_symbex: Duration,
@@ -289,7 +292,7 @@ impl ReconstructionSession {
     pub fn new(config: ErConfig, program: Program) -> Self {
         ReconstructionSession {
             config,
-            binary: InstrumentedProgram::unmodified(&program),
+            binary: Arc::new(InstrumentedProgram::unmodified(&program)),
             program,
             sites: Vec::new(),
             target: None,
@@ -337,7 +340,7 @@ impl ReconstructionSession {
     /// The binary the deployment must run for the next occurrence: the
     /// program recording every site of [`sites`](Self::sites) that defines
     /// a value.
-    pub fn binary(&self) -> &InstrumentedProgram {
+    pub fn binary(&self) -> &Arc<InstrumentedProgram> {
         &self.binary
     }
 
@@ -534,7 +537,7 @@ impl ReconstructionSession {
                 er_telemetry::counter!("instrument.rebuilds").incr();
                 er_telemetry::counter!("instrument.sites_requested").add(self.sites.len() as u64);
             }
-            InstrumentedProgram::new(&self.program, &self.sites)
+            Arc::new(InstrumentedProgram::new(&self.program, &self.sites))
         };
         self.remember(events, checkpoints);
         self.need_more(true)

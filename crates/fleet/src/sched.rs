@@ -4,7 +4,7 @@
 //! reoccurrences. Each analyze round picks the highest-priority groups —
 //! priority is reoccurrence rate × (1 + stall depth), i.e. "fails often
 //! and still needs data" — and drives at most [`MAX_CONCURRENT`] of them
-//! one iteration each, fanning out over [`crate::pool::parallel_map`].
+//! one iteration each, fanning out over [`crate::pool::try_parallel_map`].
 //!
 //! Version discipline keeps the fleet path bit-identical to the serial
 //! loop: a group only consumes occurrences produced by its *current*
@@ -22,10 +22,11 @@ use er_core::reconstruct::{
 };
 use er_durable::{ConsumeOutcome, DurableEvent, Wal, WatchdogConfig, WatchdogState};
 use er_minilang::ir::Program;
+use er_pt::packet::Packet;
 use er_pt::packets_to_events;
 use er_solver::cancel::Phase;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Reconstruction iterations driven concurrently per analyze round.
 pub const MAX_CONCURRENT: usize = 2;
@@ -299,14 +300,15 @@ impl Scheduler {
     /// highest-priority open group's current binary on the instrumented
     /// slice (`ceil(rollout × total)`, at least 1), the uninstrumented
     /// baseline elsewhere. Returns `(group, version, binary)`, the binary
-    /// lent from the group's session or from `baseline`.
-    pub fn binary_for<'a>(
-        &'a self,
+    /// lent (shared, never copied) from the group's session or from
+    /// `baseline`.
+    pub fn binary_for(
+        &self,
         idx: usize,
         total: usize,
         runs_observed: u64,
-        baseline: &'a InstrumentedProgram,
-    ) -> (Option<u64>, u32, &'a InstrumentedProgram) {
+        baseline: &Arc<InstrumentedProgram>,
+    ) -> (Option<u64>, u32, Arc<InstrumentedProgram>) {
         let instrumented = ((self.policy.rollout * total as f64).ceil() as usize).clamp(1, total);
         let lead = self
             .priority_order(runs_observed)
@@ -315,9 +317,9 @@ impl Scheduler {
             .and_then(|id| self.groups.get(&id));
         match lead {
             Some(g) if idx < instrumented && g.version > 0 => {
-                (Some(g.id), g.version, g.session.binary())
+                (Some(g.id), g.version, Arc::clone(g.session.binary()))
             }
-            _ => (None, 0, baseline),
+            _ => (None, 0, Arc::clone(baseline)),
         }
     }
 
@@ -367,34 +369,32 @@ impl Scheduler {
         }
 
         // Sessions of different groups are independent, so their
-        // iterations run concurrently; the store is only read here.
-        let work: Vec<Mutex<Option<(GroupState, PendingOccurrence)>>> =
-            selected.into_iter().map(|w| Mutex::new(Some(w))).collect();
-        let outcomes = pool::try_parallel_map(&work, serial, |_, slot| {
-            let (mut g, p) = slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
-                .expect("work present");
-            let label = g.label.clone();
-            er_telemetry::set_context(&label);
-            let result = Self::run_supervised(&mut g, &p, store);
+        // iterations run concurrently. Each trace is fetched here, on the
+        // calling thread, so workers never touch the store. A worker takes
+        // its work out of the shared slot and puts it back when done, so a
+        // chaos kill at the pool boundary leaves the slot intact.
+        let work: Vec<Arc<Mutex<Option<Work>>>> = selected
+            .into_iter()
+            .map(|(g, p)| {
+                let trace = fetch_trace(store, &p);
+                Arc::new(Mutex::new(Some((g, p, trace))))
+            })
+            .collect();
+        let outcomes = pool::try_parallel_map(work.clone(), serial, |_, slot| {
+            let (mut g, p, trace) = pool::lock(&slot).take().expect("work present");
+            er_telemetry::set_context(&g.label);
+            let result = Self::run_supervised(&mut g, &p, &trace);
             er_telemetry::set_context("");
-            *slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some((g, p));
+            *pool::lock(&slot) = Some((g, p, trace));
             result
         });
 
         let mut out = Vec::with_capacity(outcomes.len());
-        for (slot, outcome) in work.into_iter().zip(outcomes) {
-            let slot = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let (mut g, p, result) = match (outcome, slot) {
+        for (slot, outcome) in work.iter().zip(outcomes) {
+            let (mut g, p, result) = match (outcome, pool::lock(slot).take()) {
                 // Normal completion: the worker put the state back.
-                (Ok(result), Some((g, p))) => (g, p, result),
-                (Err(panic), Some((mut g, p))) => {
+                (Ok(result), Some((g, p, _))) => (g, p, result),
+                (Err(panic), Some((mut g, p, _))) => {
                     // The worker died *before* touching the work (the pool
                     // kills at its boundary under chaos): group state and
                     // occurrence are intact, so requeue the occurrence and
@@ -554,13 +554,13 @@ impl Scheduler {
     /// budgets, snapshots the session first, and — if any phase budget
     /// trips mid-iteration — restores the snapshot so the cancelled work
     /// leaves no trace on the session.
-    fn run_supervised(g: &mut GroupState, p: &PendingOccurrence, store: &TraceStore) -> IterResult {
+    fn run_supervised(g: &mut GroupState, p: &PendingOccurrence, trace: &Trace) -> IterResult {
         let Some(budgets) = g.watchdog.map(|w| w.budgets()) else {
-            return IterResult::Done(Self::run_iteration(g, p, store));
+            return IterResult::Done(Self::run_iteration(g, p, trace));
         };
         let snapshot = (g.session.clone(), g.next_run, g.iterations, g.version);
         let guard = er_solver::cancel::arm(budgets);
-        let outcome = Self::run_iteration(g, p, store);
+        let outcome = Self::run_iteration(g, p, trace);
         let tripped = er_solver::cancel::tripped_phase();
         drop(guard);
         match tripped {
@@ -577,25 +577,17 @@ impl Scheduler {
         }
     }
 
-    /// One group iteration: retrieve the trace, flatten to events, feed
-    /// the session. Mutates only `g`.
-    fn run_iteration(
-        g: &mut GroupState,
-        p: &PendingOccurrence,
-        store: &TraceStore,
-    ) -> ConsumeOutcome {
+    /// One group iteration: flatten `p`'s fetched trace to events and
+    /// feed the session. Mutates only `g`.
+    fn run_iteration(g: &mut GroupState, p: &PendingOccurrence, trace: &Trace) -> ConsumeOutcome {
         let _iter = er_telemetry::span!("reconstruct.iteration");
         g.iterations += 1;
         g.next_run = p.info.run_index + 1;
-        let trace = p
-            .trace
-            .clone()
-            .and_then(|id| store.get(id).map_err(|e| format!("trace unavailable: {e}")));
         let step = match trace {
             Ok((packets, gap)) => {
                 let events = {
                     let _s = er_telemetry::span!("shepherd.decode");
-                    let events = packets_to_events(&packets, gap);
+                    let events = packets_to_events(packets, *gap);
                     // Bill the decode-phase budget (the cancel token, when
                     // armed, starts in Decode); a trip here surfaces as a
                     // cancelled iteration.
@@ -604,7 +596,7 @@ impl Scheduler {
                 };
                 g.session.consume_events(p.info.clone(), events)
             }
-            Err(error) => g.session.note_undecodable(p.info.clone(), error),
+            Err(error) => g.session.note_undecodable(p.info.clone(), error.clone()),
         };
         match step {
             SessionStep::Done(report) => {
@@ -785,7 +777,7 @@ impl Scheduler {
         };
         let p = g.pending.remove(at).expect("eligible index valid");
         er_telemetry::set_context(&g.label);
-        let got = Self::run_iteration(g, &p, store);
+        let got = Self::run_iteration(g, &p, &fetch_trace(store, &p));
         er_telemetry::set_context("");
         self.settle(g, &p, got, store);
         if got != logged {
@@ -795,6 +787,21 @@ impl Scheduler {
             ));
         }
     }
+}
+
+/// An occurrence's trace as an iteration consumes it: the decompressed
+/// packets and the leading-gap flag, or why they are unavailable.
+type Trace = Result<(Vec<Packet>, bool), String>;
+
+/// One analyze worker's share of a round: the detached group, the
+/// occurrence it consumes, and that occurrence's trace.
+type Work = (GroupState, PendingOccurrence, Trace);
+
+/// Retrieves `p`'s trace from the store.
+fn fetch_trace(store: &TraceStore, p: &PendingOccurrence) -> Trace {
+    p.trace
+        .clone()
+        .and_then(|id| store.get(id).map_err(|e| format!("trace unavailable: {e}")))
 }
 
 /// Counts and logs a replayed event that disagrees with the state replay

@@ -180,7 +180,8 @@ struct Instance {
 pub struct Fleet {
     spec: FleetSpec,
     config: FleetConfig,
-    deployments: Vec<Deployment>,
+    /// One per instance, shared with the pool's produce jobs.
+    deployments: Vec<Arc<Deployment>>,
 }
 
 impl Fleet {
@@ -220,7 +221,7 @@ impl Fleet {
                     ..spec.reoccurrence
                 },
             };
-            deployments.push(d.with_reoccurrence(reocc));
+            deployments.push(Arc::new(d.with_reoccurrence(reocc)));
         }
         Fleet {
             spec,
@@ -311,7 +312,7 @@ impl Fleet {
         let m = self.config.instances.max(1);
         er_telemetry::counter!("fleet.instances").add(m as u64);
 
-        let baseline = InstrumentedProgram::unmodified(&self.spec.program);
+        let baseline = Arc::new(InstrumentedProgram::unmodified(&self.spec.program));
         let mut triage = Triage::new();
         let mut ingestor = Ingestor::new(self.config.ingest);
         let mut instances: Vec<Instance> = (0..m).map(|_| Instance { cursor: 0 }).collect();
@@ -334,23 +335,23 @@ impl Fleet {
             let pause = scheduler.has_eligible_pending() || !ingestor.is_empty();
             if !pause {
                 let _p = er_telemetry::span!("fleet.produce");
-                let assignments: Vec<(Option<u64>, u32, &InstrumentedProgram)> = (0..m)
+                let assignments: Vec<(Option<u64>, u32, Arc<InstrumentedProgram>)> = (0..m)
                     .map(|i| scheduler.binary_for(i, m, runs_observed.max(1), &baseline))
                     .collect();
-                let cursors: Vec<u64> = instances.iter().map(|s| s.cursor).collect();
+                let jobs: Vec<(Arc<Deployment>, Arc<InstrumentedProgram>, u64)> = assignments
+                    .iter()
+                    .zip(&self.deployments)
+                    .zip(&instances)
+                    .map(|(((_, _, inst), d), s)| (Arc::clone(d), Arc::clone(inst), s.cursor))
+                    .collect();
                 let label = self.spec.label.clone();
+                let batch_runs = self.config.batch_runs;
                 let produced = pool::try_parallel_map(
-                    &(0..m).collect::<Vec<usize>>(),
+                    jobs,
                     self.config.serial,
-                    |_, &i| {
+                    move |_, (d, inst, cursor)| {
                         er_telemetry::set_context(&label);
-                        let (_, _, inst) = &assignments[i];
-                        let occ = self.deployments[i].run_until_failure(
-                            inst,
-                            None,
-                            cursors[i],
-                            self.config.batch_runs,
-                        );
+                        let occ = d.run_until_failure(&inst, None, cursor, batch_runs);
                         er_telemetry::set_context("");
                         occ
                     },
@@ -480,10 +481,10 @@ impl Fleet {
             wall: start.elapsed(),
             time_to_first_repro,
         };
-        // The journal reads the context at span close, and pool closures
-        // (which can run on this thread) reset it: restore the label, close
-        // the span so the fleet.run event carries it, then clear.
-        er_telemetry::set_context(&self.spec.label);
+        // The journal reads the context at span close: close the span while
+        // the label is still set, so the fleet.run event carries it, then
+        // clear. The pool restores this thread's context after every round
+        // it takes part in.
         drop(_span);
         er_telemetry::set_context("");
         report

@@ -14,6 +14,7 @@
 
 use er_pt::compress::{compress, decompress};
 use er_pt::packet::Packet;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 
@@ -139,6 +140,17 @@ struct Entry {
     pinned: u32,
 }
 
+impl Entry {
+    /// The stored compressed bytes: borrowed from memory, read back from
+    /// the spill file otherwise (`None` if that read fails).
+    fn bytes(&self) -> Option<Cow<'_, [u8]>> {
+        match &self.data {
+            Slot::Mem(b) => Some(Cow::Borrowed(b)),
+            Slot::Disk(p) => read_spill(p).ok().map(Cow::Owned),
+        }
+    }
+}
+
 /// The content-addressed, deduplicating, budgeted trace store.
 #[derive(Debug)]
 pub struct TraceStore {
@@ -173,7 +185,7 @@ impl TraceStore {
     /// and the decoded prefix is missing (it travels with the trace so
     /// retrieval reproduces `PtTrace::decode` exactly).
     pub fn put(&mut self, group: u64, packets: &[Packet], leading_gap: bool) -> PutResult {
-        let raw_len = er_pt::codec::encode(packets).len();
+        let raw_len = er_pt::codec::encoded_len(packets);
         let compressed = compress(packets);
         let addr = er_durable::fnv64(&compressed);
         self.stats.puts += 1;
@@ -187,7 +199,7 @@ impl TraceStore {
                 let e = &self.entries[id];
                 e.group == group
                     && e.leading_gap == leading_gap
-                    && self.bytes_of(e).as_deref() == Some(&compressed)
+                    && e.bytes().as_deref() == Some(&compressed[..])
             })
         });
         if let Some(id) = hit {
@@ -241,8 +253,8 @@ impl TraceStore {
     pub fn get(&self, id: TraceId) -> Result<(Vec<Packet>, bool), StoreError> {
         let e = self.entries.get(&id.0).ok_or(StoreError::Missing)?;
         let bytes = match &e.data {
-            Slot::Mem(b) => b.clone(),
-            Slot::Disk(p) => read_spill(p)?,
+            Slot::Mem(b) => Cow::Borrowed(&b[..]),
+            Slot::Disk(p) => Cow::Owned(read_spill(p)?),
         };
         let packets = decompress(&bytes).map_err(|_| StoreError::Corrupt)?;
         Ok((packets, e.leading_gap))
@@ -305,13 +317,6 @@ impl TraceStore {
     /// Compressed bytes currently held in memory.
     pub fn mem_bytes(&self) -> usize {
         self.mem_bytes
-    }
-
-    fn bytes_of(&self, e: &Entry) -> Option<Vec<u8>> {
-        match &e.data {
-            Slot::Mem(b) => Some(b.clone()),
-            Slot::Disk(p) => read_spill(p).ok(),
-        }
     }
 
     fn enforce_caps(&mut self, group: u64) {

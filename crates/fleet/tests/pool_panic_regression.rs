@@ -15,7 +15,9 @@ fn one_panicking_workload_does_not_abort_the_round() {
     // The panicking "workload" stands in for any closure bug: a corrupted
     // report, an assertion in analysis code, an index out of bounds.
     let doomed = "PHP-74194";
-    let results = try_parallel_map(&workloads, false, |_, w| {
+    // The pool's jobs own their items, so the round gets its own copy of
+    // the workload list.
+    let results = try_parallel_map(all(), false, move |_, w| {
         assert!(w.name != doomed, "injected workload panic");
         Reconstructor::new(w.er_config()).reconstruct(&w.deployment(Scale::TEST))
     });

@@ -66,6 +66,11 @@ pub fn encode(packets: &[Packet]) -> Vec<u8> {
     out
 }
 
+/// The length of [`encode`]`(packets)`, computed without building it.
+pub fn encoded_len(packets: &[Packet]) -> usize {
+    packets.iter().map(Packet::encoded_len).sum()
+}
+
 /// A decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {

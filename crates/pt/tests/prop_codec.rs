@@ -59,6 +59,12 @@ proptest! {
         prop_assert_eq!(decoded, packets);
     }
 
+    /// `encoded_len` is the length `encode` would produce.
+    #[test]
+    fn encoded_len_matches_encode(packets in prop::collection::vec(packet(), 0..40)) {
+        prop_assert_eq!(codec::encoded_len(&packets), codec::encode(&packets).len());
+    }
+
     /// Truncating an encoded stream never panics: it either still decodes
     /// (clean packet boundary) or reports a structured error.
     #[test]

@@ -4,14 +4,16 @@
 //! index; every thread lazily owns a fixed-size table of relaxed
 //! `AtomicU64` slots. Increments touch only the calling thread's table
 //! (no sharing, no false-sharing-induced stalls across unrelated
-//! threads), while aggregation walks all tables.
+//! threads), while aggregation walks all tables. When a thread exits, its
+//! table folds into one retired total, so the registry holds a table per
+//! *live* thread and global sums stay exact.
 //!
 //! The `counter!` macro caches the slot lookup per callsite behind a
 //! `OnceLock`, so the steady-state enabled path is: one mode load, one
 //! `OnceLock` load, one thread-local access, one relaxed `fetch_add`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Maximum number of distinct counter names in one process. Exceeding it
 /// panics at registration time (a programming error, not a data issue).
@@ -34,16 +36,46 @@ fn names() -> &'static Mutex<Vec<&'static str>> {
     NAMES.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-fn tables() -> &'static Mutex<Vec<Arc<Table>>> {
-    static TABLES: OnceLock<Mutex<Vec<Arc<Table>>>> = OnceLock::new();
-    TABLES.get_or_init(|| Mutex::new(Vec::new()))
+/// Every live thread's table, plus the sums of the tables of threads that
+/// exited.
+struct Tables {
+    live: Vec<Arc<Table>>,
+    retired: Box<[u64; MAX_COUNTERS]>,
+}
+
+fn tables() -> MutexGuard<'static, Tables> {
+    static TABLES: OnceLock<Mutex<Tables>> = OnceLock::new();
+    TABLES
+        .get_or_init(|| {
+            Mutex::new(Tables {
+                live: Vec::new(),
+                retired: Box::new([0; MAX_COUNTERS]),
+            })
+        })
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread's table; on thread exit it folds into the retired total.
+struct LocalTable(Arc<Table>);
+
+impl Drop for LocalTable {
+    fn drop(&mut self) {
+        // One lock covers the removal and the fold, so a concurrent
+        // `global_snapshot` counts this table exactly once.
+        let mut tables = tables();
+        tables.live.retain(|t| !Arc::ptr_eq(t, &self.0));
+        for (sum, slot) in tables.retired.iter_mut().zip(&self.0.slots) {
+            *sum = sum.wrapping_add(slot.load(Ordering::Relaxed));
+        }
+    }
 }
 
 thread_local! {
-    static LOCAL: Arc<Table> = {
+    static LOCAL: LocalTable = {
         let t = Arc::new(Table::new());
-        tables().lock().unwrap().push(Arc::clone(&t));
-        t
+        tables().live.push(Arc::clone(&t));
+        LocalTable(t)
     };
 }
 
@@ -79,7 +111,13 @@ pub fn register_dynamic(name: String) -> usize {
 /// Adds `n` to the slot in the calling thread's table. Caller has
 /// already checked the mode.
 pub(crate) fn add_to_slot(slot: usize, n: u64) {
-    LOCAL.with(|t| t.slots[slot].fetch_add(n, Ordering::Relaxed));
+    let added = LOCAL.try_with(|t| t.0.slots[slot].fetch_add(n, Ordering::Relaxed));
+    if added.is_err() {
+        // Recorded from another thread-local's destructor after this
+        // thread's table retired: add straight to the retired total.
+        let sum = &mut tables().retired[slot];
+        *sum = sum.wrapping_add(n);
+    }
 }
 
 /// A cheap, copyable reference to one counter callsite.
@@ -188,25 +226,27 @@ pub fn local_snapshot() -> CounterSnapshot {
         values: names
             .iter()
             .enumerate()
-            .map(|(i, n)| (*n, t.slots[i].load(Ordering::Relaxed)))
+            .map(|(i, n)| (*n, t.0.slots[i].load(Ordering::Relaxed)))
             .collect(),
     })
 }
 
-/// Sums counters across every thread that ever recorded.
+/// Sums counters across every thread that ever recorded, exited ones
+/// included.
 pub fn global_snapshot() -> CounterSnapshot {
     let names = names().lock().unwrap().clone();
-    let tables = tables().lock().unwrap();
+    let tables = tables();
     CounterSnapshot {
         values: names
             .iter()
             .enumerate()
             .map(|(i, n)| {
-                let sum = tables
+                let live: u64 = tables
+                    .live
                     .iter()
                     .map(|t| t.slots[i].load(Ordering::Relaxed))
                     .sum();
-                (*n, sum)
+                (*n, tables.retired[i].wrapping_add(live))
             })
             .collect(),
     }
@@ -260,6 +300,28 @@ mod tests {
         assert_eq!(delta.get("test.cross_thread"), 0);
         assert!(global_snapshot().get("test.cross_thread") >= 1_000);
         crate::set_mode(Mode::Off);
+    }
+
+    #[test]
+    fn exited_threads_fold_into_the_retired_total() {
+        let _l = test_mutex().lock().unwrap();
+        crate::set_mode(Mode::Counters);
+        let before = global_snapshot().get("test.retired");
+        for batch in 0..25 {
+            let handles: Vec<_> = (0..8)
+                .map(|k| {
+                    std::thread::spawn(move || counter!("test.retired").add(batch * 8 + k + 1))
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+        }
+        let after = global_snapshot().get("test.retired");
+        let live = tables().live.len();
+        crate::set_mode(Mode::Off);
+        assert_eq!(after - before, (1..=200).sum::<u64>(), "sums stay exact");
+        assert!(live < 200, "{live} tables for 200 exited threads");
     }
 
     #[test]

@@ -93,6 +93,12 @@ impl Drop for SpanGuard {
         }) else {
             return;
         };
+        // The mode may have turned off since the span opened (another
+        // thread's `set_mode`); `Off` records nothing, whatever it was at
+        // entry. The stack entry is popped either way.
+        if crate::mode() == Mode::Off {
+            return;
+        }
         let dur = span.start.elapsed();
         let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
 
@@ -171,6 +177,25 @@ mod tests {
         }
         let delta = counters::local_snapshot().delta(&before);
         assert_eq!(delta.get("span.test.off.calls"), 0);
+    }
+
+    #[test]
+    fn span_closed_after_mode_turns_off_records_nothing() {
+        let _l = crate::counters::test_mutex().lock().unwrap();
+        crate::set_mode(Mode::Counters);
+        let span = crate::span!("test.switched_off");
+        assert_eq!(current_depth(), 1);
+        let before_local = counters::local_snapshot();
+        let before_global = counters::global_snapshot();
+        crate::set_mode(Mode::Off);
+        drop(span);
+        assert_eq!(current_depth(), 0, "the stack entry is popped");
+        let local = counters::local_snapshot().delta(&before_local);
+        let global = counters::global_snapshot().delta(&before_global);
+        assert_eq!(local.nonzero(), vec![], "local counters moved under Off");
+        assert_eq!(local.get("span.test.switched_off.calls"), 0);
+        assert_eq!(global.get("span.test.switched_off.calls"), 0);
+        assert_eq!(global.get("span.test.switched_off.ns"), 0);
     }
 
     #[test]
