@@ -17,9 +17,12 @@ use std::time::Duration;
 
 /// Pipeline phases in reporting order, with the span that accounts for
 /// each. These mirror the per-iteration spans opened by
-/// `er-core::reconstruct` and `er-core::shepherd`.
+/// `er-core::reconstruct` and `er-core::shepherd`, plus the fleet's
+/// analyze-side trace fetch; none nests inside another.
 const PHASES: &[(&str, &str)] = &[
+    ("fetch", "fleet.fetch"),
     ("decode", "shepherd.decode"),
+    ("align", "reconstruct.align"),
     ("symbex", "shepherd.symbex"),
     ("solve", "shepherd.solve"),
     ("select", "phase.select"),
@@ -201,7 +204,9 @@ fn main() {
         &[
             "Workload",
             "Iters",
+            "Fetch",
             "Decode",
+            "Align",
             "Symbex",
             "Solve",
             "Select",

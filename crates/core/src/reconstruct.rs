@@ -162,39 +162,69 @@ struct ResumeCache {
     checkpoints: Vec<MachineState>,
 }
 
-/// Walks two event streams of the same program in lockstep and returns
-/// cursor-mapping ranges `(old_from, old_to, new_cursor)`: machine state at
-/// any old-trace cursor in `[old_from, old_to]` equals machine state at
-/// `new_cursor` in the new trace. The walk tolerates *scheduling noise* —
-/// timestamps, and a resume of the thread that is already running — which
-/// the production scheduler injects at per-run positions (quantum
-/// boundaries drift between runs) and which the symbolic machine skips
-/// without touching state. Everything else (branches, recorded values,
-/// real thread switches) must match exactly; the ranges stop at the first
-/// semantic difference.
-fn align_schedules(a: &[TraceEvent], b: &[TraceEvent]) -> Vec<(usize, usize, usize)> {
+/// Maps old-trace cursors to new-trace cursors with the same machine state,
+/// walking two event streams of the same program in lockstep: entry `k` of
+/// the result is the new-trace cursor for `cursors[k]`, or `None` if that
+/// cursor lies past the streams' common prefix. `cursors` must be
+/// ascending, as a run's checkpoints are.
+///
+/// The walk tolerates *scheduling noise* — timestamps, and a resume of the
+/// thread that is already running — which the production scheduler
+/// injects at per-run positions (quantum boundaries drift between runs)
+/// and which the symbolic machine skips without touching state.
+/// Everything else (branches, recorded values, real thread switches) must
+/// match exactly; the mapping stops at the first semantic difference. An
+/// old cursor inside a run of noise maps to the new cursor just past the
+/// matching run.
+///
+/// The walk stops at the last cursor, and runs of equal events that cannot
+/// be noise advance both streams in one tight loop, so its cost is the
+/// prefix up to the last cursor and it keeps no per-event table.
+pub fn align_cursors(
+    old: &[TraceEvent],
+    new: &[TraceEvent],
+    cursors: &[usize],
+) -> Vec<Option<usize>> {
+    debug_assert!(cursors.is_sorted(), "cursors must ascend: {cursors:?}");
     let noise = |ev: &TraceEvent, running: Option<u64>| match ev {
         TraceEvent::Timestamp(_) => true,
         TraceEvent::ThreadResume(t) => Some(*t) == running,
         _ => false,
     };
-    let mut ranges = Vec::new();
+    let mut mapped = Vec::with_capacity(cursors.len());
     let (mut i, mut j) = (0usize, 0usize);
     // The tid last handed the CPU. A repeat resume of it is a quantum
     // boundary: the interpreter cannot re-resume a *blocked* thread without
     // an intervening switch to whoever unblocks it, so tracking the last
     // resume is enough to classify without simulating thread states.
     let mut running: Option<u64> = None;
-    loop {
-        let from = i;
-        while a.get(i).is_some_and(|ev| noise(ev, running)) {
+    while let Some(&stop) = cursors.get(mapped.len()) {
+        // Equal events that are never noise map cursor to cursor one for
+        // one: skip them up to the next cursor to map.
+        while i < stop {
+            match (old.get(i), new.get(j)) {
+                (Some(x), Some(y))
+                    if x == y
+                        && !matches!(x, TraceEvent::Timestamp(_) | TraceEvent::ThreadResume(_)) =>
+                {
+                    i += 1;
+                    j += 1;
+                }
+                _ => break,
+            }
+        }
+        // One lockstep step: skip noise on both sides; every old cursor up
+        // to `i` maps to `j`.
+        while old.get(i).is_some_and(|ev| noise(ev, running)) {
             i += 1;
         }
-        while b.get(j).is_some_and(|ev| noise(ev, running)) {
+        while new.get(j).is_some_and(|ev| noise(ev, running)) {
             j += 1;
         }
-        ranges.push((from, i, j));
-        match (a.get(i), b.get(j)) {
+        while cursors.get(mapped.len()).is_some_and(|&c| c <= i) {
+            mapped.push(Some(j));
+        }
+        match (old.get(i), new.get(j)) {
             (Some(x), Some(y)) if x == y => {
                 if let TraceEvent::ThreadResume(t) = x {
                     running = Some(*t);
@@ -202,9 +232,11 @@ fn align_schedules(a: &[TraceEvent], b: &[TraceEvent]) -> Vec<(usize, usize, usi
                 i += 1;
                 j += 1;
             }
-            _ => return ranges,
+            _ => break,
         }
     }
+    mapped.resize(cursors.len(), None);
+    mapped
 }
 
 /// Metadata of one failure occurrence, minus the trace itself. The fleet
@@ -374,8 +406,8 @@ impl ReconstructionSession {
     }
 
     /// Like [`consume`](Self::consume), but on pre-decoded events — the
-    /// fleet ingestion path stores packets compressed and flattens them
-    /// with [`er_pt::packets_to_events`], which reproduces
+    /// fleet ingestion path stores packets compressed and decodes them
+    /// with [`er_pt::compress::decompress_events`], which reproduces
     /// [`er_pt::PtTrace::decode`] bit-for-bit.
     pub fn consume_events(&mut self, info: OccurrenceInfo, events: Vec<TraceEvent>) -> SessionStep {
         self.occurrences += 1;
@@ -393,18 +425,18 @@ impl ReconstructionSession {
             .as_ref()
             .filter(|_| self.config.sym.checkpoint_every > 0)
             .and_then(|cache| {
-                let aligned = align_schedules(&cache.events, &events);
+                let cursors: Vec<usize> =
+                    cache.checkpoints.iter().map(MachineState::cursor).collect();
+                let mapped = {
+                    let _s = er_telemetry::span!("reconstruct.align");
+                    align_cursors(&cache.events, &events, &cursors)
+                };
                 cache
                     .checkpoints
                     .iter()
+                    .zip(mapped)
                     .rev()
-                    .filter_map(|s| {
-                        let c = s.cursor();
-                        let &(_, _, new_cursor) = aligned
-                            .iter()
-                            .find(|&&(from, to, _)| from <= c && c <= to)?;
-                        Some((s, new_cursor))
-                    })
+                    .filter_map(|(s, new_cursor)| Some((s, new_cursor?)))
                     .find_map(|(s, new_cursor)| {
                         s.clone()
                             .retarget(&self.binary.program)

@@ -9,7 +9,7 @@
 //! not advance past the failing run, so the same occurrence is re-offered
 //! next round (no group can lose its first occurrence to backpressure).
 
-use crate::store::{TraceId, TraceStore};
+use crate::store::{PutResult, TraceId, TraceStore};
 use crate::triage::Triage;
 use er_core::deploy::FailureOccurrence;
 use er_core::reconstruct::OccurrenceInfo;
@@ -144,24 +144,57 @@ impl Ingestor {
     /// queued report in deterministic `(run_index, instance)` order —
     /// independent of the thread interleaving that produced them — and
     /// returns the pending occurrences for the scheduler.
+    ///
+    /// Mirrored instances ship byte-identical traces, so a report whose
+    /// raw trace bytes and wrap flag equal an earlier stored report's in
+    /// the same group is not decoded or compressed again: it reuses that
+    /// report's put through [`TraceStore::put_duplicate`], which counts it
+    /// as the dedup hit `put` would have found. Only untampered reports
+    /// take that path (decoding a tampered trace accounts for its chaos
+    /// fault), and the batch already holds the bytes it compares.
     pub fn drain(&mut self, triage: &mut Triage, store: &mut TraceStore) -> Vec<PendingOccurrence> {
         let mut batch: Vec<CrashReport> = self.queue.drain(..).collect();
         batch.sort_by_key(|r| (r.occ.run_index, r.instance));
         let mut out = Vec::with_capacity(batch.len());
-        for report in batch {
+        // Untampered reports stored this drain: (batch index, group, put,
+        // leading gap, packet count).
+        let mut stored: Vec<(usize, u64, PutResult, bool, usize)> = Vec::new();
+        for (idx, report) in batch.iter().enumerate() {
             let info = OccurrenceInfo::of(&report.occ);
-            if report.occ.trace.wrapped || report.occ.trace.stats.packets_dropped > 0 {
+            let raw = &report.occ.trace;
+            if raw.wrapped || raw.stats.packets_dropped > 0 {
                 self.stats.truncated += 1;
                 er_telemetry::counter!("fleet.ingest.truncated").incr();
             }
             let (group, _new) = triage.classify(&info.failure, info.run_index);
-            let (trace, leading_gap) = match report.occ.trace.packets() {
-                Ok((packets, gap)) => (Ok(store.put(group, &packets, gap).id), gap),
-                Err(e) => {
-                    self.stats.decode_errors += 1;
-                    er_telemetry::counter!("fleet.ingest.decode_errors").incr();
-                    (Err(e.to_string()), false)
-                }
+            let untampered = raw.stats.chaos_tampered == 0;
+            let duplicate = stored
+                .iter()
+                .filter(|&&(earlier, g, ..)| {
+                    let t = &batch[earlier].occ.trace;
+                    untampered && g == group && t.wrapped == raw.wrapped && t.bytes == raw.bytes
+                })
+                .find_map(|(_, _, put, gap, packets)| {
+                    store
+                        .put_duplicate(put, group, *gap, *packets)
+                        .map(|r| (r.id, *gap))
+                });
+            let (trace, leading_gap) = match duplicate {
+                Some((id, gap)) => (Ok(id), gap),
+                None => match raw.packets() {
+                    Ok((packets, gap)) => {
+                        let put = store.put(group, &packets, gap);
+                        if untampered {
+                            stored.push((idx, group, put, gap, packets.len()));
+                        }
+                        (Ok(put.id), gap)
+                    }
+                    Err(e) => {
+                        self.stats.decode_errors += 1;
+                        er_telemetry::counter!("fleet.ingest.decode_errors").incr();
+                        (Err(e.to_string()), false)
+                    }
+                },
             };
             let pending = PendingOccurrence {
                 group,
@@ -182,5 +215,167 @@ impl Ingestor {
             out.push(pending);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::{StoreConfig, StoreStats};
+    use er_minilang::error::{Failure, RuntimeFault};
+    use er_minilang::interp::SchedConfig;
+    use er_minilang::ir::{BlockId, FuncId, InstrId};
+    use er_minilang::trace::TraceSink;
+    use er_pt::{PtConfig, PtSink, PtTrace};
+
+    fn failure(site: usize) -> Failure {
+        Failure {
+            fault: RuntimeFault::Abort {
+                message: "boom".to_string(),
+            },
+            at: InstrId {
+                func: FuncId(0),
+                block: BlockId(0),
+                index: site,
+            },
+            call_stack: vec![FuncId(0)],
+            tid: 0,
+        }
+    }
+
+    /// A trace of `n` branches and ptwrites seeded by `seed`; a small ring
+    /// wraps.
+    fn trace(seed: u64, n: u64, ring: usize) -> PtTrace {
+        let mut s = PtSink::new(PtConfig {
+            ring_bytes: ring,
+            psb_period: 16,
+        });
+        for i in 0..n {
+            s.cond_branch((i * seed).is_multiple_of(3));
+            if i.is_multiple_of(5) {
+                s.ptwrite(i ^ seed);
+            }
+        }
+        s.finish()
+    }
+
+    fn report(instance: usize, run_index: u64, site: usize, trace: PtTrace) -> CrashReport {
+        CrashReport {
+            instance,
+            for_group: None,
+            version: 0,
+            occ: FailureOccurrence {
+                failure: failure(site),
+                trace,
+                run_index,
+                sched: SchedConfig::default(),
+                instr_count: 100,
+            },
+        }
+    }
+
+    /// Mirrored reports with every way a copy can differ: a tampered copy
+    /// with the same bytes, one with flipped bytes, an undecodable report,
+    /// the same bytes in another group, and the same bytes under the other
+    /// wrap flag. Shuffled: the drain sorts them.
+    fn mirrored_batch() -> Vec<CrashReport> {
+        let a = trace(7, 400, 1 << 16);
+        let wrapped = trace(11, 400, 128);
+        assert!(wrapped.wrapped);
+        let mut tampered = a.clone();
+        tampered.stats.chaos_tampered = 1;
+        let mut flipped = a.clone();
+        flipped.bytes[40] ^= 0x5a;
+        flipped.stats.chaos_tampered = 1;
+        let undecodable = PtTrace {
+            bytes: vec![0x42, 0x00],
+            ..a.clone()
+        };
+        let mut unwrapped = wrapped.clone();
+        unwrapped.wrapped = false;
+        vec![
+            report(3, 5, 1, a.clone()),
+            report(0, 5, 1, a.clone()),
+            report(1, 5, 1, tampered),
+            report(2, 5, 1, flipped),
+            report(4, 5, 1, undecodable),
+            report(5, 5, 2, a.clone()),
+            report(0, 6, 2, wrapped.clone()),
+            report(1, 6, 2, wrapped.clone()),
+            report(2, 6, 2, unwrapped),
+            report(3, 6, 2, wrapped),
+            report(0, 7, 1, trace(13, 300, 1 << 16)),
+            report(1, 7, 1, a.clone()),
+            report(2, 7, 1, a),
+        ]
+    }
+
+    /// What the drain must match: every report decoded and `put`.
+    fn reference(
+        mut batch: Vec<CrashReport>,
+        config: StoreConfig,
+    ) -> (Vec<PendingOccurrence>, StoreStats) {
+        let mut triage = Triage::new();
+        let mut store = TraceStore::new(config);
+        batch.sort_by_key(|r| (r.occ.run_index, r.instance));
+        let pending = batch
+            .iter()
+            .map(|r| {
+                let info = OccurrenceInfo::of(&r.occ);
+                let (group, _) = triage.classify(&info.failure, info.run_index);
+                let (trace, leading_gap) = match r.occ.trace.packets() {
+                    Ok((packets, gap)) => (Ok(store.put(group, &packets, gap).id), gap),
+                    Err(e) => (Err(e.to_string()), false),
+                };
+                PendingOccurrence {
+                    group,
+                    for_group: r.for_group,
+                    version: r.version,
+                    trace,
+                    leading_gap,
+                    info,
+                }
+            })
+            .collect();
+        (pending, store.stats())
+    }
+
+    #[test]
+    fn raw_byte_dedup_matches_putting_every_report() {
+        // Default retention, and a per-group cap of 1 that evicts a
+        // group's entry between two copies of its trace, so the copy
+        // after the eviction must be stored anew.
+        for config in [
+            StoreConfig::default(),
+            StoreConfig {
+                per_group_cap: 1,
+                ..StoreConfig::default()
+            },
+        ] {
+            // An armed plan with no faults records how decoding accounted
+            // for the tampered copies; both paths must account alike.
+            let _l = crate::testsync::chaos_lock();
+            let chaos = || er_chaos::stats().unwrap().domain(er_chaos::Domain::Trace);
+            let g = er_chaos::arm(er_chaos::ChaosPlan::new(1));
+            let (want, want_stats) = reference(mirrored_batch(), config.clone());
+            let want_chaos = chaos();
+            drop(g);
+            let g = er_chaos::arm(er_chaos::ChaosPlan::new(1));
+            let mut ingestor = Ingestor::new(IngestConfig::default());
+            for r in mirrored_batch() {
+                assert!(ingestor.offer(r));
+            }
+            let mut store = TraceStore::new(config);
+            let got = ingestor.drain(&mut Triage::new(), &mut store);
+            assert_eq!(format!("{:?}", chaos()), format!("{want_chaos:?}"));
+            assert!(want_chaos.handled() >= 2, "{want_chaos:?}");
+            drop(g);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(store.stats(), want_stats);
+            assert!(want_stats.dedup_hits >= 5, "{want_stats:?}");
+            let undecodable = want.iter().filter(|p| p.trace.is_err()).count();
+            assert!(undecodable >= 1);
+            assert_eq!(ingestor.stats().decode_errors, undecodable as u64);
+        }
     }
 }

@@ -15,15 +15,14 @@
 
 use crate::ingest::PendingOccurrence;
 use crate::pool;
-use crate::store::TraceStore;
+use crate::store::{StoreError, TraceStore};
 use er_core::instrument::InstrumentedProgram;
 use er_core::reconstruct::{
     ErConfig, GiveUpReason, Outcome, ReconstructionReport, ReconstructionSession, SessionStep,
 };
 use er_durable::{ConsumeOutcome, DurableEvent, Wal, WatchdogConfig, WatchdogState};
 use er_minilang::ir::Program;
-use er_pt::packet::Packet;
-use er_pt::packets_to_events;
+use er_pt::compress::decompress_events;
 use er_solver::cancel::Phase;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -266,6 +265,7 @@ impl Scheduler {
                     trace: p.trace.clone().and_then(|id| {
                         store
                             .compressed_bytes(id)
+                            .map(|(bytes, _)| bytes)
                             .map_err(|e| format!("trace unavailable: {e}"))
                     }),
                 });
@@ -296,47 +296,56 @@ impl Scheduler {
         self.groups.values()
     }
 
-    /// The binary instance `idx` of `total` should run right now: the
+    /// The binaries the `total` instances should run right now: the
     /// highest-priority open group's current binary on the instrumented
     /// slice (`ceil(rollout × total)`, at least 1), the uninstrumented
-    /// baseline elsewhere. Returns `(group, version, binary)`, the binary
-    /// lent (shared, never copied) from the group's session or from
-    /// `baseline`.
-    pub fn binary_for(
+    /// baseline elsewhere. Returns `(group, version, binary)` per instance,
+    /// each binary lent (shared, never copied) from the group's session or
+    /// from `baseline`.
+    pub fn assignments(
         &self,
-        idx: usize,
         total: usize,
         runs_observed: u64,
         baseline: &Arc<InstrumentedProgram>,
-    ) -> (Option<u64>, u32, Arc<InstrumentedProgram>) {
+    ) -> Vec<(Option<u64>, u32, Arc<InstrumentedProgram>)> {
         let instrumented = ((self.policy.rollout * total as f64).ceil() as usize).clamp(1, total);
-        let lead = self
-            .priority_order(runs_observed)
-            .into_iter()
-            .next()
-            .and_then(|id| self.groups.get(&id));
-        match lead {
-            Some(g) if idx < instrumented && g.version > 0 => {
-                (Some(g.id), g.version, Arc::clone(g.session.binary()))
-            }
-            _ => (None, 0, Arc::clone(baseline)),
-        }
+        let lead = self.lead_group(runs_observed).filter(|g| g.version > 0);
+        (0..total)
+            .map(|idx| match lead {
+                Some(g) if idx < instrumented => {
+                    (Some(g.id), g.version, Arc::clone(g.session.binary()))
+                }
+                _ => (None, 0, Arc::clone(baseline)),
+            })
+            .collect()
     }
 
-    /// Open groups in descending priority order: reoccurrence rate ×
-    /// (1 + stall depth), rate in occurrences per 1000 observed runs.
-    /// Ties break toward the smaller group id, so the order is total and
+    /// The first group of [`priority_order`](Self::priority_order),
+    /// found without sorting: the open group with the highest score, the
+    /// smallest id among equals.
+    fn lead_group(&self, runs_observed: u64) -> Option<&GroupState> {
+        self.groups
+            .values()
+            .filter(|g| g.open())
+            .min_by_key(|g| (std::cmp::Reverse(Self::priority(g, runs_observed)), g.id))
+    }
+
+    /// A group's priority: reoccurrence rate × (1 + stall depth), rate in
+    /// occurrences per 1000 observed runs.
+    fn priority(g: &GroupState, runs_observed: u64) -> u64 {
+        let rate = g.occurrences_seen.max(1) * 1000 / runs_observed.max(1);
+        rate.max(1) * (1 + u64::from(g.stall_depth()))
+    }
+
+    /// Open groups in descending [`priority`](Self::priority) order. Ties
+    /// break toward the smaller group id, so the order is total and
     /// deterministic.
     fn priority_order(&self, runs_observed: u64) -> Vec<u64> {
         let mut scored: Vec<(u64, u64)> = self
             .groups
             .values()
             .filter(|g| g.open())
-            .map(|g| {
-                let rate = g.occurrences_seen.max(1) * 1000 / runs_observed.max(1);
-                let score = rate.max(1) * (1 + u64::from(g.stall_depth()));
-                (score, g.id)
-            })
+            .map(|g| (Self::priority(g, runs_observed), g.id))
             .collect();
         scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         scored.into_iter().map(|(_, id)| id).collect()
@@ -376,7 +385,10 @@ impl Scheduler {
         let work: Vec<Arc<Mutex<Option<Work>>>> = selected
             .into_iter()
             .map(|(g, p)| {
-                let trace = fetch_trace(store, &p);
+                let trace = {
+                    let _s = er_telemetry::span!("fleet.fetch");
+                    fetch_trace(store, &p)
+                };
                 Arc::new(Mutex::new(Some((g, p, trace))))
             })
             .collect();
@@ -577,26 +589,28 @@ impl Scheduler {
         }
     }
 
-    /// One group iteration: flatten `p`'s fetched trace to events and
-    /// feed the session. Mutates only `g`.
+    /// One group iteration: decode `p`'s fetched trace straight to events
+    /// and feed the session. Mutates only `g`.
     fn run_iteration(g: &mut GroupState, p: &PendingOccurrence, trace: &Trace) -> ConsumeOutcome {
         let _iter = er_telemetry::span!("reconstruct.iteration");
         g.iterations += 1;
         g.next_run = p.info.run_index + 1;
-        let step = match trace {
-            Ok((packets, gap)) => {
-                let events = {
-                    let _s = er_telemetry::span!("shepherd.decode");
-                    let events = packets_to_events(packets, *gap);
-                    // Bill the decode-phase budget (the cancel token, when
-                    // armed, starts in Decode); a trip here surfaces as a
-                    // cancelled iteration.
-                    er_solver::cancel::tick(packets.len() as u64);
-                    events
-                };
-                g.session.consume_events(p.info.clone(), events)
-            }
-            Err(error) => g.session.note_undecodable(p.info.clone(), error.clone()),
+        let decoded = trace
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|(bytes, gap)| {
+                let _s = er_telemetry::span!("shepherd.decode");
+                let (events, packets) = decompress_events(bytes, *gap)
+                    .map_err(|_| format!("trace unavailable: {}", StoreError::Corrupt))?;
+                // Bill the decode-phase budget (the cancel token, when armed,
+                // starts in Decode); a trip here surfaces as a cancelled
+                // iteration.
+                er_solver::cancel::tick(packets as u64);
+                Ok(events)
+            });
+        let step = match decoded {
+            Ok(events) => g.session.consume_events(p.info.clone(), events),
+            Err(error) => g.session.note_undecodable(p.info.clone(), error),
         };
         match step {
             SessionStep::Done(report) => {
@@ -789,9 +803,10 @@ impl Scheduler {
     }
 }
 
-/// An occurrence's trace as an iteration consumes it: the decompressed
-/// packets and the leading-gap flag, or why they are unavailable.
-type Trace = Result<(Vec<Packet>, bool), String>;
+/// An occurrence's trace as an iteration receives it: the stored
+/// compressed bytes and the leading-gap flag, or why they are unavailable.
+/// The worker decodes them.
+type Trace = Result<(Vec<u8>, bool), String>;
 
 /// One analyze worker's share of a round: the detached group, the
 /// occurrence it consumes, and that occurrence's trace.
@@ -799,9 +814,11 @@ type Work = (GroupState, PendingOccurrence, Trace);
 
 /// Retrieves `p`'s trace from the store.
 fn fetch_trace(store: &TraceStore, p: &PendingOccurrence) -> Trace {
-    p.trace
-        .clone()
-        .and_then(|id| store.get(id).map_err(|e| format!("trace unavailable: {e}")))
+    p.trace.clone().and_then(|id| {
+        store
+            .compressed_bytes(id)
+            .map_err(|e| format!("trace unavailable: {e}"))
+    })
 }
 
 /// Counts and logs a replayed event that disagrees with the state replay
@@ -809,4 +826,83 @@ fn fetch_trace(store: &TraceStore, p: &PendingOccurrence) -> Trace {
 fn diverged(why: std::fmt::Arguments<'_>) {
     er_telemetry::counter!("durable.replay_divergence").incr();
     er_telemetry::log!(warn, "replay: {why}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-instance answer `assignments` replaces: sort every group
+    /// through `priority_order` and take the first, once per instance.
+    fn per_instance(
+        s: &Scheduler,
+        idx: usize,
+        total: usize,
+        runs_observed: u64,
+        baseline: &Arc<InstrumentedProgram>,
+    ) -> (Option<u64>, u32, Arc<InstrumentedProgram>) {
+        let instrumented = ((s.policy.rollout * total as f64).ceil() as usize).clamp(1, total);
+        let lead = s
+            .priority_order(runs_observed)
+            .into_iter()
+            .next()
+            .and_then(|id| s.groups.get(&id));
+        match lead {
+            Some(g) if idx < instrumented && g.version > 0 => {
+                (Some(g.id), g.version, Arc::clone(g.session.binary()))
+            }
+            _ => (None, 0, Arc::clone(baseline)),
+        }
+    }
+
+    fn assert_same(s: &Scheduler, runs_observed: u64, baseline: &Arc<InstrumentedProgram>) {
+        for total in 1..=5 {
+            let got = s.assignments(total, runs_observed, baseline);
+            assert_eq!(got.len(), total);
+            for (idx, (group, version, binary)) in got.iter().enumerate() {
+                let (want_group, want_version, want_binary) =
+                    per_instance(s, idx, total, runs_observed, baseline);
+                assert_eq!((*group, *version), (want_group, want_version));
+                assert!(
+                    Arc::ptr_eq(binary, &want_binary),
+                    "instance {idx} of {total}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn assignments_match_the_per_instance_lead() {
+        let program = er_minilang::compile("fn main() { }").unwrap();
+        let baseline = Arc::new(InstrumentedProgram::unmodified(&program));
+        let mut s = Scheduler::new(
+            ErConfig::default(),
+            SchedulerConfig {
+                rollout: 0.5,
+                watchdog: None,
+            },
+        );
+        assert_same(&s, 100, &baseline); // no groups
+        for (id, seen, version) in [(30, 4, 1), (10, 4, 2), (20, 9, 3), (40, 2, 0)] {
+            s.note_group(id, &program, "g");
+            let g = s.groups.get_mut(&id).unwrap();
+            g.occurrences_seen = seen;
+            g.version = version;
+        }
+        // Group 20 leads outright; at a large run count every rate floors
+        // to the same score and the smallest id, 10, wins the tie.
+        assert_same(&s, 100, &baseline);
+        assert_same(&s, 1_000_000, &baseline);
+        // Close the lead: the tie between 10 and 30 breaks toward 10.
+        let g = s.groups.get_mut(&20).unwrap();
+        g.report = Some(g.session.give_up(GiveUpReason::NoFailureObserved));
+        assert_same(&s, 100, &baseline);
+        // A lead still at version 0 rolls out the baseline everywhere.
+        s.groups.get_mut(&40).unwrap().occurrences_seen = 50;
+        assert_same(&s, 100, &baseline);
+        assert!(s
+            .assignments(4, 100, &baseline)
+            .iter()
+            .all(|(g, v, _)| g.is_none() && *v == 0));
+    }
 }

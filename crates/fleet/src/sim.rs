@@ -335,9 +335,7 @@ impl Fleet {
             let pause = scheduler.has_eligible_pending() || !ingestor.is_empty();
             if !pause {
                 let _p = er_telemetry::span!("fleet.produce");
-                let assignments: Vec<(Option<u64>, u32, Arc<InstrumentedProgram>)> = (0..m)
-                    .map(|i| scheduler.binary_for(i, m, runs_observed.max(1), &baseline))
-                    .collect();
+                let assignments = scheduler.assignments(m, runs_observed.max(1), &baseline);
                 let jobs: Vec<(Arc<Deployment>, Arc<InstrumentedProgram>, u64)> = assignments
                     .iter()
                     .zip(&self.deployments)

@@ -79,7 +79,7 @@ impl std::error::Error for StoreError {}
 const SPILL_IO_ATTEMPTS: u32 = 3;
 
 /// Cumulative store statistics (serialized into the fleet report).
-#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct StoreStats {
     /// `put` calls.
     pub puts: u64,
@@ -113,7 +113,7 @@ impl StoreStats {
 }
 
 /// What [`TraceStore::put`] did with an offered trace.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutResult {
     /// Handle for later retrieval.
     pub id: TraceId,
@@ -241,6 +241,47 @@ impl TraceStore {
         }
     }
 
+    /// Puts again the packets of an earlier [`put`](Self::put) that
+    /// returned `prev`, without encoding them again: ingestion calls this
+    /// for a crash report whose raw trace bytes equal an earlier report's,
+    /// so its packets are known to be identical. Counts exactly what a
+    /// dedup-hit `put` counts and returns what it returns, or returns
+    /// `None` and counts nothing where `put` might resolve otherwise: the
+    /// entry is gone, spilled (`put` would read it back, and a failed read
+    /// makes a new entry), or not the first of its address, group and gap
+    /// flag (`put` would compare that one first). The caller then `put`s.
+    pub fn put_duplicate(
+        &mut self,
+        prev: &PutResult,
+        group: u64,
+        leading_gap: bool,
+        packets: usize,
+    ) -> Option<PutResult> {
+        let e = self.entries.get(&prev.id.0)?;
+        if e.group != group || e.leading_gap != leading_gap || !matches!(e.data, Slot::Mem(_)) {
+            return None;
+        }
+        let first = self.by_addr.get(&e.addr)?.iter().copied().find(|id| {
+            self.entries
+                .get(id)
+                .is_some_and(|c| c.group == group && c.leading_gap == leading_gap)
+        });
+        if first != Some(prev.id.0) {
+            return None;
+        }
+        self.stats.puts += 1;
+        self.stats.packets += packets as u64;
+        self.stats.raw_bytes += prev.raw_len as u64;
+        self.stats.dedup_hits += 1;
+        er_telemetry::counter!("fleet.store.puts").incr();
+        er_telemetry::counter!("fleet.store.bytes_raw").add(prev.raw_len as u64);
+        er_telemetry::counter!("fleet.store.dedup_hits").incr();
+        Some(PutResult {
+            deduped: true,
+            ..*prev
+        })
+    }
+
     /// Retrieves and decompresses a stored trace: the packets and the
     /// leading-gap flag.
     ///
@@ -251,28 +292,26 @@ impl TraceStore {
     /// the spill file failed to read back after retries,
     /// [`StoreError::Corrupt`] if the stored bytes do not decompress.
     pub fn get(&self, id: TraceId) -> Result<(Vec<Packet>, bool), StoreError> {
-        let e = self.entries.get(&id.0).ok_or(StoreError::Missing)?;
-        let bytes = match &e.data {
-            Slot::Mem(b) => Cow::Borrowed(&b[..]),
-            Slot::Disk(p) => Cow::Owned(read_spill(p)?),
-        };
+        let (bytes, leading_gap) = self.compressed_bytes(id)?;
         let packets = decompress(&bytes).map_err(|_| StoreError::Corrupt)?;
-        Ok((packets, e.leading_gap))
+        Ok((packets, leading_gap))
     }
 
-    /// The stored compressed bytes of a trace — what a durability layer
-    /// journals so a restarted scheduler can re-`put` the identical stream
-    /// (content addressing then yields the identical [`TraceId`]).
+    /// The stored compressed bytes of a trace and its leading-gap flag —
+    /// what a durability layer journals so a restarted scheduler can
+    /// re-`put` the identical stream (content addressing then yields the
+    /// identical [`TraceId`]), and what an analysis worker decodes.
     ///
     /// # Errors
     ///
     /// Same conditions as [`get`](Self::get), minus decompression.
-    pub fn compressed_bytes(&self, id: TraceId) -> Result<Vec<u8>, StoreError> {
+    pub fn compressed_bytes(&self, id: TraceId) -> Result<(Vec<u8>, bool), StoreError> {
         let e = self.entries.get(&id.0).ok_or(StoreError::Missing)?;
-        match &e.data {
-            Slot::Mem(b) => Ok(b.clone()),
-            Slot::Disk(p) => read_spill(p),
-        }
+        let bytes = match &e.data {
+            Slot::Mem(b) => b.clone(),
+            Slot::Disk(p) => read_spill(p)?,
+        };
+        Ok((bytes, e.leading_gap))
     }
 
     /// Stores pre-compressed bytes recovered from a WAL, bypassing the
@@ -487,6 +526,84 @@ mod tests {
         // Same bytes for a *different group* are a different occurrence.
         let c = s.put(2, &packets(50), false);
         assert!(!c.deduped);
+    }
+
+    #[test]
+    fn put_duplicate_counts_only_where_put_would_hit() {
+        let mut s = TraceStore::new(StoreConfig {
+            per_group_cap: 1,
+            ..StoreConfig::default()
+        });
+        let p = packets(50);
+        let first = s.put(1, &p, false);
+        let before = s.stats();
+        // Another group or gap flag is another entry to `put`.
+        assert_eq!(s.put_duplicate(&first, 2, false, p.len()), None);
+        assert_eq!(s.put_duplicate(&first, 1, true, p.len()), None);
+        assert_eq!(s.stats(), before);
+        let dup = s.put_duplicate(&first, 1, false, p.len()).expect("stored");
+        let mut reference = TraceStore::new(StoreConfig::default());
+        reference.put(1, &p, false);
+        let hit = reference.put(1, &p, false);
+        assert_eq!(dup, hit);
+        assert_eq!(s.stats(), reference.stats());
+        // Once the per-group cap drops the entry, only `put` can store it.
+        s.put(1, &packets(51), false);
+        assert_eq!(s.put_duplicate(&first, 1, false, p.len()), None);
+    }
+
+    #[test]
+    fn put_duplicate_declines_spilled_entries() {
+        // Serialized with the chaos tests: an armed spill fault would
+        // reach these spills too.
+        let _l = crate::testsync::chaos_lock();
+        let dir = std::env::temp_dir().join(format!("er-fleet-dup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = TraceStore::new(StoreConfig {
+            per_group_cap: 1,
+            byte_budget: 1 << 20,
+            spill_dir: Some(dir.clone()),
+        });
+        let p = packets(30);
+        let first = s.put(1, &p, false);
+        s.put(1, &packets(31), false);
+        assert_eq!(s.stats().spills, 1);
+        // `put` would read the spill file back (and may fail to): decline.
+        assert_eq!(s.put_duplicate(&first, 1, false, p.len()), None);
+        assert!(s.put(1, &p, false).deduped);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn put_duplicate_declines_entries_put_would_not_reach_first() {
+        // Serialized with the chaos tests: an armed spill fault would
+        // reach these spills too.
+        let _l = crate::testsync::chaos_lock();
+        let dir = std::env::temp_dir().join(format!("er-fleet-dup2-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = TraceStore::new(StoreConfig {
+            per_group_cap: 1,
+            byte_budget: 1 << 20,
+            spill_dir: Some(dir.clone()),
+        });
+        let p = packets(30);
+        let spilled = s.put(1, &p, false).id;
+        s.put(1, &packets(31), false);
+        assert_eq!(s.stats().spills, 1);
+        // While the spilled copy cannot be read back, a put of the same
+        // packets stores a second copy, behind the first under the same
+        // address.
+        let path = dir.join(format!("trace-{}.erz", spilled.0));
+        let saved = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let second = s.put(1, &p, false);
+        assert!(!second.deduped);
+        std::fs::write(&path, saved).unwrap();
+        // `put` now compares the readable first copy first and resolves
+        // to it, so the second copy is not a known hit.
+        assert_eq!(s.put_duplicate(&second, 1, false, p.len()), None);
+        assert_eq!(s.put(1, &p, false).id, spilled);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | `0xA6` | TSC | `tsc: u64 LE` |
 //! | `0xA7` | PGE | `tid: u64 LE` |
 
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketRef, PacketSink};
 use std::fmt;
 
 pub(crate) const OP_PSB: u8 = 0xA0;
@@ -127,6 +127,18 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<Packet>, DecodeError> {
 /// Returns [`DecodeError`] on truncation or unknown opcodes.
 pub fn decode_from(bytes: &[u8], start: usize) -> Result<Vec<Packet>, DecodeError> {
     let mut out = Vec::new();
+    walk_from(bytes, start, &mut out)?;
+    Ok(out)
+}
+
+/// The codec's one parser: walks the packets from `start` to the end of
+/// `bytes`, handing each to `sink`. On error, `sink` holds the packets
+/// before the bad one.
+pub(crate) fn walk_from(
+    bytes: &[u8],
+    start: usize,
+    sink: &mut impl PacketSink,
+) -> Result<(), DecodeError> {
     let mut i = start;
     let n = bytes.len();
     let need = |i: usize, k: usize, at: usize| {
@@ -140,42 +152,43 @@ pub fn decode_from(bytes: &[u8], start: usize) -> Result<Vec<Packet>, DecodeErro
         let at = i;
         let op = bytes[i];
         i += 1;
-        match op {
-            OP_PSB => out.push(Packet::Psb),
-            OP_OVF => out.push(Packet::Ovf),
-            OP_RET => out.push(Packet::Ret),
+        let packet = match op {
+            OP_PSB => PacketRef::Psb,
+            OP_OVF => PacketRef::Ovf,
+            OP_RET => PacketRef::Ret,
             OP_TNT => {
                 need(i, 1, at)?;
                 let count = bytes[i];
                 i += 1;
                 let nb = (count as usize).div_ceil(8);
                 need(i, nb, at)?;
-                out.push(Packet::Tnt {
-                    count,
-                    bits: bytes[i..i + nb].to_vec(),
-                });
                 i += nb;
+                PacketRef::Tnt {
+                    count,
+                    bits: &bytes[i - nb..i],
+                }
             }
             OP_TIP => {
                 need(i, 4, at)?;
                 let target = u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
                 i += 4;
-                out.push(Packet::Tip { target });
+                PacketRef::Tip { target }
             }
             OP_PTW | OP_TSC | OP_PGE => {
                 need(i, 8, at)?;
                 let v = u64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
                 i += 8;
-                out.push(match op {
-                    OP_PTW => Packet::Ptw { value: v },
-                    OP_TSC => Packet::Tsc { tsc: v },
-                    _ => Packet::Pge { tid: v },
-                });
+                match op {
+                    OP_PTW => PacketRef::Ptw { value: v },
+                    OP_TSC => PacketRef::Tsc { tsc: v },
+                    _ => PacketRef::Pge { tid: v },
+                }
             }
             opcode => return Err(DecodeError::BadOpcode { opcode, at }),
-        }
+        };
+        sink.packet(packet);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// How many bytes [`resync`] validates past a candidate PSB before

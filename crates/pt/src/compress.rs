@@ -25,7 +25,7 @@
 //! [`ratio`]: raw codec bytes over compressed bytes.
 
 use crate::codec::{self, DecodeError};
-use crate::packet::Packet;
+use crate::packet::{EventStream, Packet, PacketRef, PacketSink, TraceEvent};
 
 /// Format version tag (first byte of every compressed stream).
 const VERSION: u8 = 0x01;
@@ -113,33 +113,44 @@ fn rle_encode(bytes: &[u8], out: &mut Vec<u8>) {
     }
 }
 
+/// Decodes `expect` payload bytes into `out`, replacing its contents (the
+/// caller reuses one buffer across runs).
 fn rle_decode(
     bytes: &[u8],
     i: &mut usize,
     expect: usize,
     at: usize,
-) -> Result<Vec<u8>, DecodeError> {
-    let mut out = Vec::with_capacity(expect.min(1 << 20));
+    out: &mut Vec<u8>,
+) -> Result<(), DecodeError> {
+    out.clear();
+    out.reserve(expect.min(1 << 20));
     while out.len() < expect {
         let control = get_varint(bytes, i, at)?;
         let n = usize::try_from(control >> 1).map_err(|_| DecodeError::Corrupt { at })?;
+        // A chunk that overshoots the payload is corrupt; reject it before
+        // materializing it, so a damaged run length cannot demand an
+        // arbitrary allocation.
+        let overshoots = n > expect - out.len();
         if control & 1 == 1 {
             let &b = bytes.get(*i).ok_or(DecodeError::Truncated { at })?;
             *i += 1;
+            if overshoots {
+                return Err(DecodeError::Corrupt { at });
+            }
             out.extend(std::iter::repeat_n(b, n));
         } else {
             let end = i.checked_add(n).ok_or(DecodeError::Corrupt { at })?;
             if end > bytes.len() {
                 return Err(DecodeError::Truncated { at });
             }
+            if overshoots {
+                return Err(DecodeError::Corrupt { at });
+            }
             out.extend_from_slice(&bytes[*i..end]);
             *i = end;
         }
     }
-    if out.len() != expect {
-        return Err(DecodeError::Corrupt { at });
-    }
-    Ok(out)
+    Ok(())
 }
 
 /// Whether a TNT packet is *canonical*: the shape [`crate::sink::PtSink`]
@@ -242,6 +253,31 @@ pub fn compress(packets: &[Packet]) -> Vec<u8> {
 /// or a malformed run header.
 pub fn decompress(bytes: &[u8]) -> Result<Vec<Packet>, DecodeError> {
     let mut out = Vec::new();
+    walk(bytes, &mut out)?;
+    Ok(out)
+}
+
+/// Decompresses a stream produced by [`compress`] straight into the
+/// events [`crate::sink::packets_to_events`] would flatten [`decompress`]'s
+/// packets to, without building the packets. Returns the events and the
+/// number of packets they came from; `leading_gap` prefixes a
+/// [`TraceEvent::Gap`].
+///
+/// # Errors
+///
+/// Exactly those of [`decompress`].
+pub fn decompress_events(
+    bytes: &[u8],
+    leading_gap: bool,
+) -> Result<(Vec<TraceEvent>, usize), DecodeError> {
+    let mut out = EventStream::new(leading_gap, 0);
+    walk(bytes, &mut out)?;
+    Ok(out.finish())
+}
+
+/// The compressed format's one parser: walks every packet of `bytes`,
+/// handing each to `sink`.
+fn walk(bytes: &[u8], sink: &mut impl PacketSink) -> Result<(), DecodeError> {
     if bytes.is_empty() {
         return Err(DecodeError::Truncated { at: 0 });
     }
@@ -253,25 +289,27 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<Packet>, DecodeError> {
     }
     let mut last_tsc = 0u64;
     let mut last_ptw = 0u64;
+    let mut payload = Vec::new();
     let mut i = 1;
     while i < bytes.len() {
         let at = i;
         let op = bytes[i];
         i += 1;
-        match op {
-            C_PSB => out.push(Packet::Psb),
-            C_OVF => out.push(Packet::Ovf),
+        let packet = match op {
+            C_PSB => PacketRef::Psb,
+            C_OVF => PacketRef::Ovf,
             C_RET => {
                 let run = get_varint(bytes, &mut i, at)?;
                 if run == 0 || run > (1 << 24) {
                     return Err(DecodeError::Corrupt { at });
                 }
-                for _ in 0..run {
-                    out.push(Packet::Ret);
+                for _ in 1..run {
+                    sink.packet(PacketRef::Ret);
                 }
+                PacketRef::Ret
             }
             C_TNT_RUN => {
-                let mut nbits = get_varint(bytes, &mut i, at)?;
+                let nbits = get_varint(bytes, &mut i, at)?;
                 if nbits == 0 || nbits > (1 << 30) {
                     return Err(DecodeError::Corrupt { at });
                 }
@@ -280,20 +318,18 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<Packet>, DecodeError> {
                 let full = ((nbits - 1) / 64) as usize;
                 let rem = nbits - full as u64 * 64; // 1..=64
                 let payload_len = full * 8 + (rem as usize).div_ceil(8);
-                let payload = rle_decode(bytes, &mut i, payload_len, at)?;
-                let mut off = 0;
-                while nbits > 64 {
-                    out.push(Packet::Tnt {
+                rle_decode(bytes, &mut i, payload_len, at, &mut payload)?;
+                for chunk in payload[..full * 8].chunks_exact(8) {
+                    sink.packet(PacketRef::Tnt {
                         count: 64,
-                        bits: payload[off..off + 8].to_vec(),
+                        bits: chunk,
                     });
-                    off += 8;
-                    nbits -= 64;
                 }
-                out.push(Packet::Tnt {
-                    count: nbits as u8,
-                    bits: payload[off..].to_vec(),
+                sink.packet(PacketRef::Tnt {
+                    count: rem as u8,
+                    bits: &payload[full * 8..],
                 });
+                continue;
             }
             C_TNT_RAW => {
                 let &count = bytes.get(i).ok_or(DecodeError::Truncated { at })?;
@@ -306,35 +342,37 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<Packet>, DecodeError> {
                 if end > bytes.len() {
                     return Err(DecodeError::Truncated { at });
                 }
-                out.push(Packet::Tnt {
-                    count,
-                    bits: bytes[i..end].to_vec(),
-                });
+                let start = i;
                 i = end;
+                PacketRef::Tnt {
+                    count,
+                    bits: &bytes[start..end],
+                }
             }
             C_TIP => {
                 let target = get_varint(bytes, &mut i, at)?;
                 let target = u32::try_from(target).map_err(|_| DecodeError::Corrupt { at })?;
-                out.push(Packet::Tip { target });
+                PacketRef::Tip { target }
             }
             C_PTW => {
                 let d = unzigzag(get_varint(bytes, &mut i, at)?);
                 last_ptw = last_ptw.wrapping_add(d as u64);
-                out.push(Packet::Ptw { value: last_ptw });
+                PacketRef::Ptw { value: last_ptw }
             }
             C_TSC => {
                 let d = unzigzag(get_varint(bytes, &mut i, at)?);
                 last_tsc = last_tsc.wrapping_add(d as u64);
-                out.push(Packet::Tsc { tsc: last_tsc });
+                PacketRef::Tsc { tsc: last_tsc }
             }
             C_PGE => {
                 let tid = get_varint(bytes, &mut i, at)?;
-                out.push(Packet::Pge { tid });
+                PacketRef::Pge { tid }
             }
             opcode => return Err(DecodeError::BadOpcode { opcode, at }),
-        }
+        };
+        sink.packet(packet);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Compression ratio achieved on `packets`: raw [`codec`] bytes over
@@ -438,6 +476,16 @@ mod tests {
             raw.len()
         );
         roundtrip(packets);
+    }
+
+    #[test]
+    fn overlong_rle_run_is_corrupt_not_an_allocation() {
+        // An 8-byte TNT run whose RLE control claims a run of 2^60 bytes.
+        let mut bytes = vec![VERSION, C_TNT_RUN];
+        put_varint(64, &mut bytes);
+        put_varint((1 << 61) | 1, &mut bytes);
+        bytes.push(0xff);
+        assert_eq!(decompress(&bytes), Err(DecodeError::Corrupt { at: 1 }));
     }
 
     #[test]

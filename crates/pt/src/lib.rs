@@ -44,4 +44,4 @@ pub mod sink;
 pub use codec::DecodeError;
 pub use packet::{Packet, TraceEvent};
 pub use ring::RingBuffer;
-pub use sink::{packets_to_events, DecodedTrace, PtConfig, PtSink, PtTrace};
+pub use sink::{DecodedTrace, PtConfig, PtSink, PtTrace};

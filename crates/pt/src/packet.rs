@@ -59,6 +59,165 @@ impl Packet {
     }
 }
 
+/// A packet as a decoder walks it: a [`Packet`] whose TNT bit bytes are
+/// borrowed from the stream being decoded instead of copied into a `Vec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PacketRef<'a> {
+    /// See [`Packet::Psb`].
+    Psb,
+    /// See [`Packet::Ovf`].
+    Ovf,
+    /// See [`Packet::Tnt`].
+    Tnt {
+        /// Number of valid bits.
+        count: u8,
+        /// Bit `i` (LSB-first across bytes) is branch `i`'s outcome.
+        bits: &'a [u8],
+    },
+    /// See [`Packet::Tip`].
+    Tip {
+        /// Target function id.
+        target: u32,
+    },
+    /// See [`Packet::Ret`].
+    Ret,
+    /// See [`Packet::Ptw`].
+    Ptw {
+        /// The recorded 64-bit value.
+        value: u64,
+    },
+    /// See [`Packet::Tsc`].
+    Tsc {
+        /// Virtual time.
+        tsc: u64,
+    },
+    /// See [`Packet::Pge`].
+    Pge {
+        /// Thread id now executing.
+        tid: u64,
+    },
+}
+
+impl PacketRef<'_> {
+    /// The owned packet.
+    pub fn to_packet(self) -> Packet {
+        match self {
+            PacketRef::Psb => Packet::Psb,
+            PacketRef::Ovf => Packet::Ovf,
+            PacketRef::Tnt { count, bits } => Packet::Tnt {
+                count,
+                bits: bits.to_vec(),
+            },
+            PacketRef::Tip { target } => Packet::Tip { target },
+            PacketRef::Ret => Packet::Ret,
+            PacketRef::Ptw { value } => Packet::Ptw { value },
+            PacketRef::Tsc { tsc } => Packet::Tsc { tsc },
+            PacketRef::Pge { tid } => Packet::Pge { tid },
+        }
+    }
+}
+
+impl Packet {
+    /// This packet as a decoder would walk it.
+    pub fn as_packet_ref(&self) -> PacketRef<'_> {
+        match self {
+            Packet::Psb => PacketRef::Psb,
+            Packet::Ovf => PacketRef::Ovf,
+            Packet::Tnt { count, bits } => PacketRef::Tnt {
+                count: *count,
+                bits,
+            },
+            Packet::Tip { target } => PacketRef::Tip { target: *target },
+            Packet::Ret => PacketRef::Ret,
+            Packet::Ptw { value } => PacketRef::Ptw { value: *value },
+            Packet::Tsc { tsc } => PacketRef::Tsc { tsc: *tsc },
+            Packet::Pge { tid } => PacketRef::Pge { tid: *tid },
+        }
+    }
+}
+
+/// Where a decoder's walk delivers packets. One walker per byte format
+/// ([`crate::codec`], [`crate::compress`]) feeds either a packet vector or
+/// a flat event stream, so both outputs come from the same parser.
+pub(crate) trait PacketSink {
+    /// Receives the next packet.
+    fn packet(&mut self, p: PacketRef<'_>);
+    /// Discards every packet received so far: a wrapped trace's decode
+    /// restarts at the next sync point after damage.
+    fn restart(&mut self);
+}
+
+impl PacketSink for Vec<Packet> {
+    fn packet(&mut self, p: PacketRef<'_>) {
+        self.push(p.to_packet());
+    }
+
+    fn restart(&mut self) {
+        self.clear();
+    }
+}
+
+/// Flattens walked packets straight into [`TraceEvent`]s, expanding each
+/// TNT packet's bits in place (no per-packet allocation).
+#[derive(Debug)]
+pub(crate) struct EventStream {
+    events: Vec<TraceEvent>,
+    packets: usize,
+    leading_gap: bool,
+}
+
+impl EventStream {
+    /// An empty stream with room for `capacity` events; `leading_gap`
+    /// prefixes a [`TraceEvent::Gap`] (the packets come from a wrapped
+    /// ring).
+    pub(crate) fn new(leading_gap: bool, capacity: usize) -> Self {
+        let mut events = Vec::with_capacity(capacity.max(usize::from(leading_gap)));
+        if leading_gap {
+            events.push(TraceEvent::Gap);
+        }
+        EventStream {
+            events,
+            packets: 0,
+            leading_gap,
+        }
+    }
+
+    /// The events, and how many packets they came from.
+    pub(crate) fn finish(self) -> (Vec<TraceEvent>, usize) {
+        (self.events, self.packets)
+    }
+}
+
+impl PacketSink for EventStream {
+    #[inline]
+    fn packet(&mut self, p: PacketRef<'_>) {
+        self.packets += 1;
+        let ev = match p {
+            PacketRef::Psb => return,
+            PacketRef::Ovf => TraceEvent::Gap,
+            PacketRef::Tnt { count, bits } => {
+                // Bits a short (non-canonical) payload lacks yield no
+                // event; the codec never produces one.
+                let n = usize::from(count).min(bits.len() * 8);
+                self.events
+                    .extend((0..n).map(|i| TraceEvent::Branch(bits[i / 8] >> (i % 8) & 1 == 1)));
+                return;
+            }
+            PacketRef::Tip { target } => TraceEvent::Call(target),
+            PacketRef::Ret => TraceEvent::Ret,
+            PacketRef::Ptw { value } => TraceEvent::PtWrite(value),
+            PacketRef::Tsc { tsc } => TraceEvent::Timestamp(tsc),
+            PacketRef::Pge { tid } => TraceEvent::ThreadResume(tid),
+        };
+        self.events.push(ev);
+    }
+
+    fn restart(&mut self) {
+        self.events.truncate(usize::from(self.leading_gap));
+        self.packets = 0;
+    }
+}
+
 /// A fully decoded, flattened trace event — what the offline analysis
 /// engine consumes after unpacking TNT bit runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! The online tracing sink: packetizes interpreter events PT-style.
 
 use crate::codec::{self, DecodeError, OP_PGE, OP_PSB, OP_PTW, OP_RET, OP_TIP, OP_TNT, OP_TSC};
-use crate::packet::{Packet, TraceEvent};
+use crate::packet::{EventStream, Packet, PacketSink, TraceEvent};
 use crate::ring::RingBuffer;
 use er_minilang::env::InputEvent;
 use er_minilang::ir::FuncId;
@@ -213,15 +213,23 @@ impl PtTrace {
     /// the ring wrapped. Returns the packets and whether a leading gap
     /// (lost prefix) precedes them. This is the ingestion entry point: the
     /// fleet path stores packets (re-encoded through [`crate::compress`])
-    /// and later flattens them with [`packets_to_events`], reproducing
-    /// [`decode`](Self::decode) bit-for-bit.
+    /// and later flattens them with [`crate::compress::decompress_events`],
+    /// reproducing [`decode`](Self::decode) bit-for-bit.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] if the stream is corrupt or a wrapped
     /// stream contains no sync point.
     pub fn packets(&self) -> Result<(Vec<Packet>, bool), DecodeError> {
-        let result = self.packets_inner();
+        let mut packets = Vec::new();
+        let gap = self.walk(&mut packets)?;
+        Ok((packets, gap))
+    }
+
+    /// Walks the packets into `sink`, resynchronizing at a PSB if the
+    /// ring wrapped; returns whether a leading gap precedes them.
+    fn walk(&self, sink: &mut impl PacketSink) -> Result<bool, DecodeError> {
+        let result = self.walk_inner(sink);
         if self.stats.chaos_tampered > 0 {
             // Account for injected trace damage: either the decoder walked
             // through it (recovered) or it surfaced as a typed error.
@@ -233,19 +241,21 @@ impl PtTrace {
         result
     }
 
-    fn packets_inner(&self) -> Result<(Vec<Packet>, bool), DecodeError> {
+    fn walk_inner(&self, sink: &mut impl PacketSink) -> Result<bool, DecodeError> {
         if !self.wrapped {
-            return Ok((codec::decode(&self.bytes)?, false));
+            codec::walk_from(&self.bytes, 0, sink)?;
+            return Ok(false);
         }
         let mut at = codec::resync(&self.bytes, 0).ok_or(DecodeError::NoSyncPoint)?;
         loop {
-            match codec::decode_from(&self.bytes, at) {
-                Ok(packets) => return Ok((packets, true)),
+            match codec::walk_from(&self.bytes, at, sink) {
+                Ok(()) => return Ok(true),
                 // resync validates a bounded window, so an accepted sync
                 // point can still run into damage further out; everything
                 // up to the damage is part of the (already reported) gap,
                 // and decoding restarts at the next sync point after it.
                 Err(DecodeError::BadOpcode { at: bad, .. } | DecodeError::Corrupt { at: bad }) => {
+                    sink.restart();
                     at = codec::resync(&self.bytes, bad + 1).ok_or(DecodeError::NoSyncPoint)?;
                 }
                 Err(e) => return Err(e),
@@ -291,8 +301,10 @@ impl PtTrace {
         }
     }
 
-    /// Decodes the byte stream into flattened [`TraceEvent`]s,
-    /// resynchronizing at a PSB if the ring wrapped.
+    /// Decodes the byte stream straight into flattened [`TraceEvent`]s,
+    /// resynchronizing at a PSB if the ring wrapped. Equals
+    /// [`packets_to_events`] of [`packets`](Self::packets), errors
+    /// included, without building the packets.
     ///
     /// # Errors
     ///
@@ -300,41 +312,38 @@ impl PtTrace {
     /// stream contains no sync point.
     pub fn decode(&self) -> Result<DecodedTrace, DecodeError> {
         let _span = er_telemetry::span!("pt.decode");
-        let (packets, gap) = self.packets()?;
-        let events = packets_to_events(&packets, gap);
+        let mut out = EventStream::new(self.wrapped, self.event_capacity());
+        self.walk(&mut out)?;
+        let (events, packets) = out.finish();
         if er_telemetry::enabled() {
-            er_telemetry::counter!("pt.packets_decoded").add(packets.len() as u64);
+            er_telemetry::counter!("pt.packets_decoded").add(packets as u64);
             er_telemetry::counter!("pt.events_decoded").add(events.len() as u64);
         }
         Ok(DecodedTrace { events })
+    }
+
+    /// Room to reserve for the decoded events, from the sink's own
+    /// counters: exact for an intact trace. A wrapped ring kept only a
+    /// suffix of what the counters saw, so there the guess is one event
+    /// per byte and the vector grows from it; a TNT byte carries at most 8
+    /// branches, which bounds a damaged trace.
+    fn event_capacity(&self) -> usize {
+        let s = &self.stats;
+        let counted = s.branches + s.calls + s.rets + s.ptwrites + 2 * s.resumes;
+        let per_byte = if self.wrapped { 1 } else { 8 };
+        let bound = self.bytes.len().saturating_mul(per_byte);
+        usize::try_from(counted).map_or(bound, |c| c.min(bound)) + 1
     }
 }
 
 /// Flattens a packet sequence into [`TraceEvent`]s; `leading_gap` prefixes
 /// a [`TraceEvent::Gap`] (set when the packets came from a wrapped ring).
 pub fn packets_to_events(packets: &[Packet], leading_gap: bool) -> Vec<TraceEvent> {
-    let mut events = Vec::with_capacity(packets.len());
-    if leading_gap {
-        events.push(TraceEvent::Gap);
-    }
+    let mut out = EventStream::new(leading_gap, packets.len());
     for p in packets {
-        match p {
-            Packet::Psb => {}
-            Packet::Ovf => events.push(TraceEvent::Gap),
-            Packet::Tnt { count, bits } => {
-                for i in 0..*count as usize {
-                    let bit = bits[i / 8] >> (i % 8) & 1;
-                    events.push(TraceEvent::Branch(bit == 1));
-                }
-            }
-            Packet::Tip { target } => events.push(TraceEvent::Call(*target)),
-            Packet::Ret => events.push(TraceEvent::Ret),
-            Packet::Ptw { value } => events.push(TraceEvent::PtWrite(*value)),
-            Packet::Tsc { tsc } => events.push(TraceEvent::Timestamp(*tsc)),
-            Packet::Pge { tid } => events.push(TraceEvent::ThreadResume(*tid)),
-        }
+        out.packet(p.as_packet_ref());
     }
-    events
+    out.finish().0
 }
 
 /// A decoded trace ready for offline analysis.
