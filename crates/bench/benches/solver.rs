@@ -167,6 +167,79 @@ fn bench_stalled_elimination(c: &mut Criterion) {
     });
 }
 
+/// The deep-solve shape: three stages that each store a 64-bit marker
+/// into a 32-entry table at one masked symbolic index and branch on
+/// reading it back at another, then a 64-bit multiply-xorshift hash whose
+/// low 16 bits must hit a target. Tables are byte arrays, as the symbolic
+/// executor keeps memory, so each element access is eight byte accesses
+/// at `offset + i`, and eliminating a read compares every byte address
+/// read against every byte address written: adders over the same offsets
+/// that repeat gates, which the blaster's gate table builds once. The path
+/// grows one stage per check, as shepherding commits it, and the final
+/// check adds the hash condition.
+fn bench_deep_table_hash(c: &mut Criterion) {
+    const SHIFT: u64 = 29;
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    const SECRET: u64 = 0x0123_4567_89ab_cdef;
+    let target = (SECRET ^ (SECRET >> SHIFT)).wrapping_mul(MUL) & 0xffff;
+    c.bench_function("solver/deep_table_hash", |b| {
+        b.iter(|| {
+            let mut pool = ExprPool::new();
+            let budget = Budget::default();
+            let eight = pool.bv_const(8, 64);
+            let m31 = pool.bv_const(31, 64);
+            // The byte offset of entry `input & 31`.
+            let offset = |pool: &mut ExprPool, name: String| {
+                let input = pool.var(name, 64);
+                let slot = pool.bin(BvOp::And, input, m31);
+                pool.bin(BvOp::Mul, slot, eight)
+            };
+            let mut path = Vec::new();
+            let mut solver = IncrementalSolver::new();
+            for stage in 1..=3u64 {
+                let marker = 40 + stage;
+                let mut table = pool.array(format!("T{stage}"), 256, 8, Some(vec![0; 256]));
+                let at = offset(&mut pool, format!("k{stage}"));
+                for i in 0..8 {
+                    let ic = pool.bv_const(i, 64);
+                    let idx = pool.bin(BvOp::Add, at, ic);
+                    let byte = pool.bv_const(marker >> (8 * i) & 0xff, 8);
+                    table = pool.write(table, idx, byte);
+                }
+                let from = offset(&mut pool, format!("p{stage}"));
+                let mut value = pool.bv_const(0, 64);
+                for i in 0..8 {
+                    let ic = pool.bv_const(i, 64);
+                    let idx = pool.bin(BvOp::Add, from, ic);
+                    let byte = pool.read(table, idx);
+                    let wide = pool.zext(byte, 64);
+                    let sh = pool.bv_const(8 * i, 64);
+                    let placed = pool.bin(BvOp::Shl, wide, sh);
+                    value = pool.bin(BvOp::Or, value, placed);
+                }
+                let expect = pool.bv_const(marker, 64);
+                path.push(pool.cmp(CmpKind::Eq, value, expect));
+                let verdict = solver.check(&mut pool, &path, &budget);
+                assert!(matches!(verdict, SatResult::Sat(_)));
+            }
+            let h = pool.var("h", 64);
+            let shift = pool.bv_const(SHIFT, 64);
+            let shifted = pool.bin(BvOp::LShr, h, shift);
+            let mixed = pool.bin(BvOp::Xor, h, shifted);
+            let mul = pool.bv_const(MUL, 64);
+            let hash = pool.bin(BvOp::Mul, mixed, mul);
+            let mask = pool.bv_const(0xffff, 64);
+            let low = pool.bin(BvOp::And, hash, mask);
+            let goal = pool.bv_const(target, 64);
+            path.push(pool.cmp(CmpKind::Eq, low, goal));
+            let SatResult::Sat(model) = solver.check(&mut pool, &path, &budget) else {
+                panic!("the hash target is reachable");
+            };
+            assert_eq!(model.eval(&pool, low), target);
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_linear_bv,
@@ -174,6 +247,7 @@ criterion_group!(
     bench_write_chains,
     bench_object_size,
     bench_address_probe,
-    bench_stalled_elimination
+    bench_stalled_elimination,
+    bench_deep_table_hash
 );
 criterion_main!(benches);

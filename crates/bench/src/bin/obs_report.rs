@@ -46,8 +46,9 @@ const DEPLOY_INSTRS: &str = "deploy.instrs";
 
 /// Solver counters summarized per workload, with their column labels:
 /// query volume, stalls, prefix-cache reuse, clauses assumption probes
-/// reused from the persistent solver, and clauses the final input solve
-/// took over from the shepherded run's engine.
+/// reused from the persistent solver, clauses the final input solve took
+/// over from the shepherded run's engine, and gates the bit-blaster found
+/// already built.
 const SOLVER: &[(&str, &str)] = &[
     ("Queries", "solver.queries"),
     ("Stalls", "solver.stalls"),
@@ -55,6 +56,7 @@ const SOLVER: &[(&str, &str)] = &[
     ("Cache Misses", "solver.cache_misses"),
     ("Probe Reused", "solver.clauses_reused"),
     ("Handoff Reused", "solver.handoff_reused_clauses"),
+    ("Gates Shared", "solver.gates_shared"),
 ];
 
 /// The solver's phase spans, nested in every `solver.query`, with their

@@ -656,6 +656,9 @@ mod tests {
 
     #[test]
     fn spill_dir_keeps_evicted_traces_readable() {
+        // Serialized with the chaos tests: an armed spill fault would
+        // reach these spills too.
+        let _l = crate::testsync::chaos_lock();
         let dir = std::env::temp_dir().join(format!("er-fleet-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = TraceStore::new(StoreConfig {
@@ -676,6 +679,9 @@ mod tests {
 
     #[test]
     fn deleted_spill_file_is_a_typed_error() {
+        // Serialized with the chaos tests: an armed spill fault would
+        // reach these spills too.
+        let _l = crate::testsync::chaos_lock();
         let dir = std::env::temp_dir().join(format!("er-fleet-rm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = TraceStore::new(StoreConfig {

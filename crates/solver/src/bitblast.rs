@@ -41,7 +41,8 @@ enum Blasted {
 /// variable encodings are definitional (they constrain nothing by
 /// themselves), so cached entries stay sound as the formula grows.
 /// [`BitBlaster::begin_scope`] / [`BitBlaster::rollback_scope`] bracket
-/// assumption-only blasting so its clauses and cache entries can be undone.
+/// assumption-only blasting so its clauses and cache entries can be undone,
+/// along with the [`Cnf`]'s shared gates that the scope defined.
 ///
 /// Lowering is demand-driven: a node is blasted at the number of low bits
 /// its consumers read (the low `k` bits of a sum, product or bitwise

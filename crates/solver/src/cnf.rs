@@ -1,5 +1,7 @@
 //! CNF representation and Tseitin gate helpers.
 
+use crate::hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// A propositional variable (0-based).
@@ -68,8 +70,16 @@ impl fmt::Display for Lit {
 #[derive(Debug, Clone, Copy)]
 pub struct CnfMark {
     n_clauses: usize,
+    n_fresh_gates: usize,
     const_true: Option<Lit>,
 }
+
+/// A gate's normalized input literals, the key it is shared under.
+///
+/// Folding has already returned every gate with a repeated input, so the
+/// three kinds cannot collide: an ITE `(c, t, e)` has `t != e`, an AND of
+/// `a < b` is `(a, b, b)`, and an XOR of positive `p > q` is `(p, q, q)`.
+type GateKey = (u32, u32, u32);
 
 /// A CNF formula under construction, with Tseitin helpers.
 ///
@@ -82,6 +92,12 @@ pub struct CnfMark {
 /// Pending clauses are stored flat: every literal back to back in one
 /// vector, plus the end offset of each clause, so adding a clause never
 /// allocates on its own. An empty clause means trivially unsatisfiable.
+///
+/// Gates are hash-consed: a second AND, XOR or ITE over the same
+/// normalized inputs returns the first one's output and adds no clause.
+/// An entry lives exactly as long as its defining clauses: one added
+/// since a [`Cnf::mark`] leaves the table at the matching
+/// [`Cnf::rollback`], and a drained one stays for the formula's life.
 #[derive(Debug, Default, Clone)]
 pub struct Cnf {
     n_vars: u32,
@@ -92,6 +108,14 @@ pub struct Cnf {
     /// `lits`.
     ends: Vec<usize>,
     const_true: Option<Lit>,
+    /// Every gate's output literal, by its normalized inputs.
+    gates: FxHashMap<GateKey, Lit>,
+    /// Keys of the gates added since the last drain, oldest first: the
+    /// entries a rollback may have to take out again.
+    fresh_gates: Vec<GateKey>,
+    /// Gate requests answered from the table since the last
+    /// [`Cnf::take_gates_shared`].
+    gates_shared: u64,
 }
 
 impl Cnf {
@@ -137,6 +161,7 @@ impl Cnf {
         self.drained += self.ends.len();
         self.lits.clear();
         self.ends.clear();
+        self.fresh_gates.clear();
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -149,6 +174,7 @@ impl Cnf {
     pub fn mark(&self) -> CnfMark {
         CnfMark {
             n_clauses: self.clause_count(),
+            n_fresh_gates: self.fresh_gates.len(),
             const_true: self.const_true,
         }
     }
@@ -163,11 +189,40 @@ impl Cnf {
     /// restores exactly the pre-mark formula. Variables allocated since the
     /// mark stay allocated and their numbers are never handed out again: a
     /// persistent SAT solver may still hold (disabled) clauses over them.
+    /// Gates defined since the mark leave the table with their clauses, so
+    /// a later request builds them afresh.
     pub fn rollback(&mut self, mark: &CnfMark) {
         debug_assert!(self.drained <= mark.n_clauses && mark.n_clauses <= self.clause_count());
         self.ends.truncate(mark.n_clauses - self.drained);
         self.lits.truncate(self.ends.last().copied().unwrap_or(0));
         self.const_true = mark.const_true;
+        for key in self.fresh_gates.drain(mark.n_fresh_gates..) {
+            self.gates.remove(&key);
+        }
+    }
+
+    /// Gate requests answered by an existing gate since the last call.
+    pub(crate) fn take_gates_shared(&mut self) -> u64 {
+        std::mem::take(&mut self.gates_shared)
+    }
+
+    /// The output literal of the gate keyed `key`, negated if `flip` is 1:
+    /// `Ok` with the existing gate's, or `Err` with a fresh variable's,
+    /// now entered under `key`, for the caller to define by its clauses.
+    fn gate(&mut self, key: GateKey, flip: u32) -> Result<Lit, Lit> {
+        match self.gates.entry(key) {
+            Entry::Occupied(e) => {
+                self.gates_shared += 1;
+                Ok(Lit(e.get().0 ^ flip))
+            }
+            Entry::Vacant(e) => {
+                let out = Lit::pos(Var(self.n_vars));
+                self.n_vars += 1;
+                e.insert(Lit(out.0 ^ flip));
+                self.fresh_gates.push(key);
+                Err(out)
+            }
+        }
     }
 
     /// A literal that is always true (lazily created).
@@ -213,7 +268,11 @@ impl Cnf {
         if a == !b {
             return self.false_lit();
         }
-        let out = Lit::pos(self.new_var());
+        let key = (a.0.min(b.0), a.0.max(b.0), a.0.max(b.0));
+        let out = match self.gate(key, 0) {
+            Ok(shared) => return shared,
+            Err(out) => out,
+        };
         self.add_clause(&[!out, a]);
         self.add_clause(&[!out, b]);
         self.add_clause(&[out, !a, !b]);
@@ -240,7 +299,14 @@ impl Cnf {
         if a == !b {
             return self.true_lit();
         }
-        let out = Lit::pos(self.new_var());
+        // Keyed on the positive inputs: each negated input flips the output.
+        let (p, q) = (a.0 & !1, b.0 & !1);
+        let flip = (a.0 ^ b.0) & 1;
+        let key = (p.max(q), p.min(q), p.min(q));
+        let out = match self.gate(key, flip) {
+            Ok(shared) => return shared,
+            Err(out) => out,
+        };
         self.add_clause(&[!out, a, b]);
         self.add_clause(&[!out, !a, !b]);
         self.add_clause(&[out, !a, b]);
@@ -273,7 +339,16 @@ impl Cnf {
             (None, Some(false)) => return self.and_gate(c, t),
             _ => {}
         }
-        let out = Lit::pos(self.new_var());
+        // A negated condition swaps the branches.
+        let key = if c.is_pos() {
+            (c.0, t.0, e.0)
+        } else {
+            ((!c).0, e.0, t.0)
+        };
+        let out = match self.gate(key, 0) {
+            Ok(shared) => return shared,
+            Err(out) => out,
+        };
         self.add_clause(&[!out, !c, t]);
         self.add_clause(&[!out, c, e]);
         self.add_clause(&[out, !c, !t]);
@@ -380,6 +455,91 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A formula with `n` free input variables.
+    fn inputs<const N: usize>() -> (Cnf, [Lit; N]) {
+        let mut cnf = Cnf::new();
+        let lits = [(); N].map(|()| Lit::pos(cnf.new_var()));
+        (cnf, lits)
+    }
+
+    #[test]
+    fn repeated_and_gate_is_shared_in_either_order() {
+        let (mut cnf, [a, b]) = inputs();
+        let out = cnf.and_gate(a, b);
+        let (vars, clauses) = (cnf.var_count(), cnf.clause_count());
+        assert_eq!(cnf.and_gate(a, b), out);
+        assert_eq!(cnf.and_gate(b, a), out);
+        assert_eq!(cnf.or_gate(!a, !b), !out, "an OR is a negated AND");
+        assert_eq!((cnf.var_count(), cnf.clause_count()), (vars, clauses));
+        assert_eq!(cnf.take_gates_shared(), 3);
+        assert_eq!(cnf.take_gates_shared(), 0);
+        assert_ne!(cnf.and_gate(!a, b), out, "other polarities are other gates");
+    }
+
+    #[test]
+    fn xor_gate_shares_across_input_negations() {
+        let (mut cnf, [a, b]) = inputs();
+        let out = cnf.xor_gate(!a, b);
+        let clauses = cnf.clause_count();
+        assert_eq!(cnf.xor_gate(a, b), !out);
+        assert_eq!(cnf.xor_gate(b, !a), out);
+        assert_eq!(cnf.xor_gate(!a, !b), !out);
+        assert_eq!(cnf.iff_gate(a, b), out);
+        assert_eq!(cnf.clause_count(), clauses);
+        assert_eq!(cnf.take_gates_shared(), 4);
+    }
+
+    #[test]
+    fn ite_gate_with_a_negated_condition_swaps_branches() {
+        let (mut cnf, [c, t, e]) = inputs();
+        let out = cnf.ite_gate(!c, t, e);
+        let clauses = cnf.clause_count();
+        assert_eq!(cnf.ite_gate(c, e, t), out);
+        assert_eq!(cnf.ite_gate(!c, t, e), out);
+        assert_eq!(cnf.clause_count(), clauses);
+        assert_ne!(cnf.ite_gate(c, t, e), out);
+    }
+
+    #[test]
+    fn kinds_never_share_with_each_other() {
+        // Same input literals, three kinds: three gates.
+        let (mut cnf, [a, b]) = inputs();
+        let and = cnf.and_gate(a, b);
+        let xor = cnf.xor_gate(a, b);
+        let ite = cnf.ite_gate(a, b, !b);
+        let outs = [and, xor, ite].map(Lit::var);
+        assert!(outs[0] != outs[1] && outs[1] != outs[2] && outs[0] != outs[2]);
+        assert_eq!(cnf.take_gates_shared(), 0);
+    }
+
+    #[test]
+    fn a_rolled_back_gate_is_built_afresh() {
+        let (mut cnf, [a, b, c]) = inputs();
+        let kept = cnf.and_gate(a, b);
+        let mark = cnf.mark();
+        let gone = cnf.xor_gate(b, c);
+        assert_eq!(cnf.and_gate(b, a), kept, "a scope shares pre-mark gates");
+        let vars = cnf.var_count();
+        cnf.rollback(&mark);
+        let clauses = cnf.clause_count();
+        let again = cnf.xor_gate(b, c);
+        assert_ne!(again.var(), gone.var(), "not the truncated literal");
+        assert_eq!(again.var().0, vars, "a fresh variable");
+        assert_eq!(cnf.clause_count(), clauses + 4, "with its clauses");
+        assert_eq!(cnf.and_gate(a, b), kept, "pre-mark gates survive");
+    }
+
+    #[test]
+    fn drained_gates_stay_shared() {
+        let (mut cnf, [a, b]) = inputs();
+        let out = cnf.and_gate(a, b);
+        cnf.drain(|_| {});
+        let mark = cnf.mark();
+        cnf.rollback(&mark);
+        assert_eq!(cnf.and_gate(b, a), out);
+        assert_eq!(cnf.pending().count(), 0);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! - **Bit-blasting** keeps its Tseitin cache in a persistent
 //!   [`BitBlaster`]. Its CNF holds only the clauses of the lowering in
 //!   progress: each query drains them into the SAT solver, so every
-//!   committed clause is stored exactly once.
+//!   committed clause is stored exactly once. Gates are hash-consed on
+//!   their inputs for the engine's life, so a gate that an earlier
+//!   constraint built is not built or fed again.
 //! - **CDCL state** (clause database, learned clauses, VSIDS activity,
 //!   saved phases) lives in a persistent [`SatSolver`] fed only the *new*
 //!   clauses each query.
@@ -149,6 +151,7 @@ impl IncrementalSolver {
         let _span = er_telemetry::span!("solver.query");
         let (result, hits, misses, reused) =
             self.check_assuming_inner(pool, constraints, assumptions, budget);
+        let gates_shared = self.blast.cnf.take_gates_shared();
         if er_telemetry::enabled() {
             // One batched update per query: the lowering pipeline itself
             // runs uninstrumented.
@@ -159,6 +162,7 @@ impl IncrementalSolver {
             er_telemetry::counter!("solver.cache_hits").add(hits);
             er_telemetry::counter!("solver.cache_misses").add(misses);
             er_telemetry::counter!("solver.clauses_reused").add(reused);
+            er_telemetry::counter!("solver.gates_shared").add(gates_shared);
             if matches!(result, SatResult::Unknown(_)) {
                 er_telemetry::counter!("solver.stalls").incr();
             }
