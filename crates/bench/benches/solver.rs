@@ -2,8 +2,10 @@
 //! ER's stall model (bitvector solving, array-chain elimination).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use er_solver::cnf::{Lit, Var};
 use er_solver::expr::{BvOp, CmpKind, ExprPool};
 use er_solver::inc::IncrementalSolver;
+use er_solver::sat::{SatOutcome, SatSolver};
 use er_solver::solve::{Budget, SatResult, StallReason};
 
 fn bench_linear_bv(c: &mut Criterion) {
@@ -240,6 +242,39 @@ fn bench_deep_table_hash(c: &mut Criterion) {
     });
 }
 
+/// The SAT solver's fixed costs at the size of one deep-solve engine:
+/// 2,200 variables and 6,400 random 3-clauses (satisfiable at that ratio)
+/// fed into a fresh solver, one search, and four clones, as checkpoints
+/// and the final-solve handoff take them. Feeding grows every literal's
+/// watch list and a clone copies them all.
+fn bench_sat_feed_clone(c: &mut Criterion) {
+    const VARS: u32 = 2_200;
+    let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+    let mut rand = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed
+    };
+    let clauses: Vec<[Lit; 3]> = (0..6_400)
+        .map(|_| {
+            [(); 3].map(|()| Lit::new(Var((rand() % u64::from(VARS)) as u32), rand() & 1 == 0))
+        })
+        .collect();
+    c.bench_function("solver/sat_feed_clone", |b| {
+        b.iter(|| {
+            let mut s = SatSolver::new();
+            s.ensure_vars(VARS as usize);
+            for clause in &clauses {
+                s.push_clause(clause);
+            }
+            assert!(matches!(s.solve(100_000), SatOutcome::Sat(_)));
+            let clones: Vec<SatSolver> = (0..4).map(|_| s.clone()).collect();
+            criterion::black_box(clones);
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_linear_bv,
@@ -248,6 +283,7 @@ criterion_group!(
     bench_object_size,
     bench_address_probe,
     bench_stalled_elimination,
-    bench_deep_table_hash
+    bench_deep_table_hash,
+    bench_sat_feed_clone
 );
 criterion_main!(benches);

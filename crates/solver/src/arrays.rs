@@ -2,19 +2,23 @@
 //!
 //! `Read(Write(...), i)` chains become ITE chains (one comparison per
 //! store), and reads of base arrays at symbolic indices become fresh
-//! variables constrained by one axiom per array cell. Elimination work is
-//! therefore proportional to **write-chain length × array size** — the two
-//! constraint-complexity sources §3.3.1 of the paper identifies — and a
-//! configurable cell budget turns excessive work into a reported *stall*
-//! instead of an unbounded solve.
+//! variables constrained by one axiom for the array's most common value
+//! plus one per reachable cell holding another (the constant-array reads
+//! of KLEE, Cadar, Dunbar & Engler, OSDI 2008). The cell budget still
+//! charges every read the whole array, so elimination cost is accounted
+//! as **write-chain length × array size** — the two constraint-complexity
+//! sources §3.3.1 of the paper identifies — and a configurable cell budget
+//! turns excessive work into a reported *stall* instead of an unbounded
+//! solve.
 //!
 //! A stall is decided before anything is built: [`Eliminator::would_trip`]
 //! counts the cells a rewrite would instantiate by walking the constraint
 //! without interning a node, so a lowering that would trip the budget
 //! leaves no trace in the pool.
 
-use crate::expr::{ArrayNode, ArrayRef, ExprPool, ExprRef, Node};
+use crate::expr::{ArrayDecl, ArrayNode, ArrayRef, ExprPool, ExprRef, Node};
 use crate::hash::{FxHashMap, FxHashSet};
+use crate::known::KnownBits;
 use std::fmt;
 
 /// Elimination exceeded its cell budget: the solver stalls.
@@ -292,61 +296,93 @@ impl Eliminator {
                 Ok(pool.ite(cond, value, under))
             }
             ArrayNode::Base(id) => {
-                let decl = pool.array_decl(id).clone();
+                let decl = pool.array_decl(id);
+                let (len, elem_bits) = (decl.len, decl.elem_bits);
                 if let Some(k) = pool.as_const(idx) {
-                    let v = decl
-                        .init
-                        .as_ref()
-                        .map(|init| init.get(k as usize).copied().unwrap_or(0))
-                        .unwrap_or(0);
-                    return Ok(pool.bv_const(v, decl.elem_bits));
+                    let v = decl.init_value(k);
+                    return Ok(pool.bv_const(v, elem_bits));
                 }
                 if let Some(&var) = self.base_reads.get(&(id, idx)) {
                     return Ok(var);
                 }
-                self.stats.cells += decl.len;
+                self.stats.cells += len;
                 if self.stats.cells > max_cells {
                     return Err(ArrayBudgetExceeded {
                         cells: self.stats.cells,
                         budget: max_cells,
                     });
                 }
-                let fresh = pool.var(format!("{}[{}]", decl.name, idx), decl.elem_bits);
+                let name = format!("{}[{}]", decl.name, idx);
+                let (default, exceptions) = split_cells(decl, pool.known_bits(idx));
+                let fresh = pool.var(name, elem_bits);
                 self.base_reads.insert((id, idx), fresh);
                 if let Some(scope) = &mut self.scope {
                     scope.base_read_keys.push((id, idx));
                 }
-                // One axiom per cell: (idx == k) -> fresh == init[k]. A cell
-                // the index's known bits rule out folds to `true` and is
-                // left out; it still counts in `cells` above, so budget
-                // trip points do not depend on the folding.
+                // One axiom per exception cell, (idx == k) -> fresh ==
+                // init[k], and one for the rest: no exception hit ->
+                // fresh == default. Under the in-bounds axiom `idx` is one
+                // reachable cell, so both force `fresh` to that cell's
+                // value, as one axiom per cell would. Every cell still
+                // counts in `cells` above, so budget trip points do not
+                // depend on the contents or on the known bits.
                 let idx_bits = pool.sort(idx).bits();
-                for k in 0..decl.len {
+                let mut any_hit = pool.bool_const(false);
+                for (k, v) in exceptions {
                     let kv = pool.bv_const(k, idx_bits);
                     let hit = pool.cmp(crate::expr::CmpKind::Eq, idx, kv);
                     if pool.as_const(hit) == Some(0) {
                         continue;
                     }
                     let nhit = pool.not(hit);
-                    let v = decl
-                        .init
-                        .as_ref()
-                        .map(|init| init.get(k as usize).copied().unwrap_or(0))
-                        .unwrap_or(0);
-                    let cv = pool.bv_const(v, decl.elem_bits);
+                    let cv = pool.bv_const(v, elem_bits);
                     let eqv = pool.cmp(crate::expr::CmpKind::Eq, fresh, cv);
                     let ax = pool.or(nhit, eqv);
                     axioms.push(ax);
+                    any_hit = pool.or(any_hit, hit);
                 }
+                let dv = pool.bv_const(default, elem_bits);
+                let is_default = pool.cmp(crate::expr::CmpKind::Eq, fresh, dv);
+                let ax = pool.or(any_hit, is_default);
+                axioms.push(ax);
                 // In-bounds axiom: the memory model faults on out-of-range
                 // accesses, and the trace says this access did not fault.
-                let len_v = pool.bv_const(decl.len, idx_bits);
+                let len_v = pool.bv_const(len, idx_bits);
                 let inb = pool.cmp(crate::expr::CmpKind::Ult, idx, len_v);
                 axioms.push(inb);
                 Ok(fresh)
             }
         }
     }
+}
+
+/// Splits the cells a symbolic read can reach into a default value and the
+/// exception cells that hold another, as `(k, init[k])` in index order.
+///
+/// A cell `k < len` is reachable when the index's known bits admit `k`:
+/// the others' `idx == k` folds to false. The default is the value most
+/// reachable cells hold; a tie goes to the value of the lowest-index
+/// reachable cell among the tied ones, so hash order never decides. An
+/// array without initial contents is all zeros and is not scanned.
+fn split_cells(decl: &ArrayDecl, known: KnownBits) -> (u64, Vec<(u64, u64)>) {
+    if decl.init.is_none() {
+        return (0, Vec::new());
+    }
+    let reachable = (0..decl.len).filter(|&k| known.admits(k));
+    // Per value: how many reachable cells hold it, and the first of them.
+    let mut tally: FxHashMap<u64, (u64, u64)> = FxHashMap::default();
+    for k in reachable.clone() {
+        tally.entry(decl.init_value(k)).or_insert((0, k)).0 += 1;
+    }
+    let default = tally
+        .iter()
+        .max_by_key(|&(_, &(count, first))| (count, std::cmp::Reverse(first)))
+        .map_or(0, |(&v, _)| v);
+    let exceptions = reachable
+        .map(|k| (k, decl.init_value(k)))
+        .filter(|&(_, v)| v != default)
+        .collect();
+    (default, exceptions)
 }
 
 /// One [`Eliminator::would_trip`] walk: the eliminator's committed state,
@@ -604,6 +640,125 @@ mod tests {
         let twelve = p.bv_const(12, 8);
         let miss = p.cmp(CmpKind::Eq, r, twelve);
         assert_eq!(check(&mut p, &[miss], 10_000), SatOutcome::Unsat);
+    }
+
+    /// `T[(i & 31) * 8 + 3]` over a 256-cell, 8-bit array.
+    fn strided_read(p: &mut ExprPool, init: Option<Vec<u64>>) -> (ExprRef, ExprRef) {
+        let arr = p.array("T", 256, 8, init);
+        let i = p.var("i", 64);
+        let m31 = p.bv_const(31, 64);
+        let eight = p.bv_const(8, 64);
+        let three = p.bv_const(3, 64);
+        let masked = p.bin(BvOp::And, i, m31);
+        let scaled = p.bin(BvOp::Mul, masked, eight);
+        let idx = p.bin(BvOp::Add, scaled, three);
+        (idx, p.read(arr, idx))
+    }
+
+    #[test]
+    fn uniform_array_read_is_one_value_axiom() {
+        for init in [Some(vec![0; 256]), None] {
+            let mut p = ExprPool::new();
+            let (idx, r) = strided_read(&mut p, init);
+            let zero = p.bv_const(0, 8);
+            let hit = p.cmp(CmpKind::Eq, r, zero);
+            let mut elim = Eliminator::new();
+            let mut axioms = Vec::new();
+            let flat = elim.rewrite(&mut p, hit, 10_000, &mut axioms).unwrap();
+            assert_eq!(elim.stats().cells, 256, "the whole array is charged");
+            let Node::Cmp { a: fresh, .. } = *p.node(flat) else {
+                panic!("the read became a fresh variable");
+            };
+            assert_eq!(axioms.len(), 2, "the value axiom and the in-bounds axiom");
+            assert_eq!(axioms[0], p.cmp(CmpKind::Eq, fresh, zero));
+            let len = p.bv_const(256, 64);
+            assert_eq!(axioms[1], p.cmp(CmpKind::Ult, idx, len));
+            let compares_idx = (0..p.len() as u32).map(ExprRef).any(|e| {
+                matches!(*p.node(e), Node::Cmp { op: CmpKind::Eq, a, b }
+                    if a == idx && p.as_const(b).is_some())
+            });
+            assert!(!compares_idx, "no `idx == k` node is interned");
+            let one = p.bv_const(1, 8);
+            let other = p.cmp(CmpKind::Eq, r, one);
+            assert!(matches!(check(&mut p, &[hit], 10_000), SatOutcome::Sat(_)));
+            assert_eq!(check(&mut p, &[other], 10_000), SatOutcome::Unsat);
+        }
+    }
+
+    #[test]
+    fn exception_cells_get_their_own_axioms() {
+        // V is zero except V[5] = 9 and V[12] = 4.
+        let mut init = vec![0; 16];
+        init[5] = 9;
+        init[12] = 4;
+        let mut p = ExprPool::new();
+        let arr = p.array("V", 16, 8, Some(init));
+        let i = p.var("i", 64);
+        let r = p.read(arr, i);
+        let nine = p.bv_const(9, 8);
+        let is9 = p.cmp(CmpKind::Eq, r, nine);
+        let mut elim = Eliminator::new();
+        let mut axioms = Vec::new();
+        let flat = elim.rewrite(&mut p, is9, 10_000, &mut axioms).unwrap();
+        assert_eq!(elim.stats().cells, 16);
+        let Node::Cmp { a: fresh, .. } = *p.node(flat) else {
+            panic!("the read became a fresh variable");
+        };
+        // The pool is hash-consed, so the expected axioms are the same refs.
+        let cell = |p: &mut ExprPool, k: u64, v: u64| {
+            let kv = p.bv_const(k, 64);
+            let hit = p.cmp(CmpKind::Eq, i, kv);
+            let nhit = p.not(hit);
+            let vv = p.bv_const(v, 8);
+            let eqv = p.cmp(CmpKind::Eq, fresh, vv);
+            (hit, p.or(nhit, eqv))
+        };
+        let (hit5, ax5) = cell(&mut p, 5, 9);
+        let (hit12, ax12) = cell(&mut p, 12, 4);
+        let either = p.or(hit5, hit12);
+        let zero = p.bv_const(0, 8);
+        let is0 = p.cmp(CmpKind::Eq, fresh, zero);
+        let default = p.or(either, is0);
+        let len = p.bv_const(16, 64);
+        let inb = p.cmp(CmpKind::Ult, i, len);
+        assert_eq!(axioms, [ax5, ax12, default, inb]);
+
+        // V[i] == 9 forces i == 5; V[i] == 0 rules out cells 5 and 12.
+        let not5 = p.not(hit5);
+        assert_eq!(check(&mut p, &[is9, not5], 10_000), SatOutcome::Unsat);
+        let read0 = p.cmp(CmpKind::Eq, r, zero);
+        assert!(matches!(
+            check(&mut p, &[read0, not5], 10_000),
+            SatOutcome::Sat(_)
+        ));
+        assert_eq!(check(&mut p, &[read0, hit12], 10_000), SatOutcome::Unsat);
+    }
+
+    #[test]
+    fn default_value_tie_goes_to_the_lowest_reachable_cell() {
+        let cells = |init: &[u64]| ArrayDecl {
+            name: "V".into(),
+            len: init.len() as u64,
+            elem_bits: 8,
+            init: Some(init.to_vec()),
+        };
+        let all = KnownBits::UNKNOWN;
+        // 7 and 3 both hold two cells; 7 is met first.
+        let (default, exceptions) = split_cells(&cells(&[7, 3, 3, 7, 1]), all);
+        assert_eq!(default, 7);
+        assert_eq!(exceptions, [(1, 3), (2, 3), (4, 1)]);
+        // Only odd cells reachable: 3 (cell 1) comes before 7 (cell 3).
+        let odd = KnownBits { zeros: 0, ones: 1 };
+        let (default, exceptions) = split_cells(&cells(&[7, 3, 3, 7, 1, 8]), odd);
+        assert_eq!(default, 3);
+        assert_eq!(exceptions, [(3, 7), (5, 8)]);
+        // The same contents always give the same split.
+        for _ in 0..8 {
+            let d = split_cells(&cells(&[9, 4, 4, 9, 2, 2]), all);
+            assert_eq!(d, (9, vec![(1, 4), (2, 4), (4, 2), (5, 2)]));
+        }
+        // A majority wins over the first cell.
+        assert_eq!(split_cells(&cells(&[1, 2, 2]), all).0, 2);
     }
 
     #[test]

@@ -252,6 +252,16 @@ pub struct ArrayDecl {
     pub init: Option<Vec<u64>>,
 }
 
+impl ArrayDecl {
+    /// Initial value of cell `k`: 0 past the initial contents or without
+    /// any.
+    pub fn init_value(&self, k: u64) -> u64 {
+        self.init
+            .as_ref()
+            .map_or(0, |init| init.get(k as usize).copied().unwrap_or(0))
+    }
+}
+
 /// Metadata for a variable.
 #[derive(Debug, Clone)]
 pub struct VarDecl {

@@ -129,6 +129,98 @@ struct ClauseRef {
     len: u32,
 }
 
+/// One literal's watch list: `len` clause indices at `buf[start..]`, with
+/// room for `cap`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Segment {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Every literal's watch list in one buffer (MiniSat's pooled watches, Eén
+/// & Sörensson, SAT 2003), so growing, cloning and dropping a solver costs
+/// two allocations however many literals it has.
+///
+/// `push` and `swap_remove` leave a list's elements in exactly the order a
+/// `Vec` would, so propagation visits clauses in the same order. A full
+/// segment moves to the buffer's end at twice its capacity (at least 4),
+/// leaving its old slots dead. A segment that has moved from capacity `c`
+/// up to `C` has left `c + 2c + ... + C/2 = C - c` slots behind, so dead
+/// space stays below the live capacity; [`Watches::rebuild`] reclaims it.
+#[derive(Debug, Clone, Default)]
+struct Watches {
+    buf: Vec<u32>,
+    segs: Vec<Segment>,
+}
+
+impl Watches {
+    /// Grows to `n` lists; new lists are empty.
+    fn resize(&mut self, n: usize) {
+        self.segs.resize(n, Segment::default());
+    }
+
+    fn len(&self, lit: usize) -> usize {
+        self.segs[lit].len as usize
+    }
+
+    fn get(&self, lit: usize, i: usize) -> u32 {
+        let seg = self.segs[lit];
+        debug_assert!(i < seg.len as usize);
+        self.buf[seg.start as usize + i]
+    }
+
+    fn push(&mut self, lit: usize, ci: u32) {
+        let mut seg = self.segs[lit];
+        if seg.len == seg.cap {
+            let start = self.buf.len();
+            let cap = (2 * seg.cap).max(4);
+            self.buf.resize(start + cap as usize, 0);
+            let old = seg.start as usize;
+            self.buf.copy_within(old..old + seg.len as usize, start);
+            seg.start = start as u32;
+            seg.cap = cap;
+        }
+        self.buf[(seg.start + seg.len) as usize] = ci;
+        seg.len += 1;
+        self.segs[lit] = seg;
+    }
+
+    /// Removes element `i`, moving the last element into its place.
+    fn swap_remove(&mut self, lit: usize, i: usize) {
+        let seg = &mut self.segs[lit];
+        debug_assert!(i < seg.len as usize);
+        seg.len -= 1;
+        let start = seg.start as usize;
+        self.buf[start + i] = self.buf[start + seg.len as usize];
+    }
+
+    /// Replaces every list with the `(literal, clause)` pairs of
+    /// `entries`, each list in the order its pairs come. The buffer is
+    /// laid out afresh with each segment exactly full, so no dead space is
+    /// left.
+    fn rebuild<I: Iterator<Item = (usize, u32)> + Clone>(&mut self, entries: I) {
+        for seg in &mut self.segs {
+            *seg = Segment::default();
+        }
+        for (lit, _) in entries.clone() {
+            self.segs[lit].cap += 1;
+        }
+        let mut start = 0;
+        for seg in &mut self.segs {
+            seg.start = start;
+            start += seg.cap;
+        }
+        self.buf.clear();
+        self.buf.resize(start as usize, 0);
+        for (lit, ci) in entries {
+            let seg = &mut self.segs[lit];
+            self.buf[(seg.start + seg.len) as usize] = ci;
+            seg.len += 1;
+        }
+    }
+}
+
 /// Databases smaller than this are never swept (see [`SatSolver::release`]).
 const SWEEP_MIN_CLAUSES: usize = 1024;
 
@@ -162,15 +254,17 @@ fn lit_value(assign: &[LBool], l: Lit) -> LBool {
 /// it. Clauses learned meanwhile that depend on the temporary clauses
 /// carry `!act`, so releasing `act` disables all of them at once.
 ///
-/// Clauses live in one literal arena addressed by `(start, len)` refs, so
-/// adding a clause costs no allocation of its own.
+/// Clauses live in one literal arena addressed by `(start, len)` refs, and
+/// watch lists in one buffer of segments (`Watches`), so adding a clause
+/// costs no allocation of its own and a clone copies a fixed number of
+/// vectors.
 #[derive(Debug, Clone)]
 pub struct SatSolver {
     n_vars: usize,
     /// Literals of every clause, problem and learned, back to back.
     arena: Vec<Lit>,
     clauses: Vec<ClauseRef>,
-    watches: Vec<Vec<u32>>,
+    watches: Watches,
     assign: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<i32>,
@@ -199,7 +293,7 @@ impl SatSolver {
             n_vars: 0,
             arena: Vec::new(),
             clauses: Vec::new(),
-            watches: Vec::new(),
+            watches: Watches::default(),
             assign: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -224,7 +318,7 @@ impl SatSolver {
         if n <= self.n_vars {
             return;
         }
-        self.watches.resize(2 * n, Vec::new());
+        self.watches.resize(2 * n);
         self.assign.resize(n, LBool::Undef);
         self.level.resize(n, 0);
         self.reason.resize(n, -1);
@@ -322,8 +416,8 @@ impl SatSolver {
             len: lits.len() as u32,
         });
         self.arena.extend_from_slice(lits);
-        self.watches[(!lits[0]).index()].push(idx);
-        self.watches[(!lits[1]).index()].push(idx);
+        self.watches.push((!lits[0]).index(), idx);
+        self.watches.push((!lits[1]).index(), idx);
         idx
     }
 
@@ -357,8 +451,8 @@ impl SatSolver {
             let mut i = 0;
             let watch_idx = p.index();
             let false_lit = !p;
-            'clauses: while i < self.watches[watch_idx].len() {
-                let ci = self.watches[watch_idx][i];
+            'clauses: while i < self.watches.len(watch_idx) {
+                let ci = self.watches.get(watch_idx, i);
                 let cr = self.clauses[ci as usize];
                 let clause =
                     &mut self.arena[cr.start as usize..cr.start as usize + cr.len as usize];
@@ -377,8 +471,8 @@ impl SatSolver {
                     if lit_value(&self.assign, clause[k]) != LBool::False {
                         clause.swap(1, k);
                         let new_watch = !clause[1];
-                        self.watches[watch_idx].swap_remove(i);
-                        self.watches[new_watch.index()].push(ci);
+                        self.watches.swap_remove(watch_idx, i);
+                        self.watches.push(new_watch.index(), ci);
                         continue 'clauses;
                     }
                 }
@@ -503,7 +597,7 @@ impl SatSolver {
     }
 
     /// Drops every clause satisfied at the root level and rebuilds the
-    /// watch lists over the compacted arena. Only called at level 0 with
+    /// watch lists over the compacted arena, in clause order. Only called at level 0 with
     /// propagation complete, where each surviving clause's two watched
     /// literals are unassigned.
     fn sweep(&mut self) {
@@ -529,16 +623,14 @@ impl SatSolver {
         }
         self.arena.truncate(end);
         self.clauses.truncate(kept);
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for (i, cr) in self.clauses.iter().enumerate() {
-            let s = cr.start as usize;
-            debug_assert!(lit_value(&self.assign, self.arena[s]) == LBool::Undef);
-            debug_assert!(lit_value(&self.assign, self.arena[s + 1]) == LBool::Undef);
-            self.watches[(!self.arena[s]).index()].push(i as u32);
-            self.watches[(!self.arena[s + 1]).index()].push(i as u32);
-        }
+        let (arena, assign) = (&self.arena, &self.assign);
+        self.watches
+            .rebuild(self.clauses.iter().enumerate().flat_map(|(i, cr)| {
+                let s = cr.start as usize;
+                debug_assert!(lit_value(assign, arena[s]) == LBool::Undef);
+                debug_assert!(lit_value(assign, arena[s + 1]) == LBool::Undef);
+                [(!arena[s]).index(), (!arena[s + 1]).index()].map(|w| (w, i as u32))
+            }));
         // Sweeping renumbers clauses. Root-level reasons are never read by
         // conflict analysis, so clearing them keeps every stored index valid.
         for &l in &self.trail {
@@ -735,6 +827,7 @@ fn satisfies(assignment: &[bool], clause: &[Lit]) -> bool {
 mod tests {
     use super::*;
     use crate::cnf::Cnf;
+    use proptest::prelude::*;
 
     fn lit(v: u32, pos: bool) -> Lit {
         Lit::new(Var(v), pos)
@@ -1014,5 +1107,121 @@ mod tests {
         assert!(m[..n].iter().all(|&b| b));
         s.push_clause(&[lit(n as u32 - 1, false)]);
         assert_eq!(s.solve(100_000), SatOutcome::Unsat);
+    }
+
+    #[test]
+    fn clone_after_sweep_answers_like_the_original() {
+        // Feed, search under a guard, release the guard (sweeping the
+        // guarded clauses out), then clone: both must answer a run of
+        // assumption searches with the same outcomes, models and stats.
+        let mut seed = 0x5eed_cafe_u64;
+        let mut rand = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let vars = 600;
+        let mut s = SatSolver::new();
+        s.ensure_vars(vars as usize + 1);
+        for _ in 0..1_500 {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| lit((rand() % u64::from(vars)) as u32, rand() % 2 == 0))
+                .collect();
+            s.push_clause(&c);
+        }
+        let act = lit(vars, true);
+        for _ in 0..700 {
+            let c = [
+                !act,
+                lit((rand() % u64::from(vars)) as u32, rand() % 2 == 0),
+                lit((rand() % u64::from(vars)) as u32, rand() % 2 == 0),
+            ];
+            s.push_clause(&c);
+        }
+        assert!(matches!(
+            s.solve_assuming(&[act], 100_000),
+            SatOutcome::Sat(_) | SatOutcome::Unsat
+        ));
+        let before = s.clause_count();
+        s.release(act);
+        assert!(s.clause_count() < before, "the release swept");
+        let mut twin = s.clone();
+        let mut outcomes = [0; 2];
+        for _ in 0..40 {
+            let assumptions: Vec<Lit> = (0..4)
+                .map(|_| lit((rand() % u64::from(vars)) as u32, rand() % 2 == 0))
+                .collect();
+            let a = s.solve_assuming(&assumptions, 100_000);
+            let b = twin.solve_assuming(&assumptions, 100_000);
+            assert_eq!(a, b);
+            assert_eq!(s.stats(), twin.stats());
+            outcomes[usize::from(matches!(a, SatOutcome::Sat(_)))] += 1;
+        }
+        assert!(
+            outcomes[1] > 0,
+            "some searches are satisfiable: {outcomes:?}"
+        );
+    }
+
+    /// Every list of `w`, in order.
+    fn lists(w: &Watches) -> Vec<Vec<u32>> {
+        (0..w.segs.len())
+            .map(|l| (0..w.len(l)).map(|i| w.get(l, i)).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random pushes, swap-removes and sweeps (a sweep keeps some
+        /// entries and lays them out again in clause order) leave every
+        /// list as a `Vec` would, with dead space below live capacity.
+        #[test]
+        fn watch_buffer_keeps_vec_order(
+            steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..400),
+        ) {
+            const LITS: usize = 12;
+            let mut w = Watches::default();
+            w.resize(LITS);
+            let mut model: Vec<Vec<u32>> = vec![Vec::new(); LITS];
+            for &(kind, at, x) in &steps {
+                let l = usize::from(at) % LITS;
+                match kind % 8 {
+                    0..=4 => {
+                        w.push(l, u32::from(x));
+                        model[l].push(u32::from(x));
+                    }
+                    5 | 6 => {
+                        if !model[l].is_empty() {
+                            let i = usize::from(x) % model[l].len();
+                            w.swap_remove(l, i);
+                            model[l].swap_remove(i);
+                        }
+                    }
+                    _ => {
+                        let mut kept: Vec<(usize, u32)> = model
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(l, list)| list.iter().map(move |&c| (l, c)))
+                            .filter(|&(_, c)| (c ^ u32::from(x)) % 3 != 0)
+                            .collect();
+                        kept.sort_by_key(|&(_, c)| c);
+                        w.rebuild(kept.iter().copied());
+                        for list in &mut model {
+                            list.clear();
+                        }
+                        for &(l, c) in &kept {
+                            model[l].push(c);
+                        }
+                        prop_assert_eq!(w.buf.len(), kept.len(), "a rebuild leaves no dead space");
+                    }
+                }
+                prop_assert_eq!(&lists(&w), &model);
+                let live: usize = w.segs.iter().map(|s| s.cap as usize).sum();
+                let dead = w.buf.len() - live;
+                prop_assert!(dead == 0 || dead < live, "dead {} vs live capacity {}", dead, live);
+            }
+        }
     }
 }

@@ -111,11 +111,7 @@ pub fn fold_read(
                     return None;
                 }
                 let bits = decl.elem_bits;
-                let v = decl
-                    .init
-                    .as_ref()
-                    .map(|init| init.get(idx as usize).copied().unwrap_or(0))
-                    .unwrap_or(0);
+                let v = decl.init_value(idx);
                 return Some(pool.bv_const(v, bits));
             }
         }
@@ -194,13 +190,7 @@ fn eval_array(
                 eval_array(pool, *arr, idx, lookup)
             }
         }
-        ArrayNode::Base(id) => {
-            let decl = pool.array_decl(*id);
-            decl.init
-                .as_ref()
-                .map(|init| init.get(idx as usize).copied().unwrap_or(0))
-                .unwrap_or(0)
-        }
+        ArrayNode::Base(id) => pool.array_decl(*id).init_value(idx),
     }
 }
 
