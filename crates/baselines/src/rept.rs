@@ -370,19 +370,6 @@ impl Default for ReptAnalysis {
 }
 
 impl ReptAnalysis {
-    /// Like [`ReptAnalysis::analyze`] but also returns per-entry recovered
-    /// values (diagnostics and tests).
-    pub fn analyze_values(&self, tape: &ConcreteTape, window: usize) -> Vec<Option<u64>> {
-        let start = tape.entries.len().saturating_sub(window);
-        let entries = &tape.entries[start..];
-        let mut values: Vec<Option<u64>> = vec![None; entries.len()];
-        for _round in 0..3 {
-            self.backward_pass(tape, entries, &mut values);
-            self.forward_pass(tape, entries, &mut values);
-        }
-        values
-    }
-
     /// Runs iterative backward/forward recovery (REPT's core loop) over the
     /// last `window` entries of `tape` and grades the result against ground
     /// truth.

@@ -130,11 +130,6 @@ impl RrRecorder {
         self.supervisor_state[(h % n) as usize] = h as u8;
         self.checksum = h;
     }
-
-    /// The recorded event count.
-    pub fn event_count(&self) -> usize {
-        self.log.events.len()
-    }
 }
 
 impl TraceSink for RrRecorder {

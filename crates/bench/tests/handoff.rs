@@ -4,21 +4,24 @@
 //! must replay the failure, and an injected solver stall must still surface
 //! from it.
 //!
-//! Covers the thirteen Table-1 workloads at test scale plus a few programs
-//! written here in the shape of the solver-bound benchmark workload: a
-//! multiply-xorshift hash pinned to 16 bits behind three 32-entry symbolic
-//! tables.
+//! Covers the thirteen Table-1 workloads at test scale, the resumed next
+//! occurrence of each that takes several (its run starts a fresh engine
+//! from a checkpoint, so its final solve lowers the inherited path), plus
+//! a few programs written here in the shape of the solver-bound benchmark
+//! workload: a multiply-xorshift hash pinned to 16 bits behind three
+//! 32-entry symbolic tables.
 
 use er_core::deploy::{Deployment, FailureOccurrence};
 use er_core::instrument::InstrumentedProgram;
-use er_core::reconstruct::{ErConfig, Reconstructor};
+use er_core::reconstruct::{align_cursors, ErConfig, Reconstructor};
 use er_core::shepherd::{self, SolveFailure};
 use er_core::testcase::{TestCase, VerifyResult};
 use er_minilang::env::Env;
 use er_minilang::ir::{InstrId, Program};
+use er_pt::TraceEvent;
 use er_solver::inc::IncrementalSolver;
 use er_solver::solve::{Budget, SatResult, StallReason};
-use er_symex::ShepherdStatus;
+use er_symex::{MachineState, ShepherdStatus};
 use er_workloads::Scale;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -30,23 +33,33 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Shepherds `occ` (produced by `inst`) and checks the handed-off final
-/// solve against a fresh solve of `path + failure constraint`. Returns the
-/// clauses the final solve took over from the run, or `None` without
-/// checking if shepherding did not complete.
+/// A completed run whose handed-off final solve agreed with a fresh one.
+struct Agreed {
+    /// Clauses the final solve took over from the run's engine.
+    reused: usize,
+    /// The run's checkpoints, for resuming the next occurrence.
+    checkpoints: Vec<MachineState>,
+}
+
+/// Shepherds `events` of `occ` (produced by `inst`), resumed from `from`
+/// if given, and checks the handed-off final solve against a fresh solve
+/// of `path + failure constraint`. `None` without checking if shepherding
+/// did not complete.
 fn handoff_agrees(
     name: &str,
     program: &Program,
     inst: &InstrumentedProgram,
     occ: &FailureOccurrence,
+    events: &[TraceEvent],
+    from: Option<MachineState>,
     config: &ErConfig,
-) -> Option<usize> {
-    let events = occ.trace.decode().expect("trace decodes").events;
+) -> Option<Agreed> {
     let mut run =
-        shepherd::shepherd_events(&inst.program, &events, Some(&occ.failure), config.sym, None).run;
+        shepherd::shepherd_events(&inst.program, events, Some(&occ.failure), config.sym, from).run;
     if run.status != ShepherdStatus::Completed {
         return None;
     }
+    let checkpoints = std::mem::take(&mut run.checkpoints);
     let assertions: Vec<_> = run
         .path
         .iter()
@@ -78,7 +91,26 @@ fn handoff_agrees(
         | (SatResult::Unknown(_), Err(SolveFailure::Stall(_))) => {}
         (fresh, handed) => panic!("{name}: fresh solve {fresh:?} but handed-off {handed:?}"),
     }
-    Some(reused)
+    Some(Agreed {
+        reused,
+        checkpoints,
+    })
+}
+
+/// The latest of `checkpoints` (taken along `old`) inside the prefix `new`
+/// shares with `old`, moved to its cursor in `new`.
+fn resume_point(
+    old: &[TraceEvent],
+    checkpoints: &[MachineState],
+    new: &[TraceEvent],
+) -> Option<MachineState> {
+    let cursors: Vec<usize> = checkpoints.iter().map(MachineState::cursor).collect();
+    let mapped = align_cursors(old, new, &cursors);
+    checkpoints
+        .iter()
+        .zip(mapped)
+        .rev()
+        .find_map(|(s, at)| Some(s.clone().with_cursor(at?)))
 }
 
 #[test]
@@ -98,8 +130,18 @@ fn table1_final_solves_match_a_fresh_solver() {
             .collect();
         let program = deployment.program();
         let inst = InstrumentedProgram::new(program, &sites);
+        // A workload that took several occurrences also checks a later
+        // occurrence resumed from the first completed run's checkpoints
+        // (a trace shorter than the checkpoint spacing leaves none).
+        let want_resumed = report.occurrences > 1;
         let mut start = 0;
-        let compared = (0..8).any(|_| {
+        let mut prev: Option<(Vec<TraceEvent>, Vec<MachineState>)> = None;
+        let mut resumed = false;
+        let done = |prev: &Option<(_, Vec<MachineState>)>, resumed: bool| {
+            prev.as_ref()
+                .is_some_and(|(_, checkpoints)| resumed || !want_resumed || checkpoints.is_empty())
+        };
+        for _ in 0..8 {
             let occ = deployment
                 .run_until_failure(
                     &inst,
@@ -109,11 +151,29 @@ fn table1_final_solves_match_a_fresh_solver() {
                 )
                 .unwrap_or_else(|| panic!("{}: failure does not reoccur", w.name));
             start = occ.run_index + 1;
-            handoff_agrees(w.name, program, &inst, &occ, &config).is_some()
-        });
+            let events = occ.trace.decode().expect("trace decodes").events;
+            let from = prev
+                .as_ref()
+                .and_then(|(old, checkpoints)| resume_point(old, checkpoints, &events));
+            let from_checkpoint = from.is_some();
+            if let Some(agreed) =
+                handoff_agrees(w.name, program, &inst, &occ, &events, from, &config)
+            {
+                resumed |= from_checkpoint;
+                prev.get_or_insert((events, agreed.checkpoints));
+            }
+            if done(&prev, resumed) {
+                break;
+            }
+        }
         assert!(
-            compared,
+            prev.is_some(),
             "{}: no occurrence shepherded to completion",
+            w.name
+        );
+        assert!(
+            done(&prev, resumed),
+            "{}: no later occurrence resumed and completed",
             w.name
         );
     }
@@ -196,8 +256,10 @@ fn deep_solve_shaped_final_solves_match_a_fresh_solver() {
         let occ = deployment
             .run_until_failure(&inst, None, 0, 16)
             .expect("every fourth run crashes");
-        let reused = handoff_agrees(&name, program, &inst, &occ, &config)
-            .unwrap_or_else(|| panic!("{name}: shepherding did not complete"));
+        let events = occ.trace.decode().expect("trace decodes").events;
+        let reused = handoff_agrees(&name, program, &inst, &occ, &events, None, &config)
+            .unwrap_or_else(|| panic!("{name}: shepherding did not complete"))
+            .reused;
         assert!(
             reused > 0,
             "{name}: the final solve reuses the run's engine"

@@ -92,13 +92,6 @@ impl Default for ReoccurrenceModel {
     }
 }
 
-impl ReoccurrenceModel {
-    /// Simulated timestamp at which run `run` completes.
-    pub fn sim_ns_for_run(&self, run: u64) -> u64 {
-        (run + 1).saturating_mul(self.inter_arrival_ns)
-    }
-}
-
 /// A simulated production environment for one application.
 ///
 /// Generators are `Send + Sync` so one deployment can serve many concurrent

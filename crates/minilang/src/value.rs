@@ -195,21 +195,6 @@ impl CmpOp {
             CmpOp::Sle => (w.sext(a) as i64) <= (w.sext(b) as i64),
         }
     }
-
-    /// The predicate testing the negation of `self`.
-    pub fn negate(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Ne,
-            CmpOp::Ne => CmpOp::Eq,
-            // !(a < b) is b <= a: negation also swaps operands for orderings,
-            // which this helper cannot express, so orderings map to their
-            // complements with swapped operands handled by the caller.
-            CmpOp::Ult => CmpOp::Ule,
-            CmpOp::Ule => CmpOp::Ult,
-            CmpOp::Slt => CmpOp::Sle,
-            CmpOp::Sle => CmpOp::Slt,
-        }
-    }
 }
 
 impl fmt::Display for CmpOp {

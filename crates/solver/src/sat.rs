@@ -700,7 +700,6 @@ impl SatSolver {
                     break SatOutcome::Unsat;
                 }
                 let backjump = self.analyze(conflict, &mut learned);
-                er_telemetry::histogram!("sat.learned_len").record(learned.len() as u64);
                 self.backtrack(backjump);
                 self.stats.learned += 1;
                 if learned.len() == 1 {

@@ -237,15 +237,22 @@ pub struct SymRunResult {
     pub checkpoints: Vec<MachineState>,
     /// The run's solver engine, its committed prefix a prefix of `path`.
     /// The final input solve continues from it, so only constraints added
-    /// after the last query (and the failure constraint) are lowered. In
-    /// the non-incremental baseline mode no query touches it, so the final
-    /// solve starts fresh.
+    /// after the run's last query (and the failure constraint) are lowered.
+    /// Every run starts its own engine, a resumed run included, so the
+    /// path a run inherits from its snapshot is lowered by the run's first
+    /// query, or else by the final solve. In the non-incremental baseline
+    /// mode no query touches it, so the final solve starts fresh.
     pub solver: IncrementalSolver,
 }
 
 /// The symbolic machine's complete state. A running [`SymMachine`] owns
 /// one; a resumable snapshot is a copy of it taken at an event-cursor
 /// boundary during a run.
+///
+/// The state holds no solver engine: the path condition is the whole of
+/// what the queries so far decided, and a run resumed from a snapshot
+/// lowers it again into an engine of its own. A snapshot therefore copies
+/// machine state only, never a SAT arena or a lowering cache.
 ///
 /// A snapshot of a run over events `E` captures everything the first
 /// `cursor` events determined. A later trace `E'` of the same program with
@@ -281,7 +288,6 @@ pub struct MachineState {
     site_counts: Vec<u64>,
     clock: u64,
     heap_seq: u64,
-    inc: IncrementalSolver,
 }
 
 impl MachineState {
@@ -403,7 +409,7 @@ enum Stop {
 }
 
 /// The shepherded symbolic executor: one [`MachineState`] driven along a
-/// trace, plus the run's accounting and its checkpoint ring.
+/// trace, plus the run's solver engine, accounting and checkpoint ring.
 #[derive(Debug)]
 pub struct SymMachine<'p> {
     program: &'p Program,
@@ -411,6 +417,8 @@ pub struct SymMachine<'p> {
     config: SymConfig,
     /// The machine itself; `state.cursor` is where the run starts.
     state: MachineState,
+    /// This run's solver engine, never part of a snapshot.
+    engine: IncrementalSolver,
     /// This run's work only: a resumed run starts from zero.
     stats: SymStats,
     checkpoints: Vec<MachineState>,
@@ -449,7 +457,6 @@ impl<'p> SymMachine<'p> {
             site_counts: vec![0; code.ops().len()],
             clock: 0,
             heap_seq: 0,
-            inc: IncrementalSolver::new(),
         };
         Self::with_state(program, config, state)
     }
@@ -490,6 +497,7 @@ impl<'p> SymMachine<'p> {
             code: program.code(),
             config,
             state,
+            engine: IncrementalSolver::new(),
             stats: SymStats::default(),
             checkpoints: Vec::new(),
             checkpoint_interval: config.checkpoint_every,
@@ -532,7 +540,6 @@ impl<'p> SymMachine<'p> {
             er_telemetry::counter!("symex.mem_reads").add(self.stats.mem_reads);
             er_telemetry::counter!("symex.mem_writes").add(self.stats.mem_writes);
             er_telemetry::counter!("symex.ptw_bound").add(self.stats.ptw_bound);
-            er_telemetry::histogram!("symex.write_chain_len").record(longest_chain);
         }
         let MachineState {
             code,
@@ -541,7 +548,6 @@ impl<'p> SymMachine<'p> {
             inputs,
             origins,
             site_counts,
-            inc,
             ..
         } = self.state;
         SymRunResult {
@@ -559,7 +565,7 @@ impl<'p> SymMachine<'p> {
             stall_subject,
             stats: self.stats,
             checkpoints: self.checkpoints,
-            solver: inc,
+            solver: self.engine,
         }
     }
 
@@ -595,13 +601,13 @@ impl<'p> SymMachine<'p> {
     fn query(&mut self, assumptions: &[ExprRef], budget: &Budget) -> SatResult {
         self.stats.solver_queries += 1;
         let (r, work) = if self.config.incremental_solver {
-            let r = self.state.inc.check_assuming(
+            let r = self.engine.check_assuming(
                 &mut self.state.pool,
                 &self.state.path,
                 assumptions,
                 budget,
             );
-            (r, self.state.inc.last_stats().work_units())
+            (r, self.engine.last_stats().work_units())
         } else {
             let mut fresh = IncrementalSolver::new();
             let r =
@@ -2320,6 +2326,40 @@ mod tests {
             );
             due = at + every as usize;
         }
+    }
+
+    #[test]
+    fn resumed_run_starts_with_an_empty_engine() {
+        let src = r#"
+            global V: [u32; 16];
+            fn main() {
+                let a: u32 = input_u32(0);
+                if a < 100 { V[a % 16] = 1; }
+                let h: u64 = 0;
+                for i: u64 = 0; i < 200; i = i + 1 { h = h * 31 + i; }
+                print(h);
+            }
+        "#;
+        let (program, events, failure) = record(src, &[(0, 7u32.to_le_bytes().to_vec())]);
+        assert!(failure.is_none());
+        let config = SymConfig {
+            checkpoint_every: 64,
+            ..SymConfig::default()
+        };
+        let budget = Budget::default();
+        let first = SymMachine::new(&program, config).run(&events, None);
+        assert_eq!(first.status, ShepherdStatus::Completed);
+        assert!(first.stats.solver_queries > 0);
+        // The first run's engine committed the path its query extended.
+        assert!(first.solver.reusable_clauses(&first.path, &budget) > 0);
+        // Its last checkpoint lies in the loop, past that query.
+        let snapshot = first.checkpoints.last().cloned().expect("a checkpoint");
+        let resumed = SymMachine::resume(&program, config, snapshot).run(&events, None);
+        assert_eq!(resumed.status, ShepherdStatus::Completed);
+        assert_eq!(resumed.stats.solver_queries, 0);
+        assert_eq!(resumed.path, first.path);
+        // The resumed run never queried: its engine is as the run began.
+        assert_eq!(resumed.solver.reusable_clauses(&resumed.path, &budget), 0);
     }
 
     #[test]

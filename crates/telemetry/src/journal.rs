@@ -45,7 +45,6 @@ pub fn now_ns() -> u64 {
 
 struct Sink {
     writer: BufWriter<fs::File>,
-    path: PathBuf,
 }
 
 fn sink() -> &'static Mutex<Option<Sink>> {
@@ -67,7 +66,6 @@ fn open_sink() -> Option<Sink> {
     match fs::OpenOptions::new().create(true).append(true).open(&path) {
         Ok(f) => Some(Sink {
             writer: BufWriter::new(f),
-            path,
         }),
         Err(e) => {
             crate::log!(
@@ -90,11 +88,6 @@ pub fn emit(ev: &Event) {
         let _ = writeln!(s.writer, "{line}");
         let _ = s.writer.flush();
     }
-}
-
-/// The journal file path, once anything has been written.
-pub fn journal_path() -> Option<PathBuf> {
-    sink().lock().unwrap().as_ref().map(|s| s.path.clone())
 }
 
 /// Flushes buffered events to disk.

@@ -1,5 +1,5 @@
-//! `er-telemetry`: structured spans, process-wide counters/histograms, and
-//! a JSONL event journal for the ER reconstruction pipeline.
+//! `er-telemetry`: structured spans, process-wide counters, and a JSONL
+//! event journal for the ER reconstruction pipeline.
 //!
 //! Design goals, in priority order:
 //!
@@ -8,10 +8,9 @@
 //!    else; the disabled path is one relaxed load and a predictable
 //!    branch (< 2 ns, verified by `crates/bench/benches/telemetry.rs`).
 //! 2. **Lock-free hot path when enabled.** Counters are relaxed
-//!    `AtomicU64` slots in per-thread tables; histograms are atomic
-//!    power-of-two bucket arrays. No mutex is ever taken on the
-//!    increment path (registration of a *new* counter name takes a lock
-//!    once per callsite, cached thereafter).
+//!    `AtomicU64` slots in per-thread tables. No mutex is ever taken on
+//!    the increment path (registration of a *new* counter name takes a
+//!    lock once per callsite, cached thereafter).
 //! 3. **Exact attribution.** Per-thread counter tables mean a
 //!    reconstruction running on one thread can take before/after
 //!    snapshots ([`local_snapshot`]) whose deltas are unaffected by
@@ -48,13 +47,11 @@
 //! ```
 
 pub mod counters;
-pub mod hist;
 pub mod journal;
 pub mod logging;
 pub mod span;
 
 pub use counters::{local_snapshot, CounterSnapshot};
-pub use hist::HistSnapshot;
 pub use journal::{read_journal, Event};
 pub use span::set_context;
 
@@ -65,8 +62,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Mode {
     /// No collection; instrumentation macros are no-ops.
     Off = 0,
-    /// Counters and histograms collected; span timings aggregated into
-    /// counters; no journal.
+    /// Counters collected; span timings aggregated into counters; no
+    /// journal.
     Counters = 1,
     /// Everything in `Counters`, plus every span emits a JSONL event.
     Full = 2,

@@ -1,52 +1,11 @@
-//! Property tests for the telemetry layer: histogram merge algebra, span
-//! stack discipline, and journal serialization.
+//! Property tests for the telemetry layer: span stack discipline and
+//! journal serialization.
 
-use er_telemetry::hist::HistSnapshot;
 use er_telemetry::journal::Event;
 use er_telemetry::{span, Mode};
 use proptest::prelude::*;
 
-fn hist_strategy() -> impl Strategy<Value = HistSnapshot> {
-    // Bounded so sums over merged snapshots stay far from u64 overflow
-    // while still exercising every power-of-two bucket.
-    prop::collection::vec(0u64..(u64::MAX >> 10), 0..32).prop_map(|vs| {
-        let mut h = HistSnapshot::empty();
-        for v in vs {
-            h.record(v);
-        }
-        h
-    })
-}
-
 proptest! {
-    /// `merge` is associative: merging snapshots from different threads
-    /// or journal shards must not depend on reduction order.
-    #[test]
-    fn histogram_merge_is_associative(
-        a in hist_strategy(),
-        b in hist_strategy(),
-        c in hist_strategy(),
-    ) {
-        let left = a.merge(&b).merge(&c);
-        let right = a.merge(&b.merge(&c));
-        prop_assert_eq!(left, right);
-    }
-
-    /// `empty()` is the identity of `merge`, on both sides.
-    #[test]
-    fn histogram_empty_is_merge_identity(h in hist_strategy()) {
-        prop_assert_eq!(h.merge(&HistSnapshot::empty()), h.clone());
-        prop_assert_eq!(HistSnapshot::empty().merge(&h), h);
-    }
-
-    /// Merging preserves the total count and sum.
-    #[test]
-    fn histogram_merge_preserves_totals(a in hist_strategy(), b in hist_strategy()) {
-        let m = a.merge(&b);
-        prop_assert_eq!(m.count, a.count + b.count);
-        prop_assert_eq!(m.sum, a.sum + b.sum);
-    }
-
     /// Nested spans close strictly LIFO: the depth observed inside each
     /// nesting level matches its position, and everything unwinds to the
     /// starting depth.
