@@ -22,6 +22,7 @@
 //! * default: all 13 workloads × 5 domains, writes `results/BENCH_CHAOS.json`.
 //! * `--smoke`: 3 workloads × 5 domains (CI gate).
 
+use er_bench::fleet_spec;
 use er_bench::harness::{fmt_duration, print_table, write_json};
 use er_chaos::{ChaosPlan, Domain, Fault, FaultPolicy};
 use er_core::Reconstructor;
@@ -31,7 +32,6 @@ use er_workloads::{all, by_name, Scale, Workload};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const FLEET_SIZE: usize = 2;
@@ -62,20 +62,8 @@ fn plan_for(domain: Domain) -> ChaosPlan {
     }
 }
 
-fn spec_for(w: &Workload, store: StoreConfig) -> (FleetSpec, FleetConfig) {
-    let input = w.input_gen;
-    let spec = FleetSpec {
-        program: w.program(Scale::TEST),
-        input_gen: Arc::new(input),
-        sched_gen: w.sched_gen.map(|s| {
-            let f: Arc<dyn Fn(u64) -> er_minilang::interp::SchedConfig + Send + Sync> = Arc::new(s);
-            f
-        }),
-        pt: er_pt::PtConfig::default(),
-        reoccurrence: w.reoccurrence_model(1_000),
-        er: w.er_config(),
-        label: w.name.to_string(),
-    };
+fn chaos_fleet(w: &Workload, store: StoreConfig) -> (FleetSpec, FleetConfig) {
+    let spec = fleet_spec(w);
     let config = FleetConfig {
         instances: FLEET_SIZE,
         serial: true, // deterministic baseline: faults, not thread timing
@@ -152,7 +140,7 @@ fn serial_leg(w: &Workload) -> LegOutcome {
 /// Fleet-path leg (Ingest / Store / Pool): serial-pool fleet, first group's
 /// outcome.
 fn fleet_leg(w: &Workload, store: StoreConfig) -> LegOutcome {
-    let (spec, config) = spec_for(w, store);
+    let (spec, config) = chaos_fleet(w, store);
     let report = Fleet::new(spec, config).run();
     match report.groups.first() {
         Some(g) => report_outcome(&g.report),

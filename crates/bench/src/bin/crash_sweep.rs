@@ -27,17 +27,17 @@
 //!   writes `results/BENCH_CRASH.json`.
 //! * `--smoke`: 3 workloads × `CRASH_POINTS` positions (CI gate).
 
+use er_bench::fleet_spec;
 use er_bench::harness::{fmt_duration, print_table, write_json};
 use er_chaos::{ChaosPlan, Fault, FaultPolicy};
 use er_durable::{fnv64, CrashSignal, Wal, WatchdogConfig};
 use er_fleet::sched::SchedulerConfig;
-use er_fleet::sim::{Fleet, FleetConfig, FleetReport, FleetSpec, Traffic};
+use er_fleet::sim::{Fleet, FleetConfig, FleetReport, Traffic};
 use er_solver::cancel::PhaseBudgets;
-use er_workloads::{all, by_name, Scale, Workload};
+use er_workloads::{all, by_name, Workload};
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const FLEET_SIZE: usize = 2;
@@ -53,25 +53,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn spec_for(w: &Workload) -> FleetSpec {
-    let input = w.input_gen;
-    FleetSpec {
-        program: w.program(Scale::TEST),
-        input_gen: Arc::new(input),
-        sched_gen: w.sched_gen.map(|s| {
-            let f: Arc<dyn Fn(u64) -> er_minilang::interp::SchedConfig + Send + Sync> = Arc::new(s);
-            f
-        }),
-        pt: er_pt::PtConfig::default(),
-        reoccurrence: w.reoccurrence_model(1_000),
-        er: w.er_config(),
-        label: w.name.to_string(),
-    }
-}
-
 fn fleet_with(w: &Workload, durable: Option<PathBuf>, watchdog: Option<WatchdogConfig>) -> Fleet {
     Fleet::new(
-        spec_for(w),
+        fleet_spec(w),
         FleetConfig {
             instances: FLEET_SIZE,
             serial: true, // deterministic baseline: crashes, not thread timing

@@ -11,32 +11,16 @@
 //! * `--smoke`: 3 workloads at fleet size 3; asserts ≥1 dedup hit and a
 //!   bit-identical reproduction per workload, then exits (CI gate).
 
+use er_bench::fleet_spec;
 use er_bench::harness::{fmt_duration, print_table, write_json};
 use er_core::Reconstructor;
-use er_fleet::sim::{Fleet, FleetConfig, FleetReport, FleetSpec, Traffic};
+use er_fleet::sim::{Fleet, FleetConfig, FleetReport, Traffic};
 use er_workloads::{all, by_name, Scale, Workload};
 use serde::Serialize;
-use std::sync::Arc;
 use std::time::Duration;
 
 const FLEET_SIZE: usize = 3;
 const SMOKE_WORKLOADS: &[&str] = &["Libpng-2004-0597", "PHP-74194", "Memcached-2019-11596"];
-
-fn spec_for(w: &Workload) -> FleetSpec {
-    let input = w.input_gen;
-    FleetSpec {
-        program: w.program(Scale::TEST),
-        input_gen: Arc::new(input),
-        sched_gen: w.sched_gen.map(|s| {
-            let f: Arc<dyn Fn(u64) -> er_minilang::interp::SchedConfig + Send + Sync> = Arc::new(s);
-            f
-        }),
-        pt: er_pt::PtConfig::default(),
-        reoccurrence: w.reoccurrence_model(1_000),
-        er: w.er_config(),
-        label: w.name.to_string(),
-    }
-}
 
 /// One (workload, pool mode) measurement.
 #[derive(Serialize)]
@@ -67,7 +51,7 @@ struct FleetRow {
 
 fn measure(w: &Workload, serial_pool: bool, serial_inputs: &[(u32, Vec<u8>)]) -> FleetRow {
     let report: FleetReport = Fleet::new(
-        spec_for(w),
+        fleet_spec(w),
         FleetConfig {
             instances: FLEET_SIZE,
             serial: serial_pool,

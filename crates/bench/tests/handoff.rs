@@ -13,7 +13,7 @@
 
 use er_core::deploy::{Deployment, FailureOccurrence};
 use er_core::instrument::InstrumentedProgram;
-use er_core::reconstruct::{align_cursors, ErConfig, Reconstructor};
+use er_core::reconstruct::{resume_point, ErConfig, Reconstructor};
 use er_core::shepherd::{self, SolveFailure};
 use er_core::testcase::{TestCase, VerifyResult};
 use er_minilang::env::Env;
@@ -97,22 +97,6 @@ fn handoff_agrees(
     })
 }
 
-/// The latest of `checkpoints` (taken along `old`) inside the prefix `new`
-/// shares with `old`, moved to its cursor in `new`.
-fn resume_point(
-    old: &[TraceEvent],
-    checkpoints: &[MachineState],
-    new: &[TraceEvent],
-) -> Option<MachineState> {
-    let cursors: Vec<usize> = checkpoints.iter().map(MachineState::cursor).collect();
-    let mapped = align_cursors(old, new, &cursors);
-    checkpoints
-        .iter()
-        .zip(mapped)
-        .rev()
-        .find_map(|(s, at)| Some(s.clone().with_cursor(at?)))
-}
-
 #[test]
 fn table1_final_solves_match_a_fresh_solver() {
     let _s = serial();
@@ -152,9 +136,9 @@ fn table1_final_solves_match_a_fresh_solver() {
                 .unwrap_or_else(|| panic!("{}: failure does not reoccur", w.name));
             start = occ.run_index + 1;
             let events = occ.trace.decode().expect("trace decodes").events;
-            let from = prev
-                .as_ref()
-                .and_then(|(old, checkpoints)| resume_point(old, checkpoints, &events));
+            let from = prev.as_ref().and_then(|(old, checkpoints)| {
+                resume_point(old, checkpoints.clone(), &events, &inst.program)
+            });
             let from_checkpoint = from.is_some();
             if let Some(agreed) =
                 handoff_agrees(w.name, program, &inst, &occ, &events, from, &config)

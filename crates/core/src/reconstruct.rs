@@ -162,81 +162,35 @@ struct ResumeCache {
     checkpoints: Vec<MachineState>,
 }
 
-/// Maps old-trace cursors to new-trace cursors with the same machine state,
-/// walking two event streams of the same program in lockstep: entry `k` of
-/// the result is the new-trace cursor for `cursors[k]`, or `None` if that
-/// cursor lies past the streams' common prefix. `cursors` must be
-/// ascending, as a run's checkpoints are.
+/// The latest of `checkpoints`, taken in ascending cursor order along the
+/// events `old`, that a run of `program` over the events `new` can resume
+/// from: its cursor lies inside the two traces' equal event prefix, and
+/// its pcs retarget at `program`'s code (a snapshot parked on a recording
+/// slot `program` lacks gives way to the next-older one).
 ///
-/// The walk tolerates *scheduling noise* — timestamps, and a resume of the
-/// thread that is already running — which the production scheduler
-/// injects at per-run positions (quantum boundaries drift between runs)
-/// and which the symbolic machine skips without touching state.
-/// Everything else (branches, recorded values, real thread switches) must
-/// match exactly; the mapping stops at the first semantic difference. An
-/// old cursor inside a run of noise maps to the new cursor just past the
-/// matching run.
-///
-/// The walk stops at the last cursor, and runs of equal events that cannot
-/// be noise advance both streams in one tight loop, so its cost is the
-/// prefix up to the last cursor and it keeps no per-event table.
-pub fn align_cursors(
+/// Decoding drops scheduling noise (timestamps, resumes of the running
+/// thread), so the plain equal prefix is the shared one. The compare stops
+/// at the last cursor: no snapshot can use more of the prefix.
+pub fn resume_point(
     old: &[TraceEvent],
+    checkpoints: Vec<MachineState>,
     new: &[TraceEvent],
-    cursors: &[usize],
-) -> Vec<Option<usize>> {
-    debug_assert!(cursors.is_sorted(), "cursors must ascend: {cursors:?}");
-    let noise = |ev: &TraceEvent, running: Option<u64>| match ev {
-        TraceEvent::Timestamp(_) => true,
-        TraceEvent::ThreadResume(t) => Some(*t) == running,
-        _ => false,
+    program: &Program,
+) -> Option<MachineState> {
+    let shared = {
+        let _s = er_telemetry::span!("reconstruct.align");
+        let last = checkpoints.last().map_or(0, MachineState::cursor);
+        old.iter()
+            .zip(new)
+            .take(last)
+            .take_while(|(a, b)| a == b)
+            .count()
     };
-    let mut mapped = Vec::with_capacity(cursors.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    // The tid last handed the CPU. A repeat resume of it is a quantum
-    // boundary: the interpreter cannot re-resume a *blocked* thread without
-    // an intervening switch to whoever unblocks it, so tracking the last
-    // resume is enough to classify without simulating thread states.
-    let mut running: Option<u64> = None;
-    while let Some(&stop) = cursors.get(mapped.len()) {
-        // Equal events that are never noise map cursor to cursor one for
-        // one: skip them up to the next cursor to map.
-        while i < stop {
-            match (old.get(i), new.get(j)) {
-                (Some(x), Some(y))
-                    if x == y
-                        && !matches!(x, TraceEvent::Timestamp(_) | TraceEvent::ThreadResume(_)) =>
-                {
-                    i += 1;
-                    j += 1;
-                }
-                _ => break,
-            }
-        }
-        // One lockstep step: skip noise on both sides; every old cursor up
-        // to `i` maps to `j`.
-        while old.get(i).is_some_and(|ev| noise(ev, running)) {
-            i += 1;
-        }
-        while new.get(j).is_some_and(|ev| noise(ev, running)) {
-            j += 1;
-        }
-        while cursors.get(mapped.len()).is_some_and(|&c| c <= i) {
-            mapped.push(Some(j));
-        }
-        match (old.get(i), new.get(j)) {
-            (Some(x), Some(y)) if x == y => {
-                if let TraceEvent::ThreadResume(t) = x {
-                    running = Some(*t);
-                }
-                i += 1;
-                j += 1;
-            }
-            _ => break,
-        }
-    }
-    mapped.resize(cursors.len(), None);
-    mapped
+    checkpoints
+        .into_iter()
+        .rev()
+        .filter(|s| s.cursor() <= shared)
+        .find_map(|s| s.retarget(program))
 }
 
 /// Metadata of one failure occurrence, minus the trace itself. The fleet
@@ -414,34 +368,20 @@ impl ReconstructionSession {
         let occurrence = self.occurrences;
         self.target.get_or_insert(info.failure.clone());
 
-        // Checkpoint resume: if a previous occurrence left snapshots and
-        // the new trace agrees with the old one on a prefix, pick the
-        // latest snapshot inside that prefix and retarget its pcs at the
-        // new binary's code. A snapshot parked on a recording slot the new
-        // binary lacks retargets to `None` and the next-older one is
-        // tried.
+        // Checkpoint resume: if the previous occurrence left snapshots and
+        // the new trace agrees with its trace on a prefix, resume from the
+        // latest snapshot inside that prefix, moved out of the cache.
         let resume_state = self
             .prev
-            .as_ref()
+            .take()
             .filter(|_| self.config.sym.checkpoint_every > 0)
             .and_then(|cache| {
-                let cursors: Vec<usize> =
-                    cache.checkpoints.iter().map(MachineState::cursor).collect();
-                let mapped = {
-                    let _s = er_telemetry::span!("reconstruct.align");
-                    align_cursors(&cache.events, &events, &cursors)
-                };
-                cache
-                    .checkpoints
-                    .iter()
-                    .zip(mapped)
-                    .rev()
-                    .filter_map(|(s, new_cursor)| Some((s, new_cursor?)))
-                    .find_map(|(s, new_cursor)| {
-                        s.clone()
-                            .retarget(&self.binary.program)
-                            .map(|s| s.with_cursor(new_cursor))
-                    })
+                resume_point(
+                    &cache.events,
+                    cache.checkpoints,
+                    &events,
+                    &self.binary.program,
+                )
             });
 
         if resume_state.is_some() {
@@ -457,7 +397,12 @@ impl ReconstructionSession {
         );
         self.total_symbex += report.wall;
         let mut run = report.run;
-        let checkpoints = std::mem::take(&mut run.checkpoints);
+        // Whatever this iteration decides, the next occurrence resumes
+        // inside the prefix it shares with this one.
+        self.prev = Some(ResumeCache {
+            events,
+            checkpoints: std::mem::take(&mut run.checkpoints),
+        });
         let mut stats = IterationStats {
             occurrence,
             run_index: info.run_index,
@@ -523,7 +468,6 @@ impl ReconstructionSession {
                 // the coarse-interleaving hypothesis.
                 stats.stalled = Some(format!("diverged: {d:?}"));
                 self.iterations.push(stats);
-                self.remember(events, checkpoints);
                 return self.need_more(false);
             }
         };
@@ -552,9 +496,6 @@ impl ReconstructionSession {
             // Selection found nothing new to record for *this* stall; a
             // different occurrence (schedule, inputs) may stall elsewhere
             // and yield fresh sites, so spend the budget before giving up.
-            if self.wants_more() {
-                self.remember(events, checkpoints);
-            }
             return self.retry_or_close(
                 er_telemetry::counter!("reconstruct.retry.nothing_to_record"),
                 GiveUpReason::NothingToRecord,
@@ -571,17 +512,7 @@ impl ReconstructionSession {
             }
             Arc::new(InstrumentedProgram::new(&self.program, &self.sites))
         };
-        self.remember(events, checkpoints);
         self.need_more(true)
-    }
-
-    /// Keeps this occurrence's trace and snapshots so the next occurrence
-    /// can resume inside their shared prefix.
-    fn remember(&mut self, events: Vec<TraceEvent>, checkpoints: Vec<MachineState>) {
-        self.prev = Some(ResumeCache {
-            events,
-            checkpoints,
-        });
     }
 
     /// Asks for another occurrence while the budget lasts — a corrupt

@@ -48,9 +48,10 @@ pub fn shepherd(
 
 /// Follows already-decoded events symbolically: from the program entry,
 /// or — given `from` — resuming a snapshot taken on an earlier trace of
-/// the same program. The caller must have verified the event prefix up to
-/// `from.cursor()` is semantically identical; a snapshot of another build
-/// of the program is retargeted at `program`'s code.
+/// the same program. The caller must have verified that `events` starts
+/// with the first `from.cursor()` events of the snapshot's own trace
+/// ([`crate::reconstruct::resume_point`]); a snapshot of another build of
+/// the program is retargeted at `program`'s code.
 pub fn shepherd_events(
     program: &Program,
     events: &[er_pt::TraceEvent],

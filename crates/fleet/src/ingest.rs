@@ -162,7 +162,7 @@ impl Ingestor {
         for (idx, report) in batch.iter().enumerate() {
             let info = OccurrenceInfo::of(&report.occ);
             let raw = &report.occ.trace;
-            if raw.wrapped || raw.stats.packets_dropped > 0 {
+            if raw.wrapped {
                 self.stats.truncated += 1;
                 er_telemetry::counter!("fleet.ingest.truncated").incr();
             }

@@ -7,31 +7,18 @@
 //! process-global; the tests serialize on a local mutex anyway so that
 //! per-fault injection budgets are not stolen across tests.
 
-use er_fleet::sim::{Fleet, FleetConfig, FleetReport, FleetSpec, Traffic};
+mod common;
+
+use common::spec_for;
+use er_fleet::sim::{Fleet, FleetConfig, FleetReport, Traffic};
 use er_fleet::StoreConfig;
-use er_workloads::{by_name, Scale, Workload};
-use std::sync::{Arc, Mutex, MutexGuard};
+use er_workloads::{by_name, Workload};
+use std::sync::{Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn chaos_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn spec_for(w: &Workload) -> FleetSpec {
-    let input = w.input_gen;
-    FleetSpec {
-        program: w.program(Scale::TEST),
-        input_gen: Arc::new(input),
-        sched_gen: w.sched_gen.map(|s| {
-            let f: Arc<dyn Fn(u64) -> er_minilang::interp::SchedConfig + Send + Sync> = Arc::new(s);
-            f
-        }),
-        pt: er_pt::PtConfig::default(),
-        reoccurrence: w.reoccurrence_model(1_000),
-        er: w.er_config(),
-        label: w.name.to_string(),
-    }
 }
 
 fn serial_fleet(w: &Workload, store: StoreConfig) -> FleetReport {

@@ -8,10 +8,13 @@
 //! Lives in its own integration-test binary because chaos arming is
 //! process-global; every test takes the local mutex.
 
+mod common;
+
+use common::spec_for;
 use er_core::reconstruct::{ErConfig, GiveUpReason, Outcome};
 use er_durable::{ConsumeOutcome, CrashSignal, DurableEvent, Wal, WatchdogConfig};
 use er_fleet::sched::{Scheduler, SchedulerConfig};
-use er_fleet::sim::{Fleet, FleetConfig, FleetReport, FleetSpec, Traffic};
+use er_fleet::sim::{Fleet, FleetConfig, FleetReport, Traffic};
 use er_fleet::{StoreConfig, TraceStore};
 use er_minilang::ir::Program;
 use er_solver::cancel::PhaseBudgets;
@@ -23,22 +26,6 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 fn chaos_lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn spec_for(w: &Workload) -> FleetSpec {
-    let input = w.input_gen;
-    FleetSpec {
-        program: w.program(Scale::TEST),
-        input_gen: Arc::new(input),
-        sched_gen: w.sched_gen.map(|s| {
-            let f: Arc<dyn Fn(u64) -> er_minilang::interp::SchedConfig + Send + Sync> = Arc::new(s);
-            f
-        }),
-        pt: er_pt::PtConfig::default(),
-        reoccurrence: w.reoccurrence_model(1_000),
-        er: w.er_config(),
-        label: w.name.to_string(),
-    }
 }
 
 fn fleet_with(w: &Workload, durable: Option<PathBuf>, watchdog: Option<WatchdogConfig>) -> Fleet {

@@ -8,31 +8,18 @@
 //! * mirrored replicas produce cross-occurrence dedup hits;
 //! * backpressure and partial rollout degrade gracefully.
 
+mod common;
+
+use common::spec_for;
 use er_core::Reconstructor;
 use er_fleet::ingest::IngestConfig;
 use er_fleet::sched::SchedulerConfig;
-use er_fleet::sim::{Fleet, FleetConfig, FleetReport, FleetSpec, Traffic};
+use er_fleet::sim::{Fleet, FleetConfig, FleetReport, Traffic};
 use er_workloads::{by_name, Scale, Workload};
 use std::sync::Arc;
 
-fn spec_for(w: &Workload, scale: Scale) -> FleetSpec {
-    let input = w.input_gen;
-    FleetSpec {
-        program: w.program(scale),
-        input_gen: Arc::new(input),
-        sched_gen: w.sched_gen.map(|s| {
-            let f: Arc<dyn Fn(u64) -> er_minilang::interp::SchedConfig + Send + Sync> = Arc::new(s);
-            f
-        }),
-        pt: er_pt::PtConfig::default(),
-        reoccurrence: w.reoccurrence_model(1_000),
-        er: w.er_config(),
-        label: w.name.to_string(),
-    }
-}
-
 fn run_fleet(w: &Workload, config: FleetConfig) -> FleetReport {
-    Fleet::new(spec_for(w, Scale::TEST), config).run()
+    Fleet::new(spec_for(w), config).run()
 }
 
 /// One group's digest row: id, sightings, iterations, session
@@ -200,7 +187,7 @@ fn partitioned_traffic_reconstructs_per_group() {
 #[test]
 fn healthy_program_reports_no_groups() {
     let w = &by_name("Libpng-2004-0597").unwrap();
-    let mut spec = spec_for(w, Scale::TEST);
+    let mut spec = spec_for(w);
     // Replace the traffic with never-failing inputs (run 2 is healthy:
     // failures need run % 4 == 3).
     let input = w.input_gen;

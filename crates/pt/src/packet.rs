@@ -157,13 +157,26 @@ impl PacketSink for Vec<Packet> {
     }
 }
 
+/// The thread both executors start on.
+const MAIN_TID: u64 = 0;
+
 /// Flattens walked packets straight into [`TraceEvent`]s, expanding each
 /// TNT packet's bits in place (no per-packet allocation).
+///
+/// This is the one place that knows what scheduling noise is. A TSC packet
+/// yields no event: the order of PGE packets already is the cross-thread
+/// order, and no consumer reads a timestamp's value. A PGE naming the
+/// thread that is already running (a quantum boundary, which changes
+/// nothing) yields none either. The running thread starts as the main
+/// thread (tid 0 in both executors) and is unknown after a gap or a
+/// resync restart, so the first PGE past lost packets always shows.
 #[derive(Debug)]
 pub(crate) struct EventStream {
     events: Vec<TraceEvent>,
     packets: usize,
     leading_gap: bool,
+    /// The tid of the last PGE, `None` where packets were lost.
+    running: Option<u64>,
 }
 
 impl EventStream {
@@ -179,6 +192,7 @@ impl EventStream {
             events,
             packets: 0,
             leading_gap,
+            running: (!leading_gap).then_some(MAIN_TID),
         }
     }
 
@@ -193,8 +207,11 @@ impl PacketSink for EventStream {
     fn packet(&mut self, p: PacketRef<'_>) {
         self.packets += 1;
         let ev = match p {
-            PacketRef::Psb => return,
-            PacketRef::Ovf => TraceEvent::Gap,
+            PacketRef::Psb | PacketRef::Tsc { .. } => return,
+            PacketRef::Ovf => {
+                self.running = None;
+                TraceEvent::Gap
+            }
             PacketRef::Tnt { count, bits } => {
                 // Bits a short (non-canonical) payload lacks yield no
                 // event; the codec never produces one.
@@ -206,8 +223,12 @@ impl PacketSink for EventStream {
             PacketRef::Tip { target } => TraceEvent::Call(target),
             PacketRef::Ret => TraceEvent::Ret,
             PacketRef::Ptw { value } => TraceEvent::PtWrite(value),
-            PacketRef::Tsc { tsc } => TraceEvent::Timestamp(tsc),
-            PacketRef::Pge { tid } => TraceEvent::ThreadResume(tid),
+            PacketRef::Pge { tid } => {
+                if self.running.replace(tid) == Some(tid) {
+                    return;
+                }
+                TraceEvent::ThreadResume(tid)
+            }
         };
         self.events.push(ev);
     }
@@ -215,11 +236,15 @@ impl PacketSink for EventStream {
     fn restart(&mut self) {
         self.events.truncate(usize::from(self.leading_gap));
         self.packets = 0;
+        self.running = None;
     }
 }
 
 /// A fully decoded, flattened trace event — what the offline analysis
-/// engine consumes after unpacking TNT bit runs.
+/// engine consumes after unpacking TNT bit runs. Every event changes what
+/// the traced program does next: decoding drops timestamps and resumes of
+/// the running thread, so two runs that differ only in where their
+/// quantum boundaries fell decode to the same events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Conditional branch outcome.
@@ -230,9 +255,8 @@ pub enum TraceEvent {
     Ret,
     /// `ptwrite` payload.
     PtWrite(u64),
-    /// Timestamp.
-    Timestamp(u64),
-    /// Thread `tid` resumed.
+    /// Thread `tid` took over the CPU from another thread (or is the
+    /// first thread seen after a gap).
     ThreadResume(u64),
     /// Packets were lost here (overflow or wrap); downstream analyses must
     /// treat the trace prefix as missing.

@@ -5,8 +5,6 @@
 //! like the hardware's circular output region; the decoder then starts from
 //! the first PSB packet it can find.
 
-use std::collections::VecDeque;
-
 /// A fixed-capacity circular byte buffer.
 #[derive(Debug, Clone)]
 pub struct RingBuffer {
@@ -15,11 +13,6 @@ pub struct RingBuffer {
     /// Next write position (monotonically increasing; modulo capacity gives
     /// the physical offset).
     written: u64,
-    /// Record boundaries (packet starts) still inside the retained window,
-    /// as monotone `written` offsets.
-    marks: VecDeque<u64>,
-    /// Record boundaries lost to overwriting.
-    dropped_marks: u64,
 }
 
 impl RingBuffer {
@@ -34,8 +27,6 @@ impl RingBuffer {
             data: Vec::with_capacity(capacity.min(1 << 20)),
             capacity,
             written: 0,
-            marks: VecDeque::new(),
-            dropped_marks: 0,
         }
     }
 
@@ -64,29 +55,6 @@ impl RingBuffer {
             self.written += take as u64;
             rest = &rest[take..];
         }
-        self.prune_marks();
-    }
-
-    /// Records a record boundary (e.g. a packet start) at the current write
-    /// position. Boundaries whose bytes are later overwritten count toward
-    /// [`dropped_marks`](Self::dropped_marks), which is how ingestion knows
-    /// *how many packets* a wrapped snapshot truncated rather than silently
-    /// decoding a short trace.
-    #[inline]
-    pub fn mark(&mut self) {
-        self.marks.push_back(self.written);
-    }
-
-    /// Drops marks whose start byte is no longer retained.
-    fn prune_marks(&mut self) {
-        let horizon = self.written.saturating_sub(self.capacity as u64);
-        while let Some(&front) = self.marks.front() {
-            if front >= horizon {
-                break;
-            }
-            self.marks.pop_front();
-            self.dropped_marks += 1;
-        }
     }
 
     /// Appends one byte.
@@ -108,16 +76,6 @@ impl RingBuffer {
     /// Number of bytes lost to overwriting (0 until the ring wraps).
     pub fn overwrites(&self) -> u64 {
         self.written.saturating_sub(self.capacity as u64)
-    }
-
-    /// Record boundaries lost to overwriting (0 until the ring wraps).
-    pub fn dropped_marks(&self) -> u64 {
-        self.dropped_marks
-    }
-
-    /// Record boundaries still fully inside the retained window.
-    pub fn retained_marks(&self) -> usize {
-        self.marks.len()
     }
 
     /// The retained bytes, oldest first.
@@ -182,30 +140,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = RingBuffer::new(0);
-    }
-
-    #[test]
-    fn marks_count_dropped_records_on_wrap() {
-        let mut r = RingBuffer::new(4);
-        for b in 0..6u8 {
-            r.mark();
-            r.write(&[b, b]); // each "packet" is 2 bytes
-        }
-        // 12 bytes into a 4-byte ring: the last two packets fit, the first
-        // four packet starts were overwritten.
-        assert_eq!(r.dropped_marks(), 4);
-        assert_eq!(r.retained_marks(), 2);
-        assert_eq!(r.snapshot(), vec![4, 4, 5, 5]);
-    }
-
-    #[test]
-    fn no_marks_dropped_without_wrap() {
-        let mut r = RingBuffer::new(8);
-        r.mark();
-        r.write(&[1, 2, 3]);
-        r.mark();
-        r.write(&[4]);
-        assert_eq!(r.dropped_marks(), 0);
-        assert_eq!(r.retained_marks(), 2);
     }
 }

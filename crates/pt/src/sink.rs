@@ -42,9 +42,6 @@ pub struct PtStats {
     pub packets: u64,
     /// Bytes emitted (before any ring-buffer overwrite).
     pub bytes: u64,
-    /// Packets lost to ring-buffer overwriting (0 until the ring wraps).
-    /// Set when the trace is finalized so ingestion can report truncation.
-    pub packets_dropped: u64,
     /// Chaos faults applied to the finalized bytes ([`PtTrace::chaos_tamper`]);
     /// 0 outside fault-injection runs.
     pub chaos_tampered: u64,
@@ -94,7 +91,6 @@ impl PtSink {
 
     #[inline]
     fn put(&mut self, packet: &[u8]) {
-        self.ring.mark();
         self.ring.write(packet);
         self.stats.packets += 1;
         self.stats.bytes += packet.len() as u64;
@@ -127,7 +123,6 @@ impl PtSink {
     /// Finalizes the trace: flushes pending TNT bits and snapshots the ring.
     pub fn finish(mut self) -> PtTrace {
         self.flush_tnt();
-        self.stats.packets_dropped = self.ring.dropped_marks();
         let trace = PtTrace {
             wrapped: self.ring.wrapped(),
             bytes: self.ring.snapshot(),
@@ -138,7 +133,6 @@ impl PtSink {
             er_telemetry::counter!("pt.packets_encoded").add(self.stats.packets);
             er_telemetry::counter!("pt.trace_bytes").add(trace.bytes.len() as u64);
             er_telemetry::counter!("ring.overwrites").add(self.ring.overwrites());
-            er_telemetry::counter!("pt.packets_dropped").add(self.stats.packets_dropped);
             if trace.wrapped {
                 er_telemetry::counter!("pt.wrapped_traces").incr();
             }
@@ -329,7 +323,7 @@ impl PtTrace {
     /// branches, which bounds a damaged trace.
     fn event_capacity(&self) -> usize {
         let s = &self.stats;
-        let counted = s.branches + s.calls + s.rets + s.ptwrites + 2 * s.resumes;
+        let counted = s.branches + s.calls + s.rets + s.ptwrites + s.resumes;
         let per_byte = if self.wrapped { 1 } else { 8 };
         let bound = self.bytes.len().saturating_mul(per_byte);
         usize::try_from(counted).map_or(bound, |c| c.min(bound)) + 1
@@ -439,11 +433,19 @@ mod tests {
     #[test]
     fn thread_resume_emits_pge_and_tsc() {
         let mut s = tiny(1 << 16);
+        s.thread_resume(0, 5);
         s.thread_resume(2, 777);
-        let d = s.finish().decode().unwrap();
+        s.thread_resume(2, 999);
+        let t = s.finish();
+        let (packets, _) = t.packets().unwrap();
         assert_eq!(
-            d.events,
-            vec![TraceEvent::ThreadResume(2), TraceEvent::Timestamp(777)]
+            packets[1..3],
+            [Packet::Pge { tid: 0 }, Packet::Tsc { tsc: 5 }]
+        );
+        // Only the switch away from the main thread decodes to an event.
+        assert_eq!(
+            t.decode().unwrap().events,
+            vec![TraceEvent::ThreadResume(2)]
         );
     }
 
@@ -475,9 +477,8 @@ mod tests {
         }
         let t = s.finish();
         assert!(t.wrapped);
-        // Overwrite accounting: the sink knows how many packets the wrap
-        // destroyed, and they reconcile with what the decoder recovers.
-        assert!(t.stats.packets_dropped > 0);
+        // The sink counted more bytes than the ring kept.
+        assert!(t.stats.bytes > t.bytes.len() as u64);
         let d = t.decode().unwrap();
         assert!(d.has_gap());
         // Newest ptwrites must survive.

@@ -22,16 +22,23 @@ fn reference(trace: &PtTrace) -> Result<Vec<TraceEvent>, codec::DecodeError> {
 }
 
 /// An independent flattening of well-formed packets, one event per TNT
-/// bit, kept apart from the library's so the two check each other.
+/// bit, kept apart from the library's so the two check each other. TSCs
+/// and resumes of the running thread (the main thread at first, unknown
+/// past a gap) yield nothing.
 fn flatten(packets: &[Packet], leading_gap: bool) -> Vec<TraceEvent> {
     let mut events = Vec::new();
+    let mut running = Some(0);
     if leading_gap {
         events.push(TraceEvent::Gap);
+        running = None;
     }
     for p in packets {
         match p {
-            Packet::Psb => {}
-            Packet::Ovf => events.push(TraceEvent::Gap),
+            Packet::Psb | Packet::Tsc { .. } => {}
+            Packet::Ovf => {
+                events.push(TraceEvent::Gap);
+                running = None;
+            }
             Packet::Tnt { count, bits } => {
                 for i in 0..*count as usize {
                     events.push(TraceEvent::Branch(bits[i / 8] >> (i % 8) & 1 == 1));
@@ -40,8 +47,12 @@ fn flatten(packets: &[Packet], leading_gap: bool) -> Vec<TraceEvent> {
             Packet::Tip { target } => events.push(TraceEvent::Call(*target)),
             Packet::Ret => events.push(TraceEvent::Ret),
             Packet::Ptw { value } => events.push(TraceEvent::PtWrite(*value)),
-            Packet::Tsc { tsc } => events.push(TraceEvent::Timestamp(*tsc)),
-            Packet::Pge { tid } => events.push(TraceEvent::ThreadResume(*tid)),
+            Packet::Pge { tid } => {
+                if running != Some(*tid) {
+                    events.push(TraceEvent::ThreadResume(*tid));
+                }
+                running = Some(*tid);
+            }
         }
     }
     events

@@ -292,21 +292,11 @@ pub struct MachineState {
 
 impl MachineState {
     /// The event-cursor position this snapshot was taken at: resuming is
-    /// valid against any trace whose prefix is *semantically* equal to the
-    /// first `cursor()` events of the snapshot's own trace (equal modulo
-    /// timestamps and quantum-boundary resumes of the running thread — the
-    /// same events the run loop skips without touching machine state).
+    /// valid against any trace whose first `cursor()` events equal those
+    /// of the snapshot's own trace. Decoding drops scheduling noise, so
+    /// runs whose quantum boundaries fell elsewhere still share prefixes.
     pub fn cursor(&self) -> usize {
         self.cursor
-    }
-
-    /// Retargets the snapshot at a cursor position in a *different* trace
-    /// whose prefix up to `cursor` is semantically equal to this snapshot's
-    /// own prefix. The caller (the reconstruction driver) establishes that
-    /// equivalence by aligning the two event streams.
-    pub fn with_cursor(mut self, cursor: usize) -> MachineState {
-        self.cursor = cursor;
-        self
     }
 
     /// The site the running thread is paused at (its function's entry
@@ -337,8 +327,12 @@ impl MachineState {
     /// program that the resumed run will execute. A frame parked on a
     /// recording slot moves to the new build's recording slot of that
     /// instruction; `None` — discard the snapshot — if the new build does
-    /// not record it.
+    /// not record it. A snapshot of `new_program`'s own code is returned
+    /// as it is.
     pub fn retarget(mut self, new_program: &Program) -> Option<MachineState> {
+        if Arc::ptr_eq(&self.code, new_program.code()) {
+            return Some(self);
+        }
         let (old, new) = (&*self.code, new_program.code());
         let pc_map = |pc: Pc| {
             let at = new.pc_of(old.id_of(pc))?;
@@ -474,13 +468,9 @@ impl<'p> SymMachine<'p> {
     pub fn resume(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
         // A snapshot of another build of the program re-resolves its sites
         // by `InstrId` against this program's code.
-        let state = if Arc::ptr_eq(&state.code, program.code()) {
-            state
-        } else {
-            state
-                .retarget(program)
-                .expect("snapshot sites exist in the resumed program")
-        };
+        let state = state
+            .retarget(program)
+            .expect("snapshot sites exist in the resumed program");
         let mut machine = Self::with_state(program, config, state);
         // The resume state itself is the run's first checkpoint: without it,
         // a resumed run that starts past the shared prefix would snapshot
@@ -631,17 +621,6 @@ impl<'p> SymMachine<'p> {
         Ok(())
     }
 
-    /// Skips timestamps and reports whether a thread switch is the next
-    /// semantic event. Threads run until they *request* an event; only then
-    /// may the production scheduler's PGE packet take effect — otherwise a
-    /// thread's straight-line tail (e.g. a `spawn`) would be skipped.
-    fn switch_pending(&self, events: &[TraceEvent], cursor: &mut usize) -> bool {
-        while let Some(TraceEvent::Timestamp(_)) = events.get(*cursor) {
-            *cursor += 1;
-        }
-        matches!(events.get(*cursor), Some(TraceEvent::ThreadResume(_)))
-    }
-
     fn run_loop(
         &mut self,
         events: &[TraceEvent],
@@ -652,23 +631,6 @@ impl<'p> SymMachine<'p> {
         loop {
             if self.config.checkpoint_every > 0 && cursor >= self.next_checkpoint_at {
                 self.take_checkpoint(cursor);
-            }
-            // Timestamps are informational. A resume of the *currently
-            // running* thread is a quantum boundary — a scheduling no-op
-            // here, consumed greedily so it cannot later be mistaken for a
-            // wake-up of a blocked thread.
-            loop {
-                match events.get(cursor) {
-                    Some(TraceEvent::Timestamp(_)) => cursor += 1,
-                    Some(TraceEvent::ThreadResume(t))
-                        if *t == self.state.threads[self.state.cur].tid
-                            && self.state.threads[self.state.cur].state
-                                == ThreadState::Runnable =>
-                    {
-                        cursor += 1;
-                    }
-                    _ => break,
-                }
             }
             if let Some(TraceEvent::Gap) = events.get(cursor) {
                 return Err(Stop::Diverge(TraceDivergence::TraceGap));
@@ -777,10 +739,13 @@ impl<'p> SymMachine<'p> {
         let code = self.code;
         let op = &code.ops()[pc as usize];
         // Ops that consume events yield to a pending thread switch first.
+        // Threads run until they *request* an event; only then may the
+        // production scheduler's PGE packet take effect — otherwise a
+        // thread's straight-line tail (e.g. a `spawn`) would be skipped.
         if matches!(
             op,
             Op::Call { .. } | Op::PtWrite { .. } | Op::Branch { .. } | Op::Return { .. }
-        ) && self.switch_pending(events, cursor)
+        ) && matches!(events.get(*cursor), Some(TraceEvent::ThreadResume(_)))
         {
             return Ok(StepFlow::SwitchDue);
         }
@@ -801,7 +766,7 @@ impl<'p> SymMachine<'p> {
     /// a call or a `ptwrite`, and leaves it to the step path, which reports
     /// a mismatch exactly as it would have. After a branch it also stops
     /// where the next step's prelude would act: on a checkpoint boundary,
-    /// at the end of the events, or on a timestamp, thread resume or gap.
+    /// at the end of the events, or on a gap.
     ///
     /// The step prelude billed the first op. Each further op counts in
     /// `stats.steps` and `site_counts` as a step would, and a slice runs
@@ -907,14 +872,7 @@ impl<'p> SymMachine<'p> {
                     ran += 1;
                     pc = if taken { then_pc } else { else_pc } as usize;
                     let prelude_acts = *cursor >= checkpoint_at
-                        || matches!(
-                            events.get(*cursor),
-                            None | Some(
-                                TraceEvent::Timestamp(_)
-                                    | TraceEvent::ThreadResume(_)
-                                    | TraceEvent::Gap
-                            )
-                        );
+                        || matches!(events.get(*cursor), None | Some(TraceEvent::Gap));
                     if prelude_acts || ran > extra {
                         break;
                     }
@@ -949,12 +907,8 @@ impl<'p> SymMachine<'p> {
         wanted: &'static str,
         at: InstrId,
     ) -> Result<&'e TraceEvent, Stop> {
-        // Timestamps may precede the payload event; thread switches may NOT
-        // be skipped here (the run loop prelude handles them before each
-        // step), so seeing one means production switched before this event.
-        while let Some(TraceEvent::Timestamp(_)) = events.get(*cursor) {
-            *cursor += 1;
-        }
+        // A thread switch here means production switched before this event
+        // (the step path yields to a pending one before each such op).
         match events.get(*cursor) {
             Some(ev) if !matches!(ev, TraceEvent::ThreadResume(_) | TraceEvent::Gap) => {
                 *cursor += 1;
@@ -2311,20 +2265,12 @@ mod tests {
             "{} checkpoints, no thinning",
             r.checkpoints.len()
         );
-        // Each checkpoint lands on its scheduled cursor, or past it only by
-        // events the step prelude skips: no slice runs through one.
+        // Each checkpoint lands on its scheduled cursor: no slice runs
+        // through one.
         let mut due = every as usize;
         for c in &r.checkpoints {
-            let at = c.cursor();
-            assert!(at >= due, "checkpoint at {at}, due at {due}");
-            assert!(
-                events[due..at]
-                    .iter()
-                    .all(|e| matches!(e, TraceEvent::Timestamp(_) | TraceEvent::ThreadResume(_))),
-                "checkpoint at {at}, due at {due}: {:?}",
-                &events[due..at]
-            );
-            due = at + every as usize;
+            assert_eq!(c.cursor(), due);
+            due += every as usize;
         }
     }
 

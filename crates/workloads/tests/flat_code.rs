@@ -9,9 +9,11 @@
 //! interpreter's fused array must pair only ops of one block with no
 //! recording slot between them.
 
+use er_core::deploy::Deployment;
 use er_core::instrument::InstrumentedProgram;
 use er_core::shepherd;
 use er_minilang::code::{Code, Pc};
+use er_minilang::env::Env;
 use er_minilang::ir::{BlockId, FuncId, Instr, InstrId, Operand, Program};
 use er_symex::{MachineState, SymConfig, SymMachine};
 use er_workloads::Scale;
@@ -190,11 +192,33 @@ fn assert_resumes_at(
     assert_eq!(first.at_recording(), at_recording, "{name}: {at}");
 }
 
+/// A failing run that returns into a recorded call early, before the
+/// checkpoint ring thins: a checkpoint after every event parks on the
+/// call's recording slot. Decoded events carry no scheduling noise, so a
+/// checkpoint parks on a recording slot only right after such a return,
+/// and in the Table-1 runs none happens to land there.
+fn recorded_call() -> Deployment {
+    let program = er_minilang::compile(
+        "fn inc(x: u64) -> u64 { return x + 1; }\n\
+         fn main() { let y: u64 = inc(input_u64(0)); if y == 5 { abort(\"five\"); } print(y); }",
+    )
+    .expect("compiles");
+    Deployment::new(program, |run| {
+        let mut env = Env::new();
+        env.push_input(0, &(run % 5).to_le_bytes());
+        env
+    })
+}
+
 #[test]
 fn retargeted_snapshots_resume_at_the_same_instr_id() {
     let (mut parked, mut others) = (0, 0);
-    for w in er_workloads::all() {
-        let d = w.deployment(Scale::TEST);
+    let workloads = er_workloads::all();
+    let table1 = workloads
+        .iter()
+        .map(|w| (w.name, w.deployment(Scale::TEST), w.er_config().sym));
+    let runs = table1.chain([("recorded-call", recorded_call(), SymConfig::default())]);
+    for (name, d, sym) in runs {
         let p = d.program();
         let plain = InstrumentedProgram::unmodified(p);
         let all = InstrumentedProgram::new(p, &dst_sites(p));
@@ -204,7 +228,7 @@ fn retargeted_snapshots_resume_at_the_same_instr_id() {
         // A checkpoint after every event catches the returns into a
         // recorded call's recording slot.
         for every in [1, 16] {
-            let mut config = w.er_config().sym;
+            let mut config = sym;
             config.checkpoint_every = every;
             for (inst, targets) in [
                 (&plain, [&all.program, &plain_again]),
@@ -222,15 +246,15 @@ fn retargeted_snapshots_resume_at_the_same_instr_id() {
                         // Parked on a recording slot: a build that records
                         // the site keeps it there, one that does not drops
                         // the snapshot.
-                        assert_resumes_at(w.name, &all_again, config, s.clone(), (at, true));
+                        assert_resumes_at(name, &all_again, config, s.clone(), (at, true));
                         let without: Vec<InstrId> =
                             all.sites.iter().copied().filter(|&x| x != at).collect();
                         let dropped = s.clone().retarget(&p.recording(&without));
-                        assert!(dropped.is_none(), "{}: {at}", w.name);
+                        assert!(dropped.is_none(), "{name}: {at}");
                         parked += 1;
                     } else {
                         for target in targets {
-                            assert_resumes_at(w.name, target, config, s.clone(), (at, false));
+                            assert_resumes_at(name, target, config, s.clone(), (at, false));
                         }
                         others += 1;
                     }
