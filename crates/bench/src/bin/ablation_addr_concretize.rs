@@ -51,10 +51,10 @@ fn main() {
             name: w.name.to_string(),
             symbolic_reproduced: sym.reproduced(),
             symbolic_occurrences: sym.occurrences,
-            symbolic_secs: sym.total_symbex.as_secs_f64(),
+            symbolic_secs: sym.total_symbex().as_secs_f64(),
             concretize_reproduced: conc.reproduced(),
             concretize_occurrences: conc.occurrences,
-            concretize_secs: conc.total_symbex.as_secs_f64(),
+            concretize_secs: conc.total_symbex().as_secs_f64(),
         });
     }
 
@@ -132,10 +132,10 @@ fn main() {
         name: "Paper Fig. 3 (aliasing)".into(),
         symbolic_reproduced: sym.reproduced(),
         symbolic_occurrences: sym.occurrences,
-        symbolic_secs: sym.total_symbex.as_secs_f64(),
+        symbolic_secs: sym.total_symbex().as_secs_f64(),
         concretize_reproduced: conc.reproduced(),
         concretize_occurrences: conc.occurrences,
-        concretize_secs: conc.total_symbex.as_secs_f64(),
+        concretize_secs: conc.total_symbex().as_secs_f64(),
     });
 
     let rows: Vec<Vec<String>> = rows_out

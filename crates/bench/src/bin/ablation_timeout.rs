@@ -53,14 +53,14 @@ fn main() {
             info,
             "  cells={cells} conflicts={conflicts}: occ={} {}",
             report.occurrences,
-            fmt_duration(report.total_symbex)
+            fmt_duration(report.total_symbex())
         );
         rows_out.push(Row {
             budget_cells: cells,
             budget_conflicts: conflicts,
             reproduced: report.reproduced(),
             occurrences: report.occurrences,
-            symbex_seconds: report.total_symbex.as_secs_f64(),
+            symbex_seconds: report.total_symbex().as_secs_f64(),
         });
     }
 

@@ -1,8 +1,8 @@
 //! Shared computation for the Table-1 and Fig.-5 artifacts.
 //!
-//! The `table1`, `fig5`, and `bench_summary` binaries and the determinism
-//! regression tests all consume these functions, so "the benchmark" and
-//! "the test" are literally the same code path. Row computation fans out
+//! The `table1` and `fig5` binaries and the determinism regression tests
+//! all consume these functions, so "the benchmark" and "the test" are
+//! literally the same code path. Row computation fans out
 //! across cores via [`harness::parallel_map`]; `serial` forces the
 //! single-threaded order the determinism regression compares against.
 
@@ -23,24 +23,12 @@ pub struct RowOptions {
     pub scale: Scale,
     /// Run workloads one at a time on the calling thread.
     pub serial: bool,
-    /// Disable the incremental solver and checkpointing — the PR-2
+    /// Disable the incremental solver and checkpointing — the uncached
     /// baseline the optimized path is compared against.
     pub baseline: bool,
 }
 
-impl RowOptions {
-    /// Test-scale, parallel, optimized — the configuration CI smokes.
-    pub fn test() -> RowOptions {
-        RowOptions {
-            scale: Scale::TEST,
-            serial: false,
-            baseline: false,
-        }
-    }
-}
-
-/// One Table-1 row (serialized into `results/table1.json` and
-/// `results/BENCH_PR2.json`).
+/// One Table-1 row (serialized into `results/table1.json`).
 #[derive(Debug, Clone, Serialize, PartialEq)]
 pub struct Table1Row {
     pub name: String,
@@ -106,7 +94,7 @@ pub fn table1_rows(opts: RowOptions) -> Vec<Table1Row> {
             instr_count: last.map(|i| i.instr_count).unwrap_or(0),
             occurrences: report.occurrences,
             expected_occurrences: w.expected_occurrences,
-            symbex_seconds: report.total_symbex.as_secs_f64(),
+            symbex_seconds: report.total_symbex().as_secs_f64(),
             wall_seconds: wall.as_secs_f64(),
             reproduced: report.reproduced(),
             max_graph_nodes: report

@@ -52,8 +52,8 @@ fn journal_phase_spans_match_reported_symbex_wall() {
         .sum();
     assert_eq!(
         wall_total,
-        u64::try_from(report.total_symbex.as_nanos()).unwrap(),
-        "report.total_symbex is the sum of per-iteration symbex_wall"
+        u64::try_from(report.total_symbex().as_nanos()).unwrap(),
+        "report.total_symbex() is the sum of per-iteration symbex_wall"
     );
 
     // The span brackets the timed region, so it can only be slightly

@@ -137,9 +137,6 @@ pub struct ReconstructionReport {
     pub occurrences: u32,
     /// Per-iteration details.
     pub iterations: Vec<IterationStats>,
-    /// Total shepherded-symbolic-execution wall time (Table 1's
-    /// "Symbex Time", summed over iterations).
-    pub total_symbex: Duration,
     /// The target failure, once observed.
     pub target: Option<Failure>,
 }
@@ -149,13 +146,20 @@ impl ReconstructionReport {
     pub fn reproduced(&self) -> bool {
         matches!(self.outcome, Outcome::Reproduced(_))
     }
+
+    /// Total shepherded-symbolic-execution wall time (Table 1's "Symbex
+    /// Time"): every shepherded run logs one iteration.
+    pub fn total_symbex(&self) -> Duration {
+        self.iterations.iter().map(|it| it.symbex_wall).sum()
+    }
 }
 
 /// Everything the driver retains from one shepherded occurrence so the
 /// next one can resume mid-trace instead of re-executing the shared
 /// prefix (the tentpole of the checkpoint/resume optimization): the
-/// decoded events (to find the longest common prefix with the new trace)
-/// and the machine snapshots taken along the way.
+/// machine snapshots taken along the way, and the decoded events up to
+/// the last snapshot's cursor (to find the common prefix with the new
+/// trace; [`resume_point`] reads no further).
 #[derive(Debug, Clone)]
 struct ResumeCache {
     events: Vec<TraceEvent>,
@@ -249,10 +253,11 @@ pub enum SessionStep {
 /// This is the per-failure-group state the fleet scheduler parks between
 /// reoccurrences: the accumulated recording set and the binary that
 /// records it, the target failure, the iteration log, and the checkpoint
-/// cache. [`consume`](Self::consume) runs exactly one iteration of the
-/// paper's loop on an occurrence produced by [`binary`](Self::binary); the
-/// serial driver ([`Reconstructor::reconstruct`]) is a thin wrapper that
-/// deploys that binary and feeds its failures back.
+/// cache, and the run cursor. [`consume`](Self::consume) runs exactly one
+/// iteration of the paper's loop on an occurrence produced by
+/// [`binary`](Self::binary); the serial driver
+/// ([`Reconstructor::reconstruct`]) is a thin wrapper that deploys that
+/// binary from [`next_run`](Self::next_run) and feeds its failures back.
 ///
 /// The session owns its binary: it starts as the unmodified program and is
 /// rebuilt, with a `ptwrite` after every recorded site, exactly when an
@@ -268,9 +273,9 @@ pub struct ReconstructionSession {
     binary: Arc<InstrumentedProgram>,
     target: Option<Failure>,
     iterations: Vec<IterationStats>,
-    total_symbex: Duration,
     prev: Option<ResumeCache>,
     occurrences: u32,
+    next_run: u64,
 }
 
 impl ReconstructionSession {
@@ -283,9 +288,9 @@ impl ReconstructionSession {
             sites: Vec::new(),
             target: None,
             iterations: Vec::new(),
-            total_symbex: Duration::ZERO,
             prev: None,
             occurrences: 0,
+            next_run: 0,
         }
     }
 
@@ -302,6 +307,13 @@ impl ReconstructionSession {
     /// Occurrences consumed so far.
     pub fn occurrences(&self) -> u32 {
         self.occurrences
+    }
+
+    /// The first production run not yet consumed: the last consumed
+    /// occurrence's run index + 1 (0 before the first). Earlier runs, and
+    /// later deliveries of consumed ones, are stale.
+    pub fn next_run(&self) -> u64 {
+        self.next_run
     }
 
     /// The accumulated recording set.
@@ -352,6 +364,7 @@ impl ReconstructionSession {
     /// the session close with [`GiveUpReason::TraceDecode`].
     pub fn note_undecodable(&mut self, info: OccurrenceInfo, error: String) -> SessionStep {
         self.occurrences += 1;
+        self.next_run = info.run_index + 1;
         self.target.get_or_insert(info.failure);
         self.retry_or_close(
             er_telemetry::counter!("reconstruct.retry.undecodable"),
@@ -363,26 +376,27 @@ impl ReconstructionSession {
     /// fleet ingestion path stores packets compressed and decodes them
     /// with [`er_pt::compress::decompress_events`], which reproduces
     /// [`er_pt::PtTrace::decode`] bit-for-bit.
-    pub fn consume_events(&mut self, info: OccurrenceInfo, events: Vec<TraceEvent>) -> SessionStep {
+    pub fn consume_events(
+        &mut self,
+        info: OccurrenceInfo,
+        mut events: Vec<TraceEvent>,
+    ) -> SessionStep {
         self.occurrences += 1;
+        self.next_run = info.run_index + 1;
         let occurrence = self.occurrences;
         self.target.get_or_insert(info.failure.clone());
 
         // Checkpoint resume: if the previous occurrence left snapshots and
         // the new trace agrees with its trace on a prefix, resume from the
         // latest snapshot inside that prefix, moved out of the cache.
-        let resume_state = self
-            .prev
-            .take()
-            .filter(|_| self.config.sym.checkpoint_every > 0)
-            .and_then(|cache| {
-                resume_point(
-                    &cache.events,
-                    cache.checkpoints,
-                    &events,
-                    &self.binary.program,
-                )
-            });
+        let resume_state = self.prev.take().and_then(|cache| {
+            resume_point(
+                &cache.events,
+                cache.checkpoints,
+                &events,
+                &self.binary.program,
+            )
+        });
 
         if resume_state.is_some() {
             er_telemetry::counter!("symex.checkpoint_resumes").incr();
@@ -395,13 +409,15 @@ impl ReconstructionSession {
             self.config.sym,
             resume_state,
         );
-        self.total_symbex += report.wall;
         let mut run = report.run;
         // Whatever this iteration decides, the next occurrence resumes
         // inside the prefix it shares with this one.
+        let checkpoints = std::mem::take(&mut run.checkpoints);
+        events.truncate(checkpoints.last().map_or(0, MachineState::cursor));
+        events.shrink_to_fit();
         self.prev = Some(ResumeCache {
             events,
-            checkpoints: std::mem::take(&mut run.checkpoints),
+            checkpoints,
         });
         let mut stats = IterationStats {
             occurrence,
@@ -468,7 +484,7 @@ impl ReconstructionSession {
                 // the coarse-interleaving hypothesis.
                 stats.stalled = Some(format!("diverged: {d:?}"));
                 self.iterations.push(stats);
-                return self.need_more(false);
+                return self.need_more();
             }
         };
         stats.stalled = Some(stalled);
@@ -501,6 +517,10 @@ impl ReconstructionSession {
                 GiveUpReason::NothingToRecord,
             );
         }
+        if !self.wants_more() {
+            // No occurrence would run a rebuilt binary.
+            return SessionStep::Done(self.give_up(GiveUpReason::OccurrenceLimit));
+        }
         self.sites.extend(new_sites);
         self.sites.sort_unstable();
         self.sites.dedup();
@@ -512,7 +532,9 @@ impl ReconstructionSession {
             }
             Arc::new(InstrumentedProgram::new(&self.program, &self.sites))
         };
-        self.need_more(true)
+        SessionStep::NeedOccurrence {
+            reinstrumented: true,
+        }
     }
 
     /// Asks for another occurrence while the budget lasts — a corrupt
@@ -531,11 +553,13 @@ impl ReconstructionSession {
 
     /// Either asks for another occurrence or, at the occurrence limit,
     /// closes the investigation exactly like the serial loop's exit.
-    fn need_more(&mut self, reinstrumented: bool) -> SessionStep {
-        if self.occurrences >= self.config.max_occurrences {
-            SessionStep::Done(self.give_up(GiveUpReason::OccurrenceLimit))
+    fn need_more(&mut self) -> SessionStep {
+        if self.wants_more() {
+            SessionStep::NeedOccurrence {
+                reinstrumented: false,
+            }
         } else {
-            SessionStep::NeedOccurrence { reinstrumented }
+            SessionStep::Done(self.give_up(GiveUpReason::OccurrenceLimit))
         }
     }
 
@@ -550,7 +574,6 @@ impl ReconstructionSession {
             outcome,
             occurrences: self.occurrences,
             iterations: std::mem::take(&mut self.iterations),
-            total_symbex: self.total_symbex,
             target: self.target.clone(),
         }
     }
@@ -616,9 +639,6 @@ impl Reconstructor {
     pub fn reconstruct(&self, deployment: &Deployment) -> ReconstructionReport {
         let _span = er_telemetry::span!("reconstruct");
         let mut session = ReconstructionSession::new(self.config, deployment.program().clone());
-        // The next production run to execute: each wait resumes after the
-        // previous failing run.
-        let mut next_run = 0;
         loop {
             if !session.wants_more() {
                 return session.give_up(GiveUpReason::OccurrenceLimit);
@@ -629,14 +649,13 @@ impl Reconstructor {
                 deployment.run_until_failure(
                     session.binary(),
                     session.target(),
-                    next_run,
+                    session.next_run(),
                     self.config.max_runs_per_occurrence,
                 )
             };
             let Some(occ) = deployed else {
                 return session.give_up(GiveUpReason::NoFailureObserved);
             };
-            next_run = occ.run_index + 1;
             if let SessionStep::Done(report) = session.consume(occ) {
                 return report;
             }
@@ -785,6 +804,81 @@ mod tests {
         assert!(report.reproduced(), "outcome: {:?}", report.outcome);
         assert!(rebuilds > 0, "the investigation must stall at least once");
         assert!(!session.sites().is_empty());
+    }
+
+    #[test]
+    fn occurrence_limit_closes_before_rebuilding_the_binary() {
+        // The one occurrence the budget allows stalls and selects sites,
+        // but no occurrence would run a binary recording them.
+        let d = aliasing_deployment();
+        let config = ErConfig {
+            max_occurrences: 1,
+            ..stalling_config()
+        };
+        let mut session = ReconstructionSession::new(config, d.program().clone());
+        let occ = d
+            .run_until_failure(session.binary(), None, 0, 100)
+            .expect("the failure occurs");
+        let run = occ.run_index;
+        let SessionStep::Done(report) = session.consume(occ) else {
+            panic!("the occurrence budget is spent");
+        };
+        assert!(matches!(
+            report.outcome,
+            Outcome::GaveUp(GiveUpReason::OccurrenceLimit)
+        ));
+        assert!(report.iterations[0].stalled.is_some());
+        assert!(!report.iterations[0].new_sites.is_empty());
+        assert!(session.binary().sites.is_empty(), "no rebuild");
+        assert!(Arc::ptr_eq(
+            session.binary().program.code(),
+            session.program().code()
+        ));
+        assert_eq!(session.next_run(), run + 1);
+    }
+
+    #[test]
+    fn resume_cache_ends_at_the_last_checkpoint() {
+        // A crunch prefix long enough for several checkpoints at a
+        // 64-event spacing, and none when checkpointing is off.
+        let d = deploy(
+            r#"
+            fn main() {
+                let h: u64 = 1;
+                for k: u64 = 0; k < 300; k = k + 1 {
+                    if (h & 1) == 1 { h = h * 3 + 1; } else { h = h / 2 + k; }
+                }
+                if input_u64(0) == 3 { abort("three"); }
+                print(h);
+            }
+            "#,
+            |run| {
+                let mut env = Env::new();
+                env.push_input(0, &run.to_le_bytes());
+                env
+            },
+        );
+        for every in [64, 0] {
+            let config = ErConfig {
+                sym: SymConfig {
+                    checkpoint_every: every,
+                    ..SymConfig::default()
+                },
+                ..ErConfig::default()
+            };
+            let mut session = ReconstructionSession::new(config, d.program().clone());
+            let occ = d
+                .run_until_failure(session.binary(), None, 0, 100)
+                .expect("the failure occurs");
+            let events = occ.trace.decode().expect("trace decodes").events;
+            session.consume(occ);
+            let cache = session.prev.as_ref().expect("the run is remembered");
+            let last = cache.checkpoints.last().map_or(0, MachineState::cursor);
+            assert_eq!(every == 0, cache.checkpoints.is_empty(), "every {every}");
+            assert!(last < events.len());
+            assert_eq!(cache.events, events[..last], "every {every}");
+            assert_eq!(cache.events.capacity(), last, "the tail is released");
+        }
     }
 
     #[test]

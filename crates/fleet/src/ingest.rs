@@ -56,12 +56,10 @@ pub struct PendingOccurrence {
     pub for_group: Option<u64>,
     /// Instrumentation version that produced the trace.
     pub version: u32,
-    /// Stored compressed trace, or why the trace failed to decode — a
-    /// failure is delivered to the session as a decode failure, exactly
-    /// like the serial path.
+    /// Stored compressed trace (the store keeps its leading-gap flag), or
+    /// why the trace failed to decode — a failure is delivered to the
+    /// session as a decode failure, exactly like the serial path.
     pub trace: Result<TraceId, String>,
-    /// Ring wrapped: the decoded stream starts with a gap.
-    pub leading_gap: bool,
     /// Occurrence metadata for the session.
     pub info: OccurrenceInfo,
 }
@@ -175,24 +173,22 @@ impl Ingestor {
                     untampered && g == group && t.wrapped == raw.wrapped && t.bytes == raw.bytes
                 })
                 .find_map(|(_, _, put, gap, packets)| {
-                    store
-                        .put_duplicate(put, group, *gap, *packets)
-                        .map(|r| (r.id, *gap))
+                    store.put_duplicate(put, group, *gap, *packets)
                 });
-            let (trace, leading_gap) = match duplicate {
-                Some((id, gap)) => (Ok(id), gap),
+            let trace = match duplicate {
+                Some(put) => Ok(put.id),
                 None => match raw.packets() {
                     Ok((packets, gap)) => {
                         let put = store.put(group, &packets, gap);
                         if untampered {
                             stored.push((idx, group, put, gap, packets.len()));
                         }
-                        (Ok(put.id), gap)
+                        Ok(put.id)
                     }
                     Err(e) => {
                         self.stats.decode_errors += 1;
                         er_telemetry::counter!("fleet.ingest.decode_errors").incr();
-                        (Err(e.to_string()), false)
+                        Err(e.to_string())
                     }
                 },
             };
@@ -201,7 +197,6 @@ impl Ingestor {
                 for_group: report.for_group,
                 version: report.version,
                 trace,
-                leading_gap,
                 info,
             };
             if er_chaos::inject(er_chaos::Fault::IngestDuplicate).is_some() {
@@ -323,16 +318,15 @@ mod tests {
             .map(|r| {
                 let info = OccurrenceInfo::of(&r.occ);
                 let (group, _) = triage.classify(&info.failure, info.run_index);
-                let (trace, leading_gap) = match r.occ.trace.packets() {
-                    Ok((packets, gap)) => (Ok(store.put(group, &packets, gap).id), gap),
-                    Err(e) => (Err(e.to_string()), false),
+                let trace = match r.occ.trace.packets() {
+                    Ok((packets, gap)) => Ok(store.put(group, &packets, gap).id),
+                    Err(e) => Err(e.to_string()),
                 };
                 PendingOccurrence {
                     group,
                     for_group: r.for_group,
                     version: r.version,
                     trace,
-                    leading_gap,
                     info,
                 }
             })

@@ -8,10 +8,11 @@
 //!
 //! Version discipline keeps the fleet path bit-identical to the serial
 //! loop: a group only consumes occurrences produced by its *current*
-//! instrumented binary, in run order, and never re-consumes a run it has
-//! already advanced past. When an iteration grows the recording set, the
-//! group's version bumps, queued stale occurrences are dropped (counted),
-//! and the new binary rolls out to the instrumented slice of instances.
+//! instrumented binary, in run order, and never re-consumes a run its
+//! session has already advanced past. When an iteration grows the
+//! recording set, settling it bumps the group's version, drops the queued
+//! stale occurrences (counted), and the new binary rolls out to the
+//! instrumented slice of instances.
 
 use crate::ingest::PendingOccurrence;
 use crate::pool;
@@ -52,24 +53,21 @@ impl Default for SchedulerConfig {
 }
 
 /// One failure group's investigation state: its session, which owns the
-/// group's current binary, and its queue of pending occurrences.
+/// group's current binary and everything the investigation has consumed,
+/// and its queue of pending occurrences.
 #[derive(Debug)]
 pub struct GroupState {
     /// Group id (signature hash).
     pub id: u64,
     /// Short label for telemetry context.
     pub label: String,
-    /// Current instrumentation version (0 = uninstrumented).
+    /// Current instrumentation version (0 = uninstrumented), bumped when
+    /// a settled iteration rebuilt the session's binary.
     pub version: u32,
     session: ReconstructionSession,
     pending: VecDeque<PendingOccurrence>,
-    /// Runs at or below this index are already consumed; later-arriving
-    /// occurrences of them are duplicates from other instances.
-    next_run: u64,
     /// Final report, once the investigation closed.
     pub report: Option<ReconstructionReport>,
-    /// Analyze rounds in which this group consumed an occurrence.
-    pub iterations: u64,
     /// Total sightings across all instances (triage's count, including
     /// redundant ones) — the numerator of the reoccurrence rate.
     pub occurrences_seen: u64,
@@ -89,9 +87,10 @@ impl GroupState {
         self.watchdog.map(|w| w.escalations()).unwrap_or(0)
     }
 
-    /// Runs at or below this index are already consumed.
+    /// Runs below this index are already consumed; later-arriving
+    /// occurrences of them are duplicates from other instances.
     pub fn next_run(&self) -> u64 {
-        self.next_run
+        self.session.next_run()
     }
 
     /// The session's accumulated recording set.
@@ -116,7 +115,7 @@ impl GroupState {
         self.pending.iter().position(|p| {
             p.version == self.version
                 && (p.for_group.is_none() || p.for_group == Some(self.id))
-                && p.info.run_index >= self.next_run
+                && p.info.run_index >= self.next_run()
         })
     }
 
@@ -206,9 +205,7 @@ impl Scheduler {
                 version: 0,
                 session: ReconstructionSession::new(er, program.clone()),
                 pending: VecDeque::new(),
-                next_run: 0,
                 report: None,
-                iterations: 0,
                 occurrences_seen: 0,
                 watchdog,
             }
@@ -244,7 +241,7 @@ impl Scheduler {
             let stale = g.report.is_some()
                 || p.version != g.version
                 || (p.for_group.is_some() && p.for_group != Some(g.id))
-                || p.info.run_index < g.next_run;
+                || p.info.run_index < g.next_run();
             let duplicate = g.pending.iter().any(|q| {
                 q.version == p.version && q.info.run_index == p.info.run_index && q.trace == p.trace
             });
@@ -256,18 +253,16 @@ impl Scheduler {
                 if let Ok(id) = p.trace {
                     store.pin(id);
                 }
-                let journal = journaling.then(|| DurableEvent::OccurrenceIngested {
-                    group: p.group,
-                    for_group: p.for_group,
-                    version: p.version,
-                    leading_gap: p.leading_gap,
-                    info: Box::new(p.info.clone()),
-                    trace: p.trace.clone().and_then(|id| {
-                        store
-                            .compressed_bytes(id)
-                            .map(|(bytes, _)| bytes)
-                            .map_err(|e| format!("trace unavailable: {e}"))
-                    }),
+                let journal = journaling.then(|| {
+                    let trace = fetch_trace(store, &p);
+                    DurableEvent::OccurrenceIngested {
+                        group: p.group,
+                        for_group: p.for_group,
+                        version: p.version,
+                        leading_gap: trace.as_ref().is_ok_and(|&(_, gap)| gap),
+                        info: Box::new(p.info.clone()),
+                        trace: trace.map(|(bytes, _)| bytes),
+                    }
                 });
                 g.pending.push_back(p);
                 if let Some(ev) = journal {
@@ -460,8 +455,8 @@ impl Scheduler {
 
     /// The epilogue of every consumed occurrence, live or replayed: unpins
     /// its trace, journals the consumption, and applies the outcome — a
-    /// rollout drops the work queued under the old binary, a closure drops
-    /// everything and journals the verdict.
+    /// rollout bumps the group's version and drops the work queued under
+    /// the old binary, a closure drops everything and journals the verdict.
     fn settle(
         &mut self,
         g: &mut GroupState,
@@ -482,6 +477,7 @@ impl Scheduler {
             ConsumeOutcome::NeedMore => {}
             ConsumeOutcome::Reinstrumented => {
                 er_telemetry::counter!("fleet.sched.rollouts").incr();
+                g.version += 1;
                 // Everything queued was produced by the old binary.
                 let stale = g.drop_pending(store);
                 er_telemetry::counter!("fleet.sched.stale_dropped").add(stale);
@@ -563,25 +559,21 @@ impl Scheduler {
 
     /// One worker-side iteration, under the watchdog when configured: arms
     /// the cooperative cancellation token with the group's current phase
-    /// budgets, snapshots the session first, and — if any phase budget
-    /// trips mid-iteration — restores the snapshot so the cancelled work
-    /// leaves no trace on the session.
+    /// budgets, copies the session first, and — if any phase budget trips
+    /// mid-iteration — restores that copy and clears the report, so the
+    /// cancelled work leaves no trace on the group.
     fn run_supervised(g: &mut GroupState, p: &PendingOccurrence, trace: &Trace) -> IterResult {
         let Some(budgets) = g.watchdog.map(|w| w.budgets()) else {
             return IterResult::Done(Self::run_iteration(g, p, trace));
         };
-        let snapshot = (g.session.clone(), g.next_run, g.iterations, g.version);
+        let session = g.session.clone();
         let guard = er_solver::cancel::arm(budgets);
         let outcome = Self::run_iteration(g, p, trace);
         let tripped = er_solver::cancel::tripped_phase();
         drop(guard);
         match tripped {
             Some(phase) => {
-                let (session, next_run, iterations, version) = snapshot;
                 g.session = session;
-                g.next_run = next_run;
-                g.iterations = iterations;
-                g.version = version;
                 g.report = None;
                 IterResult::Cancelled { phase }
             }
@@ -590,11 +582,9 @@ impl Scheduler {
     }
 
     /// One group iteration: decode `p`'s fetched trace straight to events
-    /// and feed the session. Mutates only `g`.
+    /// and feed the session. Mutates only `g`'s session and report.
     fn run_iteration(g: &mut GroupState, p: &PendingOccurrence, trace: &Trace) -> ConsumeOutcome {
         let _iter = er_telemetry::span!("reconstruct.iteration");
-        g.iterations += 1;
-        g.next_run = p.info.run_index + 1;
         let decoded = trace
             .as_ref()
             .map_err(Clone::clone)
@@ -619,10 +609,7 @@ impl Scheduler {
             }
             SessionStep::NeedOccurrence {
                 reinstrumented: true,
-            } => {
-                g.version += 1;
-                ConsumeOutcome::Reinstrumented
-            }
+            } => ConsumeOutcome::Reinstrumented,
             SessionStep::NeedOccurrence {
                 reinstrumented: false,
             } => ConsumeOutcome::NeedMore,
@@ -704,7 +691,6 @@ impl Scheduler {
                             for_group: *for_group,
                             version: *version,
                             trace,
-                            leading_gap: *leading_gap,
                             info: info.as_ref().clone(),
                         }],
                         store,
@@ -831,6 +817,13 @@ fn diverged(why: std::fmt::Arguments<'_>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::{CrashReport, IngestConfig, Ingestor};
+    use crate::store::StoreConfig;
+    use crate::triage::Triage;
+    use er_core::deploy::Deployment;
+    use er_minilang::env::Env;
+    use er_solver::cancel::PhaseBudgets;
+    use er_solver::solve::Budget;
 
     /// The per-instance answer `assignments` replaces: sort every group
     /// through `priority_order` and take the first, once per instance.
@@ -904,5 +897,106 @@ mod tests {
             .assignments(4, 100, &baseline)
             .iter()
             .all(|(g, v, _)| g.is_none() && *v == 0));
+    }
+
+    #[test]
+    fn a_cancelled_iteration_leaves_the_group_as_it_was() {
+        let _l = crate::testsync::chaos_lock();
+        // An aliasing read over a large table stalls under a small budget,
+        // so the first occurrence selects sites and reinstruments. Runs
+        // `r` with `r % 7 == 3` fail.
+        let program = er_minilang::compile(
+            r#"
+            global TBL: [u64; 2048];
+            fn main() {
+                let a: u64 = input_u64(0);
+                let b: u64 = input_u64(0);
+                TBL[a & 2047] = 41;
+                if TBL[b & 2047] == 41 { abort("aliased"); }
+            }
+            "#,
+        )
+        .unwrap();
+        let d = Deployment::new(program.clone(), |run| {
+            let mut env = Env::new();
+            let a = run * 13 + 5;
+            env.push_input(0, &a.to_le_bytes());
+            env.push_input(0, &(if run % 7 == 3 { a } else { a + 1 }).to_le_bytes());
+            env
+        });
+        let mut er = ErConfig {
+            final_budget: Budget::small(),
+            ..ErConfig::default()
+        };
+        er.sym.solver_budget = Budget::small();
+        er.sym.always_concretize = false;
+        // The select budget trips once the iteration has run to its end:
+        // the session consumed the occurrence and rebuilt its binary. The
+        // first escalation lifts the budget out of reach.
+        let watchdog = WatchdogConfig {
+            budgets: PhaseBudgets {
+                select: 1,
+                ..PhaseBudgets::unlimited()
+            },
+            escalation_factor: 1 << 40,
+            max_escalations: 1,
+        };
+        let mut s = Scheduler::new(
+            er,
+            SchedulerConfig {
+                rollout: 1.0,
+                watchdog: Some(watchdog),
+            },
+        );
+        let mut store = TraceStore::new(StoreConfig::default());
+        let mut ingest = Ingestor::new(IngestConfig::default());
+        let baseline = InstrumentedProgram::unmodified(&program);
+        let first = d.run_until_failure(&baseline, None, 0, 100).unwrap();
+        let second = d
+            .run_until_failure(&baseline, None, first.run_index + 1, 100)
+            .unwrap();
+        let run = first.run_index;
+        for occ in [first, second] {
+            assert!(ingest.offer(CrashReport {
+                instance: 0,
+                for_group: None,
+                version: 0,
+                occ,
+            }));
+        }
+        let pending = ingest.drain(&mut Triage::new(), &mut store);
+        let id = pending[0].group;
+        s.note_group(id, &program, "aliasing");
+        s.enqueue(pending, &mut store);
+        let state = |s: &Scheduler| {
+            let g = &s.groups[&id];
+            (
+                g.occurrences_consumed(),
+                g.next_run(),
+                g.version,
+                g.sites().to_vec(),
+                g.pending_len(),
+                g.report.is_some(),
+            )
+        };
+        let before = state(&s);
+        assert_eq!(before, (0, 0, 0, Vec::new(), 2, false));
+
+        assert!(s.analyze_round(&mut store, 100, true).is_empty(), "trips");
+        assert_eq!(s.groups[&id].watchdog_escalations(), 1);
+        assert_eq!(state(&s), before, "the trip rolls the group back");
+
+        // The retry consumes the same, oldest occurrence.
+        assert_eq!(
+            s.analyze_round(&mut store, 100, true),
+            vec![(id, ConsumeOutcome::Reinstrumented)]
+        );
+        let g = &s.groups[&id];
+        assert_eq!(
+            (g.occurrences_consumed(), g.next_run(), g.version),
+            (1, run + 1, 1)
+        );
+        assert!(!g.sites().is_empty());
+        assert_eq!(g.pending_len(), 0, "the rollout drops the stale one");
     }
 }

@@ -44,6 +44,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Safety cap on the rounds of one [`Fleet::run`].
+const MAX_ROUNDS: u64 = 10_000;
+
 /// How production traffic maps onto instances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Traffic {
@@ -64,8 +67,6 @@ pub struct FleetConfig {
     pub traffic: Traffic,
     /// Production runs per instance per produce phase.
     pub batch_runs: u64,
-    /// Safety cap on rounds.
-    pub max_rounds: u64,
     /// Ingest queue sizing.
     pub ingest: IngestConfig,
     /// Trace-store retention policy.
@@ -85,7 +86,6 @@ impl Default for FleetConfig {
             serial: false,
             traffic: Traffic::Mirrored,
             batch_runs: 2_000,
-            max_rounds: 10_000,
             ingest: IngestConfig::default(),
             store: StoreConfig::default(),
             sched: SchedulerConfig::default(),
@@ -135,8 +135,6 @@ pub struct FleetGroupReport {
     pub occurrences_seen: u64,
     /// Reoccurrence rate, occurrences per 1000 observed runs.
     pub rate_per_mille: u64,
-    /// Analyze iterations the group consumed.
-    pub iterations: u64,
     /// Final instrumentation version.
     pub version: u32,
     /// Watchdog escalations taken (0 when unsupervised).
@@ -323,7 +321,7 @@ impl Fleet {
         // budget counts from here.
         let mut last_sighting = 0u64;
 
-        while rounds < self.config.max_rounds {
+        while rounds < MAX_ROUNDS {
             rounds += 1;
             er_telemetry::counter!("fleet.rounds").incr();
             let _round = er_telemetry::span!("fleet.round");
@@ -463,7 +461,6 @@ impl Fleet {
                     rate_per_mille: t
                         .map(|t| t.rate_per_mille(runs_observed.max(1)))
                         .unwrap_or(0),
-                    iterations: g.iterations,
                     version: g.version,
                     watchdog_escalations: g.watchdog_escalations(),
                     report: g.report.take().expect("all groups closed"),

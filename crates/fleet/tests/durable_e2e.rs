@@ -315,7 +315,7 @@ fn group_closed_by_close_all_replays_closed() {
     .run();
     assert_eq!(report.groups.len(), 1);
     let g = &report.groups[0];
-    assert_eq!(g.iterations, 1, "exactly one occurrence to consume");
+    assert_eq!(g.report.occurrences, 1, "exactly one occurrence to consume");
     assert!(matches!(
         g.report.outcome,
         Outcome::GaveUp(GiveUpReason::NoFailureObserved)

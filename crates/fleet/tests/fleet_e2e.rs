@@ -22,9 +22,9 @@ fn run_fleet(w: &Workload, config: FleetConfig) -> FleetReport {
     Fleet::new(spec_for(w), config).run()
 }
 
-/// One group's digest row: id, sightings, iterations, session
-/// occurrences, reproduced flag, and the test-case inputs.
-type GroupDigest = (u64, u64, u64, u32, bool, Vec<(u32, Vec<u8>)>);
+/// One group's digest row: id, sightings, session occurrences,
+/// reproduced flag, and the test-case inputs.
+type GroupDigest = (u64, u64, u32, bool, Vec<(u32, Vec<u8>)>);
 
 /// Deterministic per-group digest: everything that must match between two
 /// equivalent fleet runs.
@@ -36,7 +36,6 @@ fn digest(r: &FleetReport) -> Vec<GroupDigest> {
             (
                 g.group,
                 g.occurrences_seen,
-                g.iterations,
                 g.report.occurrences,
                 g.report.reproduced(),
                 g.report

@@ -629,7 +629,7 @@ impl<'p> SymMachine<'p> {
         let mut cursor = self.state.cursor;
         let failure_pc = failure.and_then(|f| self.code.pc_of(f.at));
         loop {
-            if self.config.checkpoint_every > 0 && cursor >= self.next_checkpoint_at {
+            if cursor >= self.next_checkpoint_at {
                 self.take_checkpoint(cursor);
             }
             if let Some(TraceEvent::Gap) = events.get(cursor) {

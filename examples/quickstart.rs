@@ -58,7 +58,7 @@ fn main() {
         report.target.as_ref().map(|f| f.fault.to_string())
     );
     println!("occurrences consumed: {}", report.occurrences);
-    println!("total symbex time: {:?}", report.total_symbex);
+    println!("total symbex time: {:?}", report.total_symbex());
     match &report.outcome {
         Outcome::Reproduced(test_case) => {
             println!("reproduced! generated input streams:");
