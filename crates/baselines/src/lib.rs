@@ -8,7 +8,10 @@
 //! * [`rept`] — a REPT-style reverse-execution engine: recovers data values
 //!   from a control-flow trace plus the final memory image, with the honest
 //!   failure mode the paper reports (values become unknown or wrong as the
-//!   reconstruction window grows, §2.2/§5.2).
+//!   reconstruction window grows, §2.2/§5.2). Its tape is a traced run of
+//!   the production interpreter: the binary and its PT trace give the
+//!   instruction sequence, and the values a recording build writes into
+//!   the trace are the ground truth used for grading.
 
 pub mod rept;
 pub mod rr;

@@ -11,9 +11,12 @@
 //!
 //! This module reproduces that behaviour mechanically:
 //!
-//! * [`ConcreteTape`] re-executes the failing run to obtain the dynamic
-//!   instruction sequence (the stand-in for PT trace + binary) *and* the
-//!   ground truth used only for grading.
+//! * [`ConcreteTape`] is what REPT consumes, a binary plus its PT trace,
+//!   taken from a traced run of the production interpreter
+//!   ([`Machine`]). The run uses a build that records every
+//!   value-defining instruction, so walking that build's code along the
+//!   decoded trace gives the dynamic instruction sequence, and the
+//!   recorded values are the ground truth used only for grading.
 //! * [`ReptAnalysis`] sees only the instruction sequence, the final
 //!   registers, and the final memory — never the ground-truth values — and
 //!   recovers what it can via backward inversion. With
@@ -21,12 +24,14 @@
 //!   unrecovered addresses do not invalidate its memory picture, which is
 //!   precisely where wrong values come from.
 
+use er_minilang::code::{Op, Pc};
 use er_minilang::env::Env;
 use er_minilang::error::RuntimeFault;
+use er_minilang::interp::{Machine, RunOutcome};
 use er_minilang::ir::*;
-use er_minilang::mem::Memory;
 use er_minilang::value::Width;
-use std::collections::HashMap;
+use er_pt::sink::{PtConfig, PtSink};
+use std::collections::{HashMap, VecDeque};
 
 /// One executed, value-defining instruction.
 #[derive(Debug, Clone)]
@@ -55,246 +60,155 @@ pub struct ConcreteTape {
     pub faulted: bool,
 }
 
+/// A live frame of the walk: its activation id, its registers, and the
+/// pc its caller resumes at.
+struct Frame {
+    id: u64,
+    regs: Vec<u64>,
+    ret: Pc,
+}
+
 impl ConcreteTape {
     /// Executes `program` (single-threaded subset) under `env`, recording
     /// the last `window` value-defining instructions.
+    ///
+    /// The run is the production interpreter's, on the build that records
+    /// every value-defining instruction. Its PT trace is decoded and walked
+    /// along that build's code: branch events pick the successor, each
+    /// recording slot supplies its instruction's value, and the walk stops
+    /// after the run's instruction count. A call's return value only sets
+    /// the caller's register; stores take their value operand as truth.
     ///
     /// # Errors
     ///
     /// Returns an error string for multithreaded programs (REPT's published
     /// evaluation is per-thread; our comparison uses the sequential
-    /// workloads).
-    pub fn record(program: &Program, mut env: Env, window: usize) -> Result<ConcreteTape, String> {
-        let mut mem = Memory::new(program);
-        // (func, block, ip, regs, ret_dst, stack_mark, frame_id)
-        type Frame = (FuncId, BlockId, usize, Vec<u64>, Option<Reg>, u64, u64);
-        let mut frames: Vec<Frame> = Vec::new();
-        let mut next_frame = 0u64;
-        frames.push((
-            program.entry(),
-            BlockId(0),
-            0,
-            vec![0; program.func(program.entry()).n_regs],
-            None,
-            mem.stack_watermark(0),
-            next_frame,
-        ));
-        let mut entries: Vec<TapeEntry> = Vec::new();
-        let mut faulted = false;
-        let mut steps: u64 = 0;
+    /// workloads), for runs that exhaust the instruction budget, and for
+    /// traces whose ring wrapped.
+    pub fn record(program: &Program, env: Env, window: usize) -> Result<ConcreteTape, String> {
+        let base = program.code();
+        let sites: Vec<InstrId> = (0..base.ops().len() as Pc)
+            .filter(|&pc| base.defines_value(pc))
+            .map(|pc| base.id_of(pc))
+            .collect();
+        let recorded = program.recording(&sites);
+        let report = Machine::with_sink(&recorded, env, PtSink::new(PtConfig::default())).run();
+        let faulted = match &report.outcome {
+            RunOutcome::Completed => false,
+            RunOutcome::Failure(f) if f.fault == RuntimeFault::Hang => {
+                return Err("tape budget exceeded".into())
+            }
+            RunOutcome::Failure(_) => true,
+        };
+        let trace = report
+            .sink
+            .finish()
+            .decode()
+            .map_err(|e| format!("tape trace undecodable: {e}"))?;
+        if trace.has_gap() {
+            return Err("tape trace lost its prefix".into());
+        }
+        // Branches and recorded values are consumed in trace order, each
+        // stream on its own; calls and returns follow from the code.
+        let mut branches = trace.branches().into_iter();
+        let mut values = trace.ptwrites().into_iter();
 
-        'run: while let Some(frame) = frames.last_mut() {
-            steps += 1;
-            if steps > 200_000_000 {
-                return Err("tape budget exceeded".into());
+        let code = recorded.code();
+        let ops = code.ops();
+        let mut frames = vec![Frame {
+            id: 0,
+            regs: vec![0; program.func(program.entry()).n_regs],
+            ret: 0,
+        }];
+        let mut entries = VecDeque::new();
+        let mut push_entry = |pc: Pc, frame: u64, truth_dst: u64| {
+            let site = code.id_of(pc);
+            let instr = program.instr(site).expect("recorded site").clone();
+            entries.push_back(TapeEntry {
+                site,
+                frame,
+                instr,
+                truth_dst,
+            });
+            if entries.len() > window {
+                entries.pop_front();
             }
-            let (func, block, ip, frame_id) = (frame.0, frame.1, frame.2, frame.6);
-            let blk = program.func(func).block(block);
-            if ip >= blk.instrs.len() {
-                match blk.term.clone().expect("terminated") {
-                    Terminator::Jump(b) => {
-                        frame.1 = b;
-                        frame.2 = 0;
-                    }
-                    Terminator::Branch {
-                        cond,
-                        then_blk,
-                        else_blk,
-                    } => {
-                        let c = operand(&frame.3, cond);
-                        frame.1 = if c != 0 { then_blk } else { else_blk };
-                        frame.2 = 0;
-                    }
-                    Terminator::Return(v) => {
-                        let value = v.map(|op| operand(&frame.3, op)).unwrap_or(0);
-                        let (_, _, _, _, ret_dst, mark, _) = frames.pop().expect("frame");
-                        mem.stack_restore(0, mark);
-                        if let Some(caller) = frames.last_mut() {
-                            if let Some(dst) = ret_dst {
-                                caller.3[dst.0 as usize] = value;
-                            }
-                            caller.2 += 1;
-                        }
-                    }
-                }
-                continue;
-            }
-            let instr = blk.instrs[ip].clone();
-            let site = InstrId {
-                func,
-                block,
-                index: ip,
-            };
-            let push_entry = |entries: &mut Vec<TapeEntry>, instr: &Instr, truth: u64| {
-                entries.push(TapeEntry {
-                    site,
-                    frame: frame_id,
-                    instr: instr.clone(),
-                    truth_dst: truth,
-                });
-                // Trim lazily in batches; per-entry draining would make the
-                // tape quadratic in run length.
-                if entries.len() >= window.saturating_mul(2).max(window + 4096) {
-                    let excess = entries.len() - window;
-                    entries.drain(..excess);
-                }
-            };
-            let regs = &mut frames.last_mut().expect("frame").3;
-            let fault: Option<RuntimeFault> = match &instr {
-                Instr::Const { dst, value } => {
-                    regs[dst.0 as usize] = *value;
-                    push_entry(&mut entries, &instr, *value);
-                    None
-                }
-                Instr::Bin {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    width,
-                } => match op.eval(*width, operand(regs, *a), operand(regs, *b)) {
-                    Some(v) => {
-                        regs[dst.0 as usize] = v;
-                        push_entry(&mut entries, &instr, v);
-                        None
-                    }
-                    None => Some(RuntimeFault::DivByZero),
-                },
-                Instr::Un { dst, op, a, width } => {
-                    let v = op.eval(*width, operand(regs, *a));
-                    regs[dst.0 as usize] = v;
-                    push_entry(&mut entries, &instr, v);
-                    None
-                }
-                Instr::Cmp {
-                    dst,
-                    pred,
-                    a,
-                    b,
-                    width,
-                } => {
-                    let v = u64::from(pred.eval(*width, operand(regs, *a), operand(regs, *b)));
-                    regs[dst.0 as usize] = v;
-                    push_entry(&mut entries, &instr, v);
-                    None
-                }
-                Instr::Cast { dst, a, from } => {
-                    let v = from.trunc(operand(regs, *a));
-                    regs[dst.0 as usize] = v;
-                    push_entry(&mut entries, &instr, v);
-                    None
-                }
-                Instr::Load { dst, addr, width } => match mem.load(operand(regs, *addr), *width) {
-                    Ok(v) => {
-                        regs[dst.0 as usize] = v;
-                        push_entry(&mut entries, &instr, v);
-                        None
-                    }
-                    Err(f) => Some(f),
-                },
-                Instr::Store { addr, value, width } => {
-                    match mem.store(operand(regs, *addr), *width, operand(regs, *value)) {
-                        Ok(()) => {
-                            push_entry(&mut entries, &instr, operand(regs, *value));
-                            None
-                        }
-                        Err(f) => Some(f),
-                    }
-                }
-                Instr::GlobalAddr { dst, global } => {
-                    let v = program.globals()[global.0 as usize].addr;
-                    regs[dst.0 as usize] = v;
-                    push_entry(&mut entries, &instr, v);
-                    None
-                }
-                Instr::StackAlloc { dst, size } => {
-                    let v = mem.stack_alloc(0, *size);
-                    regs[dst.0 as usize] = v;
-                    push_entry(&mut entries, &instr, v);
-                    None
-                }
-                Instr::Alloc { dst, size } => {
-                    let v = mem.heap_alloc(operand(regs, *size));
-                    regs[dst.0 as usize] = v;
-                    push_entry(&mut entries, &instr, v);
-                    None
-                }
-                Instr::Free { addr } => mem.heap_free(operand(regs, *addr)).err(),
-                Instr::Call { dst, func, args } => {
-                    let callee = program.func(*func);
-                    let mut cregs = vec![0u64; callee.n_regs];
-                    for (i, a) in args.iter().enumerate() {
-                        cregs[i] = operand(regs, *a);
-                    }
-                    let mark = mem.stack_watermark(0);
-                    next_frame += 1;
-                    frames.push((*func, BlockId(0), 0, cregs, *dst, mark, next_frame));
-                    continue 'run;
-                }
-                Instr::Input { dst, source, width } => match env.read_input(*source, *width) {
-                    Ok((v, _)) => {
-                        regs[dst.0 as usize] = v;
-                        push_entry(&mut entries, &instr, v);
-                        None
-                    }
-                    Err(f) => Some(f),
-                },
-                Instr::Clock { dst } => {
-                    let v = env.read_clock();
-                    regs[dst.0 as usize] = v;
-                    push_entry(&mut entries, &instr, v);
-                    None
-                }
-                Instr::PtWrite { .. } | Instr::Print { .. } => None,
-                Instr::Spawn { .. }
-                | Instr::Join { .. }
-                | Instr::Lock { .. }
-                | Instr::Unlock { .. } => {
+        };
+        let (mut pc, mut next_frame) = (code.entry(), 0);
+        for n in 1..=report.instr_count {
+            let op = ops[pc as usize];
+            let frame = frames.last_mut().expect("live frame");
+            pc = match op {
+                Op::Spawn { .. } | Op::Join { .. } | Op::Lock { .. } | Op::Unlock { .. } => {
                     return Err("REPT tape supports single-threaded programs".into())
                 }
-                Instr::Assert { cond, message } => {
-                    if operand(regs, *cond) == 0 {
-                        Some(RuntimeFault::AssertFailed {
-                            message: message.clone(),
-                        })
+                // The faulting op changed nothing.
+                _ if faulted && n == report.instr_count => break,
+                Op::Jump { to } => to,
+                Op::Branch {
+                    then_pc, else_pc, ..
+                } => {
+                    if branches.next().expect("traced branch") {
+                        then_pc
                     } else {
-                        None
+                        else_pc
                     }
                 }
-                Instr::Abort { message } => Some(RuntimeFault::Abort {
-                    message: message.clone(),
-                }),
+                Op::Call { site } => {
+                    let site = code.call_site(site);
+                    let mut regs = vec![0; site.n_regs];
+                    for (r, a) in regs.iter_mut().zip(site.args.iter()) {
+                        *r = operand(&frame.regs, *a);
+                    }
+                    next_frame += 1;
+                    frames.push(Frame {
+                        id: next_frame,
+                        regs,
+                        ret: pc + 1,
+                    });
+                    site.entry
+                }
+                Op::Return { .. } => {
+                    let ret = frames.pop().expect("live frame").ret;
+                    if frames.is_empty() {
+                        break;
+                    }
+                    ret
+                }
+                Op::PtWrite { value } => {
+                    let v = values.next().expect("traced ptwrite");
+                    // A recording slot writes the register its instruction
+                    // defined; a call's return value gets no entry.
+                    if let (true, Operand::Reg(dst)) = (code.is_recording(pc), value) {
+                        frame.regs[dst.0 as usize] = v;
+                        if !matches!(ops[pc as usize - 1], Op::Call { .. }) {
+                            push_entry(pc, frame.id, v);
+                        }
+                    }
+                    pc + 1
+                }
+                Op::Store { value, .. } => {
+                    push_entry(pc, frame.id, operand(&frame.regs, value));
+                    pc + 1
+                }
+                _ => pc + 1,
             };
-            if fault.is_some() {
-                faulted = true;
-                break 'run;
-            }
-            frames.last_mut().expect("frame").2 += 1;
         }
 
-        let mut final_regs = HashMap::new();
-        for (_, _, _, regs, _, _, fid) in &frames {
-            for (i, &v) in regs.iter().enumerate() {
-                final_regs.insert((*fid, i as u32), v);
-            }
-        }
-        let mut final_mem = HashMap::new();
-        for (base, bytes) in mem.dump() {
-            for (k, &b) in bytes.iter().enumerate() {
-                final_mem.insert(base + k as u64, b);
-            }
-        }
-        if entries.len() > window {
-            let excess = entries.len() - window;
-            entries.drain(..excess);
-        }
+        let final_regs = frames
+            .iter()
+            .flat_map(|f| (0..).zip(&f.regs).map(|(i, &v)| ((f.id, i), v)))
+            .collect();
+        let final_mem = (report.mem.dump().into_iter())
+            .flat_map(|(base, bytes)| (base..).zip(bytes))
+            .collect();
         if er_telemetry::enabled() {
-            // Batched per tape: the recording loop above stays bare.
-            er_telemetry::counter!("rept.tape_steps").add(steps);
+            // Batched per tape: the walk above stays bare.
+            er_telemetry::counter!("rept.tape_steps").add(report.instr_count);
             er_telemetry::counter!("rept.tape_entries").add(entries.len() as u64);
         }
         Ok(ConcreteTape {
-            entries,
+            entries: entries.into(),
             final_regs,
             final_mem,
             faulted,
@@ -307,17 +221,6 @@ fn operand(regs: &[u64], op: Operand) -> u64 {
         Operand::Reg(r) => regs[r.0 as usize],
         Operand::Imm(v) => v,
     }
-}
-
-/// Recovery grade for one tape entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recovery {
-    /// Recovered and equal to ground truth.
-    Correct,
-    /// Recovered but wrong (a no-alias guess failed).
-    Wrong,
-    /// Not recovered.
-    Unknown,
 }
 
 /// Results of a REPT analysis over one window.
@@ -413,7 +316,7 @@ impl ReptAnalysis {
             if let (Some(d), Some(v)) = (e.instr.dst(), values[i]) {
                 regs.entry((e.frame, d.0)).or_insert(v);
             }
-            let (_, believed) = self.step_back(e, &mut regs, &mut mem, &mut mem_valid);
+            let believed = self.step_back(e, &mut regs, &mut mem, &mut mem_valid);
             if values[i].is_none() {
                 values[i] = believed;
             }
@@ -515,6 +418,8 @@ impl ReptAnalysis {
         }
     }
 
+    /// Steps backward over `e`: returns the value it defined, as the
+    /// analysis believes it, and leaves `regs` and `mem` at its pre-state.
     #[allow(clippy::too_many_lines)]
     fn step_back(
         &self,
@@ -522,7 +427,7 @@ impl ReptAnalysis {
         regs: &mut HashMap<(u64, u32), u64>,
         mem: &mut HashMap<u64, u8>,
         mem_valid: &mut bool,
-    ) -> (Recovery, Option<u64>) {
+    ) -> Option<u64> {
         let frame = e.frame;
         let key = |r: Reg| (frame, r.0);
         let reg_of = |regs: &HashMap<(u64, u32), u64>, op: Operand| -> Option<u64> {
@@ -543,8 +448,7 @@ impl ReptAnalysis {
         let dst = e.instr.dst();
         let believed = dst.and_then(|d| regs.get(&key(d)).copied());
 
-        // Grade against ground truth. Backward memory is maintained
-        // soundly (bytes are killed when stepping over stores), so loads
+        // Backward memory is maintained soundly (bytes are killed when stepping over stores), so loads
         // may recover from it even without the no-alias assumption.
         let mut believed = believed;
         if believed.is_none() {
@@ -561,12 +465,6 @@ impl ReptAnalysis {
                 }
             }
         }
-        let grade = match believed {
-            Some(v) if v == e.truth_dst => Recovery::Correct,
-            Some(_) => Recovery::Wrong,
-            None => Recovery::Unknown,
-        };
-
         // Move to the pre-state: the def's previous value is unknown, and
         // inversion rules may teach us operand values.
         let believed_dst = believed;
@@ -662,7 +560,7 @@ impl ReptAnalysis {
             }
             _ => {}
         }
-        (grade, believed)
+        believed
     }
 }
 

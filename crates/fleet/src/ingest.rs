@@ -164,7 +164,7 @@ impl Ingestor {
                 self.stats.truncated += 1;
                 er_telemetry::counter!("fleet.ingest.truncated").incr();
             }
-            let (group, _new) = triage.classify(&info.failure, info.run_index);
+            let (group, _new) = triage.classify(&info.failure);
             let untampered = raw.stats.chaos_tampered == 0;
             let duplicate = stored
                 .iter()
@@ -317,7 +317,7 @@ mod tests {
             .iter()
             .map(|r| {
                 let info = OccurrenceInfo::of(&r.occ);
-                let (group, _) = triage.classify(&info.failure, info.run_index);
+                let (group, _) = triage.classify(&info.failure);
                 let trace = match r.occ.trace.packets() {
                     Ok((packets, gap)) => Ok(store.put(group, &packets, gap).id),
                     Err(e) => Err(e.to_string()),

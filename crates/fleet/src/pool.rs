@@ -14,14 +14,20 @@
 //! Jobs outlive the call that submitted them only on threads that outlive
 //! it, so they must be `'static`: items are passed by value and closures
 //! own (or share through `Arc`) whatever they read.
+//!
+//! The pool injects no faults. Callers that rehearse worker deaths draw
+//! [`er_chaos::Fault::WorkerPanic`] themselves, per item in input order
+//! before fanning out, and keep a killed item out of the map: the same
+//! plan then kills the same items serial or parallel, and a killed item's
+//! work is never touched.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// A worker closure panicked (or was chaos-killed) while processing one
-/// item. The other items' results are unaffected.
+/// A worker closure panicked while processing one item. The other items'
+/// results are unaffected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// Index of the item whose closure failed.
@@ -49,10 +55,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Locks `m`, tolerating poison: pool closures run under `catch_unwind`
-/// and outside the pool's locks, and the slots callers share with them
-/// are only ever replaced whole, so a poisoned lock holds valid data and
+/// and outside the pool's locks, so a poisoned lock holds valid data and
 /// must never take down a round.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -199,11 +204,8 @@ fn pool() -> &'static Pool {
 
 /// Fans `f` out over `items` on the process-wide worker pool, returning
 /// per-item results in input order. A panicking closure costs exactly its
-/// own item — the unwind is caught and surfaced as [`WorkerPanic`] so the
-/// rest of the round completes — and an armed [`er_chaos`] plan can kill
-/// items at the pool boundary (before `f` runs) to rehearse exactly that
-/// path. Kill decisions are drawn on the calling thread in input order,
-/// so a given plan kills the same items serial or parallel.
+/// own item: the unwind is caught and surfaced as [`WorkerPanic`] so the
+/// rest of the round completes.
 ///
 /// Idle workers take the next unclaimed item, so uneven per-item cost
 /// balances automatically. `serial` is the escape hatch the determinism
@@ -218,31 +220,8 @@ where
     R: Send + 'static,
     F: Fn(usize, T) -> R + Send + Sync + 'static,
 {
-    run_map(items, serial, true, f)
-}
-
-fn run_map<T, R, F>(items: Vec<T>, serial: bool, chaos: bool, f: F) -> Vec<Result<R, WorkerPanic>>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(usize, T) -> R + Send + Sync + 'static,
-{
-    let n = items.len();
-    let mut results: Vec<Option<Result<R, WorkerPanic>>> = (0..n).map(|_| None).collect();
-    let mut unclaimed = VecDeque::with_capacity(n);
-    for (i, item) in items.into_iter().enumerate() {
-        if chaos && er_chaos::inject(er_chaos::Fault::WorkerPanic).is_some() {
-            // The chaos kill lands at the pool boundary, before `f` touches
-            // the item, so callers holding work in shared slots can requeue
-            // it intact.
-            results[i] = Some(Err(WorkerPanic {
-                item: i,
-                message: "chaos: injected worker panic".to_string(),
-            }));
-        } else {
-            unclaimed.push_back((i, item));
-        }
-    }
+    let mut results: Vec<Option<Result<R, WorkerPanic>>> = items.iter().map(|_| None).collect();
+    let unclaimed: VecDeque<(usize, T)> = items.into_iter().enumerate().collect();
     let context = er_telemetry::span::context();
     let helpers = if serial || unclaimed.len() <= 1 {
         0
@@ -283,15 +262,13 @@ where
 
 /// [`try_parallel_map`] for infallible closures: re-raises the first
 /// worker panic on the calling thread (after the whole round has run).
-/// Chaos worker-kills are not injected here — callers of this variant have
-/// declared they cannot handle per-item failure.
 pub fn parallel_map<T, R, F>(items: Vec<T>, serial: bool, f: F) -> Vec<R>
 where
     T: Send + 'static,
     R: Send + 'static,
     F: Fn(usize, T) -> R + Send + Sync + 'static,
 {
-    run_map(items, serial, false, f)
+    try_parallel_map(items, serial, f)
         .into_iter()
         .map(|r| match r {
             Ok(v) => v,
@@ -308,9 +285,8 @@ mod tests {
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
 
-    /// Tests that occupy helpers, arm chaos, or draw chaos kills (every
-    /// `try_parallel_map`) must not overlap; the chaos lock also keeps
-    /// them apart from the crate's other chaos tests.
+    /// Tests that occupy helpers must not overlap; the chaos lock also
+    /// keeps them apart from the crate's chaos tests.
     fn serialize() -> MutexGuard<'static, ()> {
         crate::testsync::chaos_lock()
     }
@@ -355,7 +331,6 @@ mod tests {
 
     #[test]
     fn panicking_item_costs_only_itself() {
-        let _l = serialize();
         let items: Vec<u32> = (0..16).collect();
         for serial in [true, false] {
             let out = try_parallel_map(items.clone(), serial, |_, x| {
@@ -376,57 +351,11 @@ mod tests {
 
     #[test]
     fn all_items_panicking_still_returns_per_item_errors() {
-        let _l = serialize();
         let out = try_parallel_map(vec![1u8, 2, 3], false, |_, _| -> u8 {
             panic!("everyone dies")
         });
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(Result::is_err));
-    }
-
-    #[test]
-    fn chaos_kills_before_the_closure_and_only_those_items() {
-        let _l = serialize();
-        for serial in [true, false] {
-            let ran: Arc<Vec<AtomicBool>> =
-                Arc::new((0..12).map(|_| AtomicBool::new(false)).collect());
-            let seen = Arc::clone(&ran);
-            let out = {
-                let _chaos = er_chaos::arm(er_chaos::ChaosPlan::new(5).with(
-                    er_chaos::Fault::WorkerPanic,
-                    er_chaos::FaultPolicy::always(3),
-                ));
-                try_parallel_map((0..12u32).collect(), serial, move |i, x| {
-                    seen[i].store(true, Ordering::Relaxed);
-                    x + 1
-                })
-            };
-            let killed: Vec<usize> = (0..12).filter(|&i| out[i].is_err()).collect();
-            assert_eq!(
-                killed,
-                vec![0, 1, 2],
-                "serial {serial}: kills in input order"
-            );
-            for (i, r) in out.iter().enumerate() {
-                match r {
-                    Err(e) => {
-                        assert_eq!(e.item, i);
-                        assert!(e.message.contains("chaos"), "{}", e.message);
-                        assert!(!ran[i].load(Ordering::Relaxed), "killed item {i} ran");
-                    }
-                    Ok(v) => {
-                        assert_eq!(*v, i as u32 + 1);
-                        assert!(ran[i].load(Ordering::Relaxed));
-                    }
-                }
-            }
-        }
-        // parallel_map declares it cannot handle kills: none are drawn.
-        let _chaos = er_chaos::arm(er_chaos::ChaosPlan::new(5).with(
-            er_chaos::Fault::WorkerPanic,
-            er_chaos::FaultPolicy::always(3),
-        ));
-        assert_eq!(parallel_map(vec![1u8, 2], false, |_, x| x), vec![1, 2]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use er_minilang::ir::Program;
 use er_pt::compress::decompress_events;
 use er_solver::cancel::Phase;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Reconstruction iterations driven concurrently per analyze round.
 pub const MAX_CONCURRENT: usize = 2;
@@ -374,62 +374,51 @@ impl Scheduler {
 
         // Sessions of different groups are independent, so their
         // iterations run concurrently. Each trace is fetched here, on the
-        // calling thread, so workers never touch the store. A worker takes
-        // its work out of the shared slot and puts it back when done, so a
-        // chaos kill at the pool boundary leaves the slot intact.
-        let work: Vec<Arc<Mutex<Option<Work>>>> = selected
-            .into_iter()
-            .map(|(g, p)| {
-                let trace = {
-                    let _s = er_telemetry::span!("fleet.fetch");
-                    fetch_trace(store, &p)
-                };
-                Arc::new(Mutex::new(Some((g, p, trace))))
-            })
-            .collect();
-        let outcomes = pool::try_parallel_map(work.clone(), serial, |_, slot| {
-            let (mut g, p, trace) = pool::lock(&slot).take().expect("work present");
+        // calling thread, so workers never touch the store. A chaos worker
+        // kill is drawn here too, per item in input order, so a plan kills
+        // the same items serial or parallel; a killed item never reaches
+        // the pool, and its occurrence is requeued intact.
+        let mut work: Vec<Work> = Vec::with_capacity(selected.len());
+        for (mut g, p) in selected {
+            let trace = {
+                let _s = er_telemetry::span!("fleet.fetch");
+                fetch_trace(store, &p)
+            };
+            if er_chaos::inject(er_chaos::Fault::WorkerPanic).is_some() {
+                // The trace stays pinned for the retry.
+                er_telemetry::counter!("fleet.sched.requeued").incr();
+                er_telemetry::log!(
+                    warn,
+                    "analyze worker killed for group {:#x}; occurrence requeued",
+                    g.id
+                );
+                er_chaos::note_recovered(er_chaos::Domain::Pool);
+                g.pending.push_front(p);
+                self.groups.insert(g.id, g);
+            } else {
+                work.push((g, p, trace));
+            }
+        }
+        let outcomes = pool::try_parallel_map(work, serial, |_, (mut g, p, trace)| {
             er_telemetry::set_context(&g.label);
             let result = Self::run_supervised(&mut g, &p, &trace);
             er_telemetry::set_context("");
-            *pool::lock(&slot) = Some((g, p, trace));
-            result
+            (g, p, result)
         });
 
         let mut out = Vec::with_capacity(outcomes.len());
-        for (slot, outcome) in work.iter().zip(outcomes) {
-            let (mut g, p, result) = match (outcome, pool::lock(slot).take()) {
-                // Normal completion: the worker put the state back.
-                (Ok(result), Some((g, p, _))) => (g, p, result),
-                (Err(panic), Some((mut g, p, _))) => {
-                    // The worker died *before* touching the work (the pool
-                    // kills at its boundary under chaos): group state and
-                    // occurrence are intact, so requeue the occurrence and
-                    // let a later round consume it. The trace stays pinned.
-                    er_telemetry::counter!("fleet.sched.requeued").incr();
-                    er_telemetry::log!(
-                        warn,
-                        "analyze worker died for group {:#x} ({}); occurrence requeued",
-                        g.id,
-                        panic.message
-                    );
-                    er_chaos::note_recovered(er_chaos::Domain::Pool);
-                    g.pending.push_front(p);
-                    self.groups.insert(g.id, g);
-                    continue;
-                }
-                (_, None) => {
-                    // The closure panicked mid-iteration: the session state
-                    // unwound with it. The group is lost — log it, count
-                    // it, and keep the round (and every other group) alive.
-                    er_telemetry::counter!("fleet.sched.lost_groups").incr();
-                    er_telemetry::log!(
-                        warn,
-                        "analyze worker panicked mid-iteration; group state lost"
-                    );
-                    er_chaos::note_typed_error(er_chaos::Domain::Pool);
-                    continue;
-                }
+        for outcome in outcomes {
+            let Ok((mut g, p, result)) = outcome else {
+                // The closure panicked mid-iteration: the session state
+                // unwound with it. The group is lost — log it, count it,
+                // and keep the round (and every other group) alive.
+                er_telemetry::counter!("fleet.sched.lost_groups").incr();
+                er_telemetry::log!(
+                    warn,
+                    "analyze worker panicked mid-iteration; group state lost"
+                );
+                er_chaos::note_typed_error(er_chaos::Domain::Pool);
+                continue;
             };
             match result {
                 IterResult::Done(outcome) => {
@@ -998,5 +987,78 @@ mod tests {
         );
         assert!(!g.sites().is_empty());
         assert_eq!(g.pending_len(), 0, "the rollout drops the stale one");
+    }
+
+    #[test]
+    fn chaos_kills_only_the_drawn_items_serial_or_parallel() {
+        let _l = crate::testsync::chaos_lock();
+        // Runs 1 and 2 fail at different sites: two groups, one queued
+        // occurrence each.
+        let program = er_minilang::compile(
+            r#"
+            fn main() {
+                let x: u64 = input_u64(0);
+                if x % 3 == 1 { abort("one"); }
+                if x % 3 == 2 { abort("two"); }
+            }
+            "#,
+        )
+        .unwrap();
+        let d = Deployment::new(program.clone(), |run| {
+            let mut env = Env::new();
+            env.push_input(0, &run.to_le_bytes());
+            env
+        });
+        let baseline = InstrumentedProgram::unmodified(&program);
+        // One round with the second drawn item killed; returns, per group
+        // in priority order, (id, consumed, queued) and the round's
+        // outcomes.
+        let round = |serial: bool| {
+            let mut s = Scheduler::new(ErConfig::default(), SchedulerConfig::default());
+            let mut store = TraceStore::new(StoreConfig::default());
+            let mut ingest = Ingestor::new(IngestConfig::default());
+            for run in [0, 2] {
+                let occ = d.run_until_failure(&baseline, None, run, 100).unwrap();
+                assert!(ingest.offer(CrashReport {
+                    instance: 0,
+                    for_group: None,
+                    version: 0,
+                    occ,
+                }));
+            }
+            let pending = ingest.drain(&mut Triage::new(), &mut store);
+            for p in &pending {
+                s.note_group(p.group, &program, "g");
+            }
+            s.enqueue(pending, &mut store);
+            let order = s.priority_order(100);
+            assert_eq!(order.len(), 2);
+            let _chaos = er_chaos::arm(er_chaos::ChaosPlan::new(5).with(
+                er_chaos::Fault::WorkerPanic,
+                er_chaos::FaultPolicy::at_nth(1),
+            ));
+            let stepped = s.analyze_round(&mut store, 100, serial);
+            let books = er_chaos::stats().unwrap().domain(er_chaos::Domain::Pool);
+            assert_eq!(
+                (books.injected, books.recovered),
+                (1, 1),
+                "one kill, requeued"
+            );
+            let groups: Vec<_> = order
+                .iter()
+                .map(|id| {
+                    let g = &s.groups[id];
+                    (g.id, g.occurrences_consumed(), g.pending_len())
+                })
+                .collect();
+            (groups, stepped)
+        };
+        let (groups, stepped) = round(true);
+        let [(first, 1, 0), (second, 0, 1)] = groups[..] else {
+            panic!("only the second drawn item is killed: {groups:?}");
+        };
+        assert_eq!(stepped.iter().map(|o| o.0).collect::<Vec<_>>(), [first]);
+        assert_ne!(first, second);
+        assert_eq!(round(false), (groups, stepped), "the same items parallel");
     }
 }

@@ -334,12 +334,25 @@ impl Fleet {
             if !pause {
                 let _p = er_telemetry::span!("fleet.produce");
                 let assignments = scheduler.assignments(m, runs_observed.max(1), &baseline);
-                let jobs: Vec<(Arc<Deployment>, Arc<InstrumentedProgram>, u64)> = assignments
+                // Chaos worker kills are drawn here, per instance in order,
+                // so a plan kills the same instances serial or parallel. A
+                // killed instance never reaches the pool.
+                let mut live = Vec::with_capacity(m);
+                let mut jobs: Vec<(Arc<Deployment>, Arc<InstrumentedProgram>, u64)> =
+                    Vec::with_capacity(m);
+                for (i, (((_, _, inst), d), s)) in assignments
                     .iter()
                     .zip(&self.deployments)
                     .zip(&instances)
-                    .map(|(((_, _, inst), d), s)| (Arc::clone(d), Arc::clone(inst), s.cursor))
-                    .collect();
+                    .enumerate()
+                {
+                    if er_chaos::inject(er_chaos::Fault::WorkerPanic).is_some() {
+                        producer_died(i, "chaos: injected worker panic");
+                    } else {
+                        live.push(i);
+                        jobs.push((Arc::clone(d), Arc::clone(inst), s.cursor));
+                    }
+                }
                 let label = self.spec.label.clone();
                 let batch_runs = self.config.batch_runs;
                 let produced = pool::try_parallel_map(
@@ -352,20 +365,9 @@ impl Fleet {
                         occ
                     },
                 );
-                for (i, occ) in produced.into_iter().enumerate() {
+                for (i, occ) in live.into_iter().zip(produced) {
                     match occ {
-                        Err(panic) => {
-                            // The producer worker died: nothing was
-                            // observed, the cursor stays put, and the same
-                            // batch re-runs (identically) next round.
-                            er_telemetry::counter!("fleet.produce.worker_panics").incr();
-                            er_telemetry::log!(
-                                warn,
-                                "produce worker died for instance {i}: {}",
-                                panic.message
-                            );
-                            er_chaos::note_recovered(er_chaos::Domain::Pool);
-                        }
+                        Err(panic) => producer_died(i, &panic.message),
                         Ok(Some(occ)) => {
                             er_telemetry::counter!("fleet.occurrences").incr();
                             let mut occ = occ;
@@ -501,4 +503,13 @@ impl Fleet {
             Traffic::Partitioned => instances.iter().map(|s| s.cursor).sum(),
         }
     }
+}
+
+/// A producer worker died (a chaos kill or a panic): nothing was observed,
+/// the instance's cursor stays put, and the same batch re-runs
+/// (identically) next round.
+fn producer_died(instance: usize, why: &str) {
+    er_telemetry::counter!("fleet.produce.worker_panics").incr();
+    er_telemetry::log!(warn, "produce worker died for instance {instance}: {why}");
+    er_chaos::note_recovered(er_chaos::Domain::Pool);
 }

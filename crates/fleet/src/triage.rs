@@ -83,15 +83,8 @@ pub struct FailureGroup {
     pub id: u64,
     /// The clustering key.
     pub signature: FaultSignature,
-    /// First failure observed for the group — the reconstruction target
-    /// exemplar.
-    pub exemplar: Failure,
     /// Total sightings across all instances, including redundant ones.
     pub occurrences: u64,
-    /// Production run index of the first sighting.
-    pub first_run: u64,
-    /// Production run index of the latest sighting.
-    pub last_run: u64,
 }
 
 impl FailureGroup {
@@ -130,10 +123,9 @@ impl Triage {
         Triage::default()
     }
 
-    /// Routes one failure sighting at production run `run_index` to its
-    /// group, creating the group on first sight. Returns the group id and
-    /// whether it is new.
-    pub fn classify(&mut self, failure: &Failure, run_index: u64) -> (u64, bool) {
+    /// Routes one failure sighting to its group, creating the group on
+    /// first sight. Returns the group id and whether it is new.
+    pub fn classify(&mut self, failure: &Failure) -> (u64, bool) {
         er_telemetry::counter!("fleet.triage.occurrences").incr();
         let sig = FaultSignature::of(failure);
         let hash = sig.hash64();
@@ -142,8 +134,6 @@ impl Triage {
                 if self.groups[i].signature == sig {
                     let g = &mut self.groups[i];
                     g.occurrences += 1;
-                    g.last_run = g.last_run.max(run_index);
-                    g.first_run = g.first_run.min(run_index);
                     return (g.id, false);
                 }
             }
@@ -159,10 +149,7 @@ impl Triage {
         self.groups.push(FailureGroup {
             id,
             signature: sig,
-            exemplar: failure.clone(),
             occurrences: 1,
-            first_run: run_index,
-            last_run: run_index,
         });
         self.by_hash.entry(hash).or_default().push(idx);
         (id, true)
@@ -202,23 +189,22 @@ mod tests {
     #[test]
     fn reoccurrences_cluster_and_count() {
         let mut t = Triage::new();
-        let (a1, new1) = t.classify(&failure(3, &[0, 1], "boom"), 10);
-        let (a2, new2) = t.classify(&failure(3, &[0, 1], "boom"), 25);
+        let (a1, new1) = t.classify(&failure(3, &[0, 1], "boom"));
+        let (a2, new2) = t.classify(&failure(3, &[0, 1], "boom"));
         assert!(new1 && !new2);
         assert_eq!(a1, a2);
         let g = t.group(a1).unwrap();
         assert_eq!(g.occurrences, 2);
-        assert_eq!((g.first_run, g.last_run), (10, 25));
         assert_eq!(g.rate_per_mille(100), 20);
     }
 
     #[test]
     fn distinct_sites_and_messages_split() {
         let mut t = Triage::new();
-        let (a, _) = t.classify(&failure(3, &[0, 1], "boom"), 0);
-        let (b, _) = t.classify(&failure(4, &[0, 1], "boom"), 0);
-        let (c, _) = t.classify(&failure(3, &[0, 1], "other"), 0);
-        let (d, _) = t.classify(&failure(3, &[0, 2], "boom"), 0);
+        let (a, _) = t.classify(&failure(3, &[0, 1], "boom"));
+        let (b, _) = t.classify(&failure(4, &[0, 1], "boom"));
+        let (c, _) = t.classify(&failure(3, &[0, 1], "other"));
+        let (d, _) = t.classify(&failure(3, &[0, 2], "boom"));
         assert_eq!(t.groups().len(), 4);
         assert!(a != b && a != c && a != d && b != c);
     }
@@ -229,8 +215,8 @@ mod tests {
         let deep1: Vec<u32> = (0..40).collect();
         let mut deep2 = deep1.clone();
         deep2[0] = 99; // outer frame differs: same signature
-        let (a, _) = t.classify(&failure(3, &deep1, "boom"), 0);
-        let (b, _) = t.classify(&failure(3, &deep2, "boom"), 1);
+        let (a, _) = t.classify(&failure(3, &deep1, "boom"));
+        let (b, _) = t.classify(&failure(3, &deep2, "boom"));
         assert_eq!(a, b);
         assert_eq!(
             t.group(a).unwrap().signature.stack.len(),
@@ -245,8 +231,8 @@ mod tests {
         let mut f2 = f1.clone();
         f1.tid = 0;
         f2.tid = 7; // same crash from another thread is the same failure
-        let (a, _) = t.classify(&f1, 0);
-        let (b, _) = t.classify(&f2, 1);
+        let (a, _) = t.classify(&f1);
+        let (b, _) = t.classify(&f2);
         assert_eq!(a, b);
     }
 }

@@ -224,15 +224,6 @@ pub fn tripped_phase() -> Option<Phase> {
     TOKEN.with(|t| t.borrow().as_ref().and_then(|tok| tok.tripped))
 }
 
-/// Work spent per phase so far, in [`Phase::ALL`] order (`None` when
-/// disarmed) — watchdog reporting.
-pub fn spent() -> Option<[u64; 4]> {
-    if !armed() {
-        return None;
-    }
-    TOKEN.with(|t| t.borrow().as_ref().map(|tok| tok.spent))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +233,6 @@ mod tests {
         assert!(!armed());
         assert!(!tick(u64::MAX));
         assert!(!cancelled());
-        assert_eq!(spent(), None);
     }
 
     #[test]
@@ -255,13 +245,13 @@ mod tests {
         });
         assert!(!tick(10), "decode within budget");
         begin_phase(Phase::Shepherd);
+        assert_eq!(headroom(), 5, "decode's spend is not shepherd's");
         assert!(!tick(5));
         assert!(tick(1), "shepherd budget tripped");
         assert_eq!(tripped_phase(), Some(Phase::Shepherd));
         // Once tripped, every tick keeps reporting cancellation.
         begin_phase(Phase::Solve);
         assert!(tick(0));
-        assert_eq!(spent().unwrap(), [10, 6, 0, 0]);
     }
 
     #[test]
