@@ -4,7 +4,8 @@
 //!
 //! Throughput is reported per dynamic instruction (interpreter) or per
 //! symbolic step (symex), so `1000 / (M elem/s)` is the cost in ns of one
-//! instruction or step. Run with `cargo bench -p er-bench --bench exec`.
+//! instruction or step. Run with `cargo bench -p er-bench --bench exec`;
+//! `-- --test` runs each routine once, untimed.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use er_core::instrument::InstrumentedProgram;
@@ -47,10 +48,10 @@ fn bench_interpreter(c: &mut Criterion) {
 }
 
 /// Shepherding the first recorded failure trace of each workload:
-/// `Python-2018-1000030`'s is step-bound, `SQLite-7be932d`'s is mostly
-/// its stall query.
+/// `Python-2018-1000030`'s is step-bound, `PHP-2012-2386`'s is step-bound
+/// up to its stall query, and `SQLite-7be932d`'s is mostly that query.
 fn bench_shepherd(c: &mut Criterion) {
-    for name in ["Python-2018-1000030", "SQLite-7be932d"] {
+    for name in ["Python-2018-1000030", "PHP-2012-2386", "SQLite-7be932d"] {
         let w = by_name(name).expect("registered workload");
         let d = w.deployment(Scale::TEST);
         let config = w.er_config();

@@ -44,6 +44,10 @@ const EFFORT: &[&str] = &[
 /// time it gives the interpreter's cost per instruction.
 const DEPLOY_INSTRS: &str = "deploy.instrs";
 
+/// Symex steps that ran on machine words, in all-concrete frames; over
+/// `symex.steps` it gives the word loop's share.
+const WORD_OPS: &str = "symex.word_ops";
+
 /// Solver counters summarized per workload, with their column labels:
 /// query volume, stalls, prefix-cache reuse, clauses assumption probes
 /// reused from the persistent solver, clauses the final input solve took
@@ -87,6 +91,15 @@ const FLEET: &[(&str, &str)] = &[
     ("Stale", "fleet.sched.stale_dropped"),
     ("Rollouts", "fleet.sched.rollouts"),
 ];
+
+/// `part` as a percentage of `whole`, or `-` when `whole` is zero.
+fn share(part: u64, whole: u64) -> String {
+    if whole == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.1}%", 100.0 * part as f64 / whole as f64)
+    }
+}
 
 #[derive(Default, Serialize)]
 struct WorkloadReport {
@@ -179,6 +192,7 @@ fn main() {
                 if EFFORT.contains(&cname.as_str())
                     || SOLVER.iter().any(|(_, c)| c == cname)
                     || cname == DEPLOY_INSTRS
+                    || cname == WORD_OPS
                 {
                     *rep.effort.entry(cname.clone()).or_default() += v;
                 }
@@ -257,6 +271,7 @@ fn main() {
                 ns_per(phase("deploy"), effort(DEPLOY_INSTRS)),
                 effort("symex.steps").to_string(),
                 ns_per(symex_self, effort("symex.steps")),
+                share(effort(WORD_OPS), effort("symex.steps")),
             ]
         })
         .collect();
@@ -268,6 +283,7 @@ fn main() {
             "ns/Instr",
             "Symex Steps",
             "ns/Step",
+            "Word-Loop Share",
         ],
         &step_rows,
     );

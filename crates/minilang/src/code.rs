@@ -25,8 +25,9 @@
 //! operands. [`Op::alu`] maps every specialized form back to its generic
 //! meaning, which is what the symbolic executor evaluates.
 //!
-//! For the interpreter, which runs a block whole whenever its instruction
-//! budget allows, the code also keeps [`Code::fast_ops`]: the same array
+//! For the loops that run a block whole whenever their budget allows (the
+//! interpreter's, and the symbolic executor's over an all-concrete
+//! frame), the code also keeps [`Code::fast_ops`]: the same array
 //! with adjacent pairs fused into one op (a specialized ALU form and the
 //! `Mov` of its result; a specialized compare and the block's `Branch` on
 //! it), and [`Code::run_lens`], what running the rest of a block costs.
@@ -308,7 +309,7 @@ pub enum Op {
     Return {
         value: Option<Operand>,
     },
-    // Fused pairs: interpreter-only forms that appear in
+    // Fused pairs: block-loop-only forms that appear in
     // [`Code::fast_ops`], never in [`Code::ops`]. Each runs a specialized
     // ALU form and the op after it in one dispatch, writing both.
     AddRRMov(MovPair<Reg>),
@@ -753,7 +754,7 @@ impl Code {
         code
     }
 
-    /// Fills the interpreter's fast array and run lengths. A pair's first
+    /// Fills the block loops' fast array and run lengths. A pair's first
     /// op is an ALU form, never a terminator, so no pair crosses a block,
     /// and a recording slot is a `PtWrite`, so none is part of a pair.
     fn fuse_pairs(&mut self) {
@@ -880,7 +881,7 @@ impl Code {
         &self.ops
     }
 
-    /// The interpreter's dispatch array, indexed like [`Code::ops`]: the
+    /// The block loops' dispatch array, indexed like [`Code::ops`]: the
     /// first slot of each fused pair holds the fused form (see
     /// [`Op::fuse`]), and every other slot the op itself, so a run may
     /// enter it at any pc. Only a run that executes the rest of a block
