@@ -6,12 +6,13 @@
 //! so concurrency bugs manifest (or not) reproducibly per seed — the
 //! substrate for the paper's coarse-interleaving discussion (§3.4).
 
-use crate::code::{BranchPair, CallSite, Code, MovPair, Op, Pc};
+use crate::code::{CallSite, Code, Op, Pc};
 use crate::env::Env;
 use crate::error::{Failure, RuntimeFault};
 use crate::ir::*;
 use crate::mem::Memory;
 use crate::trace::{NullSink, TraceSink};
+use crate::word::{get, WordFlow};
 use std::collections::{HashMap, VecDeque};
 
 /// Scheduler parameters.
@@ -102,15 +103,6 @@ impl Thread {
     }
 }
 
-/// Reads `op` against a frame's registers.
-#[inline(always)]
-fn get(regs: &[u64], op: Operand) -> u64 {
-    match op {
-        Operand::Reg(r) => regs[r.0 as usize],
-        Operand::Imm(v) => v,
-    }
-}
-
 /// How the run loop goes on after [`World::exec`] runs an op.
 enum Flow {
     /// At the next op.
@@ -149,66 +141,27 @@ impl<S: TraceSink> World<S> {
     /// This is the one definition of every op the loops run themselves,
     /// shared by the per-block loop of [`Machine::run_slice`] and the
     /// per-op loop of [`World::step_ops`]; ops that change frames or
-    /// threads exit to [`Machine`]'s own methods.
+    /// threads exit to [`Machine`]'s own methods. Register-only ops run on
+    /// [`Op::eval_words`]; a branch reports its TNT bit to the sink.
     #[inline(always)]
-    #[allow(clippy::too_many_lines)]
     fn exec(&mut self, code: &Code, op: &Op, regs: &mut [u64], tid: u64) -> Flow {
+        match op.eval_words(regs) {
+            WordFlow::Next => Flow::Next,
+            WordFlow::Pair => Flow::Pair,
+            WordFlow::Jump(to) => Flow::Jump(to),
+            WordFlow::Branch { taken, to } | WordFlow::CmpBranch { taken, to } => {
+                self.sink.cond_branch(taken);
+                Flow::Jump(to)
+            }
+            WordFlow::DivByZero => Flow::Exit(Err(RuntimeFault::DivByZero)),
+            WordFlow::Other => self.exec_world(code, op, regs, tid),
+        }
+    }
+
+    /// Runs an op that touches more than its frame's registers.
+    #[inline(always)]
+    fn exec_world(&mut self, code: &Code, op: &Op, regs: &mut [u64], tid: u64) -> Flow {
         match *op {
-            Op::Const { dst, value } => set(regs, dst, value),
-            Op::Mov { dst, src } => set(regs, dst, regs[src.0 as usize]),
-            Op::AddRR { dst, a, b } => bin(regs, dst, a, b, u64::wrapping_add),
-            Op::AddRI { dst, a, imm } => bin(regs, dst, a, imm, u64::wrapping_add),
-            Op::SubRR { dst, a, b } => bin(regs, dst, a, b, u64::wrapping_sub),
-            Op::SubRI { dst, a, imm } => bin(regs, dst, a, imm, u64::wrapping_sub),
-            Op::MulRR { dst, a, b } => bin(regs, dst, a, b, u64::wrapping_mul),
-            Op::MulRI { dst, a, imm } => bin(regs, dst, a, imm, u64::wrapping_mul),
-            Op::AndRR { dst, a, b } => bin(regs, dst, a, b, and),
-            Op::AndRI { dst, a, imm } => bin(regs, dst, a, imm, and),
-            Op::OrRR { dst, a, b } => bin(regs, dst, a, b, or),
-            Op::OrRI { dst, a, imm } => bin(regs, dst, a, imm, or),
-            Op::XorRR { dst, a, b } => bin(regs, dst, a, b, xor),
-            Op::XorRI { dst, a, imm } => bin(regs, dst, a, imm, xor),
-            Op::ShlRR { dst, a, b } => bin(regs, dst, a, b, shl),
-            Op::ShlRI { dst, a, imm } => bin(regs, dst, a, imm, shl),
-            Op::LShrRR { dst, a, b } => bin(regs, dst, a, b, lshr),
-            Op::LShrRI { dst, a, imm } => bin(regs, dst, a, imm, lshr),
-            Op::AShrRR { dst, a, b } => bin(regs, dst, a, b, ashr),
-            Op::AShrRI { dst, a, imm } => bin(regs, dst, a, imm, ashr),
-            Op::EqRR { dst, a, b } => cmp(regs, dst, a, b, eq),
-            Op::EqRI { dst, a, imm } => cmp(regs, dst, a, imm, eq),
-            Op::NeRR { dst, a, b } => cmp(regs, dst, a, b, ne),
-            Op::NeRI { dst, a, imm } => cmp(regs, dst, a, imm, ne),
-            Op::UltRR { dst, a, b } => cmp(regs, dst, a, b, ult),
-            Op::UltRI { dst, a, imm } => cmp(regs, dst, a, imm, ult),
-            Op::UleRR { dst, a, b } => cmp(regs, dst, a, b, ule),
-            Op::UleRI { dst, a, imm } => cmp(regs, dst, a, imm, ule),
-            Op::SltRR { dst, a, b } => cmp(regs, dst, a, b, slt),
-            Op::SltRI { dst, a, imm } => cmp(regs, dst, a, imm, slt),
-            Op::SleRR { dst, a, b } => cmp(regs, dst, a, b, sle),
-            Op::SleRI { dst, a, imm } => cmp(regs, dst, a, imm, sle),
-            Op::Bin {
-                dst,
-                op,
-                a,
-                b,
-                width,
-            } => match op.eval(width, get(regs, a), get(regs, b)) {
-                Some(v) => set(regs, dst, v),
-                None => Flow::Exit(Err(RuntimeFault::DivByZero)),
-            },
-            Op::Cmp {
-                dst,
-                pred,
-                a,
-                b,
-                width,
-            } => set(
-                regs,
-                dst,
-                u64::from(pred.eval(width, get(regs, a), get(regs, b))),
-            ),
-            Op::Un { dst, op, a, width } => set(regs, dst, op.eval(width, get(regs, a))),
-            Op::Cast { dst, a, from } => set(regs, dst, from.trunc(get(regs, a))),
             Op::Load { dst, addr, width } => match self.mem.load(get(regs, addr), width) {
                 Ok(v) => set(regs, dst, v),
                 Err(f) => Flow::Exit(Err(f)),
@@ -252,64 +205,13 @@ impl<S: TraceSink> World<S> {
             Op::Abort { message } => Flow::Exit(Err(RuntimeFault::Abort {
                 message: code.message(message).to_string(),
             })),
-            Op::Jump { to } => Flow::Jump(to),
-            Op::Branch {
-                cond,
-                then_pc,
-                else_pc,
-            } => {
-                let taken = get(regs, cond) != 0;
-                self.sink.cond_branch(taken);
-                Flow::Jump(if taken { then_pc } else { else_pc })
-            }
             Op::Call { .. }
             | Op::Spawn { .. }
             | Op::Join { .. }
             | Op::Lock { .. }
             | Op::Unlock { .. }
             | Op::Return { .. } => Flow::Exit(Ok(*op)),
-            Op::AddRRMov(p) => bin_mov(regs, p, u64::wrapping_add),
-            Op::AddRIMov(p) => bin_mov(regs, p, u64::wrapping_add),
-            Op::SubRRMov(p) => bin_mov(regs, p, u64::wrapping_sub),
-            Op::SubRIMov(p) => bin_mov(regs, p, u64::wrapping_sub),
-            Op::MulRRMov(p) => bin_mov(regs, p, u64::wrapping_mul),
-            Op::MulRIMov(p) => bin_mov(regs, p, u64::wrapping_mul),
-            Op::AndRRMov(p) => bin_mov(regs, p, and),
-            Op::AndRIMov(p) => bin_mov(regs, p, and),
-            Op::OrRRMov(p) => bin_mov(regs, p, or),
-            Op::OrRIMov(p) => bin_mov(regs, p, or),
-            Op::XorRRMov(p) => bin_mov(regs, p, xor),
-            Op::XorRIMov(p) => bin_mov(regs, p, xor),
-            Op::ShlRRMov(p) => bin_mov(regs, p, shl),
-            Op::ShlRIMov(p) => bin_mov(regs, p, shl),
-            Op::LShrRRMov(p) => bin_mov(regs, p, lshr),
-            Op::LShrRIMov(p) => bin_mov(regs, p, lshr),
-            Op::AShrRRMov(p) => bin_mov(regs, p, ashr),
-            Op::AShrRIMov(p) => bin_mov(regs, p, ashr),
-            Op::EqRRMov(p) => cmp_mov(regs, p, eq),
-            Op::EqRIMov(p) => cmp_mov(regs, p, eq),
-            Op::NeRRMov(p) => cmp_mov(regs, p, ne),
-            Op::NeRIMov(p) => cmp_mov(regs, p, ne),
-            Op::UltRRMov(p) => cmp_mov(regs, p, ult),
-            Op::UltRIMov(p) => cmp_mov(regs, p, ult),
-            Op::UleRRMov(p) => cmp_mov(regs, p, ule),
-            Op::UleRIMov(p) => cmp_mov(regs, p, ule),
-            Op::SltRRMov(p) => cmp_mov(regs, p, slt),
-            Op::SltRIMov(p) => cmp_mov(regs, p, slt),
-            Op::SleRRMov(p) => cmp_mov(regs, p, sle),
-            Op::SleRIMov(p) => cmp_mov(regs, p, sle),
-            Op::EqRRBranch(p) => self.cmp_branch(regs, p, eq),
-            Op::EqRIBranch(p) => self.cmp_branch(regs, p, eq),
-            Op::NeRRBranch(p) => self.cmp_branch(regs, p, ne),
-            Op::NeRIBranch(p) => self.cmp_branch(regs, p, ne),
-            Op::UltRRBranch(p) => self.cmp_branch(regs, p, ult),
-            Op::UltRIBranch(p) => self.cmp_branch(regs, p, ult),
-            Op::UleRRBranch(p) => self.cmp_branch(regs, p, ule),
-            Op::UleRIBranch(p) => self.cmp_branch(regs, p, ule),
-            Op::SltRRBranch(p) => self.cmp_branch(regs, p, slt),
-            Op::SltRIBranch(p) => self.cmp_branch(regs, p, slt),
-            Op::SleRRBranch(p) => self.cmp_branch(regs, p, sle),
-            Op::SleRIBranch(p) => self.cmp_branch(regs, p, sle),
+            _ => unreachable!("{op:?} runs on `Op::eval_words`"),
         }
     }
 
@@ -341,40 +243,6 @@ impl<S: TraceSink> World<S> {
             }
         }
     }
-
-    /// A fused compare→branch: the compare's write, then the branch.
-    #[inline(always)]
-    fn cmp_branch<B: Rhs>(
-        &mut self,
-        regs: &mut [u64],
-        p: BranchPair<B>,
-        pred: impl Fn(u64, u64) -> bool,
-    ) -> Flow {
-        let taken = pred(regs[p.a.0 as usize], p.b.value(regs));
-        regs[p.dst.0 as usize] = u64::from(taken);
-        self.sink.cond_branch(taken);
-        Flow::Jump(if taken { p.then_pc } else { p.else_pc })
-    }
-}
-
-/// The right operand of a specialized ALU form: a register or an
-/// immediate.
-trait Rhs: Copy {
-    fn value(self, regs: &[u64]) -> u64;
-}
-
-impl Rhs for Reg {
-    #[inline(always)]
-    fn value(self, regs: &[u64]) -> u64 {
-        regs[self.0 as usize]
-    }
-}
-
-impl Rhs for u64 {
-    #[inline(always)]
-    fn value(self, _: &[u64]) -> u64 {
-        self
-    }
 }
 
 /// `dst = v`.
@@ -382,84 +250,6 @@ impl Rhs for u64 {
 fn set(regs: &mut [u64], dst: Reg, v: u64) -> Flow {
     regs[dst.0 as usize] = v;
     Flow::Next
-}
-
-/// `dst = f(a, b)`.
-#[inline(always)]
-fn bin<B: Rhs>(regs: &mut [u64], dst: Reg, a: Reg, b: B, f: impl Fn(u64, u64) -> u64) -> Flow {
-    set(regs, dst, f(regs[a.0 as usize], b.value(regs)))
-}
-
-/// `dst = pred(a, b)` as 0 or 1.
-#[inline(always)]
-fn cmp<B: Rhs>(regs: &mut [u64], dst: Reg, a: Reg, b: B, pred: impl Fn(u64, u64) -> bool) -> Flow {
-    bin(regs, dst, a, b, |x, y| u64::from(pred(x, y)))
-}
-
-/// A fused op→move: `dst = f(a, b); mov = dst`.
-#[inline(always)]
-fn bin_mov<B: Rhs>(regs: &mut [u64], p: MovPair<B>, f: impl Fn(u64, u64) -> u64) -> Flow {
-    let v = f(regs[p.a.0 as usize], p.b.value(regs));
-    regs[p.dst.0 as usize] = v;
-    regs[p.mov.0 as usize] = v;
-    Flow::Pair
-}
-
-/// A fused compare→move: `dst = pred(a, b); mov = dst`.
-#[inline(always)]
-fn cmp_mov<B: Rhs>(regs: &mut [u64], p: MovPair<B>, pred: impl Fn(u64, u64) -> bool) -> Flow {
-    bin_mov(regs, p, |x, y| u64::from(pred(x, y)))
-}
-
-// The specialized forms' operations on 64-bit words. `wrapping_*` shifts
-// take the amount modulo 64, the IR's shift semantics at 64 bits.
-#[inline(always)]
-fn and(x: u64, y: u64) -> u64 {
-    x & y
-}
-#[inline(always)]
-fn or(x: u64, y: u64) -> u64 {
-    x | y
-}
-#[inline(always)]
-fn xor(x: u64, y: u64) -> u64 {
-    x ^ y
-}
-#[inline(always)]
-fn shl(x: u64, y: u64) -> u64 {
-    x.wrapping_shl(y as u32)
-}
-#[inline(always)]
-fn lshr(x: u64, y: u64) -> u64 {
-    x.wrapping_shr(y as u32)
-}
-#[inline(always)]
-fn ashr(x: u64, y: u64) -> u64 {
-    (x as i64).wrapping_shr(y as u32) as u64
-}
-#[inline(always)]
-fn eq(x: u64, y: u64) -> bool {
-    x == y
-}
-#[inline(always)]
-fn ne(x: u64, y: u64) -> bool {
-    x != y
-}
-#[inline(always)]
-fn ult(x: u64, y: u64) -> bool {
-    x < y
-}
-#[inline(always)]
-fn ule(x: u64, y: u64) -> bool {
-    x <= y
-}
-#[inline(always)]
-fn slt(x: u64, y: u64) -> bool {
-    (x as i64) < (y as i64)
-}
-#[inline(always)]
-fn sle(x: u64, y: u64) -> bool {
-    (x as i64) <= (y as i64)
 }
 
 /// An IR interpreter with a pluggable trace sink.

@@ -50,6 +50,7 @@ pub mod span;
 pub mod trace;
 pub mod types;
 pub mod value;
+pub mod word;
 
 pub use error::{CompileError, Failure, FailureKind, RuntimeFault};
 pub use ir::{BlockId, FuncId, InstrId, Program};

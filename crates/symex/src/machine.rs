@@ -9,11 +9,12 @@
 
 use crate::mem::{ObjectName, SymMemory};
 use crate::value::SymValue;
-use er_minilang::code::{Alu, AluKind, BranchPair, CallSite, Code, MovPair, Op, Pc};
+use er_minilang::code::{Alu, AluKind, CallSite, Code, Op, Pc};
 use er_minilang::error::{Failure, FailureKind, RuntimeFault};
 use er_minilang::ir::*;
 use er_minilang::mem::NULL_GUARD;
 use er_minilang::value::Width;
+use er_minilang::word::WordFlow;
 use er_pt::packet::TraceEvent;
 use er_solver::expr::{BvOp, CmpKind, ExprPool, ExprRef};
 use er_solver::hash::FxHashMap;
@@ -380,7 +381,10 @@ impl SymFrame {
     /// Reads `op` against this frame's registers.
     #[inline]
     fn get(&self, op: Operand) -> SymValue {
-        read(&self.regs, op)
+        match op {
+            Operand::Reg(r) => self.regs[r.0 as usize],
+            Operand::Imm(v) => SymValue::Concrete(v),
+        }
     }
 }
 
@@ -766,19 +770,16 @@ impl<'p> SymMachine<'p> {
     /// Runs the current frame from its pc through an event-free concrete
     /// stretch of the trace, and reports whether it ran any op.
     ///
-    /// A slice runs `Const`, `Mov`, `Jump`, every ALU form whose operands
-    /// are concrete and whose result is defined, and a concrete `Branch`
-    /// whose TNT bit is the next event, which it consumes. It stops before
-    /// any other op, such as one with a symbolic operand, a memory access,
-    /// a call or a `ptwrite`, and leaves it to the step path, which reports
-    /// a mismatch exactly as it would have. After a branch it also stops
-    /// where the next step's prelude would act: on a checkpoint boundary,
-    /// at the end of the events, or on a gap.
-    ///
-    /// A frame whose registers are all concrete runs on machine words,
-    /// block by block ([`run_words`]); a frame holding a symbolic register,
-    /// and the block in which the budget ends, run one op at a time on
-    /// the registers themselves ([`run_values`]).
+    /// A slice runs only a frame whose registers are all concrete, on
+    /// machine words, block by block ([`run_words`]). It runs every
+    /// register-only op ([`Op::eval_words`]) and a branch whose TNT bit is
+    /// the next event, which it consumes. It stops before any other op,
+    /// such as a memory access, a call, a `ptwrite` or a division by zero,
+    /// and leaves it to the step path, which reports a mismatch exactly as
+    /// it would have. After a branch it also stops where the next step's
+    /// prelude would act: on a checkpoint boundary, at the end of the
+    /// events, or on a gap. A frame holding a symbolic register, and the
+    /// block in which the budget ends, take the step path op by op.
     ///
     /// The step prelude billed the first op. Each further op counts in
     /// `stats.steps` and `site_counts` as a step would, and a slice runs
@@ -786,6 +787,14 @@ impl<'p> SymMachine<'p> {
     /// leave, billing the token once, so both trip on the same step as
     /// they would op by op.
     fn run_slice(&mut self, events: &[TraceEvent], cursor: &mut usize) -> bool {
+        let state = &mut self.state;
+        let frame = state.threads[state.cur]
+            .frames
+            .last_mut()
+            .expect("live frame");
+        if !load_words(&frame.regs, &mut self.words) {
+            return false;
+        }
         // The first op plus what the budget and the headroom leave.
         let limit = (self.config.max_steps - self.stats.steps)
             .min(er_solver::cancel::headroom())
@@ -795,51 +804,30 @@ impl<'p> SymMachine<'p> {
             cursor: *cursor,
             checkpoint_at: self.next_checkpoint_at,
         };
-        let state = &mut self.state;
-        let counts = &mut state.site_counts[..];
-        let frame = state.threads[state.cur]
-            .frames
-            .last_mut()
-            .expect("live frame");
         let mut pc = frame.pc as usize;
-        let (mut ran, mut done) = (0, false);
-        if load_words(&frame.regs, &mut self.words) {
-            let (n, exit) = run_words(
-                self.code,
-                &mut self.words,
-                counts,
-                &mut trail,
-                &mut pc,
-                limit,
-            );
-            if n > 0 {
-                for (r, &w) in frame.regs.iter_mut().zip(&self.words) {
-                    *r = SymValue::Concrete(w);
-                }
-            }
-            self.stats.word_ops += n;
-            ran = n;
-            done = matches!(exit, WordExit::Done);
+        let ran = run_words(
+            self.code,
+            &mut self.words,
+            &mut state.site_counts,
+            &mut trail,
+            &mut pc,
+            limit,
+        );
+        if ran == 0 {
+            return false;
         }
-        if !done {
-            ran = run_values(
-                self.code.ops(),
-                &mut frame.regs,
-                counts,
-                &mut trail,
-                &mut pc,
-                ran,
-                limit,
-            );
+        for (r, &w) in frame.regs.iter_mut().zip(&self.words) {
+            *r = SymValue::Concrete(w);
         }
         frame.pc = pc as Pc;
         *cursor = trail.cursor;
+        self.stats.word_ops += ran;
         if ran > 1 {
             self.stats.steps += ran - 1;
             let tripped = er_solver::cancel::tick(ran - 1);
             debug_assert!(!tripped, "a slice stays within the cancel headroom");
         }
-        ran > 0
+        true
     }
 
     fn consume_event<'e>(
@@ -1629,42 +1617,14 @@ fn load_words(regs: &[SymValue], words: &mut Vec<u64>) -> bool {
     true
 }
 
-/// Why [`run_words`] returned.
-enum WordExit {
-    /// Before an op it cannot finish, or where the next step's prelude
-    /// acts: the slice ends.
-    Done,
-    /// At the block in which the slice's budget ends, which
-    /// [`run_values`] runs op by op.
-    Budget,
-}
-
-/// What one word-loop dispatch did, for the bookkeeping after it.
-enum Word {
-    /// Wrote `dst`; on to the next op.
-    Set(Reg, u64),
-    /// Ran a fused op→move pair: two ops on.
-    Pair,
-    /// Jumped.
-    Jump(Pc),
-    /// A branch on this condition, to `then_pc` or `else_pc`.
-    Branch(bool, Pc, Pc),
-    /// A fused compare→branch whose compare wrote this condition.
-    CmpBranch(bool, Pc, Pc),
-    /// An op the word loop does not finish.
-    Exit,
-}
-
 /// Runs an all-concrete frame's registers `w` from `pc` on
-/// [`Code::fast_ops`], a block at a time, and returns how many ops ran
-/// and why it stopped.
+/// [`Code::fast_ops`], a block at a time, and returns how many ops ran.
 ///
 /// Each block's remaining ops are checked against `limit` once, on entry
 /// ([`Code::run_lens`]); an exit inside the block refunds the ops after
-/// it. The block that does not fit is left to [`run_values`]. Every op
-/// counts at its pc, a fused pair at both. No op writes a symbolic value,
-/// so the frame stays all-concrete.
-#[allow(clippy::too_many_lines)]
+/// it. The loop stops at the block that does not fit. Every op counts at
+/// its pc, a fused pair at both. No op writes a symbolic value, so the
+/// frame stays all-concrete.
 fn run_words(
     code: &Code,
     w: &mut [u64],
@@ -1672,417 +1632,63 @@ fn run_words(
     trail: &mut Trail<'_>,
     pc: &mut usize,
     limit: u64,
-) -> (u64, WordExit) {
+) -> u64 {
     let (fast, run_len) = (code.fast_ops(), code.run_lens());
     let mut at = *pc;
     let mut ran: u64 = 0;
-    let exit = 'blocks: loop {
+    'blocks: loop {
         let len = u64::from(run_len[at]);
         if ran + len > limit {
-            break WordExit::Budget;
+            break;
         }
         ran += len;
         loop {
-            let word = match fast[at] {
-                Op::Const { dst, value } => Word::Set(dst, value),
-                Op::Mov { dst, src } => Word::Set(dst, w[src.0 as usize]),
-                Op::AddRR { dst, a, b } => alu(w, dst, a, b, u64::wrapping_add),
-                Op::AddRI { dst, a, imm } => alu(w, dst, a, imm, u64::wrapping_add),
-                Op::SubRR { dst, a, b } => alu(w, dst, a, b, u64::wrapping_sub),
-                Op::SubRI { dst, a, imm } => alu(w, dst, a, imm, u64::wrapping_sub),
-                Op::MulRR { dst, a, b } => alu(w, dst, a, b, u64::wrapping_mul),
-                Op::MulRI { dst, a, imm } => alu(w, dst, a, imm, u64::wrapping_mul),
-                Op::AndRR { dst, a, b } => alu(w, dst, a, b, and),
-                Op::AndRI { dst, a, imm } => alu(w, dst, a, imm, and),
-                Op::OrRR { dst, a, b } => alu(w, dst, a, b, or),
-                Op::OrRI { dst, a, imm } => alu(w, dst, a, imm, or),
-                Op::XorRR { dst, a, b } => alu(w, dst, a, b, xor),
-                Op::XorRI { dst, a, imm } => alu(w, dst, a, imm, xor),
-                Op::ShlRR { dst, a, b } => alu(w, dst, a, b, shl),
-                Op::ShlRI { dst, a, imm } => alu(w, dst, a, imm, shl),
-                Op::LShrRR { dst, a, b } => alu(w, dst, a, b, lshr),
-                Op::LShrRI { dst, a, imm } => alu(w, dst, a, imm, lshr),
-                Op::AShrRR { dst, a, b } => alu(w, dst, a, b, ashr),
-                Op::AShrRI { dst, a, imm } => alu(w, dst, a, imm, ashr),
-                Op::EqRR { dst, a, b } => alu(w, dst, a, b, eq),
-                Op::EqRI { dst, a, imm } => alu(w, dst, a, imm, eq),
-                Op::NeRR { dst, a, b } => alu(w, dst, a, b, ne),
-                Op::NeRI { dst, a, imm } => alu(w, dst, a, imm, ne),
-                Op::UltRR { dst, a, b } => alu(w, dst, a, b, ult),
-                Op::UltRI { dst, a, imm } => alu(w, dst, a, imm, ult),
-                Op::UleRR { dst, a, b } => alu(w, dst, a, b, ule),
-                Op::UleRI { dst, a, imm } => alu(w, dst, a, imm, ule),
-                Op::SltRR { dst, a, b } => alu(w, dst, a, b, slt),
-                Op::SltRI { dst, a, imm } => alu(w, dst, a, imm, slt),
-                Op::SleRR { dst, a, b } => alu(w, dst, a, b, sle),
-                Op::SleRI { dst, a, imm } => alu(w, dst, a, imm, sle),
-                // Division by zero yields `None`: the step path faults.
-                Op::Bin {
-                    dst,
-                    op,
-                    a,
-                    b,
-                    width,
-                } => match op.eval(width, word(w, a), word(w, b)) {
-                    Some(v) => Word::Set(dst, v),
-                    None => Word::Exit,
-                },
-                Op::Cmp {
-                    dst,
-                    pred,
-                    a,
-                    b,
-                    width,
-                } => Word::Set(dst, u64::from(pred.eval(width, word(w, a), word(w, b)))),
-                Op::AddRRMov(p) => mov_pair(w, p, u64::wrapping_add),
-                Op::AddRIMov(p) => mov_pair(w, p, u64::wrapping_add),
-                Op::SubRRMov(p) => mov_pair(w, p, u64::wrapping_sub),
-                Op::SubRIMov(p) => mov_pair(w, p, u64::wrapping_sub),
-                Op::MulRRMov(p) => mov_pair(w, p, u64::wrapping_mul),
-                Op::MulRIMov(p) => mov_pair(w, p, u64::wrapping_mul),
-                Op::AndRRMov(p) => mov_pair(w, p, and),
-                Op::AndRIMov(p) => mov_pair(w, p, and),
-                Op::OrRRMov(p) => mov_pair(w, p, or),
-                Op::OrRIMov(p) => mov_pair(w, p, or),
-                Op::XorRRMov(p) => mov_pair(w, p, xor),
-                Op::XorRIMov(p) => mov_pair(w, p, xor),
-                Op::ShlRRMov(p) => mov_pair(w, p, shl),
-                Op::ShlRIMov(p) => mov_pair(w, p, shl),
-                Op::LShrRRMov(p) => mov_pair(w, p, lshr),
-                Op::LShrRIMov(p) => mov_pair(w, p, lshr),
-                Op::AShrRRMov(p) => mov_pair(w, p, ashr),
-                Op::AShrRIMov(p) => mov_pair(w, p, ashr),
-                Op::EqRRMov(p) => mov_pair(w, p, eq),
-                Op::EqRIMov(p) => mov_pair(w, p, eq),
-                Op::NeRRMov(p) => mov_pair(w, p, ne),
-                Op::NeRIMov(p) => mov_pair(w, p, ne),
-                Op::UltRRMov(p) => mov_pair(w, p, ult),
-                Op::UltRIMov(p) => mov_pair(w, p, ult),
-                Op::UleRRMov(p) => mov_pair(w, p, ule),
-                Op::UleRIMov(p) => mov_pair(w, p, ule),
-                Op::SltRRMov(p) => mov_pair(w, p, slt),
-                Op::SltRIMov(p) => mov_pair(w, p, slt),
-                Op::SleRRMov(p) => mov_pair(w, p, sle),
-                Op::SleRIMov(p) => mov_pair(w, p, sle),
-                Op::EqRRBranch(p) => cmp_branch(w, p, eq),
-                Op::EqRIBranch(p) => cmp_branch(w, p, eq),
-                Op::NeRRBranch(p) => cmp_branch(w, p, ne),
-                Op::NeRIBranch(p) => cmp_branch(w, p, ne),
-                Op::UltRRBranch(p) => cmp_branch(w, p, ult),
-                Op::UltRIBranch(p) => cmp_branch(w, p, ult),
-                Op::UleRRBranch(p) => cmp_branch(w, p, ule),
-                Op::UleRIBranch(p) => cmp_branch(w, p, ule),
-                Op::SltRRBranch(p) => cmp_branch(w, p, slt),
-                Op::SltRIBranch(p) => cmp_branch(w, p, slt),
-                Op::SleRRBranch(p) => cmp_branch(w, p, sle),
-                Op::SleRIBranch(p) => cmp_branch(w, p, sle),
-                Op::Jump { to } => Word::Jump(to),
-                Op::Branch {
-                    cond,
-                    then_pc,
-                    else_pc,
-                } => Word::Branch(word(w, cond) != 0, then_pc, else_pc),
-                _ => Word::Exit,
-            };
-            let (taken, then_pc, else_pc) = match word {
-                Word::Set(dst, v) => {
-                    w[dst.0 as usize] = v;
+            let (taken, to) = match fast[at].eval_words(w) {
+                WordFlow::Next => {
                     counts[at] += 1;
                     at += 1;
                     continue;
                 }
-                Word::Pair => {
+                WordFlow::Pair => {
                     counts[at] += 1;
                     counts[at + 1] += 1;
                     at += 2;
                     continue;
                 }
-                Word::Jump(to) => {
+                WordFlow::Jump(to) => {
                     counts[at] += 1;
                     at = to as usize;
                     continue 'blocks;
                 }
-                Word::Branch(taken, then_pc, else_pc) => (taken, then_pc, else_pc),
-                Word::CmpBranch(taken, then_pc, else_pc) => {
+                WordFlow::Branch { taken, to } => (taken, to),
+                WordFlow::CmpBranch { taken, to } => {
                     counts[at] += 1;
                     at += 1;
-                    (taken, then_pc, else_pc)
+                    (taken, to)
                 }
-                Word::Exit => {
+                // The step path faults, or runs what touches more than
+                // the frame.
+                WordFlow::DivByZero | WordFlow::Other => {
                     ran -= u64::from(run_len[at]);
-                    break 'blocks WordExit::Done;
+                    break 'blocks;
                 }
             };
             // A branch, fused or not, whose TNT bit is not next is left
             // to the step path.
             if !trail.take_branch(taken) {
                 ran -= 1;
-                break 'blocks WordExit::Done;
+                break 'blocks;
             }
             counts[at] += 1;
-            at = if taken { then_pc } else { else_pc } as usize;
+            at = to as usize;
             if trail.prelude_acts() {
-                break 'blocks WordExit::Done;
+                break 'blocks;
             }
             continue 'blocks;
         }
-    };
-    *pc = at;
-    (ran, exit)
-}
-
-/// Runs `regs` from `pc` on [`Code::ops`], one dispatch per op, while
-/// fewer than `limit` ops have run (`ran` so far), and returns the new
-/// count. It stops before an op with a symbolic operand as before any
-/// other op a slice does not run.
-fn run_values(
-    ops: &[Op],
-    regs: &mut [SymValue],
-    counts: &mut [u64],
-    trail: &mut Trail<'_>,
-    pc: &mut usize,
-    mut ran: u64,
-    limit: u64,
-) -> u64 {
-    let mut at = *pc;
-    while ran < limit {
-        let (dst, v) = match ops[at] {
-            Op::Const { dst, value } => (dst, Some(value)),
-            Op::Mov { dst, src } => (dst, regs[src.0 as usize].as_concrete()),
-            Op::AddRR { dst, a, b } => (dst, rr(regs, a, b, u64::wrapping_add)),
-            Op::AddRI { dst, a, imm } => (dst, ri(regs, a, imm, u64::wrapping_add)),
-            Op::SubRR { dst, a, b } => (dst, rr(regs, a, b, u64::wrapping_sub)),
-            Op::SubRI { dst, a, imm } => (dst, ri(regs, a, imm, u64::wrapping_sub)),
-            Op::MulRR { dst, a, b } => (dst, rr(regs, a, b, u64::wrapping_mul)),
-            Op::MulRI { dst, a, imm } => (dst, ri(regs, a, imm, u64::wrapping_mul)),
-            Op::AndRR { dst, a, b } => (dst, rr(regs, a, b, and)),
-            Op::AndRI { dst, a, imm } => (dst, ri(regs, a, imm, and)),
-            Op::OrRR { dst, a, b } => (dst, rr(regs, a, b, or)),
-            Op::OrRI { dst, a, imm } => (dst, ri(regs, a, imm, or)),
-            Op::XorRR { dst, a, b } => (dst, rr(regs, a, b, xor)),
-            Op::XorRI { dst, a, imm } => (dst, ri(regs, a, imm, xor)),
-            Op::ShlRR { dst, a, b } => (dst, rr(regs, a, b, shl)),
-            Op::ShlRI { dst, a, imm } => (dst, ri(regs, a, imm, shl)),
-            Op::LShrRR { dst, a, b } => (dst, rr(regs, a, b, lshr)),
-            Op::LShrRI { dst, a, imm } => (dst, ri(regs, a, imm, lshr)),
-            Op::AShrRR { dst, a, b } => (dst, rr(regs, a, b, ashr)),
-            Op::AShrRI { dst, a, imm } => (dst, ri(regs, a, imm, ashr)),
-            Op::EqRR { dst, a, b } => (dst, rr(regs, a, b, eq)),
-            Op::EqRI { dst, a, imm } => (dst, ri(regs, a, imm, eq)),
-            Op::NeRR { dst, a, b } => (dst, rr(regs, a, b, ne)),
-            Op::NeRI { dst, a, imm } => (dst, ri(regs, a, imm, ne)),
-            Op::UltRR { dst, a, b } => (dst, rr(regs, a, b, ult)),
-            Op::UltRI { dst, a, imm } => (dst, ri(regs, a, imm, ult)),
-            Op::UleRR { dst, a, b } => (dst, rr(regs, a, b, ule)),
-            Op::UleRI { dst, a, imm } => (dst, ri(regs, a, imm, ule)),
-            Op::SltRR { dst, a, b } => (dst, rr(regs, a, b, slt)),
-            Op::SltRI { dst, a, imm } => (dst, ri(regs, a, imm, slt)),
-            Op::SleRR { dst, a, b } => (dst, rr(regs, a, b, sle)),
-            Op::SleRI { dst, a, imm } => (dst, ri(regs, a, imm, sle)),
-            // Division by zero yields `None`: the step path faults.
-            Op::Bin {
-                dst,
-                op,
-                a,
-                b,
-                width,
-            } => (
-                dst,
-                words(regs, a, b).and_then(|(x, y)| op.eval(width, x, y)),
-            ),
-            Op::Cmp {
-                dst,
-                pred,
-                a,
-                b,
-                width,
-            } => (
-                dst,
-                words(regs, a, b).map(|(x, y)| u64::from(pred.eval(width, x, y))),
-            ),
-            Op::Jump { to } => {
-                counts[at] += 1;
-                ran += 1;
-                at = to as usize;
-                continue;
-            }
-            Op::Branch {
-                cond,
-                then_pc,
-                else_pc,
-            } => {
-                let Some(c) = read(regs, cond).as_concrete() else {
-                    break;
-                };
-                if !trail.take_branch(c != 0) {
-                    break;
-                }
-                counts[at] += 1;
-                ran += 1;
-                at = if c != 0 { then_pc } else { else_pc } as usize;
-                if trail.prelude_acts() {
-                    break;
-                }
-                continue;
-            }
-            _ => break,
-        };
-        let Some(v) = v else {
-            break;
-        };
-        regs[dst.0 as usize] = SymValue::Concrete(v);
-        counts[at] += 1;
-        ran += 1;
-        at += 1;
     }
     *pc = at;
     ran
-}
-
-/// Reads `op` against a register file.
-#[inline(always)]
-fn read(regs: &[SymValue], op: Operand) -> SymValue {
-    match op {
-        Operand::Reg(r) => regs[r.0 as usize],
-        Operand::Imm(v) => SymValue::Concrete(v),
-    }
-}
-
-/// Both operands' words, if both are concrete.
-#[inline(always)]
-fn words(regs: &[SymValue], a: Operand, b: Operand) -> Option<(u64, u64)> {
-    Some((read(regs, a).as_concrete()?, read(regs, b).as_concrete()?))
-}
-
-/// `f` of two registers, if both are concrete.
-#[inline(always)]
-fn rr(regs: &[SymValue], a: Reg, b: Reg, f: impl FnOnce(u64, u64) -> u64) -> Option<u64> {
-    match (regs[a.0 as usize], regs[b.0 as usize]) {
-        (SymValue::Concrete(x), SymValue::Concrete(y)) => Some(f(x, y)),
-        _ => None,
-    }
-}
-
-/// `f` of a register and an immediate, if the register is concrete.
-#[inline(always)]
-fn ri(regs: &[SymValue], a: Reg, imm: u64, f: impl FnOnce(u64, u64) -> u64) -> Option<u64> {
-    regs[a.0 as usize].as_concrete().map(|x| f(x, imm))
-}
-
-/// Reads `op` against a frame's words.
-#[inline(always)]
-fn word(w: &[u64], op: Operand) -> u64 {
-    match op {
-        Operand::Reg(r) => w[r.0 as usize],
-        Operand::Imm(v) => v,
-    }
-}
-
-/// The right operand of a specialized ALU form: a register or an
-/// immediate.
-trait Rhs: Copy {
-    fn word(self, w: &[u64]) -> u64;
-}
-
-impl Rhs for Reg {
-    #[inline(always)]
-    fn word(self, w: &[u64]) -> u64 {
-        w[self.0 as usize]
-    }
-}
-
-impl Rhs for u64 {
-    #[inline(always)]
-    fn word(self, _: &[u64]) -> u64 {
-        self
-    }
-}
-
-/// `dst = f(a, b)`.
-#[inline(always)]
-fn alu<B: Rhs>(w: &[u64], dst: Reg, a: Reg, b: B, f: impl Fn(u64, u64) -> u64) -> Word {
-    Word::Set(dst, f(w[a.0 as usize], b.word(w)))
-}
-
-/// A fused op→move: `dst = f(a, b); mov = dst`.
-#[inline(always)]
-fn mov_pair<B: Rhs>(w: &mut [u64], p: MovPair<B>, f: impl Fn(u64, u64) -> u64) -> Word {
-    let v = f(w[p.a.0 as usize], p.b.word(w));
-    w[p.dst.0 as usize] = v;
-    w[p.mov.0 as usize] = v;
-    Word::Pair
-}
-
-/// A fused compare→branch's compare: `dst = pred(a, b)`, and the branch
-/// it feeds.
-#[inline(always)]
-fn cmp_branch<B: Rhs>(w: &mut [u64], p: BranchPair<B>, pred: impl Fn(u64, u64) -> u64) -> Word {
-    let c = pred(w[p.a.0 as usize], p.b.word(w));
-    w[p.dst.0 as usize] = c;
-    Word::CmpBranch(c != 0, p.then_pc, p.else_pc)
-}
-
-// The specialized forms' operations on 64-bit words; comparisons give 0
-// or 1. `wrapping_*` shifts take the amount modulo 64, the IR's shift
-// semantics at 64 bits.
-#[inline(always)]
-fn and(x: u64, y: u64) -> u64 {
-    x & y
-}
-
-#[inline(always)]
-fn or(x: u64, y: u64) -> u64 {
-    x | y
-}
-
-#[inline(always)]
-fn xor(x: u64, y: u64) -> u64 {
-    x ^ y
-}
-
-#[inline(always)]
-fn shl(x: u64, y: u64) -> u64 {
-    x.wrapping_shl(y as u32)
-}
-
-#[inline(always)]
-fn lshr(x: u64, y: u64) -> u64 {
-    x.wrapping_shr(y as u32)
-}
-
-#[inline(always)]
-fn ashr(x: u64, y: u64) -> u64 {
-    (x as i64).wrapping_shr(y as u32) as u64
-}
-
-#[inline(always)]
-fn eq(x: u64, y: u64) -> u64 {
-    u64::from(x == y)
-}
-
-#[inline(always)]
-fn ne(x: u64, y: u64) -> u64 {
-    u64::from(x != y)
-}
-
-#[inline(always)]
-fn ult(x: u64, y: u64) -> u64 {
-    u64::from(x < y)
-}
-
-#[inline(always)]
-fn ule(x: u64, y: u64) -> u64 {
-    u64::from(x <= y)
-}
-
-#[inline(always)]
-fn slt(x: u64, y: u64) -> u64 {
-    u64::from((x as i64) < (y as i64))
-}
-
-#[inline(always)]
-fn sle(x: u64, y: u64) -> u64 {
-    u64::from((x as i64) <= (y as i64))
 }
 
 #[cfg(test)]
@@ -2569,8 +2175,8 @@ mod tests {
     "#;
 
     /// [`CONCRETE_LOOP`] with an input held in a register across the
-    /// loop: its frame is never all-concrete, so its slices run one op at
-    /// a time on the symbolic register file.
+    /// loop: its frame is never all-concrete, so it runs on the step path,
+    /// one op at a time.
     const MIXED_LOOP: &str = r#"
         global G: [u64; 8];
         fn main() {
