@@ -14,24 +14,28 @@
 //! * `GlobalAddr` becomes a [`Op::Const`] of the global's address;
 //! * calls and spawns carry their callee's entry pc and frame size in a
 //!   side table, and assert/abort messages live in another, so [`Op`]
-//!   stays `Copy`;
-//! * the common 64-bit `Bin`/`Cmp` forms are specialized by operand kind
-//!   (register–register, register–immediate), so the interpreter's hot
-//!   arms are one register-file access per operand with no operand-kind
-//!   or width match. `or r, 0` at 64 bits — the lowering's register
-//!   move — becomes [`Op::Mov`].
+//!   stays `Copy`.
 //!
-//! Other widths and operand shapes keep a generic form carrying the IR's
-//! operands. [`Op::alu`] maps every specialized form back to its generic
-//! meaning, which is what the symbolic executor evaluates.
+//! [`Code::ops`] is the program's meaning: one op per IR instruction, in
+//! the IR's own generic form, so every `Instr::Bin`/`Instr::Cmp` is an
+//! [`Op::Bin`]/[`Op::Cmp`] there whatever its width and operands. The
+//! symbolic executor's step path, failure constraints and every other
+//! reader of the code see only these.
 //!
-//! For the loops that run a block whole whenever their budget allows (the
-//! interpreter's, and the symbolic executor's over an all-concrete
-//! frame), the code also keeps [`Code::fast_ops`]: the same array
-//! with adjacent pairs fused into one op (a specialized ALU form and the
-//! `Mov` of its result; a specialized compare and the block's `Branch` on
-//! it), and [`Code::run_lens`], what running the rest of a block costs.
-//! [`Code::ops`] never holds a fused form.
+//! [`Code::fast_ops`] is the interpreter's speed encoding of the same
+//! array, for the loops that run a block whole whenever their budget
+//! allows (the interpreter's, and the symbolic executor's over an
+//! all-concrete frame). It is derived from `ops()` by two steps and
+//! nothing else. [`Op::specialize`] turns the common 64-bit forms into
+//! `<op>RR`/`<op>RI` forms by operand kind (register–register,
+//! register–immediate), so a hot arm is one register-file access per
+//! operand with no operand-kind or width match, and `or r, 0` at 64 bits
+//! (the lowering's register move) into [`Op::Mov`]. [`Op::fuse`] then
+//! fuses adjacent pairs into one op: a specialized ALU form and the `Mov`
+//! of its result, or a specialized compare and the block's `Branch` on
+//! it. [`Code::run_lens`] says what running the rest of a block costs.
+//! Both arrays run on [`Op::eval_words`], so a speed form means exactly
+//! what its generic op (or its two ops) mean there.
 //!
 //! [`InstrId`]s of the unchanged IR are the program's one coordinate
 //! space: failure reports, trace sites and snapshots use them whatever
@@ -44,9 +48,11 @@ use crate::value::{BinOp, CmpOp, UnOp, Width};
 /// A program counter: an index into [`Code::ops`].
 pub type Pc = u32;
 
-/// One flat instruction. Specialized 64-bit forms are named `<op>RR`
-/// (`dst = a op b`) and `<op>RI` (`dst = a op imm`); every field means
-/// what it means on the IR [`Instr`] the form lowers.
+/// One flat instruction. The speed forms of [`Code::fast_ops`] follow the
+/// generic ones: specialized 64-bit forms are named `<op>RR`
+/// (`dst = a op b`) and `<op>RI` (`dst = a op imm`), and fused pairs
+/// `<op>Mov`/`<op>Branch`. Every field means what it means on the IR
+/// [`Instr`] the form lowers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// `dst = value`; also every `GlobalAddr`.
@@ -54,7 +60,10 @@ pub enum Op {
         dst: Reg,
         value: u64,
     },
-    /// `dst = src`: the 64-bit `or src, 0` lowering emits for moves.
+    // Specialized forms: speed forms that appear in [`Code::fast_ops`],
+    // never in [`Code::ops`] (see [`Op::specialize`]).
+    /// `dst = src`: the speed form of the 64-bit `or src, 0` lowering
+    /// emits for moves.
     Mov {
         dst: Reg,
         src: Reg,
@@ -209,7 +218,7 @@ pub enum Op {
         a: Reg,
         imm: u64,
     },
-    /// Any other [`Instr::Bin`].
+    /// Every [`Instr::Bin`].
     Bin {
         dst: Reg,
         op: BinOp,
@@ -217,7 +226,7 @@ pub enum Op {
         b: Operand,
         width: Width,
     },
-    /// Any other [`Instr::Cmp`].
+    /// Every [`Instr::Cmp`].
     Cmp {
         dst: Reg,
         pred: CmpOp,
@@ -472,153 +481,63 @@ fused_pairs! {
     ],
 }
 
-/// What an ALU op computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AluKind {
-    /// Arithmetic or bitwise.
-    Bin(BinOp),
-    /// Comparison producing 0 or 1.
-    Cmp(CmpOp),
-}
-
-/// The generic meaning of an ALU op: `dst = a kind b` at `width`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Alu {
-    /// Destination register.
-    pub dst: Reg,
-    /// Operation.
-    pub kind: AluKind,
-    /// Left operand.
-    pub a: Operand,
-    /// Right operand.
-    pub b: Operand,
-    /// Operation width.
-    pub width: Width,
-}
-
 impl Op {
-    /// The generic `Bin`/`Cmp` meaning of an ALU op (specialized or not),
-    /// or `None` for every other op.
+    /// The block loops' speed form of `self`: a 64-bit `Bin` or `Cmp` with
+    /// a register left operand becomes its `<op>RR`/`<op>RI` form, and `or
+    /// r, 0` becomes [`Op::Mov`]. Every other op, division included (it
+    /// keeps the generic form for its divide-by-zero fault), is its own.
     #[inline]
-    pub fn alu(&self) -> Option<Alu> {
-        use AluKind::{Bin as B, Cmp as C};
-        let (dst, kind, a, b) = match *self {
+    pub fn specialize(self) -> Op {
+        match self {
             Op::Bin {
                 dst,
                 op,
-                a,
+                a: Operand::Reg(a),
                 b,
-                width,
-            } => {
-                return Some(Alu {
-                    dst,
-                    kind: B(op),
-                    a,
-                    b,
-                    width,
-                })
-            }
+                width: Width::W64,
+            } => match (op, b) {
+                (BinOp::Or, Operand::Imm(0)) => Op::Mov { dst, src: a },
+                (BinOp::Add, Operand::Reg(b)) => Op::AddRR { dst, a, b },
+                (BinOp::Add, Operand::Imm(imm)) => Op::AddRI { dst, a, imm },
+                (BinOp::Sub, Operand::Reg(b)) => Op::SubRR { dst, a, b },
+                (BinOp::Sub, Operand::Imm(imm)) => Op::SubRI { dst, a, imm },
+                (BinOp::Mul, Operand::Reg(b)) => Op::MulRR { dst, a, b },
+                (BinOp::Mul, Operand::Imm(imm)) => Op::MulRI { dst, a, imm },
+                (BinOp::And, Operand::Reg(b)) => Op::AndRR { dst, a, b },
+                (BinOp::And, Operand::Imm(imm)) => Op::AndRI { dst, a, imm },
+                (BinOp::Or, Operand::Reg(b)) => Op::OrRR { dst, a, b },
+                (BinOp::Or, Operand::Imm(imm)) => Op::OrRI { dst, a, imm },
+                (BinOp::Xor, Operand::Reg(b)) => Op::XorRR { dst, a, b },
+                (BinOp::Xor, Operand::Imm(imm)) => Op::XorRI { dst, a, imm },
+                (BinOp::Shl, Operand::Reg(b)) => Op::ShlRR { dst, a, b },
+                (BinOp::Shl, Operand::Imm(imm)) => Op::ShlRI { dst, a, imm },
+                (BinOp::LShr, Operand::Reg(b)) => Op::LShrRR { dst, a, b },
+                (BinOp::LShr, Operand::Imm(imm)) => Op::LShrRI { dst, a, imm },
+                (BinOp::AShr, Operand::Reg(b)) => Op::AShrRR { dst, a, b },
+                (BinOp::AShr, Operand::Imm(imm)) => Op::AShrRI { dst, a, imm },
+                (BinOp::UDiv | BinOp::URem, _) => self,
+            },
             Op::Cmp {
                 dst,
                 pred,
-                a,
+                a: Operand::Reg(a),
                 b,
-                width,
-            } => {
-                return Some(Alu {
-                    dst,
-                    kind: C(pred),
-                    a,
-                    b,
-                    width,
-                })
-            }
-            Op::Mov { dst, src } => (dst, B(BinOp::Or), src.into(), Operand::Imm(0)),
-            Op::AddRR { dst, a, b } => (dst, B(BinOp::Add), a.into(), b.into()),
-            Op::AddRI { dst, a, imm } => (dst, B(BinOp::Add), a.into(), Operand::Imm(imm)),
-            Op::SubRR { dst, a, b } => (dst, B(BinOp::Sub), a.into(), b.into()),
-            Op::SubRI { dst, a, imm } => (dst, B(BinOp::Sub), a.into(), Operand::Imm(imm)),
-            Op::MulRR { dst, a, b } => (dst, B(BinOp::Mul), a.into(), b.into()),
-            Op::MulRI { dst, a, imm } => (dst, B(BinOp::Mul), a.into(), Operand::Imm(imm)),
-            Op::AndRR { dst, a, b } => (dst, B(BinOp::And), a.into(), b.into()),
-            Op::AndRI { dst, a, imm } => (dst, B(BinOp::And), a.into(), Operand::Imm(imm)),
-            Op::OrRR { dst, a, b } => (dst, B(BinOp::Or), a.into(), b.into()),
-            Op::OrRI { dst, a, imm } => (dst, B(BinOp::Or), a.into(), Operand::Imm(imm)),
-            Op::XorRR { dst, a, b } => (dst, B(BinOp::Xor), a.into(), b.into()),
-            Op::XorRI { dst, a, imm } => (dst, B(BinOp::Xor), a.into(), Operand::Imm(imm)),
-            Op::ShlRR { dst, a, b } => (dst, B(BinOp::Shl), a.into(), b.into()),
-            Op::ShlRI { dst, a, imm } => (dst, B(BinOp::Shl), a.into(), Operand::Imm(imm)),
-            Op::LShrRR { dst, a, b } => (dst, B(BinOp::LShr), a.into(), b.into()),
-            Op::LShrRI { dst, a, imm } => (dst, B(BinOp::LShr), a.into(), Operand::Imm(imm)),
-            Op::AShrRR { dst, a, b } => (dst, B(BinOp::AShr), a.into(), b.into()),
-            Op::AShrRI { dst, a, imm } => (dst, B(BinOp::AShr), a.into(), Operand::Imm(imm)),
-            Op::EqRR { dst, a, b } => (dst, C(CmpOp::Eq), a.into(), b.into()),
-            Op::EqRI { dst, a, imm } => (dst, C(CmpOp::Eq), a.into(), Operand::Imm(imm)),
-            Op::NeRR { dst, a, b } => (dst, C(CmpOp::Ne), a.into(), b.into()),
-            Op::NeRI { dst, a, imm } => (dst, C(CmpOp::Ne), a.into(), Operand::Imm(imm)),
-            Op::UltRR { dst, a, b } => (dst, C(CmpOp::Ult), a.into(), b.into()),
-            Op::UltRI { dst, a, imm } => (dst, C(CmpOp::Ult), a.into(), Operand::Imm(imm)),
-            Op::UleRR { dst, a, b } => (dst, C(CmpOp::Ule), a.into(), b.into()),
-            Op::UleRI { dst, a, imm } => (dst, C(CmpOp::Ule), a.into(), Operand::Imm(imm)),
-            Op::SltRR { dst, a, b } => (dst, C(CmpOp::Slt), a.into(), b.into()),
-            Op::SltRI { dst, a, imm } => (dst, C(CmpOp::Slt), a.into(), Operand::Imm(imm)),
-            Op::SleRR { dst, a, b } => (dst, C(CmpOp::Sle), a.into(), b.into()),
-            Op::SleRI { dst, a, imm } => (dst, C(CmpOp::Sle), a.into(), Operand::Imm(imm)),
-            _ => return None,
-        };
-        Some(Alu {
-            dst,
-            kind,
-            a,
-            b,
-            width: Width::W64,
-        })
-    }
-
-    /// The specialized form of a 64-bit `a op b` with a register left
-    /// operand, if there is one.
-    fn specialize_bin(dst: Reg, op: BinOp, a: Reg, b: Operand) -> Option<Op> {
-        Some(match (op, b) {
-            (BinOp::Or, Operand::Imm(0)) => Op::Mov { dst, src: a },
-            (BinOp::Add, Operand::Reg(b)) => Op::AddRR { dst, a, b },
-            (BinOp::Add, Operand::Imm(imm)) => Op::AddRI { dst, a, imm },
-            (BinOp::Sub, Operand::Reg(b)) => Op::SubRR { dst, a, b },
-            (BinOp::Sub, Operand::Imm(imm)) => Op::SubRI { dst, a, imm },
-            (BinOp::Mul, Operand::Reg(b)) => Op::MulRR { dst, a, b },
-            (BinOp::Mul, Operand::Imm(imm)) => Op::MulRI { dst, a, imm },
-            (BinOp::And, Operand::Reg(b)) => Op::AndRR { dst, a, b },
-            (BinOp::And, Operand::Imm(imm)) => Op::AndRI { dst, a, imm },
-            (BinOp::Or, Operand::Reg(b)) => Op::OrRR { dst, a, b },
-            (BinOp::Or, Operand::Imm(imm)) => Op::OrRI { dst, a, imm },
-            (BinOp::Xor, Operand::Reg(b)) => Op::XorRR { dst, a, b },
-            (BinOp::Xor, Operand::Imm(imm)) => Op::XorRI { dst, a, imm },
-            (BinOp::Shl, Operand::Reg(b)) => Op::ShlRR { dst, a, b },
-            (BinOp::Shl, Operand::Imm(imm)) => Op::ShlRI { dst, a, imm },
-            (BinOp::LShr, Operand::Reg(b)) => Op::LShrRR { dst, a, b },
-            (BinOp::LShr, Operand::Imm(imm)) => Op::LShrRI { dst, a, imm },
-            (BinOp::AShr, Operand::Reg(b)) => Op::AShrRR { dst, a, b },
-            (BinOp::AShr, Operand::Imm(imm)) => Op::AShrRI { dst, a, imm },
-            // Division keeps the generic form for its divide-by-zero fault.
-            (BinOp::UDiv | BinOp::URem, _) => return None,
-        })
-    }
-
-    /// The specialized form of a 64-bit `a pred b` with a register left
-    /// operand.
-    fn specialize_cmp(dst: Reg, pred: CmpOp, a: Reg, b: Operand) -> Op {
-        match (pred, b) {
-            (CmpOp::Eq, Operand::Reg(b)) => Op::EqRR { dst, a, b },
-            (CmpOp::Eq, Operand::Imm(imm)) => Op::EqRI { dst, a, imm },
-            (CmpOp::Ne, Operand::Reg(b)) => Op::NeRR { dst, a, b },
-            (CmpOp::Ne, Operand::Imm(imm)) => Op::NeRI { dst, a, imm },
-            (CmpOp::Ult, Operand::Reg(b)) => Op::UltRR { dst, a, b },
-            (CmpOp::Ult, Operand::Imm(imm)) => Op::UltRI { dst, a, imm },
-            (CmpOp::Ule, Operand::Reg(b)) => Op::UleRR { dst, a, b },
-            (CmpOp::Ule, Operand::Imm(imm)) => Op::UleRI { dst, a, imm },
-            (CmpOp::Slt, Operand::Reg(b)) => Op::SltRR { dst, a, b },
-            (CmpOp::Slt, Operand::Imm(imm)) => Op::SltRI { dst, a, imm },
-            (CmpOp::Sle, Operand::Reg(b)) => Op::SleRR { dst, a, b },
-            (CmpOp::Sle, Operand::Imm(imm)) => Op::SleRI { dst, a, imm },
+                width: Width::W64,
+            } => match (pred, b) {
+                (CmpOp::Eq, Operand::Reg(b)) => Op::EqRR { dst, a, b },
+                (CmpOp::Eq, Operand::Imm(imm)) => Op::EqRI { dst, a, imm },
+                (CmpOp::Ne, Operand::Reg(b)) => Op::NeRR { dst, a, b },
+                (CmpOp::Ne, Operand::Imm(imm)) => Op::NeRI { dst, a, imm },
+                (CmpOp::Ult, Operand::Reg(b)) => Op::UltRR { dst, a, b },
+                (CmpOp::Ult, Operand::Imm(imm)) => Op::UltRI { dst, a, imm },
+                (CmpOp::Ule, Operand::Reg(b)) => Op::UleRR { dst, a, b },
+                (CmpOp::Ule, Operand::Imm(imm)) => Op::UleRI { dst, a, imm },
+                (CmpOp::Slt, Operand::Reg(b)) => Op::SltRR { dst, a, b },
+                (CmpOp::Slt, Operand::Imm(imm)) => Op::SltRI { dst, a, imm },
+                (CmpOp::Sle, Operand::Reg(b)) => Op::SleRR { dst, a, b },
+                (CmpOp::Sle, Operand::Imm(imm)) => Op::SleRI { dst, a, imm },
+            },
+            _ => self,
         }
     }
 }
@@ -660,7 +579,8 @@ pub struct Code {
     func_block: Vec<u32>,
     calls: Vec<CallSite>,
     messages: Vec<String>,
-    /// `ops` with each fused pair's first slot holding its fused form.
+    /// `ops` specialized, with each fused pair's first slot holding its
+    /// fused form.
     fast: Vec<Op>,
     /// `run_len[pc]`: the ops from `pc` through its block's terminator,
     /// inclusive.
@@ -754,16 +674,21 @@ impl Code {
         code
     }
 
-    /// Fills the block loops' fast array and run lengths. A pair's first
-    /// op is an ALU form, never a terminator, so no pair crosses a block,
-    /// and a recording slot is a `PtWrite`, so none is part of a pair.
+    /// Fills the block loops' fast array and run lengths: every op's
+    /// [`Op::specialize`] form, with adjacent pairs fused ([`Op::fuse`]).
+    /// A pair's first op is an ALU form, never a terminator, so no pair
+    /// crosses a block, and a recording slot is a `PtWrite`, so none is
+    /// part of a pair.
     fn fuse_pairs(&mut self) {
         self.fast = self.ops.clone();
+        for op in &mut self.fast {
+            *op = op.specialize();
+        }
         let mut pc = 1;
-        while pc < self.ops.len() {
+        while pc < self.fast.len() {
             // Only a `Mov` or a `Branch` ends a pair.
-            if matches!(self.ops[pc], Op::Mov { .. } | Op::Branch { .. }) {
-                if let Some(fused) = Op::fuse(self.ops[pc - 1], self.ops[pc]) {
+            if matches!(self.fast[pc], Op::Mov { .. } | Op::Branch { .. }) {
+                if let Some(fused) = Op::fuse(self.fast[pc - 1], self.fast[pc]) {
                     self.fast[pc - 1] = fused;
                     pc += 1;
                 }
@@ -785,32 +710,25 @@ impl Code {
                 a,
                 b,
                 width,
-            } => match a {
-                Operand::Reg(a) if width == Width::W64 => Op::specialize_bin(dst, op, a, b),
-                _ => None,
-            }
-            .unwrap_or(Op::Bin {
+            } => Op::Bin {
                 dst,
                 op,
                 a,
                 b,
                 width,
-            }),
+            },
             &Instr::Cmp {
                 dst,
                 pred,
                 a,
                 b,
                 width,
-            } => match a {
-                Operand::Reg(a) if width == Width::W64 => Op::specialize_cmp(dst, pred, a, b),
-                _ => Op::Cmp {
-                    dst,
-                    pred,
-                    a,
-                    b,
-                    width,
-                },
+            } => Op::Cmp {
+                dst,
+                pred,
+                a,
+                b,
+                width,
             },
             &Instr::Un { dst, op, a, width } => Op::Un { dst, op, a, width },
             &Instr::Cast { dst, a, from } => Op::Cast { dst, a, from },
@@ -875,7 +793,8 @@ impl Code {
         self.entry
     }
 
-    /// The instruction array.
+    /// The instruction array: the program's meaning, every ALU op in its
+    /// generic form.
     #[inline]
     pub fn ops(&self) -> &[Op] {
         &self.ops
@@ -883,8 +802,8 @@ impl Code {
 
     /// The block loops' dispatch array, indexed like [`Code::ops`]: the
     /// first slot of each fused pair holds the fused form (see
-    /// [`Op::fuse`]), and every other slot the op itself, so a run may
-    /// enter it at any pc. Only a run that executes the rest of a block
+    /// [`Op::fuse`]), and every other slot the op's [`Op::specialize`]
+    /// form, so a run may enter it at any pc. Only a run that executes the rest of a block
     /// without stopping may use it.
     #[inline]
     pub fn fast_ops(&self) -> &[Op] {
@@ -1003,9 +922,10 @@ fn in_block<'r>(recorded: &mut &'r [InstrId], func: FuncId, block: BlockId) -> &
 mod tests {
     use super::*;
     use crate::compile;
+    use crate::word::WordFlow;
 
     #[test]
-    fn crunch_loop_is_fully_specialized() {
+    fn crunch_loop_is_generic_in_ops_and_specialized_in_fast_ops() {
         let p = compile(
             r#"
             fn crunch(n: u64) -> u64 {
@@ -1021,61 +941,263 @@ mod tests {
         )
         .unwrap();
         let code = p.code();
-        let generic = code
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, Op::Bin { .. } | Op::Cmp { .. }))
-            .count();
-        assert_eq!(generic, 0, "{:?}", code.ops());
-        assert!(code.ops().iter().any(|op| matches!(op, Op::Mov { .. })));
+        let alu = |op: &Op| matches!(op, Op::Bin { .. } | Op::Cmp { .. });
         assert!(code
             .ops()
             .iter()
+            .all(|&op| !matches!(op, Op::Mov { .. }) && op.split().is_none()));
+        assert!(code.ops().iter().any(alu));
+        let fast: Vec<Op> = code.ops().iter().map(|op| op.specialize()).collect();
+        assert!(!fast.iter().any(alu), "{fast:?}");
+        assert!(fast.iter().any(|op| matches!(op, Op::Mov { .. })));
+        assert!(fast
+            .iter()
             .any(|op| matches!(op, Op::LShrRI { imm: 33, .. })));
+        assert!(!code.fast_ops().iter().any(alu));
+    }
+
+    /// Sign and width boundaries, and shift amounts at and past 64.
+    const BOUNDARY: [u64; 22] = [
+        0,
+        1,
+        2,
+        7,
+        31,
+        32,
+        63,
+        64,
+        65,
+        127,
+        128,
+        0xff,
+        0x8000,
+        0xffff,
+        0x7fff_ffff,
+        0x8000_0000,
+        0xffff_ffff,
+        0x1_0000_0000,
+        i64::MAX as u64,
+        i64::MIN as u64,
+        -2i64 as u64,
+        -1i64 as u64,
+    ];
+
+    const BIN_OPS: [BinOp; 11] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::UDiv,
+        BinOp::URem,
+        BinOp::And,
+        BinOp::Or,
+        BinOp::Xor,
+        BinOp::Shl,
+        BinOp::LShr,
+        BinOp::AShr,
+    ];
+
+    const CMP_OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Ult,
+        CmpOp::Ule,
+        CmpOp::Slt,
+        CmpOp::Sle,
+    ];
+
+    /// Registers the ops below use; every aliasing of them occurs.
+    const REGS: u32 = 3;
+
+    /// Every generic ALU op over [`REGS`] registers, at every width, with
+    /// a register or an immediate on the left and a register or a
+    /// boundary immediate on the right.
+    fn generic_alu_ops() -> Vec<Op> {
+        let regs: Vec<Operand> = (0..REGS).map(|r| Operand::Reg(Reg(r))).collect();
+        let lefts = regs
+            .iter()
+            .copied()
+            .chain([Operand::Imm(0), Operand::Imm(65)]);
+        let rights: Vec<Operand> = regs
+            .iter()
+            .copied()
+            .chain(BOUNDARY.map(Operand::Imm))
+            .collect();
+        let mut ops = Vec::new();
+        for a in lefts {
+            for &b in &rights {
+                for width in [Width::W8, Width::W16, Width::W32, Width::W64] {
+                    for dst in (0..REGS).map(Reg) {
+                        ops.extend(BIN_OPS.map(|op| Op::Bin {
+                            dst,
+                            op,
+                            a,
+                            b,
+                            width,
+                        }));
+                        ops.extend(CMP_OPS.map(|pred| Op::Cmp {
+                            dst,
+                            pred,
+                            a,
+                            b,
+                            width,
+                        }));
+                    }
+                }
+            }
+        }
+        ops
+    }
+
+    /// Register files over [`REGS`] registers: each pair of boundary
+    /// values in the first two, and a third derived from them.
+    fn register_files() -> impl Iterator<Item = [u64; REGS as usize]> {
+        BOUNDARY
+            .iter()
+            .flat_map(|&x| BOUNDARY.iter().map(move |&y| [x, y, !x ^ y.rotate_left(7)]))
     }
 
     #[test]
-    fn specialized_forms_keep_their_generic_meaning() {
-        let (r0, r1, r2) = (Reg(0), Reg(1), Reg(2));
-        for op in [
-            BinOp::Add,
-            BinOp::Sub,
-            BinOp::Mul,
-            BinOp::And,
-            BinOp::Or,
-            BinOp::Xor,
-            BinOp::Shl,
-            BinOp::LShr,
-            BinOp::AShr,
-        ] {
-            for b in [Operand::Reg(r2), Operand::Imm(7), Operand::Imm(0)] {
-                let s = Op::specialize_bin(r0, op, r1, b).unwrap();
-                let alu = s.alu().unwrap();
-                assert_eq!(alu.dst, r0);
-                assert_eq!(alu.kind, AluKind::Bin(op));
-                assert_eq!(alu.a, Operand::Reg(r1));
-                assert_eq!(alu.b, b);
-                assert_eq!(alu.width, Width::W64);
+    fn every_specialized_form_means_its_generic_op() {
+        let mut specialized = 0;
+        for op in generic_alu_ops() {
+            let fast = op.specialize();
+            assert_eq!(
+                fast.specialize(),
+                fast,
+                "{op:?}: specializing is idempotent"
+            );
+            // Division keeps its generic form for the divide-by-zero fault.
+            let has_form = matches!(
+                op,
+                Op::Bin {
+                    op: BinOp::Add
+                        | BinOp::Sub
+                        | BinOp::Mul
+                        | BinOp::And
+                        | BinOp::Or
+                        | BinOp::Xor
+                        | BinOp::Shl
+                        | BinOp::LShr
+                        | BinOp::AShr,
+                    a: Operand::Reg(_),
+                    width: Width::W64,
+                    ..
+                } | Op::Cmp {
+                    a: Operand::Reg(_),
+                    width: Width::W64,
+                    ..
+                }
+            );
+            assert_eq!(fast != op, has_form, "{op:?} specializes to {fast:?}");
+            if fast == op {
+                continue;
             }
-        }
-        for pred in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Ult,
-            CmpOp::Ule,
-            CmpOp::Slt,
-            CmpOp::Sle,
-        ] {
-            for b in [Operand::Reg(r2), Operand::Imm(7)] {
-                let alu = Op::specialize_cmp(r0, pred, r1, b).alu().unwrap();
+            specialized += 1;
+            assert!(fast.split().is_none(), "{op:?} specializes to a fused form");
+            for regs in register_files() {
+                let (mut want, mut got) = (regs, regs);
                 assert_eq!(
-                    (alu.kind, alu.a, alu.b),
-                    (AluKind::Cmp(pred), Operand::Reg(r1), b)
+                    (fast.eval_words(&mut got), got),
+                    (op.eval_words(&mut want), want),
+                    "{op:?} as {fast:?} on {regs:?}"
                 );
             }
         }
-        assert!(Op::specialize_bin(r0, BinOp::UDiv, r1, Operand::Imm(3)).is_none());
-        assert!(Op::Jump { to: 0 }.alu().is_none());
+        assert!(specialized > 0);
+    }
+
+    /// `ops`, each followed by its specialized form if it has one.
+    fn with_specialized(ops: &[Op]) -> Vec<Op> {
+        let mut out = Vec::with_capacity(2 * ops.len());
+        for &op in ops {
+            out.push(op);
+            if op.specialize() != op {
+                out.push(op.specialize());
+            }
+        }
+        out
+    }
+
+    /// Every op [`Code::fast_ops`] may pair: the generic ALU ops and their
+    /// specialized forms as either op, and as the second op also every
+    /// `Mov`, `Branch` and `Jump` over [`REGS`] registers.
+    #[test]
+    fn every_fused_pair_means_its_two_ops_run_in_turn() {
+        let generic = generic_alu_ops();
+        let firsts = with_specialized(&generic);
+        let (then_pc, else_pc) = (10, 20);
+        let mut seconds = vec![
+            Op::Jump { to: then_pc },
+            Op::Branch {
+                cond: Operand::Imm(1),
+                then_pc,
+                else_pc,
+            },
+        ];
+        for r in (0..REGS).map(Reg) {
+            seconds.push(Op::Branch {
+                cond: Operand::Reg(r),
+                then_pc,
+                else_pc,
+            });
+            seconds.extend((0..REGS).map(|src| Op::Mov {
+                dst: r,
+                src: Reg(src),
+            }));
+        }
+        // 64-bit ALU ops over registers only, so the pool stays small.
+        let reg_only: Vec<Op> = generic
+            .iter()
+            .copied()
+            .filter(|op| {
+                matches!(
+                    op,
+                    Op::Bin {
+                        a: Operand::Reg(_),
+                        b: Operand::Reg(_),
+                        width: Width::W64,
+                        ..
+                    } | Op::Cmp {
+                        a: Operand::Reg(_),
+                        b: Operand::Reg(_),
+                        width: Width::W64,
+                        ..
+                    }
+                )
+            })
+            .collect();
+        seconds.extend(with_specialized(&reg_only));
+        let mut fused = 0;
+        for &first in &firsts {
+            for &second in &seconds {
+                let Some(pair) = Op::fuse(first, second) else {
+                    continue;
+                };
+                fused += 1;
+                assert_eq!(pair.split(), Some((first, second)), "{pair:?}");
+                for regs in register_files() {
+                    let (mut want, mut got) = (regs, regs);
+                    assert_eq!(first.eval_words(&mut want), WordFlow::Next, "{first:?}");
+                    match (second.eval_words(&mut want), pair.eval_words(&mut got)) {
+                        (WordFlow::Next, WordFlow::Pair) => {}
+                        (
+                            WordFlow::Branch { taken, to },
+                            WordFlow::CmpBranch {
+                                taken: pair_taken,
+                                to: pair_to,
+                            },
+                        ) => assert_eq!(
+                            (pair_taken, pair_to),
+                            (taken, to),
+                            "{pair:?} on {regs:?}: TNT bit and successor"
+                        ),
+                        flows => panic!("{pair:?} on {regs:?}: flows {flows:?}"),
+                    }
+                    assert_eq!(got, want, "{pair:?} on {regs:?}: registers");
+                }
+            }
+        }
+        assert!(fused > 0);
     }
 
     #[test]

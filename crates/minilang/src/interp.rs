@@ -219,7 +219,9 @@ impl<S: TraceSink> World<S> {
     /// `icount`, until the count reaches `stop` (`None`) or an op faults or
     /// changes frames or threads (that exit, with `pc` on the op). This is
     /// the per-op path of [`Machine::run_slice`], out of line so the
-    /// per-block loop keeps its hot values in registers.
+    /// per-block loop keeps its hot values in registers. Its ALU ops are
+    /// the generic forms, which run through the same [`Op::eval_words`]
+    /// as the block loop's speed forms.
     #[inline(never)]
     fn step_ops(
         &mut self,
@@ -368,7 +370,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 StepResult::Continue if self.icount < deadline => {
                     return RunOutcome::Failure(self.failure_at(t, RuntimeFault::Hang));
                 }
-                StepResult::Continue | StepResult::Blocked | StepResult::ThreadDone => {}
+                StepResult::Continue | StepResult::Descheduled => {}
                 StepResult::Fault(f) => return RunOutcome::Failure(self.failure_at(t, f)),
             }
             if self.threads[t].state == ThreadState::Runnable {
@@ -493,7 +495,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             StepResult::Continue
         } else {
             self.thread_done(t);
-            StepResult::ThreadDone
+            StepResult::Descheduled
         }
     }
 
@@ -578,7 +580,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         // Advance past the Join now: the target's exit is what wakes this
         // thread, so there is nothing to re-check.
         self.threads[t].advance();
-        StepResult::Blocked
+        StepResult::Descheduled
     }
 
     fn lock(&mut self, t: usize, lock: Operand) -> StepResult {
@@ -587,7 +589,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             self.threads[t].state = ThreadState::BlockedLock(id);
             // The pc is *not* advanced: the lock is re-attempted when the
             // thread is woken by an unlock.
-            return StepResult::Blocked;
+            return StepResult::Descheduled;
         }
         self.lock_owner.insert(id, self.threads[t].tid);
         self.threads[t].advance();
@@ -609,10 +611,12 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     }
 }
 
+/// How a slice ended, or how an op that changes frames or threads went.
 enum StepResult {
+    /// The thread can go on running.
     Continue,
-    Blocked,
-    ThreadDone,
+    /// The thread blocked or finished: its slice ends early.
+    Descheduled,
     Fault(RuntimeFault),
 }
 

@@ -1,13 +1,18 @@
 //! The one definition of the ops that touch nothing but their frame's
 //! registers, on machine words.
 //!
-//! [`Op::eval_words`] runs every such op of [`Code::fast_ops`] (so of
-//! [`Code::ops`] too): constants, moves, every ALU, unary, cast and
-//! compare form, the fused pairs, jumps and branches. Both block loops
-//! dispatch on it: the interpreter's, which reports a branch to its trace
-//! sink, and the symbolic executor's over an all-concrete frame, which
-//! checks a branch against the trace. How a branch is taken is the
-//! caller's; the evaluator only says where it goes.
+//! [`Op::eval_words`] runs every such op of [`Code::ops`] and of
+//! [`Code::fast_ops`]: constants, every generic ALU, unary, cast and
+//! compare op, the speed forms (`Mov`, the specialized `<op>RR`/`<op>RI`
+//! forms and the fused pairs), jumps and branches. Both block loops
+//! dispatch on it over `fast_ops()`: the interpreter's, which reports a
+//! branch to its trace sink, and the symbolic executor's over an
+//! all-concrete frame, which checks a branch against the trace. The
+//! interpreter's per-op path runs the generic forms of `ops()` through it
+//! too. How a branch is taken is the caller's; the evaluator only says
+//! where it goes. A speed form's arm must mean what its generic op (or
+//! its two ops) mean in their own arms; `code.rs`'s tests check that for
+//! every form.
 //!
 //! [`Code::fast_ops`]: crate::code::Code::fast_ops
 //! [`Code::ops`]: crate::code::Code::ops

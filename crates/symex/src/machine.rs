@@ -9,7 +9,7 @@
 
 use crate::mem::{ObjectName, SymMemory};
 use crate::value::SymValue;
-use er_minilang::code::{Alu, AluKind, CallSite, Code, Op, Pc};
+use er_minilang::code::{CallSite, Code, Op, Pc};
 use er_minilang::error::{Failure, FailureKind, RuntimeFault};
 use er_minilang::ir::*;
 use er_minilang::mem::NULL_GUARD;
@@ -397,9 +397,9 @@ struct SymThread {
 
 /// How the step loop proceeds after one step.
 enum StepFlow {
+    /// The op ran. The thread may have blocked or finished; the loop reads
+    /// that from the thread's state.
     Continue,
-    Blocked,
-    ThreadDone,
     /// The trace scheduled another thread; this step did not execute.
     SwitchDue,
 }
@@ -413,7 +413,6 @@ enum Stop {
 /// trace, plus the run's solver engine, accounting and checkpoint ring.
 #[derive(Debug)]
 pub struct SymMachine<'p> {
-    program: &'p Program,
     code: &'p Code,
     config: SymConfig,
     /// The machine itself; `state.cursor` is where the run starts.
@@ -493,7 +492,6 @@ impl<'p> SymMachine<'p> {
 
     fn with_state(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
         SymMachine {
-            program,
             code: program.code(),
             config,
             state,
@@ -671,7 +669,7 @@ impl<'p> SymMachine<'p> {
                         return Ok(None);
                     }
                     if Some(pc) == failure_pc && self.state.threads[self.state.cur].tid == f.tid {
-                        return self.failure_constraint(f);
+                        return self.failure_constraint(f, pc);
                     }
                 } else if self
                     .state
@@ -683,60 +681,35 @@ impl<'p> SymMachine<'p> {
                 }
             }
 
-            if !matches!(
-                self.state.threads[self.state.cur].state,
-                ThreadState::Runnable
-            ) {
-                // Current thread cannot run; the trace must name a successor.
-                match events.get(cursor) {
-                    Some(TraceEvent::ThreadResume(tid)) => {
-                        let tid = *tid;
-                        cursor += 1;
-                        self.switch_to(tid)?;
-                        continue;
-                    }
-                    Some(_) => {
-                        return Err(Stop::Diverge(TraceDivergence::EventMismatch {
-                            wanted: "thread resume",
-                            at: self.code.id_of(pc),
-                        }))
-                    }
-                    None => {
-                        if failure.is_none()
-                            && self
-                                .state
-                                .threads
-                                .iter()
-                                .all(|t| t.state == ThreadState::Done)
-                        {
-                            return Ok(None);
-                        }
-                        return Err(Stop::Diverge(TraceDivergence::RanPastTraceEnd));
-                    }
+            if self.state.threads[self.state.cur].state == ThreadState::Runnable {
+                // While events remain, an event-free concrete stretch runs
+                // in one slice; the op it stops at takes the step path,
+                // after its own prelude.
+                if events_left && self.run_slice(events, &mut cursor) {
+                    continue;
+                }
+                match self.step(events, &mut cursor, pc)? {
+                    StepFlow::Continue => continue,
+                    StepFlow::SwitchDue => {}
                 }
             }
-
-            // While events remain, an event-free concrete stretch runs in
-            // one slice; the op it stops at takes the step path, after its
-            // own prelude.
-            if events_left && self.run_slice(events, &mut cursor) {
-                continue;
-            }
-            match self.step(events, &mut cursor, pc)? {
-                StepFlow::SwitchDue => match events.get(cursor) {
-                    Some(TraceEvent::ThreadResume(tid)) => {
-                        let tid = *tid;
-                        cursor += 1;
-                        self.switch_to(tid)?;
-                    }
-                    _ => {
-                        return Err(Stop::Diverge(TraceDivergence::EventMismatch {
-                            wanted: "thread resume",
-                            at: self.code.id_of(pc),
-                        }))
-                    }
-                },
-                StepFlow::Continue | StepFlow::Blocked | StepFlow::ThreadDone => {}
+            // The current thread cannot run, or production switched threads
+            // before it requested its next event: the trace must name the
+            // successor.
+            match events.get(cursor) {
+                Some(TraceEvent::ThreadResume(tid)) => {
+                    let tid = *tid;
+                    cursor += 1;
+                    self.switch_to(tid)?;
+                }
+                Some(_) => {
+                    return Err(Stop::Diverge(TraceDivergence::EventMismatch {
+                        wanted: "thread resume",
+                        at: self.code.id_of(pc),
+                    }))
+                }
+                // A finished run without a failure returned above.
+                None => return Err(Stop::Diverge(TraceDivergence::RanPastTraceEnd)),
             }
         }
     }
@@ -1199,7 +1172,7 @@ impl<'p> SymMachine<'p> {
                 if !done {
                     self.state.threads[self.state.cur].state = ThreadState::BlockedJoin(target);
                     self.frame_mut().pc += 1;
-                    return Ok(StepFlow::Blocked);
+                    return Ok(StepFlow::Continue);
                 }
             }
             Op::Lock { lock } => {
@@ -1216,7 +1189,7 @@ impl<'p> SymMachine<'p> {
                 if self.state.lock_owner.contains_key(&id) {
                     self.state.threads[self.state.cur].state = ThreadState::BlockedLock(id);
                     // The pc is not advanced: re-attempted after resume.
-                    return Ok(StepFlow::Blocked);
+                    return Ok(StepFlow::Continue);
                 }
                 self.state.lock_owner.insert(id, tid);
             }
@@ -1300,26 +1273,29 @@ impl<'p> SymMachine<'p> {
                 return Ok(StepFlow::Continue);
             }
             Op::Return { value } => return self.ret(events, cursor, at, value),
-            // Every remaining op is an ALU form, specialized or generic; the
-            // symbolic executor evaluates its generic meaning.
-            _ => {
-                let Some(Alu {
-                    dst,
-                    kind,
-                    a,
-                    b,
-                    width,
-                }) = op.alu()
-                else {
-                    unreachable!("{op:?} has its own arm");
-                };
+            Op::Bin {
+                dst,
+                op,
+                a,
+                b,
+                width,
+            } => {
                 let (av, bv) = (self.operand(a), self.operand(b));
-                let r = match kind {
-                    AluKind::Bin(op) => self.sym_bin(op, av, bv, width, at)?,
-                    AluKind::Cmp(pred) => self.sym_cmp(pred, av, bv, width),
-                };
+                let r = self.sym_bin(op, av, bv, width, at)?;
                 self.set_reg(dst, r, at);
             }
+            Op::Cmp {
+                dst,
+                pred,
+                a,
+                b,
+                width,
+            } => {
+                let (av, bv) = (self.operand(a), self.operand(b));
+                let r = self.sym_cmp(pred, av, bv, width);
+                self.set_reg(dst, r, at);
+            }
+            _ => unreachable!("{op:?} is a speed form, which `Code::ops` never holds"),
         }
         self.frame_mut().pc += 1;
         Ok(StepFlow::Continue)
@@ -1374,18 +1350,16 @@ impl<'p> SymMachine<'p> {
                     t.state = ThreadState::Runnable;
                 }
             }
-            Ok(StepFlow::ThreadDone)
+            Ok(StepFlow::Continue)
         }
     }
 
     /// Builds the constraint that forces the recorded failure at the
     /// failure site (executed when the trace has been fully consumed).
-    fn failure_constraint(&mut self, failure: &Failure) -> Result<Option<ExprRef>, Stop> {
-        let blk = self.program.func(failure.at.func).block(failure.at.block);
-        let instr = blk.instrs.get(failure.at.index);
-        let constraint = match (&failure.fault, instr) {
-            (RuntimeFault::AssertFailed { .. }, Some(Instr::Assert { cond, .. })) => {
-                match self.operand(*cond) {
+    fn failure_constraint(&mut self, failure: &Failure, pc: Pc) -> Result<Option<ExprRef>, Stop> {
+        let constraint = match (&failure.fault, self.code.ops()[pc as usize]) {
+            (RuntimeFault::AssertFailed { .. }, Op::Assert { cond, .. }) => {
+                match self.operand(cond) {
                     SymValue::Concrete(0) => None,
                     SymValue::Concrete(_) => {
                         return Err(Stop::Diverge(TraceDivergence::RanPastTraceEnd))
@@ -1396,8 +1370,8 @@ impl<'p> SymMachine<'p> {
                     }
                 }
             }
-            (RuntimeFault::Abort { .. }, Some(Instr::Abort { .. })) => None,
-            (RuntimeFault::DivByZero, Some(Instr::Bin { b, .. })) => match self.operand(*b) {
+            (RuntimeFault::Abort { .. }, Op::Abort { .. }) => None,
+            (RuntimeFault::DivByZero, Op::Bin { b, .. }) => match self.operand(b) {
                 SymValue::Concrete(0) => None,
                 SymValue::Concrete(_) => {
                     return Err(Stop::Diverge(TraceDivergence::RanPastTraceEnd))
@@ -1408,16 +1382,8 @@ impl<'p> SymMachine<'p> {
                     Some(self.state.pool.cmp(CmpKind::Eq, e, zero))
                 }
             },
-            (fault, Some(Instr::Load { addr, .. })) => {
-                let a = self.operand(*addr);
-                self.memory_fault_constraint(fault, a)
-            }
-            (fault, Some(Instr::Store { addr, .. })) => {
-                let a = self.operand(*addr);
-                self.memory_fault_constraint(fault, a)
-            }
-            (fault, Some(Instr::Free { addr })) => {
-                let a = self.operand(*addr);
+            (fault, Op::Load { addr, .. } | Op::Store { addr, .. } | Op::Free { addr }) => {
+                let a = self.operand(addr);
                 self.memory_fault_constraint(fault, a)
             }
             // Input exhaustion, hangs, deadlocks: reproduced by input shape

@@ -133,18 +133,26 @@ fn assert_fast_ops(name: &str, code: &Code) -> usize {
     while pc < ops.len() {
         let at = pc as Pc;
         if let Some((first, second)) = fast[pc].split() {
-            assert_eq!((first, second), (ops[pc], ops[pc + 1]), "{name}: pc {pc}");
+            assert_eq!(
+                (first, second),
+                (ops[pc].specialize(), ops[pc + 1].specialize()),
+                "{name}: pc {pc}"
+            );
             let (a, b) = (code.id_of(at), code.id_of(at + 1));
             assert_eq!((a.func, a.block), (b.func, b.block), "{name}: pc {pc}");
             assert!(
                 !code.is_recording(at) && !code.is_recording(at + 1),
                 "{name}: pc {pc}"
             );
-            assert_eq!(fast[pc + 1], ops[pc + 1], "{name}: pairs overlap at {pc}");
+            assert_eq!(
+                fast[pc + 1],
+                ops[pc + 1].specialize(),
+                "{name}: pairs overlap at {pc}"
+            );
             pairs += 1;
             pc += 2;
         } else {
-            assert_eq!(fast[pc], ops[pc], "{name}: pc {pc}");
+            assert_eq!(fast[pc], ops[pc].specialize(), "{name}: pc {pc}");
             pc += 1;
         }
     }
