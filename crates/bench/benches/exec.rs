@@ -1,6 +1,7 @@
 //! Criterion benchmarks for the two step loops: the production
 //! interpreter, untraced and under PT tracing, and the shepherded symbolic
-//! executor.
+//! executor; and for warm starts, captured once per binary and then
+//! started from by each traced production run.
 //!
 //! Throughput is reported per dynamic instruction (interpreter) or per
 //! symbolic step (symex), so `1000 / (M elem/s)` is the cost in ns of one
@@ -9,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use er_core::instrument::InstrumentedProgram;
-use er_minilang::interp::Machine;
+use er_minilang::interp::{Machine, WarmStart};
 use er_pt::sink::{PtConfig, PtSink};
 use er_symex::SymMachine;
 use er_workloads::{by_name, Scale};
@@ -47,6 +48,37 @@ fn bench_interpreter(c: &mut Criterion) {
     }
 }
 
+/// A warm start of `PHP-2012-2386`: capturing its prefix, and one traced
+/// production run started from it (compare `pt_traced` above, which runs
+/// the prefix every time). Throughput is per instruction of the whole run.
+fn bench_warm_start(c: &mut Criterion) {
+    let name = "PHP-2012-2386";
+    let w = by_name(name).expect("registered workload");
+    let d = w.deployment(Scale::TEST);
+    let (env, sched) = (d.env_for(0), d.sched_for(0));
+    let program = d.program();
+    let warm = WarmStart::capture(program).expect("the workload has a prefix");
+    let instrs = Machine::new(program, env.clone())
+        .with_sched(sched)
+        .run()
+        .instr_count;
+    let mut group = c.benchmark_group(&format!("exec/warm/{name}"));
+    group.throughput(Throughput::Elements(instrs));
+    group.bench_function("warm_capture", |b| {
+        b.iter(|| WarmStart::capture(program).map(|w| w.instrs()));
+    });
+    group.bench_function("warm_run", |b| {
+        b.iter(|| {
+            let sink = PtSink::new(PtConfig::default());
+            let report = Machine::warm(program, &warm, env.clone(), sink, sched)
+                .expect("the budget covers the prefix")
+                .run();
+            report.sink.finish().bytes.len()
+        });
+    });
+    group.finish();
+}
+
 /// Shepherding the first recorded failure trace of each workload:
 /// `Python-2018-1000030`'s is step-bound, `PHP-2012-2386`'s is step-bound
 /// up to its stall query, and `SQLite-7be932d`'s is mostly that query.
@@ -79,5 +111,5 @@ fn bench_shepherd(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_interpreter, bench_shepherd);
+criterion_group!(benches, bench_interpreter, bench_warm_start, bench_shepherd);
 criterion_main!(benches);

@@ -44,6 +44,13 @@ const EFFORT: &[&str] = &[
 /// time it gives the interpreter's cost per instruction.
 const DEPLOY_INSTRS: &str = "deploy.instrs";
 
+/// Warm starts captured, one per deployed binary that has a prefix.
+const WARM_CAPTURES: &str = "deploy.warm_captures";
+
+/// Production instructions started from a warm start instead of being
+/// interpreted; over `deploy.instrs` it gives the prefix share.
+const WARM_INSTRS: &str = "deploy.warm_instrs";
+
 /// Symex steps that ran on machine words, in all-concrete frames; over
 /// `symex.steps` it gives the word loop's share.
 const WORD_OPS: &str = "symex.word_ops";
@@ -191,8 +198,8 @@ fn main() {
             for (cname, v) in &ev.counters {
                 if EFFORT.contains(&cname.as_str())
                     || SOLVER.iter().any(|(_, c)| c == cname)
-                    || cname == DEPLOY_INSTRS
-                    || cname == WORD_OPS
+                    || [DEPLOY_INSTRS, WARM_CAPTURES, WARM_INSTRS, WORD_OPS]
+                        .contains(&cname.as_str())
                 {
                     *rep.effort.entry(cname.clone()).or_default() += v;
                 }
@@ -257,7 +264,8 @@ fn main() {
         &effort_rows,
     );
 
-    // The two step loops: deploy time per interpreted instruction, and
+    // The two step loops: deploy time per production instruction, with
+    // the share of those instructions a warm start skipped, and
     // shepherded-execution time net of its solver queries per symex step.
     let step_rows: Vec<Vec<String>> = reports
         .iter()
@@ -269,6 +277,8 @@ fn main() {
                 r.name.clone(),
                 effort(DEPLOY_INSTRS).to_string(),
                 ns_per(phase("deploy"), effort(DEPLOY_INSTRS)),
+                effort(WARM_CAPTURES).to_string(),
+                share(effort(WARM_INSTRS), effort(DEPLOY_INSTRS)),
                 effort("symex.steps").to_string(),
                 ns_per(symex_self, effort("symex.steps")),
                 share(effort(WORD_OPS), effort("symex.steps")),
@@ -276,11 +286,13 @@ fn main() {
         })
         .collect();
     print_table(
-        "Step-loop cost (ns per interpreted instruction / per symex step)",
+        "Step-loop cost (ns per production instruction / per symex step)",
         &[
             "Workload",
             "Deploy Instrs",
             "ns/Instr",
+            "Warm Captures",
+            "Prefix Share",
             "Symex Steps",
             "ns/Step",
             "Word-Loop Share",

@@ -9,7 +9,7 @@
 use crate::instrument::InstrumentedProgram;
 use er_minilang::env::Env;
 use er_minilang::error::Failure;
-use er_minilang::interp::{Machine, RunOutcome, SchedConfig};
+use er_minilang::interp::{Machine, RunOutcome, RunReport, SchedConfig};
 use er_minilang::ir::Program;
 use er_pt::sink::{PtConfig, PtSink, PtTrace};
 
@@ -169,16 +169,54 @@ impl Deployment {
         (self.sched_gen)(run)
     }
 
-    /// Executes one production run of `inst` under PT tracing.
+    /// Executes one production run of `inst` under PT tracing, from the
+    /// binary's warm start when its budget covers the prefix: the same
+    /// outcome, trace and count as a cold run, without re-executing the
+    /// prefix every run shares. Under debug assertions the binary's first
+    /// two warm runs also run cold, and must match it (the check runs'
+    /// `pt.*` counters count too).
     pub fn run_once(&self, inst: &InstrumentedProgram, run: u64) -> (RunOutcome, PtTrace, u64) {
-        let env = self.env_for(run);
-        let sched = self.sched_for(run);
-        let report = Machine::with_sink(&inst.program, env, PtSink::new(self.pt_config))
-            .with_sched(sched)
-            .run();
+        let report = match self.run_warm(inst, run) {
+            Some(warm) => {
+                let warm = finished(warm);
+                if inst.check_warm_run() {
+                    assert_same_run(&warm, &finished(self.run_cold(inst, run)), run);
+                }
+                warm
+            }
+            None => finished(self.run_cold(inst, run)),
+        };
         // Batched per run, like the `pt.*` counters the sink flushes.
         er_telemetry::counter!("deploy.instrs").add(report.instr_count);
-        (report.outcome, report.sink.finish(), report.instr_count)
+        (report.outcome, report.sink, report.instr_count)
+    }
+
+    /// Production run `run` of `inst`, started from the binary's warm
+    /// start; `None` if it has none or the run's budget ends inside it.
+    fn run_warm(&self, inst: &InstrumentedProgram, run: u64) -> Option<RunReport<PtSink>> {
+        let warm = inst.warm_start()?;
+        let sink = PtSink::new(self.pt_config);
+        let machine = Machine::warm(
+            &inst.program,
+            warm,
+            self.env_for(run),
+            sink,
+            self.sched_for(run),
+        )?;
+        // Batched per run, like `deploy.instrs`.
+        er_telemetry::counter!("deploy.warm_instrs").add(warm.instrs());
+        Some(machine.run())
+    }
+
+    /// Production run `run` of `inst`, executed from the entry.
+    fn run_cold(&self, inst: &InstrumentedProgram, run: u64) -> RunReport<PtSink> {
+        Machine::with_sink(
+            &inst.program,
+            self.env_for(run),
+            PtSink::new(self.pt_config),
+        )
+        .with_sched(self.sched_for(run))
+        .run()
     }
 
     /// Fast-forward: the next run at or after `run` worth executing. Runs
@@ -237,6 +275,31 @@ impl Deployment {
         }
         None
     }
+}
+
+/// `report` with its PT trace finalized.
+fn finished(report: RunReport<PtSink>) -> RunReport<PtTrace> {
+    RunReport {
+        outcome: report.outcome,
+        output: report.output,
+        instr_count: report.instr_count,
+        mem: report.mem,
+        sink: report.sink.finish(),
+    }
+}
+
+/// Asserts that a warm run of production run `run` matches the cold run.
+fn assert_same_run(warm: &RunReport<PtTrace>, cold: &RunReport<PtTrace>, run: u64) {
+    assert_eq!(warm.outcome, cold.outcome, "warm run {run}: outcome");
+    assert_eq!(warm.instr_count, cold.instr_count, "warm run {run}: count");
+    assert_eq!(warm.output, cold.output, "warm run {run}: output");
+    assert_eq!(warm.mem.dump(), cold.mem.dump(), "warm run {run}: memory");
+    assert_eq!(warm.sink.wrapped, cold.sink.wrapped, "warm run {run}: wrap");
+    assert_eq!(warm.sink.bytes, cold.sink.bytes, "warm run {run}: trace");
+    assert_eq!(
+        warm.sink.stats, cold.sink.stats,
+        "warm run {run}: trace stats"
+    );
 }
 
 #[cfg(test)]

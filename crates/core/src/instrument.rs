@@ -8,15 +8,27 @@
 //! snapshots and selection therefore all speak the original program's
 //! coordinates, whichever recording set the binary was built with.
 
+use er_minilang::interp::WarmStart;
 use er_minilang::ir::{InstrId, Program};
+use std::sync::OnceLock;
 
 /// A program built to record a set of sites.
-#[derive(Debug, Clone)]
+///
+/// The binary also carries its [`WarmStart`], captured by the first run
+/// that asks for it and shared by every later run of this binary. It
+/// lives here, on the deployed binary, and nowhere wider: a rebuild is a
+/// new binary with a prefix of its own, and two investigations of one
+/// program never share a capture.
+#[derive(Debug)]
 pub struct InstrumentedProgram {
     /// The program, its flat code recording `sites`.
     pub program: Program,
     /// Sites recorded, ascending.
     pub sites: Vec<InstrId>,
+    warm: OnceLock<Option<WarmStart>>,
+    /// Warm runs still to be checked against cold ones.
+    #[cfg(debug_assertions)]
+    cold_checks: std::sync::atomic::AtomicU32,
 }
 
 impl InstrumentedProgram {
@@ -35,18 +47,47 @@ impl InstrumentedProgram {
         }
         applied.sort_unstable();
         applied.dedup();
-        InstrumentedProgram {
-            program: program.recording(&applied),
-            sites: applied,
-        }
+        Self::built(program.recording(&applied), applied)
     }
 
     /// An identity instrumentation (first ER iteration: control flow only).
     pub fn unmodified(program: &Program) -> InstrumentedProgram {
+        Self::built(program.clone(), Vec::new())
+    }
+
+    fn built(program: Program, sites: Vec<InstrId>) -> InstrumentedProgram {
         InstrumentedProgram {
-            program: program.clone(),
-            sites: Vec::new(),
+            program,
+            sites,
+            warm: OnceLock::new(),
+            #[cfg(debug_assertions)]
+            cold_checks: std::sync::atomic::AtomicU32::new(2),
         }
+    }
+
+    /// The binary's warm start, captured on first use; `None` if the
+    /// program has no input-independent prefix to share.
+    pub fn warm_start(&self) -> Option<&WarmStart> {
+        self.warm
+            .get_or_init(|| {
+                er_telemetry::counter!("deploy.warm_captures").incr();
+                WarmStart::capture(&self.program)
+            })
+            .as_ref()
+    }
+
+    /// Whether a warm run of this binary should also run cold and compare:
+    /// true for the first two asks under debug assertions, never otherwise.
+    pub(crate) fn check_warm_run(&self) -> bool {
+        #[cfg(debug_assertions)]
+        {
+            use std::sync::atomic::Ordering;
+            self.cold_checks
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_ok()
+        }
+        #[cfg(not(debug_assertions))]
+        false
     }
 }
 

@@ -268,7 +268,9 @@ pub enum SessionStep {
 #[derive(Debug, Clone)]
 pub struct ReconstructionSession {
     config: ErConfig,
-    program: Program,
+    /// The unmodified program, as the first occurrence's binary:
+    /// verification replays test cases from its warm start.
+    original: Arc<InstrumentedProgram>,
     sites: Vec<InstrId>,
     binary: Arc<InstrumentedProgram>,
     target: Option<Failure>,
@@ -281,10 +283,25 @@ pub struct ReconstructionSession {
 impl ReconstructionSession {
     /// A fresh investigation of `program`.
     pub fn new(config: ErConfig, program: Program) -> Self {
+        Self::with_original(config, Arc::new(InstrumentedProgram::unmodified(&program)))
+    }
+
+    /// A fresh investigation whose first occurrences run `original`, an
+    /// unmodified binary shared with whoever else deploys it (a fleet's
+    /// baseline), so verification reuses that binary's warm start.
+    ///
+    /// # Panics
+    ///
+    /// If `original` records any site.
+    pub fn with_original(config: ErConfig, original: Arc<InstrumentedProgram>) -> Self {
+        assert!(
+            original.sites.is_empty(),
+            "the original binary records nothing"
+        );
         ReconstructionSession {
             config,
-            binary: Arc::new(InstrumentedProgram::unmodified(&program)),
-            program,
+            binary: Arc::clone(&original),
+            original,
             sites: Vec::new(),
             target: None,
             iterations: Vec::new(),
@@ -296,7 +313,7 @@ impl ReconstructionSession {
 
     /// The original (uninstrumented) program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.original.program
     }
 
     /// The target failure, once one has been observed.
@@ -447,7 +464,8 @@ impl ReconstructionSession {
                             sched: info.sched,
                             expected: self.target.clone().expect("target set"),
                         };
-                        let verify = tc.verify(&self.program);
+                        let verify =
+                            tc.verify_warm(&self.original.program, self.original.warm_start());
                         self.iterations.push(stats);
                         if matches!(verify, VerifyResult::Reproduced { .. }) {
                             return SessionStep::Done(self.report(Outcome::Reproduced(tc)));
@@ -530,7 +548,10 @@ impl ReconstructionSession {
                 er_telemetry::counter!("instrument.rebuilds").incr();
                 er_telemetry::counter!("instrument.sites_requested").add(self.sites.len() as u64);
             }
-            Arc::new(InstrumentedProgram::new(&self.program, &self.sites))
+            Arc::new(InstrumentedProgram::new(
+                &self.original.program,
+                &self.sites,
+            ))
         };
         SessionStep::NeedOccurrence {
             reinstrumented: true,

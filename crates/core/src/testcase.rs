@@ -2,8 +2,9 @@
 
 use er_minilang::env::Env;
 use er_minilang::error::Failure;
-use er_minilang::interp::{Machine, RunOutcome, SchedConfig};
+use er_minilang::interp::{Machine, RunOutcome, RunReport, SchedConfig, WarmStart};
 use er_minilang::ir::Program;
+use er_minilang::trace::NullSink;
 
 /// A failure-reproducing test case: concrete inputs plus the schedule under
 /// which the failure manifests.
@@ -37,9 +38,24 @@ impl TestCase {
     /// Replays the test case against the (uninstrumented) program and
     /// checks that it reproduces the expected failure.
     pub fn verify(&self, program: &Program) -> VerifyResult {
-        let report = Machine::new(program, self.env())
-            .with_sched(self.sched)
-            .run();
+        self.verdict(
+            Machine::new(program, self.env())
+                .with_sched(self.sched)
+                .run(),
+        )
+    }
+
+    /// [`verify`](Self::verify), with the replay started from `warm`, a
+    /// warm start of `program`, when the schedule's budget covers it. The
+    /// prefix it skips reads no input, so the verdict is the same.
+    pub fn verify_warm(&self, program: &Program, warm: Option<&WarmStart>) -> VerifyResult {
+        match warm.and_then(|w| Machine::warm(program, w, self.env(), NullSink, self.sched)) {
+            Some(machine) => self.verdict(machine.run()),
+            None => self.verify(program),
+        }
+    }
+
+    fn verdict(&self, report: RunReport<NullSink>) -> VerifyResult {
         match report.outcome {
             RunOutcome::Failure(f) if f.same_failure(&self.expected) => VerifyResult::Reproduced {
                 instr_count: report.instr_count,
@@ -113,5 +129,14 @@ mod tests {
             expected: f,
         };
         assert_eq!(bad.verify(&program), VerifyResult::NoFailure);
+
+        // From a warm start, the same verdicts.
+        let warm = WarmStart::capture(&program);
+        assert!(warm.is_some());
+        assert!(good.verify_warm(&program, warm.as_ref()).reproduced());
+        assert_eq!(
+            bad.verify_warm(&program, warm.as_ref()),
+            VerifyResult::NoFailure
+        );
     }
 }

@@ -192,8 +192,11 @@ impl Scheduler {
         }
     }
 
-    /// Ensures a group exists, creating its session on first sight.
-    pub fn note_group(&mut self, id: u64, program: &Program, label: &str) {
+    /// Ensures a group exists, creating its session on first sight. A new
+    /// session's first occurrences run `original`, the unmodified binary
+    /// the fleet deploys as its baseline, so the session verifies from
+    /// that binary's warm start.
+    pub fn note_group(&mut self, id: u64, original: &Arc<InstrumentedProgram>, label: &str) {
         let er = self.er;
         let watchdog = self.policy.watchdog.as_ref().map(WatchdogState::new);
         let mut started = false;
@@ -203,7 +206,7 @@ impl Scheduler {
                 id,
                 label: label.to_string(),
                 version: 0,
-                session: ReconstructionSession::new(er, program.clone()),
+                session: ReconstructionSession::with_original(er, Arc::clone(original)),
                 pending: VecDeque::new(),
                 report: None,
                 occurrences_seen: 0,
@@ -648,10 +651,11 @@ impl Scheduler {
     ) -> Scheduler {
         let _span = er_telemetry::span!("durable.recover");
         let mut s = Scheduler::new(er, policy);
+        let original = Arc::new(InstrumentedProgram::unmodified(program));
         for ev in events {
             match ev {
                 DurableEvent::SessionStarted { group, label } => {
-                    s.note_group(*group, program, label);
+                    s.note_group(*group, &original, label);
                 }
                 DurableEvent::OccurrenceIngested {
                     group,
@@ -866,7 +870,7 @@ mod tests {
         );
         assert_same(&s, 100, &baseline); // no groups
         for (id, seen, version) in [(30, 4, 1), (10, 4, 2), (20, 9, 3), (40, 2, 0)] {
-            s.note_group(id, &program, "g");
+            s.note_group(id, &baseline, "g");
             let g = s.groups.get_mut(&id).unwrap();
             g.occurrences_seen = seen;
             g.version = version;
@@ -939,7 +943,7 @@ mod tests {
         );
         let mut store = TraceStore::new(StoreConfig::default());
         let mut ingest = Ingestor::new(IngestConfig::default());
-        let baseline = InstrumentedProgram::unmodified(&program);
+        let baseline = Arc::new(InstrumentedProgram::unmodified(&program));
         let first = d.run_until_failure(&baseline, None, 0, 100).unwrap();
         let second = d
             .run_until_failure(&baseline, None, first.run_index + 1, 100)
@@ -955,7 +959,7 @@ mod tests {
         }
         let pending = ingest.drain(&mut Triage::new(), &mut store);
         let id = pending[0].group;
-        s.note_group(id, &program, "aliasing");
+        s.note_group(id, &baseline, "aliasing");
         s.enqueue(pending, &mut store);
         let state = |s: &Scheduler| {
             let g = &s.groups[&id];
@@ -1009,7 +1013,7 @@ mod tests {
             env.push_input(0, &run.to_le_bytes());
             env
         });
-        let baseline = InstrumentedProgram::unmodified(&program);
+        let baseline = Arc::new(InstrumentedProgram::unmodified(&program));
         // One round with the second drawn item killed; returns, per group
         // in priority order, (id, consumed, queued) and the round's
         // outcomes.
@@ -1028,7 +1032,7 @@ mod tests {
             }
             let pending = ingest.drain(&mut Triage::new(), &mut store);
             for p in &pending {
-                s.note_group(p.group, &program, "g");
+                s.note_group(p.group, &baseline, "g");
             }
             s.enqueue(pending, &mut store);
             let order = s.priority_order(100);

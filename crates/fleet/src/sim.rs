@@ -399,11 +399,7 @@ impl Fleet {
                     last_sighting = self.runs_observed(&instances);
                 }
                 for p in &pending {
-                    scheduler.note_group(
-                        p.group,
-                        &self.spec.program,
-                        &self.label_for(p.group, &triage),
-                    );
+                    scheduler.note_group(p.group, &baseline, &self.label_for(p.group, &triage));
                 }
                 scheduler.enqueue(pending, &mut store);
                 scheduler.update_rates(&triage);

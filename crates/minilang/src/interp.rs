@@ -5,6 +5,10 @@
 //! round-robin in quanta whose lengths are derived from a seeded xorshift,
 //! so concurrency bugs manifest (or not) reproducibly per seed — the
 //! substrate for the paper's coarse-interleaving discussion (§3.4).
+//!
+//! A [`WarmStart`] holds a program's input-independent prefix, run once:
+//! [`Machine::warm`] starts a run from it, replaying the prefix's events
+//! under the run's own schedule, instead of executing the prefix again.
 
 use crate::code::{CallSite, Code, Op, Pc};
 use crate::env::Env;
@@ -14,6 +18,7 @@ use crate::mem::Memory;
 use crate::trace::{NullSink, TraceSink};
 use crate::word::{get, WordFlow};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Scheduler parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +74,7 @@ enum ThreadState {
     Done,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Frame {
     pc: Pc,
     /// This frame's first register in the thread's register stack.
@@ -143,13 +148,18 @@ impl<S: TraceSink> World<S> {
     /// per-op loop of [`World::step_ops`]; ops that change frames or
     /// threads exit to [`Machine`]'s own methods. Register-only ops run on
     /// [`Op::eval_words`]; a branch reports its TNT bit to the sink.
+    /// `icount` is the count billed so far, exact at a branch: a branch
+    /// ends its block.
     #[inline(always)]
-    fn exec(&mut self, code: &Code, op: &Op, regs: &mut [u64], tid: u64) -> Flow {
+    fn exec(&mut self, code: &Code, op: &Op, regs: &mut [u64], tid: u64, icount: u64) -> Flow {
         match op.eval_words(regs) {
             WordFlow::Next => Flow::Next,
             WordFlow::Pair => Flow::Pair,
             WordFlow::Jump(to) => Flow::Jump(to),
             WordFlow::Branch { taken, to } | WordFlow::CmpBranch { taken, to } => {
+                if S::RECORDS_WARM_START {
+                    self.sink.at(icount);
+                }
                 self.sink.cond_branch(taken);
                 Flow::Jump(to)
             }
@@ -158,9 +168,16 @@ impl<S: TraceSink> World<S> {
         }
     }
 
-    /// Runs an op that touches more than its frame's registers.
+    /// Runs an op that touches more than its frame's registers. A sink
+    /// recording a warm start stops the run before an op that reads the
+    /// run's environment or records a value.
     #[inline(always)]
     fn exec_world(&mut self, code: &Code, op: &Op, regs: &mut [u64], tid: u64) -> Flow {
+        if S::RECORDS_WARM_START
+            && matches!(op, Op::Input { .. } | Op::Clock { .. } | Op::PtWrite { .. })
+        {
+            return Flow::Exit(Ok(*op));
+        }
         match *op {
             Op::Load { dst, addr, width } => match self.mem.load(get(regs, addr), width) {
                 Ok(v) => set(regs, dst, v),
@@ -237,7 +254,7 @@ impl<S: TraceSink> World<S> {
                 return None;
             }
             *icount += 1;
-            match self.exec(code, &code.ops()[*pc], regs, tid) {
+            match self.exec(code, &code.ops()[*pc], regs, tid, *icount) {
                 Flow::Next => *pc += 1,
                 Flow::Pair => unreachable!("`Code::ops` holds no fused pairs"),
                 Flow::Jump(to) => *pc = to as usize,
@@ -267,6 +284,9 @@ pub struct Machine<'p, S = NullSink> {
     next_tid: u64,
     sched: SchedConfig,
     rng: u64,
+    /// The deadline of the slice thread 0 is in the middle of, on a
+    /// machine [`warm`](Machine::warm)-started past the slice's start.
+    resume_slice: Option<u64>,
 }
 
 impl<'p> Machine<'p, NullSink> {
@@ -309,23 +329,94 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             next_tid: 1,
             sched: SchedConfig::default(),
             rng: SchedConfig::default().seed | 1,
+            resume_slice: None,
         }
     }
 
+    /// A machine running `program` from `warm`, its warm start, against
+    /// `env` under `sched`: the state a cold run of the same schedule
+    /// reaches after the prefix, its sink having received the same
+    /// events. The prefix's branch, call and return events are replayed
+    /// into `sink` at their instruction counts, with thread 0's resume
+    /// after every event counted up to each of the run's own quantum
+    /// boundaries, and the machine goes on in the middle of its slice.
+    ///
+    /// Returns `None` when the budget does not cover the prefix
+    /// (`sched.max_instrs` ≤ [`WarmStart::instrs`]): the cold run hangs
+    /// inside it.
+    ///
+    /// # Panics
+    ///
+    /// If `warm` was captured from another program's code.
+    pub fn warm(
+        program: &'p Program,
+        warm: &WarmStart,
+        env: Env,
+        mut sink: S,
+        sched: SchedConfig,
+    ) -> Option<Self> {
+        assert!(
+            Arc::ptr_eq(program.code(), &warm.code),
+            "a warm start runs only the code it was captured from"
+        );
+        if sched.max_instrs <= warm.icount {
+            return None;
+        }
+        let mut replay = Replay::default();
+        let mut rng = sched.seed | 1;
+        let mut deadline = 0;
+        loop {
+            sink.thread_resume(0, deadline);
+            deadline += next_quantum(&mut rng, sched.quantum);
+            if deadline > warm.icount {
+                break;
+            }
+            replay.until(&warm.events, deadline, &mut sink);
+        }
+        replay.until(&warm.events, warm.icount, &mut sink);
+        Some(Machine {
+            code: program.code(),
+            entry: program.entry(),
+            world: World {
+                env,
+                mem: warm.mem.clone(),
+                output: warm.output.clone(),
+                sink,
+            },
+            threads: vec![Thread {
+                tid: 0,
+                frames: warm.frames.clone(),
+                regs: warm.regs.clone(),
+                state: ThreadState::Runnable,
+            }],
+            run_queue: VecDeque::new(),
+            lock_owner: HashMap::new(),
+            icount: warm.icount,
+            next_tid: 1,
+            sched,
+            rng,
+            resume_slice: Some(deadline),
+        })
+    }
+
     /// Overrides the scheduler configuration.
+    ///
+    /// # Panics
+    ///
+    /// On a [`warm`](Self::warm)-started machine, which is already some
+    /// way into the schedule it was started with.
     pub fn with_sched(mut self, sched: SchedConfig) -> Self {
+        assert!(
+            self.resume_slice.is_none(),
+            "a warm-started machine keeps the schedule it was started with"
+        );
         self.sched = sched;
         self.rng = sched.seed | 1;
         self
     }
 
     fn next_quantum(&mut self) -> u64 {
-        // xorshift64* jitter in [quantum/2, 3*quantum/2).
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        let q = self.sched.quantum.max(2);
-        q / 2 + (self.rng % q)
+        next_quantum(&mut self.rng, self.sched.quantum)
     }
 
     /// Runs to completion or failure, consuming the machine.
@@ -341,6 +432,11 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     }
 
     fn run_loop(&mut self) -> RunOutcome {
+        if let Some(deadline) = self.resume_slice.take() {
+            if let Some(outcome) = self.run_quantum(0, deadline) {
+                return outcome;
+            }
+        }
         loop {
             let Some(t) = self.run_queue.pop_front() else {
                 // Nothing runnable. Either everything finished or we have a
@@ -360,23 +456,32 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             }
             let tid = self.threads[t].tid;
             self.world.sink.thread_resume(tid, self.icount);
-            let quantum = self.next_quantum();
-            let deadline = self.icount + quantum;
-            // The instruction budget folds into the quantum: the slice
-            // stops at whichever comes first. A quantum that ends exactly
-            // on the budget still ends normally, so the hang is raised on
-            // the next thread scheduled, before it executes anything.
-            match self.run_slice(t, deadline.min(self.sched.max_instrs)) {
-                StepResult::Continue if self.icount < deadline => {
-                    return RunOutcome::Failure(self.failure_at(t, RuntimeFault::Hang));
-                }
-                StepResult::Continue | StepResult::Descheduled => {}
-                StepResult::Fault(f) => return RunOutcome::Failure(self.failure_at(t, f)),
-            }
-            if self.threads[t].state == ThreadState::Runnable {
-                self.run_queue.push_back(t);
+            let deadline = self.icount + self.next_quantum();
+            if let Some(outcome) = self.run_quantum(t, deadline) {
+                return outcome;
             }
         }
+    }
+
+    /// Runs thread `t` until `deadline` and queues it again if it can go
+    /// on; the run's outcome if it ended.
+    fn run_quantum(&mut self, t: usize, deadline: u64) -> Option<RunOutcome> {
+        // The instruction budget folds into the quantum: the slice stops
+        // at whichever comes first. A quantum that ends exactly on the
+        // budget still ends normally, so the hang is raised on the next
+        // thread scheduled, before it executes anything.
+        match self.run_slice(t, deadline.min(self.sched.max_instrs)) {
+            StepResult::Continue if self.icount < deadline => {
+                return Some(RunOutcome::Failure(self.failure_at(t, RuntimeFault::Hang)));
+            }
+            StepResult::Continue | StepResult::Descheduled => {}
+            StepResult::Fault(f) => return Some(RunOutcome::Failure(self.failure_at(t, f))),
+            StepResult::Paused => unreachable!("only a warm-start capture pauses"),
+        }
+        if self.threads[t].state == ThreadState::Runnable {
+            self.run_queue.push_back(t);
+        }
+        None
     }
 
     fn failure_at(&self, thread_index: usize, fault: RuntimeFault) -> Failure {
@@ -441,7 +546,7 @@ impl<'p, S: TraceSink> Machine<'p, S> {
                 // than a pc, so the loop carries one value fewer.
                 let mut rest = &fast[pc..];
                 loop {
-                    match self.world.exec(code, &rest[0], regs, tid) {
+                    match self.world.exec(code, &rest[0], regs, tid, icount) {
                         Flow::Next => rest = &rest[1..],
                         Flow::Pair => rest = &rest[2..],
                         Flow::Jump(to) => {
@@ -463,6 +568,12 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             let flow = match exit {
                 None => return StepResult::Continue,
                 Some(Err(f)) => return StepResult::Fault(f),
+                Some(Ok(op)) if S::RECORDS_WARM_START && depends_on_run(&op) => {
+                    // Paused before `op`: it has not run, so it is not
+                    // counted.
+                    self.icount -= 1;
+                    return StepResult::Paused;
+                }
                 Some(Ok(Op::Call { site })) => self.call(t, code.call_site(site)),
                 Some(Ok(Op::Spawn { site })) => self.spawn(t, code.call_site(site)),
                 Some(Ok(Op::Join { tid })) => self.join(t, tid),
@@ -480,6 +591,9 @@ impl<'p, S: TraceSink> Machine<'p, S> {
     fn ret(&mut self, t: usize, value: Option<Operand>) -> StepResult {
         let thread = &mut self.threads[t];
         let value = value.map(|op| thread.operand(op)).unwrap_or(0);
+        if S::RECORDS_WARM_START {
+            self.world.sink.at(self.icount);
+        }
         self.world.sink.ret();
         self.world
             .sink
@@ -519,6 +633,9 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         let (caller, callee) = thread.regs.split_at_mut(base);
         for (r, a) in callee.iter_mut().zip(site.args.iter()) {
             *r = get(&caller[caller_base..], *a);
+        }
+        if S::RECORDS_WARM_START {
+            self.world.sink.at(self.icount);
         }
         self.world.sink.call(site.func);
         self.world
@@ -618,6 +735,231 @@ enum StepResult {
     /// The thread blocked or finished: its slice ends early.
     Descheduled,
     Fault(RuntimeFault),
+    /// A warm-start capture reached an op that depends on the run.
+    Paused,
+}
+
+/// Draws the next quantum length from the xorshift64* state `rng`: jitter
+/// in `[quantum/2, 3*quantum/2)`.
+fn next_quantum(rng: &mut u64, quantum: u64) -> u64 {
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    let q = quantum.max(2);
+    q / 2 + (*rng % q)
+}
+
+/// Whether `op`'s effect depends on the run: it reads the run's inputs or
+/// clock, records a value, or involves other threads, whose schedule is
+/// the run's own. A warm start ends before the first such op.
+fn depends_on_run(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Input { .. }
+            | Op::Clock { .. }
+            | Op::PtWrite { .. }
+            | Op::Spawn { .. }
+            | Op::Join { .. }
+            | Op::Lock { .. }
+            | Op::Unlock { .. }
+    )
+}
+
+/// The longest prefix a capture runs before giving up on a warm start;
+/// every count of a captured prefix fits in a `u32`.
+const CAPTURE_LIMIT: u64 = 1 << 25;
+
+/// A program's input-independent prefix, run once: the state of a run
+/// paused before its first op whose effect depends on the run (an input
+/// or clock read, a `ptwrite`, or a thread op), and every branch, call
+/// and return event before it, each with its exact instruction count.
+///
+/// Every run of the program executes that prefix identically, whatever
+/// its environment and schedule: the prefix is single-threaded, and a
+/// schedule changes only where thread 0's resumes fall among its events.
+/// [`Machine::warm`] starts a run from here and replays the events into
+/// the run's sink under the run's own quanta, so sink, output, memory and
+/// instruction count end exactly as in a cold run.
+#[derive(Debug)]
+pub struct WarmStart {
+    /// The code the prefix ran.
+    code: Arc<Code>,
+    mem: Memory,
+    frames: Vec<Frame>,
+    regs: Vec<u64>,
+    output: Vec<u64>,
+    /// The prefix's length in instructions.
+    icount: u64,
+    events: PrefixEvents,
+}
+
+impl WarmStart {
+    /// Runs `program` from its entry to the first op that depends on the
+    /// run. `None` if the run completes or faults first, or runs past
+    /// the capture limit: such a program has no prefix to share.
+    pub fn capture(program: &Program) -> Option<WarmStart> {
+        let mut machine = Machine::with_sink(program, Env::new(), Recorder::default());
+        if !matches!(machine.run_slice(0, CAPTURE_LIMIT), StepResult::Paused) {
+            return None;
+        }
+        let main = machine.threads.swap_remove(0);
+        let world = machine.world;
+        Some(WarmStart {
+            code: Arc::clone(program.code()),
+            mem: world.mem,
+            frames: main.frames,
+            regs: main.regs,
+            output: world.output,
+            icount: machine.icount,
+            events: world.sink.events,
+        })
+    }
+
+    /// The prefix's length in instructions: the count a run has when it
+    /// reaches the op the capture paused before.
+    pub fn instrs(&self) -> u64 {
+        self.icount
+    }
+}
+
+/// A prefix's sink events. Branch outcomes are packed one bit each and
+/// replay 64 at a time; the counts are only searched, once per quantum
+/// boundary.
+#[derive(Debug, Default)]
+struct PrefixEvents {
+    /// Each event's instruction count, its own instruction included.
+    at: Vec<u32>,
+    /// The outcome of each branch, in turn: bit `i % 64` of word `i / 64`.
+    taken: Vec<u64>,
+    /// How many outcomes `taken` holds.
+    branches: usize,
+    /// The calls and returns among the events, in order.
+    marks: Vec<Mark>,
+    /// Call arguments and return values, in order.
+    values: Vec<u64>,
+}
+
+/// A call or a return of a prefix: the events between two of them are
+/// all branches.
+#[derive(Debug)]
+struct Mark {
+    /// Its index among all the events.
+    event: u32,
+    func: FuncId,
+    /// How many of [`PrefixEvents::values`] it takes: the call's
+    /// arguments, or the return's one value.
+    values: u32,
+    call: bool,
+}
+
+/// The sink of a warm-start capture.
+#[derive(Debug, Default)]
+struct Recorder {
+    at: u32,
+    events: PrefixEvents,
+}
+
+impl Recorder {
+    fn mark(&mut self, call: bool, func: FuncId, values: &[u64]) {
+        let e = &mut self.events;
+        e.marks.push(Mark {
+            event: e.at.len() as u32,
+            func,
+            values: values.len() as u32,
+            call,
+        });
+        e.at.push(self.at);
+        e.values.extend_from_slice(values);
+    }
+}
+
+impl TraceSink for Recorder {
+    const RECORDS_WARM_START: bool = true;
+
+    fn at(&mut self, icount: u64) {
+        self.at = icount as u32;
+    }
+
+    fn cond_branch(&mut self, taken: bool) {
+        let e = &mut self.events;
+        if e.branches.is_multiple_of(64) {
+            e.taken.push(0);
+        }
+        *e.taken.last_mut().expect("a word") |= u64::from(taken) << (e.branches % 64);
+        e.branches += 1;
+        e.at.push(self.at);
+    }
+
+    fn call_args(&mut self, func: FuncId, args: &[u64]) {
+        self.mark(true, func, args);
+    }
+
+    fn ret_value(&mut self, func: FuncId, value: u64) {
+        self.mark(false, func, &[value]);
+    }
+}
+
+/// How many of the ascending counts `at` are at most `icount`, searched
+/// from the front: one quantum's events lie close to it.
+fn count_up_to(at: &[u32], icount: u64) -> usize {
+    let (mut done, mut step) = (0, 1);
+    while done + step <= at.len() && u64::from(at[done + step - 1]) <= icount {
+        done += step;
+        step *= 2;
+    }
+    let end = (done + step).min(at.len());
+    done + at[done..end].partition_point(|&a| u64::from(a) <= icount)
+}
+
+/// A replay of a prefix's events: how many of each list it has sent.
+#[derive(Default)]
+struct Replay {
+    event: usize,
+    branch: usize,
+    mark: usize,
+    value: usize,
+}
+
+impl Replay {
+    /// Replays into `sink` the events of `events` counted up to `icount`.
+    fn until(&mut self, events: &PrefixEvents, icount: u64, sink: &mut impl TraceSink) {
+        let end = self.event + count_up_to(&events.at[self.event..], icount);
+        while self.event < end {
+            let mark = events.marks.get(self.mark);
+            let next_mark = mark.map_or(usize::MAX, |m| m.event as usize);
+            if next_mark != self.event {
+                // Branches, up to the next call or return.
+                let n = next_mark.min(end) - self.event;
+                self.branches(events, n, sink);
+                self.event += n;
+                continue;
+            }
+            let m = mark.expect("a mark at this event");
+            let values = &events.values[self.value..][..m.values as usize];
+            if m.call {
+                sink.call(m.func);
+                sink.call_args(m.func, values);
+            } else {
+                sink.ret();
+                sink.ret_value(m.func, values[0]);
+            }
+            self.event += 1;
+            self.mark += 1;
+            self.value += values.len();
+        }
+    }
+
+    /// Replays the next `n` branch outcomes, up to a word at a time.
+    fn branches(&mut self, events: &PrefixEvents, mut n: usize, sink: &mut impl TraceSink) {
+        while n > 0 {
+            let (word, bit) = (self.branch / 64, self.branch % 64);
+            let k = n.min(64 - bit);
+            let bits = (events.taken[word] >> bit) & (u64::MAX >> (64 - k));
+            sink.cond_branches(bits, k as u32);
+            self.branch += k;
+            n -= k;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,10 +17,37 @@ use crate::ir::FuncId;
 ///
 /// All methods default to no-ops so sinks implement only what they observe.
 pub trait TraceSink {
+    /// Whether this sink records a [`WarmStart`](crate::interp::WarmStart):
+    /// the interpreter then reports each branch, call and return event's
+    /// instruction count through [`at`](Self::at) first, and stops before
+    /// the first op whose effect depends on the run. Only the capture's own
+    /// sink sets it; for every other sink both hooks compile away.
+    const RECORDS_WARM_START: bool = false;
+
+    /// The instruction count of the event reported next, its own
+    /// instruction included. Called only on a sink that
+    /// [records a warm start](Self::RECORDS_WARM_START).
+    #[inline]
+    fn at(&mut self, icount: u64) {
+        let _ = icount;
+    }
+
     /// A conditional branch executed; `taken` is its outcome (a TNT bit).
     #[inline]
     fn cond_branch(&mut self, taken: bool) {
         let _ = taken;
+    }
+
+    /// `n` conditional branches executed in turn, at most 64; the `i`-th
+    /// outcome is bit `i` of `taken`, and the bits above `n` are zero.
+    /// The same as `n` calls of [`cond_branch`](Self::cond_branch), which
+    /// is what it defaults to; a warm start replays its prefix's branches
+    /// through it.
+    #[inline]
+    fn cond_branches(&mut self, taken: u64, n: u32) {
+        for i in 0..n {
+            self.cond_branch(taken >> i & 1 != 0);
+        }
     }
 
     /// A direct call to `func` executed (a TIP-style packet).

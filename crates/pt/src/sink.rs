@@ -157,6 +157,25 @@ impl TraceSink for PtSink {
         }
     }
 
+    /// A word of TNT bits at once, flushed exactly where `n` single
+    /// branches would flush them.
+    #[inline]
+    fn cond_branches(&mut self, taken: u64, n: u32) {
+        self.stats.branches += u64::from(n);
+        let room = 64 - self.tnt_count;
+        self.tnt_acc |= taken << self.tnt_count;
+        if n < room {
+            self.tnt_count += n;
+            return;
+        }
+        self.tnt_count = 64;
+        self.flush_tnt();
+        if n > room {
+            self.tnt_acc = taken >> room;
+            self.tnt_count = n - room;
+        }
+    }
+
     fn call(&mut self, func: FuncId) {
         self.stats.calls += 1;
         self.flush_tnt();
@@ -406,6 +425,32 @@ mod tests {
         let d = t.decode().unwrap();
         assert_eq!(d.branches(), pattern);
         assert!(!d.has_gap());
+    }
+
+    #[test]
+    fn branch_words_encode_like_single_branches() {
+        // Runs of 0..=64 outcomes between other packets, from every TNT
+        // fill level, so words split across flushes at every offset.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let (mut single, mut word) = (tiny(1 << 20), tiny(1 << 20));
+        for round in 0..2_000u32 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let n = (rng % 65) as u32;
+            let taken = if n == 64 { rng } else { rng & ((1 << n) - 1) };
+            for i in 0..n {
+                single.cond_branch(taken >> i & 1 != 0);
+            }
+            word.cond_branches(taken, n);
+            if round % 7 == 0 {
+                single.ret();
+                word.ret();
+            }
+        }
+        let (single, word) = (single.finish(), word.finish());
+        assert_eq!(word.bytes, single.bytes);
+        assert_eq!(word.stats, single.stats);
     }
 
     #[test]
