@@ -49,8 +49,8 @@ fn bench_interpreter(c: &mut Criterion) {
 }
 
 /// A warm start of `PHP-2012-2386`: capturing its prefix, and one traced
-/// production run started from it (compare `pt_traced` above, which runs
-/// the prefix every time). Throughput is per instruction of the whole run.
+/// production run started from it, next to the same run executed from the
+/// entry (`cold_run`). Throughput is per instruction of the whole run.
 fn bench_warm_start(c: &mut Criterion) {
     let name = "PHP-2012-2386";
     let w = by_name(name).expect("registered workload");
@@ -66,6 +66,15 @@ fn bench_warm_start(c: &mut Criterion) {
     group.throughput(Throughput::Elements(instrs));
     group.bench_function("warm_capture", |b| {
         b.iter(|| WarmStart::capture(program).map(|w| w.instrs()));
+    });
+    group.bench_function("cold_run", |b| {
+        b.iter(|| {
+            let sink = PtSink::new(PtConfig::default());
+            let report = Machine::with_sink(program, env.clone(), sink)
+                .with_sched(sched)
+                .run();
+            report.sink.finish().bytes.len()
+        });
     });
     group.bench_function("warm_run", |b| {
         b.iter(|| {
