@@ -831,8 +831,6 @@ struct PrefixEvents {
     at: Vec<u32>,
     /// The outcome of each branch, in turn: bit `i % 64` of word `i / 64`.
     taken: Vec<u64>,
-    /// How many outcomes `taken` holds.
-    branches: usize,
     /// The calls and returns among the events, in order.
     marks: Vec<Mark>,
     /// Call arguments and return values, in order.
@@ -882,11 +880,12 @@ impl TraceSink for Recorder {
 
     fn cond_branch(&mut self, taken: bool) {
         let e = &mut self.events;
-        if e.branches.is_multiple_of(64) {
+        // Every event that is not a call or a return is a branch.
+        let branch = e.at.len() - e.marks.len();
+        if branch.is_multiple_of(64) {
             e.taken.push(0);
         }
-        *e.taken.last_mut().expect("a word") |= u64::from(taken) << (e.branches % 64);
-        e.branches += 1;
+        *e.taken.last_mut().expect("a word") |= u64::from(taken) << (branch % 64);
         e.at.push(self.at);
     }
 
