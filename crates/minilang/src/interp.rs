@@ -914,7 +914,6 @@ fn count_up_to(at: &[u32], icount: u64) -> usize {
 #[derive(Default)]
 struct Replay {
     event: usize,
-    branch: usize,
     mark: usize,
     value: usize,
 }
@@ -929,7 +928,7 @@ impl Replay {
             if next_mark != self.event {
                 // Branches, up to the next call or return.
                 let n = next_mark.min(end) - self.event;
-                self.branches(events, n, sink);
+                replay_branches(&events.taken, self.event - self.mark, n, sink);
                 self.event += n;
                 continue;
             }
@@ -947,17 +946,18 @@ impl Replay {
             self.value += values.len();
         }
     }
+}
 
-    /// Replays the next `n` branch outcomes, up to a word at a time.
-    fn branches(&mut self, events: &PrefixEvents, mut n: usize, sink: &mut impl TraceSink) {
-        while n > 0 {
-            let (word, bit) = (self.branch / 64, self.branch % 64);
-            let k = n.min(64 - bit);
-            let bits = (events.taken[word] >> bit) & (u64::MAX >> (64 - k));
-            sink.cond_branches(bits, k as u32);
-            self.branch += k;
-            n -= k;
-        }
+/// Replays branch outcomes `from..from + n` of `taken` into `sink`, up to
+/// a word at a time.
+fn replay_branches(taken: &[u64], mut from: usize, mut n: usize, sink: &mut impl TraceSink) {
+    while n > 0 {
+        let (word, bit) = (from / 64, from % 64);
+        let k = n.min(64 - bit);
+        let bits = (taken[word] >> bit) & (u64::MAX >> (64 - k));
+        sink.cond_branches(bits, k as u32);
+        from += k;
+        n -= k;
     }
 }
 
