@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the two step loops: the production
 //! interpreter, untraced and under PT tracing, and the shepherded symbolic
-//! executor; and for warm starts, captured once per binary and then
-//! started from by each traced production run.
+//! executor; and for warm starts, captured once per binary, translated
+//! to each rebuild, and started from by each traced production run.
 //!
 //! Throughput is reported per dynamic instruction (interpreter) or per
 //! symbolic step (symex), so `1000 / (M elem/s)` is the cost in ns of one
@@ -11,6 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use er_core::instrument::InstrumentedProgram;
 use er_minilang::interp::{Machine, WarmStart};
+use er_minilang::ir::{BlockId, FuncId, InstrId, Program};
 use er_pt::sink::{PtConfig, PtSink};
 use er_symex::SymMachine;
 use er_workloads::{by_name, Scale};
@@ -48,9 +49,10 @@ fn bench_interpreter(c: &mut Criterion) {
     }
 }
 
-/// A warm start of `PHP-2012-2386`: capturing its prefix, and one traced
-/// production run started from it, next to the same run executed from the
-/// entry (`cold_run`). Throughput is per instruction of the whole run.
+/// A warm start of `PHP-2012-2386`: capturing its prefix, translating it
+/// to a rebuild that records one site, and one traced production run
+/// started from it, next to the same run executed from the entry
+/// (`cold_run`). Throughput is per instruction of the whole run.
 fn bench_warm_start(c: &mut Criterion) {
     let name = "PHP-2012-2386";
     let w = by_name(name).expect("registered workload");
@@ -58,6 +60,11 @@ fn bench_warm_start(c: &mut Criterion) {
     let (env, sched) = (d.env_for(0), d.sched_for(0));
     let program = d.program();
     let warm = WarmStart::capture(program).expect("the workload has a prefix");
+    // The first site whose recording the prefix does not reach.
+    let rebuilt = value_sites(program)
+        .map(|site| program.recording(&[site]))
+        .find(|rebuilt| warm.translate(rebuilt).is_some())
+        .expect("a site after the prefix");
     let instrs = Machine::new(program, env.clone())
         .with_sched(sched)
         .run()
@@ -66,6 +73,9 @@ fn bench_warm_start(c: &mut Criterion) {
     group.throughput(Throughput::Elements(instrs));
     group.bench_function("warm_capture", |b| {
         b.iter(|| WarmStart::capture(program).map(|w| w.instrs()));
+    });
+    group.bench_function("warm_translate", |b| {
+        b.iter(|| warm.translate(&rebuilt).map(|w| w.instrs()));
     });
     group.bench_function("cold_run", |b| {
         b.iter(|| {
@@ -86,6 +96,24 @@ fn bench_warm_start(c: &mut Criterion) {
         });
     });
     group.finish();
+}
+
+/// Every value-defining instruction of `program`, in order.
+fn value_sites(program: &Program) -> impl Iterator<Item = InstrId> + '_ {
+    program.funcs().iter().enumerate().flat_map(|(f, func)| {
+        func.blocks.iter().enumerate().flat_map(move |(b, block)| {
+            block
+                .instrs
+                .iter()
+                .enumerate()
+                .filter(|(_, instr)| instr.dst().is_some())
+                .map(move |(index, _)| InstrId {
+                    func: FuncId(f as u32),
+                    block: BlockId(b as u32),
+                    index,
+                })
+        })
+    })
 }
 
 /// Shepherding the first recorded failure trace of each workload:

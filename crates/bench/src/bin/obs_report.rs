@@ -44,8 +44,13 @@ const EFFORT: &[&str] = &[
 /// time it gives the interpreter's cost per instruction.
 const DEPLOY_INSTRS: &str = "deploy.instrs";
 
-/// Warm starts captured, one per deployed binary that has a prefix.
+/// Warm starts captured: one per original binary that has a prefix, and
+/// one per rebuild whose prefix reaches a recorded site.
 const WARM_CAPTURES: &str = "deploy.warm_captures";
+
+/// Warm starts a rebuild translated from its original binary's instead
+/// of capturing its own.
+const WARM_REUSES: &str = "deploy.warm_reuses";
 
 /// Production instructions started from a warm start instead of being
 /// interpreted; over `deploy.instrs` it gives the prefix share.
@@ -198,8 +203,14 @@ fn main() {
             for (cname, v) in &ev.counters {
                 if EFFORT.contains(&cname.as_str())
                     || SOLVER.iter().any(|(_, c)| c == cname)
-                    || [DEPLOY_INSTRS, WARM_CAPTURES, WARM_INSTRS, WORD_OPS]
-                        .contains(&cname.as_str())
+                    || [
+                        DEPLOY_INSTRS,
+                        WARM_CAPTURES,
+                        WARM_REUSES,
+                        WARM_INSTRS,
+                        WORD_OPS,
+                    ]
+                    .contains(&cname.as_str())
                 {
                     *rep.effort.entry(cname.clone()).or_default() += v;
                 }
@@ -278,6 +289,7 @@ fn main() {
                 effort(DEPLOY_INSTRS).to_string(),
                 ns_per(phase("deploy"), effort(DEPLOY_INSTRS)),
                 effort(WARM_CAPTURES).to_string(),
+                effort(WARM_REUSES).to_string(),
                 share(effort(WARM_INSTRS), effort(DEPLOY_INSTRS)),
                 effort("symex.steps").to_string(),
                 ns_per(symex_self, effort("symex.steps")),
@@ -292,6 +304,7 @@ fn main() {
             "Deploy Instrs",
             "ns/Instr",
             "Warm Captures",
+            "Warm Reuses",
             "Prefix Share",
             "Symex Steps",
             "ns/Step",

@@ -7,13 +7,23 @@
 //! site (whose prefix ends at the first recording slot), runs 0..16 must
 //! match a cold run of the same environment and schedule: outcome,
 //! instruction count, output, final memory, PT bytes and PT statistics.
+//!
+//! A rebuild takes its warm start from the original binary's by
+//! translation. For every workload and every value-defining site, the
+//! rebuild recording that site alone must have a translated start equal to
+//! its own capture, or none exactly when that capture pauses elsewhere,
+//! and its production runs must match cold ones. One serial reconstruction
+//! of each workload captures one prefix, the original's: every rebuild it
+//! makes translates.
 
 use er_core::deploy::Deployment;
 use er_core::instrument::InstrumentedProgram;
+use er_core::reconstruct::Reconstructor;
 use er_minilang::interp::{Machine, RunReport, WarmStart};
 use er_minilang::ir::{BlockId, FuncId, InstrId, Program};
 use er_pt::sink::{PtConfig, PtSink, PtTrace};
 use er_workloads::Scale;
+use std::sync::Arc;
 
 /// Every value-defining site of `p`.
 fn dst_sites(p: &Program) -> Vec<InstrId> {
@@ -94,5 +104,90 @@ fn warm_runs_equal_cold_runs_on_every_workload() {
         // than the plain build's first input read.
         let (p, r) = (plain.warm_start(), recorded.warm_start());
         assert!(r.unwrap().instrs() <= p.unwrap().instrs(), "{}", w.name);
+    }
+}
+
+/// Asserts that production run `run` of `inst` is the cold run.
+fn assert_run_once_is_cold(d: &Deployment, inst: &InstrumentedProgram, run: u64, at: &str) {
+    let (cold, cold_trace) = cold(d, inst, run);
+    let (outcome, trace, instr_count) = d.run_once(inst, run);
+    assert_eq!(outcome, cold.outcome, "{at}: outcome");
+    assert_eq!(instr_count, cold.instr_count, "{at}: count");
+    assert_eq!(trace.bytes, cold_trace.bytes, "{at}: trace");
+    assert_eq!(trace.stats, cold_trace.stats, "{at}: trace stats");
+}
+
+#[test]
+fn rebuilds_from_single_sites_translate_exactly() {
+    for w in er_workloads::all() {
+        let d = w.deployment(Scale::TEST);
+        let original = Arc::new(InstrumentedProgram::unmodified(d.program()));
+        let start = original.warm_start().expect("every workload has a prefix");
+        let (mut translated, sites) = (0, dst_sites(d.program()));
+        for &site in &sites {
+            let at = format!("{} recording {site:?}", w.name);
+            let rebuilt = InstrumentedProgram::rebuild(&original, &[site]);
+            let fresh = WarmStart::capture(&rebuilt.program).expect("a rebuild pauses no later");
+            let same = fresh.instrs() == start.instrs() && fresh.paused_op() == start.paused_op();
+            match start.translate(&rebuilt.program) {
+                Some(moved) => {
+                    assert!(
+                        same,
+                        "{at}: a translation, yet the rebuild pauses elsewhere"
+                    );
+                    assert!(
+                        moved == fresh,
+                        "{at}: the translation is the rebuild's capture"
+                    );
+                    translated += 1;
+                }
+                None => {
+                    assert!(!same, "{at}: no translation, yet the rebuild pauses alike");
+                    assert!(fresh.instrs() <= start.instrs(), "{at}: pauses earlier");
+                }
+            }
+            // Its runs start from what `warm_start` made, translated or
+            // captured.
+            assert_run_once_is_cold(&d, &rebuilt, 0, &at);
+        }
+        // The sites selection picks run after the first input read; some
+        // sites run in the prefix.
+        assert!(
+            0 < translated && translated < sites.len(),
+            "{}: {translated} of {} rebuilds translate",
+            w.name,
+            sites.len()
+        );
+    }
+}
+
+#[test]
+fn a_reconstruction_captures_one_prefix() {
+    let _mode = er_telemetry::counters::test_mutex()
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let mode = er_telemetry::mode();
+    er_telemetry::set_mode(er_telemetry::Mode::Counters);
+    let mut counts = Vec::new();
+    for w in er_workloads::all() {
+        let d = w.deployment(Scale::TEST);
+        let before = er_telemetry::local_snapshot();
+        let report = Reconstructor::new(w.er_config()).reconstruct(&d);
+        let delta = er_telemetry::local_snapshot().delta(&before);
+        counts.push((
+            w.name,
+            report.reproduced(),
+            report.occurrences,
+            delta.get("instrument.rebuilds"),
+            delta.get("deploy.warm_captures"),
+            delta.get("deploy.warm_reuses"),
+        ));
+    }
+    er_telemetry::set_mode(mode);
+    for &(name, reproduced, occurrences, rebuilds, captures, reuses) in &counts {
+        assert!(reproduced, "{name}");
+        assert_eq!(rebuilds, u64::from(occurrences) - 1, "{name}: rebuilds");
+        assert_eq!(captures, 1, "{name}: captures");
+        assert_eq!(reuses, rebuilds, "{name}: translated starts");
     }
 }

@@ -10,21 +10,26 @@
 
 use er_minilang::interp::WarmStart;
 use er_minilang::ir::{InstrId, Program};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A program built to record a set of sites.
 ///
-/// The binary also carries its [`WarmStart`], captured by the first run
-/// that asks for it and shared by every later run of this binary. It
-/// lives here, on the deployed binary, and nowhere wider: a rebuild is a
-/// new binary with a prefix of its own, and two investigations of one
-/// program never share a capture.
+/// The binary also carries its [`WarmStart`], made by the first run that
+/// asks for it and shared by every later run of this binary. A
+/// [`rebuild`](Self::rebuild) translates the original binary's start
+/// whenever none of its recorded sites ran in the prefix, and captures
+/// its own only otherwise. The start lives here, on the deployed binary
+/// and the one it was rebuilt from, and nowhere wider: two investigations
+/// of one program never share a capture.
 #[derive(Debug)]
 pub struct InstrumentedProgram {
     /// The program, its flat code recording `sites`.
     pub program: Program,
     /// Sites recorded, ascending.
     pub sites: Vec<InstrId>,
+    /// The binary this one was rebuilt from, whose warm start it
+    /// translates.
+    original: Option<Arc<InstrumentedProgram>>,
     warm: OnceLock<Option<WarmStart>>,
     /// Warm runs still to be checked against cold ones.
     #[cfg(debug_assertions)]
@@ -37,43 +42,95 @@ impl InstrumentedProgram {
     /// there is no value to record. With nothing to record this is
     /// [`unmodified`](Self::unmodified), sharing `program`'s code.
     pub fn new(program: &Program, sites: &[InstrId]) -> InstrumentedProgram {
+        Self::instrument(program, sites, None)
+    }
+
+    /// `original`'s program instrumented to record `sites`, like
+    /// [`new`](Self::new), taking its warm start from `original`'s by
+    /// translation when the rebuild's prefix is the same.
+    pub fn rebuild(original: &Arc<InstrumentedProgram>, sites: &[InstrId]) -> InstrumentedProgram {
+        Self::instrument(&original.program, sites, Some(Arc::clone(original)))
+    }
+
+    fn instrument(
+        program: &Program,
+        sites: &[InstrId],
+        original: Option<Arc<InstrumentedProgram>>,
+    ) -> InstrumentedProgram {
         let mut applied: Vec<InstrId> = sites
             .iter()
             .copied()
             .filter(|&site| program.instr(site).is_some_and(|i| i.dst().is_some()))
             .collect();
         if applied.is_empty() {
-            return Self::unmodified(program);
+            return Self::built(program.clone(), applied, original);
         }
         applied.sort_unstable();
         applied.dedup();
-        Self::built(program.recording(&applied), applied)
+        Self::built(program.recording(&applied), applied, original)
     }
 
     /// An identity instrumentation (first ER iteration: control flow only).
     pub fn unmodified(program: &Program) -> InstrumentedProgram {
-        Self::built(program.clone(), Vec::new())
+        Self::built(program.clone(), Vec::new(), None)
     }
 
-    fn built(program: Program, sites: Vec<InstrId>) -> InstrumentedProgram {
+    fn built(
+        program: Program,
+        sites: Vec<InstrId>,
+        original: Option<Arc<InstrumentedProgram>>,
+    ) -> InstrumentedProgram {
         InstrumentedProgram {
             program,
             sites,
+            original,
             warm: OnceLock::new(),
             #[cfg(debug_assertions)]
             cold_checks: std::sync::atomic::AtomicU32::new(2),
         }
     }
 
-    /// The binary's warm start, captured on first use; `None` if the
-    /// program has no input-independent prefix to share.
+    /// The binary's warm start, made on first use: translated from the
+    /// original binary's when this is a rebuild whose prefix is the same,
+    /// captured otherwise; `None` if the program has no input-independent
+    /// prefix to share.
     pub fn warm_start(&self) -> Option<&WarmStart> {
         self.warm
             .get_or_init(|| {
+                if let Some(warm) = self.translated() {
+                    er_telemetry::counter!("deploy.warm_reuses").incr();
+                    return Some(warm);
+                }
                 er_telemetry::counter!("deploy.warm_captures").incr();
                 WarmStart::capture(&self.program)
             })
             .as_ref()
+    }
+
+    /// The original binary's warm start translated to this binary. Under
+    /// debug assertions a fresh capture checks the answer: it must equal
+    /// the translation, or, where there is none, pause elsewhere.
+    fn translated(&self) -> Option<WarmStart> {
+        let original = self.original.as_ref()?;
+        let start = original.warm_start()?;
+        let warm = start.translate(&self.program);
+        #[cfg(debug_assertions)]
+        {
+            let fresh = WarmStart::capture(&self.program);
+            match &warm {
+                Some(warm) => assert!(
+                    fresh.as_ref() == Some(warm),
+                    "a translated warm start equals the rebuild's own capture"
+                ),
+                None => assert!(
+                    fresh.is_none_or(
+                        |f| f.instrs() != start.instrs() || f.paused_op() != start.paused_op()
+                    ),
+                    "a rebuild with no translated warm start pauses elsewhere"
+                ),
+            }
+        }
+        warm
     }
 
     /// Whether a warm run of this binary should also run cold and compare:

@@ -548,10 +548,7 @@ impl ReconstructionSession {
                 er_telemetry::counter!("instrument.rebuilds").incr();
                 er_telemetry::counter!("instrument.sites_requested").add(self.sites.len() as u64);
             }
-            Arc::new(InstrumentedProgram::new(
-                &self.original.program,
-                &self.sites,
-            ))
+            Arc::new(InstrumentedProgram::rebuild(&self.original, &self.sites))
         };
         SessionStep::NeedOccurrence {
             reinstrumented: true,

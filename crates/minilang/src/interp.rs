@@ -8,7 +8,9 @@
 //!
 //! A [`WarmStart`] holds a program's input-independent prefix, run once:
 //! [`Machine::warm`] starts a run from it, replaying the prefix's events
-//! under the run's own schedule, instead of executing the prefix again.
+//! under the run's own schedule, instead of executing the prefix again,
+//! and [`WarmStart::translate`] carries it to a rebuild of the program
+//! that records more sites, when the rebuild's prefix is the same.
 
 use crate::code::{CallSite, Code, Op, Pc};
 use crate::env::Env;
@@ -74,7 +76,7 @@ enum ThreadState {
     Done,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Frame {
     pc: Pc,
     /// This frame's first register in the thread's register stack.
@@ -359,7 +361,8 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             Arc::ptr_eq(program.code(), &warm.code),
             "a warm start runs only the code it was captured from"
         );
-        if sched.max_instrs <= warm.icount {
+        let prefix = &*warm.prefix;
+        if sched.max_instrs <= prefix.icount {
             return None;
         }
         let mut replay = Replay::default();
@@ -368,30 +371,30 @@ impl<'p, S: TraceSink> Machine<'p, S> {
         loop {
             sink.thread_resume(0, deadline);
             deadline += next_quantum(&mut rng, sched.quantum);
-            if deadline > warm.icount {
+            if deadline > prefix.icount {
                 break;
             }
-            replay.until(&warm.events, deadline, &mut sink);
+            replay.until(&prefix.events, deadline, &mut sink);
         }
-        replay.until(&warm.events, warm.icount, &mut sink);
+        replay.until(&prefix.events, prefix.icount, &mut sink);
         Some(Machine {
             code: program.code(),
             entry: program.entry(),
             world: World {
                 env,
-                mem: warm.mem.clone(),
-                output: warm.output.clone(),
+                mem: prefix.mem.clone(),
+                output: prefix.output.clone(),
                 sink,
             },
             threads: vec![Thread {
                 tid: 0,
                 frames: warm.frames.clone(),
-                regs: warm.regs.clone(),
+                regs: prefix.regs.clone(),
                 state: ThreadState::Runnable,
             }],
             run_queue: VecDeque::new(),
             lock_owner: HashMap::new(),
-            icount: warm.icount,
+            icount: prefix.icount,
             next_tid: 1,
             sched,
             rng,
@@ -535,6 +538,11 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             let mut pc = frame.pc as usize;
             let mut icount = self.icount;
             let exit = 'blocks: loop {
+                // Every block the slice enters passes here: the per-op
+                // loop stops before its block's terminator.
+                if S::RECORDS_WARM_START {
+                    self.world.sink.enter(pc as Pc);
+                }
                 let len = u64::from(run_len[pc]);
                 if icount + len > stop {
                     break self
@@ -780,17 +788,37 @@ const CAPTURE_LIMIT: u64 = 1 << 25;
 /// [`Machine::warm`] starts a run from here and replays the events into
 /// the run's sink under the run's own quanta, so sink, output, memory and
 /// instruction count end exactly as in a cold run.
+///
+/// A rebuild of the program with recording slots of its own runs the same
+/// prefix unless it reaches one of them first, so
+/// [`translate`](Self::translate) carries the start over to it.
 #[derive(Debug)]
 pub struct WarmStart {
-    /// The code the prefix ran.
+    /// The code this start runs.
+    code: Arc<Code>,
+    /// The paused thread's frames, their pcs in `code`.
+    frames: Vec<Frame>,
+    /// The rest of the state and the events, the same in every build the
+    /// start is translated to.
+    prefix: Arc<Prefix>,
+}
+
+/// What a captured prefix leaves behind besides its frames' pcs.
+#[derive(Debug)]
+struct Prefix {
+    /// The code the capture ran, whose pcs `entered` holds.
     code: Arc<Code>,
     mem: Memory,
-    frames: Vec<Frame>,
     regs: Vec<u64>,
     output: Vec<u64>,
     /// The prefix's length in instructions.
     icount: u64,
     events: PrefixEvents,
+    /// Every pc the block loop entered the code at, one bit each (bit
+    /// `pc % 64` of word `pc / 64`): from each, the prefix ran the block's
+    /// ops up to its first call, inclusive, or up to the op it paused
+    /// before, exclusive, or to the block's end.
+    entered: Vec<u64>,
 }
 
 impl WarmStart {
@@ -798,34 +826,147 @@ impl WarmStart {
     /// run. `None` if the run completes or faults first, or runs past
     /// the capture limit: such a program has no prefix to share.
     pub fn capture(program: &Program) -> Option<WarmStart> {
-        let mut machine = Machine::with_sink(program, Env::new(), Recorder::default());
+        let code = program.code();
+        let mut machine = Machine::with_sink(program, Env::new(), Recorder::new(code));
         if !matches!(machine.run_slice(0, CAPTURE_LIMIT), StepResult::Paused) {
             return None;
         }
         let main = machine.threads.swap_remove(0);
         let world = machine.world;
         Some(WarmStart {
-            code: Arc::clone(program.code()),
-            mem: world.mem,
+            code: Arc::clone(code),
             frames: main.frames,
-            regs: main.regs,
-            output: world.output,
-            icount: machine.icount,
-            events: world.sink.events,
+            prefix: Arc::new(Prefix {
+                code: Arc::clone(code),
+                mem: world.mem,
+                regs: main.regs,
+                output: world.output,
+                icount: machine.icount,
+                events: world.sink.events,
+                entered: world.sink.entered,
+            }),
+        })
+    }
+
+    /// This start on `rebuilt`, a build of the same IR with recording
+    /// slots of its own ([`Program::recording`] of the same program), with
+    /// no instruction run again: memory, registers, output, count and
+    /// events are shared, and each frame's pc moves to the same
+    /// instruction of `rebuilt`'s code.
+    ///
+    /// `None` exactly when `rebuilt`'s own capture would pause elsewhere:
+    /// the prefix went on from a site that `rebuilt` records (and this
+    /// build does not) to the op after it, so the rebuild would pause at
+    /// that recording slot first; or the prefix paused at a recording
+    /// slot that `rebuilt` lacks, so the rebuild would run on.
+    pub fn translate(&self, rebuilt: &Program) -> Option<WarmStart> {
+        let to = &**rebuilt.code();
+        let prefix = &*self.prefix;
+        for slot in 1..to.ops().len() as Pc {
+            if to.is_recording(slot) {
+                let id = to.id_of(slot);
+                if slot_of(&prefix.code, id).is_none() && prefix.went_on(prefix.code.pc_of(id)?) {
+                    return None;
+                }
+            }
+        }
+        let frames = self
+            .frames
+            .iter()
+            .map(|f| {
+                let id = self.code.id_of(f.pc);
+                let pc = if self.code.is_recording(f.pc) {
+                    slot_of(to, id)
+                } else {
+                    to.pc_of(id)
+                };
+                Some(Frame { pc: pc?, ..*f })
+            })
+            .collect::<Option<_>>()?;
+        Some(WarmStart {
+            code: Arc::clone(rebuilt.code()),
+            frames,
+            prefix: Arc::clone(&self.prefix),
         })
     }
 
     /// The prefix's length in instructions: the count a run has when it
     /// reaches the op the capture paused before.
     pub fn instrs(&self) -> u64 {
-        self.icount
+        self.prefix.icount
     }
+
+    /// The op the capture paused before: its instruction, and whether it
+    /// is that instruction's recording slot rather than the instruction.
+    pub fn paused_op(&self) -> (InstrId, bool) {
+        let pc = self.frames.last().expect("a paused frame").pc;
+        (self.code.id_of(pc), self.code.is_recording(pc))
+    }
+}
+
+/// Two starts are equal when a run from either is the same run: the same
+/// code, frames, registers, memory, output, count and events. Which pcs
+/// the capture entered is bookkeeping in its own code's pcs, not state.
+impl PartialEq for WarmStart {
+    fn eq(&self, other: &WarmStart) -> bool {
+        let (a, b) = (&*self.prefix, &*other.prefix);
+        self.code == other.code
+            && self.frames == other.frames
+            && a.icount == b.icount
+            && a.regs == b.regs
+            && a.output == b.output
+            && a.events == b.events
+            && a.mem.dump() == b.mem.dump()
+    }
+}
+
+impl Prefix {
+    fn entered(&self, pc: usize) -> bool {
+        self.entered[pc / 64] >> (pc % 64) & 1 != 0
+    }
+
+    /// Whether the prefix ran the op at `pc` of its code and went on to
+    /// the op after it: where a recording slot after it would have run.
+    fn went_on(&self, pc: Pc) -> bool {
+        let (ops, run_len) = (self.code.ops(), self.code.run_lens());
+        let pc = pc as usize;
+        match ops[pc] {
+            // A call goes on when its callee returns, which enters the
+            // block loop at the op after it.
+            Op::Call { .. } => return self.entered(pc + 1),
+            // The prefix ends before the first such op it reaches.
+            op if depends_on_run(&op) => return false,
+            _ => {}
+        }
+        // Any other op ran, and went on, if an entry at or before it in
+        // its block reached it: nothing between stopped that entry's run.
+        let mut p = pc;
+        loop {
+            if self.entered(p) {
+                return true;
+            }
+            if p == 0 || run_len[p - 1] == 1 {
+                // `p` starts its block.
+                return false;
+            }
+            p -= 1;
+            if matches!(ops[p], Op::Call { .. }) || depends_on_run(&ops[p]) {
+                return false;
+            }
+        }
+    }
+}
+
+/// The recording slot of instruction `id` in `code`, if `code` records it.
+fn slot_of(code: &Code, id: InstrId) -> Option<Pc> {
+    let slot = code.pc_of(id)? + 1;
+    code.is_recording(slot).then_some(slot)
 }
 
 /// A prefix's sink events. Branch outcomes are packed one bit each and
 /// replay 64 at a time; the counts are only searched, once per quantum
 /// boundary.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct PrefixEvents {
     /// Each event's instruction count, its own instruction included.
     at: Vec<u32>,
@@ -839,7 +980,7 @@ struct PrefixEvents {
 
 /// A call or a return of a prefix: the events between two of them are
 /// all branches.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Mark {
     /// Its index among all the events.
     event: u32,
@@ -851,13 +992,23 @@ struct Mark {
 }
 
 /// The sink of a warm-start capture.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Recorder {
     at: u32,
     events: PrefixEvents,
+    /// [`Prefix::entered`].
+    entered: Vec<u64>,
 }
 
 impl Recorder {
+    fn new(code: &Code) -> Recorder {
+        Recorder {
+            at: 0,
+            events: PrefixEvents::default(),
+            entered: vec![0; code.ops().len().div_ceil(64)],
+        }
+    }
+
     fn mark(&mut self, call: bool, func: FuncId, values: &[u64]) {
         let e = &mut self.events;
         e.marks.push(Mark {
@@ -876,6 +1027,10 @@ impl TraceSink for Recorder {
 
     fn at(&mut self, icount: u64) {
         self.at = icount as u32;
+    }
+
+    fn enter(&mut self, pc: u32) {
+        self.entered[pc as usize / 64] |= 1 << (pc % 64);
     }
 
     fn cond_branch(&mut self, taken: bool) {

@@ -19,9 +19,11 @@ use crate::ir::FuncId;
 pub trait TraceSink {
     /// Whether this sink records a [`WarmStart`](crate::interp::WarmStart):
     /// the interpreter then reports each branch, call and return event's
-    /// instruction count through [`at`](Self::at) first, and stops before
-    /// the first op whose effect depends on the run. Only the capture's own
-    /// sink sets it; for every other sink both hooks compile away.
+    /// instruction count through [`at`](Self::at) first, reports every pc
+    /// it enters the code at through [`enter`](Self::enter), and stops
+    /// before the first op whose effect depends on the run. Only the
+    /// capture's own sink sets it; for every other sink the hooks and the
+    /// stop compile away.
     const RECORDS_WARM_START: bool = false;
 
     /// The instruction count of the event reported next, its own
@@ -30,6 +32,14 @@ pub trait TraceSink {
     #[inline]
     fn at(&mut self, icount: u64) {
         let _ = icount;
+    }
+
+    /// The block loop entered the code at `pc`: a block's start, or the
+    /// op after a call the callee returned to. Called only on a sink that
+    /// [records a warm start](Self::RECORDS_WARM_START).
+    #[inline]
+    fn enter(&mut self, pc: u32) {
+        let _ = pc;
     }
 
     /// A conditional branch executed; `taken` is its outcome (a TNT bit).

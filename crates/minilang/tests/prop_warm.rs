@@ -10,11 +10,17 @@
 //! included, across quanta from 2 to 2000 and budgets that end at the
 //! prefix, one instruction past it, inside the rest of the run, or where a
 //! quantum boundary falls exactly on the prefix's end.
+//!
+//! A start translated to a rebuild ([`WarmStart::translate`]) must be the
+//! rebuild's own capture: random programs of calls pause in `main` or one
+//! or two frames down, random builds record random value-defining sites,
+//! and the translation exists exactly when the rebuild's capture pauses at
+//! the same count before the same op, and then equals that capture.
 
 use er_minilang::compile;
 use er_minilang::env::{Env, InputEvent};
 use er_minilang::interp::{Machine, RunOutcome, SchedConfig, WarmStart};
-use er_minilang::ir::{FuncId, Program};
+use er_minilang::ir::{BlockId, FuncId, InstrId, Program};
 use er_minilang::trace::TraceSink;
 use proptest::prelude::*;
 
@@ -222,5 +228,180 @@ fn a_quantum_boundary_lands_on_each_prefix_end() {
         let sched = boundary_at(&program, 3, warm.instrs())
             .unwrap_or_else(|| panic!("stop {stop}: no boundary at {}", warm.instrs()));
         assert_warm_is_cold(&program, &warm, sched);
+    }
+}
+
+/// Where [`nested`] pauses: in `main` after its call, in `probe` before or
+/// after its own call, or in `inner`, two frames down.
+const PAUSES: usize = 4;
+
+/// A program whose `main` runs `iters` rounds of calls, then calls `probe`
+/// and reads an input in the same block; the prefix pauses at the read
+/// given by `pause` (see [`PAUSES`]), which is a clock read when `clock`.
+fn nested(iters: u32, salt: u64, pause: usize, clock: bool) -> Program {
+    let read = if clock { "clock()" } else { "input_u64(0)" };
+    let at = |k: usize| {
+        if k == pause {
+            format!("x = x ^ {read};")
+        } else {
+            String::new()
+        }
+    };
+    let src = format!(
+        r#"
+        global G: [u64; 8];
+        fn mix(a: u64, b: u64) -> u64 {{
+            var buf: [u64; 4];
+            buf[a % 4] = b;
+            return (a ^ buf[a % 4]) * 1099511628211 + (a >> 7);
+        }}
+        fn step(h: u64, i: u64) -> u64 {{
+            if i % 3 == 0 {{ G[i % 8] = h; }}
+            return mix(h, i) ^ G[(i + 1) % 8];
+        }}
+        fn inner(a: u64) -> u64 {{
+            let x: u64 = a * 7;
+            {p3}
+            let y: u64 = x + 1;
+            return x ^ y;
+        }}
+        fn probe(h: u64) -> u64 {{
+            let x: u64 = h * 3;
+            {p1}
+            let y: u64 = inner(x) + mix(x, h);
+            {p2}
+            return x + y;
+        }}
+        fn main() {{
+            let h: u64 = {salt};
+            for i: u64 = 0; i < {iters}; i = i + 1 {{
+                h = step(h, i);
+            }}
+            let x: u64 = probe(h) + 5;
+            {p0}
+            let z: u64 = x * h;
+            print(z + input_u64(0));
+        }}
+        "#,
+        p0 = at(0),
+        p1 = at(1),
+        p2 = at(2),
+        p3 = at(3),
+    );
+    compile(&src).expect("the template compiles")
+}
+
+/// Every value-defining site of `p`.
+fn dst_sites(p: &Program) -> Vec<InstrId> {
+    let mut sites = Vec::new();
+    for (fi, f) in p.funcs().iter().enumerate() {
+        for (bi, b) in f.blocks.iter().enumerate() {
+            for (index, instr) in b.instrs.iter().enumerate() {
+                if instr.dst().is_some() {
+                    sites.push(InstrId {
+                        func: FuncId(fi as u32),
+                        block: BlockId(bi as u32),
+                        index,
+                    });
+                }
+            }
+        }
+    }
+    sites
+}
+
+/// `program` recording the sites `picks` name, each taken modulo the
+/// number of value-defining sites.
+fn recording(program: &Program, picks: &[usize]) -> Program {
+    let all = dst_sites(program);
+    let mut sites: Vec<InstrId> = picks.iter().map(|&k| all[k % all.len()]).collect();
+    sites.sort_unstable();
+    sites.dedup();
+    program.recording(&sites)
+}
+
+/// Checks the translation of `original`'s capture to `rebuilt` against
+/// `rebuilt`'s own capture; whether there was one.
+fn check_translation(original: &Program, rebuilt: &Program, sched: SchedConfig) -> bool {
+    let warm = WarmStart::capture(original).expect("the program reaches its read");
+    let fresh = WarmStart::capture(rebuilt).expect("a rebuild pauses no later");
+    let same = fresh.instrs() == warm.instrs() && fresh.paused_op() == warm.paused_op();
+    let Some(moved) = warm.translate(rebuilt) else {
+        assert!(
+            !same,
+            "no translation, yet the rebuild pauses where the original does"
+        );
+        return false;
+    };
+    assert!(same, "a translation, yet the rebuild pauses elsewhere");
+    assert_eq!(moved.instrs(), fresh.instrs());
+    assert!(
+        moved == fresh,
+        "the translation equals the rebuild's capture"
+    );
+    // A run from the translation is the run from the capture, and cold.
+    let run = |warm: &WarmStart| {
+        Machine::warm(rebuilt, warm, env(), LogSink::default(), sched)
+            .expect("the budget covers the prefix")
+            .run()
+    };
+    let (a, b) = (run(&moved), run(&fresh));
+    let cold = Machine::with_sink(rebuilt, env(), LogSink::default())
+        .with_sched(sched)
+        .run();
+    for other in [&b, &cold] {
+        assert_eq!(a.outcome, other.outcome);
+        assert_eq!(a.instr_count, other.instr_count);
+        assert_eq!(a.output, other.output);
+        assert_eq!(a.mem.dump(), other.mem.dump());
+        assert_eq!(a.sink.0, other.sink.0);
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn translated_starts_are_the_rebuilds_captures(
+        iters in 0u32..12,
+        salt in any::<u64>(),
+        pause in 0..PAUSES,
+        clock in any::<bool>(),
+        picks in prop::collection::vec(any::<usize>(), 0..4),
+        original_picks in prop::collection::vec(any::<usize>(), 0..2),
+        quantum in 2u64..300,
+        seed in any::<u64>(),
+    ) {
+        let program = nested(iters, salt, pause, clock);
+        let sched = SchedConfig { quantum, seed, max_instrs: 1 << 24 };
+        // From the plain build, as a session rebuilds, and from a build
+        // that records sites of its own.
+        check_translation(&program, &recording(&program, &picks), sched);
+        let original = recording(&program, &original_picks);
+        check_translation(&original, &recording(&program, &picks), sched);
+    }
+}
+
+/// Both answers occur at every pause: recording each value-defining site
+/// alone, some rebuilds translate and some do not, and a site that runs
+/// after the pause never stops a translation.
+#[test]
+fn each_pause_has_sites_that_translate_and_sites_that_do_not() {
+    let sched = SchedConfig {
+        quantum: 50,
+        seed: 3,
+        max_instrs: 1 << 24,
+    };
+    for pause in 0..PAUSES {
+        let program = nested(4, 17, pause, false);
+        let n = dst_sites(&program).len();
+        let translated = (0..n)
+            .filter(|&k| check_translation(&program, &recording(&program, &[k]), sched))
+            .count();
+        assert!(
+            0 < translated && translated < n,
+            "pause {pause}: {translated} of {n}"
+        );
     }
 }
