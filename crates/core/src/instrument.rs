@@ -62,12 +62,14 @@ impl InstrumentedProgram {
             .copied()
             .filter(|&site| program.instr(site).is_some_and(|i| i.dst().is_some()))
             .collect();
-        if applied.is_empty() {
-            return Self::built(program.clone(), applied, original);
-        }
         applied.sort_unstable();
         applied.dedup();
-        Self::built(program.recording(&applied), applied, original)
+        let program = if applied.is_empty() {
+            program.clone()
+        } else {
+            program.recording(&applied)
+        };
+        Self::built(program, applied, original)
     }
 
     /// An identity instrumentation (first ER iteration: control flow only).
