@@ -60,6 +60,20 @@ const WARM_INSTRS: &str = "deploy.warm_instrs";
 /// `symex.steps` it gives the word loop's share.
 const WORD_OPS: &str = "symex.word_ops";
 
+/// Shepherded runs started from their binary's symbolic warm start.
+const SYMEX_WARM_STARTS: &str = "symex.warm_starts";
+
+/// Symex steps those runs skipped: the prefix each started past. Over
+/// itself plus `symex.steps` it gives the prefix share of the shepherd.
+const SYMEX_WARM_STEPS: &str = "symex.warm_steps";
+
+/// Traces that did not start with their binary's warm prefix events, and
+/// were shepherded from the entry instead.
+const SYMEX_WARM_FALLBACKS: &str = "symex.warm_fallbacks";
+
+/// Shepherded runs resumed from a checkpoint of the previous occurrence.
+const CHECKPOINT_RESUMES: &str = "symex.checkpoint_resumes";
+
 /// Solver counters summarized per workload, with their column labels:
 /// query volume, stalls, prefix-cache reuse, clauses assumption probes
 /// reused from the persistent solver, clauses the final input solve took
@@ -209,6 +223,10 @@ fn main() {
                         WARM_REUSES,
                         WARM_INSTRS,
                         WORD_OPS,
+                        SYMEX_WARM_STARTS,
+                        SYMEX_WARM_STEPS,
+                        SYMEX_WARM_FALLBACKS,
+                        CHECKPOINT_RESUMES,
                     ]
                     .contains(&cname.as_str())
                 {
@@ -277,7 +295,9 @@ fn main() {
 
     // The two step loops: deploy time per production instruction, with
     // the share of those instructions a warm start skipped, and
-    // shepherded-execution time net of its solver queries per symex step.
+    // shepherded-execution time net of its solver queries per symex step,
+    // with where shepherded runs started and the share of steps the warm
+    // starts skipped.
     let step_rows: Vec<Vec<String>> = reports
         .iter()
         .map(|r| {
@@ -294,6 +314,13 @@ fn main() {
                 effort("symex.steps").to_string(),
                 ns_per(symex_self, effort("symex.steps")),
                 share(effort(WORD_OPS), effort("symex.steps")),
+                effort(SYMEX_WARM_STARTS).to_string(),
+                effort(CHECKPOINT_RESUMES).to_string(),
+                effort(SYMEX_WARM_FALLBACKS).to_string(),
+                share(
+                    effort(SYMEX_WARM_STEPS),
+                    effort(SYMEX_WARM_STEPS) + effort("symex.steps"),
+                ),
             ]
         })
         .collect();
@@ -309,6 +336,10 @@ fn main() {
             "Symex Steps",
             "ns/Step",
             "Word-Loop Share",
+            "Symex Warm Starts",
+            "Resumes",
+            "Warm Fallbacks",
+            "Symex Prefix Share",
         ],
         &step_rows,
     );

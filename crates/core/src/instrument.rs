@@ -10,6 +10,7 @@
 
 use er_minilang::interp::WarmStart;
 use er_minilang::ir::{InstrId, Program};
+use er_symex::MachineState;
 use std::sync::{Arc, OnceLock};
 
 /// A program built to record a set of sites.
@@ -18,9 +19,11 @@ use std::sync::{Arc, OnceLock};
 /// asks for it and shared by every later run of this binary. A
 /// [`rebuild`](Self::rebuild) translates the original binary's start
 /// whenever none of its recorded sites ran in the prefix, and captures
-/// its own only otherwise. The start lives here, on the deployed binary
-/// and the one it was rebuilt from, and nowhere wider: two investigations
-/// of one program never share a capture.
+/// its own only otherwise. The shepherd's state at that start is made
+/// from it, also on first use, and shared by every occurrence shepherded
+/// on this binary. Both live here, on the deployed binary and the one it
+/// was rebuilt from, and nowhere wider: two investigations of one program
+/// never share a capture.
 #[derive(Debug)]
 pub struct InstrumentedProgram {
     /// The program, its flat code recording `sites`.
@@ -31,9 +34,13 @@ pub struct InstrumentedProgram {
     /// translates.
     original: Option<Arc<InstrumentedProgram>>,
     warm: OnceLock<Option<WarmStart>>,
+    symbolic_warm: OnceLock<Option<MachineState>>,
     /// Warm runs still to be checked against cold ones.
     #[cfg(debug_assertions)]
     cold_checks: std::sync::atomic::AtomicU32,
+    /// Symbolic warm starts still to be checked against cold shepherds.
+    #[cfg(debug_assertions)]
+    symbolic_checks: std::sync::atomic::AtomicU32,
 }
 
 impl InstrumentedProgram {
@@ -87,8 +94,11 @@ impl InstrumentedProgram {
             sites,
             original,
             warm: OnceLock::new(),
+            symbolic_warm: OnceLock::new(),
             #[cfg(debug_assertions)]
             cold_checks: std::sync::atomic::AtomicU32::new(2),
+            #[cfg(debug_assertions)]
+            symbolic_checks: std::sync::atomic::AtomicU32::new(1),
         }
     }
 
@@ -135,19 +145,46 @@ impl InstrumentedProgram {
         warm
     }
 
+    /// The shepherd's state at the binary's warm start
+    /// ([`MachineState::from_warm`]), made on first use: by the first
+    /// occurrence shepherded on this binary, never before. `None` when the
+    /// binary has no warm start, or an empty one, whose state is the
+    /// shepherd's cold start.
+    pub fn symbolic_warm_start(&self) -> Option<&MachineState> {
+        self.symbolic_warm
+            .get_or_init(|| {
+                let warm = self.warm_start().filter(|w| w.instrs() > 0)?;
+                Some(MachineState::from_warm(&self.program, warm))
+            })
+            .as_ref()
+    }
+
     /// Whether a warm run of this binary should also run cold and compare:
     /// true for the first two asks under debug assertions, never otherwise.
     pub(crate) fn check_warm_run(&self) -> bool {
         #[cfg(debug_assertions)]
-        {
-            use std::sync::atomic::Ordering;
-            self.cold_checks
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                .is_ok()
-        }
+        return take_check(&self.cold_checks);
         #[cfg(not(debug_assertions))]
         false
     }
+
+    /// Whether the binary's symbolic warm start should be checked against
+    /// a cold shepherd: true for the first ask under debug assertions,
+    /// never otherwise.
+    pub(crate) fn check_symbolic_warm(&self) -> bool {
+        #[cfg(debug_assertions)]
+        return take_check(&self.symbolic_checks);
+        #[cfg(not(debug_assertions))]
+        false
+    }
+}
+
+/// Takes one of the checks `left` still holds, if any.
+#[cfg(debug_assertions)]
+fn take_check(left: &std::sync::atomic::AtomicU32) -> bool {
+    use std::sync::atomic::Ordering;
+    left.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+        .is_ok()
 }
 
 #[cfg(test)]

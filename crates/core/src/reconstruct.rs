@@ -14,7 +14,7 @@ use crate::select::{self, RecordingSet, SelectionInput, SelectorKind};
 use crate::shepherd::{self, SolveFailure};
 use crate::testcase::{TestCase, VerifyResult};
 use er_minilang::error::Failure;
-use er_minilang::interp::SchedConfig;
+use er_minilang::interp::{SchedConfig, WarmStart};
 use er_minilang::ir::{InstrId, Program};
 use er_pt::TraceEvent;
 use er_solver::solve::Budget;
@@ -112,6 +112,10 @@ pub struct IterationStats {
     pub symbex_wall: Duration,
     /// Instructions symbolically executed.
     pub symbex_steps: u64,
+    /// The trace event the shepherd started at: 0 from the entry, else
+    /// the cursor of the binary's symbolic warm start or of a checkpoint
+    /// of the previous occurrence.
+    pub start_cursor: usize,
     /// Solver work units expended.
     pub solver_work: u64,
     /// Stall description, if the iteration stalled.
@@ -403,33 +407,23 @@ impl ReconstructionSession {
         let occurrence = self.occurrences;
         self.target.get_or_insert(info.failure.clone());
 
-        // Checkpoint resume: if the previous occurrence left snapshots and
-        // the new trace agrees with its trace on a prefix, resume from the
-        // latest snapshot inside that prefix, moved out of the cache.
-        let resume_state = self.prev.take().and_then(|cache| {
-            resume_point(
-                &cache.events,
-                cache.checkpoints,
-                &events,
-                &self.binary.program,
-            )
-        });
-
-        if resume_state.is_some() {
-            er_telemetry::counter!("symex.checkpoint_resumes").incr();
-        }
+        let (from, warm_events) = self.start_state(&events);
+        let start_cursor = from.as_ref().map_or(0, MachineState::cursor);
         er_solver::cancel::begin_phase(er_solver::cancel::Phase::Shepherd);
         let report = shepherd::shepherd_events(
             &self.binary.program,
             &events,
             Some(&info.failure),
             self.config.sym,
-            resume_state,
+            from,
         );
         let mut run = report.run;
         // Whatever this iteration decides, the next occurrence resumes
-        // inside the prefix it shares with this one.
-        let checkpoints = std::mem::take(&mut run.checkpoints);
+        // inside the prefix it shares with this one, past the warm prefix
+        // both traces start with: no checkpoint inside it beats the warm
+        // start, whichever binary the next occurrence runs.
+        let mut checkpoints = std::mem::take(&mut run.checkpoints);
+        checkpoints.retain(|c| c.cursor() > warm_events);
         events.truncate(checkpoints.last().map_or(0, MachineState::cursor));
         events.shrink_to_fit();
         self.prev = Some(ResumeCache {
@@ -446,6 +440,7 @@ impl ReconstructionSession {
             // work after its snapshot, exactly what the symex.steps and
             // solver.work_units counters receive for this shepherd span.
             symbex_steps: run.stats.steps,
+            start_cursor,
             solver_work: run.stats.work_units,
             stalled: None,
             graph_nodes: run.pool.len(),
@@ -553,6 +548,62 @@ impl ReconstructionSession {
         SessionStep::NeedOccurrence {
             reinstrumented: true,
         }
+    }
+
+    /// The state the shepherd of `events` on the current binary starts
+    /// from, whichever is later: the binary's symbolic warm start, if the
+    /// trace starts with the warm prefix's events, or the latest checkpoint
+    /// of the previous occurrence inside the event prefix both traces
+    /// share ([`resume_point`]), moved out of the cache. `None`, the entry,
+    /// when neither applies: the binary has no warm prefix, or the trace
+    /// does not start with its events and go on past them (a wrapped ring
+    /// or a tampered trace, which the cold shepherd then judges). Also how
+    /// many leading events of the trace the warm start covers: 0 unless
+    /// it applies.
+    fn start_state(&mut self, events: &[TraceEvent]) -> (Option<MachineState>, usize) {
+        let binary = &*self.binary;
+        let warm = binary.symbolic_warm_start().filter(|state| {
+            let start = binary
+                .warm_start()
+                .expect("a symbolic warm start has a warm start");
+            // A trace that ends with the prefix's events ends before the
+            // ops that lead up to the pause, where a cold shepherd may
+            // already conclude.
+            if events.len() <= start.events() || !start.prefix_matches(events) {
+                er_telemetry::counter!("symex.warm_fallbacks").incr();
+                return false;
+            }
+            if binary.check_symbolic_warm() {
+                let cold = MachineState::shepherded(&binary.program, events, start.instrs());
+                assert_eq!(
+                    state.mismatch(&cold),
+                    None,
+                    "a symbolic warm start is the cold shepherd's state at the pause"
+                );
+            }
+            true
+        });
+        let resumed = self.prev.take().and_then(|cache| {
+            resume_point(&cache.events, cache.checkpoints, events, &binary.program)
+        });
+        let warm_events = warm.map_or(0, MachineState::cursor);
+        let from = match (warm, resumed) {
+            (Some(warm), resumed) if resumed.as_ref().is_none_or(|r| r.cursor() <= warm_events) => {
+                if er_telemetry::enabled() {
+                    er_telemetry::counter!("symex.warm_starts").incr();
+                    er_telemetry::counter!("symex.warm_steps")
+                        .add(binary.warm_start().map_or(0, WarmStart::instrs));
+                }
+                Some(warm.clone())
+            }
+            (_, resumed) => {
+                if resumed.is_some() {
+                    er_telemetry::counter!("symex.checkpoint_resumes").incr();
+                }
+                resumed
+            }
+        };
+        (from, warm_events)
     }
 
     /// Asks for another occurrence while the budget lasts — a corrupt
@@ -857,11 +908,13 @@ mod tests {
 
     #[test]
     fn resume_cache_ends_at_the_last_checkpoint() {
-        // A crunch prefix long enough for several checkpoints at a
-        // 64-event spacing, and none when checkpointing is off.
+        // A crunch long enough for several checkpoints at a 64-event
+        // spacing, and none when checkpointing is off. It follows an input
+        // read, so the program has no warm prefix and shepherds cold.
         let d = deploy(
             r#"
             fn main() {
+                let s: u64 = input_u64(1);
                 let h: u64 = 1;
                 for k: u64 = 0; k < 300; k = k + 1 {
                     if (h & 1) == 1 { h = h * 3 + 1; } else { h = h / 2 + k; }
@@ -873,6 +926,7 @@ mod tests {
             |run| {
                 let mut env = Env::new();
                 env.push_input(0, &run.to_le_bytes());
+                env.push_input(1, &run.to_le_bytes());
                 env
             },
         );
@@ -900,10 +954,84 @@ mod tests {
     }
 
     #[test]
+    fn flipped_prefix_branch_falls_back_to_the_cold_shepherd() {
+        // A trace whose first branch inside the warm prefix is flipped
+        // does not start with the prefix's events: the session shepherds
+        // it from the entry, and ends where the cold shepherd ends.
+        let _l = er_telemetry::counters::test_mutex()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let d = deploy(
+            r#"
+            fn main() {
+                let h: u64 = 1;
+                for k: u64 = 0; k < 50; k = k + 1 {
+                    if (h & 1) == 1 { h = h * 3 + 1; } else { h = h / 2 + k; }
+                }
+                if input_u64(0) == 3 { abort("three"); }
+                print(h);
+            }
+            "#,
+            |run| {
+                let mut env = Env::new();
+                env.push_input(0, &run.to_le_bytes());
+                env
+            },
+        );
+        let config = ErConfig::default();
+        let mut session = ReconstructionSession::new(config, d.program().clone());
+        let occ = d
+            .run_until_failure(session.binary(), None, 0, 100)
+            .expect("the failure occurs");
+        let info = OccurrenceInfo::of(&occ);
+        let mut events = occ.trace.decode().expect("trace decodes").events;
+        let warm = session
+            .binary()
+            .warm_start()
+            .expect("the program has a prefix");
+        assert!(warm.prefix_matches(&events));
+        let first = events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::Branch(_)))
+            .expect("the prefix branches");
+        assert!(first < warm.events());
+        let TraceEvent::Branch(taken) = events[first] else {
+            unreachable!()
+        };
+        events[first] = TraceEvent::Branch(!taken);
+        let cold = shepherd::shepherd_events(
+            &session.binary().program,
+            &events,
+            Some(&info.failure),
+            config.sym,
+            None,
+        )
+        .run;
+        let ShepherdStatus::Diverged(divergence) = cold.status else {
+            panic!("a flipped concrete branch diverges, got {:?}", cold.status)
+        };
+
+        let mode = er_telemetry::mode();
+        er_telemetry::set_mode(er_telemetry::Mode::Counters);
+        let before = er_telemetry::local_snapshot();
+        session.consume_events(info, events);
+        let delta = er_telemetry::local_snapshot().delta(&before);
+        er_telemetry::set_mode(mode);
+        assert_eq!(delta.get("symex.warm_fallbacks"), 1);
+        assert_eq!(delta.get("symex.warm_starts"), 0);
+        let it = &session.iterations[0];
+        assert_eq!(it.start_cursor, 0, "shepherded from the entry");
+        assert_eq!(it.symbex_steps, cold.stats.steps);
+        assert_eq!(it.stalled, Some(format!("diverged: {divergence:?}")));
+    }
+
+    #[test]
     fn checkpoint_resume_fires_and_preserves_outcome() {
-        // A long input-independent crunch prefix (identical events across
-        // occurrences) followed by the aliasing stall: the second
-        // occurrence must resume from a snapshot inside the shared prefix,
+        // A short crunch, a first input read that nothing uses, then a
+        // long crunch (identical events across occurrences) and the
+        // aliasing stall. Every occurrence starts past the first crunch,
+        // from the binary's warm start; the second one on must resume from
+        // a snapshot inside the long crunch, which follows the warm prefix,
         // and the reproduction must be bit-identical to the uncached,
         // checkpoint-free baseline.
         let _l = er_telemetry::counters::test_mutex()
@@ -913,6 +1041,8 @@ mod tests {
             global TBL: [u64; 2048];
             fn main() {
                 let h: u64 = 1;
+                for k: u64 = 0; k < 40; k = k + 1 { h = h * 5 + k; }
+                let s: u64 = input_u64(1);
                 for k: u64 = 0; k < 300; k = k + 1 {
                     if (h & 1) == 1 { h = h * 3 + 1; } else { h = h / 2 + k; }
                 }
@@ -931,6 +1061,7 @@ mod tests {
             let b = if run % 7 == 3 { a } else { a + 1 };
             env.push_input(0, &a.to_le_bytes());
             env.push_input(0, &b.to_le_bytes());
+            env.push_input(1, &run.to_le_bytes());
             env
         };
         let run_with = |sym: SymConfig| {
@@ -950,11 +1081,16 @@ mod tests {
             checkpoint_every: 64,
             ..SymConfig::default()
         });
-        let resumes = er_telemetry::local_snapshot()
-            .delta(&before)
-            .get("symex.checkpoint_resumes");
+        let delta = er_telemetry::local_snapshot().delta(&before);
         er_telemetry::set_mode(mode);
-        assert!(resumes > 0, "expected at least one checkpoint resume");
+        assert!(
+            delta.get("symex.checkpoint_resumes") > 0,
+            "expected at least one checkpoint resume"
+        );
+        assert!(
+            delta.get("symex.warm_starts") > 0,
+            "the first occurrence starts warm"
+        );
         let baseline = run_with(SymConfig {
             solver_budget: Budget::small(),
             incremental_solver: false,
@@ -982,9 +1118,9 @@ mod tests {
         };
         assert_eq!(summarize(&optimized), summarize(&baseline));
         // A resumed run counts only the steps after its snapshot: every
-        // occurrence after the first resumes inside the shared crunch
-        // prefix, so it executes fewer steps than the from-scratch
-        // baseline following the same trace.
+        // occurrence after the first resumes inside the shared crunch, so
+        // it executes fewer steps than the baseline, which starts each
+        // occurrence at the warm start.
         let steps = |r: &ReconstructionReport| {
             r.iterations
                 .iter()

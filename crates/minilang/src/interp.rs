@@ -17,9 +17,9 @@ use crate::env::Env;
 use crate::error::{Failure, RuntimeFault};
 use crate::ir::*;
 use crate::mem::Memory;
-use crate::trace::{NullSink, TraceSink};
+use crate::trace::{DecodedEvent, MemEvent, NullSink, TraceSink};
 use crate::word::{get, WordFlow};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Scheduler parameters.
@@ -76,13 +76,18 @@ enum ThreadState {
     Done,
 }
 
+/// One call frame of a thread.
 #[derive(Debug, Clone, PartialEq)]
-struct Frame {
-    pc: Pc,
+pub struct Frame {
+    /// The op the frame runs next; a caller's stays on its call.
+    pub pc: Pc,
     /// This frame's first register in the thread's register stack.
-    base: usize,
-    ret_dst: Option<Reg>,
-    stack_mark: u64,
+    pub base: usize,
+    /// The caller's register that receives the return value.
+    pub ret_dst: Option<Reg>,
+    /// The thread's stack watermark when the frame was entered, restored
+    /// when it returns.
+    pub stack_mark: u64,
 }
 
 #[derive(Debug)]
@@ -189,9 +194,29 @@ impl<S: TraceSink> World<S> {
                 .mem
                 .store(get(regs, addr), width, get(regs, value))
                 .into(),
-            Op::StackAlloc { dst, size } => set(regs, dst, self.mem.stack_alloc(tid, size)),
-            Op::Alloc { dst, size } => set(regs, dst, self.mem.heap_alloc(get(regs, size))),
-            Op::Free { addr } => self.mem.heap_free(get(regs, addr)).into(),
+            Op::StackAlloc { dst, size } => {
+                let base = self.mem.stack_alloc(tid, size);
+                if S::RECORDS_WARM_START {
+                    self.sink.memory(MemEvent::StackAlloc { base, size });
+                }
+                set(regs, dst, base)
+            }
+            Op::Alloc { dst, size } => {
+                let size = get(regs, size);
+                let base = self.mem.heap_alloc(size);
+                if S::RECORDS_WARM_START {
+                    self.sink.memory(MemEvent::HeapAlloc { base, size });
+                }
+                set(regs, dst, base)
+            }
+            Op::Free { addr } => {
+                let base = get(regs, addr);
+                let freed = self.mem.heap_free(base);
+                if S::RECORDS_WARM_START && freed.is_ok() {
+                    self.sink.memory(MemEvent::HeapFree { base });
+                }
+                freed.into()
+            }
             Op::Input { dst, source, width } => match self.env.read_input(source, width) {
                 Ok((v, event)) => {
                     self.sink.input(&event);
@@ -259,7 +284,7 @@ impl<S: TraceSink> World<S> {
             match self.exec(code, &code.ops()[*pc], regs, tid, *icount) {
                 Flow::Next => *pc += 1,
                 Flow::Pair => unreachable!("`Code::ops` holds no fused pairs"),
-                Flow::Jump(to) => *pc = to as usize,
+                Flow::Jump(_) => unreachable!("the per-op loop stops before a terminator"),
                 Flow::Exit(exit) => return Some(exit),
             }
         }
@@ -607,6 +632,12 @@ impl<'p, S: TraceSink> Machine<'p, S> {
             .sink
             .ret_value(self.code.id_of(thread.frame().pc).func, value);
         let frame = thread.frames.pop().expect("live frame");
+        if S::RECORDS_WARM_START {
+            self.world.sink.memory(MemEvent::StackRelease {
+                to: frame.stack_mark,
+                top: self.world.mem.stack_watermark(thread.tid),
+            });
+        }
         self.world.mem.stack_restore(thread.tid, frame.stack_mark);
         thread.regs.truncate(frame.base);
         if let Some(caller) = thread.frames.last_mut() {
@@ -792,6 +823,11 @@ const CAPTURE_LIMIT: u64 = 1 << 25;
 /// A rebuild of the program with recording slots of its own runs the same
 /// prefix unless it reaches one of them first, so
 /// [`translate`](Self::translate) carries the start over to it.
+///
+/// The read accessors expose what a symbolic executor needs to start its
+/// own run of a trace here: the paused thread's frames and registers, the
+/// memory and the objects in it, how many ops of each pc the prefix ran,
+/// and how many decoded trace events it accounts for.
 #[derive(Debug)]
 pub struct WarmStart {
     /// The code this start runs.
@@ -806,7 +842,7 @@ pub struct WarmStart {
 /// What a captured prefix leaves behind besides its frames' pcs.
 #[derive(Debug)]
 struct Prefix {
-    /// The code the capture ran, whose pcs `entered` holds.
+    /// The code the capture ran, whose pcs `entries` indexes.
     code: Arc<Code>,
     mem: Memory,
     regs: Vec<u64>,
@@ -814,11 +850,53 @@ struct Prefix {
     /// The prefix's length in instructions.
     icount: u64,
     events: PrefixEvents,
-    /// Every pc the block loop entered the code at, one bit each (bit
-    /// `pc % 64` of word `pc / 64`): from each, the prefix ran the block's
-    /// ops up to its first call, inclusive, or up to the op it paused
-    /// before, exclusive, or to the block's end.
-    entered: Vec<u64>,
+    /// How many times the block loop entered the code at each pc: from
+    /// each entry, the prefix ran the block's ops up to its first call,
+    /// inclusive, or up to the op it paused before, exclusive, or to the
+    /// block's end.
+    entries: Vec<u32>,
+    objects: Allocations,
+}
+
+/// The memory objects live at a warm start's pause, and the allocations
+/// and frees that made them: what a symbolic executor needs to name each
+/// object as its own run of the prefix would have.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Allocations {
+    /// The live stack objects, ascending by address.
+    pub stack: Vec<StackObject>,
+    /// The heap allocations that succeeded, in order, which is ascending
+    /// by address: freed ones stay, as the heap never reuses an address.
+    pub heap: Vec<HeapObject>,
+    /// How many heap allocations the prefix asked for, failed ones
+    /// included.
+    pub heap_requests: u64,
+    /// The addresses of the heap allocations freed, in the order freed.
+    pub freed: Vec<u64>,
+}
+
+/// A stack allocation live at a warm start's pause.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StackObject {
+    /// Its address.
+    pub base: u64,
+    /// The requested size.
+    pub size: u64,
+    /// The allocating op's function.
+    pub func: FuncId,
+    /// The allocating op's block.
+    pub block: BlockId,
+}
+
+/// A heap allocation of a warm start's prefix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeapObject {
+    /// Its address.
+    pub base: u64,
+    /// The requested size.
+    pub size: u64,
+    /// Which of the prefix's heap requests made it, counted from 1.
+    pub request: u64,
 }
 
 impl WarmStart {
@@ -833,6 +911,25 @@ impl WarmStart {
         }
         let main = machine.threads.swap_remove(0);
         let world = machine.world;
+        let Recorder {
+            events,
+            entries,
+            stack,
+            mut objects,
+            ..
+        } = world.sink;
+        objects.stack = stack
+            .into_iter()
+            .map(|(base, (size, pc))| {
+                let id = code.id_of(pc);
+                StackObject {
+                    base,
+                    size,
+                    func: id.func,
+                    block: id.block,
+                }
+            })
+            .collect();
         Some(WarmStart {
             code: Arc::clone(code),
             frames: main.frames,
@@ -842,8 +939,9 @@ impl WarmStart {
                 regs: main.regs,
                 output: world.output,
                 icount: machine.icount,
-                events: world.sink.events,
-                entered: world.sink.entered,
+                events,
+                entries,
+                objects,
             }),
         })
     }
@@ -862,10 +960,13 @@ impl WarmStart {
     pub fn translate(&self, rebuilt: &Program) -> Option<WarmStart> {
         let to = &**rebuilt.code();
         let prefix = &*self.prefix;
+        let counts = prefix.counts();
         for slot in 1..to.ops().len() as Pc {
             if to.is_recording(slot) {
                 let id = to.id_of(slot);
-                if slot_of(&prefix.code, id).is_none() && prefix.went_on(prefix.code.pc_of(id)?) {
+                if slot_of(&prefix.code, id).is_none()
+                    && prefix.went_on(&counts, prefix.code.pc_of(id)?)
+                {
                     return None;
                 }
             }
@@ -874,12 +975,7 @@ impl WarmStart {
             .frames
             .iter()
             .map(|f| {
-                let id = self.code.id_of(f.pc);
-                let pc = if self.code.is_recording(f.pc) {
-                    slot_of(to, id)
-                } else {
-                    to.pc_of(id)
-                };
+                let pc = moved_pc(&self.code, to, f.pc);
                 Some(Frame { pc: pc?, ..*f })
             })
             .collect::<Option<_>>()?;
@@ -902,11 +998,130 @@ impl WarmStart {
         let pc = self.frames.last().expect("a paused frame").pc;
         (self.code.id_of(pc), self.code.is_recording(pc))
     }
+
+    /// The code this start runs: its program's [`Program::code`].
+    pub fn code(&self) -> &Arc<Code> {
+        &self.code
+    }
+
+    /// The paused thread's frames, outermost first, their pcs in the code
+    /// of the program this start runs.
+    pub fn frames(&self) -> &[Frame] {
+        &self.frames
+    }
+
+    /// The paused thread's registers: each frame's from its
+    /// [`base`](Frame::base) to the next frame's.
+    pub fn registers(&self) -> &[u64] {
+        &self.prefix.regs
+    }
+
+    /// The memory at the pause.
+    pub fn memory(&self) -> &Memory {
+        &self.prefix.mem
+    }
+
+    /// The objects live at the pause and how the prefix allocated them.
+    pub fn allocations(&self) -> &Allocations {
+        &self.prefix.objects
+    }
+
+    /// How many events a decoded trace of any run of the program holds
+    /// for the prefix: its branches, calls and returns.
+    pub fn events(&self) -> usize {
+        self.prefix.events.at.len()
+    }
+
+    /// Whether the decoded trace `events` starts with the prefix's
+    /// events: the branch outcomes, compared a word at a time, then the
+    /// calls and returns between them.
+    pub fn prefix_matches<E: DecodedEvent>(&self, events: &[E]) -> bool {
+        let prefix = &self.prefix.events;
+        let Some(events) = events.get(..prefix.at.len()) else {
+            return false;
+        };
+        // Events and branches before the current mark.
+        let (mut event, mut branch) = (0, 0);
+        for mark in prefix.marks.iter().map(Some).chain([None]) {
+            let end = mark.map_or(events.len(), |m| m.event as usize);
+            if !branches_match(&prefix.taken, branch, &events[event..end]) {
+                return false;
+            }
+            branch += end - event;
+            let Some(m) = mark else {
+                return true;
+            };
+            let ev = &events[end];
+            if !(if m.call {
+                ev.is_call(m.func)
+            } else {
+                ev.is_ret()
+            }) {
+                return false;
+            }
+            event = end + 1;
+        }
+        unreachable!("the last mark is none")
+    }
+
+    /// How many times the prefix ran each op of this start's code, by
+    /// pc: a run of the program executes exactly these ops before the
+    /// pause. The op paused before ran no time.
+    pub fn counts(&self) -> Vec<u64> {
+        let prefix = &*self.prefix;
+        let counts = prefix.counts();
+        if Arc::ptr_eq(&self.code, &prefix.code) {
+            return counts;
+        }
+        let mut moved = vec![0; self.code.ops().len()];
+        for (pc, &n) in counts.iter().enumerate() {
+            if n > 0 {
+                let to = moved_pc(&prefix.code, &self.code, pc as Pc)
+                    .expect("every op the prefix ran is in each build it translates to");
+                moved[to as usize] = n;
+            }
+        }
+        moved
+    }
+}
+
+/// The pc of `from`'s op at `pc` in `to`, another build of the same IR:
+/// the same instruction, or its recording slot for a recording slot.
+fn moved_pc(from: &Code, to: &Code, pc: Pc) -> Option<Pc> {
+    let id = from.id_of(pc);
+    if from.is_recording(pc) {
+        slot_of(to, id)
+    } else {
+        to.pc_of(id)
+    }
+}
+
+/// Whether the decoded `events` are the branch outcomes `from..` of
+/// `taken`, compared up to a word at a time.
+fn branches_match<E: DecodedEvent>(taken: &[u64], mut from: usize, mut events: &[E]) -> bool {
+    while !events.is_empty() {
+        let (word, bit) = (from / 64, from % 64);
+        let k = events.len().min(64 - bit);
+        let mut bits = 0;
+        for (i, ev) in events[..k].iter().enumerate() {
+            let Some(t) = ev.branch() else {
+                return false;
+            };
+            bits |= u64::from(t) << i;
+        }
+        if bits != (taken[word] >> bit) & (u64::MAX >> (64 - k)) {
+            return false;
+        }
+        from += k;
+        events = &events[k..];
+    }
+    true
 }
 
 /// Two starts are equal when a run from either is the same run: the same
-/// code, frames, registers, memory, output, count and events. Which pcs
-/// the capture entered is bookkeeping in its own code's pcs, not state.
+/// code, frames, registers, memory and its objects, output, count and
+/// events. How often the capture entered each pc is bookkeeping in its
+/// own code's pcs, not state.
 impl PartialEq for WarmStart {
     fn eq(&self, other: &WarmStart) -> bool {
         let (a, b) = (&*self.prefix, &*other.prefix);
@@ -916,43 +1131,52 @@ impl PartialEq for WarmStart {
             && a.regs == b.regs
             && a.output == b.output
             && a.events == b.events
+            && a.objects == b.objects
             && a.mem.dump() == b.mem.dump()
     }
 }
 
 impl Prefix {
-    fn entered(&self, pc: usize) -> bool {
-        self.entered[pc / 64] >> (pc % 64) & 1 != 0
+    /// How many times the prefix ran each op of its code, by pc: the sum
+    /// of the entries that reach the op, where an entry at or before it in
+    /// its block reaches it unless a call or an op the prefix ends before
+    /// lies between. An entry reaches a call and runs it, but goes on from
+    /// it only as a new entry after the callee returns; no entry runs an
+    /// op the prefix ends before.
+    fn counts(&self) -> Vec<u64> {
+        let (ops, run_len) = (self.code.ops(), self.code.run_lens());
+        let mut counts = vec![0; ops.len()];
+        let mut reaching = 0;
+        for (pc, op) in ops.iter().enumerate() {
+            if pc == 0 || run_len[pc - 1] == 1 {
+                // `pc` starts its block.
+                reaching = 0;
+            }
+            reaching += u64::from(self.entries[pc]);
+            if depends_on_run(op) {
+                reaching = 0;
+                continue;
+            }
+            counts[pc] = reaching;
+            if matches!(op, Op::Call { .. }) {
+                reaching = 0;
+            }
+        }
+        counts
     }
 
     /// Whether the prefix ran the op at `pc` of its code and went on to
-    /// the op after it: where a recording slot after it would have run.
-    fn went_on(&self, pc: Pc) -> bool {
-        let (ops, run_len) = (self.code.ops(), self.code.run_lens());
+    /// the op after it, where a recording slot after it would have run;
+    /// `counts` are [`Prefix::counts`].
+    fn went_on(&self, counts: &[u64], pc: Pc) -> bool {
         let pc = pc as usize;
-        match ops[pc] {
+        match self.code.ops()[pc] {
             // A call goes on when its callee returns, which enters the
             // block loop at the op after it.
-            Op::Call { .. } => return self.entered(pc + 1),
-            // The prefix ends before the first such op it reaches.
-            op if depends_on_run(&op) => return false,
-            _ => {}
-        }
-        // Any other op ran, and went on, if an entry at or before it in
-        // its block reached it: nothing between stopped that entry's run.
-        let mut p = pc;
-        loop {
-            if self.entered(p) {
-                return true;
-            }
-            if p == 0 || run_len[p - 1] == 1 {
-                // `p` starts its block.
-                return false;
-            }
-            p -= 1;
-            if matches!(ops[p], Op::Call { .. }) || depends_on_run(&ops[p]) {
-                return false;
-            }
+            Op::Call { .. } => self.entries[pc + 1] > 0,
+            // Any other op that ran went on: the prefix ends before the
+            // op, not after it.
+            _ => counts[pc] > 0,
         }
     }
 }
@@ -996,8 +1220,18 @@ struct Mark {
 struct Recorder {
     at: u32,
     events: PrefixEvents,
-    /// [`Prefix::entered`].
-    entered: Vec<u64>,
+    /// [`Prefix::entries`].
+    entries: Vec<u32>,
+    /// The pc the block loop last entered the code at: a stack
+    /// allocation is an op of its block.
+    entered: Pc,
+    /// The live stack objects by address: size and an entry pc of the
+    /// allocating op's block. A symbolic executor registers each with at
+    /// least one byte, so even an empty one stays until a release pops
+    /// the stack below it.
+    stack: BTreeMap<u64, (u64, Pc)>,
+    /// Everything of [`Allocations`] but the stack.
+    objects: Allocations,
 }
 
 impl Recorder {
@@ -1005,7 +1239,10 @@ impl Recorder {
         Recorder {
             at: 0,
             events: PrefixEvents::default(),
-            entered: vec![0; code.ops().len().div_ceil(64)],
+            entries: vec![0; code.ops().len()],
+            entered: 0,
+            stack: BTreeMap::new(),
+            objects: Allocations::default(),
         }
     }
 
@@ -1030,7 +1267,35 @@ impl TraceSink for Recorder {
     }
 
     fn enter(&mut self, pc: u32) {
-        self.entered[pc as usize / 64] |= 1 << (pc % 64);
+        self.entries[pc as usize] += 1;
+        self.entered = pc;
+    }
+
+    fn memory(&mut self, event: MemEvent) {
+        let o = &mut self.objects;
+        match event {
+            MemEvent::StackAlloc { base, size } => {
+                self.stack.insert(base, (size, self.entered));
+            }
+            MemEvent::StackRelease { to, top } => {
+                if top > to {
+                    let popped = self.stack.split_off(&to);
+                    self.stack
+                        .extend(popped.into_iter().filter(|&(base, _)| base >= top));
+                }
+            }
+            MemEvent::HeapAlloc { base, size } => {
+                o.heap_requests += 1;
+                if base != 0 {
+                    o.heap.push(HeapObject {
+                        base,
+                        size,
+                        request: o.heap_requests,
+                    });
+                }
+            }
+            MemEvent::HeapFree { base } => o.freed.push(base),
+        }
     }
 
     fn cond_branch(&mut self, taken: bool) {

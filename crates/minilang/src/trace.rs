@@ -20,7 +20,8 @@ pub trait TraceSink {
     /// Whether this sink records a [`WarmStart`](crate::interp::WarmStart):
     /// the interpreter then reports each branch, call and return event's
     /// instruction count through [`at`](Self::at) first, reports every pc
-    /// it enters the code at through [`enter`](Self::enter), and stops
+    /// it enters the code at through [`enter`](Self::enter) and every
+    /// allocation and release through [`memory`](Self::memory), and stops
     /// before the first op whose effect depends on the run. Only the
     /// capture's own sink sets it; for every other sink the hooks and the
     /// stop compile away.
@@ -40,6 +41,13 @@ pub trait TraceSink {
     #[inline]
     fn enter(&mut self, pc: u32) {
         let _ = pc;
+    }
+
+    /// An op allocated or released memory. Called only on a sink that
+    /// [records a warm start](Self::RECORDS_WARM_START).
+    #[inline]
+    fn memory(&mut self, event: MemEvent) {
+        let _ = event;
     }
 
     /// A conditional branch executed; `taken` is its outcome (a TNT bit).
@@ -108,6 +116,53 @@ pub trait TraceSink {
     fn clock_read(&mut self, value: u64) {
         let _ = value;
     }
+}
+
+/// An allocation or release, as a warm-start capture sees it: enough to
+/// name every object live at the pause the way a symbolic executor names
+/// the objects it allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemEvent {
+    /// A stack allocation of `size` bytes at `base`, by an op of the block
+    /// the block loop last entered.
+    StackAlloc {
+        /// The allocation's address.
+        base: u64,
+        /// The requested size.
+        size: u64,
+    },
+    /// A return popped the stack from `top` down to `to`.
+    StackRelease {
+        /// The watermark the stack returns to.
+        to: u64,
+        /// The stack's top before the release.
+        top: u64,
+    },
+    /// A heap allocation of `size` bytes at `base`; `base` is 0 when the
+    /// heap could not hold it.
+    HeapAlloc {
+        /// The allocation's address, or 0.
+        base: u64,
+        /// The requested size.
+        size: u64,
+    },
+    /// The heap allocation at `base` was freed.
+    HeapFree {
+        /// The allocation's address.
+        base: u64,
+    },
+}
+
+/// A decoded trace event, as a [`WarmStart`](crate::interp::WarmStart)
+/// compares it with its prefix's events. A trace decoder's event type
+/// implements it, so the compare needs no decoder here.
+pub trait DecodedEvent {
+    /// The outcome, if this is a conditional branch.
+    fn branch(&self) -> Option<bool>;
+    /// Whether this is a call of `func`.
+    fn is_call(&self, func: FuncId) -> bool;
+    /// Whether this is a return.
+    fn is_ret(&self) -> bool;
 }
 
 /// A sink that observes nothing: the unmonitored production baseline.

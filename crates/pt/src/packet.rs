@@ -263,6 +263,24 @@ pub enum TraceEvent {
     Gap,
 }
 
+/// What a warm start's prefix compare reads of an event.
+impl er_minilang::trace::DecodedEvent for TraceEvent {
+    fn branch(&self) -> Option<bool> {
+        match *self {
+            TraceEvent::Branch(taken) => Some(taken),
+            _ => None,
+        }
+    }
+
+    fn is_call(&self, func: er_minilang::FuncId) -> bool {
+        *self == TraceEvent::Call(func.0)
+    }
+
+    fn is_ret(&self) -> bool {
+        *self == TraceEvent::Ret
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

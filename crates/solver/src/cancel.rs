@@ -211,6 +211,21 @@ pub fn headroom() -> u64 {
     })
 }
 
+/// Runs `f` with this thread's token disarmed: `f`'s work bills nothing
+/// and trips nothing, and the token is as it was afterwards. For checks
+/// that repeat supervised work to compare against it.
+pub fn unsupervised<R>(f: impl FnOnce() -> R) -> R {
+    /// Re-arms on drop, so a panicking `f` leaves the token as it was.
+    struct Rearm(bool);
+    impl Drop for Rearm {
+        fn drop(&mut self) {
+            ARMED.with(|a| a.set(self.0));
+        }
+    }
+    let _rearm = Rearm(ARMED.with(|a| a.replace(false)));
+    f()
+}
+
 /// Whether the armed token has tripped.
 pub fn cancelled() -> bool {
     tripped_phase().is_some()

@@ -11,6 +11,7 @@ use crate::mem::{ObjectName, SymMemory};
 use crate::value::SymValue;
 use er_minilang::code::{CallSite, Code, Op, Pc};
 use er_minilang::error::{Failure, FailureKind, RuntimeFault};
+use er_minilang::interp::WarmStart;
 use er_minilang::ir::*;
 use er_minilang::mem::NULL_GUARD;
 use er_minilang::value::Width;
@@ -295,6 +296,154 @@ pub struct MachineState {
 }
 
 impl MachineState {
+    /// The state a shepherd of `program` starts in: the entry, before any
+    /// event.
+    fn cold(program: &Program) -> MachineState {
+        let code = program.code();
+        let mem = SymMemory::new(program);
+        let main = SymThread {
+            tid: 0,
+            frames: vec![SymFrame {
+                pc: code.entry(),
+                regs: vec![SymValue::Concrete(0); program.func(program.entry()).n_regs],
+                ret_dst: None,
+                stack_mark: mem.stack_watermark(0),
+            }],
+            state: ThreadState::Runnable,
+        };
+        MachineState {
+            cursor: 0,
+            code: Arc::clone(code),
+            pool: ExprPool::new(),
+            path: Vec::new(),
+            mem,
+            threads: vec![main],
+            cur: 0,
+            lock_owner: HashMap::new(),
+            next_tid: 1,
+            inputs: Vec::new(),
+            input_offsets: HashMap::new(),
+            origins: Origins::default(),
+            site_counts: vec![0; code.ops().len()],
+            clock: 0,
+            heap_seq: 0,
+        }
+    }
+
+    /// The state a shepherd of `program` reaches at `warm`'s pause, built
+    /// without executing the prefix: a snapshot at cursor
+    /// [`WarmStart::events`], valid against every trace that
+    /// [starts with the prefix's events](WarmStart::prefix_matches) and
+    /// goes on past them. (A cold shepherd of a trace that ends there
+    /// may conclude before the ops that lead up to the pause.)
+    ///
+    /// The prefix reads no input, clock or recorded value and starts no
+    /// thread, so shepherding it creates no symbol, constraint or origin:
+    /// the one thread's frames hold the warm start's registers as
+    /// concrete values, memory is the warm start's with its objects
+    /// ([`SymMemory::from_warm`]), heap allocations are counted as the
+    /// prefix asked for them, and each pc's count is how often the prefix
+    /// ran it.
+    ///
+    /// # Panics
+    ///
+    /// If `warm` runs another program's code.
+    pub fn from_warm(program: &Program, warm: &WarmStart) -> MachineState {
+        let code = program.code();
+        assert!(
+            Arc::ptr_eq(code, warm.code()),
+            "a warm start converts only for the code it runs"
+        );
+        let (frames, regs) = (warm.frames(), warm.registers());
+        let frames = frames
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let end = frames.get(i + 1).map_or(regs.len(), |next| next.base);
+                SymFrame {
+                    pc: f.pc,
+                    regs: regs[f.base..end]
+                        .iter()
+                        .map(|&w| SymValue::Concrete(w))
+                        .collect(),
+                    ret_dst: f.ret_dst,
+                    stack_mark: f.stack_mark,
+                }
+            })
+            .collect();
+        MachineState {
+            cursor: warm.events(),
+            code: Arc::clone(code),
+            pool: ExprPool::new(),
+            path: Vec::new(),
+            mem: SymMemory::from_warm(program, warm),
+            threads: vec![SymThread {
+                tid: 0,
+                frames,
+                state: ThreadState::Runnable,
+            }],
+            cur: 0,
+            lock_owner: HashMap::new(),
+            next_tid: 1,
+            inputs: Vec::new(),
+            input_offsets: HashMap::new(),
+            origins: Origins::default(),
+            site_counts: warm.counts(),
+            clock: 0,
+            heap_seq: warm.allocations().heap_requests,
+        }
+    }
+
+    /// The state of a shepherd of `program` along `events` from the entry
+    /// after it executed exactly `steps` ops, with the cursor where it
+    /// stopped: the reference a [`from_warm`](Self::from_warm) state is
+    /// checked against. It bills no cancel token and counts no telemetry.
+    pub fn shepherded(program: &Program, events: &[TraceEvent], steps: u64) -> MachineState {
+        let config = SymConfig {
+            max_steps: steps,
+            checkpoint_every: 0,
+            ..SymConfig::default()
+        };
+        let mut machine = SymMachine::with_state(program, config, Self::cold(program));
+        er_solver::cancel::unsupervised(|| machine.run_loop(events, None)).ok();
+        machine.state
+    }
+
+    /// The first part in which `self` and `other` differ, if any: for
+    /// checks. Compares everything a run from either reads: the cursor,
+    /// the code, the threads with their frames and registers, memory and
+    /// its objects, heap allocations, site counts, the path and the pool's
+    /// size, and the inputs, origins and clock.
+    pub fn mismatch(&self, other: &MachineState) -> Option<&'static str> {
+        if let Some(part) = self.mem.mismatch(&other.mem) {
+            return Some(part);
+        }
+        [
+            ("cursor", self.cursor == other.cursor),
+            ("code", Arc::ptr_eq(&self.code, &other.code)),
+            (
+                "threads",
+                self.threads == other.threads
+                    && self.cur == other.cur
+                    && self.next_tid == other.next_tid
+                    && self.lock_owner == other.lock_owner,
+            ),
+            ("heap_seq", self.heap_seq == other.heap_seq),
+            ("site counts", self.site_counts == other.site_counts),
+            ("path", self.path == other.path),
+            ("pool", self.pool.len() == other.pool.len()),
+            (
+                "inputs",
+                self.inputs.len() == other.inputs.len()
+                    && self.input_offsets == other.input_offsets
+                    && self.origins.len() == other.origins.len()
+                    && self.clock == other.clock,
+            ),
+        ]
+        .into_iter()
+        .find_map(|(part, same)| (!same).then_some(part))
+    }
+
     /// The event-cursor position this snapshot was taken at: resuming is
     /// valid against any trace whose first `cursor()` events equal those
     /// of the snapshot's own trace. Decoding drops scheduling noise, so
@@ -369,7 +518,7 @@ enum ThreadState {
     Done,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SymFrame {
     pc: Pc,
     regs: Vec<SymValue>,
@@ -388,7 +537,7 @@ impl SymFrame {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SymThread {
     tid: u64,
     frames: Vec<SymFrame>,
@@ -432,36 +581,7 @@ pub struct SymMachine<'p> {
 impl<'p> SymMachine<'p> {
     /// A machine ready to follow a trace of `program`.
     pub fn new(program: &'p Program, config: SymConfig) -> Self {
-        let code = program.code();
-        let mem = SymMemory::new(program);
-        let main = SymThread {
-            tid: 0,
-            frames: vec![SymFrame {
-                pc: code.entry(),
-                regs: vec![SymValue::Concrete(0); program.func(program.entry()).n_regs],
-                ret_dst: None,
-                stack_mark: mem.stack_watermark(0),
-            }],
-            state: ThreadState::Runnable,
-        };
-        let state = MachineState {
-            cursor: 0,
-            code: Arc::clone(code),
-            pool: ExprPool::new(),
-            path: Vec::new(),
-            mem,
-            threads: vec![main],
-            cur: 0,
-            lock_owner: HashMap::new(),
-            next_tid: 1,
-            inputs: Vec::new(),
-            input_offsets: HashMap::new(),
-            origins: Origins::default(),
-            site_counts: vec![0; code.ops().len()],
-            clock: 0,
-            heap_seq: 0,
-        };
-        Self::with_state(program, config, state)
+        Self::with_state(program, config, MachineState::cold(program))
     }
 
     /// A machine that picks up from `state`, skipping the events before
@@ -484,9 +604,12 @@ impl<'p> SymMachine<'p> {
         // The resume state itself is the run's first checkpoint: without it,
         // a resumed run that starts past the shared prefix would snapshot
         // nothing inside it, and the *next* occurrence would have to
-        // re-execute the whole prefix again.
-        let seed = machine.snapshot(machine.state.cursor);
-        machine.checkpoints.push(seed);
+        // re-execute the whole prefix again. A run that takes no
+        // checkpoints takes no seed either.
+        if config.checkpoint_every > 0 {
+            let seed = machine.snapshot(machine.state.cursor);
+            machine.checkpoints.push(seed);
+        }
         machine
     }
 
@@ -631,18 +754,31 @@ impl<'p> SymMachine<'p> {
         Ok(())
     }
 
+    /// Follows `events` from the state's cursor, and leaves the cursor
+    /// where the run stopped.
     fn run_loop(
         &mut self,
         events: &[TraceEvent],
         failure: Option<&Failure>,
     ) -> Result<Option<ExprRef>, Stop> {
         let mut cursor = self.state.cursor;
+        let stop = self.follow(events, failure, &mut cursor);
+        self.state.cursor = cursor;
+        stop
+    }
+
+    fn follow(
+        &mut self,
+        events: &[TraceEvent],
+        failure: Option<&Failure>,
+        cursor: &mut usize,
+    ) -> Result<Option<ExprRef>, Stop> {
         let failure_pc = failure.and_then(|f| self.code.pc_of(f.at));
         loop {
-            if cursor >= self.next_checkpoint_at {
-                self.take_checkpoint(cursor);
+            if *cursor >= self.next_checkpoint_at {
+                self.take_checkpoint(*cursor);
             }
-            if let Some(TraceEvent::Gap) = events.get(cursor) {
+            if let Some(TraceEvent::Gap) = events.get(*cursor) {
                 return Err(Stop::Diverge(TraceDivergence::TraceGap));
             }
 
@@ -658,7 +794,7 @@ impl<'p> SymMachine<'p> {
             }
 
             let pc = self.state.pc();
-            let events_left = cursor < events.len();
+            let events_left = *cursor < events.len();
 
             // End-of-trace handling: once events run out, keep executing
             // straight-line code until the failure site (or conclude for
@@ -685,10 +821,10 @@ impl<'p> SymMachine<'p> {
                 // While events remain, an event-free concrete stretch runs
                 // in one slice; the op it stops at takes the step path,
                 // after its own prelude.
-                if events_left && self.run_slice(events, &mut cursor) {
+                if events_left && self.run_slice(events, cursor) {
                     continue;
                 }
-                match self.step(events, &mut cursor, pc)? {
+                match self.step(events, cursor, pc)? {
                     StepFlow::Continue => continue,
                     StepFlow::SwitchDue => {}
                 }
@@ -696,10 +832,10 @@ impl<'p> SymMachine<'p> {
             // The current thread cannot run, or production switched threads
             // before it requested its next event: the trace must name the
             // successor.
-            match events.get(cursor) {
+            match events.get(*cursor) {
                 Some(TraceEvent::ThreadResume(tid)) => {
                     let tid = *tid;
-                    cursor += 1;
+                    *cursor += 1;
                     self.switch_to(tid)?;
                 }
                 Some(_) => {

@@ -17,6 +17,7 @@
 
 use crate::value::SymValue;
 use er_minilang::error::RuntimeFault;
+use er_minilang::interp::WarmStart;
 use er_minilang::ir::{BlockId, FuncId, Program};
 use er_minilang::mem::Memory;
 use er_minilang::value::Width;
@@ -83,8 +84,39 @@ impl SymMemory {
     /// Creates the address space for `program`, registering its globals as
     /// objects.
     pub fn new(program: &Program) -> Self {
+        Self::with_concrete(program, Memory::new(program))
+    }
+
+    /// The address space at `warm`'s pause, built without executing the
+    /// prefix: its memory as the concrete backing, the globals, and the
+    /// objects the prefix allocated, each named and sized as this
+    /// executor's own run of the prefix registers it. Heap objects keep
+    /// their freed ranges in the order freed.
+    pub fn from_warm(program: &Program, warm: &WarmStart) -> Self {
+        let mut m = Self::with_concrete(program, warm.memory().clone());
+        let allocs = warm.allocations();
+        for o in &allocs.stack {
+            let name = ObjectName::Stack {
+                func: o.func,
+                block: o.block,
+            };
+            m.register_object(o.base, o.size.max(1), name);
+        }
+        for o in &allocs.heap {
+            m.register_object(o.base, o.size.max(1), ObjectName::Heap(o.request));
+        }
+        for base in &allocs.freed {
+            let obj = &m.objects[base];
+            m.freed.push((obj.base, obj.size));
+        }
+        m
+    }
+
+    /// The address space for `program` over `concrete`, with its globals
+    /// registered as objects.
+    fn with_concrete(program: &Program, concrete: Memory) -> Self {
         let mut m = SymMemory {
-            concrete: Memory::new(program),
+            concrete,
             overlay: FxHashMap::default(),
             objects: BTreeMap::new(),
             freed: Vec::new(),
@@ -429,6 +461,27 @@ impl SymMemory {
     /// Direct access to the concrete backing store (read-only).
     pub fn concrete(&self) -> &Memory {
         &self.concrete
+    }
+
+    /// The first part in which `self` and `other` differ, if any: the
+    /// concrete bytes, the overlay, the objects, the freed ranges or the
+    /// promotions. Function names are the program's and not compared.
+    pub fn mismatch(&self, other: &SymMemory) -> Option<&'static str> {
+        let objects = |m: &SymMemory| {
+            m.objects
+                .values()
+                .map(|o| (o.base, o.size, o.name.clone(), o.array, o.symbolic_writes))
+                .collect::<Vec<_>>()
+        };
+        [
+            ("memory", self.concrete.dump() == other.concrete.dump()),
+            ("overlay", self.overlay == other.overlay),
+            ("objects", objects(self) == objects(other)),
+            ("freed ranges", self.freed == other.freed),
+            ("promotions", self.promoted == other.promoted),
+        ]
+        .into_iter()
+        .find_map(|(part, same)| (!same).then_some(part))
     }
 }
 
