@@ -244,9 +244,8 @@ fn bench_deep_table_hash(c: &mut Criterion) {
 
 /// The SAT solver's fixed costs at the size of one deep-solve engine:
 /// 2,200 variables and 6,400 random 3-clauses (satisfiable at that ratio)
-/// fed into a fresh solver, one search, and four clones, as checkpoints
-/// and the final-solve handoff take them. Feeding grows every literal's
-/// watch list and a clone copies them all.
+/// fed into a fresh solver, one search, and four clones. Feeding grows
+/// every literal's watch list and a clone copies them all.
 fn bench_sat_feed_clone(c: &mut Criterion) {
     const VARS: u32 = 2_200;
     let mut seed = 0x2545_f491_4f6c_dd1d_u64;

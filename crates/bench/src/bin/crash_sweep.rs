@@ -9,10 +9,7 @@
 //! [`Fleet::resume`], which replays the torn WAL, rebuilds the in-flight
 //! sessions, and re-enters the round loop. Asserts, per crash point:
 //!
-//! * the restart resumes from durable state — `durable.resumes` fires,
-//!   and `symex.checkpoint_resumes` fires for multi-occurrence
-//!   workloads (the session continues from its last symbex checkpoint,
-//!   not from occurrence zero);
+//! * the restart resumes from durable state — `durable.resumes` fires;
 //! * the resumed run converges **bit-identically** to the uncrashed
 //!   reference — no occurrence lost, none double-counted
 //!   (`durable.replay_divergence` stays zero);
@@ -121,7 +118,6 @@ struct CrashRow {
     reproduced: bool,
     bit_identical: bool,
     resumes: u64,
-    checkpoint_resumes: u64,
     replay_divergence: u64,
     escalations: u64,
     panicked: bool,
@@ -135,7 +131,7 @@ fn sweep_dir() -> PathBuf {
 }
 
 fn main() {
-    // Counter deltas (durable.resumes, symex.checkpoint_resumes, …) are
+    // Counter deltas (durable.resumes, watchdog.escalations, …) are
     // this sweep's resume evidence: collect at least counters, keeping a
     // `full` journal if ER_TELEMETRY asked for one.
     if er_telemetry::mode() == er_telemetry::Mode::Off {
@@ -159,21 +155,13 @@ fn main() {
         // match, and the WAL whose length bounds the crash positions.
         er_telemetry::set_context(&format!("{}/crash-reference", w.name));
         let ref_path = dir.join(format!("{}-reference.wal", w.name));
-        let before = er_telemetry::global_snapshot();
         let reference_report = fleet_with(w, Some(ref_path.clone()), None).run();
-        let ref_delta = er_telemetry::global_snapshot().delta(&before);
         er_telemetry::set_context("");
         if !reference_report.all_reproduced() {
             failures.push(format!("{}: uncrashed durable run must reproduce", w.name));
             continue;
         }
         let reference = answer(&reference_report);
-        // Whether this workload's sessions ever continue from a symbex
-        // checkpoint is an empirical property of the uncrashed run (a
-        // re-instrumentation can legitimately invalidate every saved
-        // checkpoint); demand it after a crash only where the clean run
-        // exhibits it.
-        let expects_checkpoint_resume = ref_delta.get("symex.checkpoint_resumes") > 0;
         let (_wal, events, info) = Wal::open(&ref_path).expect("reference WAL opens");
         assert_eq!(info.torn_bytes, 0, "{}: clean run tore its WAL", w.name);
         let wal_appends = events.len() as u64;
@@ -242,7 +230,6 @@ fn main() {
                 reproduced,
                 bit_identical,
                 resumes: delta.get("durable.resumes"),
-                checkpoint_resumes: delta.get("symex.checkpoint_resumes"),
                 replay_divergence: delta.get("durable.replay_divergence"),
                 escalations: 0,
                 panicked,
@@ -259,11 +246,6 @@ fn main() {
             }
             if row.resumes == 0 {
                 failures.push(format!("{leg}: durable.resumes did not fire"));
-            }
-            if expects_checkpoint_resume && row.checkpoint_resumes == 0 {
-                failures.push(format!(
-                    "{leg}: restart must resume from a symbex checkpoint, not occurrence zero"
-                ));
             }
             if row.replay_divergence != 0 {
                 failures.push(format!(
@@ -309,7 +291,6 @@ fn main() {
             reproduced,
             bit_identical,
             resumes: 0,
-            checkpoint_resumes: delta.get("symex.checkpoint_resumes"),
             replay_divergence: 0,
             escalations: delta.get("watchdog.escalations"),
             panicked,
@@ -357,7 +338,6 @@ fn main() {
                 },
                 if r.bit_identical { "yes" } else { "—" }.to_string(),
                 r.resumes.to_string(),
-                r.checkpoint_resumes.to_string(),
                 r.escalations.to_string(),
                 fmt_duration(Duration::from_secs_f64(r.wall_ms / 1e3)),
             ]
@@ -372,7 +352,6 @@ fn main() {
             "Repro",
             "Bit-ident",
             "Resumes",
-            "Ckpt-res",
             "Escal",
             "Wall",
         ],

@@ -22,7 +22,6 @@ use std::time::Duration;
 const PHASES: &[(&str, &str)] = &[
     ("fetch", "fleet.fetch"),
     ("decode", "shepherd.decode"),
-    ("align", "reconstruct.align"),
     ("symbex", "shepherd.symbex"),
     ("solve", "shepherd.solve"),
     ("select", "phase.select"),
@@ -70,9 +69,6 @@ const SYMEX_WARM_STEPS: &str = "symex.warm_steps";
 /// Traces that did not start with their binary's warm prefix events, and
 /// were shepherded from the entry instead.
 const SYMEX_WARM_FALLBACKS: &str = "symex.warm_fallbacks";
-
-/// Shepherded runs resumed from a checkpoint of the previous occurrence.
-const CHECKPOINT_RESUMES: &str = "symex.checkpoint_resumes";
 
 /// Solver counters summarized per workload, with their column labels:
 /// query volume, stalls, prefix-cache reuse, clauses assumption probes
@@ -226,7 +222,6 @@ fn main() {
                         SYMEX_WARM_STARTS,
                         SYMEX_WARM_STEPS,
                         SYMEX_WARM_FALLBACKS,
-                        CHECKPOINT_RESUMES,
                     ]
                     .contains(&cname.as_str())
                 {
@@ -258,7 +253,6 @@ fn main() {
             "Iters",
             "Fetch",
             "Decode",
-            "Align",
             "Symbex",
             "Solve",
             "Select",
@@ -315,7 +309,6 @@ fn main() {
                 ns_per(symex_self, effort("symex.steps")),
                 share(effort(WORD_OPS), effort("symex.steps")),
                 effort(SYMEX_WARM_STARTS).to_string(),
-                effort(CHECKPOINT_RESUMES).to_string(),
                 effort(SYMEX_WARM_FALLBACKS).to_string(),
                 share(
                     effort(SYMEX_WARM_STEPS),
@@ -337,7 +330,6 @@ fn main() {
             "ns/Step",
             "Word-Loop Share",
             "Symex Warm Starts",
-            "Resumes",
             "Warm Fallbacks",
             "Symex Prefix Share",
         ],

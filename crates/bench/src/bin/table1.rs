@@ -5,7 +5,7 @@
 //!
 //! Usage: `table1 [--test] [--serial] [--baseline]` — `--test` runs the
 //! small-scale workloads, `--serial` disables the worker pool, and
-//! `--baseline` disables the incremental solver and checkpoint resume.
+//! `--baseline` disables the incremental solver, and only that.
 
 use er_bench::harness::{fmt_duration, print_table, write_json};
 use er_bench::rows::{table1_rows, RowOptions};

@@ -23,8 +23,9 @@ pub struct RowOptions {
     pub scale: Scale,
     /// Run workloads one at a time on the calling thread.
     pub serial: bool,
-    /// Disable the incremental solver and checkpointing — the uncached
-    /// baseline the optimized path is compared against.
+    /// Disable the incremental solver (a fresh solver per query): the
+    /// uncached baseline the optimized path is compared against. Nothing
+    /// else changes.
     pub baseline: bool,
 }
 
@@ -64,11 +65,11 @@ impl Table1Row {
     }
 }
 
-/// Applies the baseline switch to a workload's ER configuration.
+/// Applies the baseline switch to a workload's ER configuration: it
+/// switches off the incremental solver only.
 pub fn apply_mode(mut config: ErConfig, baseline: bool) -> ErConfig {
     if baseline {
         config.sym.incremental_solver = false;
-        config.sym.checkpoint_every = 0;
     }
     config
 }

@@ -4,9 +4,9 @@
 //!
 //! 1. The parallel worker pool produces byte-identical rows to `--serial`
 //!    (wall-clock fields excluded — they are the only nondeterminism).
-//! 2. The incremental solver + checkpoint resume produce the same
-//!    reproduction results (occurrences, reproduced flags, recorded
-//!    bytes, trace bytes) as the sequential uncached baseline.
+//! 2. The incremental solver produces the same reproduction results
+//!    (occurrences, reproduced flags, recorded bytes, trace bytes) as the
+//!    sequential uncached baseline.
 
 use er_bench::rows::{table1_rows, RowOptions, Table1Row};
 use er_workloads::Scale;

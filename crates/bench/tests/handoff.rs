@@ -4,16 +4,17 @@
 //! must replay the failure, and an injected solver stall must still surface
 //! from it.
 //!
-//! Covers the thirteen Table-1 workloads at test scale, the resumed next
-//! occurrence of each that takes several (its run starts a fresh engine
-//! from a checkpoint, so its final solve lowers the inherited path), plus
-//! a few programs written here in the shape of the solver-bound benchmark
-//! workload: a multiply-xorshift hash pinned to 16 bits behind three
-//! 32-entry symbolic tables.
+//! Covers the thirteen Table-1 workloads at test scale, each occurrence
+//! shepherded as a session shepherds it: from its binary's symbolic warm
+//! start when the trace starts with the warm prefix's events. It also
+//! covers a few programs written here in the shape of the solver-bound
+//! benchmark workload: a multiply-xorshift hash pinned to 16 bits behind
+//! three 32-entry symbolic tables, which read input first and so start
+//! from the entry.
 
 use er_core::deploy::{Deployment, FailureOccurrence};
 use er_core::instrument::InstrumentedProgram;
-use er_core::reconstruct::{resume_point, ErConfig, Reconstructor};
+use er_core::reconstruct::{ErConfig, Reconstructor};
 use er_core::shepherd::{self, SolveFailure};
 use er_core::testcase::{TestCase, VerifyResult};
 use er_minilang::env::Env;
@@ -33,18 +34,22 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A completed run whose handed-off final solve agreed with a fresh one.
-struct Agreed {
-    /// Clauses the final solve took over from the run's engine.
-    reused: usize,
-    /// The run's checkpoints, for resuming the next occurrence.
-    checkpoints: Vec<MachineState>,
+/// The state a session shepherds `events` of `inst` from: the binary's
+/// symbolic warm start if the trace starts with the warm prefix's events
+/// and goes on past them, else `None`, the entry.
+fn start_state(inst: &InstrumentedProgram, events: &[TraceEvent]) -> Option<MachineState> {
+    let warm = inst.symbolic_warm_start()?;
+    let start = inst
+        .warm_start()
+        .expect("a symbolic warm start has a warm start");
+    (events.len() > start.events() && start.prefix_matches(events)).then(|| warm.clone())
 }
 
-/// Shepherds `events` of `occ` (produced by `inst`), resumed from `from`
-/// if given, and checks the handed-off final solve against a fresh solve
-/// of `path + failure constraint`. `None` without checking if shepherding
-/// did not complete.
+/// Shepherds `events` of `occ` (produced by `inst`), from `from` if
+/// given, and checks the handed-off final solve against a fresh solve of
+/// `path + failure constraint`. Returns the clauses the final solve took
+/// over from the run's engine; `None` without checking if shepherding did
+/// not complete.
 fn handoff_agrees(
     name: &str,
     program: &Program,
@@ -53,13 +58,12 @@ fn handoff_agrees(
     events: &[TraceEvent],
     from: Option<MachineState>,
     config: &ErConfig,
-) -> Option<Agreed> {
+) -> Option<usize> {
     let mut run =
         shepherd::shepherd_events(&inst.program, events, Some(&occ.failure), config.sym, from).run;
     if run.status != ShepherdStatus::Completed {
         return None;
     }
-    let checkpoints = std::mem::take(&mut run.checkpoints);
     let assertions: Vec<_> = run
         .path
         .iter()
@@ -91,10 +95,7 @@ fn handoff_agrees(
         | (SatResult::Unknown(_), Err(SolveFailure::Stall(_))) => {}
         (fresh, handed) => panic!("{name}: fresh solve {fresh:?} but handed-off {handed:?}"),
     }
-    Some(Agreed {
-        reused,
-        checkpoints,
-    })
+    Some(reused)
 }
 
 #[test]
@@ -114,17 +115,8 @@ fn table1_final_solves_match_a_fresh_solver() {
             .collect();
         let program = deployment.program();
         let inst = InstrumentedProgram::new(program, &sites);
-        // A workload that took several occurrences also checks a later
-        // occurrence resumed from the first completed run's checkpoints
-        // (a trace shorter than the checkpoint spacing leaves none).
-        let want_resumed = report.occurrences > 1;
         let mut start = 0;
-        let mut prev: Option<(Vec<TraceEvent>, Vec<MachineState>)> = None;
-        let mut resumed = false;
-        let done = |prev: &Option<(_, Vec<MachineState>)>, resumed: bool| {
-            prev.as_ref()
-                .is_some_and(|(_, checkpoints)| resumed || !want_resumed || checkpoints.is_empty())
-        };
+        let mut completed = false;
         for _ in 0..8 {
             let occ = deployment
                 .run_until_failure(
@@ -136,28 +128,17 @@ fn table1_final_solves_match_a_fresh_solver() {
                 .unwrap_or_else(|| panic!("{}: failure does not reoccur", w.name));
             start = occ.run_index + 1;
             let events = occ.trace.decode().expect("trace decodes").events;
-            let from = prev.as_ref().and_then(|(old, checkpoints)| {
-                resume_point(old, checkpoints.clone(), &events, &inst.program)
-            });
-            let from_checkpoint = from.is_some();
-            if let Some(agreed) =
-                handoff_agrees(w.name, program, &inst, &occ, &events, from, &config)
-            {
-                resumed |= from_checkpoint;
-                prev.get_or_insert((events, agreed.checkpoints));
-            }
-            if done(&prev, resumed) {
+            let from = start_state(&inst, &events);
+            assert!(from.is_some(), "{}: the trace starts warm", w.name);
+            completed =
+                handoff_agrees(w.name, program, &inst, &occ, &events, from, &config).is_some();
+            if completed {
                 break;
             }
         }
         assert!(
-            prev.is_some(),
+            completed,
             "{}: no occurrence shepherded to completion",
-            w.name
-        );
-        assert!(
-            done(&prev, resumed),
-            "{}: no later occurrence resumed and completed",
             w.name
         );
     }
@@ -241,9 +222,10 @@ fn deep_solve_shaped_final_solves_match_a_fresh_solver() {
             .run_until_failure(&inst, None, 0, 16)
             .expect("every fourth run crashes");
         let events = occ.trace.decode().expect("trace decodes").events;
-        let reused = handoff_agrees(&name, program, &inst, &occ, &events, None, &config)
-            .unwrap_or_else(|| panic!("{name}: shepherding did not complete"))
-            .reused;
+        let from = start_state(&inst, &events);
+        assert!(from.is_none(), "{name}: the program reads input first");
+        let reused = handoff_agrees(&name, program, &inst, &occ, &events, from, &config)
+            .unwrap_or_else(|| panic!("{name}: shepherding did not complete"));
         assert!(
             reused > 0,
             "{name}: the final solve reuses the run's engine"

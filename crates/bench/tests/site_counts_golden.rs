@@ -6,12 +6,14 @@
 //! two ops it ran in one dispatch, changes what selection picks without
 //! moving that sum. This test pins, for the first recorded failure trace
 //! of every Table-1 workload at test scale, the run's status, its step
-//! count, its checkpoint cursors and a digest over every
-//! `(site, count)` pair of [`SiteCounts::iter`]. It does so twice: on the
-//! plain build, and on the build that records every value-defining site
-//! (whose recording slots break up every fused pair and end every
-//! concrete stretch after one op). Each checkpoint is also resumed on the
-//! same trace, and the resumed run's steps and digest are pinned.
+//! count and a digest over every `(site, count)` pair of
+//! [`SiteCounts::iter`]. It does so twice: on the plain build, and on the
+//! build that records every value-defining site (whose recording slots
+//! break up every fused pair and end every concrete stretch after one
+//! op). Each build's run from its symbolic warm start, where it has one,
+//! follows the same trace mid-way; its steps are pinned, and its digest
+//! must equal the run from the entry's, since the warm state bills the
+//! prefix's counts exactly.
 //!
 //! To re-record after an *intended* behavior change, empty [`GOLDEN`] and
 //! copy the rows the failing assertion prints.
@@ -65,8 +67,20 @@ fn status(run: &SymRunResult) -> String {
     }
 }
 
-/// The rows of the first failure trace of `inst`: the full run, then one
-/// row per checkpoint, resumed on the same events.
+/// One golden row: `from` is empty for the run from the entry.
+fn row(w: &Workload, build: &str, from: &str, run: &SymRunResult) -> String {
+    format!(
+        "{} {build} {from}{} steps={} sites={}",
+        w.name,
+        status(run),
+        run.stats.steps,
+        counts_digest(&run.site_counts)
+    )
+}
+
+/// The rows of the first failure trace of `inst`: the run from the entry,
+/// then, if the binary has a symbolic warm start and the trace starts
+/// with its prefix's events, the run from there on the same events.
 fn rows_of(w: &Workload, build: &str, inst: &InstrumentedProgram) -> Vec<String> {
     let d = w.deployment(Scale::TEST);
     let config = w.er_config();
@@ -74,32 +88,26 @@ fn rows_of(w: &Workload, build: &str, inst: &InstrumentedProgram) -> Vec<String>
         .run_until_failure(inst, None, 0, config.max_runs_per_occurrence)
         .expect("workload fails in production");
     let events = occ.trace.decode().expect("trace decodes").events;
-    let run = SymMachine::new(&inst.program, config.sym).run(&events, Some(&occ.failure));
-    let cursors: Vec<String> = run
-        .checkpoints
-        .iter()
-        .map(|c| c.cursor().to_string())
-        .collect();
-    let mut rows = vec![format!(
-        "{} {build} {} steps={} sites={} checkpoints=[{}]",
-        w.name,
-        status(&run),
-        run.stats.steps,
-        counts_digest(&run.site_counts),
-        cursors.join(",")
-    )];
-    for cp in &run.checkpoints {
-        let cursor = cp.cursor();
-        let resumed = SymMachine::resume(&inst.program, config.sym, cp.clone())
-            .run(&events, Some(&occ.failure));
-        rows.push(format!(
-            "{} {build} @{cursor} {} steps={} sites={}",
-            w.name,
-            status(&resumed),
-            resumed.stats.steps,
-            counts_digest(&resumed.site_counts)
-        ));
+    let cold = SymMachine::new(&inst.program, config.sym).run(&events, Some(&occ.failure));
+    let mut rows = vec![row(w, build, "", &cold)];
+    let Some(state) = inst.symbolic_warm_start() else {
+        return rows;
+    };
+    let start = inst
+        .warm_start()
+        .expect("a symbolic warm start has a warm start");
+    if events.len() <= start.events() || !start.prefix_matches(&events) {
+        return rows;
     }
+    let warm = SymMachine::resume(&inst.program, config.sym, state.clone())
+        .run(&events, Some(&occ.failure));
+    assert_eq!(
+        counts_digest(&warm.site_counts),
+        counts_digest(&cold.site_counts),
+        "{} {build}: the warm run bills the cold run's site counts",
+        w.name
+    );
+    rows.push(row(w, build, &format!("warm@{} ", state.cursor()), &warm));
     rows
 }
 
@@ -133,148 +141,56 @@ fn per_site_counts_match_golden() {
 }
 
 const GOLDEN: &[&str] = &[
-    "PHP-2012-2386 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=121276 sites=235:e9ab6e4b96ac83fb checkpoints=[1024,3072,5120,7168,9216]",
-    "PHP-2012-2386 plain @1024 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=110038 sites=235:e9ab6e4b96ac83fb",
-    "PHP-2012-2386 plain @3072 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=87510 sites=235:e9ab6e4b96ac83fb",
-    "PHP-2012-2386 plain @5120 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=64982 sites=235:e9ab6e4b96ac83fb",
-    "PHP-2012-2386 plain @7168 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=42454 sites=235:e9ab6e4b96ac83fb",
-    "PHP-2012-2386 plain @9216 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=19926 sites=235:e9ab6e4b96ac83fb",
-    "PHP-2012-2386 recording completed steps=223628 sites=298:f5b5d1f9c72b6c34 checkpoints=[1024,17408,33792,50176,66560,82944,99328]",
-    "PHP-2012-2386 recording @1024 completed steps=221582 sites=298:f5b5d1f9c72b6c34",
-    "PHP-2012-2386 recording @17408 completed steps=188814 sites=298:f5b5d1f9c72b6c34",
-    "PHP-2012-2386 recording @33792 completed steps=156046 sites=298:f5b5d1f9c72b6c34",
-    "PHP-2012-2386 recording @50176 completed steps=123278 sites=298:f5b5d1f9c72b6c34",
-    "PHP-2012-2386 recording @66560 completed steps=90510 sites=298:f5b5d1f9c72b6c34",
-    "PHP-2012-2386 recording @82944 completed steps=57742 sites=298:f5b5d1f9c72b6c34",
-    "PHP-2012-2386 recording @99328 completed steps=24974 sites=298:f5b5d1f9c72b6c34",
-    "PHP-74194 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=132276 sites=235:95ce5d246a785ddf checkpoints=[1024,3072,5120,7168,9216,11264]",
-    "PHP-74194 plain @1024 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=121038 sites=235:95ce5d246a785ddf",
-    "PHP-74194 plain @3072 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=98510 sites=235:95ce5d246a785ddf",
-    "PHP-74194 plain @5120 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=75982 sites=235:95ce5d246a785ddf",
-    "PHP-74194 plain @7168 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=53454 sites=235:95ce5d246a785ddf",
-    "PHP-74194 plain @9216 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=30926 sites=235:95ce5d246a785ddf",
-    "PHP-74194 plain @11264 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=8398 sites=235:95ce5d246a785ddf",
-    "PHP-74194 recording completed steps=241628 sites=350:6bc13548e11691e8 checkpoints=[1024,17408,33792,50176,66560,82944,99328,115712]",
-    "PHP-74194 recording @1024 completed steps=239582 sites=350:6bc13548e11691e8",
-    "PHP-74194 recording @17408 completed steps=206814 sites=350:6bc13548e11691e8",
-    "PHP-74194 recording @33792 completed steps=174046 sites=350:6bc13548e11691e8",
-    "PHP-74194 recording @50176 completed steps=141278 sites=350:6bc13548e11691e8",
-    "PHP-74194 recording @66560 completed steps=108510 sites=350:6bc13548e11691e8",
-    "PHP-74194 recording @82944 completed steps=75742 sites=350:6bc13548e11691e8",
-    "PHP-74194 recording @99328 completed steps=42974 sites=350:6bc13548e11691e8",
-    "PHP-74194 recording @115712 completed steps=10206 sites=350:6bc13548e11691e8",
-    "SQLite-7be932d plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=32177 sites=236:4df804717c0a6756 checkpoints=[1024,2048]",
-    "SQLite-7be932d plain @1024 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=20938 sites=236:4df804717c0a6756",
-    "SQLite-7be932d plain @2048 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=9674 sites=236:4df804717c0a6756",
-    "SQLite-7be932d recording completed steps=58537 sites=250:f789f8f1e2f6d973 checkpoints=[1024,5120,9216,13312,17408,21504,25600]",
-    "SQLite-7be932d recording @1024 completed steps=56491 sites=250:f789f8f1e2f6d973",
-    "SQLite-7be932d recording @5120 completed steps=48299 sites=250:f789f8f1e2f6d973",
-    "SQLite-7be932d recording @9216 completed steps=40106 sites=250:f789f8f1e2f6d973",
-    "SQLite-7be932d recording @13312 completed steps=31915 sites=250:f789f8f1e2f6d973",
-    "SQLite-7be932d recording @17408 completed steps=23723 sites=250:f789f8f1e2f6d973",
-    "SQLite-7be932d recording @21504 completed steps=15531 sites=250:f789f8f1e2f6d973",
-    "SQLite-7be932d recording @25600 completed steps=7339 sites=250:f789f8f1e2f6d973",
-    "SQLite-787fa71 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=25576 sites=235:59519b300a4fb561 checkpoints=[1024,2048]",
-    "SQLite-787fa71 plain @1024 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=14338 sites=235:59519b300a4fb561",
-    "SQLite-787fa71 plain @2048 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=3074 sites=235:59519b300a4fb561",
-    "SQLite-787fa71 recording completed steps=46574 sites=267:c043eaf134e27eec checkpoints=[1024,5120,9216,13312,17408,21504]",
-    "SQLite-787fa71 recording @1024 completed steps=44528 sites=267:c043eaf134e27eec",
-    "SQLite-787fa71 recording @5120 completed steps=36336 sites=267:c043eaf134e27eec",
-    "SQLite-787fa71 recording @9216 completed steps=28144 sites=267:c043eaf134e27eec",
-    "SQLite-787fa71 recording @13312 completed steps=19952 sites=267:c043eaf134e27eec",
-    "SQLite-787fa71 recording @17408 completed steps=11760 sites=267:c043eaf134e27eec",
-    "SQLite-787fa71 recording @21504 completed steps=3568 sites=267:c043eaf134e27eec",
-    "SQLite-4e8e485 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=27777 sites=236:6b14f16d9fc758b8 checkpoints=[1024,2048]",
-    "SQLite-4e8e485 plain @1024 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=16538 sites=236:6b14f16d9fc758b8",
-    "SQLite-4e8e485 plain @2048 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=5274 sites=236:6b14f16d9fc758b8",
-    "SQLite-4e8e485 recording completed steps=50640 sites=253:4a25b1285e9555b1 checkpoints=[1024,5120,9216,13312,17408,21504]",
-    "SQLite-4e8e485 recording @1024 completed steps=48594 sites=253:4a25b1285e9555b1",
-    "SQLite-4e8e485 recording @5120 completed steps=40402 sites=253:4a25b1285e9555b1",
-    "SQLite-4e8e485 recording @9216 completed steps=32209 sites=253:4a25b1285e9555b1",
-    "SQLite-4e8e485 recording @13312 completed steps=24018 sites=253:4a25b1285e9555b1",
-    "SQLite-4e8e485 recording @17408 completed steps=15826 sites=253:4a25b1285e9555b1",
-    "SQLite-4e8e485 recording @21504 completed steps=7634 sites=253:4a25b1285e9555b1",
-    "Nasm-2004-1287 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=34150 sites=47:76902bbdabb68103 checkpoints=[1024,2048,3072]",
-    "Nasm-2004-1287 plain @1024 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=22910 sites=47:76902bbdabb68103",
-    "Nasm-2004-1287 plain @2048 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=11646 sites=47:76902bbdabb68103",
-    "Nasm-2004-1287 plain @3072 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=382 sites=47:76902bbdabb68103",
-    "Nasm-2004-1287 recording completed steps=62650 sites=63:3bb7e9eabb8927c8 checkpoints=[1024,5120,9216,13312,17408,21504,25600,29696]",
-    "Nasm-2004-1287 recording @1024 completed steps=60604 sites=63:3bb7e9eabb8927c8",
-    "Nasm-2004-1287 recording @5120 completed steps=52412 sites=63:3bb7e9eabb8927c8",
-    "Nasm-2004-1287 recording @9216 completed steps=44220 sites=63:3bb7e9eabb8927c8",
-    "Nasm-2004-1287 recording @13312 completed steps=36028 sites=63:3bb7e9eabb8927c8",
-    "Nasm-2004-1287 recording @17408 completed steps=27836 sites=63:3bb7e9eabb8927c8",
-    "Nasm-2004-1287 recording @21504 completed steps=19644 sites=63:3bb7e9eabb8927c8",
-    "Nasm-2004-1287 recording @25600 completed steps=11452 sites=63:3bb7e9eabb8927c8",
-    "Nasm-2004-1287 recording @29696 completed steps=3260 sites=63:3bb7e9eabb8927c8",
-    "Objdump-2018-6323 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=7648 sites=237:bd0cd09b6aa00632 checkpoints=[]",
-    "Objdump-2018-6323 recording completed steps=14829 sites=257:92903caa3f657339 checkpoints=[1024,2048,3072,4096,5120,6144,7168]",
-    "Objdump-2018-6323 recording @1024 completed steps=12783 sites=257:92903caa3f657339",
-    "Objdump-2018-6323 recording @2048 completed steps=10735 sites=257:92903caa3f657339",
-    "Objdump-2018-6323 recording @3072 completed steps=8687 sites=257:92903caa3f657339",
-    "Objdump-2018-6323 recording @4096 completed steps=6639 sites=257:92903caa3f657339",
-    "Objdump-2018-6323 recording @5120 completed steps=4591 sites=257:92903caa3f657339",
-    "Objdump-2018-6323 recording @6144 completed steps=2543 sites=257:92903caa3f657339",
-    "Objdump-2018-6323 recording @7168 completed steps=410 sites=257:92903caa3f657339",
-    "Matrixssl-2014-1569 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=50878 sites=237:23a5cb13270e96d9 checkpoints=[1024,2048,3072,4096]",
-    "Matrixssl-2014-1569 plain @1024 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=39638 sites=237:23a5cb13270e96d9",
-    "Matrixssl-2014-1569 plain @2048 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=28374 sites=237:23a5cb13270e96d9",
-    "Matrixssl-2014-1569 plain @3072 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=17110 sites=237:23a5cb13270e96d9",
-    "Matrixssl-2014-1569 plain @4096 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=5846 sites=237:23a5cb13270e96d9",
-    "Matrixssl-2014-1569 recording completed steps=185084 sites=296:a1a18e4c1c206912 checkpoints=[1024,17408,33792,50176,66560,82944]",
-    "Matrixssl-2014-1569 recording @1024 completed steps=183038 sites=296:a1a18e4c1c206912",
-    "Matrixssl-2014-1569 recording @17408 completed steps=150270 sites=296:a1a18e4c1c206912",
-    "Matrixssl-2014-1569 recording @33792 completed steps=117502 sites=296:a1a18e4c1c206912",
-    "Matrixssl-2014-1569 recording @50176 completed steps=84654 sites=296:a1a18e4c1c206912",
-    "Matrixssl-2014-1569 recording @66560 completed steps=51887 sites=296:a1a18e4c1c206912",
-    "Matrixssl-2014-1569 recording @82944 completed steps=19119 sites=296:a1a18e4c1c206912",
-    "Memcached-2019-11596 plain stalled:ArrayCells { cells: 4096 }@f2.b7.3 steps=45332 sites=215:e2ccb20308ba3ea2 checkpoints=[1024,2048,3072,4096]",
-    "Memcached-2019-11596 plain @1024 stalled:ArrayCells { cells: 4096 }@f2.b7.3 steps=34094 sites=215:e2ccb20308ba3ea2",
-    "Memcached-2019-11596 plain @2048 stalled:ArrayCells { cells: 4096 }@f2.b7.3 steps=22830 sites=215:e2ccb20308ba3ea2",
-    "Memcached-2019-11596 plain @3072 stalled:ArrayCells { cells: 4096 }@f2.b7.3 steps=11566 sites=215:e2ccb20308ba3ea2",
-    "Memcached-2019-11596 plain @4096 stalled:ArrayCells { cells: 4096 }@f2.b7.3 steps=1303 sites=215:e2ccb20308ba3ea2",
-    "Memcached-2019-11596 recording completed steps=82616 sites=216:c72cef7daf516688 checkpoints=[1024,9216,17408,25600,33792]",
-    "Memcached-2019-11596 recording @1024 completed steps=80570 sites=216:c72cef7daf516688",
-    "Memcached-2019-11596 recording @9216 completed steps=64186 sites=216:c72cef7daf516688",
-    "Memcached-2019-11596 recording @17408 completed steps=47802 sites=216:c72cef7daf516688",
-    "Memcached-2019-11596 recording @25600 completed steps=31418 sites=216:c72cef7daf516688",
-    "Memcached-2019-11596 recording @33792 completed steps=15034 sites=216:c72cef7daf516688",
-    "Libpng-2004-0597 plain completed steps=2319 sites=29:0fd0cb7b55819e41 checkpoints=[]",
-    "Libpng-2004-0597 recording completed steps=4086 sites=29:0fd0cb7b55819e41 checkpoints=[1024]",
-    "Libpng-2004-0597 recording @1024 completed steps=2040 sites=29:0fd0cb7b55819e41",
-    "Bash-108885 plain completed steps=19836 sites=30:27d38c1e33265486 checkpoints=[1024]",
-    "Bash-108885 plain @1024 completed steps=8598 sites=30:27d38c1e33265486",
-    "Bash-108885 recording completed steps=36058 sites=30:27d38c1e33265486 checkpoints=[1024,5120,9216,13312,17408]",
-    "Bash-108885 recording @1024 completed steps=34012 sites=30:27d38c1e33265486",
-    "Bash-108885 recording @5120 completed steps=25820 sites=30:27d38c1e33265486",
-    "Bash-108885 recording @9216 completed steps=17628 sites=30:27d38c1e33265486",
-    "Bash-108885 recording @13312 completed steps=9436 sites=30:27d38c1e33265486",
-    "Bash-108885 recording @17408 completed steps=1244 sites=30:27d38c1e33265486",
-    "Python-2018-1000030 plain completed steps=829691 sites=213:9d98856a41874203 checkpoints=[1024,17408,33792,50176,66560]",
-    "Python-2018-1000030 plain @1024 completed steps=818453 sites=213:9d98856a41874203",
-    "Python-2018-1000030 plain @17408 completed steps=638229 sites=213:9d98856a41874203",
-    "Python-2018-1000030 plain @33792 completed steps=458005 sites=213:9d98856a41874203",
-    "Python-2018-1000030 plain @50176 completed steps=277781 sites=213:9d98856a41874203",
-    "Python-2018-1000030 plain @66560 completed steps=97557 sites=213:9d98856a41874203",
-    "Python-2018-1000030 recording completed steps=1507928 sites=213:613fefd24614b9d6 checkpoints=[1024,132096,263168,394240,525312,656384]",
-    "Python-2018-1000030 recording @1024 completed steps=1505882 sites=213:613fefd24614b9d6",
-    "Python-2018-1000030 recording @132096 completed steps=1243738 sites=213:613fefd24614b9d6",
-    "Python-2018-1000030 recording @263168 completed steps=981594 sites=213:613fefd24614b9d6",
-    "Python-2018-1000030 recording @394240 completed steps=719450 sites=213:613fefd24614b9d6",
-    "Python-2018-1000030 recording @525312 completed steps=457306 sites=213:613fefd24614b9d6",
-    "Python-2018-1000030 recording @656384 completed steps=195162 sites=213:613fefd24614b9d6",
-    "Pbzip2 plain stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=154234 sites=200:416e11e32b0287c5 checkpoints=[1024,3072,5120,7168,9216,11264,13312]",
-    "Pbzip2 plain @1024 stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=142996 sites=200:416e11e32b0287c5",
-    "Pbzip2 plain @3072 stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=120468 sites=200:416e11e32b0287c5",
-    "Pbzip2 plain @5120 stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=97940 sites=200:416e11e32b0287c5",
-    "Pbzip2 plain @7168 stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=75412 sites=200:416e11e32b0287c5",
-    "Pbzip2 plain @9216 stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=52884 sites=200:416e11e32b0287c5",
-    "Pbzip2 plain @11264 stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=30356 sites=200:416e11e32b0287c5",
-    "Pbzip2 plain @13312 stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=7828 sites=200:416e11e32b0287c5",
-    "Pbzip2 recording completed steps=296092 sites=219:d172163445b7c26c checkpoints=[1024,33792,66560,99328,132096]",
-    "Pbzip2 recording @1024 completed steps=294046 sites=219:d172163445b7c26c",
-    "Pbzip2 recording @33792 completed steps=228510 sites=219:d172163445b7c26c",
-    "Pbzip2 recording @66560 completed steps=162974 sites=219:d172163445b7c26c",
-    "Pbzip2 recording @99328 completed steps=97438 sites=219:d172163445b7c26c",
-    "Pbzip2 recording @132096 completed steps=31902 sites=219:d172163445b7c26c",
+    "PHP-2012-2386 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=121276 sites=235:e9ab6e4b96ac83fb",
+    "PHP-2012-2386 plain warm@11004 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=266 sites=235:e9ab6e4b96ac83fb",
+    "PHP-2012-2386 recording completed steps=223628 sites=298:f5b5d1f9c72b6c34",
+    "PHP-2012-2386 recording warm@1 completed steps=223626 sites=298:f5b5d1f9c72b6c34",
+    "PHP-74194 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=132276 sites=235:95ce5d246a785ddf",
+    "PHP-74194 plain warm@12004 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=266 sites=235:95ce5d246a785ddf",
+    "PHP-74194 recording completed steps=241628 sites=350:6bc13548e11691e8",
+    "PHP-74194 recording warm@1 completed steps=241626 sites=350:6bc13548e11691e8",
+    "SQLite-7be932d plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=32177 sites=236:4df804717c0a6756",
+    "SQLite-7be932d plain warm@2904 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=266 sites=236:4df804717c0a6756",
+    "SQLite-7be932d recording completed steps=58537 sites=250:f789f8f1e2f6d973",
+    "SQLite-7be932d recording warm@0 completed steps=58536 sites=250:f789f8f1e2f6d973",
+    "SQLite-787fa71 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=25576 sites=235:59519b300a4fb561",
+    "SQLite-787fa71 plain warm@2304 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=266 sites=235:59519b300a4fb561",
+    "SQLite-787fa71 recording completed steps=46574 sites=267:c043eaf134e27eec",
+    "SQLite-787fa71 recording warm@1 completed steps=46572 sites=267:c043eaf134e27eec",
+    "SQLite-4e8e485 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=27777 sites=236:6b14f16d9fc758b8",
+    "SQLite-4e8e485 plain warm@2504 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=266 sites=236:6b14f16d9fc758b8",
+    "SQLite-4e8e485 recording completed steps=50640 sites=253:4a25b1285e9555b1",
+    "SQLite-4e8e485 recording warm@0 completed steps=50639 sites=253:4a25b1285e9555b1",
+    "Nasm-2004-1287 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=34150 sites=47:76902bbdabb68103",
+    "Nasm-2004-1287 plain warm@3104 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=38 sites=47:76902bbdabb68103",
+    "Nasm-2004-1287 recording completed steps=62650 sites=63:3bb7e9eabb8927c8",
+    "Nasm-2004-1287 recording warm@0 completed steps=62649 sites=63:3bb7e9eabb8927c8",
+    "Objdump-2018-6323 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=7648 sites=237:bd0cd09b6aa00632",
+    "Objdump-2018-6323 plain warm@674 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=266 sites=237:bd0cd09b6aa00632",
+    "Objdump-2018-6323 recording completed steps=14829 sites=257:92903caa3f657339",
+    "Objdump-2018-6323 recording warm@0 completed steps=14828 sites=257:92903caa3f657339",
+    "Matrixssl-2014-1569 plain stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=50878 sites=237:23a5cb13270e96d9",
+    "Matrixssl-2014-1569 plain warm@4604 stalled:ArrayCells { cells: 4096 }@f1.b1.9 steps=266 sites=237:23a5cb13270e96d9",
+    "Matrixssl-2014-1569 recording completed steps=185084 sites=296:a1a18e4c1c206912",
+    "Matrixssl-2014-1569 recording warm@0 completed steps=185083 sites=296:a1a18e4c1c206912",
+    "Memcached-2019-11596 plain stalled:ArrayCells { cells: 4096 }@f2.b7.3 steps=45332 sites=215:e2ccb20308ba3ea2",
+    "Memcached-2019-11596 plain warm@3804 stalled:ArrayCells { cells: 4096 }@f2.b7.3 steps=3522 sites=215:e2ccb20308ba3ea2",
+    "Memcached-2019-11596 recording completed steps=82616 sites=216:c72cef7daf516688",
+    "Memcached-2019-11596 recording warm@1 completed steps=82614 sites=216:c72cef7daf516688",
+    "Libpng-2004-0597 plain completed steps=2319 sites=29:0fd0cb7b55819e41",
+    "Libpng-2004-0597 plain warm@154 completed steps=657 sites=29:0fd0cb7b55819e41",
+    "Libpng-2004-0597 recording completed steps=4086 sites=29:0fd0cb7b55819e41",
+    "Libpng-2004-0597 recording warm@0 completed steps=4085 sites=29:0fd0cb7b55819e41",
+    "Bash-108885 plain completed steps=19836 sites=30:27d38c1e33265486",
+    "Bash-108885 plain warm@1804 completed steps=26 sites=30:27d38c1e33265486",
+    "Bash-108885 recording completed steps=36058 sites=30:27d38c1e33265486",
+    "Bash-108885 recording warm@1 completed steps=36056 sites=30:27d38c1e33265486",
+    "Python-2018-1000030 plain completed steps=829691 sites=213:9d98856a41874203",
+    "Python-2018-1000030 plain warm@75004 completed steps=4681 sites=213:9d98856a41874203",
+    "Python-2018-1000030 recording completed steps=1507928 sites=213:613fefd24614b9d6",
+    "Python-2018-1000030 recording warm@1 completed steps=1507926 sites=213:613fefd24614b9d6",
+    "Pbzip2 plain stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=154234 sites=200:416e11e32b0287c5",
+    "Pbzip2 plain warm@14004 stalled:ArrayCells { cells: 3072 }@f1.b0.5 steps=224 sites=200:416e11e32b0287c5",
+    "Pbzip2 recording completed steps=296092 sites=219:d172163445b7c26c",
+    "Pbzip2 recording warm@1 completed steps=296090 sites=219:d172163445b7c26c",
 ];

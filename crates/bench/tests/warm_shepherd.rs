@@ -1,14 +1,12 @@
 //! Shepherded runs start from each binary's warm start, on every Table-1
 //! program.
 //!
-//! A session shepherds each occurrence from the later of two states: its
-//! binary's symbolic warm start (`InstrumentedProgram::symbolic_warm_start`),
-//! the shepherd's state at the production warm start's pause, or a
-//! checkpoint of the previous occurrence. For one serial reconstruction
-//! of each workload at test scale, every occurrence must start at or past
-//! the warm prefix's events of the binary it ran (Objdump's traces, shorter
-//! than one checkpoint spacing, included), no trace may fall back to the
-//! entry, and the verified test case must be `Reconstructor`'s.
+//! A session shepherds each occurrence from its binary's symbolic warm
+//! start (`InstrumentedProgram::symbolic_warm_start`), the shepherd's state
+//! at the production warm start's pause. For one serial reconstruction of
+//! each workload at test scale, every occurrence must start at or past the
+//! warm prefix's events of the binary it ran, no trace may fall back to
+//! the entry, and the verified test case must be `Reconstructor`'s.
 
 use er_core::reconstruct::{GiveUpReason, ReconstructionSession, Reconstructor, SessionStep};
 use er_workloads::Scale;
@@ -59,9 +57,9 @@ fn every_occurrence_starts_past_the_warm_prefix() {
         }
         assert_eq!(delta.get("symex.warm_fallbacks"), 0, "{}", w.name);
         assert_eq!(
-            delta.get("symex.warm_starts") + delta.get("symex.checkpoint_resumes"),
+            delta.get("symex.warm_starts"),
             u64::from(report.occurrences),
-            "{}: every occurrence starts warm or resumes",
+            "{}: every occurrence starts warm",
             w.name
         );
         let reference = Reconstructor::new(config).reconstruct(&d);

@@ -5,7 +5,7 @@
 //! left as it is: [`Program::recording`] lowers it into flat code with a
 //! `ptwrite` slot after each selected value-defining instruction, and that
 //! slot carries the instruction's own [`InstrId`]. Failures, trace sites,
-//! snapshots and selection therefore all speak the original program's
+//! machine states and selection therefore all speak the original program's
 //! coordinates, whichever recording set the binary was built with.
 
 use er_minilang::interp::WarmStart;

@@ -14,7 +14,7 @@ use crate::select::{self, RecordingSet, SelectionInput, SelectorKind};
 use crate::shepherd::{self, SolveFailure};
 use crate::testcase::{TestCase, VerifyResult};
 use er_minilang::error::Failure;
-use er_minilang::interp::{SchedConfig, WarmStart};
+use er_minilang::interp::SchedConfig;
 use er_minilang::ir::{InstrId, Program};
 use er_pt::TraceEvent;
 use er_solver::solve::Budget;
@@ -113,8 +113,7 @@ pub struct IterationStats {
     /// Instructions symbolically executed.
     pub symbex_steps: u64,
     /// The trace event the shepherd started at: 0 from the entry, else
-    /// the cursor of the binary's symbolic warm start or of a checkpoint
-    /// of the previous occurrence.
+    /// the cursor of the binary's symbolic warm start.
     pub start_cursor: usize,
     /// Solver work units expended.
     pub solver_work: u64,
@@ -156,49 +155,6 @@ impl ReconstructionReport {
     pub fn total_symbex(&self) -> Duration {
         self.iterations.iter().map(|it| it.symbex_wall).sum()
     }
-}
-
-/// Everything the driver retains from one shepherded occurrence so the
-/// next one can resume mid-trace instead of re-executing the shared
-/// prefix (the tentpole of the checkpoint/resume optimization): the
-/// machine snapshots taken along the way, and the decoded events up to
-/// the last snapshot's cursor (to find the common prefix with the new
-/// trace; [`resume_point`] reads no further).
-#[derive(Debug, Clone)]
-struct ResumeCache {
-    events: Vec<TraceEvent>,
-    checkpoints: Vec<MachineState>,
-}
-
-/// The latest of `checkpoints`, taken in ascending cursor order along the
-/// events `old`, that a run of `program` over the events `new` can resume
-/// from: its cursor lies inside the two traces' equal event prefix, and
-/// its pcs retarget at `program`'s code (a snapshot parked on a recording
-/// slot `program` lacks gives way to the next-older one).
-///
-/// Decoding drops scheduling noise (timestamps, resumes of the running
-/// thread), so the plain equal prefix is the shared one. The compare stops
-/// at the last cursor: no snapshot can use more of the prefix.
-pub fn resume_point(
-    old: &[TraceEvent],
-    checkpoints: Vec<MachineState>,
-    new: &[TraceEvent],
-    program: &Program,
-) -> Option<MachineState> {
-    let shared = {
-        let _s = er_telemetry::span!("reconstruct.align");
-        let last = checkpoints.last().map_or(0, MachineState::cursor);
-        old.iter()
-            .zip(new)
-            .take(last)
-            .take_while(|(a, b)| a == b)
-            .count()
-    };
-    checkpoints
-        .into_iter()
-        .rev()
-        .filter(|s| s.cursor() <= shared)
-        .find_map(|s| s.retarget(program))
 }
 
 /// Metadata of one failure occurrence, minus the trace itself. The fleet
@@ -256,12 +212,12 @@ pub enum SessionStep {
 ///
 /// This is the per-failure-group state the fleet scheduler parks between
 /// reoccurrences: the accumulated recording set and the binary that
-/// records it, the target failure, the iteration log, and the checkpoint
-/// cache, and the run cursor. [`consume`](Self::consume) runs exactly one
-/// iteration of the paper's loop on an occurrence produced by
-/// [`binary`](Self::binary); the serial driver
-/// ([`Reconstructor::reconstruct`]) is a thin wrapper that deploys that
-/// binary from [`next_run`](Self::next_run) and feeds its failures back.
+/// records it, the target failure, the iteration log, and the run cursor.
+/// [`consume`](Self::consume) runs exactly one iteration of the paper's
+/// loop on an occurrence produced by [`binary`](Self::binary); the serial
+/// driver ([`Reconstructor::reconstruct`]) is a thin wrapper that deploys
+/// that binary from [`next_run`](Self::next_run) and feeds its failures
+/// back.
 ///
 /// The session owns its binary: it starts as the unmodified program and is
 /// rebuilt, with a `ptwrite` after every recorded site, exactly when an
@@ -279,7 +235,6 @@ pub struct ReconstructionSession {
     binary: Arc<InstrumentedProgram>,
     target: Option<Failure>,
     iterations: Vec<IterationStats>,
-    prev: Option<ResumeCache>,
     occurrences: u32,
     next_run: u64,
 }
@@ -309,7 +264,6 @@ impl ReconstructionSession {
             sites: Vec::new(),
             target: None,
             iterations: Vec::new(),
-            prev: None,
             occurrences: 0,
             next_run: 0,
         }
@@ -397,17 +351,13 @@ impl ReconstructionSession {
     /// fleet ingestion path stores packets compressed and decodes them
     /// with [`er_pt::compress::decompress_events`], which reproduces
     /// [`er_pt::PtTrace::decode`] bit-for-bit.
-    pub fn consume_events(
-        &mut self,
-        info: OccurrenceInfo,
-        mut events: Vec<TraceEvent>,
-    ) -> SessionStep {
+    pub fn consume_events(&mut self, info: OccurrenceInfo, events: Vec<TraceEvent>) -> SessionStep {
         self.occurrences += 1;
         self.next_run = info.run_index + 1;
         let occurrence = self.occurrences;
         self.target.get_or_insert(info.failure.clone());
 
-        let (from, warm_events) = self.start_state(&events);
+        let from = self.start_state(&events);
         let start_cursor = from.as_ref().map_or(0, MachineState::cursor);
         er_solver::cancel::begin_phase(er_solver::cancel::Phase::Shepherd);
         let report = shepherd::shepherd_events(
@@ -418,26 +368,14 @@ impl ReconstructionSession {
             from,
         );
         let mut run = report.run;
-        // Whatever this iteration decides, the next occurrence resumes
-        // inside the prefix it shares with this one, past the warm prefix
-        // both traces start with: no checkpoint inside it beats the warm
-        // start, whichever binary the next occurrence runs.
-        let mut checkpoints = std::mem::take(&mut run.checkpoints);
-        checkpoints.retain(|c| c.cursor() > warm_events);
-        events.truncate(checkpoints.last().map_or(0, MachineState::cursor));
-        events.shrink_to_fit();
-        self.prev = Some(ResumeCache {
-            events,
-            checkpoints,
-        });
         let mut stats = IterationStats {
             occurrence,
             run_index: info.run_index,
             instr_count: info.instr_count,
             trace_bytes: info.trace_bytes,
             symbex_wall: report.wall,
-            // The run's own accounting: a resumed run counts only the
-            // work after its snapshot, exactly what the symex.steps and
+            // The run's own accounting: a warm-started run counts only the
+            // work after the warm prefix, exactly what the symex.steps and
             // solver.work_units counters receive for this shepherd span.
             symbex_steps: run.stats.steps,
             start_cursor,
@@ -551,59 +489,37 @@ impl ReconstructionSession {
     }
 
     /// The state the shepherd of `events` on the current binary starts
-    /// from, whichever is later: the binary's symbolic warm start, if the
-    /// trace starts with the warm prefix's events, or the latest checkpoint
-    /// of the previous occurrence inside the event prefix both traces
-    /// share ([`resume_point`]), moved out of the cache. `None`, the entry,
-    /// when neither applies: the binary has no warm prefix, or the trace
-    /// does not start with its events and go on past them (a wrapped ring
-    /// or a tampered trace, which the cold shepherd then judges). Also how
-    /// many leading events of the trace the warm start covers: 0 unless
-    /// it applies.
-    fn start_state(&mut self, events: &[TraceEvent]) -> (Option<MachineState>, usize) {
+    /// from: the binary's symbolic warm start, if the trace starts with the
+    /// warm prefix's events and goes on past them. `None`, the entry, when
+    /// the binary has no warm prefix or the trace does not start with its
+    /// events (a wrapped ring or a tampered trace, which the cold shepherd
+    /// then judges).
+    fn start_state(&self, events: &[TraceEvent]) -> Option<MachineState> {
         let binary = &*self.binary;
-        let warm = binary.symbolic_warm_start().filter(|state| {
-            let start = binary
-                .warm_start()
-                .expect("a symbolic warm start has a warm start");
-            // A trace that ends with the prefix's events ends before the
-            // ops that lead up to the pause, where a cold shepherd may
-            // already conclude.
-            if events.len() <= start.events() || !start.prefix_matches(events) {
-                er_telemetry::counter!("symex.warm_fallbacks").incr();
-                return false;
-            }
-            if binary.check_symbolic_warm() {
-                let cold = MachineState::shepherded(&binary.program, events, start.instrs());
-                assert_eq!(
-                    state.mismatch(&cold),
-                    None,
-                    "a symbolic warm start is the cold shepherd's state at the pause"
-                );
-            }
-            true
-        });
-        let resumed = self.prev.take().and_then(|cache| {
-            resume_point(&cache.events, cache.checkpoints, events, &binary.program)
-        });
-        let warm_events = warm.map_or(0, MachineState::cursor);
-        let from = match (warm, resumed) {
-            (Some(warm), resumed) if resumed.as_ref().is_none_or(|r| r.cursor() <= warm_events) => {
-                if er_telemetry::enabled() {
-                    er_telemetry::counter!("symex.warm_starts").incr();
-                    er_telemetry::counter!("symex.warm_steps")
-                        .add(binary.warm_start().map_or(0, WarmStart::instrs));
-                }
-                Some(warm.clone())
-            }
-            (_, resumed) => {
-                if resumed.is_some() {
-                    er_telemetry::counter!("symex.checkpoint_resumes").incr();
-                }
-                resumed
-            }
-        };
-        (from, warm_events)
+        let warm = binary.symbolic_warm_start()?;
+        let start = binary
+            .warm_start()
+            .expect("a symbolic warm start has a warm start");
+        // A trace that ends with the prefix's events ends before the ops
+        // that lead up to the pause, where a cold shepherd may already
+        // conclude.
+        if events.len() <= start.events() || !start.prefix_matches(events) {
+            er_telemetry::counter!("symex.warm_fallbacks").incr();
+            return None;
+        }
+        if binary.check_symbolic_warm() {
+            let cold = MachineState::shepherded(&binary.program, events, start.instrs());
+            assert_eq!(
+                warm.mismatch(&cold),
+                None,
+                "a symbolic warm start is the cold shepherd's state at the pause"
+            );
+        }
+        if er_telemetry::enabled() {
+            er_telemetry::counter!("symex.warm_starts").incr();
+            er_telemetry::counter!("symex.warm_steps").add(start.instrs());
+        }
+        Some(warm.clone())
     }
 
     /// Asks for another occurrence while the budget lasts — a corrupt
@@ -907,53 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_cache_ends_at_the_last_checkpoint() {
-        // A crunch long enough for several checkpoints at a 64-event
-        // spacing, and none when checkpointing is off. It follows an input
-        // read, so the program has no warm prefix and shepherds cold.
-        let d = deploy(
-            r#"
-            fn main() {
-                let s: u64 = input_u64(1);
-                let h: u64 = 1;
-                for k: u64 = 0; k < 300; k = k + 1 {
-                    if (h & 1) == 1 { h = h * 3 + 1; } else { h = h / 2 + k; }
-                }
-                if input_u64(0) == 3 { abort("three"); }
-                print(h);
-            }
-            "#,
-            |run| {
-                let mut env = Env::new();
-                env.push_input(0, &run.to_le_bytes());
-                env.push_input(1, &run.to_le_bytes());
-                env
-            },
-        );
-        for every in [64, 0] {
-            let config = ErConfig {
-                sym: SymConfig {
-                    checkpoint_every: every,
-                    ..SymConfig::default()
-                },
-                ..ErConfig::default()
-            };
-            let mut session = ReconstructionSession::new(config, d.program().clone());
-            let occ = d
-                .run_until_failure(session.binary(), None, 0, 100)
-                .expect("the failure occurs");
-            let events = occ.trace.decode().expect("trace decodes").events;
-            session.consume(occ);
-            let cache = session.prev.as_ref().expect("the run is remembered");
-            let last = cache.checkpoints.last().map_or(0, MachineState::cursor);
-            assert_eq!(every == 0, cache.checkpoints.is_empty(), "every {every}");
-            assert!(last < events.len());
-            assert_eq!(cache.events, events[..last], "every {every}");
-            assert_eq!(cache.events.capacity(), last, "the tail is released");
-        }
-    }
-
-    #[test]
     fn flipped_prefix_branch_falls_back_to_the_cold_shepherd() {
         // A trace whose first branch inside the warm prefix is flipped
         // does not start with the prefix's events: the session shepherds
@@ -1023,115 +892,6 @@ mod tests {
         assert_eq!(it.start_cursor, 0, "shepherded from the entry");
         assert_eq!(it.symbex_steps, cold.stats.steps);
         assert_eq!(it.stalled, Some(format!("diverged: {divergence:?}")));
-    }
-
-    #[test]
-    fn checkpoint_resume_fires_and_preserves_outcome() {
-        // A short crunch, a first input read that nothing uses, then a
-        // long crunch (identical events across occurrences) and the
-        // aliasing stall. Every occurrence starts past the first crunch,
-        // from the binary's warm start; the second one on must resume from
-        // a snapshot inside the long crunch, which follows the warm prefix,
-        // and the reproduction must be bit-identical to the uncached,
-        // checkpoint-free baseline.
-        let _l = er_telemetry::counters::test_mutex()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let src = r#"
-            global TBL: [u64; 2048];
-            fn main() {
-                let h: u64 = 1;
-                for k: u64 = 0; k < 40; k = k + 1 { h = h * 5 + k; }
-                let s: u64 = input_u64(1);
-                for k: u64 = 0; k < 300; k = k + 1 {
-                    if (h & 1) == 1 { h = h * 3 + 1; } else { h = h / 2 + k; }
-                }
-                let a: u64 = input_u64(0);
-                let b: u64 = input_u64(0);
-                let i: u64 = a & 2047;
-                let j: u64 = b & 2047;
-                TBL[i] = 41;
-                if TBL[j] == 41 { abort("aliased"); }
-                print(i + h);
-            }
-        "#;
-        let gen = |run: u64| {
-            let mut env = Env::new();
-            let a = run * 13 + 5;
-            let b = if run % 7 == 3 { a } else { a + 1 };
-            env.push_input(0, &a.to_le_bytes());
-            env.push_input(0, &b.to_le_bytes());
-            env.push_input(1, &run.to_le_bytes());
-            env
-        };
-        let run_with = |sym: SymConfig| {
-            let d = deploy(src, gen);
-            let config = ErConfig {
-                sym,
-                final_budget: Budget::small(),
-                ..ErConfig::default()
-            };
-            Reconstructor::new(config).reconstruct(&d)
-        };
-        let mode = er_telemetry::mode();
-        er_telemetry::set_mode(er_telemetry::Mode::Counters);
-        let before = er_telemetry::local_snapshot();
-        let optimized = run_with(SymConfig {
-            solver_budget: Budget::small(),
-            checkpoint_every: 64,
-            ..SymConfig::default()
-        });
-        let delta = er_telemetry::local_snapshot().delta(&before);
-        er_telemetry::set_mode(mode);
-        assert!(
-            delta.get("symex.checkpoint_resumes") > 0,
-            "expected at least one checkpoint resume"
-        );
-        assert!(
-            delta.get("symex.warm_starts") > 0,
-            "the first occurrence starts warm"
-        );
-        let baseline = run_with(SymConfig {
-            solver_budget: Budget::small(),
-            incremental_solver: false,
-            checkpoint_every: 0,
-            ..SymConfig::default()
-        });
-        assert!(optimized.reproduced(), "{:?}", optimized.outcome);
-        assert!(baseline.reproduced(), "{:?}", baseline.outcome);
-        assert_eq!(optimized.occurrences, baseline.occurrences);
-        assert_eq!(
-            optimized.outcome.test_case().unwrap().inputs,
-            baseline.outcome.test_case().unwrap().inputs
-        );
-        let summarize = |r: &ReconstructionReport| {
-            r.iterations
-                .iter()
-                .map(|it| {
-                    (
-                        it.recorded_bytes,
-                        it.new_sites.clone(),
-                        it.stalled.is_some(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(summarize(&optimized), summarize(&baseline));
-        // A resumed run counts only the steps after its snapshot: every
-        // occurrence after the first resumes inside the shared crunch, so
-        // it executes fewer steps than the baseline, which starts each
-        // occurrence at the warm start.
-        let steps = |r: &ReconstructionReport| {
-            r.iterations
-                .iter()
-                .map(|it| it.symbex_steps)
-                .collect::<Vec<_>>()
-        };
-        let (opt, base) = (steps(&optimized), steps(&baseline));
-        assert_eq!(opt[0], base[0], "the first occurrence cannot resume");
-        for (k, (o, b)) in opt.iter().zip(&base).enumerate().skip(1) {
-            assert!(o < b, "occurrence {}: resumed {o} >= baseline {b}", k + 1);
-        }
     }
 
     #[test]

@@ -47,11 +47,10 @@ pub fn shepherd(
 }
 
 /// Follows already-decoded events symbolically: from the program entry,
-/// or — given `from` — resuming a snapshot taken on an earlier trace of
-/// the same program. The caller must have verified that `events` starts
-/// with the first `from.cursor()` events of the snapshot's own trace
-/// ([`crate::reconstruct::resume_point`]); a snapshot of another build of
-/// the program is retargeted at `program`'s code.
+/// or — given `from` — from `program`'s symbolic warm start
+/// ([`crate::instrument::InstrumentedProgram::symbolic_warm_start`]). The
+/// caller must have verified that `events` starts with the warm prefix's
+/// events ([`er_minilang::interp::WarmStart::prefix_matches`]).
 pub fn shepherd_events(
     program: &Program,
     events: &[er_pt::TraceEvent],

@@ -1,12 +1,11 @@
 //! The logical events a reconstruction scheduler journals, with a
 //! hand-rolled binary codec.
 //!
-//! The WAL records *events*, not state: a symbolic machine snapshot holds
-//! an expression pool and an incremental SAT instance and is not
-//! serializable, so recovery instead re-feeds every consumed occurrence —
-//! trace bytes included — through a fresh session in logged order. Each
-//! event is one scheduler transition, and replay applies it through the
-//! same code the live scheduler used; symbex checkpoints and
+//! The WAL records *events*, not state: a symbolic machine state holds an
+//! expression pool and is not serializable, so recovery instead re-feeds
+//! every consumed occurrence — trace bytes included — through a fresh
+//! session in logged order. Each event is one scheduler transition, and
+//! replay applies it through the same code the live scheduler used;
 //! instrumentation plans are re-derived along the way, so they are not
 //! journaled. The consumption outcome and the terminal verdict double as
 //! durable *assertions*: replay cross-checks what it rebuilds against what

@@ -1,7 +1,7 @@
 //! Crash-consistent durability for reconstruction sessions.
 //!
 //! ER's convergence loop accumulates state across failure occurrences —
-//! traces, instrumentation plans, symbex checkpoints, selected key values.
+//! traces, instrumentation plans, selected key values.
 //! Before this crate, that state lived only in the scheduler's process
 //! memory: a reconstructor crash threw away every occurrence observed so
 //! far and restarted from zero. This crate makes session progress durable
@@ -21,13 +21,11 @@
 //!   a typed give-up at the cap.
 //!
 //! The WAL journals *events*, not state snapshots: symbolic machine state
-//! is not serializable (it owns an expression pool and a live incremental
-//! SAT instance), so recovery replays the logged occurrences through fresh
-//! sessions in logged order. Determinism makes replay reconverge —
-//! including re-entering mid-trace via the symbex checkpoints the replayed
-//! occurrences re-create — which is what `fleet::sched`'s recovery path
-//! (and the `crash_sweep` harness that kills it at seeded WAL positions)
-//! builds on.
+//! is not serializable (it owns an expression pool), so recovery replays
+//! the logged occurrences through fresh sessions in logged order.
+//! Determinism makes replay reconverge, which is what `fleet::sched`'s
+//! recovery path (and the `crash_sweep` harness that kills it at seeded
+//! WAL positions) builds on.
 
 pub mod event;
 pub mod record;

@@ -635,8 +635,7 @@ impl Scheduler {
     /// re-fed (journaled trace bytes re-enter the content-addressed store,
     /// yielding the original [`crate::store::TraceId`]s) through fresh
     /// sessions. The pipeline is deterministic, so replay reconverges on
-    /// the crashed scheduler's state — including the symbex checkpoints,
-    /// which resume exactly as they did pre-crash. Divergence between
+    /// the crashed scheduler's state. Divergence between
     /// replay and what the log acknowledged is counted
     /// (`durable.replay_divergence`), not fatal.
     ///

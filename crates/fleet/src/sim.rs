@@ -263,12 +263,12 @@ impl Fleet {
 
     /// Restarts a crashed durable fleet: opens the WAL at
     /// [`FleetConfig::durable`] (truncating any torn tail), replays it
-    /// into a recovered scheduler — re-deriving session state, symbex
-    /// checkpoints, and watchdog ladders from the journaled occurrences —
-    /// and drives the fleet to completion. Production cursors restart at
-    /// zero: re-produced occurrences dedup in the content-addressed store
-    /// and runs the recovered sessions already consumed are dropped at the
-    /// scheduler's per-group run watermark, so nothing is double-counted.
+    /// into a recovered scheduler — re-deriving session state and watchdog
+    /// ladders from the journaled occurrences — and drives the fleet to
+    /// completion. Production cursors restart at zero: re-produced
+    /// occurrences dedup in the content-addressed store and runs the
+    /// recovered sessions already consumed are dropped at the scheduler's
+    /// per-group run watermark, so nothing is double-counted.
     ///
     /// # Errors
     ///

@@ -2,8 +2,8 @@
 //! only in timestamps, repeat resumes of the running thread and TNT packet
 //! boundaries decode to equal events, in both byte formats; a real thread
 //! switch or a different branch still shows, exactly where it happens. This
-//! is what lets checkpoint resume find the prefix two traces share with a
-//! plain compare of their events.
+//! is what lets a warm start tell whether a trace starts with its prefix's
+//! events (`WarmStart::prefix_matches`) with a plain compare of events.
 
 use er_pt::compress::{compress, decompress_events};
 use er_pt::sink::PtStats;

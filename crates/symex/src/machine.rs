@@ -93,11 +93,6 @@ pub struct SymConfig {
     /// previous one). Off = a fresh solver per query, the pre-incremental
     /// behavior kept as a baseline/ablation mode.
     pub incremental_solver: bool,
-    /// Snapshot the machine every this many consumed trace events so a
-    /// later occurrence of the same failure can resume shepherding from
-    /// the last matching checkpoint instead of re-executing the prefix.
-    /// `0` disables checkpointing.
-    pub checkpoint_every: u64,
 }
 
 impl Default for SymConfig {
@@ -107,7 +102,6 @@ impl Default for SymConfig {
             max_steps: 500_000_000,
             always_concretize: false,
             incremental_solver: true,
-            checkpoint_every: 1024,
         }
     }
 }
@@ -184,8 +178,8 @@ pub enum ShepherdStatus {
 }
 
 /// Work counters for one shepherded run. They are per-run accounting, not
-/// machine state: a run resumed from a [`MachineState`] counts only the
-/// work it does after the snapshot.
+/// machine state: a run started from a [`MachineState`] counts only the
+/// work it does after that state.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SymStats {
     /// Instructions executed.
@@ -237,43 +231,27 @@ pub struct SymRunResult {
     pub stall_subject: Option<ExprRef>,
     /// This run's work counters.
     pub stats: SymStats,
-    /// Machine snapshots taken along the run (newest last), reusable to
-    /// resume shepherding a later trace that shares an event prefix.
-    pub checkpoints: Vec<MachineState>,
     /// The run's solver engine, its committed prefix a prefix of `path`.
     /// The final input solve continues from it, so only constraints added
     /// after the run's last query (and the failure constraint) are lowered.
-    /// Every run starts its own engine, a resumed run included, so the
-    /// path a run inherits from its snapshot is lowered by the run's first
-    /// query, or else by the final solve. In the non-incremental baseline
-    /// mode no query touches it, so the final solve starts fresh.
+    /// Every run starts its own engine, a warm-started run included. In the
+    /// non-incremental baseline mode no query touches it, so the final
+    /// solve starts fresh.
     pub solver: IncrementalSolver,
 }
 
-/// The symbolic machine's complete state. A running [`SymMachine`] owns
-/// one; a resumable snapshot is a copy of it taken at an event-cursor
-/// boundary during a run.
+/// The symbolic machine's complete state at an event cursor. A running
+/// [`SymMachine`] owns one; a run starts from the entry
+/// ([`SymMachine::new`]) or from its binary's symbolic warm start
+/// ([`MachineState::from_warm`], [`SymMachine::resume`]).
 ///
 /// The state holds no solver engine: the path condition is the whole of
-/// what the queries so far decided, and a run resumed from a snapshot
-/// lowers it again into an engine of its own. A snapshot therefore copies
-/// machine state only, never a SAT arena or a lowering cache.
-///
-/// A snapshot of a run over events `E` captures everything the first
-/// `cursor` events determined. A later trace `E'` of the same program with
-/// the same instrumentation-agnostic behavior satisfies: if
-/// `E[..cursor] == E'[..cursor]`, resuming from the snapshot is
-/// indistinguishable from re-executing `E'[..cursor]` from scratch —
-/// branches, thread switches, and recorded PTW values are the events
-/// themselves, so identical prefixes drive identical state.
+/// what the queries so far decided, and a run that starts from a state
+/// lowers it into an engine of its own.
 ///
 /// Frame positions and site counts are pcs into the flat code of the
-/// program the snapshot ran, which the state keeps, so they stand for
-/// [`InstrId`] coordinates without it. Every build of a program shares
-/// those coordinates, whatever it records, so origins and inputs hold
-/// across builds as they are; when the next occurrence runs under a
-/// *different recording set*, only the pcs move to the new code, see
-/// [`MachineState::retarget`].
+/// program the state runs, which the state keeps, so they stand for
+/// [`InstrId`] coordinates without it.
 #[derive(Debug, Clone)]
 pub struct MachineState {
     cursor: usize,
@@ -331,7 +309,7 @@ impl MachineState {
     }
 
     /// The state a shepherd of `program` reaches at `warm`'s pause, built
-    /// without executing the prefix: a snapshot at cursor
+    /// without executing the prefix: a state at cursor
     /// [`WarmStart::events`], valid against every trace that
     /// [starts with the prefix's events](WarmStart::prefix_matches) and
     /// goes on past them. (A cold shepherd of a trace that ends there
@@ -401,7 +379,6 @@ impl MachineState {
     pub fn shepherded(program: &Program, events: &[TraceEvent], steps: u64) -> MachineState {
         let config = SymConfig {
             max_steps: steps,
-            checkpoint_every: 0,
             ..SymConfig::default()
         };
         let mut machine = SymMachine::with_state(program, config, Self::cold(program));
@@ -444,25 +421,18 @@ impl MachineState {
         .find_map(|(part, same)| (!same).then_some(part))
     }
 
-    /// The event-cursor position this snapshot was taken at: resuming is
-    /// valid against any trace whose first `cursor()` events equal those
-    /// of the snapshot's own trace. Decoding drops scheduling noise, so
-    /// runs whose quantum boundaries fell elsewhere still share prefixes.
+    /// The event-cursor position the state stands at: a run from it is
+    /// valid against any trace whose first `cursor()` events are the ones
+    /// that led here. Decoding drops scheduling noise, so runs whose
+    /// quantum boundaries fell elsewhere still share those events.
     pub fn cursor(&self) -> usize {
         self.cursor
     }
 
     /// The site the running thread is paused at (its function's entry
     /// once it has returned).
-    pub fn position(&self) -> InstrId {
+    fn position(&self) -> InstrId {
         self.code.id_of(self.pc())
-    }
-
-    /// Whether the running thread is paused on the recording slot of
-    /// [`position`](Self::position): past the instruction, before the
-    /// `ptwrite` of its value.
-    pub fn at_recording(&self) -> bool {
-        self.code.is_recording(self.pc())
     }
 
     /// The running thread's pc (its function's entry once it has
@@ -473,40 +443,6 @@ impl MachineState {
             Some(f) => f.pc,
             None => self.code.entry(),
         }
-    }
-
-    /// Moves frame positions and site counts to the pcs of the same
-    /// [`InstrId`]s in `new_program`, another build of the snapshot's
-    /// program that the resumed run will execute. A frame parked on a
-    /// recording slot moves to the new build's recording slot of that
-    /// instruction; `None` — discard the snapshot — if the new build does
-    /// not record it. A snapshot of `new_program`'s own code is returned
-    /// as it is.
-    pub fn retarget(mut self, new_program: &Program) -> Option<MachineState> {
-        if Arc::ptr_eq(&self.code, new_program.code()) {
-            return Some(self);
-        }
-        let (old, new) = (&*self.code, new_program.code());
-        let pc_map = |pc: Pc| {
-            let at = new.pc_of(old.id_of(pc))?;
-            if old.is_recording(pc) {
-                // A recorded instruction is never its block's last slot.
-                return new.is_recording(at + 1).then_some(at + 1);
-            }
-            Some(at)
-        };
-        for t in &mut self.threads {
-            for fr in &mut t.frames {
-                fr.pc = pc_map(fr.pc)?;
-            }
-        }
-        let mut site_counts = vec![0; new.ops().len()];
-        for (pc, n) in live_counts(old, &self.site_counts) {
-            site_counts[pc_map(pc)? as usize] = n;
-        }
-        self.site_counts = site_counts;
-        self.code = Arc::clone(new);
-        Some(self)
     }
 }
 
@@ -559,22 +495,19 @@ enum Stop {
 }
 
 /// The shepherded symbolic executor: one [`MachineState`] driven along a
-/// trace, plus the run's solver engine, accounting and checkpoint ring.
+/// trace, plus the run's solver engine and accounting.
 #[derive(Debug)]
 pub struct SymMachine<'p> {
     code: &'p Code,
     config: SymConfig,
     /// The machine itself; `state.cursor` is where the run starts.
     state: MachineState,
-    /// This run's solver engine, never part of a snapshot.
+    /// This run's solver engine, never part of the state.
     engine: IncrementalSolver,
-    /// This run's work only: a resumed run starts from zero.
+    /// This run's work only: a run from a warm start starts from zero.
     stats: SymStats,
-    checkpoints: Vec<MachineState>,
-    checkpoint_interval: u64,
-    next_checkpoint_at: usize,
     /// The running frame's registers as machine words while a slice runs
-    /// it all-concrete; scratch, never part of a snapshot.
+    /// it all-concrete; scratch, never part of the state.
     words: Vec<u64>,
 }
 
@@ -584,33 +517,21 @@ impl<'p> SymMachine<'p> {
         Self::with_state(program, config, MachineState::cold(program))
     }
 
-    /// A machine that picks up from `state`, skipping the events before
-    /// `state.cursor()`. The caller must guarantee the trace passed to
-    /// [`SymMachine::run`] agrees with the snapshot's trace on that prefix
-    /// (a snapshot of another build is retargeted at `program`'s code).
+    /// A machine that picks up from `state`, a state of `program`'s own
+    /// code (its [symbolic warm start](MachineState::from_warm)), skipping
+    /// the events before `state.cursor()`. The caller must guarantee the
+    /// trace passed to [`SymMachine::run`] starts with the events that led
+    /// to `state` ([`WarmStart::prefix_matches`]).
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot was taken on a program with different code
-    /// and a paused frame's site does not exist in `program`, or is a
-    /// recording slot `program` lacks.
+    /// If `state` runs another program's code.
     pub fn resume(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
-        // A snapshot of another build of the program re-resolves its sites
-        // by `InstrId` against this program's code.
-        let state = state
-            .retarget(program)
-            .expect("snapshot sites exist in the resumed program");
-        let mut machine = Self::with_state(program, config, state);
-        // The resume state itself is the run's first checkpoint: without it,
-        // a resumed run that starts past the shared prefix would snapshot
-        // nothing inside it, and the *next* occurrence would have to
-        // re-execute the whole prefix again. A run that takes no
-        // checkpoints takes no seed either.
-        if config.checkpoint_every > 0 {
-            let seed = machine.snapshot(machine.state.cursor);
-            machine.checkpoints.push(seed);
-        }
-        machine
+        assert!(
+            Arc::ptr_eq(&state.code, program.code()),
+            "a run resumes only a state of its program's own code"
+        );
+        Self::with_state(program, config, state)
     }
 
     fn with_state(program: &'p Program, config: SymConfig, state: MachineState) -> Self {
@@ -620,22 +541,14 @@ impl<'p> SymMachine<'p> {
             state,
             engine: IncrementalSolver::new(),
             stats: SymStats::default(),
-            checkpoints: Vec::new(),
-            checkpoint_interval: config.checkpoint_every,
-            next_checkpoint_at: usize::MAX,
             words: Vec::new(),
         }
     }
 
     /// Follows `events` to the end; `failure` is the production failure the
     /// trace leads to (`None` for a trace of a completed run). A machine
-    /// built by [`SymMachine::resume`] starts at its snapshot's cursor.
+    /// built by [`SymMachine::resume`] starts at its state's cursor.
     pub fn run(mut self, events: &[TraceEvent], failure: Option<&Failure>) -> SymRunResult {
-        self.next_checkpoint_at = if self.checkpoint_interval > 0 {
-            self.state.cursor + self.checkpoint_interval as usize
-        } else {
-            usize::MAX
-        };
         let status = self.run_loop(events, failure);
         let mut stall_subject = None;
         let (status, failure_constraint) = match status {
@@ -687,35 +600,8 @@ impl<'p> SymMachine<'p> {
             longest_chain,
             stall_subject,
             stats: self.stats,
-            checkpoints: self.checkpoints,
             solver: self.engine,
         }
-    }
-
-    /// Captures a resumable snapshot at event position `cursor`.
-    fn snapshot(&self, cursor: usize) -> MachineState {
-        let mut state = self.state.clone();
-        state.cursor = cursor;
-        state
-    }
-
-    const MAX_CHECKPOINTS: usize = 8;
-
-    fn take_checkpoint(&mut self, cursor: usize) {
-        if self.checkpoints.len() >= Self::MAX_CHECKPOINTS {
-            // Thin the ring: drop every other snapshot and double the
-            // interval, keeping bounded memory with coverage of the whole
-            // run (the densest snapshots stay near the start, where a new
-            // trace's shared prefix is most likely to end).
-            let mut keep = false;
-            self.checkpoints.retain(|_| {
-                keep = !keep;
-                keep
-            });
-            self.checkpoint_interval = self.checkpoint_interval.saturating_mul(2);
-        }
-        self.checkpoints.push(self.snapshot(cursor));
-        self.next_checkpoint_at = cursor + self.checkpoint_interval as usize;
     }
 
     /// One solver query against the current path condition plus
@@ -775,9 +661,6 @@ impl<'p> SymMachine<'p> {
     ) -> Result<Option<ExprRef>, Stop> {
         let failure_pc = failure.and_then(|f| self.code.pc_of(f.at));
         loop {
-            if *cursor >= self.next_checkpoint_at {
-                self.take_checkpoint(*cursor);
-            }
             if let Some(TraceEvent::Gap) = events.get(*cursor) {
                 return Err(Stop::Diverge(TraceDivergence::TraceGap));
             }
@@ -788,7 +671,7 @@ impl<'p> SymMachine<'p> {
             }
             // One supervised shepherd work unit per step. Stalling here
             // (rather than at an arbitrary instruction boundary) leaves the
-            // machine consistent: no event half-applied, checkpoints intact.
+            // machine consistent: no event half-applied.
             if er_solver::cancel::tick(1) {
                 return Err(Stop::Stall(StallReason::Cancelled, None));
             }
@@ -886,8 +769,7 @@ impl<'p> SymMachine<'p> {
     /// such as a memory access, a call, a `ptwrite` or a division by zero,
     /// and leaves it to the step path, which reports a mismatch exactly as
     /// it would have. After a branch it also stops where the next step's
-    /// prelude would act: on a checkpoint boundary, at the end of the
-    /// events, or on a gap. A frame holding a symbolic register, and the
+    /// prelude would act: at the end of the events, or on a gap. A frame holding a symbolic register, and the
     /// block in which the budget ends, take the step path op by op.
     ///
     /// The step prelude billed the first op. Each further op counts in
@@ -911,7 +793,6 @@ impl<'p> SymMachine<'p> {
         let mut trail = Trail {
             events,
             cursor: *cursor,
-            checkpoint_at: self.next_checkpoint_at,
         };
         let mut pc = frame.pc as usize;
         let ran = run_words(
@@ -1684,8 +1565,6 @@ struct Trail<'e> {
     events: &'e [TraceEvent],
     /// The next event.
     cursor: usize,
-    /// Where the next checkpoint is due.
-    checkpoint_at: usize,
 }
 
 impl Trail<'_> {
@@ -1698,12 +1577,11 @@ impl Trail<'_> {
         hit
     }
 
-    /// Whether the next step's prelude would act here: a checkpoint is
-    /// due, the events ended, or a gap follows.
+    /// Whether the next step's prelude would act here: the events ended,
+    /// or a gap follows.
     #[inline(always)]
     fn prelude_acts(&self) -> bool {
-        self.cursor >= self.checkpoint_at
-            || matches!(self.events.get(self.cursor), None | Some(TraceEvent::Gap))
+        matches!(self.events.get(self.cursor), None | Some(TraceEvent::Gap))
     }
 }
 
@@ -2371,64 +2249,6 @@ mod tests {
             );
             r
         });
-    }
-
-    #[test]
-    fn slices_stop_for_checkpoints_on_schedule() {
-        let (program, events, _) = record(CONCRETE_LOOP, &[]);
-        let every = 100;
-        let config = SymConfig {
-            checkpoint_every: every,
-            ..SymConfig::default()
-        };
-        let r = SymMachine::new(&program, config).run(&events, None);
-        assert_eq!(r.status, ShepherdStatus::Completed);
-        assert!(
-            (3..SymMachine::MAX_CHECKPOINTS).contains(&r.checkpoints.len()),
-            "{} checkpoints, no thinning",
-            r.checkpoints.len()
-        );
-        // Each checkpoint lands on its scheduled cursor: no slice runs
-        // through one.
-        let mut due = every as usize;
-        for c in &r.checkpoints {
-            assert_eq!(c.cursor(), due);
-            due += every as usize;
-        }
-    }
-
-    #[test]
-    fn resumed_run_starts_with_an_empty_engine() {
-        let src = r#"
-            global V: [u32; 16];
-            fn main() {
-                let a: u32 = input_u32(0);
-                if a < 100 { V[a % 16] = 1; }
-                let h: u64 = 0;
-                for i: u64 = 0; i < 200; i = i + 1 { h = h * 31 + i; }
-                print(h);
-            }
-        "#;
-        let (program, events, failure) = record(src, &[(0, 7u32.to_le_bytes().to_vec())]);
-        assert!(failure.is_none());
-        let config = SymConfig {
-            checkpoint_every: 64,
-            ..SymConfig::default()
-        };
-        let budget = Budget::default();
-        let first = SymMachine::new(&program, config).run(&events, None);
-        assert_eq!(first.status, ShepherdStatus::Completed);
-        assert!(first.stats.solver_queries > 0);
-        // The first run's engine committed the path its query extended.
-        assert!(first.solver.reusable_clauses(&first.path, &budget) > 0);
-        // Its last checkpoint lies in the loop, past that query.
-        let snapshot = first.checkpoints.last().cloned().expect("a checkpoint");
-        let resumed = SymMachine::resume(&program, config, snapshot).run(&events, None);
-        assert_eq!(resumed.status, ShepherdStatus::Completed);
-        assert_eq!(resumed.stats.solver_queries, 0);
-        assert_eq!(resumed.path, first.path);
-        // The resumed run never queried: its engine is as the run began.
-        assert_eq!(resumed.solver.reusable_clauses(&resumed.path, &budget), 0);
     }
 
     #[test]

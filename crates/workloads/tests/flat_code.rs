@@ -1,21 +1,16 @@
 //! The pc ↔ `InstrId` mapping of flat code, over every Table-1 program.
 //!
-//! Both executors run on pcs while failures, trace sites and snapshots
-//! speak `InstrId`s of the unchanged IR, so every build the pipeline
-//! produces — the original programs and their recorded builds — must map
-//! each instruction to one slot and back. A recorded build must lower
-//! exactly like the program with `ptwrite`s inserted into its blocks, and
-//! a snapshot carried to another build must resume where it paused. The
+//! Both executors run on pcs while failures and trace sites speak
+//! `InstrId`s of the unchanged IR, so every build the pipeline produces —
+//! the original programs and their recorded builds — must map each
+//! instruction to one slot and back. A recorded build must lower exactly
+//! like the program with `ptwrite`s inserted into its blocks. The
 //! interpreter's fused array must pair only ops of one block with no
 //! recording slot between them.
 
-use er_core::deploy::Deployment;
 use er_core::instrument::InstrumentedProgram;
-use er_core::shepherd;
 use er_minilang::code::{Code, Pc};
-use er_minilang::env::Env;
 use er_minilang::ir::{BlockId, FuncId, Instr, InstrId, Operand, Program};
-use er_symex::{MachineState, SymConfig, SymMachine};
 use er_workloads::Scale;
 
 /// Every instruction and terminator of `p`, in layout order.
@@ -181,95 +176,4 @@ fn every_table1_program_fuses_only_within_blocks() {
         let all = InstrumentedProgram::new(&p, &dst_sites(&p));
         assert_fast_ops(w.name, all.program.code());
     }
-}
-
-/// Resuming `state` on `program` starts at `at`, recording slot or not
-/// as `at_recording` says.
-fn assert_resumes_at(
-    name: &str,
-    program: &Program,
-    config: SymConfig,
-    state: MachineState,
-    (at, at_recording): (InstrId, bool),
-) {
-    // Resuming seeds the run's first checkpoint with the state it starts
-    // from.
-    let resumed = SymMachine::resume(program, config, state).run(&[], None);
-    let first = &resumed.checkpoints[0];
-    assert_eq!(first.position(), at, "{name}");
-    assert_eq!(first.at_recording(), at_recording, "{name}: {at}");
-}
-
-/// A failing run that returns into a recorded call early, before the
-/// checkpoint ring thins: a checkpoint after every event parks on the
-/// call's recording slot. Decoded events carry no scheduling noise, so a
-/// checkpoint parks on a recording slot only right after such a return,
-/// and in the Table-1 runs none happens to land there.
-fn recorded_call() -> Deployment {
-    let program = er_minilang::compile(
-        "fn inc(x: u64) -> u64 { return x + 1; }\n\
-         fn main() { let y: u64 = inc(input_u64(0)); if y == 5 { abort(\"five\"); } print(y); }",
-    )
-    .expect("compiles");
-    Deployment::new(program, |run| {
-        let mut env = Env::new();
-        env.push_input(0, &(run % 5).to_le_bytes());
-        env
-    })
-}
-
-#[test]
-fn retargeted_snapshots_resume_at_the_same_instr_id() {
-    let (mut parked, mut others) = (0, 0);
-    let workloads = er_workloads::all();
-    let table1 = workloads
-        .iter()
-        .map(|w| (w.name, w.deployment(Scale::TEST), w.er_config().sym));
-    let runs = table1.chain([("recorded-call", recorded_call(), SymConfig::default())]);
-    for (name, d, sym) in runs {
-        let p = d.program();
-        let plain = InstrumentedProgram::unmodified(p);
-        let all = InstrumentedProgram::new(p, &dst_sites(p));
-        // Builds equal to `plain` and `all` but made separately have
-        // unshared code, so resuming on them retargets.
-        let (plain_again, all_again) = (p.recording(&[]), p.recording(&all.sites));
-        // A checkpoint after every event catches the returns into a
-        // recorded call's recording slot.
-        for every in [1, 16] {
-            let mut config = sym;
-            config.checkpoint_every = every;
-            for (inst, targets) in [
-                (&plain, [&all.program, &plain_again]),
-                (&all, [&all_again, &all_again]),
-            ] {
-                let Some(occ) = d.run_until_failure(inst, None, 0, 50_000) else {
-                    continue;
-                };
-                let run = shepherd::shepherd(&inst.program, &occ.trace, Some(&occ.failure), config)
-                    .expect("decodes")
-                    .run;
-                for s in &run.checkpoints {
-                    let at = s.position();
-                    if s.at_recording() {
-                        // Parked on a recording slot: a build that records
-                        // the site keeps it there, one that does not drops
-                        // the snapshot.
-                        assert_resumes_at(name, &all_again, config, s.clone(), (at, true));
-                        let without: Vec<InstrId> =
-                            all.sites.iter().copied().filter(|&x| x != at).collect();
-                        let dropped = s.clone().retarget(&p.recording(&without));
-                        assert!(dropped.is_none(), "{name}: {at}");
-                        parked += 1;
-                    } else {
-                        for target in targets {
-                            assert_resumes_at(name, target, config, s.clone(), (at, false));
-                        }
-                        others += 1;
-                    }
-                }
-            }
-        }
-    }
-    assert!(parked > 0, "some checkpoint sat on a recording slot");
-    assert!(others > 0, "some run took checkpoints");
 }

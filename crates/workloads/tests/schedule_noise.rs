@@ -1,8 +1,8 @@
 //! Scheduling noise stays out of decoded traces. A single-threaded run
 //! resumes its one thread at every quantum boundary, so two schedule seeds
 //! give the same run different PT bytes (the PGE and TSC packets fall
-//! elsewhere), but the same decoded events: shepherding and checkpoint
-//! resume see only what the program did.
+//! elsewhere), but the same decoded events: shepherding and the warm
+//! start's prefix compare see only what the program did.
 
 use er_core::instrument::InstrumentedProgram;
 use er_minilang::interp::{RunOutcome, SchedConfig};
