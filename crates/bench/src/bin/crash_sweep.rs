@@ -15,10 +15,11 @@
 //!   (`durable.replay_divergence` stays zero);
 //! * nothing panics after the injected crash itself.
 //!
-//! A final per-workload *watchdog* leg runs undersized per-phase budgets
-//! with a generous escalation ladder: stalled iterations must be
-//! cancelled, re-queued, and still converge to the reference answer with
-//! zero panics.
+//! A final per-workload *watchdog* leg runs a shepherd budget of half the
+//! reference run's smallest per-occurrence step count, with a generous
+//! escalation ladder: the first attempt must stall, stalled iterations
+//! must be cancelled, re-queued, and still converge to the reference
+//! answer with zero panics.
 //!
 //! * default: all 13 workloads × `CRASH_POINTS` seeded positions,
 //!   writes `results/BENCH_CRASH.json`.
@@ -162,6 +163,15 @@ fn main() {
             continue;
         }
         let reference = answer(&reference_report);
+        let shepherd_budget = (reference_report
+            .groups
+            .iter()
+            .flat_map(|g| &g.report.iterations)
+            .map(|it| it.symbex_steps)
+            .min()
+            .unwrap_or(0)
+            / 2)
+        .max(1);
         let (_wal, events, info) = Wal::open(&ref_path).expect("reference WAL opens");
         assert_eq!(info.torn_bytes, 0, "{}: clean run tore its WAL", w.name);
         let wal_appends = events.len() as u64;
@@ -257,15 +267,16 @@ fn main() {
             std::fs::remove_file(&path).ok();
         }
 
-        // Watchdog leg: a shepherd budget far below one occurrence's
-        // symex step count, with a ladder generous enough that some rung
-        // always fits. Stalls must be cancelled + re-queued, the ladder
-        // must not be exhausted, and the answer must not move.
+        // Watchdog leg: a shepherd budget below every occurrence's symex
+        // step count, so the first attempt stalls, with a ladder generous
+        // enough that some rung always fits. Stalls must be cancelled +
+        // re-queued, the ladder must not be exhausted, and the answer must
+        // not move.
         let leg = format!("{} [watchdog]", w.name);
         er_telemetry::set_context(&format!("{}/watchdog", w.name));
         let wd = WatchdogConfig {
             budgets: PhaseBudgets {
-                shepherd: 50,
+                shepherd: shepherd_budget,
                 ..PhaseBudgets::unlimited()
             },
             escalation_factor: 8,
@@ -301,7 +312,7 @@ fn main() {
         }
         if row.escalations == 0 {
             failures.push(format!(
-                "{leg}: a 50-step shepherd budget must trip at least once"
+                "{leg}: a {shepherd_budget}-step shepherd budget must trip at least once"
             ));
         }
         if delta.get("watchdog.gave_up") != 0 {

@@ -36,9 +36,9 @@ struct FleetRow {
     occurrences: u64,
     runs_observed: u64,
     rounds: u64,
-    packets_ingested: u64,
-    /// Packets through ingestion per wall second.
-    ingest_packets_per_sec: f64,
+    events_ingested: u64,
+    /// Decoded events through ingestion per wall second.
+    ingest_events_per_sec: f64,
     compression_ratio: f64,
     dedup_hits: u64,
     /// Fraction of store puts resolved by content-address dedup.
@@ -77,8 +77,8 @@ fn measure(w: &Workload, serial_pool: bool, serial_inputs: &[(u32, Vec<u8>)]) ->
         occurrences: report.groups.iter().map(|g| g.occurrences_seen).sum(),
         runs_observed: report.runs_observed,
         rounds: report.rounds,
-        packets_ingested: report.store.packets,
-        ingest_packets_per_sec: report.store.packets as f64 / secs,
+        events_ingested: report.store.events,
+        ingest_events_per_sec: report.store.events as f64 / secs,
         compression_ratio: report.store.compression_ratio(),
         dedup_hits: report.store.dedup_hits,
         dedup_ratio: report.store.dedup_hits as f64 / report.store.puts.max(1) as f64,
@@ -132,7 +132,7 @@ fn main() {
                 if r.reproduced { "yes" } else { "NO" }.to_string(),
                 if r.bit_identical { "yes" } else { "NO" }.to_string(),
                 r.occurrences.to_string(),
-                format!("{:.0}k", r.ingest_packets_per_sec / 1e3),
+                format!("{:.0}k", r.ingest_events_per_sec / 1e3),
                 format!("{:.2}x", r.compression_ratio),
                 format!("{}/{:.0}%", r.dedup_hits, r.dedup_ratio * 100.0),
                 r.time_to_first_repro_ms
@@ -151,7 +151,7 @@ fn main() {
             "Repro",
             "Bit-ident",
             "Occurr",
-            "Ingest pkt/s",
+            "Ingest ev/s",
             "Compress",
             "Dedup",
             "First repro",

@@ -158,8 +158,8 @@ impl ReconstructionReport {
 }
 
 /// Metadata of one failure occurrence, minus the trace itself. The fleet
-/// path stores traces compressed and re-derives events later, so the
-/// session accepts `(OccurrenceInfo, events)` instead of a raw
+/// path decodes each trace at ingest and stores its events compressed, so
+/// the session accepts `(OccurrenceInfo, events)` instead of a raw
 /// [`FailureOccurrence`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OccurrenceInfo {
@@ -348,9 +348,9 @@ impl ReconstructionSession {
     }
 
     /// Like [`consume`](Self::consume), but on pre-decoded events — the
-    /// fleet ingestion path stores packets compressed and decodes them
-    /// with [`er_pt::compress::decompress_events`], which reproduces
-    /// [`er_pt::PtTrace::decode`] bit-for-bit.
+    /// fleet ingestion path decodes with [`er_pt::PtTrace::decode`], as
+    /// `consume` does, stores the events compressed, and hands the worker
+    /// [`er_pt::compress::decompress_events`] of them, the same events.
     pub fn consume_events(&mut self, info: OccurrenceInfo, events: Vec<TraceEvent>) -> SessionStep {
         self.occurrences += 1;
         self.next_run = info.run_index + 1;

@@ -70,11 +70,10 @@ pub enum DurableEvent {
         for_group: Option<u64>,
         /// Instrumentation version that produced the trace.
         version: u32,
-        /// Decoded stream starts with a gap (ring wrapped).
-        leading_gap: bool,
         /// Occurrence metadata.
         info: Box<OccurrenceInfo>,
-        /// Compressed trace packets, or why the trace was undecodable.
+        /// Compressed trace events (a wrapped ring's start with a `Gap`),
+        /// or why the trace was undecodable.
         trace: Result<Vec<u8>, String>,
     },
     /// The session consumed the queued occurrence at `run_index`.
@@ -134,7 +133,6 @@ impl DurableEvent {
                 group,
                 for_group,
                 version,
-                leading_gap,
                 info,
                 trace,
             } => {
@@ -142,7 +140,6 @@ impl DurableEvent {
                 w.u64(*group);
                 w.opt_u64(*for_group);
                 w.u32(*version);
-                w.bool(*leading_gap);
                 w.info(info);
                 match trace {
                     Ok(bytes) => {
@@ -207,7 +204,6 @@ impl DurableEvent {
                 group: r.u64()?,
                 for_group: r.opt_u64()?,
                 version: r.u32()?,
-                leading_gap: r.bool()?,
                 info: Box::new(r.info()?),
                 trace: match r.u8()? {
                     0 => Ok(r.bytes()?),
@@ -545,7 +541,6 @@ mod tests {
                 group: 0xdead,
                 for_group: Some(0xdead),
                 version: 2,
-                leading_gap: true,
                 info: Box::new(info()),
                 trace: Ok(vec![1, 2, 3, 0xff]),
             },
@@ -553,7 +548,6 @@ mod tests {
                 group: 0xdead,
                 for_group: None,
                 version: 0,
-                leading_gap: false,
                 info: Box::new(info()),
                 trace: Err("decode failed: bad packet".into()),
             },

@@ -1,6 +1,9 @@
 //! Trace ingestion: the bounded queue between producing instances and the
-//! analysis side, and the drain that compresses, triages, and stores each
-//! crash report.
+//! analysis side, and the drain that decodes, triages, and stores each
+//! crash report. A report's trace is decoded with `PtTrace::decode`, the
+//! serial session's own decode, and the store keeps the compressed
+//! events, so an analysis worker reads exactly what the serial path
+//! would have shepherded.
 //!
 //! Ingestion is where the fleet pays its storage bill, so everything is
 //! counted: truncated traces (ring wrapped / packets overwritten),
@@ -56,9 +59,9 @@ pub struct PendingOccurrence {
     pub for_group: Option<u64>,
     /// Instrumentation version that produced the trace.
     pub version: u32,
-    /// Stored compressed trace (the store keeps its leading-gap flag), or
-    /// why the trace failed to decode — a failure is delivered to the
-    /// session as a decode failure, exactly like the serial path.
+    /// Stored compressed events, or why the trace failed to decode — a
+    /// failure is delivered to the session as a decode failure, exactly
+    /// like the serial path.
     pub trace: Result<TraceId, String>,
     /// Occurrence metadata for the session.
     pub info: OccurrenceInfo,
@@ -138,25 +141,25 @@ impl Ingestor {
         self.stats
     }
 
-    /// Drains the queue: decodes, compresses, stores, and triages every
+    /// Drains the queue: decodes, triages, compresses and stores every
     /// queued report in deterministic `(run_index, instance)` order —
     /// independent of the thread interleaving that produced them — and
     /// returns the pending occurrences for the scheduler.
     ///
-    /// Mirrored instances ship byte-identical traces, so a report whose
-    /// raw trace bytes and wrap flag equal an earlier stored report's in
-    /// the same group is not decoded or compressed again: it reuses that
-    /// report's put through [`TraceStore::put_duplicate`], which counts it
-    /// as the dedup hit `put` would have found. Only untampered reports
+    /// Mirrored instances ship byte-identical traces. A report whose raw
+    /// trace bytes and wrap flag equal an earlier stored report's in the
+    /// same group decodes to the same events, so it is not decoded or
+    /// compressed again: it reuses that report's put through
+    /// [`TraceStore::put_duplicate`], which counts it as the dedup hit
+    /// `put` would have found. Only untampered reports
     /// take that path (decoding a tampered trace accounts for its chaos
     /// fault), and the batch already holds the bytes it compares.
     pub fn drain(&mut self, triage: &mut Triage, store: &mut TraceStore) -> Vec<PendingOccurrence> {
         let mut batch: Vec<CrashReport> = self.queue.drain(..).collect();
         batch.sort_by_key(|r| (r.occ.run_index, r.instance));
         let mut out = Vec::with_capacity(batch.len());
-        // Untampered reports stored this drain: (batch index, group, put,
-        // leading gap, packet count).
-        let mut stored: Vec<(usize, u64, PutResult, bool, usize)> = Vec::new();
+        // Untampered reports stored this drain: (batch index, group, put).
+        let mut stored: Vec<(usize, u64, PutResult)> = Vec::new();
         for (idx, report) in batch.iter().enumerate() {
             let info = OccurrenceInfo::of(&report.occ);
             let raw = &report.occ.trace;
@@ -168,20 +171,18 @@ impl Ingestor {
             let untampered = raw.stats.chaos_tampered == 0;
             let duplicate = stored
                 .iter()
-                .filter(|&&(earlier, g, ..)| {
+                .filter(|&&(earlier, g, _)| {
                     let t = &batch[earlier].occ.trace;
                     untampered && g == group && t.wrapped == raw.wrapped && t.bytes == raw.bytes
                 })
-                .find_map(|(_, _, put, gap, packets)| {
-                    store.put_duplicate(put, group, *gap, *packets)
-                });
+                .find_map(|(_, _, put)| store.put_duplicate(put, group));
             let trace = match duplicate {
                 Some(put) => Ok(put.id),
-                None => match raw.packets() {
-                    Ok((packets, gap)) => {
-                        let put = store.put(group, &packets, gap);
+                None => match raw.decode() {
+                    Ok(decoded) => {
+                        let put = store.put(group, &decoded.events, raw.bytes.len());
                         if untampered {
-                            stored.push((idx, group, put, gap, packets.len()));
+                            stored.push((idx, group, put));
                         }
                         Ok(put.id)
                     }
@@ -318,8 +319,9 @@ mod tests {
             .map(|r| {
                 let info = OccurrenceInfo::of(&r.occ);
                 let (group, _) = triage.classify(&info.failure);
-                let trace = match r.occ.trace.packets() {
-                    Ok((packets, gap)) => Ok(store.put(group, &packets, gap).id),
+                let raw = &r.occ.trace;
+                let trace = match raw.decode() {
+                    Ok(d) => Ok(store.put(group, &d.events, raw.bytes.len()).id),
                     Err(e) => Err(e.to_string()),
                 };
                 PendingOccurrence {

@@ -13,8 +13,8 @@
 //!   `er-bench`, which re-exports it).
 //! * [`triage`] — fault-signature clustering of crash reports into
 //!   failure groups with reoccurrence-rate statistics.
-//! * [`store`] — the content-addressed trace store: compressed packet
-//!   streams ([`er_pt::compress`]), cross-occurrence deduplication,
+//! * [`store`] — the content-addressed trace store: compressed decoded
+//!   events ([`er_pt::compress`]), cross-occurrence deduplication,
 //!   per-group retention caps, byte-budget eviction, optional disk spill.
 //! * [`ingest`] — the bounded queue between instances and analysis, with
 //!   truncation accounting and backpressure.

@@ -256,16 +256,12 @@ impl Scheduler {
                 if let Ok(id) = p.trace {
                     store.pin(id);
                 }
-                let journal = journaling.then(|| {
-                    let trace = fetch_trace(store, &p);
-                    DurableEvent::OccurrenceIngested {
-                        group: p.group,
-                        for_group: p.for_group,
-                        version: p.version,
-                        leading_gap: trace.as_ref().is_ok_and(|&(_, gap)| gap),
-                        info: Box::new(p.info.clone()),
-                        trace: trace.map(|(bytes, _)| bytes),
-                    }
+                let journal = journaling.then(|| DurableEvent::OccurrenceIngested {
+                    group: p.group,
+                    for_group: p.for_group,
+                    version: p.version,
+                    info: Box::new(p.info.clone()),
+                    trace: fetch_trace(store, &p),
                 });
                 g.pending.push_back(p);
                 if let Some(ev) = journal {
@@ -573,23 +569,20 @@ impl Scheduler {
         }
     }
 
-    /// One group iteration: decode `p`'s fetched trace straight to events
-    /// and feed the session. Mutates only `g`'s session and report.
+    /// One group iteration: decompress `p`'s fetched events and feed the
+    /// session. Mutates only `g`'s session and report.
     fn run_iteration(g: &mut GroupState, p: &PendingOccurrence, trace: &Trace) -> ConsumeOutcome {
         let _iter = er_telemetry::span!("reconstruct.iteration");
-        let decoded = trace
-            .as_ref()
-            .map_err(Clone::clone)
-            .and_then(|(bytes, gap)| {
-                let _s = er_telemetry::span!("shepherd.decode");
-                let (events, packets) = decompress_events(bytes, *gap)
-                    .map_err(|_| format!("trace unavailable: {}", StoreError::Corrupt))?;
-                // Bill the decode-phase budget (the cancel token, when armed,
-                // starts in Decode); a trip here surfaces as a cancelled
-                // iteration.
-                er_solver::cancel::tick(packets as u64);
-                Ok(events)
-            });
+        let decoded = trace.as_ref().map_err(Clone::clone).and_then(|bytes| {
+            let _s = er_telemetry::span!("shepherd.decode");
+            let events = decompress_events(bytes)
+                .map_err(|_| format!("trace unavailable: {}", StoreError::Corrupt))?;
+            // Bill the decode-phase budget (the cancel token, when armed,
+            // starts in Decode); a trip here surfaces as a cancelled
+            // iteration.
+            er_solver::cancel::tick(events.len() as u64);
+            Ok(events)
+        });
         let step = match decoded {
             Ok(events) => g.session.consume_events(p.info.clone(), events),
             Err(error) => g.session.note_undecodable(p.info.clone(), error),
@@ -660,20 +653,19 @@ impl Scheduler {
                     group,
                     for_group,
                     version,
-                    leading_gap,
                     info,
                     trace,
                 } => {
-                    let trace =
-                        trace.as_ref().map_err(Clone::clone).and_then(|bytes| {
-                            match store.put_compressed(*group, bytes, *leading_gap) {
-                                Ok(put) => Ok(put.id),
-                                Err(e) => {
-                                    diverged(format_args!(
-                                        "journaled trace for group {group:#x} unusable: {e}"
-                                    ));
-                                    Err(format!("trace unavailable: {e}"))
-                                }
+                    let trace = trace
+                        .as_ref()
+                        .map_err(Clone::clone)
+                        .and_then(|bytes| match store.put_compressed(*group, bytes) {
+                            Ok(put) => Ok(put.id),
+                            Err(e) => {
+                                diverged(format_args!(
+                                    "journaled trace for group {group:#x} unusable: {e}"
+                                ));
+                                Err(format!("trace unavailable: {e}"))
                             }
                         });
                     er_telemetry::counter!("durable.replayed_occurrences").incr();
@@ -782,9 +774,9 @@ impl Scheduler {
 }
 
 /// An occurrence's trace as an iteration receives it: the stored
-/// compressed bytes and the leading-gap flag, or why they are unavailable.
-/// The worker decodes them.
-type Trace = Result<(Vec<u8>, bool), String>;
+/// compressed events, or why they are unavailable. The worker
+/// decompresses them.
+type Trace = Result<Vec<u8>, String>;
 
 /// One analyze worker's share of a round: the detached group, the
 /// occurrence it consumes, and that occurrence's trace.

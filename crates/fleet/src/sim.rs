@@ -10,7 +10,8 @@
 //!    occurrence queued, so no instance runs ahead of the binary its
 //!    group's next iteration will deploy.
 //! 2. **ingest** — queued crash reports drain in deterministic
-//!    `(run, instance)` order: trace compressed into the content-addressed
+//!    `(run, instance)` order: trace decoded to events (the serial
+//!    session's decode), the events compressed into the content-addressed
 //!    store (reoccurrences dedup), failure triaged to its group.
 //! 3. **analyze** — the scheduler drives the highest-priority groups one
 //!    reconstruction iteration each (bounded concurrency); a grown
@@ -391,7 +392,7 @@ impl Fleet {
                 }
             }
 
-            // Ingest: compress, store, triage, queue.
+            // Ingest: decode, triage, store, queue.
             {
                 let _s = er_telemetry::span!("fleet.ingest");
                 let pending = ingestor.drain(&mut triage, &mut store);

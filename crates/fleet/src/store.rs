@@ -1,9 +1,12 @@
 //! The deduplicating trace store.
 //!
-//! Every ingested trace is stored as a *compressed* packet stream
-//! (`er_pt::compress`) under a content address (FNV-1a of the compressed
-//! bytes). Reoccurrences of the same failure on mirrored instances produce
-//! byte-identical streams, so the store keeps one copy and counts a dedup
+//! Every ingested trace is stored as its *compressed decoded events*
+//! (`er_pt::compress`): exactly what `PtTrace::decode` yields and the
+//! shepherd reads, a wrapped ring's lost prefix included as the leading
+//! `Gap`. Entries live under a content address (FNV-1a of the compressed
+//! bytes). Reoccurrences of the same failure produce identical events,
+//! even where scheduling noise (timestamps, quantum-boundary resumes) made
+//! their PT bytes differ, so the store keeps one copy and counts a dedup
 //! hit. Retention is bounded twice: a per-group cap (old reoccurrences of
 //! a well-sampled failure are worthless) and a global in-memory byte
 //! budget, beyond which the oldest unpinned traces are evicted — spilled
@@ -12,8 +15,8 @@
 //! evicted, so an investigation can always retrieve the occurrence it is
 //! about to consume.
 
-use er_pt::compress::{compress, decompress};
-use er_pt::packet::Packet;
+use er_pt::compress::{compress_events, decompress_events};
+use er_pt::TraceEvent;
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -56,7 +59,7 @@ pub enum StoreError {
         /// The unreadable spill file.
         path: PathBuf,
     },
-    /// Stored bytes failed to decompress.
+    /// Trace bytes failed to decompress.
     Corrupt,
 }
 
@@ -92,9 +95,9 @@ pub struct StoreStats {
     /// Spill writes that failed (after retries); the trace stayed in
     /// memory at degraded budget fidelity instead of being lost.
     pub spill_failures: u64,
-    /// PT packets offered, cumulative (ingestion-throughput numerator).
-    pub packets: u64,
-    /// Raw (uncompressed codec) bytes offered, cumulative.
+    /// Decoded events offered, cumulative (ingestion-throughput numerator).
+    pub events: u64,
+    /// Raw PT trace bytes offered, cumulative.
     pub raw_bytes: u64,
     /// Compressed bytes actually stored, cumulative (dedup excluded).
     pub stored_bytes: u64,
@@ -121,8 +124,10 @@ pub struct PutResult {
     pub deduped: bool,
     /// Compressed size of the offered trace.
     pub compressed_len: usize,
-    /// Raw codec size of the offered trace.
+    /// Raw PT size of the offered trace.
     pub raw_len: usize,
+    /// Decoded events of the offered trace.
+    pub events: usize,
 }
 
 #[derive(Debug)]
@@ -135,7 +140,6 @@ enum Slot {
 struct Entry {
     group: u64,
     addr: u64,
-    leading_gap: bool,
     data: Slot,
     pinned: u32,
 }
@@ -180,42 +184,44 @@ impl TraceStore {
         }
     }
 
-    /// Stores the packet stream of one occurrence of `group`, compressing
-    /// and deduplicating it. `leading_gap` records that the ring wrapped
-    /// and the decoded prefix is missing (it travels with the trace so
-    /// retrieval reproduces `PtTrace::decode` exactly).
-    pub fn put(&mut self, group: u64, packets: &[Packet], leading_gap: bool) -> PutResult {
-        let raw_len = er_pt::codec::encoded_len(packets);
-        let compressed = compress(packets);
-        let addr = er_durable::fnv64(&compressed);
-        self.stats.puts += 1;
-        self.stats.packets += packets.len() as u64;
-        self.stats.raw_bytes += raw_len as u64;
-        er_telemetry::counter!("fleet.store.puts").incr();
-        er_telemetry::counter!("fleet.store.bytes_raw").add(raw_len as u64);
+    /// Stores the decoded events of one occurrence of `group`, compressing
+    /// and deduplicating them; `raw_len` is the size of the PT trace they
+    /// were decoded from.
+    pub fn put(&mut self, group: u64, events: &[TraceEvent], raw_len: usize) -> PutResult {
+        self.insert(group, compress_events(events), raw_len, events.len())
+    }
 
+    /// Stores compressed events under their content address, or counts a
+    /// dedup hit on the identical entry of the same group.
+    fn insert(
+        &mut self,
+        group: u64,
+        compressed: Vec<u8>,
+        raw_len: usize,
+        events: usize,
+    ) -> PutResult {
+        let addr = er_durable::fnv64(&compressed);
+        self.count_put(raw_len, events);
         let hit = self.by_addr.get(&addr).and_then(|ids| {
             ids.iter().copied().find(|id| {
                 let e = &self.entries[id];
-                e.group == group
-                    && e.leading_gap == leading_gap
-                    && e.bytes().as_deref() == Some(&compressed[..])
+                e.group == group && e.bytes().as_deref() == Some(&compressed[..])
             })
         });
+        let compressed_len = compressed.len();
         if let Some(id) = hit {
-            self.stats.dedup_hits += 1;
-            er_telemetry::counter!("fleet.store.dedup_hits").incr();
+            self.count_dedup_hit();
             return PutResult {
                 id: TraceId(id),
                 deduped: true,
-                compressed_len: compressed.len(),
+                compressed_len,
                 raw_len,
+                events,
             };
         }
 
         let id = self.seq;
         self.seq += 1;
-        let compressed_len = compressed.len();
         self.stats.stored_bytes += compressed_len as u64;
         er_telemetry::counter!("fleet.store.bytes_compressed").add(compressed_len as u64);
         self.mem_bytes += compressed_len;
@@ -224,7 +230,6 @@ impl TraceStore {
             Entry {
                 group,
                 addr,
-                leading_gap,
                 data: Slot::Mem(compressed),
                 pinned: 0,
             },
@@ -238,86 +243,78 @@ impl TraceStore {
             deduped: false,
             compressed_len,
             raw_len,
+            events,
         }
     }
 
-    /// Puts again the packets of an earlier [`put`](Self::put) that
-    /// returned `prev`, without encoding them again: ingestion calls this
-    /// for a crash report whose raw trace bytes equal an earlier report's,
-    /// so its packets are known to be identical. Counts exactly what a
-    /// dedup-hit `put` counts and returns what it returns, or returns
-    /// `None` and counts nothing where `put` might resolve otherwise: the
-    /// entry is gone, spilled (`put` would read it back, and a failed read
-    /// makes a new entry), or not the first of its address, group and gap
-    /// flag (`put` would compare that one first). The caller then `put`s.
-    pub fn put_duplicate(
-        &mut self,
-        prev: &PutResult,
-        group: u64,
-        leading_gap: bool,
-        packets: usize,
-    ) -> Option<PutResult> {
+    fn count_put(&mut self, raw_len: usize, events: usize) {
+        self.stats.puts += 1;
+        self.stats.events += events as u64;
+        self.stats.raw_bytes += raw_len as u64;
+        er_telemetry::counter!("fleet.store.puts").incr();
+        er_telemetry::counter!("fleet.store.bytes_raw").add(raw_len as u64);
+    }
+
+    fn count_dedup_hit(&mut self) {
+        self.stats.dedup_hits += 1;
+        er_telemetry::counter!("fleet.store.dedup_hits").incr();
+    }
+
+    /// Puts again the events of an earlier [`put`](Self::put) that
+    /// returned `prev`, without decoding or compressing them again:
+    /// ingestion calls this for a crash report whose raw trace bytes equal
+    /// an earlier report's, so its events are known to be identical.
+    /// Counts exactly what a dedup-hit `put` counts and returns what it
+    /// returns, or returns `None` and counts nothing where `put` might
+    /// resolve otherwise: the entry is gone, spilled (`put` would read it
+    /// back, and a failed read makes a new entry), or not the first of its
+    /// address and group (`put` would compare that one first). The caller
+    /// then `put`s.
+    pub fn put_duplicate(&mut self, prev: &PutResult, group: u64) -> Option<PutResult> {
         let e = self.entries.get(&prev.id.0)?;
-        if e.group != group || e.leading_gap != leading_gap || !matches!(e.data, Slot::Mem(_)) {
+        if e.group != group || !matches!(e.data, Slot::Mem(_)) {
             return None;
         }
-        let first = self.by_addr.get(&e.addr)?.iter().copied().find(|id| {
-            self.entries
-                .get(id)
-                .is_some_and(|c| c.group == group && c.leading_gap == leading_gap)
-        });
+        let first = self
+            .by_addr
+            .get(&e.addr)?
+            .iter()
+            .copied()
+            .find(|id| self.entries.get(id).is_some_and(|c| c.group == group));
         if first != Some(prev.id.0) {
             return None;
         }
-        self.stats.puts += 1;
-        self.stats.packets += packets as u64;
-        self.stats.raw_bytes += prev.raw_len as u64;
-        self.stats.dedup_hits += 1;
-        er_telemetry::counter!("fleet.store.puts").incr();
-        er_telemetry::counter!("fleet.store.bytes_raw").add(prev.raw_len as u64);
-        er_telemetry::counter!("fleet.store.dedup_hits").incr();
+        self.count_put(prev.raw_len, prev.events);
+        self.count_dedup_hit();
         Some(PutResult {
             deduped: true,
             ..*prev
         })
     }
 
-    /// Retrieves and decompresses a stored trace: the packets and the
-    /// leading-gap flag.
+    /// The stored compressed events of a trace: what a durability layer
+    /// journals so a restarted scheduler can store the identical bytes
+    /// again (content addressing then yields the identical [`TraceId`]),
+    /// and what an analysis worker decompresses.
     ///
     /// # Errors
     ///
     /// [`StoreError::Missing`] if the trace was evicted without a spill
     /// directory (or never existed), [`StoreError::SpillUnreadable`] if
-    /// the spill file failed to read back after retries,
-    /// [`StoreError::Corrupt`] if the stored bytes do not decompress.
-    pub fn get(&self, id: TraceId) -> Result<(Vec<Packet>, bool), StoreError> {
-        let (bytes, leading_gap) = self.compressed_bytes(id)?;
-        let packets = decompress(&bytes).map_err(|_| StoreError::Corrupt)?;
-        Ok((packets, leading_gap))
-    }
-
-    /// The stored compressed bytes of a trace and its leading-gap flag —
-    /// what a durability layer journals so a restarted scheduler can
-    /// re-`put` the identical stream (content addressing then yields the
-    /// identical [`TraceId`]), and what an analysis worker decodes.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`get`](Self::get), minus decompression.
-    pub fn compressed_bytes(&self, id: TraceId) -> Result<(Vec<u8>, bool), StoreError> {
+    /// the spill file failed to read back after retries.
+    pub fn compressed_bytes(&self, id: TraceId) -> Result<Vec<u8>, StoreError> {
         let e = self.entries.get(&id.0).ok_or(StoreError::Missing)?;
-        let bytes = match &e.data {
-            Slot::Mem(b) => b.clone(),
-            Slot::Disk(p) => read_spill(p)?,
-        };
-        Ok((bytes, e.leading_gap))
+        match &e.data {
+            Slot::Mem(b) => Ok(b.clone()),
+            Slot::Disk(p) => read_spill(p),
+        }
     }
 
-    /// Stores pre-compressed bytes recovered from a WAL, bypassing the
-    /// compressor (the bytes were produced by it originally). Returns the
-    /// same [`TraceId`] arithmetic as [`put`](Self::put): identical bytes
-    /// for the same group dedup to the already-stored copy.
+    /// Stores compressed events recovered from a WAL as they are, after
+    /// checking that they decompress: identical bytes for the same group
+    /// dedup to the already-stored copy, exactly as [`put`](Self::put)
+    /// would. The trace's raw PT size is not journaled, so it counts as
+    /// its compressed size.
     ///
     /// # Errors
     ///
@@ -327,10 +324,11 @@ impl TraceStore {
         &mut self,
         group: u64,
         compressed: &[u8],
-        leading_gap: bool,
     ) -> Result<PutResult, StoreError> {
-        let packets = decompress(compressed).map_err(|_| StoreError::Corrupt)?;
-        Ok(self.put(group, &packets, leading_gap))
+        let events = decompress_events(compressed)
+            .map_err(|_| StoreError::Corrupt)?
+            .len();
+        Ok(self.insert(group, compressed.to_vec(), compressed.len(), events))
     }
 
     /// Marks a trace in use by a pending occurrence: it will not be
@@ -507,24 +505,31 @@ fn write_spill(path: &std::path::Path, bytes: &[u8]) -> bool {
 mod tests {
     use super::*;
 
-    fn packets(n: u64) -> Vec<Packet> {
-        (0..n)
-            .map(|i| Packet::Tip {
-                target: (i % 7) as u32,
-            })
-            .collect()
+    fn events(n: u64) -> Vec<TraceEvent> {
+        (0..n).map(|i| TraceEvent::Call((i % 7) as u32)).collect()
+    }
+
+    /// Stores `events` as a trace of `events.len()` raw bytes.
+    fn put(s: &mut TraceStore, group: u64, events: &[TraceEvent]) -> PutResult {
+        s.put(group, events, events.len())
+    }
+
+    /// A stored trace's events.
+    fn get(s: &TraceStore, id: TraceId) -> Result<Vec<TraceEvent>, StoreError> {
+        s.compressed_bytes(id)
+            .map(|bytes| decompress_events(&bytes).expect("stored bytes decompress"))
     }
 
     #[test]
     fn identical_streams_dedup() {
         let mut s = TraceStore::new(StoreConfig::default());
-        let a = s.put(1, &packets(50), false);
-        let b = s.put(1, &packets(50), false);
+        let a = put(&mut s, 1, &events(50));
+        let b = put(&mut s, 1, &events(50));
         assert!(!a.deduped && b.deduped);
         assert_eq!(a.id, b.id);
         assert_eq!(s.stats().dedup_hits, 1);
         // Same bytes for a *different group* are a different occurrence.
-        let c = s.put(2, &packets(50), false);
+        let c = put(&mut s, 2, &events(50));
         assert!(!c.deduped);
     }
 
@@ -534,22 +539,21 @@ mod tests {
             per_group_cap: 1,
             ..StoreConfig::default()
         });
-        let p = packets(50);
-        let first = s.put(1, &p, false);
+        let p = events(50);
+        let first = put(&mut s, 1, &p);
         let before = s.stats();
-        // Another group or gap flag is another entry to `put`.
-        assert_eq!(s.put_duplicate(&first, 2, false, p.len()), None);
-        assert_eq!(s.put_duplicate(&first, 1, true, p.len()), None);
+        // Another group is another entry to `put`.
+        assert_eq!(s.put_duplicate(&first, 2), None);
         assert_eq!(s.stats(), before);
-        let dup = s.put_duplicate(&first, 1, false, p.len()).expect("stored");
+        let dup = s.put_duplicate(&first, 1).expect("stored");
         let mut reference = TraceStore::new(StoreConfig::default());
-        reference.put(1, &p, false);
-        let hit = reference.put(1, &p, false);
+        put(&mut reference, 1, &p);
+        let hit = put(&mut reference, 1, &p);
         assert_eq!(dup, hit);
         assert_eq!(s.stats(), reference.stats());
         // Once the per-group cap drops the entry, only `put` can store it.
-        s.put(1, &packets(51), false);
-        assert_eq!(s.put_duplicate(&first, 1, false, p.len()), None);
+        put(&mut s, 1, &events(51));
+        assert_eq!(s.put_duplicate(&first, 1), None);
     }
 
     #[test]
@@ -564,13 +568,13 @@ mod tests {
             byte_budget: 1 << 20,
             spill_dir: Some(dir.clone()),
         });
-        let p = packets(30);
-        let first = s.put(1, &p, false);
-        s.put(1, &packets(31), false);
+        let p = events(30);
+        let first = put(&mut s, 1, &p);
+        put(&mut s, 1, &events(31));
         assert_eq!(s.stats().spills, 1);
         // `put` would read the spill file back (and may fail to): decline.
-        assert_eq!(s.put_duplicate(&first, 1, false, p.len()), None);
-        assert!(s.put(1, &p, false).deduped);
+        assert_eq!(s.put_duplicate(&first, 1), None);
+        assert!(put(&mut s, 1, &p).deduped);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -586,35 +590,51 @@ mod tests {
             byte_budget: 1 << 20,
             spill_dir: Some(dir.clone()),
         });
-        let p = packets(30);
-        let spilled = s.put(1, &p, false).id;
-        s.put(1, &packets(31), false);
+        let p = events(30);
+        let spilled = put(&mut s, 1, &p).id;
+        put(&mut s, 1, &events(31));
         assert_eq!(s.stats().spills, 1);
         // While the spilled copy cannot be read back, a put of the same
-        // packets stores a second copy, behind the first under the same
+        // events stores a second copy, behind the first under the same
         // address.
         let path = dir.join(format!("trace-{}.erz", spilled.0));
         let saved = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        let second = s.put(1, &p, false);
+        let second = put(&mut s, 1, &p);
         assert!(!second.deduped);
         std::fs::write(&path, saved).unwrap();
         // `put` now compares the readable first copy first and resolves
         // to it, so the second copy is not a known hit.
-        assert_eq!(s.put_duplicate(&second, 1, false, p.len()), None);
-        assert_eq!(s.put(1, &p, false).id, spilled);
+        assert_eq!(s.put_duplicate(&second, 1), None);
+        assert_eq!(put(&mut s, 1, &p).id, spilled);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn round_trips_packets_and_gap_flag() {
+    fn round_trips_events_with_a_leading_gap() {
         let mut s = TraceStore::new(StoreConfig::default());
-        let p = packets(20);
-        let r = s.put(1, &p, true);
-        let (back, gap) = s.get(r.id).unwrap();
-        assert_eq!(back, p);
-        assert!(gap);
-        assert!(r.compressed_len <= r.raw_len);
+        let mut p = events(20);
+        p.insert(0, TraceEvent::Gap);
+        let r = put(&mut s, 1, &p);
+        assert_eq!(get(&s, r.id).unwrap(), p);
+        assert_eq!(r.events, p.len());
+        // A stream without the gap is another trace.
+        assert!(!put(&mut s, 1, &p[1..]).deduped);
+    }
+
+    #[test]
+    fn recovered_bytes_keep_their_address() {
+        let mut s = TraceStore::new(StoreConfig::default());
+        let first = put(&mut s, 1, &events(20));
+        let bytes = s.compressed_bytes(first.id).unwrap();
+        let again = s.put_compressed(1, &bytes).unwrap();
+        assert!(again.deduped);
+        assert_eq!((again.id, again.events), (first.id, 20));
+        let mut fresh = TraceStore::new(StoreConfig::default());
+        assert_eq!(fresh.put_compressed(1, &bytes).unwrap().id, first.id);
+        assert_eq!(fresh.compressed_bytes(first.id).unwrap(), bytes);
+        let cut = &bytes[..bytes.len() - 1];
+        assert_eq!(fresh.put_compressed(1, cut), Err(StoreError::Corrupt));
     }
 
     #[test]
@@ -623,12 +643,10 @@ mod tests {
             per_group_cap: 2,
             ..StoreConfig::default()
         });
-        let ids: Vec<TraceId> = (0..4)
-            .map(|i| s.put(1, &packets(10 + i), false).id)
-            .collect();
-        assert_eq!(s.get(ids[0]), Err(StoreError::Missing), "oldest evicted");
-        assert_eq!(s.get(ids[1]), Err(StoreError::Missing));
-        assert!(s.get(ids[2]).is_ok() && s.get(ids[3]).is_ok());
+        let ids: Vec<TraceId> = (0..4).map(|i| put(&mut s, 1, &events(10 + i)).id).collect();
+        assert_eq!(get(&s, ids[0]), Err(StoreError::Missing), "oldest evicted");
+        assert_eq!(get(&s, ids[1]), Err(StoreError::Missing));
+        assert!(get(&s, ids[2]).is_ok() && get(&s, ids[3]).is_ok());
         assert_eq!(s.stats().evictions, 2);
     }
 
@@ -639,16 +657,16 @@ mod tests {
             byte_budget: 200,
             spill_dir: None,
         });
-        let first = s.put(1, &packets(40), false).id;
+        let first = put(&mut s, 1, &events(40)).id;
         s.pin(first);
         for i in 0..5 {
-            s.put(1, &packets(41 + i), false);
+            put(&mut s, 1, &events(41 + i));
         }
-        assert!(s.get(first).is_ok(), "pinned entry never evicted");
+        assert!(get(&s, first).is_ok(), "pinned entry never evicted");
         s.unpin(first);
-        s.put(1, &packets(99), false);
+        put(&mut s, 1, &events(99));
         assert_eq!(
-            s.get(first),
+            get(&s, first),
             Err(StoreError::Missing),
             "unpinned entry is fair game"
         );
@@ -666,14 +684,14 @@ mod tests {
             byte_budget: 1 << 20,
             spill_dir: Some(dir.clone()),
         });
-        let p = packets(30);
-        let first = s.put(1, &p, false).id;
-        s.put(1, &packets(31), false);
+        let p = events(30);
+        let first = put(&mut s, 1, &p).id;
+        put(&mut s, 1, &events(31));
         assert_eq!(s.stats().spills, 1);
-        let (back, _) = s.get(first).expect("spilled trace readable");
+        let back = get(&s, first).expect("spilled trace readable");
         assert_eq!(back, p);
         // And spilled bytes still dedup against a reoffer.
-        assert!(s.put(1, &p, false).deduped);
+        assert!(put(&mut s, 1, &p).deduped);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -689,14 +707,14 @@ mod tests {
             byte_budget: 1 << 20,
             spill_dir: Some(dir.clone()),
         });
-        let first = s.put(1, &packets(30), false).id;
-        s.put(1, &packets(31), false);
+        let first = put(&mut s, 1, &events(30)).id;
+        put(&mut s, 1, &events(31));
         assert_eq!(s.stats().spills, 1);
         // An operator (or a disk) losing the spill file must surface as a
         // typed error, not a panic or a silent `None`.
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(matches!(
-            s.get(first),
+            get(&s, first),
             Err(StoreError::SpillUnreadable { .. })
         ));
     }
@@ -711,16 +729,16 @@ mod tests {
             byte_budget: 1 << 20,
             spill_dir: Some(dir.clone()),
         });
-        let p = packets(30);
-        let first = s.put(1, &p, false).id;
-        s.put(1, &packets(31), false); // evicts + spills `first`
+        let p = events(30);
+        let first = put(&mut s, 1, &p).id;
+        put(&mut s, 1, &events(31)); // evicts + spills `first`
         assert_eq!(s.stats().spills, 1);
         // Fewer injections than retry attempts: the read must recover.
         let _g = er_chaos::arm(er_chaos::ChaosPlan::new(3).with(
             er_chaos::Fault::SpillRead,
             er_chaos::FaultPolicy::always(u64::from(SPILL_IO_ATTEMPTS) - 1),
         ));
-        let (back, _) = s.get(first).expect("retry absorbs transient read faults");
+        let back = get(&s, first).expect("retry absorbs transient read faults");
         assert_eq!(back, p);
         let st = er_chaos::stats().unwrap().domain(er_chaos::Domain::Store);
         assert_eq!(st.injected, u64::from(SPILL_IO_ATTEMPTS) - 1);
@@ -739,8 +757,8 @@ mod tests {
             byte_budget: 1 << 20,
             spill_dir: Some(dir.clone()),
         });
-        let p = packets(30);
-        let first = s.put(1, &p, false).id;
+        let p = events(30);
+        let first = put(&mut s, 1, &p).id;
         // Enough injections to exhaust every write attempt for both
         // eviction candidates the cap loop will try: every spill fails and
         // the degraded policy keeps both traces in memory.
@@ -748,16 +766,16 @@ mod tests {
             er_chaos::Fault::SpillWrite,
             er_chaos::FaultPolicy::always(u64::from(SPILL_IO_ATTEMPTS) * 2),
         ));
-        s.put(1, &packets(31), false); // tries to evict + spill `first`
+        put(&mut s, 1, &events(31)); // tries to evict + spill `first`
         assert_eq!(s.stats().spills, 0);
         assert_eq!(s.stats().spill_failures, 2, "both candidates refused");
-        let (back, _) = s.get(first).expect("degraded entry still readable");
+        let back = get(&s, first).expect("degraded entry still readable");
         assert_eq!(back, p);
         let st = er_chaos::stats().unwrap().domain(er_chaos::Domain::Store);
         assert_eq!(st.degraded, 2);
         drop(_g);
         // With chaos disarmed the next eviction pressure spills cleanly.
-        s.put(1, &packets(32), false);
+        put(&mut s, 1, &events(32));
         assert!(s.stats().spills >= 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

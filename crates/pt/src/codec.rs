@@ -66,11 +66,6 @@ pub fn encode(packets: &[Packet]) -> Vec<u8> {
     out
 }
 
-/// The length of [`encode`]`(packets)`, computed without building it.
-pub fn encoded_len(packets: &[Packet]) -> usize {
-    packets.iter().map(Packet::encoded_len).sum()
-}
-
 /// A decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -111,7 +106,9 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Decodes a clean (unwrapped) byte stream.
+/// Decodes a clean (unwrapped) byte stream into packets: the format's
+/// reference decode. Production decodes straight to events
+/// ([`crate::sink::PtTrace::decode`]).
 ///
 /// # Errors
 ///

@@ -16,9 +16,10 @@
 //!   resynchronizes at the next PSB.
 //! * **Sink** ([`sink`]): [`sink::PtSink`] plugs into the interpreter's
 //!   [`er_minilang::trace::TraceSink`] and packetizes events online.
-//! * **Compression** ([`compress`]): run-length/delta re-encoding of packet
-//!   streams (TNT-run merging, zigzag TSC/PTW deltas) for fleet-scale trace
-//!   shipping and storage; exactly round-trip faithful to [`codec`].
+//! * **Compression** ([`compress`]): run-length/delta encoding of decoded
+//!   events (bit-packed branch runs, zigzag PTW deltas) for fleet-scale
+//!   trace storage; exactly round-trip faithful to what
+//!   [`sink::PtTrace::decode`] yields.
 //!
 //! # Example
 //!

@@ -117,28 +117,10 @@ impl PacketRef<'_> {
     }
 }
 
-impl Packet {
-    /// This packet as a decoder would walk it.
-    pub fn as_packet_ref(&self) -> PacketRef<'_> {
-        match self {
-            Packet::Psb => PacketRef::Psb,
-            Packet::Ovf => PacketRef::Ovf,
-            Packet::Tnt { count, bits } => PacketRef::Tnt {
-                count: *count,
-                bits,
-            },
-            Packet::Tip { target } => PacketRef::Tip { target: *target },
-            Packet::Ret => PacketRef::Ret,
-            Packet::Ptw { value } => PacketRef::Ptw { value: *value },
-            Packet::Tsc { tsc } => PacketRef::Tsc { tsc: *tsc },
-            Packet::Pge { tid } => PacketRef::Pge { tid: *tid },
-        }
-    }
-}
-
-/// Where a decoder's walk delivers packets. One walker per byte format
-/// ([`crate::codec`], [`crate::compress`]) feeds either a packet vector or
-/// a flat event stream, so both outputs come from the same parser.
+/// Where the codec's walk delivers packets: a flat event stream in
+/// production ([`crate::sink::PtTrace::decode`]), a packet vector for the
+/// codec's own reference decode ([`crate::codec::decode`]), so both come
+/// from the same parser.
 pub(crate) trait PacketSink {
     /// Receives the next packet.
     fn packet(&mut self, p: PacketRef<'_>);
@@ -174,25 +156,25 @@ const MAIN_TID: u64 = 0;
 pub(crate) struct EventStream {
     events: Vec<TraceEvent>,
     packets: usize,
-    leading_gap: bool,
+    wrapped: bool,
     /// The tid of the last PGE, `None` where packets were lost.
     running: Option<u64>,
 }
 
 impl EventStream {
-    /// An empty stream with room for `capacity` events; `leading_gap`
-    /// prefixes a [`TraceEvent::Gap`] (the packets come from a wrapped
-    /// ring).
-    pub(crate) fn new(leading_gap: bool, capacity: usize) -> Self {
-        let mut events = Vec::with_capacity(capacity.max(usize::from(leading_gap)));
-        if leading_gap {
+    /// An empty stream with room for `capacity` events; packets from a
+    /// `wrapped` ring lost their prefix, so the events start with a
+    /// [`TraceEvent::Gap`].
+    pub(crate) fn new(wrapped: bool, capacity: usize) -> Self {
+        let mut events = Vec::with_capacity(capacity.max(usize::from(wrapped)));
+        if wrapped {
             events.push(TraceEvent::Gap);
         }
         EventStream {
             events,
             packets: 0,
-            leading_gap,
-            running: (!leading_gap).then_some(MAIN_TID),
+            wrapped,
+            running: (!wrapped).then_some(MAIN_TID),
         }
     }
 
@@ -213,11 +195,10 @@ impl PacketSink for EventStream {
                 TraceEvent::Gap
             }
             PacketRef::Tnt { count, bits } => {
-                // Bits a short (non-canonical) payload lacks yield no
-                // event; the codec never produces one.
-                let n = usize::from(count).min(bits.len() * 8);
-                self.events
-                    .extend((0..n).map(|i| TraceEvent::Branch(bits[i / 8] >> (i % 8) & 1 == 1)));
+                self.events.extend(
+                    (0..usize::from(count))
+                        .map(|i| TraceEvent::Branch(bits[i / 8] >> (i % 8) & 1 == 1)),
+                );
                 return;
             }
             PacketRef::Tip { target } => TraceEvent::Call(target),
@@ -234,7 +215,7 @@ impl PacketSink for EventStream {
     }
 
     fn restart(&mut self) {
-        self.events.truncate(usize::from(self.leading_gap));
+        self.events.truncate(usize::from(self.wrapped));
         self.packets = 0;
         self.running = None;
     }

@@ -1,7 +1,7 @@
 //! The online tracing sink: packetizes interpreter events PT-style.
 
 use crate::codec::{self, DecodeError, OP_PGE, OP_PSB, OP_PTW, OP_RET, OP_TIP, OP_TNT, OP_TSC};
-use crate::packet::{EventStream, Packet, PacketSink, TraceEvent};
+use crate::packet::{EventStream, PacketSink, TraceEvent};
 use crate::ring::RingBuffer;
 use er_minilang::env::InputEvent;
 use er_minilang::ir::FuncId;
@@ -222,47 +222,29 @@ pub struct PtTrace {
 }
 
 impl PtTrace {
-    /// Decodes the byte stream into packets, resynchronizing at a PSB if
-    /// the ring wrapped. Returns the packets and whether a leading gap
-    /// (lost prefix) precedes them. This is the ingestion entry point: the
-    /// fleet path stores packets (re-encoded through [`crate::compress`])
-    /// and later flattens them with [`crate::compress::decompress_events`],
-    /// reproducing [`decode`](Self::decode) bit-for-bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if the stream is corrupt or a wrapped
-    /// stream contains no sync point.
-    pub fn packets(&self) -> Result<(Vec<Packet>, bool), DecodeError> {
-        let mut packets = Vec::new();
-        let gap = self.walk(&mut packets)?;
-        Ok((packets, gap))
-    }
-
     /// Walks the packets into `sink`, resynchronizing at a PSB if the
-    /// ring wrapped; returns whether a leading gap precedes them.
-    fn walk(&self, sink: &mut impl PacketSink) -> Result<bool, DecodeError> {
+    /// ring wrapped.
+    fn walk(&self, sink: &mut impl PacketSink) -> Result<(), DecodeError> {
         let result = self.walk_inner(sink);
         if self.stats.chaos_tampered > 0 {
             // Account for injected trace damage: either the decoder walked
             // through it (recovered) or it surfaced as a typed error.
             match &result {
-                Ok(_) => er_chaos::note_recovered(er_chaos::Domain::Trace),
+                Ok(()) => er_chaos::note_recovered(er_chaos::Domain::Trace),
                 Err(_) => er_chaos::note_typed_error(er_chaos::Domain::Trace),
             }
         }
         result
     }
 
-    fn walk_inner(&self, sink: &mut impl PacketSink) -> Result<bool, DecodeError> {
+    fn walk_inner(&self, sink: &mut impl PacketSink) -> Result<(), DecodeError> {
         if !self.wrapped {
-            codec::walk_from(&self.bytes, 0, sink)?;
-            return Ok(false);
+            return codec::walk_from(&self.bytes, 0, sink);
         }
         let mut at = codec::resync(&self.bytes, 0).ok_or(DecodeError::NoSyncPoint)?;
         loop {
             match codec::walk_from(&self.bytes, at, sink) {
-                Ok(()) => return Ok(true),
+                Ok(()) => return Ok(()),
                 // resync validates a bounded window, so an accepted sync
                 // point can still run into damage further out; everything
                 // up to the damage is part of the (already reported) gap,
@@ -315,9 +297,10 @@ impl PtTrace {
     }
 
     /// Decodes the byte stream straight into flattened [`TraceEvent`]s,
-    /// resynchronizing at a PSB if the ring wrapped. Equals
-    /// [`packets_to_events`] of [`packets`](Self::packets), errors
-    /// included, without building the packets.
+    /// resynchronizing at a PSB if the ring wrapped; a wrapped ring's
+    /// events start with a [`TraceEvent::Gap`]. This is every consumer's
+    /// decode: the serial session's, and fleet ingest's, which stores the
+    /// events compressed ([`crate::compress::compress_events`]).
     ///
     /// # Errors
     ///
@@ -347,16 +330,6 @@ impl PtTrace {
         let bound = self.bytes.len().saturating_mul(per_byte);
         usize::try_from(counted).map_or(bound, |c| c.min(bound)) + 1
     }
-}
-
-/// Flattens a packet sequence into [`TraceEvent`]s; `leading_gap` prefixes
-/// a [`TraceEvent::Gap`] (set when the packets came from a wrapped ring).
-pub fn packets_to_events(packets: &[Packet], leading_gap: bool) -> Vec<TraceEvent> {
-    let mut out = EventStream::new(leading_gap, packets.len());
-    for p in packets {
-        out.packet(p.as_packet_ref());
-    }
-    out.finish().0
 }
 
 /// A decoded trace ready for offline analysis.
@@ -477,12 +450,13 @@ mod tests {
 
     #[test]
     fn thread_resume_emits_pge_and_tsc() {
+        use crate::packet::Packet;
         let mut s = tiny(1 << 16);
         s.thread_resume(0, 5);
         s.thread_resume(2, 777);
         s.thread_resume(2, 999);
         let t = s.finish();
-        let (packets, _) = t.packets().unwrap();
+        let packets = codec::decode(&t.bytes).unwrap();
         assert_eq!(
             packets[1..3],
             [Packet::Pge { tid: 0 }, Packet::Tsc { tsc: 5 }]
@@ -599,7 +573,7 @@ mod chaos_tests {
         t.chaos_tamper();
         assert_eq!(t.stats.chaos_tampered, 1);
         // Damaged or not, decoding must terminate without panicking.
-        let _ = t.packets();
+        let _ = t.decode();
         let s = er_chaos::stats().unwrap();
         let d = s.domain(Domain::Trace);
         assert_eq!(d.injected, 1);
@@ -615,10 +589,13 @@ mod chaos_tests {
         t.chaos_tamper();
         assert_eq!(t.stats.chaos_tampered, 1);
         assert!(t.wrapped, "a rotated stream must resynchronize like a wrap");
-        match t.packets() {
-            Ok((packets, gap)) => {
-                assert!(gap, "resynced decode reports the lost prefix");
-                assert!(!packets.is_empty());
+        match t.decode() {
+            Ok(d) => {
+                assert_eq!(
+                    d.events.first(),
+                    Some(&TraceEvent::Gap),
+                    "resynced decode reports the lost prefix"
+                );
             }
             Err(e) => {
                 // Typed, never a panic.
@@ -637,7 +614,7 @@ mod chaos_tests {
         t.chaos_tamper();
         assert_ne!(t.bytes, before, "corruption must actually flip bytes");
         assert_eq!(t.bytes.len(), before.len());
-        let _ = t.packets();
+        let _ = t.decode();
         assert!(er_chaos::stats().unwrap().domain(Domain::Trace).handled() >= 1);
     }
 }

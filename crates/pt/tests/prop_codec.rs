@@ -62,7 +62,8 @@ proptest! {
     /// `encoded_len` is the length `encode` would produce.
     #[test]
     fn encoded_len_matches_encode(packets in prop::collection::vec(packet(), 0..40)) {
-        prop_assert_eq!(codec::encoded_len(&packets), codec::encode(&packets).len());
+        let len: usize = packets.iter().map(Packet::encoded_len).sum();
+        prop_assert_eq!(len, codec::encode(&packets).len());
     }
 
     /// Truncating an encoded stream never panics: it either still decodes
@@ -157,5 +158,79 @@ proptest! {
         for w in ptws.windows(2) {
             prop_assert_eq!(w[1], w[0] + 1);
         }
+    }
+
+    /// `codec::decode` on completely arbitrary bytes never panics and
+    /// always terminates: every outcome is `Ok` or a typed `DecodeError`.
+    #[test]
+    fn decode_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
+        let _ = codec::decode(&bytes);
+    }
+
+    /// Bit-flipping a well-formed stream never panics the decoder.
+    #[test]
+    fn decode_survives_bit_flips(
+        packets in prop::collection::vec(packet(), 1..40),
+        pos in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let mut bytes = codec::encode(&packets);
+        let pos = pos.index(bytes.len());
+        bytes[pos] ^= 1 << bit;
+        let _ = codec::decode(&bytes);
+    }
+
+    /// Truncating a well-formed stream anywhere yields `Ok` (clean packet
+    /// boundary) or `Truncated` — never a panic, never `BadOpcode`.
+    #[test]
+    fn decode_truncation_is_typed(
+        packets in prop::collection::vec(packet(), 1..40),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let bytes = codec::encode(&packets);
+        let cut = cut.index(bytes.len() + 1);
+        match codec::decode(&bytes[..cut]) {
+            Ok(_) | Err(codec::DecodeError::Truncated { .. }) => {}
+            Err(e) => prop_assert!(false, "unexpected error on truncation: {e}"),
+        }
+    }
+
+    /// `resync` terminates on arbitrary bytes, and any sync point it
+    /// returns really is a PSB opcode byte within bounds.
+    #[test]
+    fn resync_survives_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..2048),
+        from in any::<prop::sample::Index>(),
+    ) {
+        let from = from.index(bytes.len() + 1);
+        if let Some(at) = codec::resync(&bytes, from) {
+            prop_assert!(at >= from && at < bytes.len());
+            prop_assert_eq!(bytes[at], 0xA0);
+        }
+    }
+
+    /// A tampered `PtTrace` (rotated + truncated, the worst chaos does)
+    /// decodes to a typed result, never a panic, even when forced through
+    /// the wrapped-path resynchronization loop.
+    #[test]
+    fn wrapped_decode_survives_tampering(
+        branches in prop::collection::vec(any::<bool>(), 16..400),
+        rot in any::<prop::sample::Index>(),
+        keep in any::<prop::sample::Index>(),
+    ) {
+        let mut sink = PtSink::new(PtConfig {
+            ring_bytes: 1 << 20,
+            psb_period: 16,
+        });
+        for &b in &branches {
+            sink.cond_branch(b);
+            sink.ptwrite(u64::from(b));
+        }
+        let mut trace = sink.finish();
+        let n = trace.bytes.len();
+        trace.bytes.rotate_left(rot.index(n));
+        trace.bytes.truncate(keep.index(n) + 1);
+        trace.wrapped = true; // force the resync loop
+        let _ = trace.decode();
     }
 }

@@ -1,24 +1,32 @@
-//! Property tests for decoding straight to events: `PtTrace::decode` and
-//! `compress::decompress_events` walk the bytes once into flat events, and
-//! must equal flattening the decoded packets with `packets_to_events` —
-//! events and errors alike — on clean, wrapped, damaged and arbitrary
-//! streams.
+//! Property tests for decoding straight to events: `PtTrace::decode`
+//! walks the bytes once into flat events, and must equal decoding the
+//! packets with the codec's reference decode and flattening them — events
+//! and errors alike — on clean, wrapped, damaged and arbitrary streams.
 
 use er_minilang::ir::FuncId;
 use er_minilang::trace::TraceSink;
-use er_pt::compress::{compress, decompress, decompress_events};
-use er_pt::sink::{packets_to_events, PtStats};
+use er_pt::codec::DecodeError;
+use er_pt::sink::PtStats;
 use er_pt::{codec, Packet, PtConfig, PtSink, PtTrace, TraceEvent};
 use proptest::prelude::*;
 
-/// The reference: decode to packets, then flatten them, checking the
-/// flattening against [`flatten`] on the way.
-fn reference(trace: &PtTrace) -> Result<Vec<TraceEvent>, codec::DecodeError> {
-    trace.packets().map(|(packets, gap)| {
-        let events = packets_to_events(&packets, gap);
-        assert_eq!(events, flatten(&packets, gap));
-        events
-    })
+/// The reference: decode to packets with `codec::decode_from`,
+/// resynchronizing a wrapped ring at its first sync point and again past
+/// any damage, then flatten the packets.
+fn reference(trace: &PtTrace) -> Result<Vec<TraceEvent>, DecodeError> {
+    if !trace.wrapped {
+        return codec::decode(&trace.bytes).map(|packets| flatten(&packets, false));
+    }
+    let mut at = codec::resync(&trace.bytes, 0).ok_or(DecodeError::NoSyncPoint)?;
+    loop {
+        match codec::decode_from(&trace.bytes, at) {
+            Ok(packets) => return Ok(flatten(&packets, true)),
+            Err(DecodeError::BadOpcode { at: bad, .. } | DecodeError::Corrupt { at: bad }) => {
+                at = codec::resync(&trace.bytes, bad + 1).ok_or(DecodeError::NoSyncPoint)?;
+            }
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// An independent flattening of well-formed packets, one event per TNT
@@ -58,7 +66,7 @@ fn flatten(packets: &[Packet], leading_gap: bool) -> Vec<TraceEvent> {
     events
 }
 
-fn direct(trace: &PtTrace) -> Result<Vec<TraceEvent>, codec::DecodeError> {
+fn direct(trace: &PtTrace) -> Result<Vec<TraceEvent>, DecodeError> {
     trace.decode().map(|d| d.events)
 }
 
@@ -146,7 +154,7 @@ proptest! {
         damage in prop::collection::vec(any::<prop::sample::Index>(), 1..3),
     ) {
         let mut trace = traced(&ops, 1 << 16, 8);
-        let (packets, _) = trace.packets().unwrap();
+        let packets = codec::decode(&trace.bytes).unwrap();
         // Packet starts far enough out that the first sync point's
         // validation window cannot see them.
         let starts: Vec<usize> = packets
@@ -193,64 +201,4 @@ proptest! {
         let trace = raw(bytes, wrapped, 0);
         prop_assert_eq!(direct(&trace), reference(&trace));
     }
-
-    /// The compressed format: decompressing straight to events equals
-    /// flattening the decompressed packets, for real traces and for any
-    /// leading-gap flag.
-    #[test]
-    fn compressed_traces_decode_alike(
-        ops in prop::collection::vec(op(), 0..400),
-        gap in any::<bool>(),
-    ) {
-        let (packets, _) = traced(&ops, 1 << 16, 16).packets().unwrap();
-        let packed = compress(&packets);
-        let (events, n) = decompress_events(&packed, gap).unwrap();
-        prop_assert_eq!(n, packets.len());
-        prop_assert_eq!(events, flatten(&packets, gap));
-    }
-
-    /// Damaged or arbitrary compressed bytes give the same events or the
-    /// same error both ways.
-    #[test]
-    fn damaged_compressed_bytes_decode_alike(
-        ops in prop::collection::vec(op(), 0..200),
-        flips in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 0..3),
-        keep in any::<prop::sample::Index>(),
-        noise in prop::collection::vec(any::<u8>(), 0..64),
-        gap in any::<bool>(),
-    ) {
-        let (packets, _) = traced(&ops, 1 << 16, 16).packets().unwrap();
-        let mut packed = compress(&packets);
-        let n = packed.len();
-        for (at, x) in flips {
-            packed[at.index(n)] ^= x;
-        }
-        packed.truncate(keep.index(n) + 1);
-        packed.extend(noise);
-        let expected = decompress(&packed).map(|p| (packets_to_events(&p, gap), p.len()));
-        prop_assert_eq!(decompress_events(&packed, gap), expected);
-    }
-}
-
-/// Non-canonical TNT packets (a payload shorter or longer than the count
-/// needs) flatten the same way from a packet list and from compressed
-/// bytes; bits a short payload lacks yield no event.
-#[test]
-fn non_canonical_tnt_flattens_alike() {
-    let packets = vec![
-        Packet::Tnt {
-            count: 20,
-            bits: vec![0b1010_0101],
-        },
-        Packet::Tnt {
-            count: 3,
-            bits: vec![0b0000_0110, 0xff, 0xff],
-        },
-        Packet::Ret,
-    ];
-    let direct = packets_to_events(&packets, false);
-    assert_eq!(direct.len(), 8 + 3 + 1);
-    let (events, n) = decompress_events(&compress(&packets), false).unwrap();
-    assert_eq!(n, 3);
-    assert_eq!(events, direct);
 }

@@ -1,11 +1,12 @@
 //! Property tests for the decoder's noise rule: packet streams that differ
 //! only in timestamps, repeat resumes of the running thread and TNT packet
-//! boundaries decode to equal events, in both byte formats; a real thread
-//! switch or a different branch still shows, exactly where it happens. This
-//! is what lets a warm start tell whether a trace starts with its prefix's
-//! events (`WarmStart::prefix_matches`) with a plain compare of events.
+//! boundaries decode to equal events, which the trace store then keeps as
+//! equal bytes; a real thread switch or a different branch still shows,
+//! exactly where it happens. This is what lets a warm start tell whether a
+//! trace starts with its prefix's events (`WarmStart::prefix_matches`)
+//! with a plain compare of events.
 
-use er_pt::compress::{compress, decompress_events};
+use er_pt::compress::{compress_events, decompress_events};
 use er_pt::sink::PtStats;
 use er_pt::{codec, Packet, PtTrace, TraceEvent};
 use proptest::prelude::*;
@@ -124,17 +125,23 @@ fn packets(ops: &[Op], mask: &[u8]) -> Vec<Packet> {
     out
 }
 
-/// The events of `packets` through both byte formats, which must agree.
-fn decode(packets: &[Packet]) -> Vec<TraceEvent> {
-    let trace = PtTrace {
+/// A ring holding `packets`, `wrapped` or not.
+fn ring(packets: &[Packet], wrapped: bool) -> PtTrace {
+    PtTrace {
         bytes: codec::encode(packets),
-        wrapped: false,
+        wrapped,
         stats: PtStats::default(),
-    };
-    let events = trace.decode().expect("clean stream decodes").events;
-    let (unpacked, n) = decompress_events(&compress(packets), false).expect("round trip");
-    assert_eq!(n, packets.len());
-    assert_eq!(unpacked, events);
+    }
+}
+
+/// The events of `packets`, which the store's format keeps exactly.
+fn decode(packets: &[Packet]) -> Vec<TraceEvent> {
+    let events = ring(packets, false)
+        .decode()
+        .expect("clean stream decodes")
+        .events;
+    let stored = compress_events(&events);
+    assert_eq!(decompress_events(&stored).as_ref(), Ok(&events));
     events
 }
 
@@ -155,8 +162,11 @@ proptest! {
         b_mask in prop::collection::vec(any::<u8>(), 0..300),
     ) {
         let (want, _) = expected(&ops);
-        prop_assert_eq!(decode(&packets(&ops, &a_mask)), want.clone());
-        prop_assert_eq!(decode(&packets(&ops, &b_mask)), want);
+        let a = decode(&packets(&ops, &a_mask));
+        let b = decode(&packets(&ops, &b_mask));
+        prop_assert_eq!(&a, &want);
+        prop_assert_eq!(&b, &want);
+        prop_assert_eq!(compress_events(&a), compress_events(&b));
     }
 
     /// A real switch inserted at `at` makes the decoded streams part
@@ -241,6 +251,6 @@ fn the_first_resume_after_a_gap_shows() {
         ]
     );
     // A wrapped ring starts past a gap, so its first resume shows too.
-    let (events, _) = decompress_events(&compress(&stream[..2]), true).unwrap();
+    let events = ring(&stream[..2], true).decode().unwrap().events;
     assert_eq!(events, [TraceEvent::Gap, TraceEvent::ThreadResume(0)]);
 }

@@ -53,12 +53,12 @@ impl Phase {
     }
 }
 
-/// Per-phase work budgets, in phase-native units: packets for decode,
+/// Per-phase work budgets, in phase-native units: events for decode,
 /// events stepped for shepherd, SAT conflicts for solve, candidate sites
 /// for select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseBudgets {
-    /// Decode budget (packets).
+    /// Decode budget (decoded events).
     pub decode: u64,
     /// Shepherd budget (symex events stepped).
     pub shepherd: u64,
