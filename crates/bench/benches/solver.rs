@@ -2,6 +2,7 @@
 //! ER's stall model (bitvector solving, array-chain elimination).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use er_solver::bitblast::BitBlaster;
 use er_solver::cnf::{Lit, Var};
 use er_solver::expr::{BvOp, CmpKind, ExprPool};
 use er_solver::inc::IncrementalSolver;
@@ -242,6 +243,54 @@ fn bench_deep_table_hash(c: &mut Criterion) {
     });
 }
 
+/// Lowering alone, on the deep-solve shape whose bits are mostly
+/// constant: the byte addresses `base + (k & 31) * 8 + i` of one table
+/// entry, each bounded by and compared against constants, and a 64-bit
+/// multiply-xorshift hash whose low 16 bits must hit a target. The mask
+/// leaves 59 of each address's 64 bits constant and the multiplier is a
+/// constant, so most carry-chain bits and multiplier rows fold without a
+/// gate. Each iteration blasts the formula into a fresh [`BitBlaster`].
+fn bench_const_carry_chain(c: &mut Criterion) {
+    const BASE: u64 = 0x7f00_4000;
+    let mut pool = ExprPool::new();
+    let k = pool.var("k", 64);
+    let m31 = pool.bv_const(31, 64);
+    let slot = pool.bin(BvOp::And, k, m31);
+    let eight = pool.bv_const(8, 64);
+    let offset = pool.bin(BvOp::Mul, slot, eight);
+    let base = pool.bv_const(BASE, 64);
+    let entry = pool.bin(BvOp::Add, base, offset);
+    let end = pool.bv_const(BASE + 32 * 8, 64);
+    let mut constraints = Vec::new();
+    for i in 0..8 {
+        let ic = pool.bv_const(i, 64);
+        let addr = pool.bin(BvOp::Add, entry, ic);
+        let hit = pool.bv_const(BASE + 5 * 8 + i, 64);
+        constraints.push(pool.cmp(CmpKind::Ule, base, addr));
+        constraints.push(pool.cmp(CmpKind::Ult, addr, end));
+        constraints.push(pool.cmp(CmpKind::Eq, addr, hit));
+    }
+    let h = pool.var("h", 64);
+    let shift = pool.bv_const(29, 64);
+    let shifted = pool.bin(BvOp::LShr, h, shift);
+    let mixed = pool.bin(BvOp::Xor, h, shifted);
+    let mul = pool.bv_const(0x9e37_79b9_7f4a_7c15, 64);
+    let hash = pool.bin(BvOp::Mul, mixed, mul);
+    let mask = pool.bv_const(0xffff, 64);
+    let low = pool.bin(BvOp::And, hash, mask);
+    let goal = pool.bv_const(0x1234, 64);
+    constraints.push(pool.cmp(CmpKind::Eq, low, goal));
+    c.bench_function("solver/const_carry_chain", |b| {
+        b.iter(|| {
+            let mut bb = BitBlaster::new();
+            for &e in &constraints {
+                bb.assert_true(&pool, e).expect("no array reads");
+            }
+            criterion::black_box(bb.cnf.clause_count())
+        });
+    });
+}
+
 /// The SAT solver's fixed costs at the size of one deep-solve engine:
 /// 2,200 variables and 6,400 random 3-clauses (satisfiable at that ratio)
 /// fed into a fresh solver, one search, and four clones. Feeding grows
@@ -283,6 +332,7 @@ criterion_group!(
     bench_address_probe,
     bench_stalled_elimination,
     bench_deep_table_hash,
+    bench_const_carry_chain,
     bench_sat_feed_clone
 );
 criterion_main!(benches);

@@ -7,6 +7,10 @@
 //! 2. The incremental solver produces the same reproduction results
 //!    (occurrences, reproduced flags, recorded bytes, trace bytes) as the
 //!    sequential uncached baseline.
+//!
+//! A third pins each row's solver work units (array cells plus CNF
+//! clauses), so a lowering change that alters the size of the CNF fails
+//! here even when every reproduction still succeeds.
 
 use er_bench::rows::{table1_rows, RowOptions, Table1Row};
 use er_workloads::Scale;
@@ -59,4 +63,29 @@ fn incremental_mode_matches_uncached_baseline() {
             o.name
         );
     }
+}
+
+/// `solver_work_units` of each Table-1 row at test scale, in table order.
+const WORK_UNITS: [u64; 13] = [
+    30656, 79396, 6091, 13808, 6091, 6091, 6091, 30656, 4548, 0, 0, 512, 3183,
+];
+
+#[test]
+fn solver_work_units_are_pinned() {
+    let rows = table1_rows(RowOptions {
+        scale: Scale::TEST,
+        serial: false,
+        baseline: false,
+    });
+    let work: Vec<(&str, u64)> = rows
+        .iter()
+        .map(|r| (r.name.as_str(), r.solver_work_units))
+        .collect();
+    let pinned: Vec<(&str, u64)> = rows
+        .iter()
+        .zip(WORK_UNITS)
+        .map(|(r, w)| (r.name.as_str(), w))
+        .collect();
+    assert_eq!(rows.len(), WORK_UNITS.len());
+    assert_eq!(work, pinned);
 }

@@ -7,6 +7,7 @@ use crate::cnf::{Cnf, CnfMark, Lit, Var};
 use crate::expr::{BvOp, CmpKind, ExprPool, ExprRef, Node, VarId};
 use crate::hash::FxHashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Bit-blasting failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,10 +28,28 @@ impl fmt::Display for BlastError {
 
 impl std::error::Error for BlastError {}
 
-#[derive(Debug, Clone)]
+/// `len` literals of the blaster's arena, from `start`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    /// The low `len` bits.
+    fn low(self, len: u32) -> Span {
+        Span { len, ..self }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 enum Blasted {
     /// The low bits of a bitvector: as many as it was blasted at.
-    Bits(Vec<Lit>),
+    Bits(Span),
     Bool(Lit),
 }
 
@@ -51,13 +70,21 @@ enum Blasted {
 /// was blasted at; a consumer that reads more re-blasts the node wider.
 /// Variables are always blasted at full width, so [`BitBlaster::var_bits`]
 /// covers every bit a model reports.
+///
+/// Blasted bits live back to back in one append-only arena: a cache entry
+/// is a span of it, a cache hit reads the span in place, and a rollback
+/// truncates the arena to where the scope began.
 #[derive(Debug, Default, Clone)]
 pub struct BitBlaster {
     /// The CNF being built.
     pub cnf: Cnf,
+    arena: Vec<Lit>,
     cache: FxHashMap<ExprRef, Blasted>,
     var_bits: FxHashMap<VarId, Vec<Var>>,
     scope: Option<BlastScope>,
+    /// The literals of the operation being lowered, before they are
+    /// appended to the arena.
+    scratch: Vec<Lit>,
 }
 
 #[derive(Debug, Clone)]
@@ -66,6 +93,7 @@ struct BlastScope {
     cache_writes: Vec<(ExprRef, Option<Blasted>)>,
     var_keys: Vec<VarId>,
     cnf_mark: CnfMark,
+    arena_len: usize,
 }
 
 impl BitBlaster {
@@ -101,12 +129,13 @@ impl BitBlaster {
             cache_writes: Vec::new(),
             var_keys: Vec::new(),
             cnf_mark: self.cnf.mark(),
+            arena_len: self.arena.len(),
         });
     }
 
     /// Undoes everything added since [`BitBlaster::begin_scope`]. A cache
     /// entry the scope re-blasted wider gets its narrower lowering back,
-    /// whose clauses predate the scope.
+    /// whose clauses and arena span predate the scope.
     pub fn rollback_scope(&mut self) {
         let scope = self.scope.take().expect("scope open");
         for (k, before) in scope.cache_writes.into_iter().rev() {
@@ -118,6 +147,7 @@ impl BitBlaster {
         for k in scope.var_keys {
             self.var_bits.remove(&k);
         }
+        self.arena.truncate(scope.arena_len);
         self.cnf.rollback(&scope.cnf_mark);
     }
 
@@ -128,8 +158,8 @@ impl BitBlaster {
             Blasted::Bits(bits) => {
                 // Nonzero test.
                 let mut acc = self.cnf.false_lit();
-                for b in bits {
-                    acc = self.cnf.or_gate(acc, b);
+                for i in bits.range() {
+                    acc = self.cnf.or_gate(acc, self.arena[i]);
                 }
                 Ok(acc)
             }
@@ -148,48 +178,54 @@ impl BitBlaster {
         e: ExprRef,
         demand: u32,
     ) -> Result<Vec<Lit>, BlastError> {
+        let bits = self.span(pool, e, demand)?;
+        Ok(self.arena[bits.range()].to_vec())
+    }
+
+    /// [`BitBlaster::blast_bits`], as a span of the arena.
+    fn span(&mut self, pool: &ExprPool, e: ExprRef, demand: u32) -> Result<Span, BlastError> {
         if demand == 0 {
-            return Ok(Vec::new());
+            return Ok(Span { start: 0, len: 0 });
         }
-        match self.blast(pool, e, demand)? {
-            Blasted::Bits(b) => Ok(b),
-            Blasted::Bool(l) => Ok(vec![l]),
-        }
+        Ok(match self.blast(pool, e, demand)? {
+            Blasted::Bits(bits) => bits,
+            Blasted::Bool(l) => self.emit(|_, _, out| out.push(l)),
+        })
     }
 
     /// All of `e`'s bits.
-    fn blast_full(&mut self, pool: &ExprPool, e: ExprRef) -> Result<Vec<Lit>, BlastError> {
+    fn span_full(&mut self, pool: &ExprPool, e: ExprRef) -> Result<Span, BlastError> {
         let width = pool.sort(e).bits();
-        self.blast_bits(pool, e, width)
+        self.span(pool, e, width)
     }
 
-    /// `bits` extended with constant-false literals to `len`.
-    fn zero_extend(&mut self, mut bits: Vec<Lit>, len: u32) -> Vec<Lit> {
-        let f = self.cnf.false_lit();
-        bits.resize(len as usize, f);
-        bits
+    /// Appends the literals `lower` writes, given the CNF and the arena as
+    /// it stands, to the arena as a new span.
+    fn emit(&mut self, lower: impl FnOnce(&mut Cnf, &[Lit], &mut Vec<Lit>)) -> Span {
+        let mut out = std::mem::take(&mut self.scratch);
+        out.clear();
+        lower(&mut self.cnf, &self.arena, &mut out);
+        let start = u32::try_from(self.arena.len()).expect("arena indices fit in u32");
+        let len = u32::try_from(out.len()).expect("span lengths fit in u32");
+        self.arena.extend_from_slice(&out);
+        self.scratch = out;
+        Span { start, len }
     }
 
     /// Lowers `e` and returns its low `d` bits (`1..=` its width), or its
     /// literal if it is boolean.
     fn blast(&mut self, pool: &ExprPool, e: ExprRef, d: u32) -> Result<Blasted, BlastError> {
         let previous = match self.cache.get(&e) {
-            Some(Blasted::Bool(l)) => return Ok(Blasted::Bool(*l)),
-            Some(Blasted::Bits(bits)) if bits.len() >= d as usize => {
-                return Ok(Blasted::Bits(bits[..d as usize].to_vec()));
-            }
-            Some(narrower) => Some(narrower.clone()),
-            None => None,
+            Some(&Blasted::Bits(bits)) if bits.len >= d => return Ok(Blasted::Bits(bits.low(d))),
+            Some(&Blasted::Bool(l)) => return Ok(Blasted::Bool(l)),
+            narrower => narrower.copied(),
         };
         let result = match pool.node(e).clone() {
             Node::Const { value, .. } => {
                 let t = self.cnf.true_lit();
-                let f = !t;
-                Blasted::Bits(
-                    (0..d)
-                        .map(|i| if value >> i & 1 == 1 { t } else { f })
-                        .collect(),
-                )
+                Blasted::Bits(self.emit(|_, _, out| {
+                    out.extend((0..d).map(|i| if value >> i & 1 == 1 { t } else { !t }));
+                }))
             }
             Node::BoolConst(b) => {
                 let t = self.cnf.true_lit();
@@ -197,17 +233,19 @@ impl BitBlaster {
             }
             Node::Var { id, bits } => {
                 let vars: Vec<Var> = (0..bits).map(|_| self.cnf.new_var()).collect();
-                self.var_bits.insert(id, vars.clone());
+                let span = self.emit(|_, _, out| out.extend(vars.iter().map(|&v| Lit::pos(v))));
+                self.var_bits.insert(id, vars);
                 if let Some(scope) = &mut self.scope {
                     scope.var_keys.push(id);
                 }
-                Blasted::Bits(vars.into_iter().map(Lit::pos).collect())
+                Blasted::Bits(span)
             }
             Node::Bin { op, a, b } => Blasted::Bits(self.blast_bin(pool, op, a, b, d)?),
             Node::Cmp { op, a, b } => {
-                let av = self.blast_full(pool, a)?;
-                let bv = self.blast_full(pool, b)?;
-                Blasted::Bool(self.cmp_op(op, &av, &bv))
+                let av = self.span_full(pool, a)?;
+                let bv = self.span_full(pool, b)?;
+                let (a, b) = (&self.arena[av.range()], &self.arena[bv.range()]);
+                Blasted::Bool(cmp_op(&mut self.cnf, op, a, b))
             }
             Node::Not(a) => {
                 let l = self.blast_bool(pool, a)?;
@@ -229,37 +267,55 @@ impl BitBlaster {
                 else_e,
             } => {
                 let c = self.blast_bool(pool, cond)?;
-                let t = self.blast_bits(pool, then_e, d)?;
-                let el = self.blast_bits(pool, else_e, d)?;
-                Blasted::Bits(
-                    t.iter()
-                        .zip(&el)
-                        .map(|(&ti, &ei)| self.cnf.ite_gate(c, ti, ei))
-                        .collect(),
-                )
+                let t = self.span(pool, then_e, d)?;
+                let el = self.span(pool, else_e, d)?;
+                // A constant selector is one side, as `ite_gate` returns
+                // for every bit.
+                Blasted::Bits(match self.cnf.known(c) {
+                    Some(true) => t,
+                    Some(false) => el,
+                    None => self.emit(|cnf, arena, out| {
+                        select(cnf, c, &arena[t.range()], &arena[el.range()], out);
+                    }),
+                })
             }
             Node::ZExt { a, .. } => {
                 let inner = d.min(pool.sort(a).bits());
-                let v = self.blast_bits(pool, a, inner)?;
+                let v = self.span(pool, a, inner)?;
                 Blasted::Bits(self.zero_extend(v, d))
             }
-            Node::Trunc { a, .. } => Blasted::Bits(self.blast_bits(pool, a, d)?),
+            Node::Trunc { a, .. } => Blasted::Bits(self.span(pool, a, d)?),
             Node::BoolToBv { a, .. } => {
                 let l = self.blast_bool(pool, a)?;
-                let v = self.zero_extend(vec![l], d);
-                Blasted::Bits(v)
+                let f = self.cnf.false_lit();
+                Blasted::Bits(self.emit(|_, _, out| {
+                    out.push(l);
+                    out.resize(d as usize, f);
+                }))
             }
             Node::Read { .. } => return Err(BlastError::UnexpectedRead(e)),
-        };
-        let out = match &result {
-            Blasted::Bits(bits) => Blasted::Bits(bits[..d as usize].to_vec()),
-            Blasted::Bool(l) => Blasted::Bool(*l),
         };
         self.cache.insert(e, result);
         if let Some(scope) = &mut self.scope {
             scope.cache_writes.push((e, previous));
         }
-        Ok(out)
+        Ok(match result {
+            Blasted::Bits(bits) => Blasted::Bits(bits.low(d)),
+            bool => bool,
+        })
+    }
+
+    /// `bits` extended with constant-false literals to `len`: `bits`
+    /// itself if it is that long.
+    fn zero_extend(&mut self, bits: Span, len: u32) -> Span {
+        if bits.len == len {
+            return bits;
+        }
+        let f = self.cnf.false_lit();
+        self.emit(|_, arena, out| {
+            out.extend_from_slice(&arena[bits.range()]);
+            out.resize(len as usize, f);
+        })
     }
 
     /// The low `d` bits of `a op b`.
@@ -276,14 +332,16 @@ impl BitBlaster {
         a: ExprRef,
         b: ExprRef,
         d: u32,
-    ) -> Result<Vec<Lit>, BlastError> {
+    ) -> Result<Span, BlastError> {
         let width = pool.sort(a).bits();
         let shift = pool.as_const(b).map(|c| (c % u64::from(width)) as u32);
         match (op, shift) {
             (BvOp::Add | BvOp::Sub | BvOp::Mul | BvOp::Or | BvOp::Xor, _) => {
-                let av = self.blast_bits(pool, a, d)?;
-                let bv = self.blast_bits(pool, b, d)?;
-                Ok(self.bin_op(op, &av, &bv))
+                let av = self.span(pool, a, d)?;
+                let bv = self.span(pool, b, d)?;
+                Ok(self.emit(|cnf, arena, out| {
+                    bin_op(cnf, op, &arena[av.range()], &arena[bv.range()], out);
+                }))
             }
             (BvOp::And, _) => {
                 // Bits above a constant's highest set bit are and-ed with 0.
@@ -292,219 +350,252 @@ impl BitBlaster {
                         .map_or(d, |c| d.min(64 - c.leading_zeros()))
                 };
                 let (da, db) = (cap(b), cap(a));
-                let av = self.blast_bits(pool, a, da)?;
+                let av = self.span(pool, a, da)?;
                 let av = self.zero_extend(av, d);
-                let bv = self.blast_bits(pool, b, db)?;
+                let bv = self.span(pool, b, db)?;
                 let bv = self.zero_extend(bv, d);
-                Ok(self.bin_op(op, &av, &bv))
+                Ok(self.emit(|cnf, arena, out| {
+                    bin_op(cnf, op, &arena[av.range()], &arena[bv.range()], out);
+                }))
             }
             // Result bit i is a[i - sh], or 0 below the shift.
             (BvOp::Shl, Some(sh)) => {
                 let sh = sh.min(d);
+                let av = self.span(pool, a, d - sh)?;
                 let f = self.cnf.false_lit();
-                let mut out = vec![f; sh as usize];
-                out.extend(self.blast_bits(pool, a, d - sh)?);
-                Ok(out)
+                Ok(self.emit(|_, arena, out| {
+                    out.resize(sh as usize, f);
+                    out.extend_from_slice(&arena[av.range()]);
+                }))
             }
             // Result bit i is a[i + sh], or 0 past the top.
             (BvOp::LShr, Some(sh)) => {
-                let av = self.blast_bits(pool, a, (d + sh).min(width))?;
-                let out = av[sh as usize..].to_vec();
-                Ok(self.zero_extend(out, d))
+                let av = self.span(pool, a, (d + sh).min(width))?;
+                let f = self.cnf.false_lit();
+                Ok(self.emit(|_, arena, out| {
+                    out.extend_from_slice(&arena[av.range()][sh as usize..]);
+                    out.resize(d as usize, f);
+                }))
             }
             (BvOp::UDiv | BvOp::URem | BvOp::AShr | BvOp::Shl | BvOp::LShr, _) => {
-                let av = self.blast_full(pool, a)?;
-                let bv = self.blast_full(pool, b)?;
-                let mut out = self.bin_op(op, &av, &bv);
-                out.truncate(d as usize);
-                Ok(out)
+                let av = self.span_full(pool, a)?;
+                let bv = self.span_full(pool, b)?;
+                Ok(self.emit(|cnf, arena, out| {
+                    bin_op(cnf, op, &arena[av.range()], &arena[bv.range()], out);
+                    out.truncate(d as usize);
+                }))
             }
         }
     }
+}
 
-    fn adder(&mut self, a: &[Lit], b: &[Lit], mut carry: Lit) -> Vec<Lit> {
-        let mut out = Vec::with_capacity(a.len());
-        for (&x, &y) in a.iter().zip(b) {
-            let (s, c) = self.cnf.full_adder(x, y, carry);
-            out.push(s);
-            carry = c;
-        }
-        out
+/// The constant literal of `value`.
+fn constant(cnf: &mut Cnf, value: bool) -> Lit {
+    let t = cnf.true_lit();
+    if value {
+        t
+    } else {
+        !t
     }
+}
 
-    /// Adder that also returns the final carry (for comparisons).
-    fn adder_with_carry(&mut self, a: &[Lit], b: &[Lit], mut carry: Lit) -> (Vec<Lit>, Lit) {
-        let mut out = Vec::with_capacity(a.len());
-        for (&x, &y) in a.iter().zip(b) {
-            let (s, c) = self.cnf.full_adder(x, y, carry);
-            out.push(s);
-            carry = c;
-        }
-        (out, carry)
-    }
-
-    fn bin_op(&mut self, op: BvOp, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
-        let w = a.len();
-        match op {
-            BvOp::Add => {
-                let f = self.cnf.false_lit();
-                self.adder(a, b, f)
-            }
-            BvOp::Sub => {
-                let nb: Vec<Lit> = b.iter().map(|&l| !l).collect();
-                let t = self.cnf.true_lit();
-                self.adder(a, &nb, t)
-            }
-            BvOp::Mul => {
-                // Shift-and-add, building only gates that survive folding.
-                // A row whose multiplier bit is constant-false is all
-                // constant-false, and the low `i` bits of row `i` are too,
-                // so the full-width adder would pass `acc` through there:
-                // skipping both emits the same clauses and variables.
-                let f = self.cnf.false_lit();
-                let mut acc = vec![f; w];
-                for (i, &bi) in b.iter().enumerate() {
-                    if self.cnf.known(bi) == Some(false) {
-                        continue;
-                    }
-                    // (a << i) & bi, above its constant-false low bits.
-                    let row: Vec<Lit> = a[..w - i]
-                        .iter()
-                        .map(|&aj| self.cnf.and_gate(aj, bi))
-                        .collect();
-                    let high = self.adder(&acc[i..], &row, f);
-                    acc[i..].copy_from_slice(&high);
-                }
-                acc
-            }
-            BvOp::UDiv => self.divide(a, b).0,
-            BvOp::URem => self.divide(a, b).1,
-            BvOp::And => a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| self.cnf.and_gate(x, y))
-                .collect(),
-            BvOp::Or => a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| self.cnf.or_gate(x, y))
-                .collect(),
-            BvOp::Xor => a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| self.cnf.xor_gate(x, y))
-                .collect(),
-            BvOp::Shl => self.shifter(a, b, ShiftKind::Left),
-            BvOp::LShr => self.shifter(a, b, ShiftKind::LogicalRight),
-            BvOp::AShr => self.shifter(a, b, ShiftKind::ArithRight),
-        }
-    }
-
-    /// Restoring long division producing (quotient, remainder); matches
-    /// SMT-LIB semantics for a zero divisor (quotient all-ones, remainder =
-    /// dividend).
-    fn divide(&mut self, a: &[Lit], b: &[Lit]) -> (Vec<Lit>, Vec<Lit>) {
-        let w = a.len();
-        let f = self.cnf.false_lit();
-        // rem uses w+1 bits to absorb the shifted-in bit before compare.
-        let mut rem: Vec<Lit> = vec![f; w + 1];
-        let mut q = vec![f; w];
-        let b_ext: Vec<Lit> = b.iter().copied().chain(std::iter::once(f)).collect();
-        for i in (0..w).rev() {
-            // rem = (rem << 1) | a[i]
-            rem.rotate_right(1);
-            rem[0] = a[i];
-            // ge = rem >= b  (unsigned, w+1 bits): carry of rem + ~b + 1.
-            let nb: Vec<Lit> = b_ext.iter().map(|&l| !l).collect();
-            let t = self.cnf.true_lit();
-            let (diff, carry) = self.adder_with_carry(&rem, &nb, t);
-            let ge = carry; // carry-out 1 means rem >= b
-            q[i] = ge;
-            // rem = ge ? diff : rem
-            rem = rem
-                .iter()
-                .zip(&diff)
-                .map(|(&r, &d)| self.cnf.ite_gate(ge, d, r))
-                .collect();
-        }
-        rem.truncate(w);
-        (q, rem)
-    }
-
-    fn shifter(&mut self, a: &[Lit], b: &[Lit], kind: ShiftKind) -> Vec<Lit> {
-        let w = a.len();
-        let stages = w.trailing_zeros() as usize; // w is a power of two
-        let fill_base = match kind {
-            ShiftKind::ArithRight => a[w - 1],
-            _ => self.cnf.false_lit(),
+/// Ripple-carry `a + b + carry`: passes each sum bit to `sum` and
+/// returns the carry out.
+///
+/// A bit whose operand bits and incoming carry are all constant is added
+/// in plain arithmetic. Every gate of its full adder would fold to the
+/// same constant literals and build nothing, so the CNF is the gate-level
+/// adder's; the chain builds gates again from the first bit with an
+/// unknown input.
+fn adder(
+    cnf: &mut Cnf,
+    a: &[Lit],
+    b: impl IntoIterator<Item = Lit>,
+    mut carry: Lit,
+    mut sum: impl FnMut(Lit),
+) -> Lit {
+    for (&x, y) in a.iter().zip(b) {
+        let known = (cnf.known(x), cnf.known(y), cnf.known(carry));
+        let (s, c) = if let (Some(x), Some(y), Some(c)) = known {
+            let s = constant(cnf, x ^ y ^ c);
+            (s, constant(cnf, (x & y) | (c & (x ^ y))))
+        } else {
+            cnf.full_adder(x, y, carry)
         };
-        let mut cur: Vec<Lit> = a.to_vec();
-        for (stage, &sel) in b.iter().enumerate().take(stages) {
-            let amount = 1usize << stage;
-            let mut shifted = vec![fill_base; w];
-            match kind {
-                ShiftKind::Left => {
-                    let f = self.cnf.false_lit();
-                    for slot in shifted.iter_mut().take(amount.min(w)) {
-                        *slot = f;
+        sum(s);
+        carry = c;
+    }
+    carry
+}
+
+/// `c ? t : e`, bit by bit, appended to `out`. A constant selector copies
+/// one side, which is what `ite_gate` returns for every bit.
+fn select(cnf: &mut Cnf, c: Lit, t: &[Lit], e: &[Lit], out: &mut Vec<Lit>) {
+    match cnf.known(c) {
+        Some(true) => out.extend_from_slice(t),
+        Some(false) => out.extend_from_slice(e),
+        None => out.extend(t.iter().zip(e).map(|(&ti, &ei)| cnf.ite_gate(c, ti, ei))),
+    }
+}
+
+/// Appends the bits of `a op b` to `out`.
+fn bin_op(cnf: &mut Cnf, op: BvOp, a: &[Lit], b: &[Lit], out: &mut Vec<Lit>) {
+    let w = a.len();
+    match op {
+        BvOp::Add => {
+            let f = cnf.false_lit();
+            adder(cnf, a, b.iter().copied(), f, |s| out.push(s));
+        }
+        BvOp::Sub => {
+            let t = cnf.true_lit();
+            adder(cnf, a, b.iter().map(|&l| !l), t, |s| out.push(s));
+        }
+        BvOp::Mul => {
+            // Shift-and-add, building only gates that survive folding.
+            // A row whose multiplier bit is constant-false is all
+            // constant-false, and the low `i` bits of row `i` are too,
+            // so the full-width adder would pass `acc` through there:
+            // skipping both emits the same clauses and variables. A
+            // row whose multiplier bit is constant-true is `a` itself,
+            // as each of its `and_gate`s would return.
+            let f = cnf.false_lit();
+            let mut acc = vec![f; w];
+            let mut row = Vec::with_capacity(w);
+            let mut high = Vec::with_capacity(w);
+            for (i, &bi) in b.iter().enumerate() {
+                // (a << i) & bi, above its constant-false low bits.
+                let row: &[Lit] = match cnf.known(bi) {
+                    Some(false) => continue,
+                    Some(true) => &a[..w - i],
+                    None => {
+                        row.clear();
+                        row.extend(a[..w - i].iter().map(|&aj| cnf.and_gate(aj, bi)));
+                        &row
                     }
-                    let n = w - amount.min(w);
-                    shifted[amount.min(w)..].copy_from_slice(&cur[..n]);
-                }
-                ShiftKind::LogicalRight | ShiftKind::ArithRight => {
-                    let n = w.saturating_sub(amount);
-                    shifted[..n].copy_from_slice(&cur[amount..amount + n]);
-                }
+                };
+                high.clear();
+                adder(cnf, &acc[i..], row.iter().copied(), f, |s| high.push(s));
+                acc[i..].copy_from_slice(&high);
             }
-            cur = cur
-                .iter()
-                .zip(&shifted)
-                .map(|(&c, &sh)| self.cnf.ite_gate(sel, sh, c))
-                .collect();
+            out.extend_from_slice(&acc);
         }
-        cur
+        BvOp::UDiv => out.extend(divide(cnf, a, b).0),
+        BvOp::URem => out.extend(divide(cnf, a, b).1),
+        BvOp::And => out.extend(a.iter().zip(b).map(|(&x, &y)| cnf.and_gate(x, y))),
+        BvOp::Or => out.extend(a.iter().zip(b).map(|(&x, &y)| cnf.or_gate(x, y))),
+        BvOp::Xor => out.extend(a.iter().zip(b).map(|(&x, &y)| cnf.xor_gate(x, y))),
+        BvOp::Shl => shifter(cnf, a, b, ShiftKind::Left, out),
+        BvOp::LShr => shifter(cnf, a, b, ShiftKind::LogicalRight, out),
+        BvOp::AShr => shifter(cnf, a, b, ShiftKind::ArithRight, out),
     }
+}
 
-    fn cmp_op(&mut self, op: CmpKind, a: &[Lit], b: &[Lit]) -> Lit {
-        match op {
-            CmpKind::Eq => {
-                let mut acc = self.cnf.true_lit();
-                for (&x, &y) in a.iter().zip(b) {
-                    let eq = self.cnf.iff_gate(x, y);
-                    acc = self.cnf.and_gate(acc, eq);
+/// Restoring long division producing (quotient, remainder); matches
+/// SMT-LIB semantics for a zero divisor (quotient all-ones, remainder =
+/// dividend).
+fn divide(cnf: &mut Cnf, a: &[Lit], b: &[Lit]) -> (Vec<Lit>, Vec<Lit>) {
+    let w = a.len();
+    let f = cnf.false_lit();
+    // rem uses w+1 bits to absorb the shifted-in bit before compare.
+    let mut rem: Vec<Lit> = vec![f; w + 1];
+    let mut q = vec![f; w];
+    let mut diff = Vec::with_capacity(w + 1);
+    for i in (0..w).rev() {
+        // rem = (rem << 1) | a[i]
+        rem.rotate_right(1);
+        rem[0] = a[i];
+        // ge = rem >= b  (unsigned, w+1 bits): carry of rem + ~b + 1.
+        let nb = b.iter().chain(std::iter::once(&f)).map(|&l| !l);
+        let t = cnf.true_lit();
+        diff.clear();
+        let ge = adder(cnf, &rem, nb, t, |s| diff.push(s)); // carry-out 1 means rem >= b
+        q[i] = ge;
+        // rem = ge ? diff : rem
+        let mut next = Vec::with_capacity(w + 1);
+        select(cnf, ge, &diff, &rem, &mut next);
+        rem = next;
+    }
+    rem.truncate(w);
+    (q, rem)
+}
+
+/// Appends the barrel shift of `a` by `b` to `out`.
+fn shifter(cnf: &mut Cnf, a: &[Lit], b: &[Lit], kind: ShiftKind, out: &mut Vec<Lit>) {
+    let w = a.len();
+    let stages = w.trailing_zeros() as usize; // w is a power of two
+    let fill_base = match kind {
+        ShiftKind::ArithRight => a[w - 1],
+        _ => cnf.false_lit(),
+    };
+    let mut cur: Vec<Lit> = a.to_vec();
+    for (stage, &sel) in b.iter().enumerate().take(stages) {
+        // A constant-false stage keeps `cur`, as its `ite_gate`s would.
+        if cnf.known(sel) == Some(false) {
+            continue;
+        }
+        let amount = 1usize << stage;
+        let mut shifted = vec![fill_base; w];
+        match kind {
+            ShiftKind::Left => {
+                let f = cnf.false_lit();
+                for slot in shifted.iter_mut().take(amount.min(w)) {
+                    *slot = f;
                 }
-                acc
+                let n = w - amount.min(w);
+                shifted[amount.min(w)..].copy_from_slice(&cur[..n]);
             }
-            CmpKind::Ult => self.ult(a, b),
-            CmpKind::Ule => {
-                let gt = self.ult(b, a);
-                !gt
-            }
-            CmpKind::Slt => self.slt(a, b),
-            CmpKind::Sle => {
-                let gt = self.slt(b, a);
-                !gt
+            ShiftKind::LogicalRight | ShiftKind::ArithRight => {
+                let n = w.saturating_sub(amount);
+                shifted[..n].copy_from_slice(&cur[amount..amount + n]);
             }
         }
+        let mut next = Vec::with_capacity(w);
+        select(cnf, sel, &shifted, &cur, &mut next);
+        cur = next;
     }
+    out.extend_from_slice(&cur);
+}
 
-    fn ult(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        // a < b  iff  carry-out of a + ~b + 1 is 0.
-        let nb: Vec<Lit> = b.iter().map(|&l| !l).collect();
-        let t = self.cnf.true_lit();
-        let (_, carry) = self.adder_with_carry(a, &nb, t);
-        !carry
+fn cmp_op(cnf: &mut Cnf, op: CmpKind, a: &[Lit], b: &[Lit]) -> Lit {
+    match op {
+        CmpKind::Eq => {
+            // A constant pair folds as `and_gate` would fold its constant
+            // `iff`: equal bits leave the chain as it is, unequal ones
+            // make it false.
+            let mut acc = cnf.true_lit();
+            for (&x, &y) in a.iter().zip(b) {
+                match (cnf.known(x), cnf.known(y)) {
+                    (Some(p), Some(q)) if p == q => {}
+                    (Some(_), Some(_)) => acc = cnf.false_lit(),
+                    _ => {
+                        let eq = cnf.iff_gate(x, y);
+                        acc = cnf.and_gate(acc, eq);
+                    }
+                }
+            }
+            acc
+        }
+        CmpKind::Ult => ult(cnf, a, b),
+        CmpKind::Ule => !ult(cnf, b, a),
+        CmpKind::Slt => slt(cnf, a, b),
+        CmpKind::Sle => !slt(cnf, b, a),
     }
+}
 
-    fn slt(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        let w = a.len();
-        let sa = a[w - 1];
-        let sb = b[w - 1];
-        let ult = self.ult(a, b);
-        // signs differ: a < b iff sign(a)=1; signs equal: unsigned compare.
-        let diff = self.cnf.xor_gate(sa, sb);
-        self.cnf.ite_gate(diff, sa, ult)
-    }
+/// `a < b` iff the carry out of `a + ~b + 1` is 0.
+fn ult(cnf: &mut Cnf, a: &[Lit], b: &[Lit]) -> Lit {
+    let t = cnf.true_lit();
+    !adder(cnf, a, b.iter().map(|&l| !l), t, |_| {})
+}
+
+fn slt(cnf: &mut Cnf, a: &[Lit], b: &[Lit]) -> Lit {
+    let w = a.len();
+    let sa = a[w - 1];
+    let sb = b[w - 1];
+    let ult = ult(cnf, a, b);
+    // signs differ: a < b iff sign(a)=1; signs equal: unsigned compare.
+    let diff = cnf.xor_gate(sa, sb);
+    cnf.ite_gate(diff, sa, ult)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -674,7 +765,7 @@ mod tests {
     /// Width of `e`'s cached lowering.
     fn cached_width(bb: &BitBlaster, e: ExprRef) -> Option<usize> {
         match bb.cache.get(&e)? {
-            Blasted::Bits(bits) => Some(bits.len()),
+            Blasted::Bits(bits) => Some(bits.len as usize),
             Blasted::Bool(_) => Some(1),
         }
     }
@@ -711,6 +802,183 @@ mod tests {
         bb.rollback_scope();
         assert_eq!(cached_width(&bb, prod), Some(8));
         assert_eq!(bb.cnf.clause_count(), narrow);
+    }
+
+    /// `a + b + carry`, one `full_adder` per bit, as carry chains were
+    /// lowered before constant bits folded.
+    fn ripple(cnf: &mut Cnf, a: &[Lit], b: &[Lit], mut carry: Lit) -> Vec<Lit> {
+        let mut out = Vec::new();
+        for (&x, &y) in a.iter().zip(b) {
+            let (s, c) = cnf.full_adder(x, y, carry);
+            out.push(s);
+            carry = c;
+        }
+        out
+    }
+
+    /// Blasts `a` and `b` at 64 bits, then `e` (over them) at 64 bits,
+    /// and checks `e`'s lowering against `oracle` built on a copy of the
+    /// formula before it: same literals, clauses and variables.
+    fn assert_lowers_as(
+        pool: &ExprPool,
+        (a, b, e): (ExprRef, ExprRef, ExprRef),
+        oracle: impl FnOnce(&mut Cnf, &[Lit], &[Lit]) -> Vec<Lit>,
+    ) -> (BitBlaster, Vec<Lit>) {
+        let mut bb = BitBlaster::new();
+        let av = bb.blast_bits(pool, a, 64).unwrap();
+        let bv = bb.blast_bits(pool, b, 64).unwrap();
+        let mut reference = bb.cnf.clone();
+        let out = bb.blast_bits(pool, e, 64).unwrap();
+        assert_eq!(out, oracle(&mut reference, &av, &bv));
+        assert_eq!(bb.cnf.var_count(), reference.var_count());
+        let clauses = |cnf: &Cnf| cnf.pending().map(<[Lit]>::to_vec).collect::<Vec<_>>();
+        assert_eq!(clauses(&bb.cnf), clauses(&reference));
+        (bb, out)
+    }
+
+    #[test]
+    fn a_carry_chain_folds_until_its_first_unknown_bit() {
+        // (x & 0xff00) + 0x01ff: bits 0-7 are constant, bit 8 makes the
+        // carry unknown, and from bit 16 up the carry is constant again.
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 64);
+        let mask = pool.bv_const(0xff00, 64);
+        let a = pool.bin(BvOp::And, x, mask);
+        let b = pool.bv_const(0x01ff, 64);
+        let sum = pool.intern(Node::Bin {
+            op: BvOp::Add,
+            a,
+            b,
+        });
+        let (mut bb, out) = assert_lowers_as(&pool, (a, b, sum), |cnf, av, bv| {
+            let f = cnf.false_lit();
+            ripple(cnf, av, bv, f)
+        });
+        let t = bb.cnf.true_lit();
+        assert_eq!(&out[..8], &[t; 8], "the low byte is all ones");
+        assert_eq!(out[8], !bb.blast_bits(&pool, x, 64).unwrap()[8]);
+    }
+
+    #[test]
+    fn subtraction_folds_from_its_constant_true_carry_in() {
+        // (x << 4) - 3: a + !b + 1 over constant low bits is 0 - 3 there.
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 64);
+        let four = pool.bv_const(4, 64);
+        let a = pool.bin(BvOp::Shl, x, four);
+        let b = pool.bv_const(3, 64);
+        let diff = pool.intern(Node::Bin {
+            op: BvOp::Sub,
+            a,
+            b,
+        });
+        let (mut bb, out) = assert_lowers_as(&pool, (a, b, diff), |cnf, av, bv| {
+            let nb: Vec<Lit> = bv.iter().map(|&l| !l).collect();
+            let t = cnf.true_lit();
+            ripple(cnf, av, &nb, t)
+        });
+        let t = bb.cnf.true_lit();
+        assert_eq!(&out[..4], &[t, !t, t, t], "0 - 3 ends in 0b1101");
+    }
+
+    #[test]
+    fn an_all_constant_64_bit_overflow_builds_nothing() {
+        let mut pool = ExprPool::new();
+        let max = pool.bv_const(u64::MAX, 64);
+        let one = pool.bv_const(1, 64);
+        let zero = pool.bv_const(0, 64);
+        let wrap = pool.intern(Node::Bin {
+            op: BvOp::Add,
+            a: max,
+            b: one,
+        });
+        let borrow = pool.intern(Node::Bin {
+            op: BvOp::Sub,
+            a: zero,
+            b: one,
+        });
+        let square = pool.intern(Node::Bin {
+            op: BvOp::Mul,
+            a: max,
+            b: max,
+        });
+        let lt = pool.intern(Node::Cmp {
+            op: CmpKind::Ult,
+            a: max,
+            b: one,
+        });
+        let slt = pool.intern(Node::Cmp {
+            op: CmpKind::Slt,
+            a: max,
+            b: one,
+        });
+        let eq = pool.intern(Node::Cmp {
+            op: CmpKind::Eq,
+            a: max,
+            b: one,
+        });
+        let mut bb = BitBlaster::new();
+        let t = bb.cnf.true_lit();
+        let (vars, clauses) = (bb.cnf.var_count(), bb.cnf.clause_count());
+        assert_eq!(bb.blast_bits(&pool, wrap, 64).unwrap(), vec![!t; 64]);
+        assert_eq!(bb.blast_bits(&pool, borrow, 64).unwrap(), vec![t; 64]);
+        let mut one_bits = vec![!t; 64];
+        one_bits[0] = t;
+        assert_eq!(bb.blast_bits(&pool, square, 64).unwrap(), one_bits);
+        assert_eq!(bb.blast_bits(&pool, lt, 1).unwrap(), vec![!t]);
+        assert_eq!(bb.blast_bits(&pool, slt, 1).unwrap(), vec![t], "-1 < 1");
+        assert_eq!(bb.blast_bits(&pool, eq, 1).unwrap(), vec![!t]);
+        assert_eq!((bb.cnf.var_count(), bb.cnf.clause_count()), (vars, clauses));
+    }
+
+    #[test]
+    fn a_known_shift_stage_or_ite_selector_copies_one_side() {
+        // x << ((y & 5) | 2) at 8 bits: stage 1's selector is constant
+        // true, stages 0 and 2 are symbolic.
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 8);
+        let y = pool.var("y", 8);
+        let five = pool.bv_const(5, 8);
+        let two = pool.bv_const(2, 8);
+        let y5 = pool.bin(BvOp::And, y, five);
+        let amount = pool.bin(BvOp::Or, y5, two);
+        let shifted = pool.intern(Node::Bin {
+            op: BvOp::Shl,
+            a: x,
+            b: amount,
+        });
+        let mut bb = BitBlaster::new();
+        let xv = bb.blast_bits(&pool, x, 8).unwrap();
+        let sel = bb.blast_bits(&pool, amount, 8).unwrap();
+        let mut reference = bb.cnf.clone();
+        let out = bb.blast_bits(&pool, shifted, 8).unwrap();
+        // The barrel shifter with one `ite_gate` per bit and stage.
+        let f = reference.false_lit();
+        let mut cur = xv.clone();
+        for (stage, &s) in sel.iter().enumerate().take(3) {
+            let amount = 1 << stage;
+            let mut moved = vec![f; 8];
+            moved[amount..].copy_from_slice(&cur[..8 - amount]);
+            cur = cur
+                .iter()
+                .zip(&moved)
+                .map(|(&c, &m)| reference.ite_gate(s, m, c))
+                .collect();
+        }
+        assert_eq!(out, cur);
+        assert_eq!(bb.cnf.var_count(), reference.var_count());
+        assert_eq!(bb.cnf.clause_count(), reference.clause_count());
+
+        // An ITE on a constant condition is its branch, with no clause.
+        let yes = pool.bool_const(true);
+        let ite = pool.intern(Node::Ite {
+            cond: yes,
+            then_e: x,
+            else_e: y,
+        });
+        let clauses = bb.cnf.clause_count();
+        assert_eq!(bb.blast_bits(&pool, ite, 8).unwrap(), xv);
+        assert_eq!(bb.cnf.clause_count(), clauses);
     }
 
     #[test]

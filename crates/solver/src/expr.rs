@@ -266,9 +266,33 @@ impl ArrayDecl {
 #[derive(Debug, Clone)]
 pub struct VarDecl {
     /// Human-readable name.
-    pub name: String,
+    pub name: VarName,
     /// Bit width.
     pub bits: u32,
+}
+
+/// A variable's name, rendered only when displayed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum VarName {
+    /// A name given in full.
+    Named(String),
+    /// The program input read at byte `offset` of input stream `source`:
+    /// `in<source>@<offset>`.
+    Input {
+        /// Input stream.
+        source: u32,
+        /// Byte offset within the stream.
+        offset: usize,
+    },
+}
+
+impl fmt::Display for VarName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            VarName::Named(name) => f.write_str(name),
+            VarName::Input { source, offset } => write!(f, "in{source}@{offset}"),
+        }
+    }
 }
 
 /// What the pool knows about a node, computed once when it is interned.
@@ -471,11 +495,18 @@ impl ExprPool {
 
     /// A fresh named variable of `bits` width.
     pub fn var(&mut self, name: impl Into<String>, bits: u32) -> ExprRef {
+        self.declare(VarName::Named(name.into()), bits)
+    }
+
+    /// A fresh variable of `bits` width for the input read at byte
+    /// `offset` of stream `source`, named `in<source>@<offset>`.
+    pub fn input_var(&mut self, source: u32, offset: usize, bits: u32) -> ExprRef {
+        self.declare(VarName::Input { source, offset }, bits)
+    }
+
+    fn declare(&mut self, name: VarName, bits: u32) -> ExprRef {
         let id = VarId(self.vars.len() as u32);
-        self.vars.push(VarDecl {
-            name: name.into(),
-            bits,
-        });
+        self.vars.push(VarDecl { name, bits });
         self.intern(Node::Var { id, bits })
     }
 
@@ -685,7 +716,7 @@ impl ExprPool {
         match self.node(e) {
             Node::Const { value, bits } => format!("{value}#{bits}"),
             Node::BoolConst(b) => b.to_string(),
-            Node::Var { id, .. } => self.var_decl(*id).name.clone(),
+            Node::Var { id, .. } => self.var_decl(*id).name.to_string(),
             Node::Bin { op, a, b } => {
                 format!("({op:?} {} {})", self.display(*a), self.display(*b))
             }
@@ -752,6 +783,20 @@ mod tests {
         let s1 = p.bin(BvOp::Add, x, a);
         let s2 = p.bin(BvOp::Add, x, b);
         assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn input_variables_render_their_stream_and_offset() {
+        let mut p = ExprPool::new();
+        let x = p.var("x", 32);
+        let input = p.input_var(3, 16, 8);
+        assert_ne!(x, input);
+        assert_eq!(p.display(x), "x");
+        assert_eq!(p.display(input), "in3@16");
+        let sum = p.bin(BvOp::Add, x, x);
+        let wide = p.zext(input, 32);
+        let e = p.cmp(CmpKind::Ult, sum, wide);
+        assert_eq!(p.display(e), "(Ult (Add x x) (zext32 in3@16))");
     }
 
     #[test]

@@ -1096,10 +1096,7 @@ impl<'p> SymMachine<'p> {
                 let off = self.state.input_offsets.entry(source).or_insert(0);
                 let offset = *off;
                 *off += width.bytes() as usize;
-                let var = self
-                    .state
-                    .pool
-                    .var(format!("in{source}@{offset}"), width.bits());
+                let var = self.state.pool.input_var(source, offset, width.bits());
                 self.state.origins.insert(var, at);
                 self.state.inputs.push(InputRecord {
                     source,
@@ -2299,5 +2296,28 @@ mod tests {
         assert!(!result.site_counts.is_empty());
         let input_site = result.inputs[0].site;
         assert_eq!(result.site_counts.get(&input_site), Some(&1));
+    }
+
+    #[test]
+    fn input_variables_are_named_by_stream_and_offset() {
+        let src = r#"
+            fn main() {
+                let a: u32 = input_u32(0);
+                let b: u8 = input_u8(1);
+                let c: u64 = input_u64(0);
+                if a + 1 == 5 { abort("five"); }
+                print(b);
+                print(c);
+            }
+        "#;
+        let inputs = [(0, vec![4, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8]), (1, vec![9])];
+        let (program, events, failure) = record(src, &inputs);
+        let result = SymMachine::new(&program, SymConfig::default()).run(&events, failure.as_ref());
+        let names: Vec<String> = result
+            .inputs
+            .iter()
+            .map(|i| result.pool.display(i.var))
+            .collect();
+        assert_eq!(names, ["in0@0", "in1@0", "in0@4"]);
     }
 }
