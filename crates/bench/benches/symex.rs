@@ -15,9 +15,20 @@ fn record(
     Vec<er_pt::TraceEvent>,
     er_minilang::error::Failure,
 ) {
-    let program = compile(src).unwrap();
     let mut env = Env::new();
     env.push_input(0, &input.to_le_bytes());
+    record_env(src, env)
+}
+
+fn record_env(
+    src: &str,
+    env: Env,
+) -> (
+    er_minilang::ir::Program,
+    Vec<er_pt::TraceEvent>,
+    er_minilang::error::Failure,
+) {
+    let program = compile(src).unwrap();
     let report = Machine::with_sink(&program, env, PtSink::new(PtConfig::default())).run();
     let RunOutcome::Failure(f) = report.outcome else {
         panic!()
@@ -73,5 +84,50 @@ fn bench_symbolic_path(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_concrete_path, bench_symbolic_path);
+/// Symbolic table accesses: three stages, each a store to a 32-entry table
+/// at a masked input and a branch on a read of it at another, guarding a
+/// hash check. Every access is symbolic, not unique and inside its table,
+/// so the run's time is address resolution.
+fn bench_table_accesses(c: &mut Criterion) {
+    let (shift, mul, secret) = (17u64, 0x9e37_79b9_7f4a_7c15u64, 0x1234_5678_9abc_def0u64);
+    let target = (secret ^ (secret >> shift)).wrapping_mul(mul) & 0xffff;
+    let mut src = String::new();
+    for s in 1..=3 {
+        src += &format!("global T{s}: [u64; 32];\n");
+    }
+    src += &format!(
+        "fn main() {{\n    let h: u64 = input_u64(0);\n    h = (h ^ (h >> {shift})) * {mul};\n"
+    );
+    for s in 1..=3 {
+        src += &format!(
+            "    let k{s}: u64 = input_u64(1) & 31;\n    let p{s}: u64 = input_u64(1) & 31;\n    T{s}[k{s}] = {m};\n    if T{s}[p{s}] == {m} {{\n",
+            m = 40 + s
+        );
+    }
+    src += &format!("    if (h & 65535) == {target} {{ abort(\"target reached\"); }}\n");
+    src += "    }\n    }\n    }\n    print(h);\n}\n";
+    let mut env = Env::new();
+    env.push_input(0, &secret.to_le_bytes());
+    for k in [5u64, 17, 30] {
+        env.push_input(1, &k.to_le_bytes());
+        env.push_input(1, &k.to_le_bytes());
+    }
+    let (program, events, failure) = record_env(&src, env);
+    c.bench_function("symex/table_accesses_3_stages", |b| {
+        b.iter(|| {
+            let r = SymMachine::new(&program, SymConfig::default()).run(&events, Some(&failure));
+            assert!(matches!(r.status, er_symex::ShepherdStatus::Completed));
+            assert_eq!(r.stats.symbolic_accesses, 6);
+            // Each decided without a uniqueness or containment query.
+            assert_eq!((r.stats.addr_witnessed, r.stats.addr_bounded), (6, 6));
+        });
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_concrete_path,
+    bench_symbolic_path,
+    bench_table_accesses
+);
 criterion_main!(benches);

@@ -32,6 +32,8 @@ const PHASES: &[(&str, &str)] = &[
 /// Effort counters summarized alongside the time breakdown.
 const EFFORT: &[&str] = &[
     "symex.steps",
+    "symex.addr_witnessed",
+    "symex.addr_bounded",
     "sat.conflicts",
     "sat.propagations",
     "pt.packets_encoded",
@@ -278,6 +280,8 @@ fn main() {
         &[
             "Workload",
             "Symex Steps",
+            "Addr Witnessed",
+            "Addr Bounded",
             "SAT Conflicts",
             "SAT Props",
             "PT Packets",

@@ -67,7 +67,7 @@ fn incremental_mode_matches_uncached_baseline() {
 
 /// `solver_work_units` of each Table-1 row at test scale, in table order.
 const WORK_UNITS: [u64; 13] = [
-    30656, 79396, 6091, 13808, 6091, 6091, 6091, 30656, 4548, 0, 0, 512, 3183,
+    20948, 47976, 4667, 9714, 4667, 4667, 4667, 20948, 4096, 0, 0, 0, 3072,
 ];
 
 #[test]

@@ -302,14 +302,17 @@ struct Facts {
     known: KnownBits,
     /// Whether a `Read` node is at or below this node.
     reads: bool,
+    /// Bit `id % 64` of each variable at or below this node.
+    vars: u64,
 }
 
 /// The expression pool: owns all nodes, hash-consing structurally equal
 /// ones, and applies algebraic simplification in its constructors.
 ///
-/// Each node's sort, [`KnownBits`] and whether it contains a read sit in a
-/// side table filled at [`ExprPool::intern`] from its operands' entries, so
-/// all three are O(1) to ask for however deep the DAG below grows.
+/// Each node's sort, [`KnownBits`], whether it contains a read and a mask
+/// of its variables sit in a side table filled at [`ExprPool::intern`] from
+/// its operands' entries, so all four are O(1) to ask for however deep the
+/// DAG below grows.
 #[derive(Debug, Default, Clone)]
 pub struct ExprPool {
     nodes: Vec<Node>,
@@ -318,6 +321,8 @@ pub struct ExprPool {
     arrays: Vec<ArrayNode>,
     /// Base-array id under each array node.
     array_bases: Vec<u32>,
+    /// [`ExprPool::var_mask`] of each array node's store indices and values.
+    array_vars: Vec<u64>,
     arrays_dedup: FxHashMap<ArrayNode, ArrayRef>,
     array_decls: Vec<ArrayDecl>,
     vars: Vec<VarDecl>,
@@ -386,6 +391,13 @@ impl ExprPool {
         self.facts[e.0 as usize].reads
     }
 
+    /// A summary of the variables at or below `e`, reads' arrays included:
+    /// bit `id % 64` for each. Two expressions whose masks share no bit
+    /// share no variable.
+    pub fn var_mask(&self, e: ExprRef) -> u64 {
+        self.facts[e.0 as usize].vars
+    }
+
     /// Declaration of the base array under `a`.
     fn base_decl(&self, a: ArrayRef) -> &ArrayDecl {
         &self.array_decls[self.array_bases[a.0 as usize] as usize]
@@ -450,7 +462,31 @@ impl ExprPool {
                         else_e,
                     } => reads_at(cond) || reads_at(then_e) || reads_at(else_e),
                 };
-                self.facts.push(Facts { sort, known, reads });
+                let vars_at = |x: ExprRef| facts[x.0 as usize].vars;
+                let vars = match *e.key() {
+                    Node::Const { .. } | Node::BoolConst(_) => 0,
+                    Node::Var { id, .. } => 1 << (id.0 % 64),
+                    Node::Read { arr, index } => vars_at(index) | self.array_vars[arr.0 as usize],
+                    Node::Bin { a, b, .. }
+                    | Node::Cmp { a, b, .. }
+                    | Node::AndB(a, b)
+                    | Node::OrB(a, b) => vars_at(a) | vars_at(b),
+                    Node::Not(a)
+                    | Node::ZExt { a, .. }
+                    | Node::Trunc { a, .. }
+                    | Node::BoolToBv { a, .. } => vars_at(a),
+                    Node::Ite {
+                        cond,
+                        then_e,
+                        else_e,
+                    } => vars_at(cond) | vars_at(then_e) | vars_at(else_e),
+                };
+                self.facts.push(Facts {
+                    sort,
+                    known,
+                    reads,
+                    vars,
+                });
                 self.nodes.push(e.key().clone());
                 e.insert(r);
                 r
@@ -463,11 +499,17 @@ impl ExprPool {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let r = ArrayRef(self.arrays.len() as u32);
-                let base = match *e.key() {
-                    ArrayNode::Base(id) => id,
-                    ArrayNode::Store { arr, .. } => self.array_bases[arr.0 as usize],
+                let (base, vars) = match *e.key() {
+                    ArrayNode::Base(id) => (id, 0),
+                    ArrayNode::Store { arr, index, value } => (
+                        self.array_bases[arr.0 as usize],
+                        self.array_vars[arr.0 as usize]
+                            | self.facts[index.0 as usize].vars
+                            | self.facts[value.0 as usize].vars,
+                    ),
                 };
                 self.array_bases.push(base);
+                self.array_vars.push(vars);
                 self.arrays.push(e.key().clone());
                 e.insert(r);
                 r
@@ -870,6 +912,25 @@ mod tests {
         let big = p.bv_const(1 << 20, 64);
         let lt = p.cmp(CmpKind::Ult, idx, big);
         assert!(p.as_const(lt).is_none());
+    }
+
+    #[test]
+    fn var_masks_follow_operands_and_store_chains() {
+        let mut p = ExprPool::new();
+        let x = p.var("x", 64);
+        let y = p.var("y", 64);
+        let z = p.var("z", 8);
+        let one = p.bv_const(1, 64);
+        assert_eq!(p.var_mask(one), 0);
+        let sum = p.bin(BvOp::Add, x, one);
+        assert_eq!(p.var_mask(sum), p.var_mask(x));
+        assert_eq!(p.var_mask(x) & p.var_mask(y), 0);
+        // A read carries its index's variables and those of every store
+        // below it, indices and values alike.
+        let arr = p.array("A", 4, 8, None);
+        let stored = p.write(arr, y, z);
+        let r = p.read(stored, sum);
+        assert_eq!(p.var_mask(r), p.var_mask(x) | p.var_mask(y) | p.var_mask(z));
     }
 
     #[test]

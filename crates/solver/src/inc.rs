@@ -170,6 +170,24 @@ impl IncrementalSolver {
         result
     }
 
+    /// `constraints + assumptions` decided by a fresh engine over a copy of
+    /// `pool`: the check that an answer reached without a search is the
+    /// one a search gives. It bills no cancel token and counts no
+    /// `solver.*` telemetry, so the caller's engine, pool and accounting
+    /// are as if it never ran.
+    pub fn detached_check(
+        pool: &ExprPool,
+        constraints: &[ExprRef],
+        assumptions: &[ExprRef],
+        budget: &Budget,
+    ) -> SatResult {
+        crate::cancel::unsupervised(|| {
+            IncrementalSolver::new()
+                .check_assuming_inner(&mut pool.clone(), constraints, assumptions, budget)
+                .0
+        })
+    }
+
     /// Returns (result, cache_hits, cache_misses, clauses_reused).
     fn check_assuming_inner(
         &mut self,

@@ -28,6 +28,10 @@
 //!    store.
 //! 6. [`solve`] — the vocabulary around it: budgets, verdicts, stall
 //!    reasons, and models that evaluate expressions.
+//! 7. [`witness`] and [`interval`] — answers reached without a search:
+//!    an assignment near a model that moves an expression (so it is not
+//!    unique), and an unsigned range that holds every value of one (so it
+//!    stays inside it).
 //!
 //! # Example
 //!
@@ -56,10 +60,12 @@ pub mod cnf;
 pub mod expr;
 pub mod hash;
 pub mod inc;
+pub mod interval;
 pub mod known;
 pub mod sat;
 pub mod simplify;
 pub mod solve;
+pub mod witness;
 
 pub use expr::{ArrayRef, BvOp, CmpKind, ExprPool, ExprRef, Sort};
 pub use inc::IncrementalSolver;

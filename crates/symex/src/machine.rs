@@ -20,7 +20,9 @@ use er_pt::packet::TraceEvent;
 use er_solver::expr::{BvOp, CmpKind, ExprPool, ExprRef};
 use er_solver::hash::FxHashMap;
 use er_solver::inc::IncrementalSolver;
-use er_solver::solve::{Budget, SatResult, StallReason};
+use er_solver::interval::unsigned_bound;
+use er_solver::solve::{Budget, Model, SatResult, StallReason};
+use er_solver::witness::find_witness;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -190,6 +192,12 @@ pub struct SymStats {
     pub work_units: u64,
     /// Symbolic addresses concretized to a unique value.
     pub concretized_addrs: u64,
+    /// Symbolic addresses shown not unique by a concrete witness instead
+    /// of a solver query.
+    pub addr_witnessed: u64,
+    /// Symbolic addresses shown to stay inside their object by an unsigned
+    /// bound instead of a solver query.
+    pub addr_bounded: u64,
     /// Accesses left symbolic within one object.
     pub symbolic_accesses: u64,
     /// Recorded (PTW) values bound.
@@ -572,6 +580,8 @@ impl<'p> SymMachine<'p> {
             er_telemetry::counter!("symex.steps").add(self.stats.steps);
             er_telemetry::counter!("symex.word_ops").add(self.stats.word_ops);
             er_telemetry::counter!("symex.solver_queries").add(self.stats.solver_queries);
+            er_telemetry::counter!("symex.addr_witnessed").add(self.stats.addr_witnessed);
+            er_telemetry::counter!("symex.addr_bounded").add(self.stats.addr_bounded);
             er_telemetry::counter!("symex.forks_shepherded").add(self.stats.forks_shepherded);
             er_telemetry::counter!("symex.mem_reads").add(self.stats.mem_reads);
             er_telemetry::counter!("symex.mem_writes").add(self.stats.mem_writes);
@@ -894,13 +904,8 @@ impl<'p> SymMachine<'p> {
                     SatResult::Unknown(reason) => return Err(Stop::Stall(reason, Some(e))),
                 };
                 let v = model.eval(&self.state.pool, e);
-                // Uniqueness: UNSAT(path ∧ e != v) means e is forced to v.
-                // An inconclusive answer is treated as "not unique" — a
-                // sound under-approximation that avoids stalling here.
                 let vc = self.state.pool.bv_const(v, 64);
-                let ne = self.state.pool.ne(e, vc);
-                let unique = matches!(self.query(&[ne], &budget), SatResult::Unsat);
-                if unique || self.config.always_concretize {
+                if self.config.always_concretize || self.is_unique(e, v, vc, &model, &budget) {
                     let eq = self.state.pool.cmp(CmpKind::Eq, e, vc);
                     self.push_constraint(eq);
                     self.stats.concretized_addrs += 1;
@@ -919,11 +924,9 @@ impl<'p> SymMachine<'p> {
                     return Err(Stop::Stall(StallReason::AddressAmbiguity, Some(e)));
                 };
                 let (base, size) = (obj.base, obj.size);
+                let end = base + size - (width.bytes() - 1);
                 let lo = self.state.pool.bv_const(base, 64);
-                let hi = self
-                    .state
-                    .pool
-                    .bv_const(base + size - (width.bytes() - 1), 64);
+                let hi = self.state.pool.bv_const(end, 64);
                 let ge = self.state.pool.cmp(CmpKind::Ule, lo, e);
                 let lt = self.state.pool.cmp(CmpKind::Ult, e, hi);
                 let inside = self.state.pool.and(ge, lt);
@@ -931,7 +934,16 @@ impl<'p> SymMachine<'p> {
                 // If containment cannot be proved (SAT or inconclusive),
                 // fall through to concretization — always sound, since any
                 // feasible address yields a valid stronger path.
-                let contained = matches!(self.query(&[outside], &budget), SatResult::Unsat);
+                let contained = if self.bounded_within(e, base, end) {
+                    debug_assert!(
+                        matches!(self.detached_check(outside, &budget), SatResult::Unsat),
+                        "an address bounded inside its object cannot leave it"
+                    );
+                    self.stats.addr_bounded += 1;
+                    true
+                } else {
+                    matches!(self.query(&[outside], &budget), SatResult::Unsat)
+                };
                 if contained {
                     self.stats.symbolic_accesses += 1;
                     Ok(MemTarget::Symbolic { base, expr: e })
@@ -942,6 +954,54 @@ impl<'p> SymMachine<'p> {
                 }
             }
         }
+    }
+
+    /// Whether the path forces `e` to `v` (its value under `model`, a model
+    /// of the path; `vc` is `v` as a constant). A witness that moves `e`
+    /// answers "no" without a query; otherwise the solver decides, and an
+    /// inconclusive answer counts as "no" — a sound under-approximation
+    /// that avoids stalling here.
+    fn is_unique(
+        &mut self,
+        e: ExprRef,
+        v: u64,
+        vc: ExprRef,
+        model: &Model,
+        budget: &Budget,
+    ) -> bool {
+        // Built either way, so the pool grows as it did when the query
+        // always ran: a stall reports its size (Table 1's Graph Nodes).
+        let ne = self.state.pool.ne(e, vc);
+        if find_witness(&self.state.pool, &self.state.path, e, v, model).is_some() {
+            // A search that stalls would have said "no" as well.
+            debug_assert!(
+                !matches!(self.detached_check(ne, budget), SatResult::Unsat),
+                "a witness is a model of the uniqueness query"
+            );
+            self.stats.addr_witnessed += 1;
+            return false;
+        }
+        // UNSAT(path ∧ e != v) means e is forced to v.
+        matches!(self.query(&[ne], budget), SatResult::Unsat)
+    }
+
+    /// Whether every value of `e`, an address that reads no memory, lies in
+    /// `[base, end)`, so that no path lets the access leave its object.
+    /// Only for read-free addresses: the containment query on one could not
+    /// have tripped the array-cell budget, which reads as "not contained".
+    fn bounded_within(&self, e: ExprRef, base: u64, end: u64) -> bool {
+        if self.state.pool.contains_read(e) {
+            return false;
+        }
+        let (lo, hi) = unsigned_bound(&self.state.pool, e);
+        base <= lo && hi < end
+    }
+
+    /// The path plus `assumption`, decided on the side
+    /// ([`IncrementalSolver::detached_check`]): for debug checks of
+    /// answers reached without a query.
+    fn detached_check(&self, assumption: ExprRef, budget: &Budget) -> SatResult {
+        IncrementalSolver::detached_check(&self.state.pool, &self.state.path, &[assumption], budget)
     }
 
     #[allow(clippy::too_many_lines)]
