@@ -124,10 +124,44 @@ fn bench_table_accesses(c: &mut Criterion) {
     });
 }
 
+/// Symbolic spills: a loop rehashes an input word 512 times and stores
+/// each round's hash into a stack array at a concrete slot, then reads two
+/// slots back. Every store puts a symbolic word at a concrete address and
+/// few are read, the shape of a repro-mix shepherd's stores.
+fn bench_spilled_stores(c: &mut Criterion) {
+    let src = r#"
+        fn main() {
+            var spill: [u64; 64];
+            let h: u64 = input_u64(0);
+            for i: u64 = 0; i < 512; i = i + 1 {
+                h = (h ^ (h >> 29)) * 3;
+                spill[i & 63] = h;
+            }
+            let a: u64 = spill[5];
+            let b: u64 = spill[17];
+            if (a ^ b) == 7 { print(1); }
+            abort("end");
+        }
+    "#;
+    let mut env = Env::new();
+    env.push_input(0, &0x0123_4567_89ab_cdefu64.to_le_bytes());
+    let (program, events, failure) = record_env(src, env);
+    c.bench_function("symex/spilled_symbolic_stores", |b| {
+        b.iter(|| {
+            let r = SymMachine::new(&program, SymConfig::default()).run(&events, Some(&failure));
+            assert!(matches!(r.status, er_symex::ShepherdStatus::Completed));
+            assert_eq!(r.stats.overlay_stores, 512);
+            // Only the two loads build bytes.
+            assert_eq!(r.stats.overlay_bytes_built, 16);
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_concrete_path,
     bench_symbolic_path,
-    bench_table_accesses
+    bench_table_accesses,
+    bench_spilled_stores
 );
 criterion_main!(benches);

@@ -34,6 +34,8 @@ const EFFORT: &[&str] = &[
     "symex.steps",
     "symex.addr_witnessed",
     "symex.addr_bounded",
+    "symex.overlay_stores",
+    "symex.overlay_bytes_built",
     "sat.conflicts",
     "sat.propagations",
     "pt.packets_encoded",
@@ -282,6 +284,8 @@ fn main() {
             "Symex Steps",
             "Addr Witnessed",
             "Addr Bounded",
+            "Overlay Stores",
+            "Bytes Built",
             "SAT Conflicts",
             "SAT Props",
             "PT Packets",

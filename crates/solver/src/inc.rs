@@ -172,19 +172,21 @@ impl IncrementalSolver {
 
     /// `constraints + assumptions` decided by a fresh engine over a copy of
     /// `pool`: the check that an answer reached without a search is the
-    /// one a search gives. It bills no cancel token and counts no
-    /// `solver.*` telemetry, so the caller's engine, pool and accounting
-    /// are as if it never ran.
+    /// one a search gives. It bills no cancel token and records no
+    /// telemetry ([`er_telemetry::muted`]), so the caller's engine, pool
+    /// and accounting are as if it never ran.
     pub fn detached_check(
         pool: &ExprPool,
         constraints: &[ExprRef],
         assumptions: &[ExprRef],
         budget: &Budget,
     ) -> SatResult {
-        crate::cancel::unsupervised(|| {
-            IncrementalSolver::new()
-                .check_assuming_inner(&mut pool.clone(), constraints, assumptions, budget)
-                .0
+        er_telemetry::muted(|| {
+            crate::cancel::unsupervised(|| {
+                IncrementalSolver::new()
+                    .check_assuming_inner(&mut pool.clone(), constraints, assumptions, budget)
+                    .0
+            })
         })
     }
 
@@ -485,6 +487,32 @@ mod tests {
                 | (SatResult::Unsat, SatResult::Unsat)
                 | (SatResult::Unknown(_), SatResult::Unknown(_))
         )
+    }
+
+    #[test]
+    fn detached_check_records_no_telemetry() {
+        er_telemetry::set_mode(er_telemetry::Mode::Counters);
+        let mut pool = ExprPool::new();
+        let x = pool.var("x", 16);
+        let y = pool.var("y", 16);
+        let fifty = pool.bv_const(50, 16);
+        let sum = pool.bin(BvOp::Add, x, y);
+        let c1 = pool.cmp(CmpKind::Eq, sum, fifty);
+        let c2 = pool.cmp(CmpKind::Ult, x, y);
+        // The same query on an engine of the thread's own is counted.
+        let before = er_telemetry::local_snapshot();
+        assert!(matches!(
+            fresh_verdict(&mut pool, &[c1], &[c2]),
+            SatResult::Sat(_)
+        ));
+        let counted = er_telemetry::local_snapshot().delta(&before);
+        assert_eq!(counted.get("solver.queries"), 1);
+        assert!(counted.get("span.solver.blast.calls") > 0);
+        let before = er_telemetry::local_snapshot();
+        let verdict = IncrementalSolver::detached_check(&pool, &[c1], &[c2], &Budget::default());
+        assert!(matches!(verdict, SatResult::Sat(_)));
+        let delta = er_telemetry::local_snapshot().delta(&before);
+        assert_eq!(delta.nonzero(), vec![], "a detached check moved counters");
     }
 
     #[test]

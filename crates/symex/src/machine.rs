@@ -7,7 +7,7 @@
 //! variables; every consumed event is validated so that divergence between
 //! the trace and the execution is caught, not silently mis-replayed.
 
-use crate::mem::{ObjectName, SymMemory};
+use crate::mem::{ObjectName, OverlayCounts, SymMemory};
 use crate::value::SymValue;
 use er_minilang::code::{CallSite, Code, Op, Pc};
 use er_minilang::error::{Failure, FailureKind, RuntimeFault};
@@ -212,6 +212,11 @@ pub struct SymStats {
     /// Ops run on machine words, in all-concrete frames: the part of
     /// `steps` that ran at interpreter speed.
     pub word_ops: u64,
+    /// Symbolic values stored whole at concrete addresses (one overlay
+    /// entry each, [`crate::mem`]).
+    pub overlay_stores: u64,
+    /// Byte expressions built from those stores by loads and promotions.
+    pub overlay_bytes_built: u64,
 }
 
 /// Everything a shepherded run produces; the ER core consumes this for
@@ -517,6 +522,8 @@ pub struct SymMachine<'p> {
     /// The running frame's registers as machine words while a slice runs
     /// it all-concrete; scratch, never part of the state.
     words: Vec<u64>,
+    /// The state's overlay counts when the run started.
+    overlay_start: OverlayCounts,
 }
 
 impl<'p> SymMachine<'p> {
@@ -546,6 +553,7 @@ impl<'p> SymMachine<'p> {
         SymMachine {
             code: program.code(),
             config,
+            overlay_start: state.mem.overlay_counts(),
             state,
             engine: IncrementalSolver::new(),
             stats: SymStats::default(),
@@ -574,6 +582,9 @@ impl<'p> SymMachine<'p> {
             Err(Stop::Diverge(d)) => (ShepherdStatus::Diverged(d), None),
         };
         let longest_chain = self.state.mem.longest_write_chain(&self.state.pool);
+        let overlay = self.state.mem.overlay_counts();
+        self.stats.overlay_stores = overlay.stores - self.overlay_start.stores;
+        self.stats.overlay_bytes_built = overlay.bytes_built - self.overlay_start.bytes_built;
         if er_telemetry::enabled() {
             // One batched update per shepherded run; the step loop carries
             // only plain field increments.
@@ -586,6 +597,8 @@ impl<'p> SymMachine<'p> {
             er_telemetry::counter!("symex.mem_reads").add(self.stats.mem_reads);
             er_telemetry::counter!("symex.mem_writes").add(self.stats.mem_writes);
             er_telemetry::counter!("symex.ptw_bound").add(self.stats.ptw_bound);
+            er_telemetry::counter!("symex.overlay_stores").add(self.stats.overlay_stores);
+            er_telemetry::counter!("symex.overlay_bytes_built").add(self.stats.overlay_bytes_built);
         }
         let MachineState {
             code,

@@ -1,19 +1,25 @@
-//! Symbolic memory: concrete bytes, a symbolic byte overlay, and
-//! per-object solver arrays.
+//! Symbolic memory: concrete bytes, a symbolic overlay, and per-object
+//! solver arrays.
 //!
 //! Three tiers, cheapest first:
 //!
 //! 1. **Concrete** — backed by the interpreter's [`Memory`], used whenever
 //!    address and value are both concrete and the containing object has
 //!    never been accessed through a symbolic address.
-//! 2. **Overlay** — symbolic *values* at concrete addresses live in a
-//!    byte-granular map (`addr -> 8-bit expression`).
+//! 2. **Overlay** — one entry per store, bytes on demand. A symbolic
+//!    *value* stored at a concrete address is kept whole, as a *spill*:
+//!    the value and which of its bytes it still covers, in an
+//!    address-ordered map of non-overlapping spills. A later store trims
+//!    the spills it overlaps. Byte `k` of a spill becomes an expression
+//!    (`extract_byte`) only when a load or a promotion reads it, and it is
+//!    the expression a byte-granular overlay would have held, so loaded
+//!    values and promoted arrays are the DAGs such an overlay gives.
 //! 3. **Array** — the first access through a *symbolic address* promotes
 //!    the containing object to a solver array (its concrete bytes become
-//!    the array's initial contents, overlay bytes become concrete-index
-//!    stores). From then on every access to the object goes through
-//!    `Read`/`Write` nodes — producing exactly the write chains and large
-//!    symbolic objects whose cost §3.3.1 of the paper analyzes.
+//!    the array's initial contents, its spilled symbolic bytes become
+//!    concrete-index stores). From then on every access to the object goes
+//!    through `Read`/`Write` nodes — producing exactly the write chains and
+//!    large symbolic objects whose cost §3.3.1 of the paper analyzes.
 
 use crate::value::SymValue;
 use er_minilang::error::RuntimeFault;
@@ -22,7 +28,6 @@ use er_minilang::ir::{BlockId, FuncId, Program};
 use er_minilang::mem::Memory;
 use er_minilang::value::Width;
 use er_solver::expr::{ArrayNode, ArrayRef, BvOp, ExprPool, ExprRef};
-use er_solver::hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -68,11 +73,55 @@ pub struct SymObject {
     pub symbolic_writes: u64,
 }
 
+/// The bytes of one symbolic store still visible in the overlay: keyed at
+/// `addr`, byte `addr + i` is byte `k0 + i` (little-endian) of `value`,
+/// for `i < len`. The concrete bytes beneath are not read while it lasts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Spill {
+    value: ExprRef,
+    k0: u32,
+    len: u64,
+}
+
+impl Spill {
+    /// The spill without its first `n` bytes.
+    fn skip(self, n: u64) -> Spill {
+        Spill {
+            value: self.value,
+            k0: self.k0 + n as u32,
+            len: self.len - n,
+        }
+    }
+}
+
+/// Overlay work since the memory was created: what a run reports as the
+/// difference of two readings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct OverlayCounts {
+    /// Symbolic stores kept whole in the overlay.
+    pub(crate) stores: u64,
+    /// Byte expressions built from them, by loads and promotions.
+    pub(crate) bytes_built: u64,
+}
+
+/// Where an access's bytes live besides the concrete memory.
+#[derive(Debug, Clone, Copy)]
+enum Tier {
+    /// No promoted object holds any of them: concrete bytes and spills.
+    Overlay,
+    /// All inside the promoted object based at `base`.
+    Array { base: u64, arr: ArrayRef },
+    /// Across a promoted object's boundary: each byte decides alone.
+    Mixed,
+}
+
 /// The symbolic address space.
 #[derive(Debug, Clone)]
 pub struct SymMemory {
     concrete: Memory,
-    overlay: FxHashMap<u64, ExprRef>,
+    /// Non-overlapping spills by start address.
+    overlay: BTreeMap<u64, Spill>,
+    counts: OverlayCounts,
     objects: BTreeMap<u64, SymObject>,
     freed: Vec<(u64, u64)>,
     promoted: usize,
@@ -117,7 +166,8 @@ impl SymMemory {
     fn with_concrete(program: &Program, concrete: Memory) -> Self {
         let mut m = SymMemory {
             concrete,
-            overlay: FxHashMap::default(),
+            overlay: BTreeMap::new(),
+            counts: OverlayCounts::default(),
             objects: BTreeMap::new(),
             freed: Vec::new(),
             promoted: 0,
@@ -186,7 +236,8 @@ impl SymMemory {
         base
     }
 
-    /// Frees a heap allocation.
+    /// Frees a heap allocation. Its spilled bytes stay: a symbolic address
+    /// can still resolve into the freed object and promote it.
     ///
     /// # Errors
     ///
@@ -212,7 +263,7 @@ impl SymMemory {
     }
 
     /// Pops stack allocations above `watermark`, dropping their objects and
-    /// overlay bytes.
+    /// spilled bytes.
     pub fn stack_restore(&mut self, tid: u64, watermark: u64) {
         let top = self.concrete.stack_watermark(tid);
         if top <= watermark {
@@ -227,35 +278,90 @@ impl SymMemory {
         for b in dead {
             self.objects.remove(&b);
         }
-        self.overlay.retain(|&a, _| !(watermark..top).contains(&a));
+        self.unspill(watermark, top - watermark);
     }
 
-    /// Whether the byte range `[addr, addr+len)` might involve symbolic
-    /// state (overlay bytes or a promoted object).
-    fn range_is_plain(&self, addr: u64, len: u64) -> bool {
-        if self.promoted > 0 {
-            // Check the objects the range touches.
-            let mut a = addr;
-            while a < addr + len {
-                match self.object_containing(a) {
-                    Some(o) if o.array.is_some() => return false,
-                    Some(o) => a = o.base + o.size,
-                    None => a += 1,
+    /// Overlay work so far.
+    pub(crate) fn overlay_counts(&self) -> OverlayCounts {
+        self.counts
+    }
+
+    /// Where the bytes `[addr, addr+len)` live besides the concrete memory.
+    /// An access inside one object looks it up once. Asked before a store's
+    /// fault check, so the end saturates instead of wrapping.
+    fn tier(&self, addr: u64, len: u64) -> Tier {
+        if self.promoted == 0 {
+            return Tier::Overlay;
+        }
+        let end = addr.saturating_add(len);
+        if let Some(o) = self.object_containing(addr) {
+            if end <= o.base + o.size {
+                return match o.array {
+                    Some(arr) => Tier::Array { base: o.base, arr },
+                    None => Tier::Overlay,
+                };
+            }
+        }
+        // Across an object boundary: check the objects the range touches.
+        let mut a = addr;
+        while a < end {
+            match self.object_containing(a) {
+                Some(o) if o.array.is_some() => return Tier::Mixed,
+                Some(o) => a = o.base + o.size,
+                None => a += 1,
+            }
+        }
+        Tier::Overlay
+    }
+
+    /// Whether a spill covers any byte of `[addr, addr+len)`. Spills do not
+    /// overlap, so the last one starting below the end is the only one
+    /// that can reach into the range.
+    fn spills_into(&self, addr: u64, len: u64) -> bool {
+        self.overlay
+            .range(..addr.saturating_add(len))
+            .next_back()
+            .is_some_and(|(&at, s)| at + s.len > addr)
+    }
+
+    /// The spill covering `addr`, as its value and the byte of it there.
+    fn spilled_byte(&self, addr: u64) -> Option<(ExprRef, u32)> {
+        let (&at, s) = self.overlay.range(..=addr).next_back()?;
+        (addr < at + s.len).then(|| (s.value, s.k0 + (addr - at) as u32))
+    }
+
+    /// Drops the spilled bytes of `[addr, addr+len)`, keeping the parts of
+    /// the spills that straddle either end.
+    fn unspill(&mut self, addr: u64, len: u64) {
+        let end = addr + len;
+        if let Some((&at, head)) = self.overlay.range_mut(..addr).next_back() {
+            let whole = *head;
+            if at + whole.len > addr {
+                head.len = addr - at;
+                if at + whole.len > end {
+                    self.overlay.insert(end, whole.skip(end - at));
+                    return;
                 }
             }
         }
-        if !self.overlay.is_empty() {
-            for k in 0..len {
-                if self.overlay.contains_key(&(addr + k)) {
-                    return false;
-                }
+        while let Some((&at, &s)) = self.overlay.range(addr..end).next() {
+            self.overlay.remove(&at);
+            if at + s.len > end {
+                self.overlay.insert(end, s.skip(end - at));
+                break;
             }
         }
-        true
+    }
+
+    /// Builds byte `k` of a spilled value: exactly the expression a
+    /// byte-granular overlay would have stored for it.
+    fn build_byte(&mut self, pool: &mut ExprPool, value: ExprRef, k: u32) -> SymValue {
+        self.counts.bytes_built += 1;
+        extract_byte(pool, SymValue::Sym(value), k)
     }
 
     /// Promotes the object containing `addr` to a solver array, absorbing
-    /// its concrete bytes and overlay entries. Returns the object base.
+    /// its concrete bytes and spilled bytes. Returns the object base.
     ///
     /// # Panics
     ///
@@ -270,6 +376,7 @@ impl SymMemory {
             return base;
         }
         let (size, name) = (o.size, self.render_name(&o.name));
+        let end = base + size;
         // Snapshot concrete contents as the base array's initial value.
         let mut init = Vec::with_capacity(size as usize);
         for k in 0..size {
@@ -280,19 +387,33 @@ impl SymMemory {
                     .unwrap_or(0),
             ));
         }
-        let mut arr = pool.array(name, size, 8, Some(init));
-        // Absorb overlay bytes as concrete-index stores.
-        let mut absorbed: Vec<(u64, ExprRef)> = self
+        // Spilled bytes in ascending address order: one that folds to a
+        // constant is initial contents, the rest become concrete-index
+        // stores.
+        let first = self
             .overlay
-            .iter()
-            .filter(|(&a, _)| (base..base + size).contains(&a))
-            .map(|(&a, &e)| (a, e))
+            .range(..base)
+            .next_back()
+            .filter(|(&at, s)| at + s.len > base);
+        let spills: Vec<(u64, Spill)> = first
+            .into_iter()
+            .chain(self.overlay.range(base..end))
+            .map(|(&at, &s)| (at, s))
             .collect();
-        absorbed.sort_unstable_by_key(|(a, _)| *a);
-        for (a, e) in absorbed {
+        let mut stores = Vec::new();
+        for (at, s) in spills {
+            for a in at.max(base)..(at + s.len).min(end) {
+                match self.build_byte(pool, s.value, s.k0 + (a - at) as u32) {
+                    SymValue::Concrete(v) => init[(a - base) as usize] = v,
+                    SymValue::Sym(e) => stores.push((a, e)),
+                }
+            }
+        }
+        self.unspill(base, size);
+        let mut arr = pool.array(name, size, 8, Some(init));
+        for (a, e) in stores {
             let idx = pool.bv_const(a - base, 64);
             arr = pool.write(arr, idx, e);
-            self.overlay.remove(&a);
         }
         self.promoted += 1;
         let obj = self.objects.get_mut(&base).expect("object exists");
@@ -314,30 +435,33 @@ impl SymMemory {
         let len = width.bytes();
         // Fault check (and fast path) via the concrete memory.
         let concrete_val = self.concrete.load(addr, width)?;
-        if self.range_is_plain(addr, len) {
+        let tier = self.tier(addr, len);
+        if matches!(tier, Tier::Overlay) && !self.spills_into(addr, len) {
             return Ok(SymValue::Concrete(concrete_val));
         }
         // Per-byte gather.
-        let mut bytes: Vec<SymValue> = Vec::with_capacity(len as usize);
+        let mut bytes = [SymValue::Concrete(0); 8];
         for k in 0..len {
-            bytes.push(self.load_byte(pool, addr + k)?);
+            let a = addr + k;
+            let tier = match tier {
+                Tier::Mixed => self.tier(a, 1),
+                t => t,
+            };
+            bytes[k as usize] = match tier {
+                Tier::Array { base, arr } => {
+                    let idx = pool.bv_const(a - base, 64);
+                    let e = pool.read(arr, idx);
+                    SymValue::from_expr(pool, e)
+                }
+                // A concrete byte is loaded on its own, so one in a freed
+                // allocation past the access's start faults here.
+                _ => match self.spilled_byte(a) {
+                    Some((value, k)) => self.build_byte(pool, value, k),
+                    None => SymValue::Concrete(self.concrete.load(a, Width::W8)?),
+                },
+            };
         }
-        Ok(combine_bytes(pool, &bytes))
-    }
-
-    fn load_byte(&mut self, pool: &mut ExprPool, addr: u64) -> Result<SymValue, RuntimeFault> {
-        if let Some(obj) = self.object_containing(addr) {
-            if let Some(arr) = obj.array {
-                let base = obj.base;
-                let idx = pool.bv_const(addr - base, 64);
-                let e = pool.read(arr, idx);
-                return Ok(SymValue::from_expr(pool, e));
-            }
-        }
-        if let Some(&e) = self.overlay.get(&addr) {
-            return Ok(SymValue::Sym(e));
-        }
-        Ok(SymValue::Concrete(self.concrete.load(addr, Width::W8)?))
+        Ok(combine_bytes(pool, &bytes[..len as usize]))
     }
 
     /// Stores `value` at a concrete address.
@@ -353,43 +477,53 @@ impl SymMemory {
         value: SymValue,
     ) -> Result<(), RuntimeFault> {
         let len = width.bytes();
+        let tier = self.tier(addr, len);
         if let SymValue::Concrete(v) = value {
-            if self.range_is_plain(addr, len) {
+            if matches!(tier, Tier::Overlay) && !self.spills_into(addr, len) {
                 return self.concrete.store(addr, width, v);
             }
         }
         // Fault check (keeps the concrete map in step); contents may be
-        // superseded by overlay/array bytes below.
+        // superseded by spilled or array bytes below.
         self.concrete
             .store(addr, width, value.as_concrete().unwrap_or(0))?;
-        for k in 0..len {
-            let byte = extract_byte(pool, value, k as u32);
-            self.store_byte(pool, addr + k, byte);
+        match tier {
+            Tier::Mixed => {
+                for k in 0..len {
+                    let tier = self.tier(addr + k, 1);
+                    self.store_bytes(pool, tier, addr + k, value, k as u32, 1);
+                }
+            }
+            tier => self.store_bytes(pool, tier, addr, value, 0, len),
         }
         Ok(())
     }
 
-    fn store_byte(&mut self, pool: &mut ExprPool, addr: u64, byte: SymValue) {
-        if let Some(obj) = self.object_containing(addr) {
-            if let Some(arr) = obj.array {
-                let base = obj.base;
-                let idx = pool.bv_const(addr - base, 64);
+    /// Stores bytes `k0..k0+len` of `value` at `addr`, all in `tier`
+    /// (not [`Tier::Mixed`]).
+    fn store_bytes(
+        &mut self,
+        pool: &mut ExprPool,
+        tier: Tier,
+        addr: u64,
+        value: SymValue,
+        k0: u32,
+        len: u64,
+    ) {
+        if let Tier::Array { base, mut arr } = tier {
+            for k in 0..len {
+                let byte = extract_byte(pool, value, k0 + k as u32);
+                let idx = pool.bv_const(addr + k - base, 64);
                 let v = byte.to_expr(pool, 8);
-                let new_arr = pool.write(arr, idx, v);
-                self.objects.get_mut(&base).expect("object exists").array = Some(new_arr);
-                return;
+                arr = pool.write(arr, idx, v);
             }
+            self.objects.get_mut(&base).expect("object exists").array = Some(arr);
+            return;
         }
-        match byte {
-            SymValue::Concrete(v) => {
-                self.overlay.remove(&addr);
-                // Concrete byte already written by the caller's fault-check
-                // store for multi-byte values; write again for safety.
-                let _ = self.concrete.store(addr, Width::W8, v);
-            }
-            SymValue::Sym(e) => {
-                self.overlay.insert(addr, e);
-            }
+        self.unspill(addr, len);
+        if let SymValue::Sym(value) = value {
+            self.overlay.insert(addr, Spill { value, k0, len });
+            self.counts.stores += 1;
         }
     }
 
@@ -464,8 +598,9 @@ impl SymMemory {
     }
 
     /// The first part in which `self` and `other` differ, if any: the
-    /// concrete bytes, the overlay, the objects, the freed ranges or the
-    /// promotions. Function names are the program's and not compared.
+    /// concrete bytes, the overlay (spill by spill), the objects, the freed
+    /// ranges or the promotions. Function names and overlay counts are not
+    /// compared.
     pub fn mismatch(&self, other: &SymMemory) -> Option<&'static str> {
         let objects = |m: &SymMemory| {
             m.objects
@@ -601,6 +736,35 @@ mod tests {
     }
 
     #[test]
+    fn symbolic_stores_build_nothing_until_read() {
+        let (mut m, mut p) = setup();
+        let base = m.heap_alloc(64, "buf".into());
+        let x = p.var("x", 64);
+        let nodes = p.len();
+        for k in 0..4 {
+            m.store(&mut p, base + 8 * k, Width::W64, SymValue::Sym(x))
+                .unwrap();
+        }
+        // Splits the first spill in two.
+        m.store(&mut p, base + 2, Width::W32, SymValue::Concrete(1))
+            .unwrap();
+        assert_eq!(p.len(), nodes, "stores intern nothing");
+        let v = m.load(&mut p, base, Width::W64).unwrap();
+        assert_eq!(
+            m.overlay_counts(),
+            OverlayCounts {
+                stores: 4,
+                bytes_built: 4
+            },
+            "the load builds the four bytes of x it reads, no more"
+        );
+        let SymValue::Sym(e) = v else { panic!() };
+        let x_eval = 0x8877_6655_4433_2211u64;
+        let got = er_solver::simplify::eval_concrete(&p, e, &|_| x_eval);
+        assert_eq!(got, 0x8877_0000_0001_2211);
+    }
+
+    #[test]
     fn overwrite_with_concrete_clears_overlay() {
         let (mut m, mut p) = setup();
         let base = m.heap_alloc(16, "buf".into());
@@ -671,6 +835,20 @@ mod tests {
         // symbolic now.
         let v = m.load(&mut p, base + 3, Width::W8).unwrap();
         assert!(matches!(v, SymValue::Sym(_)));
+    }
+
+    #[test]
+    fn an_access_past_the_top_of_the_address_space_faults() {
+        let (mut m, mut p) = setup();
+        let base = m.heap_alloc(16, "buf".into());
+        let x = p.var("x", 64);
+        m.store(&mut p, base, Width::W64, SymValue::Sym(x)).unwrap();
+        m.promote(&mut p, base);
+        let top = u64::MAX - 3;
+        for v in [SymValue::Concrete(1), SymValue::Sym(x)] {
+            assert!(m.store(&mut p, top, Width::W64, v).is_err());
+        }
+        assert!(m.load(&mut p, top, Width::W64).is_err());
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl Handle {
     fn add_slow(self, n: u64) {
         // `enabled()` passes while the mode is still uninitialized;
         // `mode()` resolves it and gives the real answer.
-        if crate::mode() == crate::Mode::Off {
+        if crate::mode() == crate::Mode::Off || crate::is_muted() {
             return;
         }
         let slot = *self.cell.get_or_init(|| register(self.name));

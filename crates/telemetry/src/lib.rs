@@ -55,6 +55,7 @@ pub use counters::{local_snapshot, CounterSnapshot};
 pub use journal::{read_journal, Event};
 pub use span::set_context;
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Telemetry collection level.
@@ -124,4 +125,29 @@ pub fn set_mode(m: Mode) {
 /// that ever recorded).
 pub fn global_snapshot() -> CounterSnapshot {
     counters::global_snapshot()
+}
+
+thread_local! {
+    static MUTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with this thread's telemetry muted: `f` adds to no counter
+/// and opens no span, and the thread is as it was afterwards. For checks
+/// that repeat measured work on the side. Only the recording slow paths
+/// read the flag, so disabled telemetry stays one load and a branch.
+pub fn muted<R>(f: impl FnOnce() -> R) -> R {
+    /// Unmutes on drop, so a panicking `f` leaves the thread as it was.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            MUTED.with(|m| m.set(self.0));
+        }
+    }
+    let _restore = Restore(MUTED.with(|m| m.replace(true)));
+    f()
+}
+
+/// Whether this thread is inside [`muted`].
+pub(crate) fn is_muted() -> bool {
+    MUTED.with(Cell::get)
 }

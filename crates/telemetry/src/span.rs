@@ -59,7 +59,7 @@ pub struct SpanGuard {
 #[doc(hidden)]
 pub fn enter(name: &'static str) -> SpanGuard {
     let mode = crate::mode();
-    if mode == Mode::Off {
+    if mode == Mode::Off || crate::is_muted() {
         return SpanGuard { name: None };
     }
     let enter_snap = (mode == Mode::Full).then(counters::local_snapshot);
@@ -163,6 +163,23 @@ mod tests {
         let snap = counters::local_snapshot();
         assert_eq!(snap.get("span.test.outer.calls"), 1);
         assert!(snap.get("span.test.outer.ns") > 0);
+        crate::set_mode(Mode::Off);
+    }
+
+    #[test]
+    fn muted_work_records_nothing_and_unmutes_after() {
+        let _l = crate::counters::test_mutex().lock().unwrap();
+        crate::set_mode(Mode::Counters);
+        let before = counters::local_snapshot();
+        crate::muted(|| {
+            let _a = crate::span!("test.muted");
+            assert_eq!(current_depth(), 0);
+            crate::counter!("test.muted_widgets").add(3);
+        });
+        assert_eq!(counters::local_snapshot().delta(&before).nonzero(), vec![]);
+        crate::counter!("test.muted_widgets").add(2);
+        let delta = counters::local_snapshot().delta(&before);
+        assert_eq!(delta.get("test.muted_widgets"), 2, "recording resumes");
         crate::set_mode(Mode::Off);
     }
 
